@@ -1,24 +1,88 @@
-"""Assembly of the unstabilized semi-discrete form for both systems.
+"""Assembly of the semi-discrete operator for both systems.
 
 The residual array holds the bilinear form paired against every test mode,
 shape (num_cells, n_modes, m).  Time stepping uses du/dt = -M^{-1} residual.
 
-Faces between two full background cells share identical trace tables in
-scaled coordinates, so they are assembled in vectorized groups; every face
-touching a cut cell goes through the scalar kernel :func:`face_terms`, which
-the small-cell stabilization reuses verbatim for its cancellation terms.
+The form is linear and constant in time, so it is assembled once, from two
+kernels: :func:`face_terms` (one face) and :func:`volume_terms` (one cell).
+Both are linear in the coefficients and accept coefficient blocks with a
+leading probe axis, so :func:`local_matrix` reads off a kernel's matrix in a
+single call.  The small-cell stabilization reuses :func:`face_terms` verbatim
+for its cancellation terms.
+
+* Full background cells share one set of trace and volume tables.  Every
+  face between two of them in one direction, every outer-box wall of one on
+  one side, and every such cell's volume term therefore has the same local
+  matrix; it is probed once on a representative and applied to all of them
+  by one gather, one matmul per group and one scatter (a 0/1 sparse
+  matrix), through work buffers allocated once.
+* Everything touching a cut cell (its volume term, each of its faces) goes
+  into one CSR matrix, to which :class:`SemiDiscreteOperator` adds the
+  small-cell penalty.
+
+Dofs are numbered cell by cell, each (n_modes, m) block flattened row-major,
+i.e. in the order of ``coeffs.ravel()``.
 """
 
 import numpy as np
-
+from scipy import sparse
 from scipy.linalg import cho_solve
 
 from .errors import ConfigurationError
 from .operators import mirror_state
+from .quadrature import DGFunction, cho_solve_stacked
+
+
+def local_matrix(kernel, cells, shape):
+    """Dense matrix of a linear kernel on the dofs of ``cells``.
+
+    ``kernel(u)`` returns (cell, block) pairs for cells among ``cells``.  All
+    dofs are probed at once: each unit coefficient block carries a leading
+    probe axis, and ``u.coeffs`` maps the probed cells to their blocks (the
+    kernels only index coefficients by cell).  Rows and columns both run
+    over the dofs of ``cells``, in order.
+    """
+    k, m = shape
+    km = k * m
+    size = len(cells) * km
+    eye = np.eye(size).reshape(size, len(cells), k, m)
+    probe = DGFunction({C: eye[:, i] for i, C in enumerate(cells)}, None)
+    slot = {C: i for i, C in enumerate(cells)}
+    A = np.zeros((size, size))
+    for C, block in kernel(probe):
+        i = slot[C]
+        A[i * km:(i + 1) * km] += block.reshape(size, km).T
+    return A
+
+
+def block_csr(entries, num_cells, shape):
+    """CSR matrix summing local matrices ``(cells, A)`` into the global dofs.
+
+    Exact zeros (component couplings the system matrices do not have) are
+    left out.
+    """
+    km = shape[0] * shape[1]
+    rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for cells, A in entries:
+        dofs = (np.asarray(cells)[:, None] * km + np.arange(km)).ravel()
+        r, c = np.nonzero(A)
+        rows.append(dofs[r])
+        cols.append(dofs[c])
+        vals.append(A[r, c])
+    n = num_cells * km
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
 
 
 class AssemblyPlan:
-    """Precomputed grouping of cells and faces for one (space, system) pair."""
+    """The base form's local matrices for one (space, system) pair.
+
+    ``shared`` holds the full-cell couplings as (cells, A) pairs: ``cells``
+    is an (n, s) array, one row per face or cell, and ``A`` the local matrix
+    common to all rows.  ``coupling`` is the CSR matrix of every coupling
+    that touches a cut cell.
+    """
 
     def __init__(self, space, spec, diss):
         if spec.kind == "advection" and diss.kind != "upwind":
@@ -26,139 +90,122 @@ class AssemblyPlan:
         self.space = space
         self.spec = spec
         self.diss = diss
+        self.shape = (space.n_modes, spec.m)
         mesh = space.mesh
         uncut = space.uncut
 
-        self.uncut_ids = np.where(uncut)[0]
+        uncut_ids = np.where(uncut)[0]
         self.cut_ids = np.where(~uncut)[0]
 
-        group_v = []
-        group_h = []
-        box = {}
+        # faces of full cells, grouped by kind and axis-aligned normal
+        groups = {}
         loose = []
         for face in mesh.faces:
+            cells = (face.left_cell,) if face.right_cell is None else (face.left_cell, face.right_cell)
+            n = (int(round(face.normal[0])), int(round(face.normal[1])))
             if (
-                face.kind == "internal"
-                and uncut[face.left_cell]
-                and uncut[face.right_cell]
+                all(uncut[c] for c in cells)
+                and abs(face.normal[0] - n[0]) < 1e-14
+                and abs(face.normal[1] - n[1]) < 1e-14
             ):
-                if face.normal[0] == 1.0:
-                    group_v.append((face.id, face.left_cell, face.right_cell))
-                else:
-                    group_h.append((face.id, face.left_cell, face.right_cell))
-            elif face.kind == "boundary" and uncut[face.left_cell]:
-                key = (int(round(face.normal[0])), int(round(face.normal[1])))
-                if abs(face.normal[0] - key[0]) < 1e-14 and abs(face.normal[1] - key[1]) < 1e-14:
-                    box.setdefault(key, []).append((face.id, face.left_cell))
-                else:
-                    loose.append(face.id)
+                groups.setdefault((face.kind, n), []).append((face.id, cells))
             else:
-                loose.append(face.id)
+                loose.append((face.id, cells))
 
-        def _pack_internal(group):
-            if not group:
-                return None
-            fid0 = group[0][0]
-            return {
-                "left": np.array([g[1] for g in group]),
-                "right": np.array([g[2] for g in group]),
-                "phiL": space.face_phi_left[fid0],
-                "phiR": space.face_phi_right[fid0],
-                "w": space.face_w[fid0],
-                "normal": mesh.faces[fid0].normal,
-            }
+        self.shared = []
+        if len(uncut_ids):
+            cid = int(uncut_ids[0])
+            A = local_matrix(lambda u: volume_terms(self, cid, u), [cid], self.shape)
+            self.shared.append((uncut_ids[:, None], A))
+        for key in sorted(groups):
+            fid, cells = groups[key][0]
+            A = local_matrix(lambda u: face_terms(self, fid, u), cells, self.shape)
+            self.shared.append((np.array([g[1] for g in groups[key]]), A))
+        # the rows every group reads, in group order, and their scatter back
+        rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [c.ravel() for c, _ in self.shared])
+        self._rows = rows
+        self._scatter = sparse.csr_matrix(
+            (np.ones(len(rows)), (rows, np.arange(len(rows)))), shape=(mesh.num_cells, len(rows))
+        )
+        self._work = np.empty((2, len(rows), space.n_modes * spec.m))
 
-        self.group_v = _pack_internal(group_v)
-        self.group_h = _pack_internal(group_h)
-        self.box_groups = []
-        for key in sorted(box):
-            group = box[key]
-            fid0 = group[0][0]
-            self.box_groups.append({
-                "owner": np.array([g[1] for g in group]),
-                "phi": space.face_phi_left[fid0],
-                "w": space.face_w[fid0],
-                "normal": mesh.faces[fid0].normal,
-            })
-        self.loose_faces = sorted(loose)
+        entries = [
+            ([cid], local_matrix(lambda u: volume_terms(self, cid, u), [cid], self.shape))
+            for cid in self.cut_ids
+        ]
+        for fid, cells in loose:
+            entries.append((cells, local_matrix(lambda u: face_terms(self, fid, u), cells, self.shape)))
+        self.coupling = block_csr(entries, mesh.num_cells, self.shape)
 
     # ------------------------------------------------------------------
+    def residual(self, coeffs, coupling=None):
+        """Form applied to a coefficient array; ``coupling`` replaces the CSR part."""
+        x = coeffs.reshape(coeffs.shape[0], -1)
+        gathered, product = self._work
+        np.take(x, self._rows, axis=0, out=gathered, mode="clip")
+        start = 0
+        for cells, A in self.shared:
+            stop = start + cells.size
+            np.matmul(gathered[start:stop].reshape(len(cells), -1), A.T,
+                      out=product[start:stop].reshape(len(cells), -1))
+            start = stop
+        res = self._scatter @ product
+        coupling = self.coupling if coupling is None else coupling
+        res += (coupling @ x.ravel()).reshape(res.shape)
+        return res.reshape(coeffs.shape)
+
     def base_residual(self, u):
         space = self.space
-        spec = self.spec
-        expected = (space.mesh.num_cells, space.n_modes, spec.m)
+        expected = (space.mesh.num_cells, space.n_modes, self.spec.m)
         if u.coeffs.shape != expected:
             raise ConfigurationError(
                 f"function blocks {u.coeffs.shape} do not match the space {expected}"
             )
-        res = np.zeros_like(u.coeffs)
-        A1T = spec.A1.T
-        A2T = spec.A2.T
+        return self.residual(u.coeffs)
 
-        # volume terms: -int f(u) . grad w
-        ids = self.uncut_ids
-        if len(ids):
-            vals = np.einsum("qk,ckm->cqm", space._ref_phi, u.coeffs[ids])
-            f1 = vals @ A1T
-            f2 = vals @ A2T
-            gx = space._ref_w[:, None] * space._ref_grad[:, :, 0]
-            gy = space._ref_w[:, None] * space._ref_grad[:, :, 1]
-            res[ids] -= np.einsum("qk,cqm->ckm", gx, f1) + np.einsum("qk,cqm->ckm", gy, f2)
-        for cid in self.cut_ids:
-            phi = space.cell_phi[cid]
-            grad = space.cell_grad[cid]
-            w = space.cell_w[cid]
-            vals = phi @ u.coeffs[cid]
-            f1 = vals @ A1T
-            f2 = vals @ A2T
-            res[cid] -= grad[:, :, 0].T @ (w[:, None] * f1) + grad[:, :, 1].T @ (w[:, None] * f2)
-
-        # internal faces between full cells, vectorized per direction
-        for group in (self.group_v, self.group_h):
-            if group is None:
-                continue
-            n = group["normal"]
-            AnT = spec.A_n(n).T
-            s = self.diss.coefficient(spec, n)
-            uL = np.einsum("qk,ckm->cqm", group["phiL"], u.coeffs[group["left"]])
-            uR = np.einsum("qk,ckm->cqm", group["phiR"], u.coeffs[group["right"]])
-            F = (0.5 * (uL + uR)) @ AnT + s * (uL - uR)
-            wF = group["w"][None, :, None] * F
-            res[group["left"]] += np.einsum("qk,cqm->ckm", group["phiL"], wF)
-            res[group["right"]] -= np.einsum("qk,cqm->ckm", group["phiR"], wF)
-
-        # outer-box boundary faces of full cells, vectorized per side
-        for group in self.box_groups:
-            n = group["normal"]
-            uB = np.einsum("qk,ckm->cqm", group["phi"], u.coeffs[group["owner"]])
-            if spec.kind == "advection":
-                F = max(float(spec.beta @ n), 0.0) * uB
-            else:
-                uM = mirror_state(uB, n)
-                s = self.diss.coefficient(spec, n)
-                F = (0.5 * (uB + uM)) @ spec.A_n(n).T + s * (uB - uM)
-            wF = group["w"][None, :, None] * F
-            res[group["owner"]] += np.einsum("qk,cqm->ckm", group["phi"], wF)
-
-        # everything touching a cut cell: scalar kernel, ascending face id
-        for fid in self.loose_faces:
-            for cid, block in face_terms(self, fid, u):
-                res[cid] += block
-        return res
-
-    # ------------------------------------------------------------------
     def apply_mass_inverse(self, res):
+        """Block-diagonal mass solve: one solve with the reference factor for
+        every cell, then the cut cells again with their stacked factors."""
         space = self.space
-        out = np.empty_like(res)
-        ids = self.uncut_ids
-        if len(ids):
-            k = res.shape[1]
-            stacked = res[ids].transpose(1, 0, 2).reshape(k, -1)
-            solved = cho_solve(space._ref_cho, stacked, check_finite=False)
-            out[ids] = solved.reshape(k, len(ids), res.shape[2]).transpose(1, 0, 2)
-        for cid in self.cut_ids:
-            out[cid] = space.solve_mass(cid, res[cid])
+        n, k, m = res.shape
+        # right-hand sides as the columns of a Fortran-ordered (k, n m) array
+        rhs = np.ascontiguousarray(res.transpose(0, 2, 1)).reshape(n * m, k).T
+        out = cho_solve(space._ref_cho, rhs, check_finite=False)
+        out = out.T.reshape(n, m, k).transpose(0, 2, 1)
+        if len(self.cut_ids):
+            out[self.cut_ids] = cho_solve_stacked(space.cut_mass_factors(), res[self.cut_ids])
         return out
+
+
+class SemiDiscreteOperator:
+    """du/dt = -M^{-1} (B + S) u, assembled once before stepping.
+
+    B's full-cell couplings stay in the plan's shared local matrices; B's
+    cut-cell couplings and the penalty S (``stab.matrix()``) are summed into
+    one CSR matrix.  Construction also factors every cut-cell mass matrix,
+    so a singular one is reported before the first step.
+    """
+
+    def __init__(self, plan, stab=None):
+        self.plan = plan
+        self.stab = stab
+        self.coupling = plan.coupling
+        if stab is not None:
+            self.coupling = (plan.coupling + stab.matrix()).tocsr()
+        plan.space.cut_mass_factors()
+
+    def residual(self, coeffs):
+        return self.plan.residual(coeffs, self.coupling)
+
+    def __call__(self, coeffs):
+        return self.plan.apply_mass_inverse(-self.residual(coeffs))
+
+    def outflow_weights(self):
+        """Weights g with g . u the advection outflow rate, penalty included."""
+        g = boundary_outflow_weights(self.plan.space, self.plan.spec)
+        if self.stab is not None:
+            g += self.stab.boundary_outflow_weights()
+        return g
 
 
 def face_terms(plan, fid, u, central=True, dissipative=True):
@@ -211,24 +258,32 @@ def face_terms(plan, fid, u, central=True, dissipative=True):
     return [(face.left_cell, block)]
 
 
-def assemble_base(plan, u):
-    """Residual of the unstabilized form against every test mode."""
-    return plan.base_residual(u)
+def volume_terms(plan, cid, u):
+    """Volume contribution of one cell, -int f(u) . grad w: [(cell_id, block)]."""
+    space = plan.space
+    spec = plan.spec
+    w = space.cell_w[cid][:, None]
+    grad = space.cell_grad[cid]
+    vals = space.cell_phi[cid] @ u.coeffs[cid]
+    f1 = vals @ spec.A1.T
+    f2 = vals @ spec.A2.T
+    return [(cid, -(grad[:, :, 0].T @ (w * f1) + grad[:, :, 1].T @ (w * f2)))]
 
 
-def apply_mass_inverse(plan, res):
-    return plan.apply_mass_inverse(res)
-
-
-def boundary_outflow_rate(space, spec, u):
-    """Advection outflow through the physical boundary, integral of (beta.n)^+ u."""
-    total = 0.0
+def boundary_outflow_weights(space, spec):
+    """Weights g with g . u the advection outflow, integral of (beta.n)^+ u
+    over the physical boundary."""
+    g = np.zeros((space.mesh.num_cells, space.n_modes, 1))
     for face in space.mesh.faces:
         if face.kind != "boundary":
             continue
         bn = max(float(spec.beta @ face.normal), 0.0)
         if bn == 0.0:
             continue
-        uB = space.face_phi_left[face.id] @ u.coeffs[face.left_cell]
-        total += bn * float(space.face_w[face.id] @ uB[:, 0])
-    return total
+        g[face.left_cell, :, 0] += bn * (space.face_w[face.id] @ space.face_phi_left[face.id])
+    return g
+
+
+def boundary_outflow_rate(space, spec, u):
+    """Advection outflow through the physical boundary, integral of (beta.n)^+ u."""
+    return float(np.vdot(boundary_outflow_weights(space, spec), u.coeffs))

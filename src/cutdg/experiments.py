@@ -9,16 +9,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .dg import AssemblyPlan, boundary_outflow_rate
+from .dg import AssemblyPlan, SemiDiscreteOperator
 from .errors import ConfigurationError, IntegrationFailureError
 from .geometry import SmallCellSet, build_mesh, classify_small_cells, halfplane_from_line
 from .operators import CellPolyField, CombinedField
-from .quadrature import DGFunction, Space, face_quadrature, monomial_values, polygon_quadrature
+from .quadrature import Space, face_quadrature, monomial_values, polygon_quadrature
 from .solutions import PolynomialField, lookup_field, random_polynomial
 from .stabilization import (
     AdvectionStabilization,
     CellForms,
-    StabilizationOperator,
     WaveStabilization,
     eta_values,
 )
@@ -110,23 +109,17 @@ def project_field(space, fld, t=0.0):
 
 
 def make_rhs(ctx, track_outflow=False):
-    plan = ctx.plan
-    op = None
-    if ctx.stab is not None:
-        op = StabilizationOperator(ctx.stab, ctx.space, ctx.spec.m)
-    degree = ctx.space.degree
+    """Assemble the semi-discrete operator once; return ``rhs(coeffs)``.
+
+    ``rhs`` gives (du/dt, advection outflow rate); the rate is 0.0 unless
+    ``track_outflow`` is set.
+    """
+    op = SemiDiscreteOperator(ctx.plan, ctx.stab)
+    outflow = op.outflow_weights() if track_outflow else None
 
     def rhs(coeffs):
-        u = DGFunction(coeffs, degree)
-        res = plan.base_residual(u)
-        if op is not None:
-            op.add_residual(u, res)
-        rate = 0.0
-        if track_outflow:
-            rate = boundary_outflow_rate(ctx.space, ctx.spec, u)
-            if ctx.stab is not None and ctx.spec.kind == "advection":
-                rate += ctx.stab.boundary_outflow(u)
-        return plan.apply_mass_inverse(-res), rate
+        rate = float(np.vdot(outflow, coeffs)) if track_outflow else 0.0
+        return op(coeffs), rate
 
     return rhs
 

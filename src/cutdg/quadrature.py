@@ -144,6 +144,23 @@ class DGFunction:
         return DGFunction(self.coeffs.copy(), self.degree)
 
 
+def cho_solve_stacked(U, b):
+    """Solve U^T U x = b for stacked upper factors U (n, k, k) and b (n, k, m).
+
+    Forward and back substitution vectorized over the stack: 2k array steps
+    whatever the number of systems.
+    """
+    k = U.shape[-1]
+    diag = np.diagonal(U, axis1=1, axis2=2)[:, :, None]
+    y = np.empty_like(b)
+    for i in range(k):
+        y[:, i] = (b[:, i] - np.einsum("nj,njm->nm", U[:, :i, i], y[:, :i])) / diag[:, i]
+    x = np.empty_like(b)
+    for i in range(k - 1, -1, -1):
+        x[:, i] = (y[:, i] - np.einsum("nj,njm->nm", U[:, i, i + 1:], x[:, i + 1:])) / diag[:, i]
+    return x
+
+
 def mass_matrix(cell, basis):
     """Gram matrix of the scaled monomials over the cut cell (per component)."""
     pts, w = polygon_quadrature(cell.polygon, 2 * basis.degree + 2)
@@ -182,7 +199,8 @@ class Space:
 
     Cells that coincide with their background cell share one reference rule,
     one basis-value table and one mass factorization; cut cells get per-cell
-    rules built by fan triangulation.
+    rules built by fan triangulation.  The mass matrices of all cells are kept
+    stacked, shape (num_cells, n_modes, n_modes).
     """
 
     def __init__(self, mesh, degree):
@@ -214,8 +232,9 @@ class Space:
         self.cell_w = [None] * ncells
         self.cell_phi = [None] * ncells
         self.cell_grad = [None] * ncells
-        self.mass = [None] * ncells
+        self.mass = np.empty((ncells, self.n_modes, self.n_modes))
         self._cho = [None] * ncells
+        self._cut_factors = None
         self.mode_integral = np.zeros((ncells, self.n_modes))
 
         for cell in mesh.cells:
@@ -267,7 +286,7 @@ class Space:
         vals = self.basis.values(cell_id, pts) @ u.coeffs[cell_id]
         return vals[0] if single else vals
 
-    def solve_mass(self, cell_id, rhs):
+    def _factor(self, cell_id):
         # factorizations are built on first use: meshes may hold slivers whose
         # Gram matrix is numerically indefinite at high degree, and runs that
         # never mass-solve there (penalty assembly, re-centered projections)
@@ -279,9 +298,27 @@ class Space:
                 raise CutDGError(
                     f"mass matrix of cell {cell_id} is numerically singular"
                 ) from exc
+        return self._cho[cell_id]
+
+    def solve_mass(self, cell_id, rhs):
         # non-finite input may occur in intentionally unstable runs; the
         # integrator detects it at the step boundary
-        return cho_solve(self._cho[cell_id], rhs, check_finite=False)
+        return cho_solve(self._factor(cell_id), rhs, check_finite=False)
+
+    def cut_mass_factors(self):
+        """Upper Cholesky factors U (M = U^T U) of every cut cell, stacked.
+
+        Built on the first call, in ascending cell order, so a singular mass
+        matrix is reported by the lowest such cell id.
+        """
+        if self._cut_factors is None:
+            cut = np.where(~self.uncut)[0]
+            factors = np.empty((len(cut), self.n_modes, self.n_modes))
+            for i, cid in enumerate(cut):
+                factors[i] = self._factor(cid)[0]
+            # cho_factor (upper by default) leaves the lower triangle unspecified
+            self._cut_factors = np.triu(factors)
+        return self._cut_factors
 
     def l2_project(self, f, m):
         """Cell-wise L2 projection of a pointwise function f(pts) -> (npts, m)."""
@@ -294,10 +331,8 @@ class Space:
         return u
 
     def l2_norm(self, u):
-        total = 0.0
-        for cid in range(self.mesh.num_cells):
-            c = u.coeffs[cid]
-            total += float(np.einsum("km,kl,lm->", c, self.mass[cid], c))
+        c = u.coeffs
+        total = float(np.vdot(c, self.mass @ c))
         return np.sqrt(max(total, 0.0))
 
     def l2_error(self, u, f):

@@ -23,7 +23,7 @@ from .errors import (
     MeshValidationError,
     UnsupportedConfigurationError,
 )
-from .dg import face_terms
+from .dg import block_csr, face_terms, local_matrix
 from .geometry import inflow_faces
 from .quadrature import monomial_gradients, monomial_values
 
@@ -97,14 +97,6 @@ class CellForms:
         div = gu[:, :, 0] @ self.spec.A1.T + gu[:, :, 1] @ self.spec.A2.T
         p_vs = self.kappa * float(np.einsum("q,qm->", w, div * W.values(pts)))
         return p_v, p_vs
-
-
-def propagation_surface(space, spec, cell_id, i, j, U, V, W):
-    return CellForms(space, spec, cell_id).surface(i, j, U, V, W)
-
-
-def propagation_volume(space, spec, cell_id, U, V, W):
-    return CellForms(space, spec, cell_id).volume(U, V, W)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +259,11 @@ class _WaveCellContext:
         if src[0] == "mirror":
             k = src[2]
             n = self.space.mesh.faces[self.face_ids[k]].normal
-            vperp = (self.phi_perp[(loc, C, k)] @ u.coeffs[C])[:, 1:]
+            vperp = (self.phi_perp[(loc, C, k)] @ u.coeffs[C])[..., 1:]
             vn = vperp @ n
             vals = vals.copy()
-            vals[:, 1] -= 2.0 * vn * n[0]
-            vals[:, 2] -= 2.0 * vn * n[1]
+            vals[..., 1] -= 2.0 * vn * n[0]
+            vals[..., 2] -= 2.0 * vn * n[1]
         return vals
 
     # -- pair assembly -----------------------------------------------------
@@ -302,7 +294,7 @@ class _WaveCellContext:
                         block = np.zeros_like(out[self.source_block(src_t)])
                         for l in range(K):
                             block += c[l] * np.einsum(
-                                "qm,qksm->ks", wF[l], self.T_face[src_t][l]
+                                "...qm,qksm->...ks", wF[l], self.T_face[src_t][l]
                             )
                         out[self.source_block(src_t)] += sign * block
 
@@ -318,14 +310,14 @@ class _WaveCellContext:
                     Ue = self.source_values(src_e, u, self.cell_loc)
                     fe = (Ue @ self.spec.A1.T, Ue @ self.spec.A2.T)
                     block = self.kappa * (
-                        np.einsum("q,qm,qksm->ks", wq, fbar[0] - fe[0], G[..., 0])
-                        + np.einsum("q,qm,qksm->ks", wq, fbar[1] - fe[1], G[..., 1])
+                        np.einsum("q,...qm,qksm->...ks", wq, fbar[0] - fe[0], G[..., 0])
+                        + np.einsum("q,...qm,qksm->...ks", wq, fbar[1] - fe[1], G[..., 1])
                     )
                     out[self.source_block(src_e)] += omega * block
                     # divergence form, linear in the test slots i and j
                     for src_t in (src_i, src_j):
                         val = self.kappa * 0.5 * np.einsum(
-                            "q,qksm,qm->ks", wq, self.D_cell[src_t], Ue
+                            "q,qksm,...qm->...ks", wq, self.D_cell[src_t], Ue
                         )
                         out[self.source_block(src_t)] += omega * val
 
@@ -335,31 +327,58 @@ class _WaveCellContext:
                     Sv = self.s_out[l] * (Ui_face[l] - Uj_face[l])
                     wS = self.face_w[l][:, None] * Sv
                     for src_t, sign in ((src_i, 1.0), (src_j, -1.0)):
-                        val = np.einsum("qm,qksm->ks", wS, self.T_face[src_t][l])
+                        val = np.einsum("...qm,qksm->...ks", wS, self.T_face[src_t][l])
                         out[self.source_block(src_t)] += sign * val / 3.0
 
 
-class WaveStabilization:
-    """Penalty assembly for acoustics over a fixed stabilized-cell set."""
+class _Penalty:
+    """What both penalties share: the per-cell contexts, direct assembly and
+    the matrix form used for time stepping.
+
+    Subclasses provide ``_context(cid)`` and ``cell_residual(cid, u)``; the
+    latter is linear in ``u`` and accepts coefficient blocks with a leading
+    probe axis, so the matrix is read off with one call per stabilized cell.
+    """
 
     def __init__(self, plan, small, eta):
         self.plan = plan
         self.space = plan.space
         self.cell_ids = list(small)
         self.eta = eta
-        self._ctx = {
-            cid: _WaveCellContext(plan.space, plan.spec, plan.diss, cid)
-            for cid in self.cell_ids
-        }
+        self._ctx = {cid: self._context(cid) for cid in self.cell_ids}
 
     def neighborhood(self, cid):
         return self._ctx[cid].cells
+
+    def residual(self, u):
+        res = np.zeros_like(u.coeffs)
+        for cid in self.cell_ids:
+            for C, block in self.cell_residual(cid, u).items():
+                res[C] += block
+        return res
+
+    def matrix(self):
+        """The penalty as a CSR matrix over the global dofs."""
+        shape = self.plan.shape
+        entries = []
+        for cid in self.cell_ids:
+            cells = self.neighborhood(cid)
+            A = local_matrix(lambda u: self.cell_residual(cid, u).items(), cells, shape)
+            entries.append((cells, A))
+        return block_csr(entries, self.space.mesh.num_cells, shape)
+
+
+class WaveStabilization(_Penalty):
+    """Penalty assembly for acoustics over a fixed stabilized-cell set."""
+
+    def _context(self, cid):
+        return _WaveCellContext(self.space, self.plan.spec, self.plan.diss, cid)
 
     def cell_residual(self, cid, u):
         """Full penalty of one cell: pair terms minus base-kernel face terms."""
         ctx = self._ctx[cid]
         eta = self.eta[cid]
-        out = {C: np.zeros((self.space.n_modes, 3)) for C in ctx.cells}
+        out = {C: np.zeros_like(u.coeffs[C]) for C in ctx.cells}
         ctx.pair_residual(u, out)
         for C in out:
             out[C] *= eta
@@ -380,18 +399,6 @@ class WaveStabilization:
             if dissipative:
                 parts.append(face_terms(self.plan, fid, u, central=False, dissipative=True))
         return parts
-
-    def residual(self, u):
-        res = np.zeros_like(u.coeffs)
-        for cid in self.cell_ids:
-            for C, block in self.cell_residual(cid, u).items():
-                res[C] += block
-        return res
-
-
-def assemble_dod_wave(plan, small, eta, u):
-    """Residual of the acoustic small-cell penalty against every test mode."""
-    return WaveStabilization(plan, small, eta).residual(u)
 
 
 # ---------------------------------------------------------------------------
@@ -449,27 +456,21 @@ class _AdvectionCellContext:
         )
 
 
-class AdvectionStabilization:
+class AdvectionStabilization(_Penalty):
     """Penalty assembly for advection over a fixed stabilized-cell set."""
 
     def __init__(self, plan, small, eta):
         if plan.spec.kind != "advection":
             raise ConfigurationError("advection stabilization requires an advection system")
-        self.plan = plan
-        self.space = plan.space
-        self.cell_ids = list(small)
-        self.eta = eta
-        self._ctx = {
-            cid: _AdvectionCellContext(plan.space, plan.spec, cid) for cid in self.cell_ids
-        }
+        super().__init__(plan, small, eta)
 
-    def neighborhood(self, cid):
-        return self._ctx[cid].cells
+    def _context(self, cid):
+        return _AdvectionCellContext(self.space, self.plan.spec, cid)
 
     def cell_residual(self, cid, u):
         ctx = self._ctx[cid]
         eta = self.eta[cid]
-        out = {C: np.zeros((self.space.n_modes, 1)) for C in ctx.cells}
+        out = {C: np.zeros_like(u.coeffs[C]) for C in ctx.cells}
         cE = u.coeffs[cid]
         cU = u.coeffs[ctx.upstream]
         # outflow flux correction against the jump of the test function
@@ -482,88 +483,23 @@ class AdvectionStabilization:
             if not f["boundary"]:
                 out[f["nb"]] -= eta * (f["phi_nb"].T @ g)
         # volume coupling of the upstream-extension defect
-        d = (ctx.phi_up @ cU - ctx.phi_E @ cE)[:, 0]
+        d = (ctx.phi_up @ cU - ctx.phi_E @ cE)[..., 0]
         wd = ctx.cell_w * d
-        out[ctx.upstream][:, 0] += eta * (wd @ ctx.bgrad_up)
-        out[cid][:, 0] -= eta * (wd @ ctx.bgrad_E)
+        out[ctx.upstream][..., 0] += eta * (wd @ ctx.bgrad_up)
+        out[cid][..., 0] -= eta * (wd @ ctx.bgrad_E)
         return out
 
-    def residual(self, u):
-        res = np.zeros_like(u.coeffs)
-        for cid in self.cell_ids:
-            for C, block in self.cell_residual(cid, u).items():
-                res[C] += block
-        return res
-
-    def boundary_outflow(self, u):
-        """Outflow-rate correction of the penalty on physical boundary faces."""
-        total = 0.0
+    def boundary_outflow_weights(self):
+        """Weights g with g . u the penalty's outflow-rate correction on
+        physical boundary faces."""
+        g = np.zeros((self.space.mesh.num_cells, self.space.n_modes, 1))
         for cid in self.cell_ids:
             ctx = self._ctx[cid]
             eta = self.eta[cid]
-            if eta == 0.0:
-                continue
-            cE = u.coeffs[cid]
-            cU = u.coeffs[ctx.upstream]
             for f in ctx.faces:
                 if not f["boundary"] or f["bn_plus"] == 0.0:
                     continue
-                d = f["phi_up"] @ cU - f["phi_E"] @ cE
-                total += eta * f["bn_plus"] * float(f["w"] @ d[:, 0])
-        return total
-
-
-def assemble_dod_advection(plan, small, eta, u):
-    """Residual of the advection small-cell penalty against every test mode."""
-    return AdvectionStabilization(plan, small, eta).residual(u)
-
-
-# ---------------------------------------------------------------------------
-# matrix form for time stepping
-# ---------------------------------------------------------------------------
-
-
-class StabilizationOperator:
-    """Bilinear penalty precomputed as one small matrix per stabilized cell.
-
-    Built by probing the direct assembly with unit coefficients; application
-    is a gather / matvec / scatter per cell, in ascending cell order.
-    """
-
-    def __init__(self, stab, space, m):
-        self.entries = []
-        k = space.n_modes
-        probe_coeffs = np.zeros((space.mesh.num_cells, k, m))
-        probe = _Probe(probe_coeffs, space.degree)
-        for cid in stab.cell_ids:
-            nbhd = np.array(stab.neighborhood(cid))
-            dim = len(nbhd) * k * m
-            A = np.zeros((dim, dim))
-            col = 0
-            for C in nbhd:
-                for kk in range(k):
-                    for s in range(m):
-                        probe_coeffs[C, kk, s] = 1.0
-                        outd = stab.cell_residual(cid, probe)
-                        probe_coeffs[C, kk, s] = 0.0
-                        rows = np.concatenate(
-                            [outd[Cw].ravel() for Cw in nbhd]
-                        )
-                        A[:, col] = rows
-                        col += 1
-            self.entries.append((nbhd, A, k, m))
-
-    def add_residual(self, u, res):
-        for nbhd, A, k, m in self.entries:
-            x = u.coeffs[nbhd].reshape(-1)
-            y = A @ x
-            res[nbhd] += y.reshape(len(nbhd), k, m)
-        return res
-
-
-class _Probe:
-    """Minimal DGFunction stand-in sharing one mutable coefficient array."""
-
-    def __init__(self, coeffs, degree):
-        self.coeffs = coeffs
-        self.degree = degree
+                scale = eta * f["bn_plus"]
+                g[ctx.upstream, :, 0] += scale * (f["w"] @ f["phi_up"])
+                g[cid, :, 0] -= scale * (f["w"] @ f["phi_E"])
+        return g

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import ramp_mesh, uncut_mesh
-from cutdg.dg import AssemblyPlan, assemble_base, boundary_outflow_rate, face_terms
+from cutdg.dg import AssemblyPlan, boundary_outflow_rate, face_terms
 from cutdg.quadrature import Space, face_quadrature
 from cutdg.solutions import PolynomialField, random_polynomial
 from cutdg.systems import DissipationSpec, SystemSpec
@@ -22,7 +22,7 @@ def test_constant_state_interior_residual_vanishes():
     space, plan = _plan(mesh, 1, spec)
     u = space.zeros(1)
     u.coeffs[:, 0, 0] = 2.0
-    res = assemble_base(plan, u)
+    res = plan.base_residual(u)
     boundary_cells = {f.left_cell for f in mesh.faces if f.kind == "boundary"}
     for cell in mesh.cells:
         if cell.id not in boundary_cells:
@@ -35,7 +35,7 @@ def test_single_cell_r0_outflow():
     space, plan = _plan(mesh, 0, spec)
     u = space.zeros(1)
     u.coeffs[0, 0, 0] = 3.0
-    res = assemble_base(plan, u)
+    res = plan.base_residual(u)
     # outflow face has length 1: residual of the constant mode is u * 1
     assert abs(res[0, 0, 0] - 3.0) < 1e-14
 
@@ -56,7 +56,7 @@ def test_steady_polynomial_residual_is_boundary_only(degree):
         # (bp . x)^2 = bp0^2 x^2 + 2 bp0 bp1 xy + bp1^2 y^2
         fld = PolynomialField([[0.0, 0.0, 0.0, bp[0] ** 2, 2 * bp[0] * bp[1], bp[1] ** 2]], 2)
     u = fld.to_dg(space)
-    res = assemble_base(plan, u)
+    res = plan.base_residual(u)
 
     expected = np.zeros_like(res)
     for face in mesh.faces:
@@ -106,7 +106,7 @@ def test_central_form_is_energy_neutral_acoustics():
     for _ in range(5):
         u = space.zeros(3)
         u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-        res = assemble_base(plan, u)
+        res = plan.base_residual(u)
         energy = float(np.sum(res * u.coeffs))
         norm2 = space.l2_norm(u) ** 2
         assert abs(energy) < 1e-10 * max(norm2, 1.0)
@@ -119,7 +119,7 @@ def test_semi_discrete_conservation():
     space, plan = _plan(mesh, 1, spec)
     u = space.zeros(1)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    res = assemble_base(plan, u)
+    res = plan.base_residual(u)
     total = float(np.sum(res[:, 0, 0]))   # pairing with the global constant
     outflow = boundary_outflow_rate(space, spec, u)
     # inflow faces contribute nothing by construction; collect the rest
@@ -163,7 +163,7 @@ def test_zero_state_zero_residual():
     mesh = ramp_mesh(nx=4, ny=4)
     spec = SystemSpec.acoustics(1.0)
     space, plan = _plan(mesh, 1, spec)
-    res = assemble_base(plan, space.zeros(3))
+    res = plan.base_residual(space.zeros(3))
     assert np.all(res == 0.0)
 
 
@@ -174,7 +174,7 @@ def test_standing_pressure_state_is_steady():
     space, plan = _plan(mesh, 1, spec)
     u = space.zeros(3)
     u.coeffs[:, 0, 0] = 4.2
-    res = assemble_base(plan, u)
+    res = plan.base_residual(u)
     assert np.abs(res).max() < 1e-13
 
 
@@ -185,6 +185,65 @@ def test_assembly_is_reproducible():
     space, plan = _plan(mesh, 1, spec)
     u = space.zeros(3)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    r1 = assemble_base(plan, u)
-    r2 = assemble_base(plan, u)
+    r1 = plan.base_residual(u)
+    r2 = plan.base_residual(u)
     assert np.array_equal(r1, r2)
+
+
+# ------------------------------------------------- assembled operator oracle
+
+
+def _oracle(ctx, u):
+    """(B + S) u by summing face_terms over every face, per-cell volume terms
+    and the direct penalty; du/dt by dense per-cell mass solves."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    space, spec = ctx.space, ctx.spec
+    res = np.zeros_like(u.coeffs)
+    for face in ctx.mesh.faces:
+        for cid, block in face_terms(ctx.plan, face.id, u):
+            res[cid] += block
+    for cid in range(ctx.mesh.num_cells):
+        vals = space.cell_phi[cid] @ u.coeffs[cid]
+        w = space.cell_w[cid][:, None]
+        grad = space.cell_grad[cid]
+        res[cid] -= grad[:, :, 0].T @ (w * (vals @ spec.A1.T))
+        res[cid] -= grad[:, :, 1].T @ (w * (vals @ spec.A2.T))
+    if ctx.stab is not None:
+        res += ctx.stab.residual(u)
+    dudt = np.array([
+        cho_solve(cho_factor(space.mass[cid]), -res[cid]) for cid in range(ctx.mesh.num_cells)
+    ])
+    return res, dudt
+
+
+@pytest.mark.parametrize("equation", ["advection", "acoustics"])
+@pytest.mark.parametrize("degree, min_alpha", [(0, 1e-8), (1, 1e-8), (2, 1e-2), (3, 1e-2)])
+def test_assembled_operator_matches_oracle(equation, degree, min_alpha):
+    from cutdg.dg import SemiDiscreteOperator
+    from cutdg.experiments import build_context, ramp_config
+
+    ctx = build_context(ramp_config(equation, degree, min_alpha, nx=8))
+    assert len(ctx.small) > 0
+    assert any(f.kind == "boundary" and not ctx.space.uncut[f.left_cell] for f in ctx.mesh.faces)
+    op = SemiDiscreteOperator(ctx.plan, ctx.stab)
+    rng = np.random.default_rng(degree)
+    u = ctx.space.zeros(ctx.spec.m)
+    u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
+    res, dudt = _oracle(ctx, u)
+    assert np.abs(op.residual(u.coeffs) - res).max() <= 1e-12 * np.abs(res).max()
+    # the batched solve against the dense ones, on the same right-hand side.
+    # Sliver masses reach condition numbers of 1e11 here, so two correct
+    # solvers differ by cond * eps in the coefficients; the L2 norm of the
+    # difference is what that conditioning cannot inflate.
+    diff = ctx.space.zeros(ctx.spec.m)
+    diff.coeffs = ctx.plan.apply_mass_inverse(-res) - dudt
+    exact = ctx.space.zeros(ctx.spec.m)
+    exact.coeffs = dudt
+    assert ctx.space.l2_norm(diff) <= 1e-12 * ctx.space.l2_norm(exact)
+
+    total = sum(
+        float(np.einsum("km,kl,lm->", u.coeffs[c], ctx.space.mass[c], u.coeffs[c]))
+        for c in range(ctx.mesh.num_cells)
+    )
+    assert abs(ctx.space.l2_norm(u) - np.sqrt(total)) <= 1e-12 * np.sqrt(total)

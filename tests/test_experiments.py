@@ -167,3 +167,25 @@ def test_mesh_info_output():
     info, _ = mesh_info(cfg_uncut)
     assert "cells = 4" in info
     assert "min_alpha = 1" in info
+
+
+@pytest.mark.parametrize("equation", ["advection", "acoustics"])
+def test_singular_cut_mass_stops_stepping_runs_only(equation, tmp_path, capsys):
+    # r=2 at alpha=1e-8: the sliver's Gram matrix does not factor.  Runs that
+    # step stop with a named error (exit code 1); the consistency check never
+    # solves with the mass and still passes.
+    from cutdg.cli import main
+    from cutdg.config import serialize_config
+    from cutdg.errors import CutDGError
+
+    cfg = ramp_config(equation, 2, 1e-8, steps=5, t_final=0.01, out=str(tmp_path))
+    assert run_consistency(cfg).passed
+    run = run_stability if equation == "acoustics" else run_evolve
+    with pytest.raises(CutDGError, match="mass matrix of cell 1 is numerically singular"):
+        run(cfg)
+    path = tmp_path / "run.cfg"
+    path.write_text(serialize_config(cfg))
+    command = "stability" if equation == "acoustics" else "evolve"
+    assert main([command, "--config", str(path)]) == 1
+    assert "mass matrix of cell 1 is numerically singular" in capsys.readouterr().err
+    assert main(["consistency", "--config", str(path)]) == 0
