@@ -26,11 +26,10 @@ i.e. in the order of ``coeffs.ravel()``.
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve
 
 from .errors import ConfigurationError
 from .operators import mirror_state
-from .quadrature import DGFunction, cho_solve_stacked
+from .quadrature import DGFunction
 
 
 def local_matrix(kernel, cells, shape):
@@ -94,33 +93,37 @@ class AssemblyPlan:
         mesh = space.mesh
         uncut = space.uncut
 
-        uncut_ids = np.where(uncut)[0]
-        self.cut_ids = np.where(~uncut)[0]
+        uncut_ids = np.flatnonzero(uncut)
+        self.cut_ids = space.cut_ids
 
-        # faces of full cells, grouped by kind and axis-aligned normal
-        groups = {}
-        loose = []
-        for face in mesh.faces:
-            cells = (face.left_cell,) if face.right_cell is None else (face.left_cell, face.right_cell)
-            n = (int(round(face.normal[0])), int(round(face.normal[1])))
-            if (
-                all(uncut[c] for c in cells)
-                and abs(face.normal[0] - n[0]) < 1e-14
-                and abs(face.normal[1] - n[1]) < 1e-14
-            ):
-                groups.setdefault((face.kind, n), []).append((face.id, cells))
-            else:
-                loose.append((face.id, cells))
+        # faces of full cells, grouped by kind and axis-aligned normal; groups
+        # are ordered as the keys (kind, normal) sort, boundary before internal
+        left, right = mesh.face_left, mesh.face_right
+        internal = right >= 0
+        normal = np.rint(mesh.face_normal).astype(np.int64)
+        aligned = np.all(np.abs(mesh.face_normal - normal) < 1e-14, axis=1)
+        full = uncut[left] & np.where(internal, uncut[np.maximum(right, 0)], True)
+        grouped = aligned & full
+        # one integer per (kind, normal) key, ordered as the keys sort
+        keys = 9 * internal + 3 * (normal[:, 0] + 1) + (normal[:, 1] + 1)
+        groups = [np.flatnonzero(grouped & (keys == key)) for key in np.unique(keys[grouped])]
+
+        def face_cells(fids):
+            """(n, s) cells of faces of one kind: left, then right if internal."""
+            if internal[fids[0]]:
+                return np.column_stack([left[fids], right[fids]])
+            return left[fids, None]
 
         self.shared = []
         if len(uncut_ids):
             cid = int(uncut_ids[0])
             A = local_matrix(lambda u: volume_terms(self, cid, u), [cid], self.shape)
             self.shared.append((uncut_ids[:, None], A))
-        for key in sorted(groups):
-            fid, cells = groups[key][0]
-            A = local_matrix(lambda u: face_terms(self, fid, u), cells, self.shape)
-            self.shared.append((np.array([g[1] for g in groups[key]]), A))
+        for fids in groups:
+            fid = int(fids[0])
+            cells = face_cells(fids)
+            A = local_matrix(lambda u: face_terms(self, fid, u), cells[0].tolist(), self.shape)
+            self.shared.append((cells, A))
         # the rows every group reads, in group order, and their scatter back
         rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [c.ravel() for c, _ in self.shared])
         self._rows = rows
@@ -133,7 +136,8 @@ class AssemblyPlan:
             ([cid], local_matrix(lambda u: volume_terms(self, cid, u), [cid], self.shape))
             for cid in self.cut_ids
         ]
-        for fid, cells in loose:
+        for fid in np.flatnonzero(~grouped).tolist():
+            cells = face_cells([fid])[0].tolist()
             entries.append((cells, local_matrix(lambda u: face_terms(self, fid, u), cells, self.shape)))
         self.coupling = block_csr(entries, mesh.num_cells, self.shape)
 
@@ -164,17 +168,8 @@ class AssemblyPlan:
         return self.residual(u.coeffs)
 
     def apply_mass_inverse(self, res):
-        """Block-diagonal mass solve: one solve with the reference factor for
-        every cell, then the cut cells again with their stacked factors."""
-        space = self.space
-        n, k, m = res.shape
-        # right-hand sides as the columns of a Fortran-ordered (k, n m) array
-        rhs = np.ascontiguousarray(res.transpose(0, 2, 1)).reshape(n * m, k).T
-        out = cho_solve(space._ref_cho, rhs, check_finite=False)
-        out = out.T.reshape(n, m, k).transpose(0, 2, 1)
-        if len(self.cut_ids):
-            out[self.cut_ids] = cho_solve_stacked(space.cut_mass_factors(), res[self.cut_ids])
-        return out
+        """Block-diagonal mass solve of a residual array (see Space.mass_solve)."""
+        return self.space.mass_solve(res)
 
 
 class SemiDiscreteOperator:
@@ -273,14 +268,13 @@ def volume_terms(plan, cid, u):
 def boundary_outflow_weights(space, spec):
     """Weights g with g . u the advection outflow, integral of (beta.n)^+ u
     over the physical boundary."""
-    g = np.zeros((space.mesh.num_cells, space.n_modes, 1))
-    for face in space.mesh.faces:
-        if face.kind != "boundary":
-            continue
-        bn = max(float(spec.beta @ face.normal), 0.0)
-        if bn == 0.0:
-            continue
-        g[face.left_cell, :, 0] += bn * (space.face_w[face.id] @ space.face_phi_left[face.id])
+    mesh = space.mesh
+    wall = np.flatnonzero(mesh.face_right < 0)
+    n = mesh.face_normal[wall]
+    bn = np.maximum(spec.beta[0] * n[:, 0] + spec.beta[1] * n[:, 1], 0.0)
+    face_g = bn[:, None] * np.einsum("fq,fqk->fk", space.face_w[wall], space.face_phi_left[wall])
+    g = np.zeros((mesh.num_cells, space.n_modes, 1))
+    np.add.at(g[:, :, 0], mesh.face_left[wall], face_g)
     return g
 
 

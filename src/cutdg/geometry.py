@@ -58,6 +58,17 @@ class BackgroundMesh:
         y = self.y0 + j * h
         return np.array([[x, y], [x + h, y], [x + h, y + h], [x, y + h]])
 
+    def cell_boxes(self):
+        """Every cell's box, shape (ny * nx, 4, 2), in row-major (j, i) order."""
+        h = self.h
+        j, i = np.divmod(np.arange(self.nx * self.ny), self.nx)
+        x = self.x0 + i * h
+        y = self.y0 + j * h
+        return np.stack([
+            np.stack([x, y], axis=-1), np.stack([x + h, y], axis=-1),
+            np.stack([x + h, y + h], axis=-1), np.stack([x, y + h], axis=-1),
+        ], axis=1)
+
 
 @dataclass(frozen=True)
 class HalfPlane:
@@ -97,12 +108,17 @@ class Geometry:
 
 
 def polygon_area(poly):
-    """Signed shoelace area (positive for counterclockwise order)."""
-    if len(poly) < 3:
+    """Signed shoelace area (positive for counterclockwise order).
+
+    Takes one polygon (n, 2) or a stack of polygons with a common vertex
+    count (..., n, 2); either way the sum runs over the vertices in order.
+    """
+    poly = np.asarray(poly, dtype=float)
+    if poly.shape[-2] < 3:
         return 0.0
-    x = poly[:, 0]
-    y = poly[:, 1]
-    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    x = poly[..., 0]
+    y = poly[..., 1]
+    return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
 
 
 def clip_polygon(poly, halfplane, snap=0.0):
@@ -193,33 +209,53 @@ class CutCell:
 
 
 class CutCellMesh:
-    """Background mesh clipped against the geometry, with face topology."""
+    """Background mesh clipped against the geometry, with face topology.
 
-    def __init__(self, bg, geometry, cells, faces, cell_of_ij):
+    Besides the ``cells`` and ``faces`` objects the mesh keeps their data as
+    arrays indexed by cell or face id: ``cell_ij`` (cells, 2) and
+    ``cell_centers`` (cells, 2); ``face_p``, ``face_q`` and ``face_normal``
+    (faces, 2), which the face objects view, and ``face_left`` /
+    ``face_right`` (faces,), the latter -1 on boundary faces.
+    """
+
+    def __init__(self, bg, geometry, cells, faces, cell_grid, cell_ij,
+                 face_p, face_q, face_normal, face_left, face_right):
         self.bg = bg
         self.geometry = geometry
         self.cells = cells
         self.faces = faces
-        self._cell_of_ij = cell_of_ij
-        # orientation sign per (cell, face): +1 if the cell is the left cell
-        self._signs = {}
-        for face in faces:
-            self._signs[(face.left_cell, face.id)] = 1.0
-            if face.right_cell is not None:
-                self._signs[(face.right_cell, face.id)] = -1.0
+        self._cell_grid = cell_grid   # (ny, nx) cell id, -1 where no cell is kept
+        self.cell_ij = cell_ij
+        self.cell_centers = np.stack(
+            [bg.x0 + (cell_ij[:, 0] + 0.5) * bg.h, bg.y0 + (cell_ij[:, 1] + 0.5) * bg.h], axis=-1
+        )
+        self.cell_centers.flags.writeable = False   # shared by every basis on the mesh
+        self.face_p = face_p
+        self.face_q = face_q
+        self.face_normal = face_normal
+        self.face_left = face_left
+        self.face_right = face_right
 
     @property
     def num_cells(self):
         return len(self.cells)
 
     def cell_at(self, i, j):
-        return self._cell_of_ij.get((i, j))
+        if not (0 <= i < self.bg.nx and 0 <= j < self.bg.ny):
+            return None
+        cid = int(self._cell_grid[j, i])
+        return cid if cid >= 0 else None
 
     def outward_normal(self, cell_id, face_id):
-        return self._signs[(cell_id, face_id)] * self.faces[face_id].normal
+        return self.orientation(cell_id, face_id) * self.faces[face_id].normal
 
     def orientation(self, cell_id, face_id):
-        return self._signs[(cell_id, face_id)]
+        """+1 if the cell is the face's left cell, -1 if it is the right one."""
+        if self.face_left[face_id] == cell_id:
+            return 1.0
+        if self.face_right[face_id] == cell_id:
+            return -1.0
+        raise KeyError((cell_id, face_id))
 
     def neighbor(self, cell_id, face_id):
         face = self.faces[face_id]
@@ -249,12 +285,27 @@ class CutCellMesh:
         return "\n".join(lines) + "\n"
 
 
-def _classify_grid_line(value, origin, h, count, tol):
-    """Index k if value sits on grid line origin + k*h (0 <= k <= count), else None."""
-    k = int(round((value - origin) / h))
-    if 0 <= k <= count and abs(value - (origin + k * h)) <= tol:
-        return k
-    return None
+def _grid_line(value, origin, h, count, tol):
+    """Index k where value sits on grid line origin + k*h (0 <= k <= count), else -1."""
+    k = np.rint((value - origin) / h).astype(np.int64)
+    on = (k >= 0) & (k <= count) & (np.abs(value - (origin + k * h)) <= tol)
+    return np.where(on, k, -1)
+
+
+def _clip_cut_cell(box, constraints, snap, drop, h):
+    """Clip one cell the constraints cut: (polygon, area), or None if nothing is left."""
+    poly = box
+    for hp in constraints:
+        poly = clip_polygon(poly, hp, snap)
+        if len(poly) < 3:
+            return None
+    poly = _dedupe(poly, drop)
+    if len(poly) < 3:
+        return None
+    area = float(polygon_area(poly))
+    if area <= AREA_FRAC * h * h:
+        return None
+    return poly, area
 
 
 def build_mesh(bg, geometry):
@@ -262,112 +313,154 @@ def build_mesh(bg, geometry):
 
     Cells with (numerically) zero intersection area are omitted.  Raises
     :class:`ConfigurationError` when the kept region has no area at all.
+
+    The corner signed distances sort the background cells into fully inside
+    (kept as their box), fully outside (dropped) and cut; only cut cells are
+    clipped one by one.  Cells are numbered in row-major (j, i) order.  Faces
+    come from one flat array of every cell's edges, in cell order and each
+    polygon's vertex order, and are numbered at their first encounter there;
+    a later encounter of an internal face narrows it to the overlap of the
+    cells' edges.
     """
     h = bg.h
     snap = SNAP_FRAC * h
     drop = DROP_FRAC * h
+    constraints = [hp if isinstance(hp, HalfPlane) else HalfPlane(*hp)
+                   for hp in geometry.constraints]
 
-    cells = []
-    cell_of_ij = {}
-    for j in range(bg.ny):
-        for i in range(bg.nx):
-            poly = bg.cell_box(i, j)
-            for hp in geometry.constraints:
-                poly = clip_polygon(poly, hp, snap)
-                if len(poly) < 3:
-                    break
-            if len(poly) < 3:
-                continue
-            poly = _dedupe(poly, drop)
-            if len(poly) < 3:
-                continue
-            area = float(polygon_area(poly))
-            if area <= AREA_FRAC * h * h:
-                continue
-            cid = len(cells)
-            cells.append(CutCell(cid, (i, j), poly, area, area / (h * h)))
-            cell_of_ij[(i, j)] = cid
+    boxes = bg.cell_boxes()
+    inside = np.ones(len(boxes), dtype=bool)
+    outside = np.zeros(len(boxes), dtype=bool)
+    for hp in constraints:
+        d = hp.signed_distance(boxes)
+        inside &= np.all(d >= -snap, axis=1)
+        outside |= np.all(d < -snap, axis=1)
+    clipped = {}
+    for b in np.flatnonzero(~inside & ~outside).tolist():
+        result = _clip_cut_cell(boxes[b], constraints, snap, drop, h)
+        if result is not None:
+            clipped[b] = result
 
-    if not cells:
+    kept = np.union1d(np.flatnonzero(inside), np.fromiter(clipped, dtype=np.int64))
+    if not len(kept):
         raise ConfigurationError("geometry leaves no domain: kept region has zero area")
+    ncells = len(kept)
+    cell_grid = np.full(bg.ny * bg.nx, -1, dtype=np.int64)
+    cell_grid[kept] = np.arange(ncells)
+    cell_grid = cell_grid.reshape(bg.ny, bg.nx)
+    cell_ij = np.stack([kept % bg.nx, kept // bg.nx], axis=-1)
+    polys = list(boxes[kept])
+    areas = polygon_area(boxes[kept]).tolist()
+    for cid in np.flatnonzero(~inside[kept]).tolist():
+        polys[cid], areas[cid] = clipped[int(kept[cid])]
 
-    faces = []
-    pair_face = {}   # (axis, line_k, cell_lo, cell_hi) -> face id
+    # flat edge arrays: edge e of cell e_cell[e] runs from V[e] to W[e]
+    nv = np.array([len(poly) for poly in polys])
+    start = np.concatenate([[0], np.cumsum(nv)])
+    V = np.concatenate(polys)
+    nxt = np.arange(1, len(V) + 1)
+    nxt[start[1:] - 1] = start[:-1]
+    W = V[nxt]
+    e_cell = np.repeat(np.arange(ncells), nv)
+    ei, ej = cell_ij[e_cell].T
+    edge = W - V
+    outward = np.stack([edge[:, 1], -edge[:, 0]], axis=-1) / np.hypot(edge[:, 0], edge[:, 1])[:, None]
+
+    # an edge on an inner grid line with a kept cell across it is internal
     line_tol = 1e-11 * h
+    vertical = np.abs(V[:, 0] - W[:, 0]) <= line_tol
+    horizontal = ~vertical & (np.abs(V[:, 1] - W[:, 1]) <= line_tol)
+    kv = np.where(vertical, _grid_line(V[:, 0], bg.x0, h, bg.nx, line_tol), -1)
+    kh = np.where(horizontal, _grid_line(V[:, 1], bg.y0, h, bg.ny, line_tol), -1)
+    axis = np.where((kv > 0) & (kv < bg.nx), 0, np.where((kh > 0) & (kh < bg.ny), 1, -1))
+    line_k = np.where(axis == 0, kv, kh)
+    ni = np.where(axis == 0, np.where(ei == kv, ei - 1, ei + 1), ei)
+    nj = np.where(axis == 1, np.where(ej == kh, ej - 1, ej + 1), ej)
+    valid = (axis >= 0) & (ni >= 0) & (ni < bg.nx) & (nj >= 0) & (nj < bg.ny)
+    nb = np.full(len(V), -1, dtype=np.int64)
+    nb[valid] = cell_grid[nj[valid], ni[valid]]
+    ie = np.flatnonzero(nb >= 0)
 
-    for cell in cells:
-        i, j = cell.ij
-        poly = cell.polygon
-        n_vert = len(poly)
-        for e in range(n_vert):
-            v = poly[e]
-            w = poly[(e + 1) % n_vert]
-            edge = w - v
-            length = float(np.hypot(*edge))
-            outward = np.array([edge[1], -edge[0]]) / length
+    # internal edges with one (cell pair, axis, grid line) make one face;
+    # sorting by edge position last keeps each group in encounter order
+    lo = np.minimum(e_cell, nb)[ie]
+    hi = np.maximum(e_cell, nb)[ie]
+    perm = np.lexsort((ie, line_k[ie], axis[ie], hi, lo))
+    order = ie[perm]
+    keys = np.stack([lo[perm], hi[perm], axis[order], line_k[order]])
+    group_head = np.ones(len(order), dtype=bool)
+    group_head[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+    heads = np.flatnonzero(group_head)
+    first = np.empty(len(V), dtype=np.int64)
+    first[order] = order[heads][np.cumsum(group_head) - 1]
 
-            kv = kh = None
-            if abs(v[0] - w[0]) <= line_tol:
-                kv = _classify_grid_line(v[0], bg.x0, h, bg.nx, line_tol)
-            elif abs(v[1] - w[1]) <= line_tol:
-                kh = _classify_grid_line(v[1], bg.y0, h, bg.ny, line_tol)
+    creates = np.ones(len(V), dtype=bool)
+    creates[ie] = first[ie] == ie
+    src = np.flatnonzero(creates)
+    fid = np.empty(len(V), dtype=np.int64)
+    fid[src] = np.arange(len(src))
+    fid[ie] = fid[first[ie]]
 
-            neighbor = None
-            axis = None
-            if kv is not None and 0 < kv < bg.nx:
-                axis, line_k = 0, kv
-                ni = i - 1 if i == kv else i + 1
-                neighbor = cell_of_ij.get((ni, j))
-            elif kh is not None and 0 < kh < bg.ny:
-                axis, line_k = 1, kh
-                nj = j - 1 if j == kh else j + 1
-                neighbor = cell_of_ij.get((i, nj))
+    # face data in face-id order, read off the edge that created each face:
+    # a boundary face keeps its edge, an internal one runs along the axis
+    # from its left cell (on the lower side of the line) to the right one
+    face_left = e_cell[src]
+    face_right = np.full(len(src), -1, dtype=np.int64)
+    face_p = V[src]
+    face_q = W[src]
+    face_normal = outward[src]
+    fi = np.flatnonzero(nb[src] >= 0)
+    e = src[fi]
+    t = 1 - axis[e]   # varying coordinate: y on vertical lines, x on horizontal ones
+    own = np.where(axis[e] == 0, ei[e], ej[e])
+    left = np.where(own == line_k[e] - 1, e_cell[e], nb[e])
+    face_left[fi] = left
+    face_right[fi] = np.where(left == e_cell[e], nb[e], e_cell[e])
+    face_normal[fi] = np.where((axis[e] == 0)[:, None], [1.0, 0.0], [0.0, 1.0])
+    swap = (V[e, t] > W[e, t])[:, None]
+    face_p[fi] = np.where(swap, W[e], V[e])
+    face_q[fi] = np.where(swap, V[e], W[e])
 
-            if neighbor is None:
-                # Boundary: outer box edge or a cut line (or a grid line whose
-                # neighbor was clipped away entirely).
-                fid = len(faces)
-                faces.append(Face(fid, "boundary", v.copy(), w.copy(), outward, cell.id))
-                cell.face_ids.append(fid)
-                continue
+    # an internal face met again is narrowed to the overlap of the edges
+    if len(order):
+        to = 1 - axis[order]
+        vt, wt = V[order, to], W[order, to]
+        seg_lo = np.maximum.reduceat(np.minimum(vt, wt), heads)
+        seg_hi = np.minimum.reduceat(np.maximum(vt, wt), heads)
+        shared = np.diff(np.append(heads, len(order))) > 1
+        bad = np.flatnonzero(shared & (seg_hi - seg_lo <= drop))
+        if len(bad):
+            # the first failure in encounter order, as a sequential pass finds it
+            g = heads[bad[np.argmin(order[heads[bad] + 1])]]
+            raise MeshValidationError(
+                f"cells {keys[0, g]} and {keys[1, g]} share grid line but no face overlap"
+            )
+        gf = fid[order[heads]]
+        gt = to[heads]
+        face_p[gf, gt] = seg_lo
+        face_q[gf, gt] = seg_hi
 
-            lo, hi = min(cell.id, neighbor), max(cell.id, neighbor)
-            key = (axis, line_k, lo, hi)
-            if key in pair_face:
-                fid = pair_face[key]
-                face = faces[fid]
-                # Reconcile the two cells' edges: keep the overlap segment.
-                t = 1 - axis   # varying coordinate: y for vertical, x for horizontal
-                seg_lo = max(min(face.p[t], face.q[t]), min(v[t], w[t]))
-                seg_hi = min(max(face.p[t], face.q[t]), max(v[t], w[t]))
-                if seg_hi - seg_lo <= drop:
-                    raise MeshValidationError(
-                        f"cells {lo} and {hi} share grid line but no face overlap"
-                    )
-                p = face.p.copy()
-                q = face.q.copy()
-                p[t], q[t] = seg_lo, seg_hi
-                face.p, face.q = p, q
-            else:
-                normal = np.array([1.0, 0.0]) if axis == 0 else np.array([0.0, 1.0])
-                # Left cell sits on the negative side of the normal.
-                if axis == 0:
-                    left = cell.id if i == line_k - 1 else neighbor
-                else:
-                    left = cell.id if j == line_k - 1 else neighbor
-                right = neighbor if left == cell.id else cell.id
-                t = 1 - axis
-                p, q = (v.copy(), w.copy()) if v[t] <= w[t] else (w.copy(), v.copy())
-                fid = len(faces)
-                faces.append(Face(fid, "internal", p, q, normal, left, right))
-                pair_face[key] = fid
-            cell.face_ids.append(fid)
+    span = face_q - face_p
+    short = np.flatnonzero(np.hypot(span[:, 0], span[:, 1]) <= drop)
+    if len(short):
+        raise MeshValidationError(f"face {short[0]} shorter than drop tolerance")
 
-    mesh = CutCellMesh(bg, geometry, cells, faces, cell_of_ij)
-    for face in faces:
-        if face.length <= drop:
-            raise MeshValidationError(f"face {face.id} shorter than drop tolerance")
-    return mesh
+    faces = [
+        Face(f, "boundary", p, q, n, lc)
+        if rc < 0 else Face(f, "internal", p, q, n, lc, rc)
+        for f, (p, q, n, lc, rc) in enumerate(
+            zip(face_p, face_q, face_normal, face_left.tolist(), face_right.tolist())
+        )
+    ]
+    fids = fid.tolist()
+    bounds = start.tolist()
+    cells = [
+        CutCell(cid, (i, j), polys[cid], areas[cid], areas[cid] / (h * h),
+                fids[bounds[cid]:bounds[cid + 1]])
+        for cid, (i, j) in enumerate(cell_ij.tolist())
+    ]
+    return CutCellMesh(bg, geometry, cells, faces, cell_grid, cell_ij,
+                       face_p, face_q, face_normal, face_left, face_right)
 
 
 @dataclass(frozen=True)

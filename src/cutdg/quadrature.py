@@ -30,18 +30,26 @@ def n_modes(degree):
 
 
 def monomial_values(exps, center, h, pts):
-    """Values of the scaled monomials at pts, shape (npts, n_modes)."""
+    """Values of the scaled monomials at pts, shape (npts, n_modes).
+
+    ``center`` is one center (2,) or one per point (npts, 2).
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    X = (pts[:, 0] - center[0]) / h
-    Y = (pts[:, 1] - center[1]) / h
+    center = np.asarray(center, dtype=float)
+    X = (pts[:, 0] - center[..., 0]) / h
+    Y = (pts[:, 1] - center[..., 1]) / h
     return X[:, None] ** exps[:, 0] * Y[:, None] ** exps[:, 1]
 
 
 def monomial_gradients(exps, center, h, pts):
-    """Gradients of the scaled monomials, shape (npts, n_modes, 2)."""
+    """Gradients of the scaled monomials, shape (npts, n_modes, 2).
+
+    ``center`` is one center (2,) or one per point (npts, 2).
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    X = (pts[:, 0] - center[0]) / h
-    Y = (pts[:, 1] - center[1]) / h
+    center = np.asarray(center, dtype=float)
+    X = (pts[:, 0] - center[..., 0]) / h
+    Y = (pts[:, 1] - center[..., 1]) / h
     p = exps[:, 0]
     q = exps[:, 1]
     xp = X[:, None] ** np.maximum(p - 1, 0)
@@ -124,11 +132,6 @@ def face_quadrature(p, q, npts):
     return pts, 0.5 * w * float(np.hypot(*(q - p)))
 
 
-def cell_quadrature(cell, degree):
-    """Quadrature rule for a cut cell, exact for polynomials of ``degree``."""
-    return polygon_quadrature(cell.polygon, degree)
-
-
 @dataclass
 class DGFunction:
     """Piecewise polynomial: one (n_modes, m) coefficient block per cell."""
@@ -164,7 +167,7 @@ def cho_solve_stacked(U, b):
 def mass_matrix(cell, basis):
     """Gram matrix of the scaled monomials over the cut cell (per component)."""
     pts, w = polygon_quadrature(cell.polygon, 2 * basis.degree + 2)
-    phi = monomial_values(basis.exps, basis.center_of(cell), basis.h, pts)
+    phi = monomial_values(basis.exps, basis.center(cell.id), basis.h, pts)
     mat = phi.T @ (w[:, None] * phi)
     return 0.5 * (mat + mat.T)
 
@@ -180,12 +183,10 @@ class Basis:
         self.exps = mode_exponents(degree)
         self.n_modes = len(self.exps)
         self.h = mesh.bg.h
-
-    def center_of(self, cell):
-        return self.mesh.bg.cell_center(*cell.ij)
+        self.centers = mesh.cell_centers
 
     def center(self, cell_id):
-        return self.mesh.cell_center(cell_id)
+        return self.centers[cell_id]
 
     def values(self, cell_id, pts):
         return monomial_values(self.exps, self.center(cell_id), self.h, pts)
@@ -201,6 +202,15 @@ class Space:
     one basis-value table and one mass factorization; cut cells get per-cell
     rules built by fan triangulation.  The mass matrices of all cells are kept
     stacked, shape (num_cells, n_modes, n_modes).
+
+    Every cell's quadrature points sit in one array ``quad_pts`` (weights
+    ``quad_w``, owning cells ``quad_cells``): first the uncut cells, each
+    with the reference rule's points, then the cut cells, both in ascending
+    cell order.  ``cell_pts[cid]`` and ``cell_w[cid]`` are views into it.
+    The face tables are stacked arrays indexed by face id: ``face_pts``
+    (faces, npts, 2), ``face_w`` (faces, npts) and the left and right cells'
+    basis values ``face_phi_left`` / ``face_phi_right`` (faces, npts,
+    n_modes); the right table is zero on boundary faces.
     """
 
     def __init__(self, mesh, degree):
@@ -209,6 +219,8 @@ class Space:
         self.degree = degree
         self.n_modes = self.basis.n_modes
         h = mesh.bg.h
+        exps = self.basis.exps
+        centers = self.basis.centers
         quad_degree = 2 * degree + 2
         self.face_npts = degree + 2
 
@@ -216,10 +228,11 @@ class Space:
         self.uncut = np.array(
             [abs(c.volume_fraction - 1.0) <= 1e-12 and len(c.polygon) == 4 for c in mesh.cells]
         )
+        uncut_ids = np.flatnonzero(self.uncut)
+        self.cut_ids = cut_ids = np.flatnonzero(~self.uncut)
 
         # reference (scaled-coordinate) data shared by all uncut cells
         ref_pts, ref_w = _square_rule(degree + 2)
-        exps = self.basis.exps
         self._ref_phi = monomial_values(exps, (0.0, 0.0), 1.0, ref_pts)
         self._ref_grad = monomial_gradients(exps, (0.0, 0.0), 1.0, ref_pts) / h
         self._ref_w = ref_w * h * h
@@ -228,51 +241,72 @@ class Space:
         self._ref_cho = cho_factor(ref_mass)
         self._ref_mass = ref_mass
 
+        # all cells' points in one array: the uncut cells' block, then the
+        # cut cells' fan rules
+        cut_rules = [polygon_quadrature(mesh.cells[cid].polygon, quad_degree) for cid in cut_ids]
+        nq = len(ref_w)
+        self._n_uncut_pts = n_uncut = len(uncut_ids) * nq
+        cut_npts = [len(w) for _, w in cut_rules]
+        bounds = n_uncut + np.concatenate([[0], np.cumsum(cut_npts, dtype=np.int64)])
+        self._cut_starts = bounds[:-1] - n_uncut
+        self.quad_pts = np.empty((bounds[-1], 2))
+        self.quad_w = np.empty(bounds[-1])
+        self.quad_cells = np.concatenate([np.repeat(uncut_ids, nq), np.repeat(cut_ids, cut_npts)])
+        uncut_pts = self.quad_pts[:n_uncut].reshape(len(uncut_ids), nq, 2)
+        uncut_pts[:] = centers[uncut_ids][:, None, :] + ref_pts * h
+        self.quad_w[:n_uncut] = np.tile(self._ref_w, len(uncut_ids))
+
         self.cell_pts = [None] * ncells
-        self.cell_w = [None] * ncells
-        self.cell_phi = [None] * ncells
-        self.cell_grad = [None] * ncells
+        self.cell_w = [self._ref_w] * ncells
+        self.cell_phi = [self._ref_phi] * ncells
+        self.cell_grad = [self._ref_grad] * ncells
+        for cid, pts in zip(uncut_ids.tolist(), uncut_pts):
+            self.cell_pts[cid] = pts
         self.mass = np.empty((ncells, self.n_modes, self.n_modes))
-        self._cho = [None] * ncells
+        self.mass[uncut_ids] = ref_mass
+        self.mode_integral = np.empty((ncells, self.n_modes))
+        self.mode_integral[uncut_ids] = self._ref_w @ self._ref_phi
+        cut_phi = [np.zeros((0, self.n_modes))]
+        for i, cid in enumerate(cut_ids.tolist()):
+            pts, w = cut_rules[i]
+            lo, hi = bounds[i], bounds[i + 1]
+            self.quad_pts[lo:hi] = pts
+            self.quad_w[lo:hi] = w
+            self.cell_pts[cid] = self.quad_pts[lo:hi]
+            self.cell_w[cid] = self.quad_w[lo:hi]
+            phi = monomial_values(exps, centers[cid], h, pts)
+            self.cell_phi[cid] = phi
+            self.cell_grad[cid] = monomial_gradients(exps, centers[cid], h, pts)
+            mat = phi.T @ (w[:, None] * phi)
+            self.mass[cid] = 0.5 * (mat + mat.T)
+            self.mode_integral[cid] = w @ phi
+            cut_phi.append(phi)
+        self._cut_phi = np.concatenate(cut_phi)
+        self._cho = {}
         self._cut_factors = None
-        self.mode_integral = np.zeros((ncells, self.n_modes))
 
-        for cell in mesh.cells:
-            cid = cell.id
-            center = self.basis.center(cid)
-            if self.uncut[cid]:
-                self.cell_pts[cid] = center[None, :] + ref_pts * h
-                self.cell_w[cid] = self._ref_w
-                self.cell_phi[cid] = self._ref_phi
-                self.cell_grad[cid] = self._ref_grad
-                self.mass[cid] = ref_mass
-                self._cho[cid] = self._ref_cho
-            else:
-                pts, w = polygon_quadrature(cell.polygon, quad_degree)
-                phi = monomial_values(exps, center, h, pts)
-                grad = monomial_gradients(exps, center, h, pts)
-                mat = phi.T @ (w[:, None] * phi)
-                mat = 0.5 * (mat + mat.T)
-                self.cell_pts[cid] = pts
-                self.cell_w[cid] = w
-                self.cell_phi[cid] = phi
-                self.cell_grad[cid] = grad
-                self.mass[cid] = mat
-            self.mode_integral[cid] = self.cell_w[cid] @ self.cell_phi[cid]
+        # face rules and trace tables, all faces at once
+        x, w = _gauss_1d(self.face_npts)
+        t = 0.5 * (x + 1.0)
+        p, q = mesh.face_p, mesh.face_q
+        span = q - p
+        self.face_pts = p[:, None, :] + t[None, :, None] * span[:, None, :]
+        self.face_w = (0.5 * w)[None, :] * np.hypot(span[:, 0], span[:, 1])[:, None]
+        self.face_phi_left = self._trace(self.face_pts, mesh.face_left)
+        self.face_phi_right = np.zeros_like(self.face_phi_left)
+        internal = mesh.face_right >= 0
+        self.face_phi_right[internal] = self._trace(
+            self.face_pts[internal], mesh.face_right[internal]
+        )
 
-        # face rules and trace tables
-        nfaces = len(mesh.faces)
-        self.face_pts = [None] * nfaces
-        self.face_w = [None] * nfaces
-        self.face_phi_left = [None] * nfaces
-        self.face_phi_right = [None] * nfaces
-        for face in mesh.faces:
-            pts, w = face_quadrature(face.p, face.q, self.face_npts)
-            self.face_pts[face.id] = pts
-            self.face_w[face.id] = w
-            self.face_phi_left[face.id] = self.basis.values(face.left_cell, pts)
-            if face.right_cell is not None:
-                self.face_phi_right[face.id] = self.basis.values(face.right_cell, pts)
+    def _trace(self, pts, cells):
+        """Basis values of ``cells[f]`` at the points ``pts[f]``, stacked."""
+        npts = pts.shape[1]
+        vals = monomial_values(
+            self.basis.exps, np.repeat(self.basis.centers[cells], npts, axis=0),
+            self.basis.h, pts.reshape(-1, 2),
+        )
+        return vals.reshape(len(cells), npts, self.n_modes)
 
     # ------------------------------------------------------------------
     def zeros(self, m):
@@ -291,7 +325,9 @@ class Space:
         # Gram matrix is numerically indefinite at high degree, and runs that
         # never mass-solve there (penalty assembly, re-centered projections)
         # must not be blocked by them
-        if self._cho[cell_id] is None:
+        if self.uncut[cell_id]:
+            return self._ref_cho
+        if cell_id not in self._cho:
             try:
                 self._cho[cell_id] = cho_factor(self.mass[cell_id])
             except np.linalg.LinAlgError as exc:
@@ -312,23 +348,48 @@ class Space:
         matrix is reported by the lowest such cell id.
         """
         if self._cut_factors is None:
-            cut = np.where(~self.uncut)[0]
-            factors = np.empty((len(cut), self.n_modes, self.n_modes))
-            for i, cid in enumerate(cut):
+            factors = np.empty((len(self.cut_ids), self.n_modes, self.n_modes))
+            for i, cid in enumerate(self.cut_ids):
                 factors[i] = self._factor(cid)[0]
             # cho_factor (upper by default) leaves the lower triangle unspecified
             self._cut_factors = np.triu(factors)
         return self._cut_factors
 
+    def mass_solve(self, rhs):
+        """Block-diagonal mass solve for every cell, rhs of shape (cells, n_modes, m).
+
+        One solve with the reference factor for all cells, then the cut cells
+        again with their stacked factors.
+        """
+        n, k, m = rhs.shape
+        # right-hand sides as the columns of a Fortran-ordered (k, n m) array
+        cols = np.ascontiguousarray(rhs.transpose(0, 2, 1)).reshape(n * m, k).T
+        out = cho_solve(self._ref_cho, cols, check_finite=False)
+        out = out.T.reshape(n, m, k).transpose(0, 2, 1)
+        if len(self.cut_ids):
+            out[self.cut_ids] = cho_solve_stacked(self.cut_mass_factors(), rhs[self.cut_ids])
+        return out
+
+    def _point_values(self, f, m):
+        """f at ``quad_pts``, called once, as an (npts, m) array."""
+        return np.asarray(f(self.quad_pts), dtype=float).reshape(len(self.quad_pts), m)
+
     def l2_project(self, f, m):
-        """Cell-wise L2 projection of a pointwise function f(pts) -> (npts, m)."""
-        u = self.zeros(m)
-        for cell in self.mesh.cells:
-            cid = cell.id
-            vals = np.asarray(f(self.cell_pts[cid]), dtype=float).reshape(-1, m)
-            rhs = self.cell_phi[cid].T @ (self.cell_w[cid][:, None] * vals)
-            u.coeffs[cid] = self.solve_mass(cid, rhs)
-        return u
+        """Cell-wise L2 projection of a pointwise function f(pts) -> (npts, m).
+
+        ``f`` is called once, on ``quad_pts``: all cells' points in one array.
+        """
+        vals = self._point_values(f, m)
+        n_uncut = self._n_uncut_pts
+        rhs = np.empty((self.mesh.num_cells, self.n_modes, m))
+        uncut_vals = vals[:n_uncut].reshape(-1, len(self._ref_w), m)
+        rhs[self.uncut] = (self._ref_phi.T * self._ref_w) @ uncut_vals
+        if len(self.cut_ids):
+            wv = self.quad_w[n_uncut:, None] * vals[n_uncut:]
+            rhs[self.cut_ids] = np.add.reduceat(
+                self._cut_phi[:, :, None] * wv[:, None, :], self._cut_starts, axis=0
+            )
+        return DGFunction(self.mass_solve(rhs), self.degree)
 
     def l2_norm(self, u):
         c = u.coeffs
@@ -336,13 +397,19 @@ class Space:
         return np.sqrt(max(total, 0.0))
 
     def l2_error(self, u, f):
-        """L2(domain) distance between u and a pointwise function."""
-        total = 0.0
-        for cid in range(self.mesh.num_cells):
-            vals = self.cell_phi[cid] @ u.coeffs[cid]
-            exact = np.asarray(f(self.cell_pts[cid]), dtype=float).reshape(vals.shape)
-            diff = vals - exact
-            total += float(self.cell_w[cid] @ np.sum(diff * diff, axis=1))
+        """L2(domain) distance between u and a pointwise function.
+
+        ``f`` is called once, on ``quad_pts``.
+        """
+        m = u.coeffs.shape[2]
+        n_uncut = self._n_uncut_pts
+        vals = np.empty((len(self.quad_pts), m))
+        vals[:n_uncut] = (self._ref_phi @ u.coeffs[self.uncut]).reshape(-1, m)
+        vals[n_uncut:] = np.einsum(
+            "qk,qkm->qm", self._cut_phi, u.coeffs[self.quad_cells[n_uncut:]]
+        )
+        diff = vals - self._point_values(f, m)
+        total = float(self.quad_w @ np.sum(diff * diff, axis=1))
         return np.sqrt(max(total, 0.0))
 
     def total_mass(self, u):
@@ -352,23 +419,3 @@ class Space:
     def dofs(self, m):
         return self.mesh.num_cells * self.n_modes * m
 
-
-def l2_project(f, mesh, basis, m=1):
-    """Standalone projection (builds rules on the fly); see Space.l2_project."""
-    u = DGFunction(np.zeros((mesh.num_cells, basis.n_modes, m)), basis.degree)
-    for cell in mesh.cells:
-        pts, w = polygon_quadrature(cell.polygon, 2 * basis.degree + 2)
-        phi = monomial_values(basis.exps, basis.center(cell.id), basis.h, pts)
-        vals = np.asarray(f(pts), dtype=float).reshape(-1, m)
-        mat = phi.T @ (w[:, None] * phi)
-        rhs = phi.T @ (w[:, None] * vals)
-        u.coeffs[cell.id] = np.linalg.solve(0.5 * (mat + mat.T), rhs)
-    return u
-
-
-def evaluate(u, mesh, basis, cell_id, pts):
-    if not 0 <= cell_id < mesh.num_cells:
-        raise CutDGError(f"unknown cell id {cell_id}")
-    single = np.asarray(pts).ndim == 1
-    vals = basis.values(cell_id, pts) @ u.coeffs[cell_id]
-    return vals[0] if single else vals

@@ -16,27 +16,29 @@ Field names accepted in configurations:
 import numpy as np
 
 from .errors import ConfigurationError
-from .quadrature import mode_exponents, n_modes
+from .quadrature import DGFunction, mode_exponents, n_modes
 
 
-def _shift_matrix(exps, center, h):
-    """Matrix S with (global monomials)(x) = sum_k S[g, k] * (scaled modes)_k.
+def _shift_matrices(exps, centers, h):
+    """Matrices S with (global monomials)(x) = sum_k S[c, g, k] * (scaled modes of c)_k.
 
-    Expands x^p y^q around the cell center via the binomial theorem; this is
-    how a global polynomial is written down exactly in any cell's block.
+    Expands x^p y^q around each cell center (centers of shape (cells, 2)) via
+    the binomial theorem; this is how a global polynomial is written down
+    exactly in any cell's block.  The loops run over mode pairs only.
     """
     from math import comb
 
     n = len(exps)
     index = {(int(p), int(q)): k for k, (p, q) in enumerate(exps)}
-    S = np.zeros((n, n))
-    xc, yc = center
+    S = np.zeros((len(centers), n, n))
+    xc = centers[:, 0]
+    yc = centers[:, 1]
     for g, (p, q) in enumerate(exps):
         for u in range(p + 1):
             cu = comb(p, u) * xc ** (p - u) * h**u
             for v in range(q + 1):
                 cv = comb(q, v) * yc ** (q - v) * h**v
-                S[g, index[(u, v)]] += cu * cv
+                S[:, g, index[(u, v)]] += cu * cv
     return S
 
 
@@ -76,11 +78,8 @@ class PolynomialField:
         exps = space.basis.exps
         lifted = np.zeros((len(exps), self.m))
         lifted[: len(self.coeffs)] = self.coeffs
-        u = space.zeros(self.m)
-        for cid in range(space.mesh.num_cells):
-            S = _shift_matrix(exps, space.basis.center(cid), space.basis.h)
-            u.coeffs[cid] = S.T @ lifted
-        return u
+        S = _shift_matrices(exps, space.basis.centers, space.basis.h)
+        return DGFunction(S.transpose(0, 2, 1) @ lifted, space.degree)
 
 
 def random_polynomial(rng, degree, m, pressure_only=False):

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -251,3 +254,93 @@ def test_mesh_dump_format():
     kinds = {ln.split()[2] for ln in lines if ln.startswith("f ")}
     assert kinds == {"internal", "boundary"}
     assert sum(1 for ln in lines if ln.startswith("cell ")) == 4
+
+
+# ------------------------------------------------------------ recorded meshes
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# sha256 of mesh.dump() and of every face's (id, kind, left, right, p, q,
+# normal), recorded from the cell-by-cell clipping and face-extraction code
+# that the array-based build_mesh replaced
+MESH_HASHES = {
+    "conservation-bump.cfg": (
+        "baea176c920ea55426aa5cda5119d9b3cae5b62c3d7d52bf9708b8f162d501cd",
+        "7881054416a01797ebc544593bbab84ce723f8511d70479d176ec5d9d5c7931f",
+    ),
+    "consistency-acoustics.cfg": (
+        "a9913fb8890b638fba8d0063740610a451444e82afa56ff0cbd5f60cd583a438",
+        "436d892472136b1ba1cb1d08a56975c9ee75f66217c15fff1532363cbe208e4d",
+    ),
+    "consistency-advection.cfg": (
+        "42ad7ad9aac6a9ca02ee57cbaee023ae334592ecdf61c52a4843c2c405b7bb07",
+        "07fdae866cfa15e05cffe8bc37494952eb70052909b31d171a3100c017f41916",
+    ),
+    "convergence-advection.cfg": (
+        "9c3a89be3fe939fa8e4490e784570c7fc7709eae26da3e7c0816b402c307d491",
+        "251b29c3064c816f5c3efd46182c55036956807bb282e0aaa905b89bccfc4bed",
+    ),
+    "stability-sliver.cfg": (
+        "941da18d4b9a0bf1be44daf66ce42709a1330f81ed0a75d7de4a4717308198b7",
+        "0a71a2ab38174cde48d798755f65364f75e1eab4028c8071015b1f2bd68f3c31",
+    ),
+    "ramp-acoustics-r1-1e-6-nx128": (
+        "092d6da10025aeaf0948c0ef2b2b8967e28988ae928b44b97b649ea2d63b1101",
+        "bda9f20d29e47422044dee84c5a2a934bda6654dfc30b5f2f1daca609a7b697d",
+    ),
+    "ramp-advection-r2-1e-8-nx16": (
+        "a9913fb8890b638fba8d0063740610a451444e82afa56ff0cbd5f60cd583a438",
+        "436d892472136b1ba1cb1d08a56975c9ee75f66217c15fff1532363cbe208e4d",
+    ),
+    "single-cell-pentagon": (
+        "2b9a83b7366dda40d1f8964ee6e75fea251b5a13a2146a3275bdcc38979f820f",
+        "8968ae5e9716fd718c0dc9d9fc36dc510885909b6fc9c1702e111120eb099026",
+    ),
+}
+
+
+def _recorded_mesh(name):
+    from cutdg.config import load_config
+    from cutdg.experiments import ramp_config
+
+    if name.endswith(".cfg"):
+        cfg = load_config(str(CONFIGS / name))
+    elif name == "single-cell-pentagon":
+        s = np.sqrt(0.5)
+        return build_mesh(BackgroundMesh(0, 0, 1, 1, 1, 1), Geometry((HalfPlane(s, s, 0.5 * s),)))
+    elif name == "ramp-acoustics-r1-1e-6-nx128":
+        cfg = ramp_config("acoustics", 1, 1e-6, nx=128)
+    else:
+        cfg = ramp_config("advection", 2, 1e-8, nx=16)
+    return build_mesh(cfg.background(), cfg.geometry())
+
+
+def _faces_digest(mesh):
+    digest = hashlib.sha256()
+    for f in mesh.faces:
+        digest.update(f"{f.id} {f.kind} {f.left_cell} {f.right_cell}".encode())
+        digest.update(np.asarray([f.p, f.q, f.normal], dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(MESH_HASHES))
+def test_mesh_matches_recorded_hashes(name):
+    mesh = _recorded_mesh(name)
+    dump_hash, faces_hash = MESH_HASHES[name]
+    assert hashlib.sha256(mesh.dump().encode()).hexdigest() == dump_hash
+    assert _faces_digest(mesh) == faces_hash
+
+
+def test_mesh_arrays_match_face_and_cell_objects():
+    mesh = ramp_mesh(nx=8, ny=8)
+    for face in mesh.faces:
+        assert np.array_equal(mesh.face_p[face.id], face.p)
+        assert np.array_equal(mesh.face_q[face.id], face.q)
+        assert np.array_equal(mesh.face_normal[face.id], face.normal)
+        assert mesh.face_left[face.id] == face.left_cell
+        assert mesh.face_right[face.id] == (-1 if face.right_cell is None else face.right_cell)
+    for cell in mesh.cells:
+        assert tuple(mesh.cell_ij[cell.id]) == cell.ij
+        assert np.array_equal(mesh.cell_centers[cell.id], mesh.bg.cell_center(*cell.ij))
+        assert mesh.cell_at(*cell.ij) == cell.id
+    assert mesh.cell_at(-1, 0) is None and mesh.cell_at(0, 8) is None

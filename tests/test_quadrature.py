@@ -6,12 +6,11 @@ from cutdg.geometry import BackgroundMesh, Geometry, build_mesh
 from cutdg.quadrature import (
     Basis,
     Space,
-    cell_quadrature,
-    evaluate,
     face_quadrature,
-    l2_project,
     mass_matrix,
     mode_exponents,
+    monomial_gradients,
+    monomial_values,
     polygon_quadrature,
 )
 
@@ -26,7 +25,7 @@ def test_mode_ordering():
 def test_quadrature_constant_gives_area():
     mesh = ramp_mesh(nx=4, ny=4)
     for cell in mesh.cells:
-        pts, w = cell_quadrature(cell, 4)
+        pts, w = polygon_quadrature(cell.polygon, 4)
         assert abs(np.sum(w) - cell.area) < 1e-13 * max(cell.area, 1e-30)
 
 
@@ -164,11 +163,12 @@ def test_projection_idempotent():
 
 
 def _eval_piecewise(space, u, pts):
-    # only called with each cell's own quadrature points in cell order
-    for cid in range(space.mesh.num_cells):
-        if pts is space.cell_pts[cid]:
-            return space.cell_phi[cid] @ u.coeffs[cid]
-    raise AssertionError("unexpected evaluation points")
+    # only called once, with every cell's quadrature points
+    if pts is not space.quad_pts:
+        raise AssertionError("unexpected evaluation points")
+    cells = space.quad_cells
+    phi = monomial_values(space.basis.exps, space.basis.centers[cells], space.basis.h, pts)
+    return np.einsum("qk,qkm->qm", phi, u.coeffs[cells])
 
 
 def test_projection_order_of_accuracy():
@@ -222,7 +222,99 @@ def test_evaluate_matches_monomial_sum():
 
 def test_standalone_l2_project_and_evaluate():
     mesh = uncut_mesh(2, 2)
-    basis = Basis(mesh, 1)
-    u = l2_project(lambda pts: (pts[:, 0] + 2 * pts[:, 1])[:, None], mesh, basis, 1)
-    val = evaluate(u, mesh, basis, 0, np.array([0.25, 0.25]))
+    space = Space(mesh, 1)
+    u = space.l2_project(lambda pts: (pts[:, 0] + 2 * pts[:, 1])[:, None], 1)
+    val = space.evaluate(u, 0, np.array([0.25, 0.25]))
     assert abs(val[0] - 0.75) < 1e-12
+
+
+# ------------------------------------------------- stacked tables and batches
+
+
+def _ramp_space(degree, alpha, nx=8):
+    from cutdg.experiments import ramp_config
+
+    cfg = ramp_config("acoustics", degree, alpha, nx=nx)
+    return Space(build_mesh(cfg.background(), cfg.geometry()), degree)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("alpha", [1e-2, 1e-8])
+def test_stacked_tables_match_per_face_and_per_cell_rules(degree, alpha):
+    space = _ramp_space(degree, alpha)
+    mesh = space.mesh
+    exps, h = space.basis.exps, space.basis.h
+
+    def values(cid, pts):
+        return monomial_values(exps, mesh.cell_center(cid), h, pts)
+
+    for face in mesh.faces:
+        pts, w = face_quadrature(face.p, face.q, degree + 2)
+        assert np.array_equal(space.face_pts[face.id], pts)
+        assert np.array_equal(space.face_w[face.id], w)
+        assert np.array_equal(space.face_phi_left[face.id], values(face.left_cell, pts))
+        if face.right_cell is not None:
+            assert np.array_equal(space.face_phi_right[face.id], values(face.right_cell, pts))
+    cut = [c for c in mesh.cells if not space.uncut[c.id]]
+    assert cut
+    for cell in cut:
+        pts, w = polygon_quadrature(cell.polygon, 2 * degree + 2)
+        assert np.array_equal(space.cell_pts[cell.id], pts)
+        assert np.array_equal(space.cell_w[cell.id], w)
+        assert np.array_equal(space.cell_phi[cell.id], values(cell.id, pts))
+        grad = monomial_gradients(exps, mesh.cell_center(cell.id), h, pts)
+        assert np.array_equal(space.cell_grad[cell.id], grad)
+    for cid in range(mesh.num_cells):
+        owned = space.quad_cells == cid
+        assert np.array_equal(space.quad_pts[owned], space.cell_pts[cid])
+        assert np.array_equal(space.quad_w[owned], space.cell_w[cid])
+
+
+def _smooth_field(pts):
+    x, y = pts[:, 0], pts[:, 1]
+    return np.stack([np.sin(3 * x) * np.cos(2 * y), np.exp(x - y), 1.0 / (1.0 + x * x + y)], axis=1)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_batched_projection_and_error_match_per_cell_loop(degree):
+    from scipy.linalg import cho_factor, cho_solve
+
+    from cutdg.quadrature import DGFunction
+
+    space = _ramp_space(degree, 1e-2)
+    calls = []
+
+    def counted(pts):
+        calls.append(pts)
+        return _smooth_field(pts)
+
+    u = space.l2_project(counted, 3)
+    assert len(calls) == 1 and calls[0] is space.quad_pts
+
+    # per-cell loop oracle: each cell's normal equations, solved on their own
+    ref = np.empty_like(u.coeffs)
+    for cid in range(space.mesh.num_cells):
+        rhs = space.cell_phi[cid].T @ (space.cell_w[cid][:, None] * _smooth_field(space.cell_pts[cid]))
+        # the batched coefficients solve this cell's equations to round-off
+        resid = space.mass[cid] @ u.coeffs[cid] - rhs
+        assert np.abs(resid).max() <= 1e-13 * np.abs(rhs).max()
+        ref[cid] = cho_solve(cho_factor(space.mass[cid]), rhs)
+    # the solutions themselves differ by cond * eps on cut cells (cut masses
+    # reach cond 9e10 at r=3, where two per-cell solvers already differ by
+    # 3e-13 in this norm)
+    diff = space.l2_norm(DGFunction(u.coeffs - ref, degree))
+    assert diff <= 1e-12 * space.l2_norm(DGFunction(ref, degree))
+
+    # error against another field, so the error is O(1) and the comparison
+    # sees the summation, not cancellation in u - f
+    def other(pts):
+        return _smooth_field(pts + 0.3)
+
+    calls.clear()
+    err = space.l2_error(u, lambda pts: calls.append(pts) or other(pts))
+    assert len(calls) == 1 and calls[0] is space.quad_pts
+    total = 0.0
+    for cid in range(space.mesh.num_cells):
+        d = space.cell_phi[cid] @ u.coeffs[cid] - other(space.cell_pts[cid])
+        total += float(space.cell_w[cid] @ np.sum(d * d, axis=1))
+    assert abs(err - np.sqrt(total)) <= 1e-13 * np.sqrt(total)
