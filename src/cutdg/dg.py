@@ -7,8 +7,9 @@ The form is linear and constant in time, so it is assembled once, from two
 kernels: :func:`face_terms` (one face) and :func:`volume_terms` (one cell).
 Both are linear in the coefficients and accept coefficient blocks with a
 leading probe axis, so :func:`local_matrix` reads off a kernel's matrix in a
-single call.  The small-cell stabilization reuses :func:`face_terms` verbatim
-for its cancellation terms.
+single call.  The small-cell stabilization reads its cancellation blocks off
+:func:`face_terms` the same way, and builds its pair terms as matrices
+directly.
 
 * Full background cells share one set of trace and volume tables.  Every
   face between two of them in one direction, every outer-box wall of one on
@@ -276,8 +277,3 @@ def boundary_outflow_weights(space, spec):
     g = np.zeros((mesh.num_cells, space.n_modes, 1))
     np.add.at(g[:, :, 0], mesh.face_left[wall], face_g)
     return g
-
-
-def boundary_outflow_rate(space, spec, u):
-    """Advection outflow through the physical boundary, integral of (beta.n)^+ u."""
-    return float(np.vdot(boundary_outflow_weights(space, spec), u.coeffs))

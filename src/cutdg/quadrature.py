@@ -336,11 +336,6 @@ class Space:
                 ) from exc
         return self._cho[cell_id]
 
-    def solve_mass(self, cell_id, rhs):
-        # non-finite input may occur in intentionally unstable runs; the
-        # integrator detects it at the step boundary
-        return cho_solve(self._factor(cell_id), rhs, check_finite=False)
-
     def cut_mass_factors(self):
         """Upper Cholesky factors U (M = U^T U) of every cut cell, stacked.
 

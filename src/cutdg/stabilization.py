@@ -14,6 +14,13 @@ against test value).  The closed form is the unique choice (up to gauge) in
 this ansatz satisfying the pair balance and face-sum identities that the
 consistency argument needs; the test suite checks those identities directly
 rather than trusting the construction.
+
+Every term is bilinear, so each penalty is held as one local matrix per
+stabilized cell over the cell's neighborhood, built directly: for
+acoustics, eta times the sum of three named matrices (``surface``,
+``volume``, ``dissipative``) minus eta times the base face kernels of the
+cell's faces, read off :func:`face_terms` itself; for advection, eta times
+its ``outflow`` and ``volume`` matrices.  The global matrix sums them.
 """
 
 import numpy as np
@@ -104,240 +111,156 @@ class CellForms:
 # ---------------------------------------------------------------------------
 
 
-def _value_tensor(phi, phi_perp=None, n=None):
-    """Vector test-mode values T[q, mode, s, m] (s = state slot of the mode)."""
-    T = np.einsum("qk,sm->qksm", phi, _I3)
-    if phi_perp is not None:
-        T[:, :, 1:, 1:] -= 2.0 * np.einsum("qk,s,m->qksm", phi_perp, n, n)
-    return T
-
-
-def _gradient_tensor(grad, grad_perp=None, n=None):
-    """Vector test-mode gradients G[q, mode, s, m, d]."""
-    G = np.einsum("qkd,sm->qksmd", grad, _I3)
-    if grad_perp is not None:
-        tang = grad_perp - np.einsum("qke,e,d->qkd", grad_perp, n, n)
-        G[:, :, 1:, 1:, :] -= 2.0 * np.einsum("qkd,s,m->qksmd", tang, n, n)
-    return G
-
-
 class _WaveCellContext:
-    """Quadrature tables, extension sources and test tensors for one small cell."""
+    """The pair matrices of one small cell, unscaled, over its neighborhood.
+
+    An extension source is a cell C of the neighborhood, extended as is, or
+    C's extension with its velocity mirrored across the wall face k.  Each
+    source has one table (values on every face and in the cell, gradients and
+    A-contracted gradients), which serves as both the trial and the test
+    side.  The pair loop only collects scalar weights per source pair; the
+    three matrices ``surface``, ``volume`` (split plus divergence) and
+    ``dissipative`` contract them with Gram products of the tables.
+    """
 
     def __init__(self, space, spec, diss, cell_id):
         mesh = space.mesh
         basis = space.basis
-        self.space = space
-        self.spec = spec
-        self.cell_id = cell_id
         cell = mesh.cells[cell_id]
-        self.K = cell.num_faces
-        self.kappa = 2.0 / (self.K * (self.K - 1))
-        self.face_ids = list(cell.face_ids)
-        self.boundary = []
-        self.nb = []
-        self.face_pts = []
-        self.face_w = []
-        self.An_out = []
-        self.s_out = []
-        for fid in self.face_ids:
-            face = mesh.faces[fid]
-            self.boundary.append(face.kind == "boundary")
-            self.nb.append(mesh.neighbor(cell_id, fid))
-            self.face_pts.append(space.face_pts[fid])
-            self.face_w.append(space.face_w[fid])
-            n_out = mesh.outward_normal(cell_id, fid)
-            self.An_out.append(spec.A_n(n_out))
-            self.s_out.append(diss.coefficient(spec, n_out))
-        self.cell_pts = space.cell_pts[cell_id]
-        self.cell_w = space.cell_w[cell_id]
-        self.cells = sorted({cell_id} | {nb for nb in self.nb if nb is not None})
-        if sum(self.boundary) >= 2:
-            walls = [self.face_ids[k] for k in range(self.K) if self.boundary[k]]
+        K = cell.num_faces
+        face_ids = list(cell.face_ids)
+        boundary = [mesh.faces[fid].kind == "boundary" for fid in face_ids]
+        nb = [mesh.neighbor(cell_id, fid) for fid in face_ids]
+        if sum(boundary) >= 2:
+            walls = [face_ids[k] for k in range(K) if boundary[k]]
             raise UnsupportedConfigurationError(
                 f"cell {cell_id}: faces {walls[0]} and {walls[1]} are both boundary faces; "
                 "the pairwise stabilization does not define this configuration"
             )
+        self.cells = sorted({cell_id} | {C for C in nb if C is not None})
 
-        # mirror combos actually used: (source cell, wall face position)
-        combos = set()
-        for i in range(self.K):
-            for j in range(i + 1, self.K):
-                if self.boundary[i]:
-                    combos.add((self.nb[j], i))
-                if self.boundary[j]:
-                    combos.add((self.nb[i], j))
+        # sources (C, None) for the plain extension of C, (C, k) for the one
+        # mirrored across wall k; a pair (i, j) with wall i uses (nb[j], i)
+        sources = [(C, None) for C in self.cells]
+        if any(boundary):
+            wall = boundary.index(True)
+            sources += list(dict.fromkeys((nb[j], wall) for j in range(K) if j != wall))
+        index = {src: a for a, src in enumerate(sources)}
+        S = len(sources)
 
-        h = basis.h
-        exps = basis.exps
-        locations = self.face_pts + [self.cell_pts]
+        # every source's values at the face points, then the cell points; a
+        # mirrored source subtracts twice its normal velocity at the foot of
+        # each point on the wall line (e_n is 0 for plain sources)
+        nq = space.face_pts.shape[1]
+        pts = np.concatenate([space.face_pts[face_ids].reshape(-1, 2), space.cell_pts[cell_id]])
+        e_n = np.zeros((S, 3))
+        feet = np.repeat(pts[None], S, axis=0)
+        for a, (_, k) in enumerate(sources):
+            if k is not None:
+                face = mesh.faces[face_ids[k]]
+                e_n[a, 1:] = face.normal
+                feet[a] -= (pts @ face.normal - face.line_offset)[:, None] * face.normal
+        centers = np.repeat(basis.center(np.array([C for C, _ in sources])), len(pts), axis=0)
+        exps, h = basis.exps, basis.h
+        phi = monomial_values(exps, centers, h, np.tile(pts, (S, 1))).reshape(S, len(pts), -1)
+        phi_perp = monomial_values(exps, centers, h, feet.reshape(-1, 2)).reshape(phi.shape)
+        N = e_n[:, None, None, :, None] * e_n[:, None, None, None, :]
+        V = phi[..., None, None] * _I3 - 2.0 * phi_perp[..., None, None] * N
+        V = V.reshape(S, len(pts), -1, 3)   # (source, point, test mode (k, s), component)
+        R = V.shape[2]
 
-        def foot(pts, k):
-            face = mesh.faces[self.face_ids[k]]
-            n, d = face.normal, face.line_offset
-            s = pts @ n - d
-            return pts - s[:, None] * n[None, :]
+        nc = len(space.cell_pts[cell_id])
+        cell_centers = centers.reshape(S, len(pts), 2)[:, -nc:].reshape(-1, 2)
+        grad = monomial_gradients(exps, cell_centers, h, np.tile(pts[-nc:], (S, 1)))
+        grad_perp = monomial_gradients(exps, cell_centers, h, feet[:, -nc:].reshape(-1, 2))
+        grad = grad.reshape(S, nc, -1, 1, 1, 2)
+        n = e_n[:, None, None, 1:]
+        tang = grad_perp.reshape(S, nc, -1, 2)
+        tang = (tang - (tang * n).sum(axis=-1, keepdims=True) * n)[:, :, :, None, None]
+        G = grad * _I3[..., None] - 2.0 * tang * N[..., None]
+        G = G.reshape(S, nc, R, 3, 2)
+        D = G[..., 0] @ spec.A1.T + G[..., 1] @ spec.A2.T   # A-contracted gradients
 
-        self.phi = {}        # (loc, C) -> (nq, n_modes)
-        self.phi_perp = {}   # (loc, C, k) -> values at mirrored points
-        for C in self.cells:
-            center = basis.center(C)
-            for loc, pts in enumerate(locations):
-                self.phi[(loc, C)] = monomial_values(exps, center, h, pts)
-            for (Cc, k) in combos:
-                if Cc != C:
-                    continue
-                for loc, pts in enumerate(locations):
-                    self.phi_perp[(loc, C, k)] = monomial_values(exps, center, h, foot(pts, k))
+        # Gram products: one per face (flux A_n, dissipation s I), one each
+        # for the volume split and the divergence form; rows test, columns trial
+        def rows(T):
+            """(source, point, test mode, ...) -> (source * test mode, point * ...)."""
+            return np.moveaxis(T, 2, 1).reshape(S * R, -1)
 
-        self.cell_loc = len(self.face_pts)
-        self.grad = {}
-        self.grad_perp = {}
-        for C in self.cells:
-            center = basis.center(C)
-            self.grad[C] = monomial_gradients(exps, center, h, self.cell_pts)
-        for (C, k) in combos:
-            self.grad_perp[(C, k)] = monomial_gradients(
-                exps, basis.center(C), h, foot(self.cell_pts, k)
-            )
+        An = np.stack([spec.A_n(mesh.outward_normal(cell_id, fid)) for fid in face_ids])
+        s = np.array([diss.coefficient(spec, mesh.outward_normal(cell_id, fid)) for fid in face_ids])
+        w = space.face_w[face_ids]
+        Vf = V[:, :K * nq].reshape(S, K, nq, R, 3)
+        flux_gram = np.stack([
+            rows(Vf[:, l]) @ rows(w[l][:, None, None] * (Vf[:, l] @ An[l].T)).T for l in range(K)
+        ])
+        diss_gram = sum(
+            rows(Vf[:, l]) @ rows(s[l] * w[l][:, None, None] * Vf[:, l]).T for l in range(K)
+        )
+        wc = space.cell_w[cell_id][:, None, None]
+        Vc = V[:, K * nq:]
+        AV = np.stack([Vc @ spec.A1.T, Vc @ spec.A2.T], axis=-1)
+        volume_gram = np.stack([rows(G) @ rows(wc[..., None] * AV).T, rows(D) @ rows(wc * Vc).T])
 
-        # test tensors per source spec: ('plain', C) or ('mirror', C, k)
-        self.T_face = {}
-        self.T_cell = {}
-        self.G_cell = {}
-        self.D_cell = {}     # A-contracted gradients for the divergence form
-        sources = [("plain", C) for C in self.cells] + [
-            ("mirror", C, k) for (C, k) in combos
-        ]
-        for src in sources:
-            if src[0] == "plain":
-                _, C = src
-                for loc in range(len(locations)):
-                    if loc != self.cell_loc:
-                        self.T_face.setdefault(src, {})[loc] = _value_tensor(self.phi[(loc, C)])
-                self.T_cell[src] = _value_tensor(self.phi[(self.cell_loc, C)])
-                G = _gradient_tensor(self.grad[C])
-            else:
-                _, C, k = src
-                face = mesh.faces[self.face_ids[k]]
-                n = face.normal
-                for loc in range(len(locations)):
-                    if loc != self.cell_loc:
-                        self.T_face.setdefault(src, {})[loc] = _value_tensor(
-                            self.phi[(loc, C)], self.phi_perp[(loc, C, k)], n
-                        )
-                self.T_cell[src] = _value_tensor(
-                    self.phi[(self.cell_loc, C)], self.phi_perp[(self.cell_loc, C, k)], n
-                )
-                G = _gradient_tensor(self.grad[C], self.grad_perp[(C, k)], n)
-            self.G_cell[src] = G
-            self.D_cell[src] = np.einsum("me,qkse->qksm", spec.A1, G[..., 0]) + np.einsum(
-                "me,qkse->qksm", spec.A2, G[..., 1]
-            )
-
-    # -- extension sources -------------------------------------------------
-    def pair_sources(self, i, j):
-        """Unified extension sources for slots E_i and E_j of the pair (i, j)."""
-        bi, bj = self.boundary[i], self.boundary[j]
-        if bi and bj:
-            raise UnsupportedConfigurationError(
-                f"cell {self.cell_id}: faces {self.face_ids[i]} and {self.face_ids[j]} "
-                "are both boundary faces"
-            )
-        src_i = ("mirror", self.nb[j], i) if bi else ("plain", self.nb[i])
-        src_j = ("mirror", self.nb[i], j) if bj else ("plain", self.nb[j])
-        return src_i, src_j
-
-    def source_block(self, src):
-        """Coefficient block cell of a source."""
-        return src[1]
-
-    def source_values(self, src, u, loc):
-        """State values of an extension source at one quadrature location."""
-        C = src[1]
-        vals = self.phi[(loc, C)] @ u.coeffs[C]
-        if src[0] == "mirror":
-            k = src[2]
-            n = self.space.mesh.faces[self.face_ids[k]].normal
-            vperp = (self.phi_perp[(loc, C, k)] @ u.coeffs[C])[..., 1:]
-            vn = vperp @ n
-            vals = vals.copy()
-            vals[..., 1] -= 2.0 * vn * n[0]
-            vals[..., 2] -= 2.0 * vn * n[1]
-        return vals
-
-    # -- pair assembly -----------------------------------------------------
-    def pair_residual(self, u, out):
-        """Accumulate all pairwise penalty terms (unscaled) into ``out``."""
-        K = self.K
-        e_src = ("plain", self.cell_id)
+        # scalar weights of each (test source, trial source) pair
+        kappa = 2.0 / (K * (K - 1))
+        e = index[(cell_id, None)]
+        flux_w = np.zeros((K, S, S))
+        volume_w = np.zeros((2, S, S))
+        diss_w = np.zeros((1, S, S))
         for i in range(K):
             for j in range(i + 1, K):
-                src_i, src_j = self.pair_sources(i, j)
-                Ui_face = [self.source_values(src_i, u, l) for l in range(K)]
-                Uj_face = [self.source_values(src_j, u, l) for l in range(K)]
-                wF = [
-                    self.face_w[l][:, None]
-                    * (0.5 * (Ui_face[l] + Uj_face[l]) @ self.An_out[l].T)
-                    for l in range(K)
-                ]
+                si = index[(nb[j], i)] if boundary[i] else index[(nb[i], None)]
+                sj = index[(nb[i], j)] if boundary[j] else index[(nb[j], None)]
+                # flux redistribution between the two faces, averaged over the
+                # two extensions; test argument: the extension from E minus
+                # (for an internal face b) the extension from its neighbor
+                for a, b in ((i, j), (j, i)):
+                    c = 0.5 * surface_weights(K, a, b)
+                    tests = [(e, 1.0)]
+                    if not boundary[b]:
+                        tests.append((index[(nb[b], None)], -1.0))
+                    for t, sign in tests:
+                        flux_w[:, t, si] += sign * c
+                        flux_w[:, t, sj] += sign * c
+                # volume split with weights -1 (E) and 1/2 (each extension):
+                # the averaged flux minus the flux of the tested source, and
+                # the divergence form, linear in the test slots i and j
+                for t, omega in ((e, -1.0), (si, 0.5), (sj, 0.5)):
+                    v = omega * kappa
+                    volume_w[0, t, si] += 0.5 * v
+                    volume_w[0, t, sj] += 0.5 * v
+                    volume_w[0, t, t] -= v
+                    volume_w[1, si, t] += 0.5 * v
+                    volume_w[1, sj, t] += 0.5 * v
+                # dissipative coupling of the jump of the two extensions
+                for t, sign in ((si, 1.0), (sj, -1.0)):
+                    diss_w[0, t, si] += sign / 3.0
+                    diss_w[0, t, sj] -= sign / 3.0
 
-                # flux redistribution between the two faces
-                for (a, b) in ((i, j), (j, i)):
-                    c = surface_weights(K, a, b)
-                    # test argument: extension from E minus (for an internal
-                    # face b) the extension from its neighbor
-                    slots = [(e_src, 1.0)]
-                    if not self.boundary[b]:
-                        slots.append((("plain", self.nb[b]), -1.0))
-                    for src_t, sign in slots:
-                        block = np.zeros_like(out[self.source_block(src_t)])
-                        for l in range(K):
-                            block += c[l] * np.einsum(
-                                "...qm,qksm->...ks", wF[l], self.T_face[src_t][l]
-                            )
-                        out[self.source_block(src_t)] += sign * block
+        # contract the weights, then sum the sources into their cells' blocks
+        to_cell = np.zeros((len(self.cells), S))
+        to_cell[[self.cells.index(C) for C, _ in sources], np.arange(S)] = 1.0
+        scatter = np.kron(to_cell, np.eye(R))
 
-                # volume redistribution with weights -1 (E) and 1/2 (each neighbor)
-                Ui_cell = self.source_values(src_i, u, self.cell_loc)
-                Uj_cell = self.source_values(src_j, u, self.cell_loc)
-                ubar = 0.5 * (Ui_cell + Uj_cell)
-                wq = self.cell_w
-                fbar = (ubar @ self.spec.A1.T, ubar @ self.spec.A2.T)
-                slots_e = [(e_src, -1.0), (src_i, 0.5), (src_j, 0.5)]
-                for src_e, omega in slots_e:
-                    G = self.G_cell[src_e]
-                    Ue = self.source_values(src_e, u, self.cell_loc)
-                    fe = (Ue @ self.spec.A1.T, Ue @ self.spec.A2.T)
-                    block = self.kappa * (
-                        np.einsum("q,...qm,qksm->...ks", wq, fbar[0] - fe[0], G[..., 0])
-                        + np.einsum("q,...qm,qksm->...ks", wq, fbar[1] - fe[1], G[..., 1])
-                    )
-                    out[self.source_block(src_e)] += omega * block
-                    # divergence form, linear in the test slots i and j
-                    for src_t in (src_i, src_j):
-                        val = self.kappa * 0.5 * np.einsum(
-                            "q,qksm,...qm->...ks", wq, self.D_cell[src_t], Ue
-                        )
-                        out[self.source_block(src_t)] += omega * val
+        def contract(weights, gram):
+            gram = gram.reshape(len(weights), S, R, S, R)
+            blocks = np.einsum("lta,ltras->tras", weights, gram).reshape(S * R, S * R)
+            return scatter @ blocks @ scatter.T
 
-                # dissipative coupling of the two extensions over all faces;
-                # the two written lines are equal (the jump flips sign twice)
-                for l in range(K):
-                    Sv = self.s_out[l] * (Ui_face[l] - Uj_face[l])
-                    wS = self.face_w[l][:, None] * Sv
-                    for src_t, sign in ((src_i, 1.0), (src_j, -1.0)):
-                        val = np.einsum("...qm,qksm->...ks", wS, self.T_face[src_t][l])
-                        out[self.source_block(src_t)] += sign * val / 3.0
+        self.surface = contract(flux_w, flux_gram)
+        self.volume = contract(volume_w, volume_gram)
+        self.dissipative = contract(diss_w, diss_gram[None])
 
 
 class _Penalty:
-    """What both penalties share: the per-cell contexts, direct assembly and
-    the matrix form used for time stepping.
+    """What both penalties share: one local matrix per stabilized cell over
+    its neighborhood, applied per cell or summed into the global matrix.
 
-    Subclasses provide ``_context(cid)`` and ``cell_residual(cid, u)``; the
-    latter is linear in ``u`` and accepts coefficient blocks with a leading
-    probe axis, so the matrix is read off with one call per stabilized cell.
+    Subclasses provide ``_context(cid)``, whose ``cells`` is the
+    neighborhood, and ``_local_matrix(cid)``.  A local matrix maps the
+    coefficients of the neighborhood, in the order of
+    ``u.coeffs[cells].ravel()``, to the penalty paired with its test modes.
     """
 
     def __init__(self, plan, small, eta):
@@ -346,26 +269,21 @@ class _Penalty:
         self.cell_ids = list(small)
         self.eta = eta
         self._ctx = {cid: self._context(cid) for cid in self.cell_ids}
+        self.local = {cid: self._local_matrix(cid) for cid in self.cell_ids}
 
     def neighborhood(self, cid):
         return self._ctx[cid].cells
 
-    def residual(self, u):
-        res = np.zeros_like(u.coeffs)
-        for cid in self.cell_ids:
-            for C, block in self.cell_residual(cid, u).items():
-                res[C] += block
-        return res
+    def cell_residual(self, cid, u):
+        """The penalty of one cell applied to ``u``, {cell: block}."""
+        cells = self.neighborhood(cid)
+        res = self.local[cid] @ u.coeffs[cells].ravel()
+        return dict(zip(cells, res.reshape((len(cells),) + self.plan.shape)))
 
     def matrix(self):
         """The penalty as a CSR matrix over the global dofs."""
-        shape = self.plan.shape
-        entries = []
-        for cid in self.cell_ids:
-            cells = self.neighborhood(cid)
-            A = local_matrix(lambda u: self.cell_residual(cid, u).items(), cells, shape)
-            entries.append((cells, A))
-        return block_csr(entries, self.space.mesh.num_cells, shape)
+        entries = [(self.neighborhood(cid), self.local[cid]) for cid in self.cell_ids]
+        return block_csr(entries, self.space.mesh.num_cells, self.plan.shape)
 
 
 class WaveStabilization(_Penalty):
@@ -374,31 +292,23 @@ class WaveStabilization(_Penalty):
     def _context(self, cid):
         return _WaveCellContext(self.space, self.plan.spec, self.plan.diss, cid)
 
-    def cell_residual(self, cid, u):
-        """Full penalty of one cell: pair terms minus base-kernel face terms."""
+    def _local_matrix(self, cid):
+        """eta (surface + volume + dissipative) minus eta times the base face
+        kernels of the cell's faces, central part then dissipative part.
+
+        The subtracted blocks are read off :func:`face_terms` itself, so at
+        eta = 1 they cancel the base face terms bit for bit.
+        """
         ctx = self._ctx[cid]
         eta = self.eta[cid]
-        out = {C: np.zeros_like(u.coeffs[C]) for C in ctx.cells}
-        ctx.pair_residual(u, out)
-        for C in out:
-            out[C] *= eta
-        for part in self.subtraction_terms(cid, u):
-            for C, block in part:
-                out[C] += -eta * block
-        return out
-
-    def subtraction_terms(self, cid, u, central=True, dissipative=True):
-        """Base face kernels over the cell's faces (shared code path).
-
-        Returned unscaled; the penalty subtracts them with factor eta.
-        """
-        parts = []
+        A = eta * (ctx.surface + ctx.volume + ctx.dissipative)
         for fid in self.space.mesh.cells[cid].face_ids:
-            if central:
-                parts.append(face_terms(self.plan, fid, u, central=True, dissipative=False))
-            if dissipative:
-                parts.append(face_terms(self.plan, fid, u, central=False, dissipative=True))
-        return parts
+            for central in (True, False):
+                A -= eta * local_matrix(
+                    lambda u: face_terms(self.plan, fid, u, central, not central),
+                    ctx.cells, self.plan.shape,
+                )
+        return A
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +317,18 @@ class WaveStabilization(_Penalty):
 
 
 class _AdvectionCellContext:
+    """The upstream-extension matrices of one small cell, unscaled.
+
+    ``outflow`` corrects the outflow flux by the defect of the upstream
+    extension against the jump of the test function; ``volume`` couples the
+    same defect in the cell.  ``boundary_outflow`` pairs with the
+    neighborhood's coefficients to give the correction's outflow rate on
+    physical boundary faces.
+    """
+
     def __init__(self, space, spec, cell_id):
         mesh = space.mesh
         basis = space.basis
-        self.cell_id = cell_id
         cell = mesh.cells[cell_id]
         beta = spec.beta
         inflow = inflow_faces(mesh, cell_id, beta)
@@ -423,37 +341,45 @@ class _AdvectionCellContext:
             raise UnsupportedConfigurationError(
                 f"stabilized cell {cell_id}: inflow face {inflow[0]} lies on the boundary"
             )
-        self.upstream = mesh.neighbor(cell_id, inflow[0])
+        up = mesh.neighbor(cell_id, inflow[0])
+        nb = [mesh.neighbor(cell_id, fid) for fid in cell.face_ids]
+        self.cells = sorted({cell_id, up} | {C for C in nb if C is not None})
+        k = space.n_modes
+        n = len(self.cells) * k
 
-        self.faces = []
-        for fid in cell.face_ids:
-            n_out = mesh.outward_normal(cell_id, fid)
-            bn_plus = max(float(beta @ n_out), 0.0)
-            nb = mesh.neighbor(cell_id, fid)
+        def block(C):
+            i = self.cells.index(C)
+            return slice(i * k, (i + 1) * k)
+
+        def defect(pts, phi_E):
+            """Upstream extension minus the cell's own polynomial at ``pts``."""
+            d = np.zeros((len(pts), n))
+            d[:, block(up)] = monomial_values(basis.exps, basis.center(up), basis.h, pts)
+            d[:, block(cell_id)] -= phi_E
+            return d
+
+        self.outflow = np.zeros((n, n))
+        self.boundary_outflow = np.zeros(n)
+        for fid, C in zip(cell.face_ids, nb):
+            bn_plus = max(float(beta @ mesh.outward_normal(cell_id, fid)), 0.0)
+            if bn_plus == 0.0:
+                continue
             pts = space.face_pts[fid]
-            phi_nb = None
-            if nb is not None:
-                phi_nb = monomial_values(basis.exps, basis.center(nb), basis.h, pts)
-            self.faces.append({
-                "w": space.face_w[fid],
-                "bn_plus": bn_plus,
-                "nb": nb,
-                "phi_E": monomial_values(basis.exps, basis.center(cell_id), basis.h, pts),
-                "phi_up": monomial_values(basis.exps, basis.center(self.upstream), basis.h, pts),
-                "phi_nb": phi_nb,
-                "boundary": nb is None,
-            })
+            phi_E = monomial_values(basis.exps, basis.center(cell_id), basis.h, pts)
+            g = (bn_plus * space.face_w[fid])[:, None] * defect(pts, phi_E)
+            self.outflow[block(cell_id)] += phi_E.T @ g
+            if C is None:
+                self.boundary_outflow += g.sum(axis=0)
+            else:
+                phi_nb = monomial_values(basis.exps, basis.center(C), basis.h, pts)
+                self.outflow[block(C)] -= phi_nb.T @ g
         pts = space.cell_pts[cell_id]
-        self.cell_w = space.cell_w[cell_id]
-        self.phi_E = space.cell_phi[cell_id]
-        self.phi_up = monomial_values(basis.exps, basis.center(self.upstream), basis.h, pts)
-        gE = space.cell_grad[cell_id]
-        gU = monomial_gradients(basis.exps, basis.center(self.upstream), basis.h, pts)
-        self.bgrad_E = gE[:, :, 0] * beta[0] + gE[:, :, 1] * beta[1]
-        self.bgrad_up = gU[:, :, 0] * beta[0] + gU[:, :, 1] * beta[1]
-        self.cells = sorted(
-            {cell_id, self.upstream} | {f["nb"] for f in self.faces if f["nb"] is not None}
-        )
+        wd = space.cell_w[cell_id][:, None] * defect(pts, space.cell_phi[cell_id])
+        gE = space.cell_grad[cell_id] @ beta
+        gU = monomial_gradients(basis.exps, basis.center(up), basis.h, pts) @ beta
+        self.volume = np.zeros((n, n))
+        self.volume[block(up)] += gU.T @ wd
+        self.volume[block(cell_id)] -= gE.T @ wd
 
 
 class AdvectionStabilization(_Penalty):
@@ -467,27 +393,9 @@ class AdvectionStabilization(_Penalty):
     def _context(self, cid):
         return _AdvectionCellContext(self.space, self.plan.spec, cid)
 
-    def cell_residual(self, cid, u):
+    def _local_matrix(self, cid):
         ctx = self._ctx[cid]
-        eta = self.eta[cid]
-        out = {C: np.zeros_like(u.coeffs[C]) for C in ctx.cells}
-        cE = u.coeffs[cid]
-        cU = u.coeffs[ctx.upstream]
-        # outflow flux correction against the jump of the test function
-        for f in ctx.faces:
-            if f["bn_plus"] == 0.0:
-                continue
-            d = f["phi_up"] @ cU - f["phi_E"] @ cE
-            g = (f["w"] * f["bn_plus"])[:, None] * d
-            out[cid] += eta * (f["phi_E"].T @ g)
-            if not f["boundary"]:
-                out[f["nb"]] -= eta * (f["phi_nb"].T @ g)
-        # volume coupling of the upstream-extension defect
-        d = (ctx.phi_up @ cU - ctx.phi_E @ cE)[..., 0]
-        wd = ctx.cell_w * d
-        out[ctx.upstream][..., 0] += eta * (wd @ ctx.bgrad_up)
-        out[cid][..., 0] -= eta * (wd @ ctx.bgrad_E)
-        return out
+        return self.eta[cid] * (ctx.outflow + ctx.volume)
 
     def boundary_outflow_weights(self):
         """Weights g with g . u the penalty's outflow-rate correction on
@@ -495,11 +403,5 @@ class AdvectionStabilization(_Penalty):
         g = np.zeros((self.space.mesh.num_cells, self.space.n_modes, 1))
         for cid in self.cell_ids:
             ctx = self._ctx[cid]
-            eta = self.eta[cid]
-            for f in ctx.faces:
-                if not f["boundary"] or f["bn_plus"] == 0.0:
-                    continue
-                scale = eta * f["bn_plus"]
-                g[ctx.upstream, :, 0] += scale * (f["w"] @ f["phi_up"])
-                g[cid, :, 0] -= scale * (f["w"] @ f["phi_E"])
+            g[ctx.cells, :, 0] += self.eta[cid] * ctx.boundary_outflow.reshape(len(ctx.cells), -1)
         return g

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import ramp_mesh, uncut_mesh
-from cutdg.dg import AssemblyPlan, boundary_outflow_rate, face_terms
+from probed_penalty import ProbedPenalty
+from cutdg.dg import AssemblyPlan, boundary_outflow_weights, face_terms
 from cutdg.quadrature import Space, face_quadrature
 from cutdg.solutions import PolynomialField, random_polynomial
 from cutdg.systems import DissipationSpec, SystemSpec
@@ -121,7 +122,7 @@ def test_semi_discrete_conservation():
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
     res = plan.base_residual(u)
     total = float(np.sum(res[:, 0, 0]))   # pairing with the global constant
-    outflow = boundary_outflow_rate(space, spec, u)
+    outflow = float(np.vdot(boundary_outflow_weights(space, spec), u.coeffs))
     # inflow faces contribute nothing by construction; collect the rest
     assert abs(total - outflow) < 1e-12 * max(abs(outflow), 1.0)
 
@@ -195,7 +196,7 @@ def test_assembly_is_reproducible():
 
 def _oracle(ctx, u):
     """(B + S) u by summing face_terms over every face, per-cell volume terms
-    and the direct penalty; du/dt by dense per-cell mass solves."""
+    and the probed penalty residual; du/dt by dense per-cell mass solves."""
     from scipy.linalg import cho_factor, cho_solve
 
     space, spec = ctx.space, ctx.spec
@@ -210,7 +211,7 @@ def _oracle(ctx, u):
         res[cid] -= grad[:, :, 0].T @ (w * (vals @ spec.A1.T))
         res[cid] -= grad[:, :, 1].T @ (w * (vals @ spec.A2.T))
     if ctx.stab is not None:
-        res += ctx.stab.residual(u)
+        res += ProbedPenalty(ctx.stab).residual(u)
     dudt = np.array([
         cho_solve(cho_factor(space.mass[cid]), -res[cid]) for cid in range(ctx.mesh.num_cells)
     ])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import ramp_mesh
-from cutdg.dg import AssemblyPlan, face_terms
+from cutdg.dg import AssemblyPlan, face_terms, local_matrix
 from cutdg.errors import UnsupportedConfigurationError
 from cutdg.geometry import classify_small_cells
 from cutdg.operators import CellPolyField
@@ -17,7 +17,8 @@ from cutdg.stabilization import (
 )
 from cutdg.systems import DissipationSpec, SystemSpec
 
-from cutdg.experiments import check_axioms_on_cell
+from cutdg.experiments import build_context, check_axioms_on_cell, ramp_config
+from probed_penalty import ProbedPenalty
 
 
 def _setup(equation="acoustics", degree=1, nx=16, alpha0=0.25, beta=(1.0, 0.2)):
@@ -34,6 +35,11 @@ def _setup(equation="acoustics", degree=1, nx=16, alpha0=0.25, beta=(1.0, 0.2)):
     plan = AssemblyPlan(space, spec, diss)
     eta = eta_values(mesh, small, alpha0)
     return mesh, spec, diss, space, plan, small, eta
+
+
+def _apply(stab, u):
+    """The penalty's residual array through its global matrix."""
+    return (stab.matrix() @ u.coeffs.ravel()).reshape(u.coeffs.shape)
 
 
 # ------------------------------------------------------------- closed form
@@ -153,7 +159,7 @@ def test_advection_penalty_zero_eta():
     rng = np.random.default_rng(1)
     u = space.zeros(1)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    res = AdvectionStabilization(plan, small, eta).residual(u)
+    res = _apply(AdvectionStabilization(plan, small, eta), u)
     assert np.all(res == 0.0)
 
 
@@ -163,7 +169,7 @@ def test_advection_penalty_r0_hand_quadrature():
     rng = np.random.default_rng(2)
     u = space.zeros(1)
     u.coeffs[:, 0, 0] = rng.uniform(-1, 1, size=mesh.num_cells)
-    res = AdvectionStabilization(plan, small, eta).residual(u)
+    res = _apply(AdvectionStabilization(plan, small, eta), u)
 
     expected = np.zeros_like(res)
     beta = spec.beta
@@ -183,18 +189,6 @@ def test_advection_penalty_r0_hand_quadrature():
             if nb is not None:
                 expected[nb, 0, 0] -= val
     assert np.allclose(res, expected, atol=1e-14)
-
-
-def test_advection_operator_matches_direct():
-    mesh, spec, diss, space, plan, small, eta = _setup("advection", 2)
-    stab = AdvectionStabilization(plan, small, eta)
-    op = stab.matrix()
-    rng = np.random.default_rng(3)
-    u = space.zeros(1)
-    u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    direct = stab.residual(u)
-    via_op = (op @ u.coeffs.ravel()).reshape(direct.shape)
-    assert np.allclose(via_op, direct, atol=1e-13)
 
 
 # ------------------------------------------------------------------- wave
@@ -243,44 +237,63 @@ def test_wave_penalty_zero_eta():
     rng = np.random.default_rng(4)
     u = space.zeros(3)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    res = WaveStabilization(plan, small, eta).residual(u)
+    res = _apply(WaveStabilization(plan, small, eta), u)
     assert np.all(res == 0.0)
 
 
 def test_wave_cancellation_terms_are_base_kernels_bitwise():
+    # at eta = 1 each cell's matrix is the pair matrix minus the base face
+    # kernels' own local matrices, in the penalty's order of summation
     mesh, spec, diss, space, plan, small, _ = _setup("acoustics", 2)
     eta = np.ones(mesh.num_cells)
     stab = WaveStabilization(plan, small, eta)
-    rng = np.random.default_rng(5)
-    u = space.zeros(3)
-    u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
     for cid in stab.cell_ids:
-        full = stab.cell_residual(cid, u)
-        pair_only = {C: np.zeros((space.n_modes, 3)) for C in stab.neighborhood(cid)}
-        stab._ctx[cid].pair_residual(u, pair_only)
-        expected = pair_only
+        ctx = stab._ctx[cid]
+        expected = ctx.surface + ctx.volume + ctx.dissipative
         for fid in mesh.cells[cid].face_ids:
-            for part in (
-                face_terms(plan, fid, u, central=True, dissipative=False),
-                face_terms(plan, fid, u, central=False, dissipative=True),
-            ):
-                for C, block in part:
-                    expected[C] = expected[C] - block
-        for C in full:
-            assert np.array_equal(full[C], expected[C])
+            for flags in ((True, False), (False, True)):
+                expected = expected - local_matrix(
+                    lambda u: face_terms(plan, fid, u, *flags), ctx.cells, plan.shape
+                )
+        assert np.array_equal(stab.local[cid], expected)
 
 
-def test_wave_operator_matches_direct():
-    mesh, spec, diss, space, plan, small, eta = _setup("acoustics", 1)
-    stab = WaveStabilization(plan, small, eta)
-    op = stab.matrix()
-    rng = np.random.default_rng(6)
-    u = space.zeros(3)
-    u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    direct = stab.residual(u)
-    via_op = (op @ u.coeffs.ravel()).reshape(direct.shape)
-    scale = np.abs(direct).max()
-    assert np.allclose(via_op, direct, atol=1e-13 * max(scale, 1.0))
+_GRID = [
+    (equation, degree, alpha)
+    for equation in ("acoustics", "advection")
+    for degree in (0, 1, 2, 3)
+    for alpha in (1e-2, 1e-5, 1e-8)
+]
+
+
+def _relative(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("equation, degree, alpha", _GRID)
+def test_penalty_matrices_match_probed_oracle(equation, degree, alpha):
+    ctx = build_context(ramp_config(equation, degree, alpha, nx=8))
+    stab = ctx.stab
+    oracle = ProbedPenalty(stab)
+    assert len(stab.cell_ids) > 0
+    for cid in stab.cell_ids:
+        assert stab.neighborhood(cid) == oracle.neighborhood(cid)
+        assert _relative(stab.local[cid], oracle.local_matrix(cid)) <= 1e-13
+        if equation == "acoustics":
+            c = stab._ctx[cid]
+            pair = oracle.local_matrix(cid, oracle.pair_residual)
+            assert _relative(c.surface + c.volume + c.dissipative, pair) <= 1e-13
+    assert _relative(stab.matrix().toarray(), oracle.matrix().toarray()) <= 1e-13
+
+
+@pytest.mark.parametrize("degree, alpha", [(r, a) for eq, r, a in _GRID if eq == "acoustics"])
+def test_wave_dissipative_coupling_is_positive_semidefinite(degree, alpha):
+    ctx = build_context(ramp_config("acoustics", degree, alpha, nx=8))
+    for cid in ctx.stab.cell_ids:
+        D = ctx.stab._ctx[cid].dissipative
+        assert np.abs(D - D.T).max() <= 1e-13 * np.abs(D).max()
+        lam = np.linalg.eigvalsh(0.5 * (D + D.T))
+        assert lam[0] >= -1e-13 * lam[-1]
 
 
 def test_wave_penalty_rejects_double_wall_pairs():
