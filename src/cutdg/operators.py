@@ -95,31 +95,6 @@ class MirroredField:
         return grads
 
 
-class CombinedField:
-    """Linear combination of fields (used for jump-style test arguments)."""
-
-    def __init__(self, terms):
-        self.terms = list(terms)
-
-    @property
-    def m(self):
-        return self.terms[0][1].m
-
-    def values(self, pts):
-        out = None
-        for coef, f in self.terms:
-            v = coef * f.values(pts)
-            out = v if out is None else out + v
-        return out
-
-    def gradients(self, pts):
-        out = None
-        for coef, f in self.terms:
-            g = coef * f.gradients(pts)
-            out = g if out is None else out + g
-        return out
-
-
 def extend(u, space, cell_id):
     """Global polynomial equal to u's restriction on the given cell."""
     if not 0 <= cell_id < space.mesh.num_cells:

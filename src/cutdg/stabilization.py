@@ -32,7 +32,12 @@ from .errors import (
 )
 from .dg import block_csr, face_terms, local_matrix
 from .geometry import inflow_faces
-from .quadrature import monomial_gradients, monomial_values
+from .quadrature import (
+    face_quadrature,
+    monomial_gradients,
+    monomial_values,
+    polygon_quadrature,
+)
 
 _I3 = np.eye(3)
 
@@ -57,52 +62,90 @@ def surface_weights(K, i, j):
 
 
 # ---------------------------------------------------------------------------
-# propagation forms on generic field objects (axiom checks, oracles)
+# propagation forms on stacks of coefficient blocks (axiom checks)
 # ---------------------------------------------------------------------------
 
 
 class CellForms:
-    """Trilinear propagation forms of one cell, evaluated on field objects."""
+    """Trilinear propagation forms of one cell, on stacks of coefficient blocks.
+
+    The arguments U, V, W are blocks of the cell's own basis, (n_modes, m),
+    or stacks of them, (..., n_modes, m); each form returns one value per
+    stacked triple.  The basis tables are built once per cell: values on
+    each face rule and on the cell rule, gradients on the cell rule, and
+    the same on a finer face rule (``face_npts + 3`` points) and a finer
+    cell rule (exact to degree 2r + 4), selected by ``fine=True``, which
+    the axiom check uses as independent references.
+    """
 
     def __init__(self, space, spec, cell_id):
-        self.space = space
-        self.spec = spec
-        self.cell = space.mesh.cells[cell_id]
-        self.K = self.cell.num_faces
-        self.face_data = []
-        for fid in self.cell.face_ids:
-            n_out = space.mesh.outward_normal(cell_id, fid)
-            self.face_data.append(
-                (space.face_pts[fid], space.face_w[fid], n_out, spec.A_n(n_out))
-            )
-        self.cell_pts = space.cell_pts[cell_id]
-        self.cell_w = space.cell_w[cell_id]
-        self.kappa = 2.0 / (self.K * (self.K - 1)) if self.K > 1 else 0.0
+        mesh = space.mesh
+        basis = space.basis
+        cell = mesh.cells[cell_id]
+        face_ids = list(cell.face_ids)
+        self.K = K = cell.num_faces
+        self.kappa = 2.0 / (K * (K - 1)) if K > 1 else 0.0
+        # transposed flux matrices: values @ AnT[k] is the flux A_n u on face k
+        self.AnT = np.stack([spec.A_n(mesh.outward_normal(cell_id, fid)).T for fid in face_ids])
+        self.AdT = np.stack([spec.A1.T, spec.A2.T])
+        # weights[i, j] @ A = p_ij; the diagonal stays zero
+        self.weights = np.zeros((K, K, K))
+        for i in range(K):
+            for j in range(K):
+                if i != j:
+                    self.weights[i, j] = surface_weights(K, i, j)
 
-    def face_functional(self, k, U, V, W):
-        pts, w, _, An = self.face_data[k]
-        ubar = 0.5 * (U.values(pts) + V.values(pts))
-        return float(np.einsum("q,qm->", w, (ubar @ An.T) * W.values(pts)))
+        fine_faces = [
+            face_quadrature(mesh.faces[fid].p, mesh.faces[fid].q, space.face_npts + 3)
+            for fid in face_ids
+        ]
+        face_rules = [
+            (space.face_pts[face_ids], space.face_w[face_ids]),
+            (np.stack([p for p, _ in fine_faces]), np.stack([w for _, w in fine_faces])),
+        ]
+        cell_rules = [
+            (space.cell_pts[cell_id], space.cell_w[cell_id]),
+            polygon_quadrature(cell.polygon, 2 * space.degree + 4),
+        ]
+        exps, center, h, n = basis.exps, basis.center(cell_id), basis.h, basis.n_modes
+        self.face_phi = [
+            monomial_values(exps, center, h, p.reshape(-1, 2)).reshape(K, -1, n)
+            for p, _ in face_rules
+        ]
+        self.cell_phi = [monomial_values(exps, center, h, p) for p, _ in cell_rules]
+        self.cell_grad = [
+            np.moveaxis(monomial_gradients(exps, center, h, p), -1, 0) for p, _ in cell_rules
+        ]
+        self.face_w = [w for _, w in face_rules]
+        self.cell_w = [w for _, w in cell_rules]
+        # the cell's own points: the cell rule and every face rule
+        self.probe_phi = np.concatenate([self.cell_phi[0], self.face_phi[0].reshape(-1, n)])
 
-    def surface(self, i, j, U, V, W):
-        """p_ij: skew redistribution of the face functionals."""
-        if i == j:
-            raise ConfigurationError("surface form requires two distinct face indices")
-        c = surface_weights(self.K, i, j)
-        return sum(c[k] * self.face_functional(k, U, V, W) for k in range(self.K))
+    def max_abs(self, U):
+        """Max |value| of each stacked block over the cell and face points."""
+        return np.abs(self.probe_phi @ U).max(axis=(-2, -1))
 
-    def volume(self, U, V, W):
+    def face_functionals(self, U, V, W, fine=False):
+        """A_k for every face k, shape (..., K)."""
+        phi, w = self.face_phi[fine], self.face_w[fine]
+        U, V, W = (X[..., None, :, :] for X in (U, V, W))
+        flux = 0.5 * (phi @ U + phi @ V) @ self.AnT
+        return np.sum(np.sum(flux * (phi @ W), axis=-1) * w, axis=-1)
+
+    def surfaces(self, U, V, W):
+        """p_ij for every ordered pair of faces, shape (..., K, K), zero for i = j."""
+        return np.einsum("...k,ijk->...ij", self.face_functionals(U, V, W), self.weights)
+
+    def volume(self, U, V, W, fine=False):
         """(p_V, p_V*): flux against grad W, and flux divergence against W."""
-        pts, w = self.cell_pts, self.cell_w
-        ubar = 0.5 * (U.values(pts) + V.values(pts))
-        gw = W.gradients(pts)
-        p_v = self.kappa * float(
-            np.einsum("q,qm->", w, (ubar @ self.spec.A1.T) * gw[:, :, 0])
-            + np.einsum("q,qm->", w, (ubar @ self.spec.A2.T) * gw[:, :, 1])
-        )
-        gu = 0.5 * (U.gradients(pts) + V.gradients(pts))
-        div = gu[:, :, 0] @ self.spec.A1.T + gu[:, :, 1] @ self.spec.A2.T
-        p_vs = self.kappa * float(np.einsum("q,qm->", w, div * W.values(pts)))
+        phi, grad, w = self.cell_phi[fine], self.cell_grad[fine], self.cell_w[fine]
+        # gradients are stacked by direction d: (..., d, point, component)
+        flux = (0.5 * (phi @ U + phi @ V))[..., None, :, :] @ self.AdT
+        gw = grad @ W[..., None, :, :]
+        p_v = self.kappa * (np.sum(flux * gw, axis=(-3, -1)) @ w)
+        gu = 0.5 * (grad @ U[..., None, :, :] + grad @ V[..., None, :, :])
+        div = np.sum(gu @ self.AdT, axis=-3)
+        p_vs = self.kappa * (np.sum(div * (phi @ W), axis=-1) @ w)
         return p_v, p_vs
 
 
@@ -149,35 +192,38 @@ class _WaveCellContext:
         S = len(sources)
 
         # every source's values at the face points, then the cell points; a
-        # mirrored source subtracts twice its normal velocity at the foot of
-        # each point on the wall line (e_n is 0 for plain sources)
+        # mirrored source (after the plain ones, all across the one wall) subtracts
+        # twice its normal velocity at the foot of each point on the wall line
         nq = space.face_pts.shape[1]
         pts = np.concatenate([space.face_pts[face_ids].reshape(-1, 2), space.cell_pts[cell_id]])
-        e_n = np.zeros((S, 3))
-        feet = np.repeat(pts[None], S, axis=0)
-        for a, (_, k) in enumerate(sources):
-            if k is not None:
-                face = mesh.faces[face_ids[k]]
-                e_n[a, 1:] = face.normal
-                feet[a] -= (pts @ face.normal - face.line_offset)[:, None] * face.normal
+        nc = len(space.cell_pts[cell_id])
         centers = np.repeat(basis.center(np.array([C for C, _ in sources])), len(pts), axis=0)
         exps, h = basis.exps, basis.h
         phi = monomial_values(exps, centers, h, np.tile(pts, (S, 1))).reshape(S, len(pts), -1)
-        phi_perp = monomial_values(exps, centers, h, feet.reshape(-1, 2)).reshape(phi.shape)
-        N = e_n[:, None, None, :, None] * e_n[:, None, None, None, :]
-        V = phi[..., None, None] * _I3 - 2.0 * phi_perp[..., None, None] * N
-        V = V.reshape(S, len(pts), -1, 3)   # (source, point, test mode (k, s), component)
-        R = V.shape[2]
-
-        nc = len(space.cell_pts[cell_id])
+        V = phi[..., None, None] * _I3   # (source, point, mode k, slot s, component)
         cell_centers = centers.reshape(S, len(pts), 2)[:, -nc:].reshape(-1, 2)
         grad = monomial_gradients(exps, cell_centers, h, np.tile(pts[-nc:], (S, 1)))
-        grad_perp = monomial_gradients(exps, cell_centers, h, feet[:, -nc:].reshape(-1, 2))
-        grad = grad.reshape(S, nc, -1, 1, 1, 2)
-        n = e_n[:, None, None, 1:]
-        tang = grad_perp.reshape(S, nc, -1, 2)
-        tang = (tang - (tang * n).sum(axis=-1, keepdims=True) * n)[:, :, :, None, None]
-        G = grad * _I3[..., None] - 2.0 * tang * N[..., None]
+        G = grad.reshape(S, nc, -1, 1, 1, 2) * _I3[..., None]
+        n_plain = len(self.cells)
+        if S > n_plain:
+            face = mesh.faces[face_ids[wall]]
+            feet = pts - (pts @ face.normal - face.line_offset)[:, None] * face.normal
+            e_n = np.concatenate([[0.0], face.normal])
+            N = e_n[:, None] * e_n[None, :]
+            n_mirror = S - n_plain
+            phi_perp = monomial_values(
+                exps, centers[n_plain * len(pts):], h, np.tile(feet, (n_mirror, 1))
+            )
+            V[n_plain:] -= 2.0 * phi_perp.reshape(n_mirror, len(pts), -1)[..., None, None] * N
+            grad_perp = monomial_gradients(
+                exps, cell_centers[n_plain * nc:], h, np.tile(feet[-nc:], (n_mirror, 1))
+            )
+            n = face.normal
+            tang = grad_perp.reshape(n_mirror, nc, -1, 2)
+            tang = (tang - (tang * n).sum(axis=-1, keepdims=True) * n)[:, :, :, None, None]
+            G[n_plain:] -= 2.0 * tang * N[..., None]
+        V = V.reshape(S, len(pts), -1, 3)
+        R = V.shape[2]
         G = G.reshape(S, nc, R, 3, 2)
         D = G[..., 0] @ spec.A1.T + G[..., 1] @ spec.A2.T   # A-contracted gradients
 

@@ -62,6 +62,7 @@ def test_criterion_2_acoustics_consistency():
 
 
 def test_criterion_3_propagation_form_axioms():
+    t0 = time.time()
     rng = np.random.default_rng(42)
     worst = {}
     for degree in DEGREES:
@@ -72,8 +73,13 @@ def test_criterion_3_propagation_form_axioms():
                 for name, value in cell_worst.items():
                     worst[name] = max(worst.get(name, 0.0), value)
     value = max(worst.values())
-    ok = _report("propagation-form axioms", value, 1e-12, str({k: f"{v:.1e}" for k, v in worst.items()}))
+    elapsed = time.time() - t0
+    ok = _report(
+        "propagation-form axioms", value, 1e-12,
+        str({k: f"{v:.1e}" for k, v in worst.items()}) + f" runtime {elapsed:.1f}s",
+    )
     assert ok
+    assert elapsed < 10.0
 
 
 def test_criterion_4_extension_gluing():

@@ -4,6 +4,7 @@ import pytest
 from cutdg.config import RunConfig
 from cutdg.errors import ConfigurationError
 from cutdg.experiments import (
+    _draw_triples,
     build_context,
     make_rhs,
     mesh_info,
@@ -56,6 +57,21 @@ def test_axiom_driver_seed_invariance():
         worst.append(rep.worst)
     # values differ with the seed; the verdict does not
     assert all(v <= 1e-12 for w in worst for v in w.values())
+
+
+def test_axiom_draws_follow_the_per_triple_order():
+    # per triple: the blocks U, V, W, W2, then a face pair, then (a, b)
+    n_modes, m, K, n_triples = 6, 3, 5, 20
+    rng = np.random.default_rng(7)
+    expected = []
+    for _ in range(n_triples):
+        blocks = [rng.uniform(-1.0, 1.0, size=(n_modes, m)) for _ in range(4)]
+        expected.append((blocks, rng.choice(K, size=2, replace=False), rng.uniform(-1.0, 1.0, size=2)))
+    (U, V, W, W2), (i, j), (a, b) = _draw_triples(np.random.default_rng(7), n_modes, m, K, n_triples)
+    for t, (blocks, pair, weights) in enumerate(expected):
+        assert all(np.array_equal(X[t], x) for X, x in zip((U, V, W, W2), blocks))
+        assert (i[t], j[t]) == tuple(pair)
+        assert (a[t], b[t]) == tuple(weights)
 
 
 def test_convergence_projection_only_rate():

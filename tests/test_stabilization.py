@@ -17,7 +17,9 @@ from cutdg.stabilization import (
 )
 from cutdg.systems import DissipationSpec, SystemSpec
 
+from cutdg import stabilization
 from cutdg.experiments import build_context, check_axioms_on_cell, ramp_config
+from field_forms import CellForms as FieldForms, CombinedField
 from probed_penalty import ProbedPenalty
 
 
@@ -110,13 +112,9 @@ def test_volume_form_divergence_identity():
     space = Space(mesh, 2)
     for cid in [c.id for c in mesh.cells if c.volume_fraction < 1 - 1e-12]:
         forms = CellForms(space, spec, cid)
-        U = CellPolyField(rng.uniform(-1, 1, (space.n_modes, 3)), space.basis.center(cid), space.basis.h, space.basis.exps)
-        V = CellPolyField(rng.uniform(-1, 1, (space.n_modes, 3)), space.basis.center(cid), space.basis.h, space.basis.exps)
-        W = CellPolyField(rng.uniform(-1, 1, (space.n_modes, 3)), space.basis.center(cid), space.basis.h, space.basis.exps)
+        U, V, W = (rng.uniform(-1, 1, (space.n_modes, 3)) for _ in range(3))
         p_v, p_vs = forms.volume(U, V, W)
-        boundary = forms.kappa / 2.0 * sum(
-            forms.face_functional(k, U, V, W) * 2.0 for k in range(forms.K)
-        )
+        boundary = forms.kappa / 2.0 * sum(forms.face_functionals(U, V, W) * 2.0)
         assert abs(p_v + p_vs - boundary) < 1e-12 * max(abs(boundary), 1.0)
 
 
@@ -127,12 +125,80 @@ def test_volume_form_zero_for_constant_test():
     cid = next(c.id for c in mesh.cells if c.volume_fraction < 1 - 1e-12)
     forms = CellForms(space, spec, cid)
     rng = np.random.default_rng(0)
-    U = CellPolyField(rng.uniform(-1, 1, (space.n_modes, 3)), space.basis.center(cid), space.basis.h, space.basis.exps)
-    w_coeffs = np.zeros((space.n_modes, 3))
-    w_coeffs[0] = [0.3, 1.0, -0.4]   # constant test function: gradient vanishes
-    W = CellPolyField(w_coeffs, space.basis.center(cid), space.basis.h, space.basis.exps)
+    U = rng.uniform(-1, 1, (space.n_modes, 3))
+    W = np.zeros((space.n_modes, 3))
+    W[0] = [0.3, 1.0, -0.4]   # constant test function: gradient vanishes
     p_v, _ = forms.volume(U, U, W)
     assert abs(p_v) < 1e-15
+
+
+def _field(space, cid, coeffs):
+    return CellPolyField(coeffs, space.basis.center(cid), space.basis.h, space.basis.exps)
+
+
+def _close(a, b):
+    """Within 1e-13 relative; at r = 0 the volume terms are exactly zero."""
+    return np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_array_forms_match_field_oracle(degree):
+    # the 3-, 4- and 5-face cut cells and one uncut cell, five triples each
+    mesh = ramp_mesh(nx=4, ny=4, slope=0.55, offset=0.13)
+    spec = SystemSpec.acoustics(1.0)
+    space = Space(mesh, degree)
+    rng = np.random.default_rng(degree)
+    by_faces = {}
+    for c in mesh.cells:
+        if c.volume_fraction < 1 - 1e-12:
+            by_faces.setdefault(c.num_faces, c.id)
+    uncut = next(c.id for c in mesh.cells if abs(c.volume_fraction - 1.0) < 1e-14)
+    for cid in [by_faces[3], by_faces[4], by_faces[5], uncut]:
+        forms = CellForms(space, spec, cid)
+        oracle = FieldForms(space, spec, cid)
+        K = forms.K
+        U, V, W, W2 = rng.uniform(-1, 1, (4, 5, space.n_modes, 3))
+        a, b = rng.uniform(-1, 1, (2, 5))
+        combo = a[:, None, None] * W + b[:, None, None] * W2
+        triples = [
+            [_field(space, cid, x) for x in (u, v, w)]
+            + [CombinedField([(at, _field(space, cid, w)), (bt, _field(space, cid, w2))])]
+            for u, v, w, w2, at, bt in zip(U, V, W, W2, a, b)
+        ]
+        pairs = [(i, j) for i in range(K) for j in range(K) if i != j]
+
+        A = [[oracle.face_functional(k, u, v, w) for k in range(K)] for u, v, w, _ in triples]
+        assert _close(forms.face_functionals(U, V, W), np.array(A))
+        for test, args in ((2, (U, V, W)), (3, (U, V, combo))):
+            P = forms.surfaces(*args)
+            expected = [[oracle.surface(i, j, t[0], t[1], t[test]) for i, j in pairs] for t in triples]
+            assert _close(P[:, [i for i, _ in pairs], [j for _, j in pairs]], np.array(expected))
+            assert np.all(np.diagonal(P, axis1=1, axis2=2) == 0.0)
+        p_v, p_vs = forms.volume(U, V, W)
+        expected = np.array([oracle.volume(u, v, w) for u, v, w, _ in triples])
+        assert _close(p_v, expected[:, 0])
+        assert _close(p_vs, expected[:, 1])
+
+
+def test_axiom_check_detects_skewed_surface_weights(monkeypatch):
+    # one weight of every p_ij off by 0.1 / K breaks pair balance and the face sum
+    mesh = ramp_mesh(nx=4, ny=4, slope=0.55, offset=0.13)
+    spec = SystemSpec.acoustics(1.0)
+    space = Space(mesh, 2)
+    cid = next(c.id for c in mesh.cells if c.volume_fraction < 1 - 1e-12)
+    worst = check_axioms_on_cell(space, spec, cid, np.random.default_rng(0), 10)
+    assert max(worst.values()) <= 1e-12
+
+    def skewed(K, i, j):
+        c = np.full(K, 1.0 / (K * (K - 1)))
+        c[j] += 1.1 / K
+        c[i] -= 1.0 / K
+        return c
+
+    monkeypatch.setattr(stabilization, "surface_weights", skewed)
+    worst = check_axioms_on_cell(space, spec, cid, np.random.default_rng(0), 10)
+    assert worst["balance"] > 1e-8
+    assert worst["face_consistency"] > 1e-8
 
 
 # -------------------------------------------------------------- advection
