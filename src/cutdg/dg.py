@@ -21,6 +21,11 @@ directly.
   into one CSR matrix, to which :class:`SemiDiscreteOperator` adds the
   small-cell penalty.
 
+:class:`SemiDiscreteOperator` folds the mass inverse into both parts once,
+by Cholesky solves on their row blocks, so applying it runs the same
+gather/matmul/scatter loop (:meth:`AssemblyPlan.apply`) on the folded
+matrices and one block-sparse product, and no mass solve.
+
 Dofs are numbered cell by cell, each (n_modes, m) block flattened row-major,
 i.e. in the order of ``coeffs.ravel()``.
 """
@@ -143,21 +148,29 @@ class AssemblyPlan:
         self.coupling = block_csr(entries, mesh.num_cells, self.shape)
 
     # ------------------------------------------------------------------
-    def residual(self, coeffs, coupling=None):
-        """Form applied to a coefficient array; ``coupling`` replaces the CSR part."""
+    def apply(self, coeffs, shared, coupling):
+        """Apply local matrices on the plan's groups plus a sparse matrix.
+
+        ``shared`` holds one matrix per group of ``self.shared``, in order
+        (same cells, any matrices of the same shape); ``coupling`` is any
+        sparse matrix on the global dofs.
+        """
         x = coeffs.reshape(coeffs.shape[0], -1)
         gathered, product = self._work
         np.take(x, self._rows, axis=0, out=gathered, mode="clip")
         start = 0
-        for cells, A in self.shared:
+        for cells, A in shared:
             stop = start + cells.size
             np.matmul(gathered[start:stop].reshape(len(cells), -1), A.T,
                       out=product[start:stop].reshape(len(cells), -1))
             start = stop
         res = self._scatter @ product
-        coupling = self.coupling if coupling is None else coupling
         res += (coupling @ x.ravel()).reshape(res.shape)
         return res.reshape(coeffs.shape)
+
+    def residual(self, coeffs, coupling=None):
+        """Form applied to a coefficient array; ``coupling`` replaces the CSR part."""
+        return self.apply(coeffs, self.shared, self.coupling if coupling is None else coupling)
 
     def base_residual(self, u):
         space = self.space
@@ -168,33 +181,45 @@ class AssemblyPlan:
             )
         return self.residual(u.coeffs)
 
-    def apply_mass_inverse(self, res):
-        """Block-diagonal mass solve of a residual array (see Space.mass_solve)."""
-        return self.space.mass_solve(res)
-
 
 class SemiDiscreteOperator:
-    """du/dt = -M^{-1} (B + S) u, assembled once before stepping.
+    """du/dt = K u with K = -M^{-1} (B + S), assembled once before stepping.
 
-    B's full-cell couplings stay in the plan's shared local matrices; B's
-    cut-cell couplings and the penalty S (``stab.matrix()``) are summed into
-    one CSR matrix.  Construction also factors every cut-cell mass matrix,
-    so a singular one is reported before the first step.
+    The mass inverse is applied to the matrices at construction, block row
+    by block row, with Cholesky solves (never an explicit inverse): each
+    shared full-cell local matrix with the reference factor, and the sum of
+    B's cut-cell couplings and the penalty S (``stab.matrix()``), as a BSR
+    matrix of (k m, k m) cell blocks, with each block row's own factor.  A
+    call is then one apply of the plan's groups and one block-sparse product.
+    Construction factors every cut-cell mass matrix, so a singular one is
+    reported before the first step.
     """
 
     def __init__(self, plan, stab=None):
         self.plan = plan
         self.stab = stab
-        self.coupling = plan.coupling
-        if stab is not None:
-            self.coupling = (plan.coupling + stab.matrix()).tocsr()
+        k, m = plan.shape
+        km = k * m
+
+        def fold(blocks, cells):
+            """-M^{-1} applied to stacked rows: row block i (k m rows) is cells[i]'s."""
+            rhs = blocks.reshape(len(cells), k, m * blocks.shape[-1])
+            return -plan.space.mass_solve(rhs, cells).reshape(blocks.shape)
+
+        # every cell of a group is uncut (reference mass), so folding the
+        # representative row serves the whole group
+        self.shared = [(cells, fold(A, cells[0])) for cells, A in plan.shared]
+        coupling = plan.coupling if stab is None else plan.coupling + stab.matrix()
+        coupling = coupling.tobsr(blocksize=(km, km))
+        block_rows = np.repeat(np.arange(plan.space.mesh.num_cells), np.diff(coupling.indptr))
+        self.coupling = sparse.bsr_matrix(
+            (fold(coupling.data, block_rows), coupling.indices, coupling.indptr),
+            shape=coupling.shape,
+        )
         plan.space.cut_mass_factors()
 
-    def residual(self, coeffs):
-        return self.plan.residual(coeffs, self.coupling)
-
     def __call__(self, coeffs):
-        return self.plan.apply_mass_inverse(-self.residual(coeffs))
+        return self.plan.apply(coeffs, self.shared, self.coupling)
 
     def outflow_weights(self):
         """Weights g with g . u the advection outflow rate, penalty included."""

@@ -282,7 +282,6 @@ class Space:
             self.mode_integral[cid] = w @ phi
             cut_phi.append(phi)
         self._cut_phi = np.concatenate(cut_phi)
-        self._cho = {}
         self._cut_factors = None
 
         # face rules and trace tables, all faces at once
@@ -320,49 +319,49 @@ class Space:
         vals = self.basis.values(cell_id, pts) @ u.coeffs[cell_id]
         return vals[0] if single else vals
 
-    def _factor(self, cell_id):
-        # factorizations are built on first use: meshes may hold slivers whose
-        # Gram matrix is numerically indefinite at high degree, and runs that
-        # never mass-solve there (penalty assembly, re-centered projections)
-        # must not be blocked by them
-        if self.uncut[cell_id]:
-            return self._ref_cho
-        if cell_id not in self._cho:
-            try:
-                self._cho[cell_id] = cho_factor(self.mass[cell_id])
-            except np.linalg.LinAlgError as exc:
-                raise CutDGError(
-                    f"mass matrix of cell {cell_id} is numerically singular"
-                ) from exc
-        return self._cho[cell_id]
-
     def cut_mass_factors(self):
         """Upper Cholesky factors U (M = U^T U) of every cut cell, stacked.
 
-        Built on the first call, in ascending cell order, so a singular mass
-        matrix is reported by the lowest such cell id.
+        Built on the first call, in one batched factorization: meshes may hold
+        slivers whose Gram matrix is numerically indefinite at high degree,
+        and runs that never mass-solve there (penalty assembly, re-centered
+        projections) must not be blocked by them.  A singular mass matrix is
+        reported by the lowest such cell id.
         """
         if self._cut_factors is None:
-            factors = np.empty((len(self.cut_ids), self.n_modes, self.n_modes))
-            for i, cid in enumerate(self.cut_ids):
-                factors[i] = self._factor(cid)[0]
-            # cho_factor (upper by default) leaves the lower triangle unspecified
-            self._cut_factors = np.triu(factors)
+            try:
+                self._cut_factors = np.linalg.cholesky(self.mass[self.cut_ids], upper=True)
+            except np.linalg.LinAlgError as exc:
+                for cid in self.cut_ids.tolist():
+                    try:
+                        np.linalg.cholesky(self.mass[cid], upper=True)
+                    except np.linalg.LinAlgError:
+                        raise CutDGError(
+                            f"mass matrix of cell {cid} is numerically singular"
+                        ) from exc
+                raise
         return self._cut_factors
 
-    def mass_solve(self, rhs):
-        """Block-diagonal mass solve for every cell, rhs of shape (cells, n_modes, m).
+    def mass_solve(self, rhs, cells=None):
+        """Block-diagonal mass solve of stacked blocks rhs (n, n_modes, p).
 
-        One solve with the reference factor for all cells, then the cut cells
-        again with their stacked factors.
+        Block i is solved with the mass matrix of ``cells[i]`` (default: block
+        i belongs to cell i): one solve with the reference factor for the
+        blocks of uncut cells, one with the stacked factors for the rest.
         """
-        n, k, m = rhs.shape
-        # right-hand sides as the columns of a Fortran-ordered (k, n m) array
-        cols = np.ascontiguousarray(rhs.transpose(0, 2, 1)).reshape(n * m, k).T
-        out = cho_solve(self._ref_cho, cols, check_finite=False)
-        out = out.T.reshape(n, m, k).transpose(0, 2, 1)
-        if len(self.cut_ids):
-            out[self.cut_ids] = cho_solve_stacked(self.cut_mass_factors(), rhs[self.cut_ids])
+        n, k, p = rhs.shape
+        cells = np.arange(n) if cells is None else np.asarray(cells)
+        uncut = self.uncut[cells]
+        nu = np.count_nonzero(uncut)
+        out = np.empty_like(rhs)
+        # right-hand sides as the columns of a Fortran-ordered (k, nu p) array
+        cols = np.ascontiguousarray(rhs[uncut].transpose(0, 2, 1)).reshape(nu * p, k).T
+        sol = cho_solve(self._ref_cho, cols, check_finite=False)
+        out[uncut] = sol.T.reshape(nu, p, k).transpose(0, 2, 1)
+        if nu < n:
+            cut = ~uncut
+            slot = np.searchsorted(self.cut_ids, cells[cut])
+            out[cut] = cho_solve_stacked(self.cut_mass_factors()[slot], rhs[cut])
         return out
 
     def _point_values(self, f, m):
