@@ -29,16 +29,31 @@ def n_modes(degree):
     return (degree + 1) * (degree + 2) // 2
 
 
-def monomial_values(exps, center, h, pts):
-    """Values of the scaled monomials at pts, shape (npts, n_modes).
+def _scaled_powers(exps, center, h, pts):
+    """Powers of the scaled coordinates, column j holding the j-th power,
+    each (npts, at least max exponent + 1).
 
-    ``center`` is one center (2,) or one per point (npts, 2).
+    Each power is taken once per point and shared by every mode using it.
+    Up to degree one no ``pow`` is needed: x**0 = 1 and x**1 = x exactly.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     center = np.asarray(center, dtype=float)
     X = (pts[:, 0] - center[..., 0]) / h
     Y = (pts[:, 1] - center[..., 1]) / h
-    return X[:, None] ** exps[:, 0] * Y[:, None] ** exps[:, 1]
+    if exps.max() <= 1:
+        one = np.ones_like(X)
+        return np.column_stack([one, X]), np.column_stack([one, Y])
+    powers = np.arange(exps.max() + 1)
+    return X[:, None] ** powers, Y[:, None] ** powers
+
+
+def monomial_values(exps, center, h, pts):
+    """Values of the scaled monomials at pts, shape (npts, n_modes).
+
+    ``center`` is one center (2,) or one per point (npts, 2).
+    """
+    Xp, Yp = _scaled_powers(exps, center, h, pts)
+    return np.take(Xp, exps[:, 0], axis=1) * np.take(Yp, exps[:, 1], axis=1)
 
 
 def monomial_gradients(exps, center, h, pts):
@@ -46,16 +61,11 @@ def monomial_gradients(exps, center, h, pts):
 
     ``center`` is one center (2,) or one per point (npts, 2).
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    center = np.asarray(center, dtype=float)
-    X = (pts[:, 0] - center[..., 0]) / h
-    Y = (pts[:, 1] - center[..., 1]) / h
+    Xp, Yp = _scaled_powers(exps, center, h, pts)
     p = exps[:, 0]
     q = exps[:, 1]
-    xp = X[:, None] ** np.maximum(p - 1, 0)
-    yq = Y[:, None] ** np.maximum(q - 1, 0)
-    gx = p / h * xp * Y[:, None] ** q
-    gy = q / h * X[:, None] ** p * yq
+    gx = p / h * np.take(Xp, np.maximum(p - 1, 0), axis=1) * np.take(Yp, q, axis=1)
+    gy = q / h * np.take(Xp, p, axis=1) * np.take(Yp, np.maximum(q - 1, 0), axis=1)
     return np.stack([gx, gy], axis=-1)
 
 
@@ -386,9 +396,16 @@ class Space:
         return DGFunction(self.mass_solve(rhs), self.degree)
 
     def l2_norm(self, u):
+        """L2(domain) norm of u: the sum over cells of c^T M c.
+
+        The uncut cells share the reference mass, applied to all of them in
+        one product; only the cut cells use their stacked masses.
+        """
         c = u.coeffs
-        total = float(np.vdot(c, self.mass @ c))
-        return np.sqrt(max(total, 0.0))
+        full = c[self.uncut].transpose(1, 0, 2).reshape(self.n_modes, -1)
+        cut = c[self.cut_ids]
+        total = np.vdot(full, self._ref_mass @ full) + np.vdot(cut, self.mass[self.cut_ids] @ cut)
+        return np.sqrt(max(float(total), 0.0))
 
     def l2_error(self, u, f):
         """L2(domain) distance between u and a pointwise function.

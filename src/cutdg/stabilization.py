@@ -20,7 +20,9 @@ stabilized cell over the cell's neighborhood, built directly: for
 acoustics, eta times the sum of three named matrices (``surface``,
 ``volume``, ``dissipative``) minus eta times the base face kernels of the
 cell's faces, read off :func:`face_terms` itself; for advection, eta times
-its ``outflow`` and ``volume`` matrices.  The global matrix sums them.
+its ``outflow`` and ``volume`` matrices.  The global matrix sums them.  The
+acoustic named matrices are built for all stabilized cells at once, from
+stacked scalar tables and Gram products, group by group.
 """
 
 import numpy as np
@@ -30,9 +32,10 @@ from .errors import (
     MeshValidationError,
     UnsupportedConfigurationError,
 )
-from .dg import block_csr, face_terms, local_matrix
+from .dg import block_csr, face_terms
 from .geometry import inflow_faces
 from .quadrature import (
+    DGFunction,
     face_quadrature,
     monomial_gradients,
     monomial_values,
@@ -150,161 +153,228 @@ class CellForms:
 
 
 # ---------------------------------------------------------------------------
-# acoustics: pairwise cell stabilization
+# acoustics: pairwise cell stabilization, all stabilized cells at once
 # ---------------------------------------------------------------------------
 
+# a batch holds at most as many cells of one group as keep one matrix's
+# table-pair blocks ((S R)^2 entries per cell) within this many entries,
+# 1 MB: the batch's arrays then add little to the peak memory of a setup
+_BATCH_ENTRIES = 2 ** 17
 
-class _WaveCellContext:
-    """The pair matrices of one small cell, unscaled, over its neighborhood.
+
+def _wave_layout(mesh, cell_id):
+    """Neighborhood, extension sources and pair pattern of one small cell.
 
     An extension source is a cell C of the neighborhood, extended as is, or
-    C's extension with its velocity mirrored across the wall face k.  Each
-    source has one table (values on every face and in the cell, gradients and
-    A-contracted gradients), which serves as both the trial and the test
-    side.  The pair loop only collects scalar weights per source pair; the
-    three matrices ``surface``, ``volume`` (split plus divergence) and
-    ``dissipative`` contract them with Gram products of the tables.
+    C's extension with its velocity mirrored across the wall face.  The
+    plain sources come first, one per neighborhood cell in the
+    neighborhood's (sorted) order, then the mirrored ones in face order.
+    Returns (cells, source cells, pattern); the pattern ``(K, wall, e, plain,
+    mirror)`` is what the pair weights depend on: the wall face's position
+    (-1 without a wall), the cell's own source, and per face the source of
+    the neighbor's plain and of its mirrored extension (-1 where there is
+    none).
     """
-
-    def __init__(self, space, spec, diss, cell_id):
-        mesh = space.mesh
-        basis = space.basis
-        cell = mesh.cells[cell_id]
-        K = cell.num_faces
-        face_ids = list(cell.face_ids)
-        boundary = [mesh.faces[fid].kind == "boundary" for fid in face_ids]
-        nb = [mesh.neighbor(cell_id, fid) for fid in face_ids]
-        if sum(boundary) >= 2:
-            walls = [face_ids[k] for k in range(K) if boundary[k]]
-            raise UnsupportedConfigurationError(
-                f"cell {cell_id}: faces {walls[0]} and {walls[1]} are both boundary faces; "
-                "the pairwise stabilization does not define this configuration"
-            )
-        self.cells = sorted({cell_id} | {C for C in nb if C is not None})
-
-        # sources (C, None) for the plain extension of C, (C, k) for the one
-        # mirrored across wall k; a pair (i, j) with wall i uses (nb[j], i)
-        sources = [(C, None) for C in self.cells]
-        if any(boundary):
-            wall = boundary.index(True)
-            sources += list(dict.fromkeys((nb[j], wall) for j in range(K) if j != wall))
-        index = {src: a for a, src in enumerate(sources)}
-        S = len(sources)
-
-        # every source's values at the face points, then the cell points; a
-        # mirrored source (after the plain ones, all across the one wall) subtracts
-        # twice its normal velocity at the foot of each point on the wall line
-        nq = space.face_pts.shape[1]
-        pts = np.concatenate([space.face_pts[face_ids].reshape(-1, 2), space.cell_pts[cell_id]])
-        nc = len(space.cell_pts[cell_id])
-        centers = np.repeat(basis.center(np.array([C for C, _ in sources])), len(pts), axis=0)
-        exps, h = basis.exps, basis.h
-        phi = monomial_values(exps, centers, h, np.tile(pts, (S, 1))).reshape(S, len(pts), -1)
-        V = phi[..., None, None] * _I3   # (source, point, mode k, slot s, component)
-        cell_centers = centers.reshape(S, len(pts), 2)[:, -nc:].reshape(-1, 2)
-        grad = monomial_gradients(exps, cell_centers, h, np.tile(pts[-nc:], (S, 1)))
-        G = grad.reshape(S, nc, -1, 1, 1, 2) * _I3[..., None]
-        n_plain = len(self.cells)
-        if S > n_plain:
-            face = mesh.faces[face_ids[wall]]
-            feet = pts - (pts @ face.normal - face.line_offset)[:, None] * face.normal
-            e_n = np.concatenate([[0.0], face.normal])
-            N = e_n[:, None] * e_n[None, :]
-            n_mirror = S - n_plain
-            phi_perp = monomial_values(
-                exps, centers[n_plain * len(pts):], h, np.tile(feet, (n_mirror, 1))
-            )
-            V[n_plain:] -= 2.0 * phi_perp.reshape(n_mirror, len(pts), -1)[..., None, None] * N
-            grad_perp = monomial_gradients(
-                exps, cell_centers[n_plain * nc:], h, np.tile(feet[-nc:], (n_mirror, 1))
-            )
-            n = face.normal
-            tang = grad_perp.reshape(n_mirror, nc, -1, 2)
-            tang = (tang - (tang * n).sum(axis=-1, keepdims=True) * n)[:, :, :, None, None]
-            G[n_plain:] -= 2.0 * tang * N[..., None]
-        V = V.reshape(S, len(pts), -1, 3)
-        R = V.shape[2]
-        G = G.reshape(S, nc, R, 3, 2)
-        D = G[..., 0] @ spec.A1.T + G[..., 1] @ spec.A2.T   # A-contracted gradients
-
-        # Gram products: one per face (flux A_n, dissipation s I), one each
-        # for the volume split and the divergence form; rows test, columns trial
-        def rows(T):
-            """(source, point, test mode, ...) -> (source * test mode, point * ...)."""
-            return np.moveaxis(T, 2, 1).reshape(S * R, -1)
-
-        An = np.stack([spec.A_n(mesh.outward_normal(cell_id, fid)) for fid in face_ids])
-        s = np.array([diss.coefficient(spec, mesh.outward_normal(cell_id, fid)) for fid in face_ids])
-        w = space.face_w[face_ids]
-        Vf = V[:, :K * nq].reshape(S, K, nq, R, 3)
-        flux_gram = np.stack([
-            rows(Vf[:, l]) @ rows(w[l][:, None, None] * (Vf[:, l] @ An[l].T)).T for l in range(K)
-        ])
-        diss_gram = sum(
-            rows(Vf[:, l]) @ rows(s[l] * w[l][:, None, None] * Vf[:, l]).T for l in range(K)
+    cell = mesh.cells[cell_id]
+    face_ids = list(cell.face_ids)
+    K = len(face_ids)
+    boundary = [mesh.faces[fid].kind == "boundary" for fid in face_ids]
+    nb = [mesh.neighbor(cell_id, fid) for fid in face_ids]
+    if sum(boundary) >= 2:
+        walls = [face_ids[k] for k in range(K) if boundary[k]]
+        raise UnsupportedConfigurationError(
+            f"cell {cell_id}: faces {walls[0]} and {walls[1]} are both boundary faces; "
+            "the pairwise stabilization does not define this configuration"
         )
-        wc = space.cell_w[cell_id][:, None, None]
-        Vc = V[:, K * nq:]
-        AV = np.stack([Vc @ spec.A1.T, Vc @ spec.A2.T], axis=-1)
-        volume_gram = np.stack([rows(G) @ rows(wc[..., None] * AV).T, rows(D) @ rows(wc * Vc).T])
+    cells = sorted({cell_id} | {C for C in nb if C is not None})
+    wall = boundary.index(True) if any(boundary) else -1
+    mirrored = list(dict.fromkeys(nb[k] for k in range(K) if k != wall)) if wall >= 0 else []
+    plain = tuple(-1 if C is None else cells.index(C) for C in nb)
+    mirror = tuple(
+        len(cells) + mirrored.index(nb[k]) if wall >= 0 and k != wall else -1 for k in range(K)
+    )
+    return cells, cells + mirrored, (K, wall, cells.index(cell_id), plain, mirror)
 
-        # scalar weights of each (test source, trial source) pair
-        kappa = 2.0 / (K * (K - 1))
-        e = index[(cell_id, None)]
-        flux_w = np.zeros((K, S, S))
-        volume_w = np.zeros((2, S, S))
-        diss_w = np.zeros((1, S, S))
-        for i in range(K):
-            for j in range(i + 1, K):
-                si = index[(nb[j], i)] if boundary[i] else index[(nb[i], None)]
-                sj = index[(nb[i], j)] if boundary[j] else index[(nb[j], None)]
-                # flux redistribution between the two faces, averaged over the
-                # two extensions; test argument: the extension from E minus
-                # (for an internal face b) the extension from its neighbor
-                for a, b in ((i, j), (j, i)):
-                    c = 0.5 * surface_weights(K, a, b)
-                    tests = [(e, 1.0)]
-                    if not boundary[b]:
-                        tests.append((index[(nb[b], None)], -1.0))
-                    for t, sign in tests:
-                        flux_w[:, t, si] += sign * c
-                        flux_w[:, t, sj] += sign * c
-                # volume split with weights -1 (E) and 1/2 (each extension):
-                # the averaged flux minus the flux of the tested source, and
-                # the divergence form, linear in the test slots i and j
-                for t, omega in ((e, -1.0), (si, 0.5), (sj, 0.5)):
-                    v = omega * kappa
-                    volume_w[0, t, si] += 0.5 * v
-                    volume_w[0, t, sj] += 0.5 * v
-                    volume_w[0, t, t] -= v
-                    volume_w[1, si, t] += 0.5 * v
-                    volume_w[1, sj, t] += 0.5 * v
-                # dissipative coupling of the jump of the two extensions
-                for t, sign in ((si, 1.0), (sj, -1.0)):
-                    diss_w[0, t, si] += sign / 3.0
-                    diss_w[0, t, sj] -= sign / 3.0
 
-        # contract the weights, then sum the sources into their cells' blocks
-        to_cell = np.zeros((len(self.cells), S))
-        to_cell[[self.cells.index(C) for C, _ in sources], np.arange(S)] = 1.0
-        scatter = np.kron(to_cell, np.eye(R))
+def _pair_weights(K, wall, e, plain, mirror):
+    """Scalar weights of each (test source, trial source) pair of one pattern:
+    per face for the flux, (split, divergence) for the volume, and one for
+    the dissipation."""
+    S = 1 + max((e,) + plain + mirror)
+    kappa = 2.0 / (K * (K - 1))
+    flux_w = np.zeros((K, S, S))
+    volume_w = np.zeros((2, S, S))
+    diss_w = np.zeros((1, S, S))
+    for i in range(K):
+        for j in range(i + 1, K):
+            # a pair (i, j) with wall i uses the extension of face j's
+            # neighbor, mirrored across the wall
+            si = mirror[j] if i == wall else plain[i]
+            sj = mirror[i] if j == wall else plain[j]
+            # flux redistribution between the two faces, averaged over the
+            # two extensions; test argument: the extension from E minus
+            # (for an internal face b) the extension from its neighbor
+            for a, b in ((i, j), (j, i)):
+                c = 0.5 * surface_weights(K, a, b)
+                tests = [(e, 1.0)]
+                if b != wall:
+                    tests.append((plain[b], -1.0))
+                for t, sign in tests:
+                    flux_w[:, t, si] += sign * c
+                    flux_w[:, t, sj] += sign * c
+            # volume split with weights -1 (E) and 1/2 (each extension):
+            # the averaged flux minus the flux of the tested source, and
+            # the divergence form, linear in the test slots i and j
+            for t, omega in ((e, -1.0), (si, 0.5), (sj, 0.5)):
+                v = omega * kappa
+                volume_w[0, t, si] += 0.5 * v
+                volume_w[0, t, sj] += 0.5 * v
+                volume_w[0, t, t] -= v
+                volume_w[1, si, t] += 0.5 * v
+                volume_w[1, sj, t] += 0.5 * v
+            # dissipative coupling of the jump of the two extensions
+            for t, sign in ((si, 1.0), (sj, -1.0)):
+                diss_w[0, t, si] += sign / 3.0
+                diss_w[0, t, sj] -= sign / 3.0
+    return flux_w, volume_w, diss_w
 
-        def contract(weights, gram):
-            gram = gram.reshape(len(weights), S, R, S, R)
-            blocks = np.einsum("lta,ltras->tras", weights, gram).reshape(S * R, S * R)
-            return scatter @ blocks @ scatter.T
 
-        self.surface = contract(flux_w, flux_gram)
-        self.volume = contract(volume_w, volume_gram)
-        self.dissipative = contract(diss_w, diss_gram[None])
+def _table_weights(pattern):
+    """The pattern's pair weights moved from sources onto tables, and the
+    neighborhood slot of each table.
+
+    A source's vector basis is its cell's scalar values times the identity,
+    minus, if it is mirrored, twice its values at the wall feet times the
+    normal projector.  So there are as many tables as sources: table x < n
+    holds the values of neighborhood cell x, and table x >= n the mirrored
+    source x's values at the feet.  With E (source, table) the 0/1 map of
+    which tables make up each source, a weight matrix W over source pairs is
+    E^T W E over table pairs.
+    """
+    K, _, _, plain, mirror = pattern
+    weights = _pair_weights(*pattern)
+    S = weights[0].shape[-1]
+    slot = np.arange(S)
+    for k in range(K):
+        if mirror[k] >= 0:
+            slot[mirror[k]] = plain[k]
+    E = np.zeros((S, S))
+    E[np.arange(S), slot] = 1.0
+    n = 1 + slot.max()
+    E[np.arange(n, S), np.arange(n, S)] = 1.0
+    return [E.T @ W @ E for W in weights], slot
+
+
+def _pair_matrices(space, spec, diss, cell_ids, sources, pattern, weights, slot):
+    """The unscaled pair matrices (surface, volume, dissipative) of a batch
+    of B cells with one pattern and one cell-rule size, each (B, n R, n R)
+    over the cells' neighborhoods (n cells, R = 3 n_modes test modes per
+    cell).
+
+    ``sources`` holds each cell's source cells, (B, S), and ``weights`` and
+    ``slot`` come from :func:`_table_weights`.  The scalar tables (values on
+    every face and in the cell, gradients in the cell) are paired in Gram
+    products over each face's points and over the cell's points; each
+    product times a table pair's weight and the 3 x 3 coupling of its two
+    vector parts, M_x Z M_y^T with M = I or -2 N and Z = A_n, I or A_d, is
+    the pair's block.  The table blocks are then added into their cells'.
+    """
+    K, wall, _, _, _ = pattern
+    mesh, basis = space.mesh, space.basis
+    B, S = sources.shape
+    n = 1 + slot.max()
+
+    # all tables' values at the face points, then the cell points, and their
+    # gradients at the cell points: the plain tables at the points
+    # themselves, the mirrored ones at their feet on the wall line, with the
+    # gradient's normal part dropped
+    fids = np.array([mesh.cells[cid].face_ids for cid in cell_ids])
+    nq = space.face_npts
+    cell_pts = np.stack([space.cell_pts[cid] for cid in cell_ids])
+    nc = cell_pts.shape[1]
+    pts = np.concatenate([space.face_pts[fids].reshape(B, K * nq, 2), cell_pts], axis=1)
+    at = np.repeat(pts[:, None], S, axis=1)
+    # the vector part a table carries: I (plain) or -2 N (mirrored), with N
+    # the projector onto the wall-normal velocity
+    parts = np.broadcast_to(_I3, (B, 2, 3, 3)).copy()
+    if wall >= 0:
+        faces = [mesh.faces[fid] for fid in fids[:, wall].tolist()]
+        normal = np.array([face.normal for face in faces])[:, None, None]
+        offset = np.array([face.line_offset for face in faces])[:, None, None, None]
+        at[:, n:] -= ((at[:, n:] * normal).sum(axis=-1, keepdims=True) - offset) * normal
+        e_n = np.concatenate([np.zeros((B, 1)), normal[:, 0, 0]], axis=1)
+        parts[:, 1] = -2.0 * (e_n[:, :, None] * e_n[:, None, :])
+    centers = np.repeat(basis.centers[sources], at.shape[2], axis=1).reshape(-1, 2)
+    k = basis.n_modes
+    phi = monomial_values(basis.exps, centers, basis.h, at.reshape(-1, 2)).reshape(B, S, -1, k)
+    cell_centers = basis.centers[sources].repeat(nc, axis=1).reshape(-1, 2)
+    grad = monomial_gradients(basis.exps, cell_centers, basis.h, at[:, :, -nc:].reshape(-1, 2))
+    grad = grad.reshape(B, S, nc, k, 2)
+    if wall >= 0:
+        g = grad[:, n:]
+        g -= (g * normal[:, None]).sum(axis=-1, keepdims=True) * normal[:, None]
+
+    # scalar Gram products, rows (table, test mode), columns (table, trial mode)
+    def rows(T):
+        """(..., table, point, mode) -> (..., table * mode, point)."""
+        return np.swapaxes(T, -1, -2).reshape(T.shape[:-3] + (-1, T.shape[-2]))
+
+    w = space.face_w[fids][:, :, None, :, None]
+    faces_phi = np.moveaxis(phi[:, :, :K * nq].reshape(B, S, K, nq, k), 2, 1)
+    face_gram = rows(faces_phi) @ np.swapaxes(rows(w * faces_phi), -1, -2)
+    wc = np.stack([space.cell_w[cid] for cid in cell_ids])[:, None, :, None]
+    grads = np.moveaxis(grad, -1, 1)
+    cell_gram = rows(grads) @ np.swapaxes(rows(wc * phi[:, :, K * nq:]), -1, -2)[:, None]
+
+    # the 3 x 3 coupling of every table pair in each of the three matrices,
+    # per Gram term: for surface and dissipative the faces, for volume the
+    # two gradient directions
+    outward = mesh.face_normal[fids] * np.where(
+        mesh.face_left[fids] == np.asarray(cell_ids)[:, None], 1.0, -1.0
+    )[..., None]
+    An = outward[..., 0, None, None] * spec.A1 + outward[..., 1, None, None] * spec.A2
+    s = np.array([[diss.coefficient(spec, nrm) for nrm in row] for row in outward])
+    Ad = np.stack([spec.A1, spec.A2])[None]
+    mirrored = (np.arange(S) >= n).astype(int)
+
+    def couple(Z):
+        """M_x Z M_y^T for every table pair, Z (B or 1, L, 3, 3)."""
+        c = parts[:, None, :, None] @ Z[:, :, None, None]
+        c = c @ np.swapaxes(parts, -1, -2)[:, None, None]
+        return c[:, :, mirrored][:, :, :, mirrored]
+
+    R = 3 * k
+
+    def to_cells(gram, coupling):
+        """Sum a matrix's Gram terms times their couplings per table pair,
+        add each table's blocks into its cell's, and order the dofs."""
+        L = gram.shape[1]
+        # per table pair, (test mode, trial mode) by term times term by
+        # (test component, trial component)
+        gram = gram.reshape(B, L, S, k, S, k).transpose(0, 2, 4, 3, 5, 1)
+        gram = gram.reshape(B, S, S, k * k, L)
+        blocks = gram @ coupling.transpose(0, 2, 3, 1, 4, 5).reshape(B, S, S, L, 9)
+        for x in range(n, S):
+            blocks[:, slot[x]] += blocks[:, x]
+        for y in range(n, S):
+            blocks[:, :, slot[y]] += blocks[:, :, y]
+        blocks = blocks[:, :n, :n].reshape(B, n, n, k, k, 3, 3)
+        return blocks.transpose(0, 1, 3, 5, 2, 4, 6).reshape(B, n * R, n * R)
+
+    flux_w, volume_w, diss_w = (W[..., None, None] for W in weights)
+    return (
+        to_cells(face_gram, flux_w * couple(An)),
+        to_cells(cell_gram, volume_w[0] * couple(Ad) + volume_w[1] * couple(Ad.swapaxes(-1, -2))),
+        to_cells(face_gram, s[:, :, None, None, None, None] * diss_w * couple(_I3[None, None])),
+    )
 
 
 class _Penalty:
     """What both penalties share: one local matrix per stabilized cell over
     its neighborhood, applied per cell or summed into the global matrix.
 
-    Subclasses provide ``_context(cid)``, whose ``cells`` is the
-    neighborhood, and ``_local_matrix(cid)``.  A local matrix maps the
+    Subclasses provide ``_build()``, which returns the neighborhoods and the
+    local matrices, both keyed by cell.  A local matrix maps the
     coefficients of the neighborhood, in the order of
     ``u.coeffs[cells].ravel()``, to the penalty paired with its test modes.
     """
@@ -314,11 +384,10 @@ class _Penalty:
         self.space = plan.space
         self.cell_ids = list(small)
         self.eta = eta
-        self._ctx = {cid: self._context(cid) for cid in self.cell_ids}
-        self.local = {cid: self._local_matrix(cid) for cid in self.cell_ids}
+        self._cells, self.local = self._build()
 
     def neighborhood(self, cid):
-        return self._ctx[cid].cells
+        return self._cells[cid]
 
     def cell_residual(self, cid, u):
         """The penalty of one cell applied to ``u``, {cell: block}."""
@@ -333,27 +402,73 @@ class _Penalty:
 
 
 class WaveStabilization(_Penalty):
-    """Penalty assembly for acoustics over a fixed stabilized-cell set."""
+    """Penalty assembly for acoustics over a fixed stabilized-cell set.
 
-    def _context(self, cid):
-        return _WaveCellContext(self.space, self.plan.spec, self.plan.diss, cid)
+    ``surface[cid]``, ``volume[cid]`` and ``dissipative[cid]`` are a cell's
+    unscaled pair matrices over its neighborhood.  They are built for all
+    cells at once: the cells are grouped by pattern (face count, wall face,
+    and the face-to-source map that fixes the pair weights) and by cell-rule
+    size, and each group is evaluated in batches of stacked arrays.
+    """
 
-    def _local_matrix(self, cid):
+    def _build(self):
+        space, plan = self.space, self.plan
+        mesh = space.mesh
+        layouts = {cid: _wave_layout(mesh, cid) for cid in self.cell_ids}
+        groups = {}
+        for cid, (_, _, pattern) in layouts.items():
+            groups.setdefault(pattern, {}).setdefault(len(space.cell_w[cid]), []).append(cid)
+        self.surface, self.volume, self.dissipative = {}, {}, {}
+        R = space.n_modes * plan.spec.m
+        for pattern, by_size in groups.items():
+            weights, slot = _table_weights(pattern)
+            S = len(slot)
+            for ids in by_size.values():
+                step = max(1, _BATCH_ENTRIES // (S * R) ** 2)
+                for lo in range(0, len(ids), step):
+                    batch = ids[lo:lo + step]
+                    sources = np.array([layouts[cid][1] for cid in batch])
+                    mats = _pair_matrices(
+                        space, plan.spec, plan.diss, batch, sources, pattern, weights, slot
+                    )
+                    # one array per cell, so that the batch's arrays are freed
+                    # rather than held by the stored matrices
+                    for store, M in zip((self.surface, self.volume, self.dissipative), mats):
+                        store.update((cid, m.copy()) for cid, m in zip(batch, M))
+        cells = {cid: layouts[cid][0] for cid in self.cell_ids}
+        # unit coefficient blocks on the dofs of a face's one or two cells,
+        # one probe block per cell
+        self._probes = {
+            nf: list(np.moveaxis(np.eye(nf * R).reshape(nf * R, nf, *plan.shape), 1, 0))
+            for nf in (1, 2)
+        }
+        return cells, {cid: self._local_matrix(cid, cells[cid]) for cid in self.cell_ids}
+
+    def _local_matrix(self, cid, cells):
         """eta (surface + volume + dissipative) minus eta times the base face
         kernels of the cell's faces, central part then dissipative part.
 
-        The subtracted blocks are read off :func:`face_terms` itself, so at
-        eta = 1 they cancel the base face terms bit for bit.
+        The subtracted blocks are read off :func:`face_terms` itself, probed
+        with unit blocks on each face's own cells as ``dg.local_matrix``
+        probes, so at eta = 1 they cancel the base face terms bit for bit.
         """
-        ctx = self._ctx[cid]
+        mesh = self.space.mesh
+        km = self.space.n_modes * self.plan.spec.m
         eta = self.eta[cid]
-        A = eta * (ctx.surface + ctx.volume + ctx.dissipative)
-        for fid in self.space.mesh.cells[cid].face_ids:
+        A = eta * (self.surface[cid] + self.volume[cid] + self.dissipative[cid])
+        block_of = {C: slice(i * km, (i + 1) * km) for i, C in enumerate(cells)}
+        for fid in mesh.cells[cid].face_ids:
+            face = mesh.faces[fid]
+            face_cells = [face.left_cell] if face.kind == "boundary" else [
+                face.left_cell, face.right_cell
+            ]
+            probe = DGFunction(dict(zip(face_cells, self._probes[len(face_cells)])), None)
             for central in (True, False):
-                A -= eta * local_matrix(
-                    lambda u: face_terms(self.plan, fid, u, central, not central),
-                    ctx.cells, self.plan.shape,
-                )
+                for C, block in face_terms(self.plan, fid, probe, central, not central):
+                    # rows: C's test modes; columns: the face cells' dofs
+                    cols = eta * block.reshape(len(face_cells) * km, km).T
+                    for j, D in enumerate(face_cells):
+                        A[block_of[C], block_of[D]] -= cols[:, j * km:(j + 1) * km]
         return A
 
 
@@ -436,12 +551,12 @@ class AdvectionStabilization(_Penalty):
             raise ConfigurationError("advection stabilization requires an advection system")
         super().__init__(plan, small, eta)
 
-    def _context(self, cid):
-        return _AdvectionCellContext(self.space, self.plan.spec, cid)
-
-    def _local_matrix(self, cid):
-        ctx = self._ctx[cid]
-        return self.eta[cid] * (ctx.outflow + ctx.volume)
+    def _build(self):
+        self._ctx = {cid: _AdvectionCellContext(self.space, self.plan.spec, cid)
+                     for cid in self.cell_ids}
+        cells = {cid: ctx.cells for cid, ctx in self._ctx.items()}
+        local = {cid: self.eta[cid] * (ctx.outflow + ctx.volume) for cid, ctx in self._ctx.items()}
+        return cells, local
 
     def boundary_outflow_weights(self):
         """Weights g with g . u the penalty's outflow-rate correction on

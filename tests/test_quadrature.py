@@ -318,3 +318,19 @@ def test_batched_projection_and_error_match_per_cell_loop(degree):
         d = space.cell_phi[cid] @ u.coeffs[cid] - other(space.cell_pts[cid])
         total += float(space.cell_w[cid] @ np.sum(d * d, axis=1))
     assert abs(err - np.sqrt(total)) <= 1e-13 * np.sqrt(total)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_l2_norm_matches_stacked_mass_formula(degree):
+    from cutdg.quadrature import DGFunction
+
+    space = _ramp_space(degree, 1e-5)
+    assert 0 < len(space.cut_ids) < space.mesh.num_cells
+    rng = np.random.default_rng(degree)
+    for m in (1, 3):
+        coeffs = rng.uniform(-1.0, 1.0, (space.mesh.num_cells, space.n_modes, m))
+        # large coefficients on the cut cells, as on an unstable small cell
+        coeffs[space.cut_ids] *= 1e4
+        stacked = np.sqrt(np.vdot(coeffs, space.mass @ coeffs))
+        norm = space.l2_norm(DGFunction(coeffs, degree))
+        assert abs(norm - stacked) <= 1e-14 * stacked

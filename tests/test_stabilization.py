@@ -20,6 +20,7 @@ from cutdg.systems import DissipationSpec, SystemSpec
 from cutdg import stabilization
 from cutdg.experiments import build_context, check_axioms_on_cell, ramp_config
 from field_forms import CellForms as FieldForms, CombinedField
+from percell_penalty import _WaveCellContext, local_matrix as percell_local_matrix
 from probed_penalty import ProbedPenalty
 
 
@@ -314,12 +315,11 @@ def test_wave_cancellation_terms_are_base_kernels_bitwise():
     eta = np.ones(mesh.num_cells)
     stab = WaveStabilization(plan, small, eta)
     for cid in stab.cell_ids:
-        ctx = stab._ctx[cid]
-        expected = ctx.surface + ctx.volume + ctx.dissipative
+        expected = stab.surface[cid] + stab.volume[cid] + stab.dissipative[cid]
         for fid in mesh.cells[cid].face_ids:
             for flags in ((True, False), (False, True)):
                 expected = expected - local_matrix(
-                    lambda u: face_terms(plan, fid, u, *flags), ctx.cells, plan.shape
+                    lambda u: face_terms(plan, fid, u, *flags), stab.neighborhood(cid), plan.shape
                 )
         assert np.array_equal(stab.local[cid], expected)
 
@@ -346,9 +346,74 @@ def test_penalty_matrices_match_probed_oracle(equation, degree, alpha):
         assert stab.neighborhood(cid) == oracle.neighborhood(cid)
         assert _relative(stab.local[cid], oracle.local_matrix(cid)) <= 1e-13
         if equation == "acoustics":
-            c = stab._ctx[cid]
             pair = oracle.local_matrix(cid, oracle.pair_residual)
-            assert _relative(c.surface + c.volume + c.dissipative, pair) <= 1e-13
+            named = stab.surface[cid] + stab.volume[cid] + stab.dissipative[cid]
+            assert _relative(named, pair) <= 1e-13
+    assert _relative(stab.matrix().toarray(), oracle.matrix().toarray()) <= 1e-13
+
+
+def _check_against_percell(stab, bound):
+    """Every local matrix and named matrix of ``stab`` against the per-cell build."""
+    plan = stab.plan
+    for cid in stab.cell_ids:
+        ctx = _WaveCellContext(stab.space, plan.spec, plan.diss, cid)
+        assert stab.neighborhood(cid) == ctx.cells
+        for name in ("surface", "volume", "dissipative"):
+            batched, percell = getattr(stab, name)[cid], getattr(ctx, name)
+            # exact zeros (the volume matrix at r = 0) must stay exact
+            assert np.abs(batched - percell).max() <= bound * np.abs(percell).max(), (cid, name)
+        expected = percell_local_matrix(plan, stab.eta[cid], ctx, cid)
+        assert np.abs(stab.local[cid] - expected).max() <= bound * np.abs(expected).max(), cid
+
+
+@pytest.mark.parametrize("degree, alpha", [(r, a) for eq, r, a in _GRID if eq == "acoustics"])
+def test_batched_wave_penalty_matches_percell_build(degree, alpha):
+    ctx = build_context(ramp_config("acoustics", degree, alpha, nx=8))
+    assert len(ctx.stab.cell_ids) > 0
+    _check_against_percell(ctx.stab, 1e-14)
+
+
+def _mixed_stabilized_set(mesh, small):
+    """The ramp's small cells plus, none sharing a face with another chosen
+    cell: an uncut interior cell, an uncut box-wall cell that is no corner,
+    and a cut quadrilateral or pentagon on the ramp."""
+    def walls(c):
+        return sum(mesh.faces[f].kind == "boundary" for f in c.face_ids)
+
+    def neighbors(cid):
+        return {mesh.neighbor(cid, f) for f in mesh.cells[cid].face_ids} - {None}
+
+    kinds = [
+        lambda c: c.volume_fraction == 1.0 and walls(c) == 0,
+        lambda c: c.volume_fraction == 1.0 and walls(c) == 1,
+        lambda c: c.volume_fraction < 1.0 and c.num_faces in (4, 5) and walls(c) == 1,
+    ]
+    chosen = list(small)
+    for kind in kinds:
+        taken = set(chosen).union(*(neighbors(c) for c in chosen))
+        chosen.append(next(c.id for c in mesh.cells if kind(c) and c.id not in taken))
+    return chosen
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_mixed_stabilized_set_matches_percell_and_probed(degree):
+    # several groups: ramp triangles and a cut quad or pentagon with the ramp
+    # as wall, an interior cell without a wall, a box-wall cell with its wall
+    # at another face position
+    ctx = build_context(ramp_config("acoustics", degree, 1e-2, nx=8))
+    cells = _mixed_stabilized_set(ctx.mesh, ctx.small)
+    patterns = {
+        (ctx.mesh.cells[c].num_faces,
+         [ctx.mesh.faces[f].kind for f in ctx.mesh.cells[c].face_ids].count("boundary"))
+        for c in cells
+    }
+    assert {(3, 1), (4, 0), (4, 1)} <= patterns
+    eta = np.linspace(0.2, 1.0, ctx.mesh.num_cells)
+    stab = WaveStabilization(ctx.plan, cells, eta)
+    _check_against_percell(stab, 1e-14)
+    oracle = ProbedPenalty(stab)
+    for cid in cells:
+        assert _relative(stab.local[cid], oracle.local_matrix(cid)) <= 1e-13
     assert _relative(stab.matrix().toarray(), oracle.matrix().toarray()) <= 1e-13
 
 
@@ -356,7 +421,7 @@ def test_penalty_matrices_match_probed_oracle(equation, degree, alpha):
 def test_wave_dissipative_coupling_is_positive_semidefinite(degree, alpha):
     ctx = build_context(ramp_config("acoustics", degree, alpha, nx=8))
     for cid in ctx.stab.cell_ids:
-        D = ctx.stab._ctx[cid].dissipative
+        D = ctx.stab.dissipative[cid]
         assert np.abs(D - D.T).max() <= 1e-13 * np.abs(D).max()
         lam = np.linalg.eigvalsh(0.5 * (D + D.T))
         assert lam[0] >= -1e-13 * lam[-1]
@@ -376,3 +441,23 @@ def test_wave_penalty_rejects_double_wall_pairs():
     eta = np.ones(mesh.num_cells)
     with pytest.raises(UnsupportedConfigurationError):
         WaveStabilization(plan, [corner], eta)
+
+
+def test_wave_penalty_names_the_corner_after_valid_cells():
+    # a valid set with a box corner cell after it: the error names the
+    # corner and its two wall faces, as the per-cell build does
+    ctx = build_context(ramp_config("acoustics", 1, 1e-2, nx=8))
+    mesh = ctx.mesh
+    corner = next(
+        c for c in mesh.cells
+        if [mesh.faces[f].kind for f in c.face_ids].count("boundary") == 2
+    )
+    walls = [f for f in corner.face_ids if mesh.faces[f].kind == "boundary"]
+    with pytest.raises(UnsupportedConfigurationError) as percell:
+        _WaveCellContext(ctx.space, ctx.plan.spec, ctx.plan.diss, corner.id)
+    with pytest.raises(UnsupportedConfigurationError) as batched:
+        WaveStabilization(ctx.plan, list(ctx.small) + [corner.id], np.ones(mesh.num_cells))
+    assert str(batched.value) == str(percell.value)
+    assert str(batched.value).startswith(
+        f"cell {corner.id}: faces {walls[0]} and {walls[1]} are both boundary faces"
+    )
