@@ -450,7 +450,8 @@ def test_wave_penalty_names_the_corner_after_valid_cells():
     mesh = ctx.mesh
     corner = next(
         c for c in mesh.cells
-        if [mesh.faces[f].kind for f in c.face_ids].count("boundary") == 2
+        if c.volume_fraction == 1.0
+        and [mesh.faces[f].kind for f in c.face_ids].count("boundary") == 2
     )
     walls = [f for f in corner.face_ids if mesh.faces[f].kind == "boundary"]
     with pytest.raises(UnsupportedConfigurationError) as percell:
