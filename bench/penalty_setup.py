@@ -1,17 +1,21 @@
-"""Time the acoustic DoD penalty constructor on two fine ramp meshes.
+"""Time the base form's assembly and the DoD penalty constructor on fine ramp meshes.
 
-    python3 bench/penalty_setup.py --side change [--src src] [--out bench/BENCH_9_penalty.json]
+    python3 bench/penalty_setup.py --side change [--src src] [--out bench/BENCH_10_setup.json]
     python3 bench/penalty_setup.py --side parent --src <checkout of the parent>/src
 
-Each case builds the context of ``ramp_config("acoustics", r, alpha, nx=128)``
+Each case builds the context of ``ramp_config(equation, r, alpha, nx)``
 without a penalty, classifies its small cells and their strengths as
-``build_context`` does, then times ``WaveStabilization(plan, small, eta)``,
-best of 5.  The cases are nx=128 at r=1, alpha=1e-6 (the ``setup-checks``
-fine-acoustics mesh) and at r=3, alpha=1e-2.  Each case also records the
-nonzeros of the penalty matrix and of the base couplings plus the penalty.
-The result is stored under ``--side`` in the ``--out`` JSON file, so one file
-holds both sides of a comparison; the package is imported from ``--src``.
-BLAS threads are pinned to 1 before numpy is imported.
+``build_context`` does, then times ``AssemblyPlan(space, spec, diss)`` and
+the penalty constructor (``WaveStabilization`` or
+``AdvectionStabilization``), each best of 5.  The cases are acoustics at
+nx=128 with r=1, alpha=1e-6 (the ``setup-checks`` fine-acoustics mesh) and
+with r=3, alpha=1e-2, and advection at nx=64 with r=2, alpha=1e-2.  Each
+case also records the nonzeros and the number of (k m, k m) BSR blocks of
+the base couplings (``plan.coupling``), the nonzeros of the penalty matrix
+and of the base couplings plus the penalty.  The result is stored under
+``--side`` in the ``--out`` JSON file, so one file holds both sides of a
+comparison; the package is imported from ``--src``.  BLAS threads are
+pinned to 1 before numpy is imported.
 """
 
 import argparse
@@ -26,35 +30,50 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = ((1, 1e-6), (3, 1e-2))
-NX = 128
+CASES = (("acoustics", 1, 1e-6, 128), ("acoustics", 3, 1e-2, 128), ("advection", 2, 1e-2, 64))
 REPEATS = 5
 
 
-def measure(degree, alpha):
-    from cutdg.experiments import build_context, ramp_config
-    from cutdg.geometry import classify_small_cells
-    from cutdg.stabilization import WaveStabilization, eta_values
-
-    cfg = ramp_config("acoustics", degree, alpha, nx=NX)
-    ctx = build_context(cfg, stabilized=False)
-    small = classify_small_cells(ctx.mesh, cfg.alpha0)
-    eta = eta_values(ctx.mesh, small, cfg.alpha0, cfg.eta_scale)
+def best_of(build):
+    """(last result, wall times) of ``REPEATS`` calls of ``build``."""
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        stab = WaveStabilization(ctx.plan, small, eta)
+        result = build()
         times.append(time.perf_counter() - t0)
-    penalty = stab.matrix()
+    return result, times
+
+
+def measure(equation, degree, alpha, nx):
+    from cutdg.dg import AssemblyPlan
+    from cutdg.experiments import build_context, ramp_config
+    from cutdg.geometry import classify_small_cells
+    from cutdg.stabilization import AdvectionStabilization, WaveStabilization, eta_values
+
+    cfg = ramp_config(equation, degree, alpha, nx=nx)
+    ctx = build_context(cfg, stabilized=False)
+    beta = ctx.spec.beta if equation == "advection" else None
+    small = classify_small_cells(ctx.mesh, cfg.alpha0, beta=beta)
+    eta = eta_values(ctx.mesh, small, cfg.alpha0, cfg.eta_scale)
+    plan, plan_times = best_of(lambda: AssemblyPlan(ctx.space, ctx.spec, ctx.diss))
+    penalty = AdvectionStabilization if equation == "advection" else WaveStabilization
+    stab, times = best_of(lambda: penalty(ctx.plan, small, eta))
+    km = ctx.space.n_modes * ctx.spec.m
+    matrix = stab.matrix()
     return {
+        "equation": equation,
         "degree": degree,
         "min_alpha": alpha,
-        "nx": NX,
+        "nx": nx,
         "stabilized_cells": len(small),
+        "plan_best_s": min(plan_times),
+        "plan_times_s": plan_times,
+        "plan_coupling_nnz": int(plan.coupling.nnz),
+        "plan_bsr_blocks": int(plan.coupling.tobsr(blocksize=(km, km)).indices.size),
         "best_s": min(times),
         "times_s": times,
-        "penalty_nnz": int(penalty.nnz),
-        "coupling_nnz": int((ctx.plan.coupling + penalty).nnz),
+        "penalty_nnz": int(matrix.nnz),
+        "coupling_nnz": int((ctx.plan.coupling + matrix).nnz),
     }
 
 
@@ -62,17 +81,19 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--side", required=True, help="label of this run, e.g. parent or change")
     p.add_argument("--src", default=str(ROOT / "src"), help="directory holding the cutdg package")
-    p.add_argument("--out", default=str(ROOT / "bench" / "BENCH_9_penalty.json"))
+    p.add_argument("--out", default=str(ROOT / "bench" / "BENCH_10_setup.json"))
     args = p.parse_args(argv)
 
     sys.path.insert(0, str(Path(args.src).resolve()))
     import numpy
 
-    results = [measure(r, alpha) for r, alpha in CASES]
+    results = [measure(*case) for case in CASES]
     for res in results:
-        print(f"{args.side}: r={res['degree']} alpha={res['min_alpha']:g} "
-              f"cells={res['stabilized_cells']} best={res['best_s']:.4f} s "
-              f"penalty nnz={res['penalty_nnz']} coupling nnz={res['coupling_nnz']}")
+        print(f"{args.side}: {res['equation']} r={res['degree']} alpha={res['min_alpha']:g} "
+              f"nx={res['nx']} plan best={res['plan_best_s']:.4f} s "
+              f"nnz={res['plan_coupling_nnz']} blocks={res['plan_bsr_blocks']}; "
+              f"penalty cells={res['stabilized_cells']} best={res['best_s']:.4f} s "
+              f"nnz={res['penalty_nnz']} coupling nnz={res['coupling_nnz']}")
     out = Path(args.out)
     record = json.loads(out.read_text()) if out.exists() else {}
     record[args.side] = {

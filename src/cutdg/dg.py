@@ -3,18 +3,19 @@
 The residual array holds the bilinear form paired against every test mode,
 shape (num_cells, n_modes, m).  Time stepping uses du/dt = -M^{-1} residual.
 
-The form is linear and constant in time, so it is assembled once, from two
-kernels: :func:`face_terms` (one face) and :func:`volume_terms` (one cell).
-Both are linear in the coefficients and accept coefficient blocks with a
-leading probe axis, so :func:`local_matrix` reads off a kernel's matrix in a
-single call.  The small-cell stabilization reads its cancellation blocks off
-:func:`face_terms` the same way, and builds its pair terms as matrices
-directly.
+The form is linear and constant in time, so it is assembled once, from local
+matrices built in closed form from ``Space``'s stacked tables: each face
+term is a trace Gram matrix phi_x^T W phi_y Kronecker an m x m flux matrix
+(:func:`~cutdg.systems.flux_matrices`), built for any set of faces by
+:func:`face_matrices`, and each cell's volume term is
+-sum_d (d_d phi)^T W phi Kronecker A_d (:func:`volume_matrices`).  The
+small-cell stabilization subtracts :func:`face_matrices` of its cells'
+faces as its cancellation blocks.
 
 * Full background cells share one set of trace and volume tables.  Every
   face between two of them in one direction, every outer-box wall of one on
   one side, and every such cell's volume term therefore has the same local
-  matrix; it is probed once on a representative and applied to all of them
+  matrix; it is built once on a representative and applied to all of them
   by one gather, one matmul per group and one scatter (a 0/1 sparse
   matrix), through work buffers allocated once.
 * Everything touching a cut cell (its volume term, each of its faces) goes
@@ -34,50 +35,69 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigurationError
-from .operators import mirror_state
-from .quadrature import DGFunction
-
-
-def local_matrix(kernel, cells, shape):
-    """Dense matrix of a linear kernel on the dofs of ``cells``.
-
-    ``kernel(u)`` returns (cell, block) pairs for cells among ``cells``.  All
-    dofs are probed at once: each unit coefficient block carries a leading
-    probe axis, and ``u.coeffs`` maps the probed cells to their blocks (the
-    kernels only index coefficients by cell).  Rows and columns both run
-    over the dofs of ``cells``, in order.
-    """
-    k, m = shape
-    km = k * m
-    size = len(cells) * km
-    eye = np.eye(size).reshape(size, len(cells), k, m)
-    probe = DGFunction({C: eye[:, i] for i, C in enumerate(cells)}, None)
-    slot = {C: i for i, C in enumerate(cells)}
-    A = np.zeros((size, size))
-    for C, block in kernel(probe):
-        i = slot[C]
-        A[i * km:(i + 1) * km] += block.reshape(size, km).T
-    return A
+from .systems import flux_matrices
 
 
 def block_csr(entries, num_cells, shape):
     """CSR matrix summing local matrices ``(cells, A)`` into the global dofs.
 
-    Exact zeros (component couplings the system matrices do not have) are
-    left out.
+    ``cells`` lists s cells and ``A`` is their (s k m, s k m) matrix, or both
+    carry a leading stack axis, (n, s) and (n, s k m, s k m).  Exact zeros
+    (component couplings the system matrices do not have) are left out.
     """
     km = shape[0] * shape[1]
     rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for cells, A in entries:
-        dofs = (np.asarray(cells)[:, None] * km + np.arange(km)).ravel()
-        r, c = np.nonzero(A)
-        rows.append(dofs[r])
-        cols.append(dofs[c])
-        vals.append(A[r, c])
+        cells = np.asarray(cells)
+        flat = cells.shape[:-1] + (cells.shape[-1] * km,)
+        dofs = (cells[..., None] * km + np.arange(km)).reshape(flat)
+        *stack, r, c = np.nonzero(A)
+        rows.append(dofs[(*stack, r)])
+        cols.append(dofs[(*stack, c)])
+        vals.append(A[(*stack, r, c)])
     n = num_cells * km
     return sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
+
+
+def face_matrices(space, spec, diss, fids, central=True, dissipative=True):
+    """The face terms' local matrices of faces ``fids``, (F, 2 k m, 2 k m).
+
+    Rows are the test modes and columns the dofs of the face's left cell,
+    then its right cell.  The block of test cell x and trial cell y is
+    +-(phi_x^T W phi_y) Kronecker the flux matrix of y (minus for the right
+    cell, whose outward normal is reversed); ``central`` and ``dissipative``
+    select the flux's parts as in :func:`~cutdg.systems.flux_matrices`.  On
+    a wall face only the left cell's (k m, k m) block is nonzero.
+    """
+    mesh = space.mesh
+    fids = np.asarray(fids, dtype=np.int64)
+    flux = np.stack(flux_matrices(
+        spec, diss, mesh.face_normal[fids], mesh.face_right[fids] < 0, central, dissipative
+    ), axis=1)
+    phi = np.stack([space.face_phi_left[fids], space.face_phi_right[fids]], axis=1)
+    wphi = space.face_w[fids][:, None, :, None] * phi
+    gram = np.swapaxes(phi, -1, -2)[:, :, None] @ wphi[:, None]
+    gram[:, 1] *= -1.0
+    # (face, x, test mode, test component, y, trial mode, trial component)
+    blocks = (gram.transpose(0, 1, 3, 2, 4)[:, :, :, None, :, :, None]
+              * flux.transpose(0, 2, 1, 3)[:, None, None, :, :, None, :])
+    n = 2 * space.n_modes * spec.m
+    return blocks.reshape(len(fids), n, n)
+
+
+def volume_matrices(space, spec, cids):
+    """The volume terms' local matrices of cells ``cids``, (C, k m, k m):
+    -sum_d (d_d phi)^T W phi Kronecker A_d."""
+    gram = np.empty((len(cids), 2, space.n_modes, space.n_modes))
+    for i, c in enumerate(cids):
+        wphi = space.cell_w[c][:, None] * space.cell_phi[c]
+        gram[i] = np.moveaxis(space.cell_grad[c], -1, 0).swapaxes(-1, -2) @ wphi
+    blocks = -(gram[:, 0, :, None, :, None] * spec.A1[:, None, :]
+               + gram[:, 1, :, None, :, None] * spec.A2[:, None, :])
+    n = space.n_modes * spec.m
+    return blocks.reshape(len(cids), n, n)
 
 
 class AssemblyPlan:
@@ -114,22 +134,20 @@ class AssemblyPlan:
         keys = 9 * internal + 3 * (normal[:, 0] + 1) + (normal[:, 1] + 1)
         groups = [np.flatnonzero(grouped & (keys == key)) for key in np.unique(keys[grouped])]
 
-        def face_cells(fids):
-            """(n, s) cells of faces of one kind: left, then right if internal."""
-            if internal[fids[0]]:
-                return np.column_stack([left[fids], right[fids]])
-            return left[fids, None]
+        cells = np.column_stack([left, right])
+        km = space.n_modes * spec.m
+
+        def face_entry(fids):
+            """(cells, local matrices) of faces of one kind: left, then right if internal."""
+            s = 1 + int(internal[fids[0]])
+            return cells[fids, :s], face_matrices(space, spec, diss, fids)[:, :s * km, :s * km]
 
         self.shared = []
         if len(uncut_ids):
-            cid = int(uncut_ids[0])
-            A = local_matrix(lambda u: volume_terms(self, cid, u), [cid], self.shape)
-            self.shared.append((uncut_ids[:, None], A))
+            self.shared.append((uncut_ids[:, None], volume_matrices(space, spec, uncut_ids[:1])[0]))
         for fids in groups:
-            fid = int(fids[0])
-            cells = face_cells(fids)
-            A = local_matrix(lambda u: face_terms(self, fid, u), cells[0].tolist(), self.shape)
-            self.shared.append((cells, A))
+            A = face_entry(fids[:1])[1][0]
+            self.shared.append((cells[fids, :len(A) // km], A))
         # the rows every group reads, in group order, and their scatter back
         rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [c.ravel() for c, _ in self.shared])
         self._rows = rows
@@ -138,13 +156,10 @@ class AssemblyPlan:
         )
         self._work = np.empty((2, len(rows), space.n_modes * spec.m))
 
-        entries = [
-            ([cid], local_matrix(lambda u: volume_terms(self, cid, u), [cid], self.shape))
-            for cid in self.cut_ids
-        ]
-        for fid in np.flatnonzero(~grouped).tolist():
-            cells = face_cells([fid])[0].tolist()
-            entries.append((cells, local_matrix(lambda u: face_terms(self, fid, u), cells, self.shape)))
+        ungrouped = np.flatnonzero(~grouped)
+        entries = [(self.cut_ids[:, None], volume_matrices(space, spec, self.cut_ids))]
+        entries += [face_entry(fids) for fids in (ungrouped[internal[ungrouped]],
+                                                  ungrouped[~internal[ungrouped]]) if len(fids)]
         self.coupling = block_csr(entries, mesh.num_cells, self.shape)
 
     # ------------------------------------------------------------------
@@ -170,16 +185,13 @@ class AssemblyPlan:
 
     def residual(self, coeffs, coupling=None):
         """Form applied to a coefficient array; ``coupling`` replaces the CSR part."""
-        return self.apply(coeffs, self.shared, self.coupling if coupling is None else coupling)
-
-    def base_residual(self, u):
         space = self.space
         expected = (space.mesh.num_cells, space.n_modes, self.spec.m)
-        if u.coeffs.shape != expected:
+        if coeffs.shape != expected:
             raise ConfigurationError(
-                f"function blocks {u.coeffs.shape} do not match the space {expected}"
+                f"coefficient blocks {coeffs.shape} do not match the space {expected}"
             )
-        return self.residual(u.coeffs)
+        return self.apply(coeffs, self.shared, self.coupling if coupling is None else coupling)
 
 
 class SemiDiscreteOperator:
@@ -227,68 +239,6 @@ class SemiDiscreteOperator:
         if self.stab is not None:
             g += self.stab.boundary_outflow_weights()
         return g
-
-
-def face_terms(plan, fid, u, central=True, dissipative=True):
-    """Residual contributions of one face: list of (cell_id, block).
-
-    This is the shared face kernel: the small-cell stabilization evaluates the
-    same function (with one of the flags cleared) for its cancellation terms,
-    so those terms match the base contributions bit for bit.
-    """
-    space = plan.space
-    spec = plan.spec
-    face = space.mesh.faces[fid]
-    w = space.face_w[fid]
-    phiL = space.face_phi_left[fid]
-    uL = phiL @ u.coeffs[face.left_cell]
-    n = face.normal
-
-    if face.kind == "internal":
-        phiR = space.face_phi_right[fid]
-        uR = phiR @ u.coeffs[face.right_cell]
-        blockL = np.zeros_like(u.coeffs[face.left_cell])
-        blockR = np.zeros_like(blockL)
-        if central:
-            Fc = (0.5 * (uL + uR)) @ spec.A_n(n).T
-            wF = w[:, None] * Fc
-            blockL = blockL + phiL.T @ wF
-            blockR = blockR + phiR.T @ wF
-        if dissipative:
-            s = plan.diss.coefficient(spec, n)
-            Fs = s * (uL - uR)
-            wF = w[:, None] * Fs
-            blockL = blockL + phiL.T @ wF
-            blockR = blockR + phiR.T @ wF
-        return [(face.left_cell, blockL), (face.right_cell, -blockR)]
-
-    if spec.kind == "advection":
-        # upwind outflow flux; the zero-inflow data has no contribution
-        F = max(float(spec.beta @ n), 0.0) * uL
-        return [(face.left_cell, phiL.T @ (w[:, None] * F))]
-
-    uM = mirror_state(uL, n)
-    block = np.zeros_like(u.coeffs[face.left_cell])
-    if central:
-        Fc = (0.5 * (uL + uM)) @ spec.A_n(n).T
-        block = block + phiL.T @ (w[:, None] * Fc)
-    if dissipative:
-        s = plan.diss.coefficient(spec, n)
-        Fs = s * (uL - uM)
-        block = block + phiL.T @ (w[:, None] * Fs)
-    return [(face.left_cell, block)]
-
-
-def volume_terms(plan, cid, u):
-    """Volume contribution of one cell, -int f(u) . grad w: [(cell_id, block)]."""
-    space = plan.space
-    spec = plan.spec
-    w = space.cell_w[cid][:, None]
-    grad = space.cell_grad[cid]
-    vals = space.cell_phi[cid] @ u.coeffs[cid]
-    f1 = vals @ spec.A1.T
-    f2 = vals @ spec.A2.T
-    return [(cid, -(grad[:, :, 0].T @ (w * f1) + grad[:, :, 1].T @ (w * f2)))]
 
 
 def boundary_outflow_weights(space, spec):

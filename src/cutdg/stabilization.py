@@ -18,11 +18,12 @@ rather than trusting the construction.
 Every term is bilinear, so each penalty is held as one local matrix per
 stabilized cell over the cell's neighborhood, built directly: for
 acoustics, eta times the sum of three named matrices (``surface``,
-``volume``, ``dissipative``) minus eta times the base face kernels of the
-cell's faces, read off :func:`face_terms` itself; for advection, eta times
-its ``outflow`` and ``volume`` matrices.  The global matrix sums them.  The
-acoustic named matrices are built for all stabilized cells at once, from
-stacked scalar tables and Gram products, group by group.
+``volume``, ``dissipative``) minus eta times the face matrices of the
+cell's faces, built by :func:`~cutdg.dg.face_matrices` as the base form's
+are; for advection, eta times its ``outflow`` and ``volume`` matrices.  The
+global matrix sums them.  The acoustic named matrices are built for all
+stabilized cells at once, from stacked scalar tables and Gram products,
+group by group.
 """
 
 import numpy as np
@@ -32,10 +33,9 @@ from .errors import (
     MeshValidationError,
     UnsupportedConfigurationError,
 )
-from .dg import block_csr, face_terms
+from .dg import block_csr, face_matrices
 from .geometry import inflow_faces
 from .quadrature import (
-    DGFunction,
     face_quadrature,
     monomial_gradients,
     monomial_values,
@@ -436,40 +436,26 @@ class WaveStabilization(_Penalty):
                     for store, M in zip((self.surface, self.volume, self.dissipative), mats):
                         store.update((cid, m.copy()) for cid, m in zip(batch, M))
         cells = {cid: layouts[cid][0] for cid in self.cell_ids}
-        # unit coefficient blocks on the dofs of a face's one or two cells,
-        # one probe block per cell
-        self._probes = {
-            nf: list(np.moveaxis(np.eye(nf * R).reshape(nf * R, nf, *plan.shape), 1, 0))
-            for nf in (1, 2)
-        }
-        return cells, {cid: self._local_matrix(cid, cells[cid]) for cid in self.cell_ids}
-
-    def _local_matrix(self, cid, cells):
-        """eta (surface + volume + dissipative) minus eta times the base face
-        kernels of the cell's faces, central part then dissipative part.
-
-        The subtracted blocks are read off :func:`face_terms` itself, probed
-        with unit blocks on each face's own cells as ``dg.local_matrix``
-        probes, so at eta = 1 they cancel the base face terms bit for bit.
-        """
-        mesh = self.space.mesh
-        km = self.space.n_modes * self.plan.spec.m
-        eta = self.eta[cid]
-        A = eta * (self.surface[cid] + self.volume[cid] + self.dissipative[cid])
-        block_of = {C: slice(i * km, (i + 1) * km) for i, C in enumerate(cells)}
-        for fid in mesh.cells[cid].face_ids:
-            face = mesh.faces[fid]
-            face_cells = [face.left_cell] if face.kind == "boundary" else [
-                face.left_cell, face.right_cell
-            ]
-            probe = DGFunction(dict(zip(face_cells, self._probes[len(face_cells)])), None)
-            for central in (True, False):
-                for C, block in face_terms(self.plan, fid, probe, central, not central):
-                    # rows: C's test modes; columns: the face cells' dofs
-                    cols = eta * block.reshape(len(face_cells) * km, km).T
-                    for j, D in enumerate(face_cells):
-                        A[block_of[C], block_of[D]] -= cols[:, j * km:(j + 1) * km]
-        return A
+        # a cell's matrix: eta (surface + volume + dissipative) minus eta times
+        # the face matrices of its faces, central part then dissipative part.
+        # They come from face_matrices, as the base form's do, so at eta = 1
+        # they cancel the base face terms bit for bit.
+        fids = np.unique([fid for cid in self.cell_ids for fid in mesh.cells[cid].face_ids])
+        parts = [face_matrices(space, plan.spec, plan.diss, fids, central, not central)
+                 for central in (True, False)]
+        row = {fid: i for i, fid in enumerate(fids.tolist())}
+        local = {}
+        for cid in self.cell_ids:
+            eta = self.eta[cid]
+            A = eta * (self.surface[cid] + self.volume[cid] + self.dissipative[cid])
+            dofs = {C: i * R + np.arange(R) for i, C in enumerate(cells[cid])}
+            for fid in mesh.cells[cid].face_ids:
+                face_cells = (mesh.face_left[fid], mesh.face_right[fid])
+                idx = np.concatenate([dofs[C] for C in face_cells if C >= 0])
+                for part in parts:
+                    A[np.ix_(idx, idx)] -= eta * part[row[fid], :len(idx), :len(idx)]
+            local[cid] = A
+        return cells, local
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,9 @@ class SystemSpec:
         return SystemSpec("acoustics", 3, A1, A2, c, sound_speed=c)
 
     def A_n(self, n):
-        return n[0] * self.A1 + n[1] * self.A2
+        """n1 A1 + n2 A2, for one normal or stacked normals (..., 2)."""
+        n = np.asarray(n, dtype=float)
+        return n[..., 0, None, None] * self.A1 + n[..., 1, None, None] * self.A2
 
 
 @dataclass(frozen=True)
@@ -55,40 +57,44 @@ class DissipationSpec:
     kind: str
 
     def coefficient(self, spec, n):
+        """s for one normal, or one per normal of a stack (..., 2)."""
         if self.kind == "upwind":
             if spec.beta is None:
                 raise ConfigurationError("upwind dissipation requires an advection system")
-            return 0.5 * abs(float(spec.beta @ n))
+            return 0.5 * np.abs(np.asarray(n, dtype=float) @ spec.beta)
         if self.kind == "rusanov":
             return 0.5 * spec.lambda_max
         raise ConfigurationError(f"unknown dissipation kind {self.kind!r}")
 
 
-def flux_normal(spec, u, n):
-    """Directional physical flux f_n(u) = (n1 A1 + n2 A2) u."""
-    u = np.asarray(u, dtype=float)
-    return u @ spec.A_n(n).T
+def flux_matrices(spec, diss, normals, wall, central=True, dissipative=True):
+    """Flux matrices (own, other) of faces with unit normals ``normals`` (F, 2).
 
-
-def central_flux(spec, u_mu, u_nu, n):
-    return 0.5 * (flux_normal(spec, u_mu, n) + flux_normal(spec, u_nu, n))
-
-
-def dissipation(diss, spec, u_mu, u_nu, n):
-    u_mu = np.asarray(u_mu, dtype=float)
-    u_nu = np.asarray(u_nu, dtype=float)
-    return diss.coefficient(spec, n) * (u_mu - u_nu)
-
-
-def boundary_flux(spec, diss, u, n):
-    """Numerical flux on a physical boundary face with outward normal n.
-
-    Advection: upwind outflow, zero-inflow data contributes nothing.
-    Acoustics: flux against the velocity-mirrored state (reflecting wall).
+    The numerical flux along a face's normal is own u_left + other u_right,
+    with own = A_n/2 + s I and other = A_n/2 - s I: ``central`` keeps the
+    A_n/2 parts, ``dissipative`` the s I parts.  On the faces flagged in
+    ``wall`` (F,) the exterior state is folded into own and other is zero:
+    for acoustics the velocity-mirrored state, own + other (I - 2 e_n e_n^T);
+    for advection the upwind outflow (beta.n)^+ against zero inflow data,
+    which has no split and ignores the flags.
     """
-    u = np.asarray(u, dtype=float)
+    normals = np.asarray(normals, dtype=float)
+    own = np.zeros(normals.shape[:-1] + (spec.m, spec.m))
+    other = np.zeros_like(own)
+    if central:
+        half = 0.5 * spec.A_n(normals)
+        own += half
+        other += half
+    if dissipative:
+        s = np.broadcast_to(diss.coefficient(spec, normals), normals.shape[:-1])
+        sI = s[..., None, None] * np.eye(spec.m)
+        own += sI
+        other -= sI
+    wall = np.asarray(wall, dtype=bool)
     if spec.kind == "advection":
-        bn = float(spec.beta @ n)
-        return max(bn, 0.0) * u
-    mirrored = mirror_state(u, n)
-    return central_flux(spec, u, mirrored, n) + dissipation(diss, spec, u, mirrored, n)
+        own[wall] = np.maximum(normals[wall] @ spec.beta, 0.0)[:, None, None]
+    else:
+        # other (I - 2 e_n e_n^T) mirrors each row of other
+        own[wall] += mirror_state(other[wall], normals[wall, None, :])
+    other[wall] = 0.0
+    return own, other

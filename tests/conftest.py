@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import numpy as np
+
+from cutdg.dg import face_matrices
 from cutdg.geometry import BackgroundMesh, Geometry, build_mesh, halfplane_from_line
 
 
@@ -34,3 +37,16 @@ def polygon_monomial_integral(poly, p, q):
         Y = y0 + (y1 - y0) * t
         total += sp.integrate(X ** (p + 1) / (p + 1) * Y**q * (y1 - y0), (t, 0, 1))
     return float(total)
+
+
+def face_matrix_on(plan, fid, cells, central=True, dissipative=True):
+    """The base form's face matrix of face ``fid`` (``dg.face_matrices``) on
+    the dofs of ``cells``, zero elsewhere."""
+    mesh = plan.space.mesh
+    km = plan.shape[0] * plan.shape[1]
+    A = face_matrices(plan.space, plan.spec, plan.diss, [fid], central, dissipative)[0]
+    face_cells = [C for C in (mesh.face_left[fid], mesh.face_right[fid]) if C >= 0]
+    idx = np.concatenate([cells.index(C) * km + np.arange(km) for C in face_cells])
+    out = np.zeros((len(cells) * km, len(cells) * km))
+    out[np.ix_(idx, idx)] = A[:len(idx), :len(idx)]
+    return out

@@ -9,10 +9,10 @@ probed over the whole neighborhood.  The tests compare the batched build of
 
 import numpy as np
 
-from cutdg.dg import face_terms, local_matrix as probe_matrix
 from cutdg.errors import UnsupportedConfigurationError
 from cutdg.quadrature import monomial_gradients, monomial_values
 from cutdg.stabilization import surface_weights
+from probed_kernels import face_terms, local_matrix as probe_matrix
 
 _I3 = np.eye(3)
 

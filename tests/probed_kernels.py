@@ -1,0 +1,98 @@
+"""Reference oracle: the base form's probed kernels.
+
+:func:`face_terms` (one face) and :func:`volume_terms` (one cell) evaluate
+the form's terms on a function's coefficients, and :func:`local_matrix`
+reads a kernel's matrix off by probing it with unit coefficient blocks.  The
+package built its local matrices this way before it built them in closed
+form; the tests compare ``cutdg.dg.face_matrices`` and
+``cutdg.dg.volume_matrices`` against them.
+"""
+
+import numpy as np
+
+from cutdg.operators import mirror_state
+from cutdg.quadrature import DGFunction
+
+
+def local_matrix(kernel, cells, shape):
+    """Dense matrix of a linear kernel on the dofs of ``cells``.
+
+    ``kernel(u)`` returns (cell, block) pairs for cells among ``cells``.  All
+    dofs are probed at once: each unit coefficient block carries a leading
+    probe axis, and ``u.coeffs`` maps the probed cells to their blocks (the
+    kernels only index coefficients by cell).  Rows and columns both run
+    over the dofs of ``cells``, in order.
+    """
+    k, m = shape
+    km = k * m
+    size = len(cells) * km
+    eye = np.eye(size).reshape(size, len(cells), k, m)
+    probe = DGFunction({C: eye[:, i] for i, C in enumerate(cells)}, None)
+    slot = {C: i for i, C in enumerate(cells)}
+    A = np.zeros((size, size))
+    for C, block in kernel(probe):
+        i = slot[C]
+        A[i * km:(i + 1) * km] += block.reshape(size, km).T
+    return A
+
+
+def face_terms(plan, fid, u, central=True, dissipative=True):
+    """Residual contributions of one face: list of (cell_id, block).
+
+    This is the shared face kernel: the small-cell stabilization evaluates the
+    same function (with one of the flags cleared) for its cancellation terms,
+    so those terms match the base contributions bit for bit.
+    """
+    space = plan.space
+    spec = plan.spec
+    face = space.mesh.faces[fid]
+    w = space.face_w[fid]
+    phiL = space.face_phi_left[fid]
+    uL = phiL @ u.coeffs[face.left_cell]
+    n = face.normal
+
+    if face.kind == "internal":
+        phiR = space.face_phi_right[fid]
+        uR = phiR @ u.coeffs[face.right_cell]
+        blockL = np.zeros_like(u.coeffs[face.left_cell])
+        blockR = np.zeros_like(blockL)
+        if central:
+            Fc = (0.5 * (uL + uR)) @ spec.A_n(n).T
+            wF = w[:, None] * Fc
+            blockL = blockL + phiL.T @ wF
+            blockR = blockR + phiR.T @ wF
+        if dissipative:
+            s = plan.diss.coefficient(spec, n)
+            Fs = s * (uL - uR)
+            wF = w[:, None] * Fs
+            blockL = blockL + phiL.T @ wF
+            blockR = blockR + phiR.T @ wF
+        return [(face.left_cell, blockL), (face.right_cell, -blockR)]
+
+    if spec.kind == "advection":
+        # upwind outflow flux; the zero-inflow data has no contribution
+        F = max(float(spec.beta @ n), 0.0) * uL
+        return [(face.left_cell, phiL.T @ (w[:, None] * F))]
+
+    uM = mirror_state(uL, n)
+    block = np.zeros_like(u.coeffs[face.left_cell])
+    if central:
+        Fc = (0.5 * (uL + uM)) @ spec.A_n(n).T
+        block = block + phiL.T @ (w[:, None] * Fc)
+    if dissipative:
+        s = plan.diss.coefficient(spec, n)
+        Fs = s * (uL - uM)
+        block = block + phiL.T @ (w[:, None] * Fs)
+    return [(face.left_cell, block)]
+
+
+def volume_terms(plan, cid, u):
+    """Volume contribution of one cell, -int f(u) . grad w: [(cell_id, block)]."""
+    space = plan.space
+    spec = plan.spec
+    w = space.cell_w[cid][:, None]
+    grad = space.cell_grad[cid]
+    vals = space.cell_phi[cid] @ u.coeffs[cid]
+    f1 = vals @ spec.A1.T
+    f2 = vals @ spec.A2.T
+    return [(cid, -(grad[:, :, 0].T @ (w * f1) + grad[:, :, 1].T @ (w * f2)))]

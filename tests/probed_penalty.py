@@ -8,11 +8,12 @@ assembled matrices of ``cutdg.stabilization`` against it.
 
 import numpy as np
 
-from cutdg.dg import block_csr, face_terms, local_matrix
+from cutdg.dg import block_csr
 from cutdg.errors import MeshValidationError, UnsupportedConfigurationError
 from cutdg.geometry import inflow_faces
 from cutdg.quadrature import monomial_gradients, monomial_values
 from cutdg.stabilization import surface_weights
+from probed_kernels import face_terms, local_matrix
 
 _I3 = np.eye(3)
 

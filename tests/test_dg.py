@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import ramp_mesh, uncut_mesh
+from probed_kernels import face_terms, local_matrix, volume_terms
 from probed_penalty import ProbedPenalty
-from cutdg.dg import AssemblyPlan, boundary_outflow_weights, face_terms
+from cutdg.dg import AssemblyPlan, boundary_outflow_weights, face_matrices, volume_matrices
 from cutdg.quadrature import Space, face_quadrature
 from cutdg.solutions import PolynomialField, random_polynomial
 from cutdg.systems import DissipationSpec, SystemSpec
@@ -23,7 +24,7 @@ def test_constant_state_interior_residual_vanishes():
     space, plan = _plan(mesh, 1, spec)
     u = space.zeros(1)
     u.coeffs[:, 0, 0] = 2.0
-    res = plan.base_residual(u)
+    res = plan.residual(u.coeffs)
     boundary_cells = {f.left_cell for f in mesh.faces if f.kind == "boundary"}
     for cell in mesh.cells:
         if cell.id not in boundary_cells:
@@ -36,7 +37,7 @@ def test_single_cell_r0_outflow():
     space, plan = _plan(mesh, 0, spec)
     u = space.zeros(1)
     u.coeffs[0, 0, 0] = 3.0
-    res = plan.base_residual(u)
+    res = plan.residual(u.coeffs)
     # outflow face has length 1: residual of the constant mode is u * 1
     assert abs(res[0, 0, 0] - 3.0) < 1e-14
 
@@ -57,7 +58,7 @@ def test_steady_polynomial_residual_is_boundary_only(degree):
         # (bp . x)^2 = bp0^2 x^2 + 2 bp0 bp1 xy + bp1^2 y^2
         fld = PolynomialField([[0.0, 0.0, 0.0, bp[0] ** 2, 2 * bp[0] * bp[1], bp[1] ** 2]], 2)
     u = fld.to_dg(space)
-    res = plan.base_residual(u)
+    res = plan.residual(u.coeffs)
 
     expected = np.zeros_like(res)
     for face in mesh.faces:
@@ -82,12 +83,11 @@ def test_continuous_polynomial_jump_terms_vanish():
     space, plan = _plan(mesh, 2, spec)
     fld = random_polynomial(rng, 2, 3)
     u = fld.to_dg(space)
-    for face in mesh.faces:
-        if face.kind != "internal":
-            continue
-        terms = face_terms(plan, face.id, u, central=False, dissipative=True)
-        for _, block in terms:
-            assert np.abs(block).max() < 1e-12
+    fids = np.flatnonzero(mesh.face_right >= 0)
+    A = face_matrices(space, spec, plan.diss, fids, central=False, dissipative=True)
+    cells = np.column_stack([mesh.face_left[fids], mesh.face_right[fids]])
+    blocks = A @ u.coeffs[cells].reshape(len(fids), -1, 1)
+    assert np.abs(blocks).max() < 1e-12
 
 
 def test_central_form_is_energy_neutral_acoustics():
@@ -107,7 +107,7 @@ def test_central_form_is_energy_neutral_acoustics():
     for _ in range(5):
         u = space.zeros(3)
         u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-        res = plan.base_residual(u)
+        res = plan.residual(u.coeffs)
         energy = float(np.sum(res * u.coeffs))
         norm2 = space.l2_norm(u) ** 2
         assert abs(energy) < 1e-10 * max(norm2, 1.0)
@@ -120,7 +120,7 @@ def test_semi_discrete_conservation():
     space, plan = _plan(mesh, 1, spec)
     u = space.zeros(1)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    res = plan.base_residual(u)
+    res = plan.residual(u.coeffs)
     total = float(np.sum(res[:, 0, 0]))   # pairing with the global constant
     outflow = float(np.vdot(boundary_outflow_weights(space, spec), u.coeffs))
     # inflow faces contribute nothing by construction; collect the rest
@@ -157,14 +157,14 @@ def test_mismatched_function_rejected():
     spec = SystemSpec.acoustics(1.0)
     space, plan = _plan(mesh, 1, spec)
     with pytest.raises(ConfigurationError):
-        plan.base_residual(space.zeros(1))
+        plan.residual(space.zeros(1).coeffs)
 
 
 def test_zero_state_zero_residual():
     mesh = ramp_mesh(nx=4, ny=4)
     spec = SystemSpec.acoustics(1.0)
     space, plan = _plan(mesh, 1, spec)
-    res = plan.base_residual(space.zeros(3))
+    res = plan.residual(space.zeros(3).coeffs)
     assert np.all(res == 0.0)
 
 
@@ -175,7 +175,7 @@ def test_standing_pressure_state_is_steady():
     space, plan = _plan(mesh, 1, spec)
     u = space.zeros(3)
     u.coeffs[:, 0, 0] = 4.2
-    res = plan.base_residual(u)
+    res = plan.residual(u.coeffs)
     assert np.abs(res).max() < 1e-13
 
 
@@ -186,8 +186,8 @@ def test_assembly_is_reproducible():
     space, plan = _plan(mesh, 1, spec)
     u = space.zeros(3)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    r1 = plan.base_residual(u)
-    r2 = plan.base_residual(u)
+    r1 = plan.residual(u.coeffs)
+    r2 = plan.residual(u.coeffs)
     assert np.array_equal(r1, r2)
 
 
@@ -286,3 +286,36 @@ def test_stage_does_no_mass_solve(equation, degree, min_alpha, monkeypatch):
     assert result.steps == 3
     assert np.all(np.isfinite(result.final.coeffs))
     assert (result.outflow_integral != 0.0) == track
+
+
+# ------------------------------------------- closed-form local matrices
+
+
+@pytest.mark.parametrize("equation", ["advection", "acoustics"])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("min_alpha", [1e-2, 1e-8])
+def test_closed_form_matrices_match_probed_kernels(equation, degree, min_alpha):
+    # every face (internal and wall, axis-aligned and slanted) under each flag
+    # choice, and every cell's volume term, against the probed kernels
+    from cutdg.experiments import build_context, ramp_config
+
+    ctx = build_context(ramp_config(equation, degree, min_alpha, nx=8))
+    space, spec, plan, mesh = ctx.space, ctx.spec, ctx.plan, ctx.mesh
+    km = space.n_modes * spec.m
+    slanted = np.abs(mesh.face_normal).min(axis=1) > 1e-14
+    assert slanted.any() and (slanted & (mesh.face_right < 0)).any()
+    fids = np.arange(len(mesh.faces))
+    for flags in ((True, False), (False, True), (True, True)):
+        closed = face_matrices(space, spec, ctx.diss, fids, *flags)
+        for fid in fids.tolist():
+            cells = [C for C in (mesh.face_left[fid], mesh.face_right[fid]) if C >= 0]
+            oracle = local_matrix(lambda u: face_terms(plan, fid, u, *flags), cells, plan.shape)
+            n = len(cells) * km
+            assert np.all(closed[fid, n:] == 0.0) and np.all(closed[fid, :, n:] == 0.0)
+            err = np.abs(closed[fid, :n, :n] - oracle).max()
+            assert err <= 1e-13 * np.abs(oracle).max(), (fid, flags)
+    cids = np.arange(mesh.num_cells)
+    closed = volume_matrices(space, spec, cids)
+    for cid in cids.tolist():
+        oracle = local_matrix(lambda u: volume_terms(plan, cid, u), [cid], plan.shape)
+        assert np.abs(closed[cid] - oracle).max() <= 1e-13 * np.abs(oracle).max(), cid

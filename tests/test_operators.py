@@ -37,6 +37,16 @@ def test_mirror_state_involution_and_isometry():
         assert abs(np.hypot(m[1], m[2]) - np.hypot(u[1], u[2])) < 1e-14
 
 
+def test_mirror_state_stacked_normals():
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=(4, 6, 3))
+    angles = rng.uniform(0, 2 * np.pi, size=4)
+    normals = np.column_stack([np.cos(angles), np.sin(angles)])
+    stacked = mirror_state(u, normals[:, None, :])
+    for i, n in enumerate(normals):
+        assert np.array_equal(stacked[i], mirror_state(u[i], n))
+
+
 def test_mirror_state_rejects_scalar():
     with pytest.raises(UnsupportedOperationError):
         mirror_state(np.array([1.0]), np.array([1.0, 0.0]))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import ramp_mesh
-from cutdg.dg import AssemblyPlan, face_terms, local_matrix
+from conftest import face_matrix_on, ramp_mesh
+from cutdg.dg import AssemblyPlan
 from cutdg.errors import UnsupportedConfigurationError
 from cutdg.geometry import classify_small_cells
 from cutdg.operators import CellPolyField
@@ -309,8 +309,9 @@ def test_wave_penalty_zero_eta():
 
 
 def test_wave_cancellation_terms_are_base_kernels_bitwise():
-    # at eta = 1 each cell's matrix is the pair matrix minus the base face
-    # kernels' own local matrices, in the penalty's order of summation
+    # at eta = 1 each cell's matrix is the pair matrix minus the face
+    # matrices the base form is assembled from, in the penalty's order of
+    # summation
     mesh, spec, diss, space, plan, small, _ = _setup("acoustics", 2)
     eta = np.ones(mesh.num_cells)
     stab = WaveStabilization(plan, small, eta)
@@ -318,9 +319,7 @@ def test_wave_cancellation_terms_are_base_kernels_bitwise():
         expected = stab.surface[cid] + stab.volume[cid] + stab.dissipative[cid]
         for fid in mesh.cells[cid].face_ids:
             for flags in ((True, False), (False, True)):
-                expected = expected - local_matrix(
-                    lambda u: face_terms(plan, fid, u, *flags), stab.neighborhood(cid), plan.shape
-                )
+                expected = expected - face_matrix_on(plan, fid, stab.neighborhood(cid), *flags)
         assert np.array_equal(stab.local[cid], expected)
 
 

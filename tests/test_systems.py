@@ -2,14 +2,37 @@ import numpy as np
 import pytest
 
 from cutdg.errors import ConfigurationError
-from cutdg.systems import (
-    DissipationSpec,
-    SystemSpec,
-    boundary_flux,
-    central_flux,
-    dissipation,
-    flux_normal,
-)
+from cutdg.systems import DissipationSpec, SystemSpec, flux_matrices
+
+
+def _flux(spec, u, v, n, central=True, dissipative=True, wall=False, diss=None):
+    """Numerical flux own u + other v of one face with unit normal n, from
+    the face's flux matrices."""
+    if diss is None:
+        diss = DissipationSpec("upwind" if spec.kind == "advection" else "rusanov")
+    own, other = flux_matrices(spec, diss, np.asarray(n, dtype=float)[None], [wall],
+                               central, dissipative)
+    return own[0] @ np.asarray(u, dtype=float) + other[0] @ np.asarray(v, dtype=float)
+
+
+def flux_normal(spec, u, n):
+    """A_n u: the central flux of u against itself."""
+    return _flux(spec, u, u, n, dissipative=False)
+
+
+def central_flux(spec, u, v, n):
+    return _flux(spec, u, v, n, dissipative=False)
+
+
+def dissipation(diss, spec, u, v, n):
+    return _flux(spec, u, v, n, central=False, diss=diss)
+
+
+def boundary_flux(spec, diss, u, n):
+    """Wall flux: the exterior state is folded into own, and other is zero."""
+    own, other = flux_matrices(spec, diss, np.asarray(n, dtype=float)[None], [True])
+    assert np.all(other == 0.0)
+    return own[0] @ np.asarray(u, dtype=float)
 
 
 def test_acoustics_flux_normal_example():
