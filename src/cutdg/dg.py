@@ -154,7 +154,7 @@ class AssemblyPlan:
         self._scatter = sparse.csr_matrix(
             (np.ones(len(rows)), (rows, np.arange(len(rows)))), shape=(mesh.num_cells, len(rows))
         )
-        self._work = np.empty((2, len(rows), space.n_modes * spec.m))
+        self._work = np.empty((2, len(rows), km))
 
         ungrouped = np.flatnonzero(~grouped)
         entries = [(self.cut_ids[:, None], volume_matrices(space, spec, self.cut_ids))]

@@ -57,7 +57,8 @@ class DissipationSpec:
     kind: str
 
     def coefficient(self, spec, n):
-        """s for one normal, or one per normal of a stack (..., 2)."""
+        """s for one normal or for each of stacked normals (..., 2); a scalar
+        where s does not depend on the normal."""
         if self.kind == "upwind":
             if spec.beta is None:
                 raise ConfigurationError("upwind dissipation requires an advection system")
