@@ -134,8 +134,8 @@ def _mode_scales(ctx):
     basis = space.basis
     scales = {}
     for cid in ctx.stab.cell_ids:
-        cell = space.mesh.cells[cid]
-        pts = np.vstack([space.cell_pts[cid]] + [space.face_pts[f] for f in cell.face_ids])
+        face_pts = space.face_pts[space.mesh.cell_faces(cid)].reshape(-1, 2)
+        pts = np.vstack([space.cell_pts[cid], face_pts])
         for C in ctx.stab.neighborhood(cid):
             vals = np.abs(monomial_values(basis.exps, basis.center(C), basis.h, pts))
             scales[(cid, C)] = np.maximum(vals.max(axis=0), 1e-300)
@@ -194,7 +194,7 @@ def run_consistency(cfg):
             for C, block in ctx.stab.cell_residual(cid, u).items():
                 normalized = np.abs(block) / (umax * h * scales[(cid, C)][:, None])
                 worst = max(worst, float(normalized.max()))
-    min_alpha = min(ctx.mesh.cells[c].volume_fraction for c in ctx.stab.cell_ids)
+    min_alpha = float(ctx.mesh.cell_volume_fraction[ctx.stab.cell_ids].min())
     return ConsistencyReport(
         cfg.equation, cfg.degree, cfg.seed, cfg.n_polynomials,
         len(ctx.stab.cell_ids), min_alpha, worst,
@@ -493,11 +493,11 @@ def run_evolve(cfg):
 
 def mesh_info(cfg):
     ctx = build_context(cfg)
-    alphas = [c.volume_fraction for c in ctx.mesh.cells]
+    alphas = ctx.mesh.cell_volume_fraction
     lines = [
         f"cells = {ctx.mesh.num_cells}",
-        f"min_alpha = {min(alphas):.17g}",
-        f"max_alpha = {max(alphas):.17g}",
+        f"min_alpha = {alphas.min():.17g}",
+        f"max_alpha = {alphas.max():.17g}",
         f"stabilized = {len(ctx.small)}",
     ]
     return "\n".join(lines) + "\n", ctx.mesh.dump()

@@ -3,8 +3,15 @@
 The physical domain is a box intersected with a list of affine half-planes
 ``{a*x + b*y >= c}``.  Every cut cell is therefore convex with straight faces,
 so each face carries a single constant unit normal.
+
+The mesh is held as arrays indexed by cell and face id (see
+:class:`CutCellMesh`); all cut cells are clipped at once, on padded
+(cells, vertices, 2) arrays.  :class:`CutCell` and :class:`Face` are records
+built from those arrays on access, one cell or face at a time.
 """
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,48 +128,88 @@ def polygon_area(poly):
     return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
 
 
-def clip_polygon(poly, halfplane, snap=0.0):
-    """Clip a convex counterclockwise polygon against a half-plane.
+def _compact(values, mask):
+    """Move each row's masked entries of values (n, m, 2) to the row's front,
+    in order: (rows padded to the largest count or 1, count per row)."""
+    count = mask.sum(axis=1)
+    out = np.zeros((len(mask), max(count.max(initial=0), 1), 2))
+    out[np.nonzero(mask)[0], np.cumsum(mask, axis=1)[mask] - 1] = values[mask]
+    return out, count
 
-    Sutherland-Hodgman against the kept region {a*x + b*y >= c}.  Vertices on
-    the line (within ``snap``) are retained once; an empty intersection
-    returns an empty array.
+
+def _clip_halfplane(poly, count, halfplane, snap):
+    """Sutherland-Hodgman against {a*x + b*y >= c} for a stack of convex
+    counterclockwise polygons, padded (n, m, 2) with ``count`` vertices each.
+
+    Vertex k emits itself if it is kept (within ``snap``) and then the
+    crossing of its edge to vertex k + 1, so each row's output keeps the
+    order of a sequential pass.
     """
-    poly = np.asarray(poly, dtype=float)
-    if len(poly) == 0:
-        return poly.reshape(0, 2)
-    if isinstance(halfplane, tuple):
-        halfplane = HalfPlane(*halfplane)
+    n, m = count.size, poly.shape[1]
+    k = np.arange(m)
+    valid = k < count[:, None]
+    nxt = np.where(k + 1 < count[:, None], k + 1, 0)
     d = halfplane.signed_distance(poly)
-    out = []
-    n = len(poly)
-    for k in range(n):
-        v, dv = poly[k], d[k]
-        w, dw = poly[(k + 1) % n], d[(k + 1) % n]
-        if dv >= -snap:
-            out.append(v)
-            if dw < -snap and dv > snap:
-                t = dv / (dv - dw)
-                out.append(v + t * (w - v))
-        elif dw > snap:
-            t = dv / (dv - dw)
-            out.append(v + t * (w - v))
-    if not out:
-        return np.zeros((0, 2))
-    return _dedupe(np.array(out), max(snap, 0.0))
+    w = np.take_along_axis(poly, nxt[..., None], axis=1)
+    dw = np.take_along_axis(d, nxt, axis=1)
+    keep = valid & (d >= -snap)
+    cross = valid & np.where(d >= -snap, (dw < -snap) & (d > snap), dw > snap)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = d / (d - dw)
+        x = poly + t[..., None] * (w - poly)
+    emitted = np.stack([poly, x], axis=2).reshape(n, 2 * m, 2)
+    return _compact(emitted, np.stack([keep, cross], axis=2).reshape(n, 2 * m))
 
 
-def _dedupe(poly, tol):
-    """Merge consecutive vertices closer than tol (also first vs last)."""
-    if len(poly) == 0:
-        return poly
-    keep = [poly[0]]
-    for v in poly[1:]:
-        if max(abs(v[0] - keep[-1][0]), abs(v[1] - keep[-1][1])) > tol:
-            keep.append(v)
-    while len(keep) > 1 and max(abs(keep[0][0] - keep[-1][0]), abs(keep[0][1] - keep[-1][1])) <= tol:
-        keep.pop()
-    return np.array(keep)
+def _dedupe(poly, count, tol):
+    """Merge consecutive vertices closer than tol (max-norm) in each row.
+
+    A vertex is compared with the last vertex kept before it; then, while
+    the first and the last kept vertex are that close, the last one goes.
+    """
+    n, m = count.size, poly.shape[1]
+    keep = np.zeros((n, m), dtype=bool)
+    keep[:, 0] = count > 0
+    last = poly[:, 0].copy()
+    for k in range(1, m):
+        v = poly[:, k]
+        far = np.maximum(np.abs(v[:, 0] - last[:, 0]), np.abs(v[:, 1] - last[:, 1])) > tol
+        keep[:, k] = far & (k < count)
+        last[keep[:, k]] = v[keep[:, k]]
+    poly, count = _compact(poly, keep)
+    rows = np.arange(n)
+    while True:
+        first, end = poly[:, 0], poly[rows, np.maximum(count - 1, 0)]
+        close = (count > 1) & (
+            np.maximum(np.abs(first[:, 0] - end[:, 0]), np.abs(first[:, 1] - end[:, 1])) <= tol
+        )
+        if not close.any():
+            return poly, count
+        count = count - close
+
+
+def _clip_boxes(boxes, constraints, snap, drop, h):
+    """Clip a stack of cell boxes (n, 4, 2) against every constraint at once.
+
+    Returns the polygons padded to a common vertex count, (n, m, 2), each
+    one's vertex count and its area; the count is 0 where nothing is left:
+    fewer than three vertices after a constraint (merging vertices within
+    ``snap``) or after merging those within ``drop``, or an area at or
+    below ``AREA_FRAC * h**2``.
+    """
+    poly = boxes
+    count = np.full(len(boxes), 4)
+    for hp in constraints:
+        poly, count = _dedupe(*_clip_halfplane(poly, count, hp, snap), max(snap, 0.0))
+        count[count < 3] = 0
+    poly, count = _dedupe(poly, count, drop)
+    count[count < 3] = 0
+    area = np.zeros(len(count))
+    for c in np.unique(count[count > 0]).tolist():
+        rows = count == c
+        area[rows] = polygon_area(poly[rows, :c])
+    count[area <= AREA_FRAC * h * h] = 0
+    return poly, count, area
 
 
 @dataclass
@@ -208,37 +255,101 @@ class CutCell:
         return len(self.face_ids)
 
 
+class _Records(Sequence):
+    """Read-only sequence whose items are built by ``make(index)`` on access."""
+
+    def __init__(self, size, make):
+        self._size = size
+        self._make = make
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._make(i) for i in range(*index.indices(self._size))]
+        i = operator.index(index)
+        if not -self._size <= i < self._size:
+            raise IndexError(f"index {i} out of range for {self._size} records")
+        return self._make(i % self._size)
+
+
 class CutCellMesh:
     """Background mesh clipped against the geometry, with face topology.
 
-    Besides the ``cells`` and ``faces`` objects the mesh keeps their data as
-    arrays indexed by cell or face id: ``cell_ij`` (cells, 2) and
-    ``cell_centers`` (cells, 2); ``face_p``, ``face_q`` and ``face_normal``
-    (faces, 2), which the face objects view, and ``face_left`` /
+    The mesh is a set of arrays.  Per cell: ``cell_ij`` and
+    ``cell_centers`` (cells, 2), ``cell_area`` and ``cell_volume_fraction``
+    (cells,).  The polygons are stored flat: cell c's counterclockwise
+    vertices are ``cell_vertices[cell_offsets[c]:cell_offsets[c + 1]]``, and
+    as each edge is one face (the edge from vertex k to vertex k + 1), the
+    same offsets index the cell's face ids in ``cell_face_ids``.  Per face:
+    ``face_p``, ``face_q`` and ``face_normal`` (faces, 2), ``face_left`` and
     ``face_right`` (faces,), the latter -1 on boundary faces.
+
+    ``cells[cid]`` and ``faces[fid]`` are sequences that build a
+    :class:`CutCell` or :class:`Face` record from the arrays on access, for
+    callers that want one cell or face as an object.
     """
 
-    def __init__(self, bg, geometry, cells, faces, cell_grid, cell_ij,
-                 face_p, face_q, face_normal, face_left, face_right):
+    def __init__(self, bg, geometry, cell_grid, cell_ij, cell_vertices, cell_offsets,
+                 cell_face_ids, cell_area, face_p, face_q, face_normal, face_left, face_right):
         self.bg = bg
         self.geometry = geometry
-        self.cells = cells
-        self.faces = faces
         self._cell_grid = cell_grid   # (ny, nx) cell id, -1 where no cell is kept
         self.cell_ij = cell_ij
         self.cell_centers = np.stack(
             [bg.x0 + (cell_ij[:, 0] + 0.5) * bg.h, bg.y0 + (cell_ij[:, 1] + 0.5) * bg.h], axis=-1
         )
-        self.cell_centers.flags.writeable = False   # shared by every basis on the mesh
+        self.cell_vertices = cell_vertices
+        self.cell_offsets = cell_offsets
+        self.cell_face_ids = cell_face_ids
+        self.cell_area = cell_area
+        self.cell_volume_fraction = cell_area / (bg.h * bg.h)
+        # shared by every basis on the mesh and viewed by the records
+        for a in (self.cell_centers, cell_vertices, cell_offsets, cell_face_ids, cell_area,
+                  self.cell_volume_fraction):
+            a.flags.writeable = False
         self.face_p = face_p
         self.face_q = face_q
         self.face_normal = face_normal
         self.face_left = face_left
         self.face_right = face_right
 
+    # the views are made on access: a mesh holding views of its own bound
+    # methods would be a reference cycle, left to the cyclic garbage
+    # collector instead of being freed with its last reference
+    @property
+    def cells(self):
+        return _Records(len(self.cell_ij), self._cell_record)
+
+    @property
+    def faces(self):
+        return _Records(len(self.face_left), self._face_record)
+
+    def _cell_record(self, cid):
+        lo, hi = self.cell_offsets[cid:cid + 2].tolist()
+        i, j = self.cell_ij[cid].tolist()
+        return CutCell(cid, (i, j), self.cell_vertices[lo:hi], float(self.cell_area[cid]),
+                       float(self.cell_volume_fraction[cid]), self.cell_face_ids[lo:hi].tolist())
+
+    def _face_record(self, fid):
+        p, q, n = self.face_p[fid], self.face_q[fid], self.face_normal[fid]
+        left, right = int(self.face_left[fid]), int(self.face_right[fid])
+        if right < 0:
+            return Face(fid, "boundary", p, q, n, left)
+        return Face(fid, "internal", p, q, n, left, right)
+
     @property
     def num_cells(self):
-        return len(self.cells)
+        return len(self.cell_ij)
+
+    def cell_faces(self, cell_id):
+        """Face ids of a cell, in the order of its polygon's edges."""
+        return self.cell_face_ids[self.cell_offsets[cell_id]:self.cell_offsets[cell_id + 1]]
+
+    def cell_polygon(self, cell_id):
+        """A cell's counterclockwise vertices, one per face."""
+        return self.cell_vertices[self.cell_offsets[cell_id]:self.cell_offsets[cell_id + 1]]
 
     def cell_at(self, i, j):
         if not (0 <= i < self.bg.nx and 0 <= j < self.bg.ny):
@@ -247,7 +358,7 @@ class CutCellMesh:
         return cid if cid >= 0 else None
 
     def outward_normal(self, cell_id, face_id):
-        return self.orientation(cell_id, face_id) * self.faces[face_id].normal
+        return self.orientation(cell_id, face_id) * self.face_normal[face_id]
 
     def orientation(self, cell_id, face_id):
         """+1 if the cell is the face's left cell, -1 if it is the right one."""
@@ -258,30 +369,31 @@ class CutCellMesh:
         raise KeyError((cell_id, face_id))
 
     def neighbor(self, cell_id, face_id):
-        face = self.faces[face_id]
-        if face.kind == "boundary":
+        left, right = int(self.face_left[face_id]), int(self.face_right[face_id])
+        if right < 0:
             return None
-        return face.right_cell if face.left_cell == cell_id else face.left_cell
+        return right if left == cell_id else left
 
     def cell_center(self, cell_id):
-        return self.bg.cell_center(*self.cells[cell_id].ij)
+        return self.cell_centers[cell_id]
 
     def total_area(self):
-        return sum(c.area for c in self.cells)
+        return float(self.cell_area.sum())
 
     def dump(self):
         """Plain-text mesh dump: cell header, vertex lines, face lines."""
+        kinds = np.where(self.face_right < 0, "boundary", "internal").tolist()
+        face_lines = [f"f {f} {kind} {n0:.17g} {n1:.17g}"
+                      for f, (kind, (n0, n1)) in enumerate(zip(kinds, self.face_normal.tolist()))]
+        vertex_lines = [f"v {x:.17g} {y:.17g}" for x, y in self.cell_vertices.tolist()]
+        bounds = self.cell_offsets.tolist()
+        fids = self.cell_face_ids.tolist()
         lines = []
-        for cell in self.cells:
-            i, j = cell.ij
-            lines.append(f"cell {cell.id} {i} {j} {cell.area:.17g}")
-            for v in cell.polygon:
-                lines.append(f"v {v[0]:.17g} {v[1]:.17g}")
-            for fid in cell.face_ids:
-                face = self.faces[fid]
-                lines.append(
-                    f"f {face.id} {face.kind} {face.normal[0]:.17g} {face.normal[1]:.17g}"
-                )
+        for cid, ((i, j), area) in enumerate(zip(self.cell_ij.tolist(), self.cell_area.tolist())):
+            lo, hi = bounds[cid], bounds[cid + 1]
+            lines.append(f"cell {cid} {i} {j} {area:.17g}")
+            lines.extend(vertex_lines[lo:hi])
+            lines.extend(face_lines[f] for f in fids[lo:hi])
         return "\n".join(lines) + "\n"
 
 
@@ -292,22 +404,6 @@ def _grid_line(value, origin, h, count, tol):
     return np.where(on, k, -1)
 
 
-def _clip_cut_cell(box, constraints, snap, drop, h):
-    """Clip one cell the constraints cut: (polygon, area), or None if nothing is left."""
-    poly = box
-    for hp in constraints:
-        poly = clip_polygon(poly, hp, snap)
-        if len(poly) < 3:
-            return None
-    poly = _dedupe(poly, drop)
-    if len(poly) < 3:
-        return None
-    area = float(polygon_area(poly))
-    if area <= AREA_FRAC * h * h:
-        return None
-    return poly, area
-
-
 def build_mesh(bg, geometry):
     """Clip every background cell against the geometry and extract faces.
 
@@ -315,12 +411,12 @@ def build_mesh(bg, geometry):
     :class:`ConfigurationError` when the kept region has no area at all.
 
     The corner signed distances sort the background cells into fully inside
-    (kept as their box), fully outside (dropped) and cut; only cut cells are
-    clipped one by one.  Cells are numbered in row-major (j, i) order.  Faces
-    come from one flat array of every cell's edges, in cell order and each
-    polygon's vertex order, and are numbered at their first encounter there;
-    a later encounter of an internal face narrows it to the overlap of the
-    cells' edges.
+    (kept as their box), fully outside (dropped) and cut; the cut cells are
+    clipped all at once, on padded arrays.  Cells are numbered in row-major
+    (j, i) order.  Faces come from one flat array of every cell's edges, in
+    cell order and each polygon's vertex order, and are numbered at their
+    first encounter there; a later encounter of an internal face narrows it
+    to the overlap of the cells' edges.
     """
     h = bg.h
     snap = SNAP_FRAC * h
@@ -335,13 +431,13 @@ def build_mesh(bg, geometry):
         d = hp.signed_distance(boxes)
         inside &= np.all(d >= -snap, axis=1)
         outside |= np.all(d < -snap, axis=1)
-    clipped = {}
-    for b in np.flatnonzero(~inside & ~outside).tolist():
-        result = _clip_cut_cell(boxes[b], constraints, snap, drop, h)
-        if result is not None:
-            clipped[b] = result
+    cut = np.flatnonzero(~inside & ~outside)
+    cut_poly, cut_count, cut_area = _clip_boxes(boxes[cut], constraints, snap, drop, h)
+    survives = cut_count > 0
 
-    kept = np.union1d(np.flatnonzero(inside), np.fromiter(clipped, dtype=np.int64))
+    kept_mask = inside.copy()
+    kept_mask[cut[survives]] = True
+    kept = np.flatnonzero(kept_mask)
     if not len(kept):
         raise ConfigurationError("geometry leaves no domain: kept region has zero area")
     ncells = len(kept)
@@ -349,15 +445,18 @@ def build_mesh(bg, geometry):
     cell_grid[kept] = np.arange(ncells)
     cell_grid = cell_grid.reshape(bg.ny, bg.nx)
     cell_ij = np.stack([kept % bg.nx, kept // bg.nx], axis=-1)
-    polys = list(boxes[kept])
-    areas = polygon_area(boxes[kept]).tolist()
-    for cid in np.flatnonzero(~inside[kept]).tolist():
-        polys[cid], areas[cid] = clipped[int(kept[cid])]
+    was_cut = ~inside[kept]
+    nv = np.full(ncells, 4)
+    nv[was_cut] = cut_count[survives]
+    polys = np.zeros((ncells, max(4, cut_poly.shape[1]), 2))
+    polys[~was_cut, :4] = boxes[kept[~was_cut]]
+    polys[was_cut, :cut_poly.shape[1]] = cut_poly[survives]
+    area = polygon_area(boxes[kept])
+    area[was_cut] = cut_area[survives]
 
     # flat edge arrays: edge e of cell e_cell[e] runs from V[e] to W[e]
-    nv = np.array([len(poly) for poly in polys])
     start = np.concatenate([[0], np.cumsum(nv)])
-    V = np.concatenate(polys)
+    V = polys[np.arange(polys.shape[1]) < nv[:, None]]
     nxt = np.arange(1, len(V) + 1)
     nxt[start[1:] - 1] = start[:-1]
     W = V[nxt]
@@ -445,21 +544,7 @@ def build_mesh(bg, geometry):
     if len(short):
         raise MeshValidationError(f"face {short[0]} shorter than drop tolerance")
 
-    faces = [
-        Face(f, "boundary", p, q, n, lc)
-        if rc < 0 else Face(f, "internal", p, q, n, lc, rc)
-        for f, (p, q, n, lc, rc) in enumerate(
-            zip(face_p, face_q, face_normal, face_left.tolist(), face_right.tolist())
-        )
-    ]
-    fids = fid.tolist()
-    bounds = start.tolist()
-    cells = [
-        CutCell(cid, (i, j), polys[cid], areas[cid], areas[cid] / (h * h),
-                fids[bounds[cid]:bounds[cid + 1]])
-        for cid, (i, j) in enumerate(cell_ij.tolist())
-    ]
-    return CutCellMesh(bg, geometry, cells, faces, cell_grid, cell_ij,
+    return CutCellMesh(bg, geometry, cell_grid, cell_ij, V, start, fid, area,
                        face_p, face_q, face_normal, face_left, face_right)
 
 
@@ -469,9 +554,13 @@ class SmallCellSet:
 
     cell_ids: tuple
     threshold: float
+    _members: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_members", frozenset(self.cell_ids))
 
     def __contains__(self, cell_id):
-        return cell_id in set(self.cell_ids)
+        return cell_id in self._members
 
     def __iter__(self):
         return iter(self.cell_ids)
@@ -480,16 +569,27 @@ class SmallCellSet:
         return len(self.cell_ids)
 
 
-def inflow_faces(mesh, cell_id, beta):
-    """Face ids of ``cell_id`` whose outward flux direction is strictly inflow."""
+def _faces_of(mesh, cell_ids):
+    """Every face of the cells ``cell_ids``, in cell order and each cell's
+    face order: (position of the owning cell in ``cell_ids``, face id)."""
+    lo = mesh.cell_offsets[cell_ids]
+    n = mesh.cell_offsets[cell_ids + 1] - lo
+    slot = np.repeat(np.arange(len(cell_ids)), n)
+    return slot, mesh.cell_face_ids[np.arange(n.sum()) + (lo - np.cumsum(n) + n)[slot]]
+
+
+def _inflow(mesh, owner, fids, beta):
+    """Whether face fids[i] is strictly inflow for ``beta`` seen from owner[i]."""
     beta = np.asarray(beta, dtype=float)
     tol = 1e-12 * float(np.hypot(*beta))
-    result = []
-    for fid in mesh.cells[cell_id].face_ids:
-        n = mesh.outward_normal(cell_id, fid)
-        if float(beta @ n) < -tol:
-            result.append(fid)
-    return result
+    n = mesh.face_normal[fids] * np.where(mesh.face_left[fids] == owner, 1.0, -1.0)[:, None]
+    return n[:, 0] * beta[0] + n[:, 1] * beta[1] < -tol
+
+
+def inflow_faces(mesh, cell_id, beta):
+    """Face ids of ``cell_id`` whose outward flux direction is strictly inflow."""
+    fids = mesh.cell_faces(cell_id)
+    return fids[_inflow(mesh, cell_id, fids, beta)].tolist()
 
 
 def classify_small_cells(mesh, alpha0, beta=None):
@@ -497,33 +597,42 @@ def classify_small_cells(mesh, alpha0, beta=None):
 
     No two selected cells may share a face.  When ``beta`` is given
     (advection), every selected cell must additionally have exactly one
-    inflow face and that face must be internal.
+    inflow face and that face must be internal.  Each check reports its
+    first offender in cell order, then face order.
     """
     if not 0.0 < alpha0 < 1.0:
         raise ConfigurationError(f"alpha0 must lie in (0, 1), got {alpha0}")
-    small = sorted(c.id for c in mesh.cells if c.volume_fraction < alpha0)
-    small_set = set(small)
-    for cid in small:
-        for fid in mesh.cells[cid].face_ids:
-            nb = mesh.neighbor(cid, fid)
-            if nb is not None and nb in small_set:
-                raise MeshValidationError(
-                    f"stabilized cells {min(cid, nb)} and {max(cid, nb)} share face {fid}; "
-                    "adjacent small cells are not supported"
-                )
+    small = np.flatnonzero(mesh.cell_volume_fraction < alpha0)
+    slot, fids = _faces_of(mesh, small)
+    owner = small[slot]
+    left, right = mesh.face_left[fids], mesh.face_right[fids]
+    nb = np.where(left == owner, right, left)
+    is_small = np.zeros(mesh.num_cells + 1, dtype=bool)   # the extra entry answers nb = -1
+    is_small[small] = True
+    adjacent = np.flatnonzero(is_small[nb])
+    if len(adjacent):
+        a = adjacent[0]
+        cid, other = int(owner[a]), int(nb[a])
+        raise MeshValidationError(
+            f"stabilized cells {min(cid, other)} and {max(cid, other)} share face {fids[a]}; "
+            "adjacent small cells are not supported"
+        )
     if beta is not None:
-        for cid in small:
-            inflow = inflow_faces(mesh, cid, beta)
-            if len(inflow) != 1:
+        inflow = _inflow(mesh, owner, fids, beta)
+        count = np.bincount(slot[inflow], minlength=len(small))
+        wall = np.bincount(slot[inflow & (right < 0)], minlength=len(small))
+        bad = np.flatnonzero((count != 1) | (wall > 0))
+        if len(bad):
+            s = bad[0]
+            if count[s] != 1:
                 raise MeshValidationError(
-                    f"stabilized cell {cid} has {len(inflow)} inflow faces; exactly one required"
+                    f"stabilized cell {small[s]} has {count[s]} inflow faces; exactly one required"
                 )
-            if mesh.faces[inflow[0]].kind != "internal":
-                raise UnsupportedConfigurationError(
-                    f"stabilized cell {cid}: inflow face {inflow[0]} lies on the "
-                    "physical boundary"
-                )
-    return SmallCellSet(tuple(small), alpha0)
+            raise UnsupportedConfigurationError(
+                f"stabilized cell {small[s]}: inflow face {fids[(slot == s) & inflow][0]} lies "
+                "on the physical boundary"
+            )
+    return SmallCellSet(tuple(small.tolist()), alpha0)
 
 
 def orthogonal_projection(x, face):

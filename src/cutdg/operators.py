@@ -126,11 +126,11 @@ def unified_extend(u, space, cell_id, i, j, source):
     mirroring across the wall.  Configurations where both faces are walls are
     rejected.
     """
-    cell = space.mesh.cells[cell_id]
+    face_ids = space.mesh.cell_faces(cell_id).tolist()
     if i == j:
         raise CutDGError("face pair requires two distinct faces")
-    fid_i = cell.face_ids[i]
-    fid_j = cell.face_ids[j]
+    fid_i = face_ids[i]
+    fid_j = face_ids[j]
     face_i = space.mesh.faces[fid_i]
     face_j = space.mesh.faces[fid_j]
     if source == "E":

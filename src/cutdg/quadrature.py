@@ -174,14 +174,6 @@ def cho_solve_stacked(U, b):
     return x
 
 
-def mass_matrix(cell, basis):
-    """Gram matrix of the scaled monomials over the cut cell (per component)."""
-    pts, w = polygon_quadrature(cell.polygon, 2 * basis.degree + 2)
-    phi = monomial_values(basis.exps, basis.center(cell.id), basis.h, pts)
-    mat = phi.T @ (w[:, None] * phi)
-    return 0.5 * (mat + mat.T)
-
-
 class Basis:
     """Scaled monomial basis attached to a mesh's background cells."""
 
@@ -209,14 +201,21 @@ class Space:
     """Mesh + basis with cached quadrature rules and mass factorizations.
 
     Cells that coincide with their background cell share one reference rule,
-    one basis-value table and one mass factorization; cut cells get per-cell
-    rules built by fan triangulation.  The mass matrices of all cells are kept
-    stacked, shape (num_cells, n_modes, n_modes).
+    one basis-value table and one mass factorization; cut cells get their
+    own rules, by fan triangulation from the vertex mean (the rule of
+    :func:`polygon_quadrature`, same points in the same order).  The cut
+    cells' rules are built in one pass over the mesh's flat vertex arrays,
+    their basis values and gradients in one call each over all their
+    points, and their masses and mode integrals per group of cells with one
+    vertex count.  The mass matrices of all cells are kept stacked, shape
+    (num_cells, n_modes, n_modes).
 
     Every cell's quadrature points sit in one array ``quad_pts`` (weights
     ``quad_w``, owning cells ``quad_cells``): first the uncut cells, each
     with the reference rule's points, then the cut cells, both in ascending
-    cell order.  ``cell_pts[cid]`` and ``cell_w[cid]`` are views into it.
+    cell order.  ``cell_pts[cid]`` and ``cell_w[cid]`` are views into it,
+    and a cut cell's ``cell_phi[cid]`` and ``cell_grad[cid]`` are views into
+    the cut cells' stacked tables.
     The face tables are stacked arrays indexed by face id: ``face_pts``
     (faces, npts, 2), ``face_w`` (faces, npts) and the left and right cells'
     basis values ``face_phi_left`` / ``face_phi_right`` (faces, npts,
@@ -235,9 +234,8 @@ class Space:
         self.face_npts = degree + 2
 
         ncells = mesh.num_cells
-        self.uncut = np.array(
-            [abs(c.volume_fraction - 1.0) <= 1e-12 and len(c.polygon) == 4 for c in mesh.cells]
-        )
+        nv = np.diff(mesh.cell_offsets)
+        self.uncut = (np.abs(mesh.cell_volume_fraction - 1.0) <= 1e-12) & (nv == 4)
         uncut_ids = np.flatnonzero(self.uncut)
         self.cut_ids = cut_ids = np.flatnonzero(~self.uncut)
 
@@ -250,49 +248,66 @@ class Space:
         ref_mass = 0.5 * (ref_mass + ref_mass.T)
         self._ref_cho = cho_factor(ref_mass)
         self._ref_mass = ref_mass
+        self._uncut_weight = self.uncut.astype(float)
+        self._ref_mass_kron = {}
 
         # all cells' points in one array: the uncut cells' block, then the
-        # cut cells' fan rules
-        cut_rules = [polygon_quadrature(mesh.cells[cid].polygon, quad_degree) for cid in cut_ids]
-        nq = len(ref_w)
+        # cut cells' fan rules, nq_tri points per vertex
+        tri_pts, tri_w = triangle_rule(quad_degree)
+        nq, nq_tri = len(ref_w), len(tri_w)
         self._n_uncut_pts = n_uncut = len(uncut_ids) * nq
-        cut_npts = [len(w) for _, w in cut_rules]
-        bounds = n_uncut + np.concatenate([[0], np.cumsum(cut_npts, dtype=np.int64)])
+        cut_nv = nv[cut_ids]
+        bounds = n_uncut + np.concatenate([[0], np.cumsum(cut_nv * nq_tri)])
         self._cut_starts = bounds[:-1] - n_uncut
         self.quad_pts = np.empty((bounds[-1], 2))
         self.quad_w = np.empty(bounds[-1])
-        self.quad_cells = np.concatenate([np.repeat(uncut_ids, nq), np.repeat(cut_ids, cut_npts)])
+        self.quad_cells = np.concatenate(
+            [np.repeat(uncut_ids, nq), np.repeat(cut_ids, cut_nv * nq_tri)]
+        )
         uncut_pts = self.quad_pts[:n_uncut].reshape(len(uncut_ids), nq, 2)
         uncut_pts[:] = centers[uncut_ids][:, None, :] + ref_pts * h
         self.quad_w[:n_uncut] = np.tile(self._ref_w, len(uncut_ids))
 
+        # the cut cells' fan rules (see polygon_quadrature), tables, masses
+        # and mode integrals, one group of equal vertex count at a time
+        cut_pts, cut_w = self.quad_pts[n_uncut:], self.quad_w[n_uncut:]
+        groups = []   # (cut-cell positions, their point rows (cells, n nq_tri))
+        for n in np.unique(cut_nv).tolist():
+            g = np.flatnonzero(cut_nv == n)
+            rows = self._cut_starts[g][:, None] + np.arange(n * nq_tri)
+            groups.append((g, rows))
+            poly = mesh.cell_vertices[mesh.cell_offsets[cut_ids[g]][:, None] + np.arange(n)]
+            c = poly.mean(axis=1)[:, None, :]
+            a, b = poly - c, np.roll(poly, -1, axis=1) - c
+            jac = a[..., 0] * b[..., 1] - b[..., 0] * a[..., 1]
+            mapped = c[:, :, None] + tri_pts[:, :1] * a[:, :, None] + tri_pts[:, 1:] * b[:, :, None]
+            cut_pts[rows] = mapped.reshape(len(g), -1, 2)
+            cut_w[rows] = (tri_w * jac[..., None]).reshape(len(g), -1)
+        self._cut_phi = monomial_values(exps, centers[self.quad_cells[n_uncut:]], h, cut_pts)
+        cut_grad = monomial_gradients(exps, centers[self.quad_cells[n_uncut:]], h, cut_pts)
+        self.mass = np.empty((ncells, self.n_modes, self.n_modes))
+        self.mass[uncut_ids] = ref_mass
+        self.mode_integral = np.empty((ncells, self.n_modes))
+        self.mode_integral[uncut_ids] = self._ref_w @ self._ref_phi
+        for g, rows in groups:
+            phi, w = self._cut_phi[rows], cut_w[rows]
+            mat = np.swapaxes(phi, 1, 2) @ (w[..., None] * phi)
+            self.mass[cut_ids[g]] = 0.5 * (mat + np.swapaxes(mat, 1, 2))
+            self.mode_integral[cut_ids[g]] = (w[:, None, :] @ phi)[:, 0]
+        self._cut_factors = None
+
+        # per-cell views: the shared reference tables for uncut cells
         self.cell_pts = [None] * ncells
         self.cell_w = [self._ref_w] * ncells
         self.cell_phi = [self._ref_phi] * ncells
         self.cell_grad = [self._ref_grad] * ncells
         for cid, pts in zip(uncut_ids.tolist(), uncut_pts):
             self.cell_pts[cid] = pts
-        self.mass = np.empty((ncells, self.n_modes, self.n_modes))
-        self.mass[uncut_ids] = ref_mass
-        self.mode_integral = np.empty((ncells, self.n_modes))
-        self.mode_integral[uncut_ids] = self._ref_w @ self._ref_phi
-        cut_phi = [np.zeros((0, self.n_modes))]
-        for i, cid in enumerate(cut_ids.tolist()):
-            pts, w = cut_rules[i]
-            lo, hi = bounds[i], bounds[i + 1]
-            self.quad_pts[lo:hi] = pts
-            self.quad_w[lo:hi] = w
+        for cid, lo, hi in zip(cut_ids.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
             self.cell_pts[cid] = self.quad_pts[lo:hi]
             self.cell_w[cid] = self.quad_w[lo:hi]
-            phi = monomial_values(exps, centers[cid], h, pts)
-            self.cell_phi[cid] = phi
-            self.cell_grad[cid] = monomial_gradients(exps, centers[cid], h, pts)
-            mat = phi.T @ (w[:, None] * phi)
-            self.mass[cid] = 0.5 * (mat + mat.T)
-            self.mode_integral[cid] = w @ phi
-            cut_phi.append(phi)
-        self._cut_phi = np.concatenate(cut_phi)
-        self._cut_factors = None
+            self.cell_phi[cid] = self._cut_phi[lo - n_uncut:hi - n_uncut]
+            self.cell_grad[cid] = cut_grad[lo - n_uncut:hi - n_uncut]
 
         # face rules and trace tables, all faces at once
         x, w = _gauss_1d(self.face_npts)
@@ -302,11 +317,8 @@ class Space:
         self.face_pts = p[:, None, :] + t[None, :, None] * span[:, None, :]
         self.face_w = (0.5 * w)[None, :] * np.hypot(span[:, 0], span[:, 1])[:, None]
         self.face_phi_left = self._trace(self.face_pts, mesh.face_left)
-        self.face_phi_right = np.zeros_like(self.face_phi_left)
-        internal = mesh.face_right >= 0
-        self.face_phi_right[internal] = self._trace(
-            self.face_pts[internal], mesh.face_right[internal]
-        )
+        self.face_phi_right = self._trace(self.face_pts, np.maximum(mesh.face_right, 0))
+        self.face_phi_right[mesh.face_right < 0] = 0.0
 
     def _trace(self, pts, cells):
         """Basis values of ``cells[f]`` at the points ``pts[f]``, stacked."""
@@ -398,13 +410,21 @@ class Space:
     def l2_norm(self, u):
         """L2(domain) norm of u: the sum over cells of c^T M c.
 
-        The uncut cells share the reference mass, applied to all of them in
-        one product; only the cut cells use their stacked masses.
+        The uncut cells share the reference mass: the state, read as one
+        (cells, n_modes m) matrix without a copy, times the reference mass
+        (Kronecker the identity on the components) gives every cell's
+        c^T M_ref c, summed with weight 1 on the uncut cells and 0 on the
+        cut ones.  Only the cut cells use their stacked masses.
         """
         c = u.coeffs
-        full = c[self.uncut].transpose(1, 0, 2).reshape(self.n_modes, -1)
+        n, k, m = c.shape
+        kron = self._ref_mass_kron.get(m)
+        if kron is None:
+            kron = self._ref_mass_kron[m] = np.kron(self._ref_mass, np.eye(m))
+        flat = c.reshape(n, k * m)
+        full = np.einsum("c,ci,ci->", self._uncut_weight, flat @ kron, flat)
         cut = c[self.cut_ids]
-        total = np.vdot(full, self._ref_mass @ full) + np.vdot(cut, self.mass[self.cut_ids] @ cut)
+        total = full + np.vdot(cut, self.mass[self.cut_ids] @ cut)
         return np.sqrt(max(float(total), 0.0))
 
     def l2_error(self, u, f):

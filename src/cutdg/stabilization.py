@@ -51,7 +51,7 @@ def eta_values(mesh, small, alpha0, scale=1.0):
         raise ConfigurationError("eta scale must lie in [0, 1]")
     eta = np.zeros(mesh.num_cells)
     for cid in small:
-        alpha = mesh.cells[cid].volume_fraction
+        alpha = mesh.cell_volume_fraction[cid]
         eta[cid] = scale * (1.0 - min(1.0, alpha / alpha0))
     return eta
 
@@ -84,9 +84,8 @@ class CellForms:
     def __init__(self, space, spec, cell_id):
         mesh = space.mesh
         basis = space.basis
-        cell = mesh.cells[cell_id]
-        face_ids = list(cell.face_ids)
-        self.K = K = cell.num_faces
+        face_ids = mesh.cell_faces(cell_id).tolist()
+        self.K = K = len(face_ids)
         self.kappa = 2.0 / (K * (K - 1)) if K > 1 else 0.0
         # transposed flux matrices: values @ AnT[k] is the flux A_n u on face k
         self.AnT = np.stack([spec.A_n(mesh.outward_normal(cell_id, fid)).T for fid in face_ids])
@@ -99,7 +98,7 @@ class CellForms:
                     self.weights[i, j] = surface_weights(K, i, j)
 
         fine_faces = [
-            face_quadrature(mesh.faces[fid].p, mesh.faces[fid].q, space.face_npts + 3)
+            face_quadrature(mesh.face_p[fid], mesh.face_q[fid], space.face_npts + 3)
             for fid in face_ids
         ]
         face_rules = [
@@ -108,7 +107,7 @@ class CellForms:
         ]
         cell_rules = [
             (space.cell_pts[cell_id], space.cell_w[cell_id]),
-            polygon_quadrature(cell.polygon, 2 * space.degree + 4),
+            polygon_quadrature(mesh.cell_polygon(cell_id), 2 * space.degree + 4),
         ]
         exps, center, h, n = basis.exps, basis.center(cell_id), basis.h, basis.n_modes
         self.face_phi = [
@@ -175,10 +174,9 @@ def _wave_layout(mesh, cell_id):
     the neighbor's plain and of its mirrored extension (-1 where there is
     none).
     """
-    cell = mesh.cells[cell_id]
-    face_ids = list(cell.face_ids)
+    face_ids = mesh.cell_faces(cell_id).tolist()
     K = len(face_ids)
-    boundary = [mesh.faces[fid].kind == "boundary" for fid in face_ids]
+    boundary = (mesh.face_right[face_ids] < 0).tolist()
     nb = [mesh.neighbor(cell_id, fid) for fid in face_ids]
     if sum(boundary) >= 2:
         walls = [face_ids[k] for k in range(K) if boundary[k]]
@@ -288,7 +286,7 @@ def _pair_matrices(space, spec, diss, cell_ids, sources, pattern, weights, slot)
     # gradients at the cell points: the plain tables at the points
     # themselves, the mirrored ones at their feet on the wall line, with the
     # gradient's normal part dropped
-    fids = np.array([mesh.cells[cid].face_ids for cid in cell_ids])
+    fids = np.array([mesh.cell_faces(cid) for cid in cell_ids])
     nq = space.face_npts
     cell_pts = np.stack([space.cell_pts[cid] for cid in cell_ids])
     nc = cell_pts.shape[1]
@@ -298,9 +296,11 @@ def _pair_matrices(space, spec, diss, cell_ids, sources, pattern, weights, slot)
     # the projector onto the wall-normal velocity
     parts = np.broadcast_to(_I3, (B, 2, 3, 3)).copy()
     if wall >= 0:
-        faces = [mesh.faces[fid] for fid in fids[:, wall].tolist()]
-        normal = np.array([face.normal for face in faces])[:, None, None]
-        offset = np.array([face.line_offset for face in faces])[:, None, None, None]
+        wall_normal = mesh.face_normal[fids[:, wall]]
+        # each wall line's offset normal . p, taken as Face.line_offset takes it
+        offset = np.array([nrm @ p for nrm, p in zip(wall_normal, mesh.face_p[fids[:, wall]])])
+        normal = wall_normal[:, None, None]
+        offset = offset[:, None, None, None]
         at[:, n:] -= ((at[:, n:] * normal).sum(axis=-1, keepdims=True) - offset) * normal
         e_n = np.concatenate([np.zeros((B, 1)), normal[:, 0, 0]], axis=1)
         parts[:, 1] = -2.0 * (e_n[:, :, None] * e_n[:, None, :])
@@ -440,7 +440,7 @@ class WaveStabilization(_Penalty):
         # the face matrices of its faces, central part then dissipative part.
         # They come from face_matrices, as the base form's do, so at eta = 1
         # they cancel the base face terms bit for bit.
-        fids = np.unique([fid for cid in self.cell_ids for fid in mesh.cells[cid].face_ids])
+        fids = np.unique(np.concatenate([mesh.cell_faces(cid) for cid in self.cell_ids]))
         parts = [face_matrices(space, plan.spec, plan.diss, fids, central, not central)
                  for central in (True, False)]
         row = {fid: i for i, fid in enumerate(fids.tolist())}
@@ -449,7 +449,7 @@ class WaveStabilization(_Penalty):
             eta = self.eta[cid]
             A = eta * (self.surface[cid] + self.volume[cid] + self.dissipative[cid])
             dofs = {C: i * R + np.arange(R) for i, C in enumerate(cells[cid])}
-            for fid in mesh.cells[cid].face_ids:
+            for fid in mesh.cell_faces(cid).tolist():
                 face_cells = (mesh.face_left[fid], mesh.face_right[fid])
                 idx = np.concatenate([dofs[C] for C in face_cells if C >= 0])
                 for part in parts:
@@ -476,7 +476,7 @@ class _AdvectionCellContext:
     def __init__(self, space, spec, cell_id):
         mesh = space.mesh
         basis = space.basis
-        cell = mesh.cells[cell_id]
+        face_ids = mesh.cell_faces(cell_id).tolist()
         beta = spec.beta
         inflow = inflow_faces(mesh, cell_id, beta)
         if len(inflow) != 1:
@@ -484,12 +484,12 @@ class _AdvectionCellContext:
                 f"stabilized cell {cell_id} has {len(inflow)} inflow faces; "
                 "the advection penalty requires exactly one"
             )
-        if mesh.faces[inflow[0]].kind != "internal":
+        if mesh.face_right[inflow[0]] < 0:
             raise UnsupportedConfigurationError(
                 f"stabilized cell {cell_id}: inflow face {inflow[0]} lies on the boundary"
             )
         up = mesh.neighbor(cell_id, inflow[0])
-        nb = [mesh.neighbor(cell_id, fid) for fid in cell.face_ids]
+        nb = [mesh.neighbor(cell_id, fid) for fid in face_ids]
         self.cells = sorted({cell_id, up} | {C for C in nb if C is not None})
         k = space.n_modes
         n = len(self.cells) * k
@@ -507,7 +507,7 @@ class _AdvectionCellContext:
 
         self.outflow = np.zeros((n, n))
         self.boundary_outflow = np.zeros(n)
-        for fid, C in zip(cell.face_ids, nb):
+        for fid, C in zip(face_ids, nb):
             bn_plus = max(float(beta @ mesh.outward_normal(cell_id, fid)), 0.0)
             if bn_plus == 0.0:
                 continue

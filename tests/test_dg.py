@@ -319,3 +319,36 @@ def test_closed_form_matrices_match_probed_kernels(equation, degree, min_alpha):
     for cid in cids.tolist():
         oracle = local_matrix(lambda u: volume_terms(plan, cid, u), [cid], plan.shape)
         assert np.abs(closed[cid] - oracle).max() <= 1e-13 * np.abs(oracle).max(), cid
+
+
+@pytest.mark.parametrize("case", ["stability-sliver", "ramp-acoustics-r1-1e-6-nx128"])
+def test_setup_and_steps_build_no_cell_or_face_records(case, monkeypatch):
+    # the mesh is its arrays: setup and stepping read them, never a record
+    from pathlib import Path
+
+    from cutdg.config import load_config
+    from cutdg.experiments import build_context, make_rhs, ramp_config
+    from cutdg.geometry import CutCell, Face
+    from cutdg.stepping import TimeControls, evolve
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cell or face record built")
+
+    monkeypatch.setattr(CutCell, "__init__", forbidden)
+    monkeypatch.setattr(Face, "__init__", forbidden)
+    if case == "stability-sliver":
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        cfg = load_config(str(configs / "stability-sliver.cfg"))
+    else:
+        cfg = ramp_config("acoustics", 1, 1e-6, nx=128)
+    ctx = build_context(cfg)
+    assert len(ctx.small) > 0
+    rhs = make_rhs(ctx)
+    u0 = ctx.space.zeros(ctx.spec.m)
+    u0.coeffs[:] = np.random.default_rng(5).uniform(-1, 1, size=u0.coeffs.shape)
+    dt = TimeControls(1.0).dt(ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree)
+    result = evolve(ctx.space, u0, rhs, TimeControls(3 * dt), ctx.spec.lambda_max)
+    assert result.steps == 3
+    assert np.all(np.isfinite(result.final.coeffs))
+    with pytest.raises(AssertionError, match="record built"):
+        ctx.mesh.cells[0]

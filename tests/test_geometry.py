@@ -4,15 +4,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import percell_mesh
 from conftest import ramp_mesh, uncut_mesh
+from percell_mesh import clip_polygon
 from cutdg.errors import ConfigurationError, MeshValidationError
 from cutdg.geometry import (
+    SNAP_FRAC,
     BackgroundMesh,
     Geometry,
     HalfPlane,
     build_mesh,
     classify_small_cells,
-    clip_polygon,
     halfplane_from_line,
     inflow_faces,
     orthogonal_projection,
@@ -344,3 +346,181 @@ def test_mesh_arrays_match_face_and_cell_objects():
         assert np.array_equal(mesh.cell_centers[cell.id], mesh.bg.cell_center(*cell.ij))
         assert mesh.cell_at(*cell.ij) == cell.id
     assert mesh.cell_at(-1, 0) is None and mesh.cell_at(0, 8) is None
+
+
+# ------------------------------------------- array mesh vs the per-cell oracle
+
+
+def _ramp_case(nx, slope, offset):
+    return BackgroundMesh(0, 0, 1, 1, nx, nx), Geometry((halfplane_from_line(slope, offset),))
+
+
+def _config_case(name):
+    from cutdg.config import load_config
+
+    cfg = load_config(str(CONFIGS / name))
+    return cfg.background(), cfg.geometry()
+
+
+SNAP_NEAR = 0.4 * SNAP_FRAC / 4   # within SNAP_FRAC * h of a vertex at nx = 4
+ORACLE_CASES = {
+    **{f"ramp-nx{nx}-slope{slope}-offset{offset:.4g}": (nx, slope, offset)
+       for nx in (4, 16)
+       for slope in (0.0, 0.3, 0.75, 1.0, 2.5)
+       # 0.5 puts the horizontal line on a grid line and the slope-1 line
+       # through grid vertices
+       for offset in (0.0, 1.3 / nx, 0.3, 0.5)},
+    **{f"ramp-nx128-slope{slope}": (128, slope, 1.3 / 128) for slope in (0.0, 0.3, 0.75, 1.0, 2.5)},
+    # y = 0.25 + 0.5 x passes through the grid vertex (0.5, 0.5) at nx = 4
+    "ramp-through-vertex": (4, 0.5, 0.25),
+    "ramp-snap-above-vertex": (4, 0.5, 0.25 + SNAP_NEAR),
+    "ramp-snap-below-vertex": (4, 0.5, 0.25 - SNAP_NEAR),
+    "wedge-two": (16, (halfplane_from_line(0.4, 0.2),
+                       halfplane_from_line(-1.2, 1.1, keep_above=False))),
+    # apex on the grid vertex (0.5, 0.5)
+    "wedge-two-apex-on-vertex": (4, (halfplane_from_line(0.5, 0.25),
+                                     halfplane_from_line(-1.5, 1.25, keep_above=False))),
+    "wedge-three": (16, (halfplane_from_line(0.4, 0.2),
+                         halfplane_from_line(-1.2, 1.1, keep_above=False),
+                         HalfPlane(1.0, 0.0, 0.0625 + 0.3 / 16))),
+    "wedge-three-nx128": (128, (halfplane_from_line(0.4, 0.2),
+                                halfplane_from_line(-1.2, 1.1, keep_above=False),
+                                HalfPlane(1.0, 0.0, 0.0625 + 0.3 / 128))),
+    **{name: name for name in sorted(p.name for p in CONFIGS.glob("*.cfg"))},
+    "ramp-acoustics-r1-1e-6-nx128": "ramp-acoustics-r1-1e-6-nx128",
+}
+
+
+def _oracle_case(spec):
+    if isinstance(spec, str):
+        return _recorded_bg_geometry(spec)
+    if len(spec) == 2:
+        nx, constraints = spec
+        return BackgroundMesh(0, 0, 1, 1, nx, nx), Geometry(constraints)
+    return _ramp_case(*spec)
+
+
+def _recorded_bg_geometry(name):
+    from cutdg.experiments import ramp_config
+
+    if name.endswith(".cfg"):
+        return _config_case(name)
+    cfg = ramp_config("acoustics", 1, 1e-6, nx=128)
+    return cfg.background(), cfg.geometry()
+
+
+def _oracle_arrays(oracle):
+    """The oracle's cell and face records laid out as the mesh's arrays."""
+    cells, faces = oracle.cells, oracle.faces
+    return {
+        "cell_ij": oracle.cell_ij,
+        "cell_vertices": np.concatenate([c.polygon for c in cells]),
+        "cell_offsets": np.cumsum([0] + [len(c.polygon) for c in cells]),
+        "cell_face_ids": np.concatenate([c.face_ids for c in cells]),
+        "cell_area": np.array([c.area for c in cells]),
+        "cell_volume_fraction": np.array([c.volume_fraction for c in cells]),
+        "face_p": np.array([f.p for f in faces]),
+        "face_q": np.array([f.q for f in faces]),
+        "face_normal": np.array([f.normal for f in faces]),
+        "face_left": np.array([f.left_cell for f in faces]),
+        "face_right": np.array([-1 if f.right_cell is None else f.right_cell for f in faces]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_array_mesh_matches_percell_oracle_bitwise(name):
+    bg, geometry = _oracle_case(ORACLE_CASES[name])
+    mesh = build_mesh(bg, geometry)
+    oracle = percell_mesh.build_mesh(bg, geometry)
+    for key, expected in _oracle_arrays(oracle).items():
+        got = getattr(mesh, key)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, key
+        assert got.tobytes() == expected.tobytes(), key
+    assert np.array_equal(mesh._cell_grid, oracle.cell_grid)
+    if mesh.num_cells > 1000:
+        return
+    # the on-demand records hold the oracle's fields and values
+    assert len(mesh.cells) == len(oracle.cells) and len(mesh.faces) == len(oracle.faces)
+    for cell, ref in zip(mesh.cells, oracle.cells):
+        assert (cell.id, cell.ij, cell.area, cell.volume_fraction, cell.face_ids) == (
+            ref.id, ref.ij, ref.area, ref.volume_fraction, ref.face_ids)
+        assert type(cell.area) is float and type(cell.face_ids[0]) is int
+        assert cell.polygon.tobytes() == ref.polygon.tobytes()
+    for face, ref in zip(mesh.faces, oracle.faces):
+        assert (face.id, face.kind, face.left_cell, face.right_cell) == (
+            ref.id, ref.kind, ref.left_cell, ref.right_cell)
+        for a, b in ((face.p, ref.p), (face.q, ref.q), (face.normal, ref.normal)):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("error, geometry", [
+    (ConfigurationError, Geometry((HalfPlane(1.0, 0.0, 5.0),))),
+    # a line just off a grid line leaves cells 9 and 13 touching along it
+    # without an overlap longer than the drop tolerance
+    (MeshValidationError,
+     Geometry((HalfPlane(-0.0210651008777133, -0.9997781061440643, -0.7603661300461549),))),
+])
+def test_array_mesh_raises_as_percell_oracle(error, geometry):
+    bg = BackgroundMesh(0, 0, 1, 1, 4, 4)
+    with pytest.raises(error) as expected:
+        percell_mesh.build_mesh(bg, geometry)
+    with pytest.raises(error) as got:
+        build_mesh(bg, geometry)
+    assert str(got.value) == str(expected.value)
+
+
+def test_record_views_index_like_lists():
+    mesh = ramp_mesh(nx=4, ny=4)
+    cells, faces = mesh.cells, mesh.faces
+    assert len(cells) == mesh.num_cells and len(faces) == len(mesh.face_left)
+    assert cells[-1].id == mesh.num_cells - 1 and faces[-1].id == len(faces) - 1
+    assert cells[np.int64(2)].id == 2
+    assert [c.id for c in cells[1:7:2]] == [1, 3, 5]
+    assert [f.id for f in faces[:3]] == [0, 1, 2]
+    assert [c.id for c in cells] == list(range(mesh.num_cells))
+    for index in (mesh.num_cells, -mesh.num_cells - 1):
+        with pytest.raises(IndexError):
+            cells[index]
+    # records view the mesh's arrays, which are read-only
+    with pytest.raises(ValueError):
+        cells[0].polygon[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("slope, offset, nx", [(0.75, None, 16), (0.3, 0.115, 4), (2.5, 0.02, 16)])
+@pytest.mark.parametrize("alpha0", [0.05, 0.25, 0.45])
+@pytest.mark.parametrize("beta", [None, (1.0, 0.2), (-1.0, -0.2), (0.0, 1.0), (1.0, -0.3)])
+def test_small_cell_selection_matches_record_walk(slope, offset, nx, alpha0, beta):
+    # same ids, or the same error with the same first offender
+    mesh = ramp_mesh(nx=nx, ny=nx, slope=slope, offset=offset)
+    try:
+        expected = percell_mesh.classify_small_cells(mesh, alpha0, beta)
+    except Exception as exc:   # the oracle's error is the expectation
+        with pytest.raises(type(exc)) as got:
+            classify_small_cells(mesh, alpha0, beta)
+        assert str(got.value) == str(exc)
+        return
+    small = classify_small_cells(mesh, alpha0, beta)
+    assert small.cell_ids == tuple(expected)
+    assert all(type(cid) is int and cid in small for cid in small)
+    if beta is not None:
+        for cid in small:
+            assert inflow_faces(mesh, cid, beta) == percell_mesh.inflow_faces(mesh, cid, beta)
+
+
+def test_mesh_is_freed_with_its_last_reference():
+    # no reference cycle: a dropped mesh does not wait for the cyclic
+    # garbage collector, which setup, making few objects, seldom triggers
+    import gc
+    import weakref
+
+    mesh = ramp_mesh(nx=8, ny=8)
+    assert mesh.cells[0].id == 0 and mesh.faces[0].id == 0
+    ref = weakref.ref(mesh)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del mesh
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

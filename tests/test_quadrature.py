@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import polygon_monomial_integral, ramp_mesh, uncut_mesh
+from percell_mesh import mass_matrix
 from cutdg.geometry import BackgroundMesh, Geometry, build_mesh
 from cutdg.quadrature import (
     Basis,
     Space,
     face_quadrature,
-    mass_matrix,
     mode_exponents,
     monomial_gradients,
     monomial_values,
@@ -334,3 +334,33 @@ def test_l2_norm_matches_stacked_mass_formula(degree):
         stacked = np.sqrt(np.vdot(coeffs, space.mass @ coeffs))
         norm = space.l2_norm(DGFunction(coeffs, degree))
         assert abs(norm - stacked) <= 1e-14 * stacked
+
+
+def _wedge_space(degree):
+    from cutdg.geometry import HalfPlane, halfplane_from_line
+
+    # cut cells with three, four and five vertices
+    geometry = Geometry((halfplane_from_line(0.4, 0.2),
+                         halfplane_from_line(-1.2, 1.1, keep_above=False),
+                         HalfPlane(1.0, 0.0, 0.0625 + 0.3 / 16)))
+    return Space(build_mesh(BackgroundMesh(0, 0, 1, 1, 16, 16), geometry), degree)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("case", ["ramp-1e-2", "ramp-1e-8", "wedge"])
+def test_batched_cut_cell_tables_match_percell_oracle_bitwise(degree, case):
+    # every cut cell's fan rule, value and gradient tables, mass and mode
+    # integrals, against polygon_quadrature + monomial_values cell by cell
+    from percell_mesh import cut_cell_tables
+
+    space = _wedge_space(degree) if case == "wedge" else _ramp_space(degree, float(case[5:]))
+    assert len(space.cut_ids)
+    for cid in space.cut_ids.tolist():
+        pts, w, phi, grad, mass, integral = cut_cell_tables(space.mesh.cells[cid], space.basis)
+        for got, expected in ((space.cell_pts[cid], pts), (space.cell_w[cid], w),
+                              (space.cell_phi[cid], phi), (space.cell_grad[cid], grad),
+                              (space.mass[cid], mass), (space.mode_integral[cid], integral)):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    counts = np.diff(space.mesh.cell_offsets)[space.cut_ids]
+    if case == "wedge":
+        assert set(counts.tolist()) >= {3, 4, 5}
