@@ -204,11 +204,11 @@ class Space:
     one basis-value table and one mass factorization; cut cells get their
     own rules, by fan triangulation from the vertex mean (the rule of
     :func:`polygon_quadrature`, same points in the same order).  The cut
-    cells' rules are built in one pass over the mesh's flat vertex arrays,
-    their basis values and gradients in one call each over all their
-    points, and their masses and mode integrals per group of cells with one
-    vertex count.  The mass matrices of all cells are kept stacked, shape
-    (num_cells, n_modes, n_modes).
+    cells' rules, masses and mode integrals are built from the mesh's flat
+    vertex arrays per group of cells with one vertex count, and their basis
+    values and gradients in one call each over all their points.  The mass
+    matrices of all cells are kept stacked, shape (num_cells, n_modes,
+    n_modes).
 
     Every cell's quadrature points sit in one array ``quad_pts`` (weights
     ``quad_w``, owning cells ``quad_cells``): first the uncut cells, each
