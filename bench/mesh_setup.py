@@ -1,14 +1,18 @@
-"""Time the cut-cell mesh, the quadrature space and the whole setup on fine ramp meshes.
+"""Time the setup layers (mesh, quadrature space, assembly, folded operator) on fine meshes.
 
-    python3 bench/mesh_setup.py --side change [--src src] [--out bench/BENCH_11_setup.json]
+    python3 bench/mesh_setup.py --side change [--src src] [--out bench/BENCH_12_setup.json]
     python3 bench/mesh_setup.py --side parent --src <checkout of the parent>/src
 
-Each case takes ``ramp_config("acoustics", r, alpha, nx)`` and times, 5
-times each, ``build_mesh(cfg.background(), cfg.geometry())``,
-``Space(mesh, r)`` and ``make_rhs(build_context(cfg))``, and records the
-best and the median of each.  The cases are nx=128 with r=1, alpha=1e-6
-(the ``setup-checks`` fine-acoustics mesh) and with r=3, alpha=1e-2.  Each
-case also records the mesh's cell, cut-cell and face counts.  After both
+Each case times, 5 times each, ``build_mesh(cfg.background(),
+cfg.geometry())``, ``Space(mesh, r)``, ``AssemblyPlan(space, spec, diss)``,
+``SemiDiscreteOperator(plan, stab)`` on the case's context, and
+``make_rhs(build_context(cfg))``, and records the best and the median of
+each.  The cases are ``ramp_config("acoustics", r, alpha, nx=128)`` with
+r=1, alpha=1e-6 (the ``setup-checks`` fine-acoustics mesh) and with r=3,
+alpha=1e-2, and ``configs/convergence-advection.cfg`` at r=2, nx=64 (the
+finest ``refine-advection`` level of the ``stepping`` workload).  Each case
+also records the mesh's cell, cut-cell and face counts and the number of
+(k m, k m) blocks of the folded operator's block-sparse part.  After all
 cases the process's peak resident set (``ru_maxrss``) is recorded.  The
 result is stored under ``--side`` in the ``--out`` JSON file, so one file
 holds both sides of a comparison; the package is imported from ``--src``.
@@ -29,8 +33,9 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = ((1, 1e-6, 128), (3, 1e-2, 128))
+CASES = (("acoustics", 1, 1e-6, 128), ("acoustics", 3, 1e-2, 128), ("advection", 2, None, 64))
 REPEATS = 5
+LAYERS = ("build_mesh", "space", "assembly_plan", "semi_discrete_operator", "build_context_make_rhs")
 
 
 def timed(build):
@@ -43,25 +48,44 @@ def timed(build):
     return result, {"best_s": min(times), "median_s": statistics.median(times), "times_s": times}
 
 
-def measure(degree, alpha, nx):
-    from cutdg.experiments import build_context, make_rhs, ramp_config
+def case_config(equation, degree, alpha, nx):
+    """A ramp config, or for advection the shipped refinement config at one level."""
+    from cutdg.config import load_config
+    from cutdg.experiments import ramp_config
+
+    if equation == "acoustics":
+        return ramp_config(equation, degree, alpha, nx=nx)
+    cfg = load_config(str(ROOT / "configs" / "convergence-advection.cfg"))
+    cfg.degree, cfg.nx, cfg.ny = degree, nx, nx
+    return cfg
+
+
+def measure(equation, degree, alpha, nx):
+    from cutdg.dg import AssemblyPlan, SemiDiscreteOperator
+    from cutdg.experiments import build_context, make_rhs
     from cutdg.geometry import build_mesh
     from cutdg.quadrature import Space
 
-    cfg = ramp_config("acoustics", degree, alpha, nx=nx)
+    cfg = case_config(equation, degree, alpha, nx)
     mesh, mesh_times = timed(lambda: build_mesh(cfg.background(), cfg.geometry()))
     space, space_times = timed(lambda: Space(mesh, degree))
+    ctx = build_context(cfg)
+    _, plan_times = timed(lambda: AssemblyPlan(ctx.space, ctx.spec, ctx.diss))
+    op, op_times = timed(lambda: SemiDiscreteOperator(ctx.plan, ctx.stab))
     _, setup_times = timed(lambda: make_rhs(build_context(cfg)))
     return {
-        "equation": "acoustics",
+        "equation": equation,
         "degree": degree,
         "min_alpha": alpha,
         "nx": nx,
         "cells": mesh.num_cells,
         "cut_cells": len(space.cut_ids),
         "faces": len(mesh.face_left),
+        "bsr_blocks": int(op.coupling.indices.size),
         "build_mesh": mesh_times,
         "space": space_times,
+        "assembly_plan": plan_times,
+        "semi_discrete_operator": op_times,
         "build_context_make_rhs": setup_times,
     }
 
@@ -70,7 +94,7 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--side", required=True, help="label of this run, e.g. parent or change")
     p.add_argument("--src", default=str(ROOT / "src"), help="directory holding the cutdg package")
-    p.add_argument("--out", default=str(ROOT / "bench" / "BENCH_11_setup.json"))
+    p.add_argument("--out", default=str(ROOT / "bench" / "BENCH_12_setup.json"))
     args = p.parse_args(argv)
 
     sys.path.insert(0, str(Path(args.src).resolve()))
@@ -78,9 +102,10 @@ def main(argv=None):
 
     results = [measure(*case) for case in CASES]
     for res in results:
-        print(f"{args.side}: r={res['degree']} alpha={res['min_alpha']:g} nx={res['nx']} "
+        print(f"{args.side}: {res['equation']} r={res['degree']} nx={res['nx']} "
+              f"blocks={res['bsr_blocks']}  "
               + "  ".join(f"{key} best={res[key]['best_s']:.4f} median={res[key]['median_s']:.4f} s"
-                          for key in ("build_mesh", "space", "build_context_make_rhs")))
+                          for key in LAYERS))
     maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"{args.side}: ru_maxrss {maxrss_mb:.1f} MB")
     out = Path(args.out)

@@ -45,6 +45,8 @@ def best_of(build):
 
 
 def measure(equation, degree, alpha, nx):
+    import numpy as np
+
     from cutdg.dg import AssemblyPlan
     from cutdg.experiments import build_context, ramp_config
     from cutdg.geometry import classify_small_cells
@@ -68,12 +70,12 @@ def measure(equation, degree, alpha, nx):
         "stabilized_cells": len(small),
         "plan_best_s": min(plan_times),
         "plan_times_s": plan_times,
-        "plan_coupling_nnz": int(plan.coupling.nnz),
+        "plan_coupling_nnz": int(np.count_nonzero(plan.coupling.data)),
         "plan_bsr_blocks": int(plan.coupling.tobsr(blocksize=(km, km)).indices.size),
         "best_s": min(times),
         "times_s": times,
-        "penalty_nnz": int(matrix.nnz),
-        "coupling_nnz": int((ctx.plan.coupling + matrix).nnz),
+        "penalty_nnz": int(np.count_nonzero(matrix.data)),
+        "coupling_nnz": int(np.count_nonzero((ctx.plan.coupling + matrix).data)),
     }
 
 

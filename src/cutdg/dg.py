@@ -4,7 +4,7 @@ The residual array holds the bilinear form paired against every test mode,
 shape (num_cells, n_modes, m).  Time stepping uses du/dt = -M^{-1} residual.
 
 The form is linear and constant in time, so it is assembled once, from local
-matrices built in closed form from ``Space``'s stacked tables: each face
+matrices built in closed form from ``Space``'s tables: each face
 term is a trace Gram matrix phi_x^T W phi_y Kronecker an m x m flux matrix
 (:func:`~cutdg.systems.flux_matrices`), built for any set of faces by
 :func:`face_matrices`, and each cell's volume term is
@@ -18,9 +18,9 @@ faces as its cancellation blocks.
   matrix; it is built once on a representative and applied to all of them
   by one gather, one matmul per group and one scatter (a 0/1 sparse
   matrix), through work buffers allocated once.
-* Everything touching a cut cell (its volume term, each of its faces) goes
-  into one CSR matrix, to which :class:`SemiDiscreteOperator` adds the
-  small-cell penalty.
+* Everything touching a cut cell (its volume term, each of its faces) is
+  kept as (k m, k m) cell blocks, which :class:`SemiDiscreteOperator` sums
+  with the small-cell penalty's blocks into one block-sparse matrix.
 
 :class:`SemiDiscreteOperator` folds the mass inverse into both parts once,
 by Cholesky solves on their row blocks, so applying it runs the same
@@ -38,27 +38,35 @@ from .errors import ConfigurationError
 from .systems import flux_matrices
 
 
-def block_csr(entries, num_cells, shape):
-    """CSR matrix summing local matrices ``(cells, A)`` into the global dofs.
+def local_blocks(cells, A):
+    """(row cells, column cells, (k m, k m) blocks) triplets of the local
+    matrices ``A`` (n, s k m, s k m) over the cells ``cells`` (n, s)."""
+    n, s = cells.shape
+    km = A.shape[-1] // s
+    blocks = A.reshape(n, s, km, s, km).swapaxes(2, 3).reshape(-1, km, km)
+    return np.repeat(cells, s, axis=1).ravel(), np.tile(cells, (1, s)).ravel(), blocks
 
-    ``cells`` lists s cells and ``A`` is their (s k m, s k m) matrix, or both
-    carry a leading stack axis, (n, s) and (n, s k m, s k m).  Exact zeros
-    (component couplings the system matrices do not have) are left out.
+
+def block_matrix(triplets, num_cells, fold=None):
+    """BSR matrix summing ``(rows, cols, blocks)`` triplets over the global dofs.
+
+    Blocks at one (row cell, column cell) position are summed in the order
+    given; a sum that is exactly zero (a component or upwind coupling the
+    system does not have) is left out.  ``fold(blocks, rows)``, if given,
+    maps the summed blocks, sorted by row cell, before they are stored.
     """
-    km = shape[0] * shape[1]
-    rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for cells, A in entries:
-        cells = np.asarray(cells)
-        flat = cells.shape[:-1] + (cells.shape[-1] * km,)
-        dofs = (cells[..., None] * km + np.arange(km)).reshape(flat)
-        *stack, r, c = np.nonzero(A)
-        rows.append(dofs[(*stack, r)])
-        cols.append(dofs[(*stack, c)])
-        vals.append(A[(*stack, r, c)])
-    n = num_cells * km
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
+    rows, cols, blocks = (np.concatenate(part) for part in zip(*triplets))
+    km = blocks.shape[-1]
+    key, slot = np.unique(rows * num_cells + cols, return_inverse=True)
+    # the 0/1 matrix that sums each position's blocks, in the order given
+    adder = sparse.csr_matrix((np.ones(len(slot)), (slot, np.arange(len(slot)))),
+                              shape=(len(key), len(slot)))
+    blocks = (adder @ blocks.reshape(-1, km * km)).reshape(-1, km, km)
+    kept = blocks.any(axis=(1, 2))
+    rows, cols = np.divmod(key[kept], num_cells)
+    blocks = blocks[kept] if fold is None else fold(blocks[kept], rows)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=num_cells))])
+    return sparse.bsr_matrix((blocks, cols, indptr), shape=(num_cells * km,) * 2)
 
 
 def face_matrices(space, spec, diss, fids, central=True, dissipative=True):
@@ -76,7 +84,7 @@ def face_matrices(space, spec, diss, fids, central=True, dissipative=True):
     flux = np.stack(flux_matrices(
         spec, diss, mesh.face_normal[fids], mesh.face_right[fids] < 0, central, dissipative
     ), axis=1)
-    phi = np.stack([space.face_phi_left[fids], space.face_phi_right[fids]], axis=1)
+    phi = np.stack(space.face_traces(fids), axis=1)
     wphi = space.face_w[fids][:, None, :, None] * phi
     gram = np.swapaxes(phi, -1, -2)[:, :, None] @ wphi[:, None]
     gram[:, 1] *= -1.0
@@ -105,8 +113,9 @@ class AssemblyPlan:
 
     ``shared`` holds the full-cell couplings as (cells, A) pairs: ``cells``
     is an (n, s) array, one row per face or cell, and ``A`` the local matrix
-    common to all rows.  ``coupling`` is the CSR matrix of every coupling
-    that touches a cut cell.
+    common to all rows.  ``blocks`` holds every coupling that touches a cut
+    cell as (row cells, column cells, blocks) triplets
+    (:func:`local_blocks`); ``coupling`` is their sum as a sparse matrix.
     """
 
     def __init__(self, space, spec, diss):
@@ -157,10 +166,13 @@ class AssemblyPlan:
         self._work = np.empty((2, len(rows), km))
 
         ungrouped = np.flatnonzero(~grouped)
-        entries = [(self.cut_ids[:, None], volume_matrices(space, spec, self.cut_ids))]
-        entries += [face_entry(fids) for fids in (ungrouped[internal[ungrouped]],
-                                                  ungrouped[~internal[ungrouped]]) if len(fids)]
-        self.coupling = block_csr(entries, mesh.num_cells, self.shape)
+        self.blocks = [local_blocks(self.cut_ids[:, None], volume_matrices(space, spec, self.cut_ids))]
+        self.blocks += [local_blocks(*face_entry(fids)) for fids in (
+            ungrouped[internal[ungrouped]], ungrouped[~internal[ungrouped]]) if len(fids)]
+
+    @property
+    def coupling(self):
+        return block_matrix(self.blocks, self.space.mesh.num_cells)
 
     # ------------------------------------------------------------------
     def apply(self, coeffs, shared, coupling):
@@ -184,7 +196,7 @@ class AssemblyPlan:
         return res.reshape(coeffs.shape)
 
     def residual(self, coeffs, coupling=None):
-        """Form applied to a coefficient array; ``coupling`` replaces the CSR part."""
+        """Form applied to a coefficient array; ``coupling`` replaces the sparse part."""
         space = self.space
         expected = (space.mesh.num_cells, space.n_modes, self.spec.m)
         if coeffs.shape != expected:
@@ -200,9 +212,10 @@ class SemiDiscreteOperator:
     The mass inverse is applied to the matrices at construction, block row
     by block row, with Cholesky solves (never an explicit inverse): each
     shared full-cell local matrix with the reference factor, and the sum of
-    B's cut-cell couplings and the penalty S (``stab.matrix()``), as a BSR
-    matrix of (k m, k m) cell blocks, with each block row's own factor.  A
-    call is then one apply of the plan's groups and one block-sparse product.
+    B's cut-cell couplings and the penalty S, summed from their block
+    triplets (``plan.blocks``, ``stab.blocks()``) into a BSR matrix of
+    (k m, k m) cell blocks, with each block row's own factor.  A call is
+    then one apply of the plan's groups and one block-sparse product.
     Construction factors every cut-cell mass matrix, so a singular one is
     reported before the first step.
     """
@@ -211,7 +224,6 @@ class SemiDiscreteOperator:
         self.plan = plan
         self.stab = stab
         k, m = plan.shape
-        km = k * m
 
         def fold(blocks, cells):
             """-M^{-1} applied to stacked rows: row block i (k m rows) is cells[i]'s."""
@@ -221,13 +233,8 @@ class SemiDiscreteOperator:
         # every cell of a group is uncut (reference mass), so folding the
         # representative row serves the whole group
         self.shared = [(cells, fold(A, cells[0])) for cells, A in plan.shared]
-        coupling = plan.coupling if stab is None else plan.coupling + stab.matrix()
-        coupling = coupling.tobsr(blocksize=(km, km))
-        block_rows = np.repeat(np.arange(plan.space.mesh.num_cells), np.diff(coupling.indptr))
-        self.coupling = sparse.bsr_matrix(
-            (fold(coupling.data, block_rows), coupling.indices, coupling.indptr),
-            shape=coupling.shape,
-        )
+        triplets = plan.blocks + ([] if stab is None else stab.blocks())
+        self.coupling = block_matrix(triplets, plan.space.mesh.num_cells, fold)
         plan.space.cut_mass_factors()
 
     def __call__(self, coeffs):
@@ -248,7 +255,7 @@ def boundary_outflow_weights(space, spec):
     wall = np.flatnonzero(mesh.face_right < 0)
     n = mesh.face_normal[wall]
     bn = np.maximum(spec.beta[0] * n[:, 0] + spec.beta[1] * n[:, 1], 0.0)
-    face_g = bn[:, None] * np.einsum("fq,fqk->fk", space.face_w[wall], space.face_phi_left[wall])
+    face_g = bn[:, None] * np.einsum("fq,fqk->fk", space.face_w[wall], space.face_traces(wall)[0])
     g = np.zeros((mesh.num_cells, space.n_modes, 1))
     np.add.at(g[:, :, 0], mesh.face_left[wall], face_g)
     return g

@@ -59,12 +59,6 @@ class BackgroundMesh:
         h = self.h
         return np.array([self.x0 + (i + 0.5) * h, self.y0 + (j + 0.5) * h])
 
-    def cell_box(self, i, j):
-        h = self.h
-        x = self.x0 + i * h
-        y = self.y0 + j * h
-        return np.array([[x, y], [x + h, y], [x + h, y + h], [x, y + h]])
-
     def cell_boxes(self):
         """Every cell's box, shape (ny * nx, 4, 2), in row-major (j, i) order."""
         h = self.h
@@ -236,9 +230,6 @@ class Face:
     def line_offset(self):
         """Offset d of the carrying line {x . normal = d}."""
         return float(self.normal @ self.p)
-
-    def midpoint(self):
-        return 0.5 * (self.p + self.q)
 
 
 @dataclass

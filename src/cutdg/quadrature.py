@@ -14,6 +14,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import CutDGError
+from .geometry import _Records
 
 
 def mode_exponents(degree):
@@ -193,9 +194,6 @@ class Basis:
     def values(self, cell_id, pts):
         return monomial_values(self.exps, self.center(cell_id), self.h, pts)
 
-    def gradients(self, cell_id, pts):
-        return monomial_gradients(self.exps, self.center(cell_id), self.h, pts)
-
 
 class Space:
     """Mesh + basis with cached quadrature rules and mass factorizations.
@@ -213,13 +211,12 @@ class Space:
     Every cell's quadrature points sit in one array ``quad_pts`` (weights
     ``quad_w``, owning cells ``quad_cells``): first the uncut cells, each
     with the reference rule's points, then the cut cells, both in ascending
-    cell order.  ``cell_pts[cid]`` and ``cell_w[cid]`` are views into it,
-    and a cut cell's ``cell_phi[cid]`` and ``cell_grad[cid]`` are views into
-    the cut cells' stacked tables.
-    The face tables are stacked arrays indexed by face id: ``face_pts``
-    (faces, npts, 2), ``face_w`` (faces, npts) and the left and right cells'
-    basis values ``face_phi_left`` / ``face_phi_right`` (faces, npts,
-    n_modes); the right table is zero on boundary faces.
+    cell order.  ``cell_pts[cid]`` (sliced on access) and ``cell_w[cid]``
+    are views into it, and a cut cell's ``cell_phi[cid]`` and
+    ``cell_grad[cid]`` are views into the cut cells' stacked tables.
+    The face rules are stacked arrays indexed by face id, ``face_pts``
+    (faces, npts, 2) and ``face_w`` (faces, npts); basis traces are
+    evaluated only for the faces a caller asks for (:meth:`face_traces`).
     """
 
     def __init__(self, mesh, degree):
@@ -297,37 +294,38 @@ class Space:
         self._cut_factors = None
 
         # per-cell views: the shared reference tables for uncut cells
-        self.cell_pts = [None] * ncells
+        start = np.empty(ncells, dtype=np.int64)
+        start[uncut_ids], start[cut_ids] = np.arange(len(uncut_ids)) * nq, bounds[:-1]
+        stop = start + np.where(self.uncut, nq, nv * nq_tri)
+        quad_pts = self.quad_pts   # a closure over self would put it in a reference cycle
+        self.cell_pts = _Records(ncells, lambda cid: quad_pts[start[cid]:stop[cid]])
         self.cell_w = [self._ref_w] * ncells
         self.cell_phi = [self._ref_phi] * ncells
         self.cell_grad = [self._ref_grad] * ncells
-        for cid, pts in zip(uncut_ids.tolist(), uncut_pts):
-            self.cell_pts[cid] = pts
         for cid, lo, hi in zip(cut_ids.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-            self.cell_pts[cid] = self.quad_pts[lo:hi]
             self.cell_w[cid] = self.quad_w[lo:hi]
             self.cell_phi[cid] = self._cut_phi[lo - n_uncut:hi - n_uncut]
             self.cell_grad[cid] = cut_grad[lo - n_uncut:hi - n_uncut]
 
-        # face rules and trace tables, all faces at once
+        # face rules, all faces at once
         x, w = _gauss_1d(self.face_npts)
         t = 0.5 * (x + 1.0)
         p, q = mesh.face_p, mesh.face_q
         span = q - p
         self.face_pts = p[:, None, :] + t[None, :, None] * span[:, None, :]
         self.face_w = (0.5 * w)[None, :] * np.hypot(span[:, 0], span[:, 1])[:, None]
-        self.face_phi_left = self._trace(self.face_pts, mesh.face_left)
-        self.face_phi_right = self._trace(self.face_pts, np.maximum(mesh.face_right, 0))
-        self.face_phi_right[mesh.face_right < 0] = 0.0
 
-    def _trace(self, pts, cells):
-        """Basis values of ``cells[f]`` at the points ``pts[f]``, stacked."""
-        npts = pts.shape[1]
-        vals = monomial_values(
-            self.basis.exps, np.repeat(self.basis.centers[cells], npts, axis=0),
-            self.basis.h, pts.reshape(-1, 2),
-        )
-        return vals.reshape(len(cells), npts, self.n_modes)
+    def face_traces(self, fids):
+        """Left and right cells' basis values at the points of faces ``fids``,
+        each (faces, npts, n_modes); the right trace is zero on walls."""
+        pts, right = self.face_pts[fids], self.mesh.face_right[fids]
+        cells = np.concatenate([self.mesh.face_left[fids], np.maximum(right, 0)])
+        centers = np.repeat(self.basis.centers[cells], pts.shape[1], axis=0)
+        vals = monomial_values(self.basis.exps, centers, self.basis.h,
+                               np.concatenate([pts, pts]).reshape(-1, 2))
+        phi_left, phi_right = vals.reshape((2,) + pts.shape[:2] + (self.n_modes,))
+        phi_right[right < 0] = 0.0
+        return phi_left, phi_right
 
     # ------------------------------------------------------------------
     def zeros(self, m):

@@ -21,7 +21,7 @@ acoustics, eta times the sum of three named matrices (``surface``,
 ``volume``, ``dissipative``) minus eta times the face matrices of the
 cell's faces, built by :func:`~cutdg.dg.face_matrices` as the base form's
 are; for advection, eta times its ``outflow`` and ``volume`` matrices.  The
-global matrix sums them.  The acoustic named matrices are built for all
+operator takes them as cell blocks and sums them with the base form's.  The acoustic named matrices are built for all
 stabilized cells at once, from stacked scalar tables and Gram products,
 group by group.
 """
@@ -33,7 +33,7 @@ from .errors import (
     MeshValidationError,
     UnsupportedConfigurationError,
 )
-from .dg import block_csr, face_matrices
+from .dg import block_matrix, face_matrices, local_blocks
 from .geometry import inflow_faces
 from .quadrature import (
     face_quadrature,
@@ -395,10 +395,14 @@ class _Penalty:
         res = self.local[cid] @ u.coeffs[cells].ravel()
         return dict(zip(cells, res.reshape((len(cells),) + self.plan.shape)))
 
+    def blocks(self):
+        """The local matrices as (row cells, column cells, blocks) triplets."""
+        return [local_blocks(np.array([self.neighborhood(cid)]), self.local[cid][None])
+                for cid in self.cell_ids]
+
     def matrix(self):
-        """The penalty as a CSR matrix over the global dofs."""
-        entries = [(self.neighborhood(cid), self.local[cid]) for cid in self.cell_ids]
-        return block_csr(entries, self.space.mesh.num_cells, self.plan.shape)
+        """The penalty as a sparse matrix over the global dofs."""
+        return block_matrix(self.blocks(), self.space.mesh.num_cells)
 
 
 class WaveStabilization(_Penalty):

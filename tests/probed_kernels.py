@@ -47,12 +47,11 @@ def face_terms(plan, fid, u, central=True, dissipative=True):
     spec = plan.spec
     face = space.mesh.faces[fid]
     w = space.face_w[fid]
-    phiL = space.face_phi_left[fid]
+    (phiL,), (phiR,) = space.face_traces([fid])
     uL = phiL @ u.coeffs[face.left_cell]
     n = face.normal
 
     if face.kind == "internal":
-        phiR = space.face_phi_right[fid]
         uR = phiR @ u.coeffs[face.right_cell]
         blockL = np.zeros_like(u.coeffs[face.left_cell])
         blockR = np.zeros_like(blockL)

@@ -8,7 +8,7 @@ assembled matrices of ``cutdg.stabilization`` against it.
 
 import numpy as np
 
-from cutdg.dg import block_csr
+from csr_coupling import block_csr
 from cutdg.errors import MeshValidationError, UnsupportedConfigurationError
 from cutdg.geometry import inflow_faces
 from cutdg.quadrature import monomial_gradients, monomial_values

@@ -225,7 +225,7 @@ def _dense_mass_solve(space, rhs):
     "degree, min_alpha", [(0, 1e-8), (1, 1e-8), (2, 1e-2), (2, 1e-5), (3, 1e-2)]
 )
 def test_assembled_operator_matches_oracle(equation, degree, min_alpha):
-    from cutdg.dg import SemiDiscreteOperator
+    from cutdg.dg import SemiDiscreteOperator, block_matrix
     from cutdg.experiments import build_context, ramp_config
 
     ctx = build_context(ramp_config(equation, degree, min_alpha, nx=8))
@@ -237,7 +237,9 @@ def test_assembled_operator_matches_oracle(equation, degree, min_alpha):
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
     res, dudt = _oracle(ctx, u)
     plan = ctx.plan
-    assembled = plan.residual(u.coeffs, plan.coupling + ctx.stab.matrix())
+    # the block sums the operator folds, base and penalty blocks together
+    coupling = block_matrix(plan.blocks + ctx.stab.blocks(), ctx.mesh.num_cells)
+    assembled = plan.residual(u.coeffs, coupling)
     assert np.abs(assembled - res).max() <= 1e-12 * np.abs(res).max()
     # the batched solve and the folded operator against the dense solves, each
     # on its own right-hand side.  Sliver masses reach condition numbers of
@@ -352,3 +354,57 @@ def test_setup_and_steps_build_no_cell_or_face_records(case, monkeypatch):
     assert np.all(np.isfinite(result.final.coeffs))
     with pytest.raises(AssertionError, match="record built"):
         ctx.mesh.cells[0]
+
+
+# ------------------------------------------- cut-cell blocks against CSR
+
+
+@pytest.mark.parametrize("equation", ["advection", "acoustics"])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("min_alpha", [1e-2, 1e-8])
+def test_block_assembly_matches_csr_oracle(equation, degree, min_alpha):
+    # the folded coupling summed from block triplets against the earlier
+    # path: nonzero entries into CSR, base plus penalty, back to BSR, fold
+    from csr_coupling import csr_coupling, folded_coupling
+    from cutdg.dg import SemiDiscreteOperator, block_matrix
+    from cutdg.errors import CutDGError
+    from cutdg.experiments import build_context, ramp_config
+
+    ctx = build_context(ramp_config(equation, degree, min_alpha, nx=8))
+    assert len(ctx.small) > 0
+    try:
+        oracle = folded_coupling(ctx.plan, ctx.stab)
+    except CutDGError as exc:
+        assert "numerically singular" in str(exc)
+        with pytest.raises(CutDGError) as raised:
+            SemiDiscreteOperator(ctx.plan, ctx.stab)
+        assert str(raised.value) == str(exc)
+        return
+    folded = SemiDiscreteOperator(ctx.plan, ctx.stab).coupling
+    assert np.array_equal(folded.indptr, oracle.indptr)
+    assert np.array_equal(folded.indices, oracle.indices)
+
+    # the block sums before the fold, against the size of their terms
+    triplets = ctx.plan.blocks + ctx.stab.blocks()
+    summed = block_matrix(triplets, ctx.mesh.num_cells)
+    scale = block_matrix([(r, c, np.abs(b)) for r, c, b in triplets], ctx.mesh.num_cells)
+    assert np.array_equal(scale.indices, summed.indices)
+    expected = csr_coupling(ctx.plan, ctx.stab)
+    assert np.array_equal(expected.indices, summed.indices)
+    terms = scale.data.max(axis=(1, 2))
+    assert np.all(np.abs(summed.data - expected.data).max(axis=(1, 2)) <= 1e-14 * terms)
+
+    # uncut rows share the well-conditioned reference mass: the folded
+    # blocks match per block.  On a cut row a sliver's mass (cond up to 4e9
+    # here) turns round-off in the sums into cond * eps in the folded
+    # block, so each block is checked as the solve of its own sum: the
+    # residual M X + B is within round-off of |M| |X|.
+    k, m = ctx.plan.shape
+    rows = np.repeat(np.arange(ctx.mesh.num_cells), np.diff(folded.indptr))
+    uncut = ctx.space.uncut[rows]
+    err = np.abs(folded.data - oracle.data).max(axis=(1, 2))
+    assert np.all(err[uncut] <= 1e-14 * np.abs(oracle.data[uncut]).max(axis=(1, 2)))
+    M = ctx.space.mass[rows]
+    X = folded.data.reshape(len(rows), k, -1)
+    resid = np.abs(M @ X + summed.data.reshape(X.shape)).max(axis=(1, 2))
+    assert np.all(resid <= 1e-13 * (np.abs(M) @ np.abs(X)).max(axis=(1, 2)))

@@ -248,13 +248,16 @@ def test_stacked_tables_match_per_face_and_per_cell_rules(degree, alpha):
     def values(cid, pts):
         return monomial_values(exps, mesh.cell_center(cid), h, pts)
 
+    phi_left, phi_right = space.face_traces(np.arange(len(mesh.faces)))
     for face in mesh.faces:
         pts, w = face_quadrature(face.p, face.q, degree + 2)
         assert np.array_equal(space.face_pts[face.id], pts)
         assert np.array_equal(space.face_w[face.id], w)
-        assert np.array_equal(space.face_phi_left[face.id], values(face.left_cell, pts))
+        assert np.array_equal(phi_left[face.id], values(face.left_cell, pts))
         if face.right_cell is not None:
-            assert np.array_equal(space.face_phi_right[face.id], values(face.right_cell, pts))
+            assert np.array_equal(phi_right[face.id], values(face.right_cell, pts))
+        else:
+            assert np.all(phi_right[face.id] == 0.0)
     cut = [c for c in mesh.cells if not space.uncut[c.id]]
     assert cut
     for cell in cut:
@@ -268,6 +271,41 @@ def test_stacked_tables_match_per_face_and_per_cell_rules(degree, alpha):
         owned = space.quad_cells == cid
         assert np.array_equal(space.quad_pts[owned], space.cell_pts[cid])
         assert np.array_equal(space.quad_w[owned], space.cell_w[cid])
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_face_traces_of_a_subset_match_all_faces_bitwise(degree):
+    space = _ramp_space(degree, 1e-5)
+    nfaces = len(space.mesh.face_left)
+    full = space.face_traces(np.arange(nfaces))
+    rng = np.random.default_rng(degree)
+    for size in (1, 7, nfaces // 3):
+        fids = rng.choice(nfaces, size, replace=False)
+        for part, whole in zip(space.face_traces(fids), full):
+            assert part.shape == whole[fids].shape
+            assert part.tobytes() == whole[fids].tobytes()
+
+
+@pytest.mark.parametrize("equation, degree, nx", [("acoustics", 1, 128), ("advection", 2, 64)])
+def test_setup_evaluates_few_face_traces(equation, degree, nx, monkeypatch):
+    # the faces between two uncut cells share one representative per
+    # direction, so setup reads the traces of the cut band's faces only
+    from cutdg.experiments import build_context, make_rhs, ramp_config
+
+    counted = []
+    traces = Space.face_traces
+
+    def counting(self, fids):
+        counted.append(len(fids))
+        return traces(self, fids)
+
+    monkeypatch.setattr(Space, "face_traces", counting)
+    ctx = build_context(ramp_config(equation, degree, 1e-6 if equation == "acoustics" else 1e-2,
+                                    nx=nx))
+    make_rhs(ctx)
+    assert len(ctx.small) > 0 and counted
+    assert sum(counted) <= 0.1 * len(ctx.mesh.face_left)
+    assert not hasattr(ctx.space, "face_phi_left")
 
 
 def _smooth_field(pts):
