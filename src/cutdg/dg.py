@@ -47,13 +47,12 @@ def local_blocks(cells, A):
     return np.repeat(cells, s, axis=1).ravel(), np.tile(cells, (1, s)).ravel(), blocks
 
 
-def block_matrix(triplets, num_cells, fold=None):
+def block_matrix(triplets, num_cells):
     """BSR matrix summing ``(rows, cols, blocks)`` triplets over the global dofs.
 
     Blocks at one (row cell, column cell) position are summed in the order
     given; a sum that is exactly zero (a component or upwind coupling the
-    system does not have) is left out.  ``fold(blocks, rows)``, if given,
-    maps the summed blocks, sorted by row cell, before they are stored.
+    system does not have) is left out.
     """
     rows, cols, blocks = (np.concatenate(part) for part in zip(*triplets))
     km = blocks.shape[-1]
@@ -64,9 +63,8 @@ def block_matrix(triplets, num_cells, fold=None):
     blocks = (adder @ blocks.reshape(-1, km * km)).reshape(-1, km, km)
     kept = blocks.any(axis=(1, 2))
     rows, cols = np.divmod(key[kept], num_cells)
-    blocks = blocks[kept] if fold is None else fold(blocks[kept], rows)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=num_cells))])
-    return sparse.bsr_matrix((blocks, cols, indptr), shape=(num_cells * km,) * 2)
+    return sparse.bsr_matrix((blocks[kept], cols, indptr), shape=(num_cells * km,) * 2)
 
 
 def face_matrices(space, spec, diss, fids, central=True, dissipative=True):
@@ -233,8 +231,10 @@ class SemiDiscreteOperator:
         # every cell of a group is uncut (reference mass), so folding the
         # representative row serves the whole group
         self.shared = [(cells, fold(A, cells[0])) for cells, A in plan.shared]
-        triplets = plan.blocks + ([] if stab is None else stab.blocks())
-        self.coupling = block_matrix(triplets, plan.space.mesh.num_cells, fold)
+        num_cells = plan.space.mesh.num_cells
+        self.coupling = block_matrix(plan.blocks + ([] if stab is None else stab.blocks()), num_cells)
+        block_rows = np.repeat(np.arange(num_cells), np.diff(self.coupling.indptr))
+        self.coupling.data = fold(self.coupling.data, block_rows)
         plan.space.cut_mass_factors()
 
     def __call__(self, coeffs):

@@ -21,9 +21,9 @@ acoustics, eta times the sum of three named matrices (``surface``,
 ``volume``, ``dissipative``) minus eta times the face matrices of the
 cell's faces, built by :func:`~cutdg.dg.face_matrices` as the base form's
 are; for advection, eta times its ``outflow`` and ``volume`` matrices.  The
-operator takes them as cell blocks and sums them with the base form's.  The acoustic named matrices are built for all
-stabilized cells at once, from stacked scalar tables and Gram products,
-group by group.
+operator takes them as cell blocks, summed with the base form's.  The
+acoustic named matrices are built for all stabilized cells at once, from
+stacked scalar tables and Gram products, group by group.
 """
 
 import numpy as np
