@@ -64,6 +64,11 @@ class RunConfig:
             raise ConfigurationError("threads must be >= 1")
         if self.steps < 1:
             raise ConfigurationError("steps must be >= 1")
+        # a check over no polynomials or no triples would pass vacuously
+        if self.n_polynomials < 1:
+            raise ConfigurationError("n_polynomials must be >= 1")
+        if self.n_triples < 1:
+            raise ConfigurationError("n_triples must be >= 1")
         if self.dissipation and self.dissipation not in ("upwind", "rusanov"):
             raise ConfigurationError(f"unknown dissipation {self.dissipation!r}")
         if self.equation == "advection" and self.dissipation == "rusanov":

@@ -12,13 +12,22 @@ from .config import RunConfig
 from .dg import AssemblyPlan, SemiDiscreteOperator
 from .errors import ConfigurationError, IntegrationFailureError
 from .geometry import SmallCellSet, build_mesh, classify_small_cells, halfplane_from_line
-from .quadrature import Space, monomial_values
+from .quadrature import (
+    Space,
+    face_quadrature,
+    monomial_gradients,
+    monomial_values,
+    polygon_quadrature,
+)
 from .solutions import PolynomialField, lookup_field, random_polynomial
 from .stabilization import (
     AdvectionStabilization,
-    CellForms,
     WaveStabilization,
     eta_values,
+    face_forms,
+    source_tables,
+    surface_forms,
+    volume_forms,
 )
 from .stepping import TimeControls, evolve
 
@@ -240,37 +249,70 @@ def _draw_triples(rng, n_modes, m, K, n_triples):
     return blocks.swapaxes(0, 1), pairs.T, weights.T
 
 
+def _fine_references(space, spec, cell_id, U, V, W):
+    """A_k(U, V, W) on each face and p_V(U, U, W) in the cell, evaluated
+    pointwise on rules finer than the space's: ``face_npts + 3`` points per
+    face and a cell rule exact to degree 2r + 4.  They share no table with
+    the forms the axiom check tests, so they are its independent references.
+    """
+    mesh, basis = space.mesh, space.basis
+    exps, center, h = basis.exps, basis.center(cell_id), basis.h
+    faces = []
+    for fid in mesh.cell_faces(cell_id).tolist():
+        pts, w = face_quadrature(mesh.face_p[fid], mesh.face_q[fid], space.face_npts + 3)
+        phi = monomial_values(exps, center, h, pts)
+        flux = 0.5 * (phi @ U + phi @ V) @ spec.A_n(mesh.outward_normal(cell_id, fid)).T
+        faces.append(np.sum(np.sum(flux * (phi @ W), axis=-1) * w, axis=-1))
+    pts, w = polygon_quadrature(mesh.cell_polygon(cell_id), 2 * space.degree + 4)
+    phi = monomial_values(exps, center, h, pts)
+    grad = np.moveaxis(monomial_gradients(exps, center, h, pts), -1, 0)
+    flux = (phi @ U)[..., None, :, :] @ np.stack([spec.A1.T, spec.A2.T])
+    K = len(faces)
+    p_v = 2.0 / (K * (K - 1)) * (np.sum(flux * (grad @ W[..., None, :, :]), axis=(-3, -1)) @ w)
+    return np.stack(faces, axis=-1), p_v
+
+
 def check_axioms_on_cell(space, spec, cell_id, rng, n_triples):
     """Worst relative residual of each form identity on one cell.
 
-    All triples are drawn first and every identity is evaluated on all of
-    them at once.
+    The forms are contractions of the Gram products that the penalty's
+    source tables (:func:`~cutdg.stabilization.source_tables`) give the
+    cell's own extension.  All triples are drawn first and every identity
+    is evaluated on all of them at once.
     """
-    forms = CellForms(space, spec, cell_id)
-    K = forms.K
-    (U, V, W, W2), (i, j), (a, b) = _draw_triples(rng, space.n_modes, spec.m, K, n_triples)
+    tables = source_tables(space, [cell_id], [[cell_id]])
+    K, k = tables.outward.shape[1], space.n_modes
+    (U, V, W, W2), (i, j), (a, b) = _draw_triples(rng, k, spec.m, K, n_triples)
     t = np.arange(n_triples)
+    # the cell's basis at its own points: the cell rule and every face rule
+    probe = np.concatenate([tables.cell_phi[0, 0], tables.face_phi[0, :, 0].reshape(-1, k)])
+
+    def max_abs(X):
+        return np.abs(probe @ X).max(axis=(-2, -1))
+
     denom = (
         spec.lambda_max * space.basis.h
-        * np.maximum(np.maximum(forms.max_abs(U), forms.max_abs(V)), 1e-300)
-        * np.maximum(forms.max_abs(W), 1e-300)
+        * np.maximum(np.maximum(max_abs(U), max_abs(V)), 1e-300)
+        * np.maximum(max_abs(W), 1e-300)
     )
 
-    P = forms.surfaces(U, V, W)
+    def surfaces(U, V, W):
+        return surface_forms(face_forms(tables, spec, U, V, W))
+
+    P = surfaces(U, V, W)
     p_uv = P[t, i, j]
     combo = a[:, None, None] * W + b[:, None, None] * W2
-    p_v, p_vs = forms.volume(U, V, W)
+    p_v, p_vs = volume_forms(tables, spec, U, V, W)
+    fine_faces, fine_volume = _fine_references(space, spec, cell_id, U, V, W)
     iu, ju = np.triu_indices(K, 1)
     residuals = {
-        "symmetry": p_uv - forms.surfaces(V, U, W)[t, i, j],
-        "linearity": (
-            forms.surfaces(U, V, combo)[t, i, j] - a * p_uv - b * forms.surfaces(U, V, W2)[t, i, j]
-        ),
+        "symmetry": p_uv - surfaces(V, U, W)[t, i, j],
+        "linearity": surfaces(U, V, combo)[t, i, j] - a * p_uv - b * surfaces(U, V, W2)[t, i, j],
         "balance": P[:, iu, ju] + P[:, ju, iu] - p_v[:, None] - p_vs[:, None],
         # face sum against an independent, finer quadrature of the flux
-        "face_consistency": P.sum(axis=1) - forms.face_functionals(U, V, W, fine=True),
+        "face_consistency": P.sum(axis=1) - fine_faces,
         # volume identity at equal arguments against a finer cell rule
-        "volume_consistency": forms.volume(U, U, W)[0] - forms.volume(U, U, W, fine=True)[0],
+        "volume_consistency": volume_forms(tables, spec, U, U, W)[0] - fine_volume,
     }
     return {
         name: float(np.max(np.abs(r).T / denom, initial=0.0))

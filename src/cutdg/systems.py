@@ -4,8 +4,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .operators import mirror_state
+from .errors import ConfigurationError, UnsupportedOperationError
+
+
+def mirror_state(u, n):
+    """Reflect the velocity of acoustic states (p, v1, v2) across a wall normal.
+
+    Tangential velocity and pressure are untouched; works on single states or
+    arrays of states along the leading axes, with one normal or normals
+    (..., 2) that broadcast against those axes.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape[-1] != 3:
+        raise UnsupportedOperationError("mirroring is defined for 3-component acoustic states")
+    n = np.asarray(n, dtype=float)
+    out = u.copy()
+    vn = u[..., 1] * n[..., 0] + u[..., 2] * n[..., 1]
+    out[..., 1] -= 2.0 * vn * n[..., 0]
+    out[..., 2] -= 2.0 * vn * n[..., 1]
+    return out
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 
 from cutdg.dg import face_matrices
 from cutdg.geometry import BackgroundMesh, Geometry, build_mesh, halfplane_from_line
+from cutdg.stabilization import _wave_layout, source_tables, vector_parts
 
 
 def ramp_mesh(nx=8, ny=8, slope=0.75, offset=None, box=(0.0, 0.0, 1.0, 1.0)):
@@ -50,3 +51,31 @@ def face_matrix_on(plan, fid, cells, central=True, dissipative=True):
     out = np.zeros((len(cells) * km, len(cells) * km))
     out[np.ix_(idx, idx)] = A[:len(idx), :len(idx)]
     return out
+
+
+def source_values(space, cid, coeffs):
+    """The pairwise penalty's extension sources of cell ``cid``, evaluated
+    from its source tables (``stabilization.source_tables``) contracted with
+    their vector parts, for the coefficients ``coeffs`` (cells, modes, 3).
+
+    Returns (sources, n, values, gradients): the source cells (S,), of which
+    the first n are plain and the rest mirrored across the cell's wall; each
+    source's values at the cell's face points, face by face, then its cell
+    points (S, P, 3); and its gradients at the cell points (S, nc, 3, 2).
+    """
+    cells, sources, pattern = _wave_layout(space.mesh, cid)
+    n = len(cells)
+    tables = source_tables(space, [cid], [sources], pattern[1], n)
+    plain, mirror = vector_parts(tables)[0]
+    phi = np.concatenate([
+        np.moveaxis(tables.face_phi[0], 1, 0).reshape(len(sources), -1, space.n_modes),
+        tables.cell_phi[0],
+    ], axis=1)
+    U = coeffs[sources]
+    values = phi @ U @ plain
+    grads = np.einsum("sqkd,skm,im->sqid", tables.cell_grad[0], U, plain)
+    # a mirrored source: its cell's plain table plus its own table times -2 N
+    own = [cells.index(C) for C in sources[n:]]
+    values[n:] = values[own] + values[n:] @ mirror
+    grads[n:] = grads[own] + np.einsum("im,sqmd->sqid", mirror, grads[n:])
+    return sources, n, values, grads

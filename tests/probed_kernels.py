@@ -10,8 +10,8 @@ form; the tests compare ``cutdg.dg.face_matrices`` and
 
 import numpy as np
 
-from cutdg.operators import mirror_state
 from cutdg.quadrature import DGFunction
+from cutdg.systems import mirror_state
 
 
 def local_matrix(kernel, cells, shape):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import face_matrix_on
+from conftest import face_matrix_on, source_values
 from cutdg.experiments import (
     build_context,
     check_axioms_on_cell,
@@ -21,9 +21,9 @@ from cutdg.experiments import (
 )
 from cutdg.config import RunConfig
 from cutdg.geometry import halfplane_from_line
-from cutdg.operators import mirror_polynomial, mirror_state, extend, unified_extend
 from cutdg.solutions import random_polynomial
 from cutdg.stepping import TimeControls
+from cutdg.systems import mirror_state
 
 MIN_ALPHAS = (1e-2, 1e-5, 1e-8)
 DEGREES = (0, 1, 2, 3)
@@ -83,6 +83,8 @@ def test_criterion_3_propagation_form_axioms():
 
 
 def test_criterion_4_extension_gluing():
+    # the penalty's extension sources, from its source tables, at every
+    # stabilized cell's face and cell points
     rng = np.random.default_rng(42)
     worst_glue = 0.0
     worst_mirror = 0.0
@@ -95,19 +97,11 @@ def test_criterion_4_extension_gluing():
             u = fld.to_dg(space)
             umax = max(abs(fld.coeffs).max(), 1e-300)
             for cid in ctx.small:
-                cell = ctx.mesh.cells[cid]
-                pts = np.vstack(
-                    [space.cell_pts[cid]] + [space.face_pts[f] for f in cell.face_ids]
-                )
-                exact = fld(pts)
-                K = cell.num_faces
-                for i in range(K):
-                    for j in range(i + 1, K):
-                        for source in ("E", "Ei", "Ej"):
-                            f = unified_extend(u, space, cid, i, j, source)
-                            dev = np.abs(f.values(pts) - exact).max()
-                            worst_glue = max(worst_glue, dev / umax)
-    # mirror involution and trace coincidence
+                fids = ctx.mesh.cell_faces(cid)
+                pts = np.vstack([space.face_pts[fids].reshape(-1, 2), space.cell_pts[cid]])
+                _, _, values, _ = source_values(space, cid, u.coeffs)
+                worst_glue = max(worst_glue, np.abs(values - fld(pts)).max() / umax)
+    # mirror involution, and the mirrored sources' trace on the wall
     cfg = ramp_config("acoustics", 2, 1e-5)
     ctx = build_context(cfg)
     for _ in range(100):
@@ -118,14 +112,20 @@ def test_criterion_4_extension_gluing():
         worst_mirror = max(worst_mirror, dev / max(np.abs(state).max(), 1e-300))
     u = ctx.space.zeros(3)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    for face in ctx.mesh.faces:
-        if face.kind != "boundary":
-            continue
-        fld = extend(u, ctx.space, face.left_cell)
-        mirrored = mirror_polynomial(fld, face)
-        pts = ctx.space.face_pts[face.id]
-        dev = np.abs(mirrored.values(pts) - mirror_state(fld.values(pts), face.normal)).max()
-        worst_mirror = max(worst_mirror, dev)
+    nq = ctx.space.face_npts
+    mirrored = 0
+    for cid in ctx.small:
+        fids = ctx.mesh.cell_faces(cid)
+        k = int(np.flatnonzero(ctx.mesh.face_right[fids] < 0)[0])
+        sources, n_plain, values, _ = source_values(ctx.space, cid, u.coeffs)
+        on_wall = values[:, k * nq:(k + 1) * nq]
+        for x in range(n_plain, len(sources)):
+            plain = on_wall[list(sources[:n_plain]).index(sources[x])]
+            normal = ctx.mesh.face_normal[fids[k]]
+            dev = np.abs(on_wall[x] - mirror_state(plain, normal)).max()
+            worst_mirror = max(worst_mirror, dev)
+            mirrored += 1
+    assert mirrored > 0
     ok1 = _report("extension gluing", worst_glue, 1e-11)
     ok2 = _report("mirror involution/trace", worst_mirror, 1e-12)
     assert ok1 and ok2

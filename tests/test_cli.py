@@ -1,3 +1,5 @@
+import pytest
+
 from cutdg.cli import main
 from cutdg.config import serialize_config
 from cutdg.experiments import ramp_config
@@ -46,6 +48,22 @@ def test_check_axioms_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "balance" in out
+
+
+@pytest.mark.parametrize("command, key", [
+    ("check-axioms", "n_triples"),
+    ("consistency", "n_polynomials"),
+])
+@pytest.mark.parametrize("value", [0, -1])
+def test_check_over_nothing_is_a_configuration_error(tmp_path, capsys, command, key, value):
+    # without the check, 0 passed vacuously and n_triples = -1 crashed
+    cfg = ramp_config("acoustics", 1, 1e-2, out=str(tmp_path))
+    path = _write_config(tmp_path, cfg, **{key: value})
+    rc = main([command, "--config", path])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert key in captured.err
+    assert "status" not in captured.out
 
 
 def test_stability_command(tmp_path, capsys):

@@ -1,22 +1,20 @@
+"""Extension and mirroring: the wall state mirror, the penalty's source
+tables, and the field-object oracle they are compared against."""
+
 import numpy as np
 import pytest
 
-from conftest import ramp_mesh, uncut_mesh
+from conftest import ramp_mesh, source_values, uncut_mesh
 from cutdg.errors import (
     CutDGError,
     UnsupportedConfigurationError,
     UnsupportedOperationError,
 )
 from cutdg.geometry import Face, classify_small_cells
-from cutdg.operators import (
-    extend,
-    mirror_polynomial,
-    mirror_state,
-    reflected_extend,
-    unified_extend,
-)
 from cutdg.quadrature import Space
 from cutdg.solutions import PolynomialField, random_polynomial
+from cutdg.systems import mirror_state
+from field_forms import extend, mirror_polynomial, reflected_extend, unified_extend
 
 
 def test_mirror_state_examples():
@@ -273,7 +271,8 @@ def test_unified_extend_rejects_double_wall():
 
 
 def test_gluing_of_global_polynomials_through_all_extensions():
-    # any extension route applied to a globally polynomial function returns it
+    # any extension route applied to a globally polynomial function returns
+    # it: the oracle's routes and the penalty's source tables
     rng = np.random.default_rng(8)
     for degree in (0, 1, 2):
         mesh = ramp_mesh(nx=16, ny=16)
@@ -293,3 +292,75 @@ def test_gluing_of_global_polynomials_through_all_extensions():
                         f = unified_extend(u, space, cid, i, j, source)
                         dev = np.abs(f.values(pts) - exact).max()
                         assert dev <= 1e-11 * umax
+            table_pts = np.vstack([space.face_pts[cell.face_ids].reshape(-1, 2),
+                                   space.cell_pts[cid]])
+            _, _, values, _ = source_values(space, cid, u.coeffs)
+            assert np.abs(values - fld(table_pts)).max() <= 1e-11 * umax
+
+
+# ------------------------------------------------- the penalty's source tables
+
+
+def _one_wall_cells(mesh):
+    """The cut cells with at most one wall face (3, 4 and 5 faces), and an
+    uncut cell with none and one with one."""
+    def walls(c):
+        return sum(mesh.faces[f].kind == "boundary" for f in c.face_ids)
+
+    cut = [c.id for c in mesh.cells if c.volume_fraction < 1.0 and walls(c) <= 1]
+    uncut = [next(c.id for c in mesh.cells if c.volume_fraction == 1.0 and walls(c) == w)
+             for w in (0, 1)]
+    return cut + uncut
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_source_tables_match_field_oracle(degree):
+    # plain sources are the oracle's extensions, mirrored ones its reflected
+    # extensions, in value at every face and cell point and in gradient at
+    # the cell points
+    rng = np.random.default_rng(degree)
+    mesh = ramp_mesh(nx=4, ny=4, slope=0.55, offset=0.13)
+    space = Space(mesh, degree)
+    u = space.zeros(3)
+    u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
+    cells = _one_wall_cells(mesh)
+    assert {mesh.cells[c].num_faces for c in cells} == {3, 4, 5}
+    mirrored = 0
+    for cid in cells:
+        fids = mesh.cells[cid].face_ids
+        pts = np.vstack([space.face_pts[fids].reshape(-1, 2), space.cell_pts[cid]])
+        cpts = space.cell_pts[cid]
+        sources, n, values, grads = source_values(space, cid, u.coeffs)
+        wall = [mesh.faces[f] for f in fids if mesh.faces[f].kind == "boundary"]
+        for x, C in enumerate(sources):
+            field = extend(u, space, C) if x < n else reflected_extend(u, space, C, wall[0])
+            expected, expected_grad = field.values(pts), field.gradients(cpts)
+            assert np.abs(values[x] - expected).max() <= 1e-12 * np.abs(expected).max()
+            scale = max(np.abs(expected_grad).max(), 1.0)
+            assert np.abs(grads[x] - expected_grad).max() <= 1e-12 * scale
+        mirrored += len(sources) - n
+    assert mirrored > 0
+
+
+def test_mirrored_tables_on_the_wall_are_the_mirrored_state():
+    # on the wall's own points a mirrored source is mirror_state of its plain one
+    rng = np.random.default_rng(3)
+    mesh = ramp_mesh(nx=4, ny=4, slope=0.55, offset=0.13)
+    space = Space(mesh, 2)
+    nq = space.face_npts
+    u = space.zeros(3)
+    u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
+    checked = 0
+    for cid in _one_wall_cells(mesh):
+        kinds = [mesh.faces[f].kind for f in mesh.cells[cid].face_ids]
+        if "boundary" not in kinds:
+            continue
+        k = kinds.index("boundary")
+        normal = mesh.face_normal[mesh.cells[cid].face_ids[k]]
+        sources, n, values, _ = source_values(space, cid, u.coeffs)
+        on_wall = values[:, k * nq:(k + 1) * nq]
+        for x in range(n, len(sources)):
+            plain = on_wall[list(sources[:n]).index(sources[x])]
+            assert np.abs(on_wall[x] - mirror_state(plain, normal)).max() <= 1e-12
+            checked += 1
+    assert checked > 0

@@ -133,6 +133,15 @@ def test_bad_values_rejected():
         parse_config("geometry.constraint = 1,1,0\n")   # normal not unit length
 
 
+@pytest.mark.parametrize("key", ["n_polynomials", "n_triples"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_check_counts_below_one_rejected_by_name(key, value):
+    # a check over no fields or triples would pass without checking anything
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(f"equation = acoustics\n{key} = {value}\n")
+    assert key in str(err.value)
+
+
 def test_defaults_validate():
     cfg = parse_config("equation = acoustics\n")
     assert cfg.dissipation_spec().kind == "rusanov"

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,21 +7,23 @@ from conftest import face_matrix_on, ramp_mesh
 from cutdg.dg import AssemblyPlan
 from cutdg.errors import UnsupportedConfigurationError
 from cutdg.geometry import classify_small_cells
-from cutdg.operators import CellPolyField
 from cutdg.quadrature import Space
 from cutdg.solutions import PolynomialField, random_polynomial
 from cutdg.stabilization import (
     AdvectionStabilization,
-    CellForms,
     WaveStabilization,
     eta_values,
+    face_forms,
+    source_tables,
+    surface_forms,
     surface_weights,
+    volume_forms,
 )
 from cutdg.systems import DissipationSpec, SystemSpec
 
-from cutdg import stabilization
+from cutdg import experiments, stabilization
 from cutdg.experiments import build_context, check_axioms_on_cell, ramp_config
-from field_forms import CellForms as FieldForms, CombinedField
+from field_forms import CellForms as FieldForms, CellPolyField, CombinedField
 from percell_penalty import _WaveCellContext, local_matrix as percell_local_matrix
 from probed_penalty import ProbedPenalty
 
@@ -105,6 +109,12 @@ def test_form_axioms_on_uncut_square_cell():
     assert all(v <= 1e-12 for v in worst.values())
 
 
+def _own_tables(space, cid):
+    """The source tables of cell ``cid`` with its own extension as the only
+    source, as the axiom check builds them."""
+    return source_tables(space, [cid], [[cid]])
+
+
 def test_volume_form_divergence_identity():
     # p_V + p_V* equals the boundary functional of the averaged flux
     rng = np.random.default_rng(5)
@@ -112,10 +122,12 @@ def test_volume_form_divergence_identity():
     spec = SystemSpec.acoustics(1.0)
     space = Space(mesh, 2)
     for cid in [c.id for c in mesh.cells if c.volume_fraction < 1 - 1e-12]:
-        forms = CellForms(space, spec, cid)
+        tables = _own_tables(space, cid)
+        K = mesh.cells[cid].num_faces
         U, V, W = (rng.uniform(-1, 1, (space.n_modes, 3)) for _ in range(3))
-        p_v, p_vs = forms.volume(U, V, W)
-        boundary = forms.kappa / 2.0 * sum(forms.face_functionals(U, V, W) * 2.0)
+        p_v, p_vs = volume_forms(tables, spec, U, V, W)
+        kappa = 2.0 / (K * (K - 1))
+        boundary = kappa / 2.0 * sum(face_forms(tables, spec, U, V, W) * 2.0)
         assert abs(p_v + p_vs - boundary) < 1e-12 * max(abs(boundary), 1.0)
 
 
@@ -124,12 +136,12 @@ def test_volume_form_zero_for_constant_test():
     spec = SystemSpec.acoustics(1.0)
     space = Space(mesh, 1)
     cid = next(c.id for c in mesh.cells if c.volume_fraction < 1 - 1e-12)
-    forms = CellForms(space, spec, cid)
+    tables = _own_tables(space, cid)
     rng = np.random.default_rng(0)
     U = rng.uniform(-1, 1, (space.n_modes, 3))
     W = np.zeros((space.n_modes, 3))
     W[0] = [0.3, 1.0, -0.4]   # constant test function: gradient vanishes
-    p_v, _ = forms.volume(U, U, W)
+    p_v, _ = volume_forms(tables, spec, U, U, W)
     assert abs(p_v) < 1e-15
 
 
@@ -155,9 +167,9 @@ def test_array_forms_match_field_oracle(degree):
             by_faces.setdefault(c.num_faces, c.id)
     uncut = next(c.id for c in mesh.cells if abs(c.volume_fraction - 1.0) < 1e-14)
     for cid in [by_faces[3], by_faces[4], by_faces[5], uncut]:
-        forms = CellForms(space, spec, cid)
+        tables = _own_tables(space, cid)
         oracle = FieldForms(space, spec, cid)
-        K = forms.K
+        K = oracle.K
         U, V, W, W2 = rng.uniform(-1, 1, (4, 5, space.n_modes, 3))
         a, b = rng.uniform(-1, 1, (2, 5))
         combo = a[:, None, None] * W + b[:, None, None] * W2
@@ -169,13 +181,13 @@ def test_array_forms_match_field_oracle(degree):
         pairs = [(i, j) for i in range(K) for j in range(K) if i != j]
 
         A = [[oracle.face_functional(k, u, v, w) for k in range(K)] for u, v, w, _ in triples]
-        assert _close(forms.face_functionals(U, V, W), np.array(A))
+        assert _close(face_forms(tables, spec, U, V, W), np.array(A))
         for test, args in ((2, (U, V, W)), (3, (U, V, combo))):
-            P = forms.surfaces(*args)
+            P = surface_forms(face_forms(tables, spec, *args))
             expected = [[oracle.surface(i, j, t[0], t[1], t[test]) for i, j in pairs] for t in triples]
             assert _close(P[:, [i for i, _ in pairs], [j for _, j in pairs]], np.array(expected))
             assert np.all(np.diagonal(P, axis1=1, axis2=2) == 0.0)
-        p_v, p_vs = forms.volume(U, V, W)
+        p_v, p_vs = volume_forms(tables, spec, U, V, W)
         expected = np.array([oracle.volume(u, v, w) for u, v, w, _ in triples])
         assert _close(p_v, expected[:, 0])
         assert _close(p_vs, expected[:, 1])
@@ -200,6 +212,34 @@ def test_axiom_check_detects_skewed_surface_weights(monkeypatch):
     worst = check_axioms_on_cell(space, spec, cid, np.random.default_rng(0), 10)
     assert worst["balance"] > 1e-8
     assert worst["face_consistency"] > 1e-8
+
+
+def test_one_face_weight_reaches_the_axiom_check_and_the_penalty(monkeypatch):
+    # the axiom check and the penalty read one set of source tables: a face
+    # weight perturbed inside source_tables moves both, the check past its
+    # bound and the penalty away from its per-cell oracle
+    ctx = build_context(ramp_config("acoustics", 1, 1e-2, nx=8))
+    cid = ctx.stab.cell_ids[0]
+    fid = ctx.mesh.cell_faces(cid)[0]
+    original = stabilization.source_tables
+
+    def perturbed(space, *args):
+        space = copy.copy(space)
+        space.face_w = space.face_w.copy()
+        space.face_w[fid, 0] *= 1.0 + 1e-6
+        return original(space, *args)
+
+    for module in (stabilization, experiments):
+        monkeypatch.setattr(module, "source_tables", perturbed)
+    worst = check_axioms_on_cell(ctx.space, ctx.spec, cid, np.random.default_rng(0), 10)
+    assert worst["face_consistency"] > 1e-12
+    stab = WaveStabilization(ctx.plan, ctx.stab.cell_ids, ctx.eta)
+    expected = _WaveCellContext(ctx.space, ctx.spec, ctx.diss, cid).surface
+    assert np.abs(stab.surface[cid] - expected).max() > 1e-12 * np.abs(expected).max()
+    monkeypatch.undo()
+    worst = check_axioms_on_cell(ctx.space, ctx.spec, cid, np.random.default_rng(0), 10)
+    assert max(worst.values()) <= 1e-12
+    _check_against_percell(WaveStabilization(ctx.plan, ctx.stab.cell_ids, ctx.eta), 1e-14)
 
 
 # -------------------------------------------------------------- advection
