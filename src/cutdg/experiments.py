@@ -138,16 +138,19 @@ def make_rhs(ctx, track_outflow=False):
 
 
 def _mode_scales(ctx):
-    """Max |mode| over each stabilized cell's quadrature points, per block."""
-    space = ctx.space
-    basis = space.basis
+    """Max |mode| over each stabilized cell's quadrature points, (cells, k)
+    per cell over its neighborhood, from the neighborhood's plain source
+    tables, built for all cells of one shape at once."""
+    space, stab = ctx.space, ctx.stab
+    groups = {}
+    for cid in stab.cell_ids:
+        key = len(space.mesh.cell_faces(cid)), len(space.cell_w[cid]), len(stab.neighborhood(cid))
+        groups.setdefault(key, []).append(cid)
     scales = {}
-    for cid in ctx.stab.cell_ids:
-        face_pts = space.face_pts[space.mesh.cell_faces(cid)].reshape(-1, 2)
-        pts = np.vstack([space.cell_pts[cid], face_pts])
-        for C in ctx.stab.neighborhood(cid):
-            vals = np.abs(monomial_values(basis.exps, basis.center(C), basis.h, pts))
-            scales[(cid, C)] = np.maximum(vals.max(axis=0), 1e-300)
+    for ids in groups.values():
+        tables = source_tables(space, ids, [stab.neighborhood(cid) for cid in ids])
+        vals = np.maximum(abs(tables.face_phi).max(axis=(1, 3)), abs(tables.cell_phi).max(axis=2))
+        scales.update(zip(ids, np.maximum(vals, 1e-300)))
     return scales
 
 
@@ -197,8 +200,8 @@ def run_consistency(cfg):
         u = fld.to_dg(ctx.space)
         umax = max(fld.max_abs(ctx.space.quad_pts), 1e-300)
         for cid in ctx.stab.cell_ids:
-            for C, block in ctx.stab.cell_residual(cid, u).items():
-                normalized = np.abs(block) / (umax * h * scales[(cid, C)][:, None])
+            for block, scale in zip(ctx.stab.cell_residual(cid, u).values(), scales[cid]):
+                normalized = np.abs(block) / (umax * h * scale[:, None])
                 worst = max(worst, float(normalized.max()))
     min_alpha = float(ctx.mesh.cell_volume_fraction[ctx.stab.cell_ids].min())
     return ConsistencyReport(

@@ -583,6 +583,31 @@ def inflow_faces(mesh, cell_id, beta):
     return fids[_inflow(mesh, cell_id, fids, beta)].tolist()
 
 
+def upstream_cells(mesh, cell_ids, beta):
+    """The cell across each cell's inflow face for the velocity ``beta``.
+    Each cell must have exactly one inflow face, and it must be internal;
+    the first offender in cell order, then face order, is named."""
+    cell_ids = np.asarray(cell_ids, dtype=int)
+    slot, fids = _faces_of(mesh, cell_ids)
+    inflow = _inflow(mesh, cell_ids[slot], fids, beta)
+    count = np.bincount(slot[inflow], minlength=len(cell_ids))
+    wall = np.bincount(slot[inflow & (mesh.face_right[fids] < 0)], minlength=len(cell_ids))
+    bad = np.flatnonzero((count != 1) | (wall > 0))
+    if len(bad):
+        s = bad[0]
+        if count[s] != 1:
+            raise MeshValidationError(
+                f"stabilized cell {cell_ids[s]} has {count[s]} inflow faces; exactly one required"
+            )
+        raise UnsupportedConfigurationError(
+            f"stabilized cell {cell_ids[s]}: inflow face {fids[(slot == s) & inflow][0]} lies "
+            "on the physical boundary"
+        )
+    # one inflow face per cell, in cell order; its other cell is left + right - own
+    up = fids[inflow]
+    return mesh.face_left[up] + mesh.face_right[up] - cell_ids
+
+
 def classify_small_cells(mesh, alpha0, beta=None):
     """Select cells with volume fraction below ``alpha0`` and validate them.
 
@@ -596,8 +621,7 @@ def classify_small_cells(mesh, alpha0, beta=None):
     small = np.flatnonzero(mesh.cell_volume_fraction < alpha0)
     slot, fids = _faces_of(mesh, small)
     owner = small[slot]
-    left, right = mesh.face_left[fids], mesh.face_right[fids]
-    nb = np.where(left == owner, right, left)
+    nb = mesh.face_left[fids] + mesh.face_right[fids] - owner   # the other cell, -1 outside
     is_small = np.zeros(mesh.num_cells + 1, dtype=bool)   # the extra entry answers nb = -1
     is_small[small] = True
     adjacent = np.flatnonzero(is_small[nb])
@@ -609,20 +633,7 @@ def classify_small_cells(mesh, alpha0, beta=None):
             "adjacent small cells are not supported"
         )
     if beta is not None:
-        inflow = _inflow(mesh, owner, fids, beta)
-        count = np.bincount(slot[inflow], minlength=len(small))
-        wall = np.bincount(slot[inflow & (right < 0)], minlength=len(small))
-        bad = np.flatnonzero((count != 1) | (wall > 0))
-        if len(bad):
-            s = bad[0]
-            if count[s] != 1:
-                raise MeshValidationError(
-                    f"stabilized cell {small[s]} has {count[s]} inflow faces; exactly one required"
-                )
-            raise UnsupportedConfigurationError(
-                f"stabilized cell {small[s]}: inflow face {fids[(slot == s) & inflow][0]} lies "
-                "on the physical boundary"
-            )
+        upstream_cells(mesh, small, beta)
     return SmallCellSet(tuple(small.tolist()), alpha0)
 
 

@@ -16,32 +16,28 @@ consistency argument needs; the test suite checks those identities directly
 rather than trusting the construction.
 
 Every term is bilinear, so each penalty is held as one local matrix per
-stabilized cell over the cell's neighborhood, built directly: for
-acoustics, eta times the sum of three named matrices (``surface``,
-``volume``, ``dissipative``) minus eta times the face matrices of the
-cell's faces, built by :func:`~cutdg.dg.face_matrices` as the base form's
-are; for advection, eta times its ``outflow`` and ``volume`` matrices.  The
-operator takes them as cell blocks, summed with the base form's.  The
-acoustic named matrices are built for all stabilized cells at once, group
-by group, in two parts: :func:`source_tables` (a) evaluates the extension
-sources' scalar tables and Gram products, and :func:`_pair_matrices` (b)
-contracts them with the pair weights and the sources' vector parts.  The
-axiom check evaluates the propagation forms (:func:`face_forms`,
-:func:`surface_forms`, :func:`volume_forms`) from (a)'s Gram products of a
-cell's own source, so it checks the tables that stepping uses.
+stabilized cell over the cell's neighborhood.  Both penalties are built for
+all stabilized cells at once, group by group, from one table builder,
+:func:`source_tables` (a), which evaluates the extension sources' scalar
+tables and Gram products.  For acoustics, :func:`_pair_matrices` contracts
+them with the pair weights and the sources' vector parts into ``surface``,
+``volume`` and ``dissipative``; the local matrix is eta times their sum
+minus eta times the face matrices of the cell's faces, built by
+:func:`~cutdg.dg.face_matrices` as the base form's are.  For advection,
+:func:`_upstream_matrices` contracts them with the upstream extension's
+defect into ``outflow`` and ``volume``, and the local matrix is eta times
+their sum.  The axiom check evaluates the propagation forms
+(:func:`face_forms`, :func:`surface_forms`, :func:`volume_forms`) from
+(a)'s Gram products of a cell's own source.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    MeshValidationError,
-    UnsupportedConfigurationError,
-)
+from .errors import ConfigurationError, UnsupportedConfigurationError
 from .dg import block_matrix, face_matrices, local_blocks
-from .geometry import inflow_faces
+from .geometry import upstream_cells
 from .quadrature import monomial_gradients, monomial_values
 
 _I3 = np.eye(3)
@@ -76,6 +72,12 @@ def surface_weights(K, i, j):
 _BATCH_ENTRIES = 2 ** 17
 
 
+def _neighborhood(mesh, cell_id):
+    """A cell's neighbor per face (None on the boundary) and its sorted neighborhood."""
+    nb = [mesh.neighbor(cell_id, fid) for fid in mesh.cell_faces(cell_id).tolist()]
+    return nb, sorted({cell_id} | {C for C in nb if C is not None})
+
+
 def _wave_layout(mesh, cell_id):
     """Neighborhood, extension sources and pair pattern of one small cell.
 
@@ -89,18 +91,16 @@ def _wave_layout(mesh, cell_id):
     the neighbor's plain and of its mirrored extension (-1 where there is
     none).
     """
-    face_ids = mesh.cell_faces(cell_id).tolist()
-    K = len(face_ids)
-    boundary = (mesh.face_right[face_ids] < 0).tolist()
-    nb = [mesh.neighbor(cell_id, fid) for fid in face_ids]
-    if sum(boundary) >= 2:
-        walls = [face_ids[k] for k in range(K) if boundary[k]]
+    nb, cells = _neighborhood(mesh, cell_id)
+    K = len(nb)
+    walls = [k for k in range(K) if nb[k] is None]
+    if len(walls) >= 2:
+        face_ids = mesh.cell_faces(cell_id)
         raise UnsupportedConfigurationError(
-            f"cell {cell_id}: faces {walls[0]} and {walls[1]} are both boundary faces; "
-            "the pairwise stabilization does not define this configuration"
+            f"cell {cell_id}: faces {face_ids[walls[0]]} and {face_ids[walls[1]]} are both "
+            "boundary faces; the pairwise stabilization does not define this configuration"
         )
-    cells = sorted({cell_id} | {C for C in nb if C is not None})
-    wall = boundary.index(True) if any(boundary) else -1
+    wall = walls[0] if walls else -1
     mirrored = list(dict.fromkeys(nb[k] for k in range(K) if k != wall)) if wall >= 0 else []
     plain = tuple(-1 if C is None else cells.index(C) for C in nb)
     mirror = tuple(
@@ -279,19 +279,21 @@ def vector_parts(tables):
     return parts
 
 
-def _pair_matrices(space, spec, diss, cell_ids, sources, pattern, weights, slot):
+def _pair_matrices(plan, cell_ids, sources, pattern):
     """(b) The unscaled pair matrices (surface, volume, dissipative) of a
     batch of B cells with one pattern and one cell-rule size, each (B, n R,
     n R) over the cells' neighborhoods (n cells, R = 3 n_modes test modes
     per cell).
 
-    ``sources`` holds each cell's source cells, (B, S), and ``weights`` and
-    ``slot`` come from :func:`_table_weights`.  Each Gram product of
+    ``sources`` holds each cell's source cells, (B, S), and the pair weights
+    come from :func:`_table_weights`.  Each Gram product of
     :func:`source_tables` times a table pair's weight and the 3 x 3
     coupling of its two vector parts, M_x Z M_y^T with M = I or -2 N and
     Z = A_n, I or A_d, is the pair's block.  The table blocks are then
     added into their cells'.
     """
+    space, spec, diss = plan.space, plan.spec, plan.diss
+    weights, slot = _table_weights(pattern)
     B, S = sources.shape
     n = 1 + slot.max()
     tables = source_tables(space, cell_ids, sources, pattern[1], n)
@@ -385,22 +387,45 @@ def volume_forms(tables, spec, U, V, W):
     p_vs = kappa * np.sum((np.swapaxes(gram, -1, -2) @ ubar @ AdT) * W, axis=(-3, -2, -1))
     return p_v, p_vs
 
+
 class _Penalty:
     """What both penalties share: one local matrix per stabilized cell over
     its neighborhood, applied per cell or summed into the global matrix.
 
-    Subclasses provide ``_build()``, which returns the neighborhoods and the
-    local matrices, both keyed by cell.  A local matrix maps the
-    coefficients of the neighborhood, in the order of
-    ``u.coeffs[cells].ravel()``, to the penalty paired with its test modes.
-    """
+    The cells are grouped by pattern and cell-rule size and evaluated in
+    batches.  Subclasses provide ``_layout(mesh, cid)``, a cell's
+    (neighborhood, sources, pattern); ``_contract(plan, batch, sources,
+    pattern)``, the batch's matrices named in ``_names``, kept per cell as
+    ``self.<name>[cid]``; and ``_local()``, the local matrices by cell.  A
+    local matrix maps the neighborhood's coefficients, in the order of
+    ``u.coeffs[cells].ravel()``, to the penalty's test modes."""
+
+    _names = ()
 
     def __init__(self, plan, small, eta):
         self.plan = plan
         self.space = plan.space
         self.cell_ids = list(small)
         self.eta = eta
-        self._cells, self.local = self._build()
+        layouts = {cid: self._layout(self.space.mesh, cid) for cid in self.cell_ids}
+        groups = {}
+        for cid, (_, _, pattern) in layouts.items():
+            groups.setdefault((pattern, len(self.space.cell_w[cid])), []).append(cid)
+        for name in self._names:
+            setattr(self, name, {})
+        R = self.space.n_modes * plan.spec.m
+        for (pattern, _), ids in groups.items():
+            S = len(layouts[ids[0]][1])
+            step = max(1, _BATCH_ENTRIES // (S * R) ** 2)
+            for lo in range(0, len(ids), step):
+                batch = ids[lo:lo + step]
+                sources = np.array([layouts[cid][1] for cid in batch])
+                # one array per cell, so that the batch's arrays are freed
+                # rather than held by the stored matrices
+                for name, M in zip(self._names, self._contract(plan, batch, sources, pattern)):
+                    getattr(self, name).update((cid, m.copy()) for cid, m in zip(batch, M))
+        self._cells = {cid: layouts[cid][0] for cid in self.cell_ids}
+        self.local = self._local()
 
     def neighborhood(self, cid):
         return self._cells[cid]
@@ -425,37 +450,17 @@ class WaveStabilization(_Penalty):
     """Penalty assembly for acoustics over a fixed stabilized-cell set.
 
     ``surface[cid]``, ``volume[cid]`` and ``dissipative[cid]`` are a cell's
-    unscaled pair matrices over its neighborhood.  They are built for all
-    cells at once: the cells are grouped by pattern (face count, wall face,
-    and the face-to-source map that fixes the pair weights) and by cell-rule
-    size, and each group is evaluated in batches of stacked arrays.
+    unscaled pair matrices over its neighborhood.  A cell's pattern is its
+    face count, wall face, and the face-to-source map of the pair weights.
     """
 
-    def _build(self):
-        space, plan = self.space, self.plan
-        mesh = space.mesh
-        layouts = {cid: _wave_layout(mesh, cid) for cid in self.cell_ids}
-        groups = {}
-        for cid, (_, _, pattern) in layouts.items():
-            groups.setdefault(pattern, {}).setdefault(len(space.cell_w[cid]), []).append(cid)
-        self.surface, self.volume, self.dissipative = {}, {}, {}
+    _names = ("surface", "volume", "dissipative")
+    _layout = staticmethod(_wave_layout)
+    _contract = staticmethod(_pair_matrices)
+
+    def _local(self):
+        space, plan, mesh = self.space, self.plan, self.space.mesh
         R = space.n_modes * plan.spec.m
-        for pattern, by_size in groups.items():
-            weights, slot = _table_weights(pattern)
-            S = len(slot)
-            for ids in by_size.values():
-                step = max(1, _BATCH_ENTRIES // (S * R) ** 2)
-                for lo in range(0, len(ids), step):
-                    batch = ids[lo:lo + step]
-                    sources = np.array([layouts[cid][1] for cid in batch])
-                    mats = _pair_matrices(
-                        space, plan.spec, plan.diss, batch, sources, pattern, weights, slot
-                    )
-                    # one array per cell, so that the batch's arrays are freed
-                    # rather than held by the stored matrices
-                    for store, M in zip((self.surface, self.volume, self.dissipative), mats):
-                        store.update((cid, m.copy()) for cid, m in zip(batch, M))
-        cells = {cid: layouts[cid][0] for cid in self.cell_ids}
         # a cell's matrix: eta (surface + volume + dissipative) minus eta times
         # the face matrices of its faces.  They come from face_matrices, as the
         # base form's do, so at eta = 1 they cancel the base face terms bit for
@@ -468,13 +473,13 @@ class WaveStabilization(_Penalty):
         for cid in self.cell_ids:
             eta = self.eta[cid]
             A = eta * (self.surface[cid] + self.volume[cid] + self.dissipative[cid])
-            dofs = {C: i * R + np.arange(R) for i, C in enumerate(cells[cid])}
+            dofs = {C: i * R + np.arange(R) for i, C in enumerate(self.neighborhood(cid))}
             for fid in mesh.cell_faces(cid).tolist():
                 face_cells = (mesh.face_left[fid], mesh.face_right[fid])
                 idx = np.concatenate([dofs[C] for C in face_cells if C >= 0])
                 A[np.ix_(idx, idx)] -= eta * faces[row[fid], :len(idx), :len(idx)]
             local[cid] = A
-        return cells, local
+        return local
 
 
 # ---------------------------------------------------------------------------
@@ -482,92 +487,71 @@ class WaveStabilization(_Penalty):
 # ---------------------------------------------------------------------------
 
 
-class _AdvectionCellContext:
-    """The upstream-extension matrices of one small cell, unscaled.
+def _upstream_matrices(plan, cell_ids, sources, pattern):
+    """The unscaled ``outflow`` and ``volume`` matrices (B, S k, S k) and
+    the ``boundary_outflow`` rows (B, S, k) of a batch of B cells with one
+    pattern and one cell-rule size, over their S-cell neighborhoods.
 
-    ``outflow`` corrects the outflow flux by the defect of the upstream
-    extension against the jump of the test function; ``volume`` couples the
-    same defect in the cell.  ``boundary_outflow`` pairs with the
-    neighborhood's coefficients to give the correction's outflow rate on
-    physical boundary faces.
+    The pattern ``(K, e, u, plain)`` holds the neighborhood positions of the
+    cell E, its upstream neighbor U and each face's neighbor C_k (-1 on the
+    boundary).  With (a)'s Gram products G, ``outflow`` is (beta.n_k)^+
+    (G_k[E,U] - G_k[E,E] - G_k[C_k,U] + G_k[C_k,E]) summed over the faces:
+    the defect phi_U - phi_E against the test function's jump.  ``volume``
+    is sum_d beta_d (G_d[U,U] - G_d[U,E] - G_d[E,U] + G_d[E,E]), and
+    ``boundary_outflow`` the outflow rate (beta.n)^+ int (phi_U - phi_E) on
+    the physical boundary faces.
     """
+    K, e, u, plain = pattern
+    S = sources.shape[1]
+    space, beta, k = plan.space, plan.spec.beta, plan.space.n_modes
+    tables = source_tables(space, cell_ids, sources)
+    bn = np.maximum(tables.outward @ beta, 0.0)
+    defect = np.zeros(S)
+    defect[[u, e]] = 1.0, -1.0
+    jump = np.zeros((K, S + 1))   # the extra column answers plain = -1
+    jump[:, e] = 1.0
+    jump[np.arange(K), plain] = -1.0
+    face_w = bn[:, :, None, None] * (jump[:, :S, None] * defect)
+    cell_w = beta[:, None, None] * np.outer(defect, defect)
 
-    def __init__(self, space, spec, cell_id):
-        mesh = space.mesh
-        basis = space.basis
-        face_ids = mesh.cell_faces(cell_id).tolist()
-        beta = spec.beta
-        inflow = inflow_faces(mesh, cell_id, beta)
-        if len(inflow) != 1:
-            raise MeshValidationError(
-                f"stabilized cell {cell_id} has {len(inflow)} inflow faces; "
-                "the advection penalty requires exactly one"
-            )
-        if mesh.face_right[inflow[0]] < 0:
-            raise UnsupportedConfigurationError(
-                f"stabilized cell {cell_id}: inflow face {inflow[0]} lies on the boundary"
-            )
-        up = mesh.neighbor(cell_id, inflow[0])
-        nb = [mesh.neighbor(cell_id, fid) for fid in face_ids]
-        self.cells = sorted({cell_id, up} | {C for C in nb if C is not None})
-        k = space.n_modes
-        n = len(self.cells) * k
+    def contract(gram, w):
+        """sum_l w[l, x, y] gram[l, (x, i), (y, j)] per cell, w ([B,] L, S, S)."""
+        return np.sum(w.repeat(k, axis=-2).repeat(k, axis=-1) * gram, axis=1)
 
-        def block(C):
-            i = self.cells.index(C)
-            return slice(i * k, (i + 1) * k)
-
-        def defect(pts, phi_E):
-            """Upstream extension minus the cell's own polynomial at ``pts``."""
-            d = np.zeros((len(pts), n))
-            d[:, block(up)] = monomial_values(basis.exps, basis.center(up), basis.h, pts)
-            d[:, block(cell_id)] -= phi_E
-            return d
-
-        self.outflow = np.zeros((n, n))
-        self.boundary_outflow = np.zeros(n)
-        for fid, C in zip(face_ids, nb):
-            bn_plus = max(float(beta @ mesh.outward_normal(cell_id, fid)), 0.0)
-            if bn_plus == 0.0:
-                continue
-            pts = space.face_pts[fid]
-            phi_E = monomial_values(basis.exps, basis.center(cell_id), basis.h, pts)
-            g = (bn_plus * space.face_w[fid])[:, None] * defect(pts, phi_E)
-            self.outflow[block(cell_id)] += phi_E.T @ g
-            if C is None:
-                self.boundary_outflow += g.sum(axis=0)
-            else:
-                phi_nb = monomial_values(basis.exps, basis.center(C), basis.h, pts)
-                self.outflow[block(C)] -= phi_nb.T @ g
-        pts = space.cell_pts[cell_id]
-        wd = space.cell_w[cell_id][:, None] * defect(pts, space.cell_phi[cell_id])
-        gE = space.cell_grad[cell_id] @ beta
-        gU = monomial_gradients(basis.exps, basis.center(up), basis.h, pts) @ beta
-        self.volume = np.zeros((n, n))
-        self.volume[block(up)] += gU.T @ wd
-        self.volume[block(cell_id)] -= gE.T @ wd
+    fids = np.array([space.mesh.cell_faces(cid) for cid in cell_ids])
+    wall = bn * (np.array(plain) < 0)
+    integrals = np.einsum("bk,bkq,bksqj->bsj", wall, space.face_w[fids], tables.face_phi)
+    return (contract(tables.face_gram, face_w), contract(tables.cell_gram, cell_w),
+            defect[:, None] * integrals)
 
 
 class AdvectionStabilization(_Penalty):
-    """Penalty assembly for advection over a fixed stabilized-cell set."""
+    """Penalty assembly for advection over a fixed stabilized-cell set:
+    ``outflow[cid]`` and ``volume[cid]`` are a cell's unscaled matrices over
+    its neighborhood, which is also its list of (plain) sources."""
+
+    _names = ("outflow", "volume", "boundary_outflow")
+    _contract = staticmethod(_upstream_matrices)
 
     def __init__(self, plan, small, eta):
         if plan.spec.kind != "advection":
             raise ConfigurationError("advection stabilization requires an advection system")
+        up = upstream_cells(plan.space.mesh, list(small), plan.spec.beta)
+        self._upstream = dict(zip(small, up.tolist()))
         super().__init__(plan, small, eta)
 
-    def _build(self):
-        self._ctx = {cid: _AdvectionCellContext(self.space, self.plan.spec, cid)
-                     for cid in self.cell_ids}
-        cells = {cid: ctx.cells for cid, ctx in self._ctx.items()}
-        local = {cid: self.eta[cid] * (ctx.outflow + ctx.volume) for cid, ctx in self._ctx.items()}
-        return cells, local
+    def _layout(self, mesh, cid):
+        nb, cells = _neighborhood(mesh, cid)
+        plain = tuple(-1 if C is None else cells.index(C) for C in nb)
+        return cells, cells, (len(nb), cells.index(cid), cells.index(self._upstream[cid]), plain)
+
+    def _local(self):
+        return {c: self.eta[c] * (self.outflow[c] + self.volume[c]) for c in self.cell_ids}
 
     def boundary_outflow_weights(self):
         """Weights g with g . u the penalty's outflow-rate correction on
         physical boundary faces."""
         g = np.zeros((self.space.mesh.num_cells, self.space.n_modes, 1))
         for cid in self.cell_ids:
-            ctx = self._ctx[cid]
-            g[ctx.cells, :, 0] += self.eta[cid] * ctx.boundary_outflow.reshape(len(ctx.cells), -1)
+            g[self.neighborhood(cid), :, 0] += self.eta[cid] * self.boundary_outflow[cid]
         return g

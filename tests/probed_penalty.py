@@ -255,12 +255,11 @@ class _AdvectionCellContext:
         inflow = inflow_faces(mesh, cell_id, beta)
         if len(inflow) != 1:
             raise MeshValidationError(
-                f"stabilized cell {cell_id} has {len(inflow)} inflow faces; "
-                "the advection penalty requires exactly one"
+                f"stabilized cell {cell_id} has {len(inflow)} inflow faces; exactly one required"
             )
         if mesh.faces[inflow[0]].kind != "internal":
             raise UnsupportedConfigurationError(
-                f"stabilized cell {cell_id}: inflow face {inflow[0]} lies on the boundary"
+                f"stabilized cell {cell_id}: inflow face {inflow[0]} lies on the physical boundary"
             )
         self.upstream = mesh.neighbor(cell_id, inflow[0])
 

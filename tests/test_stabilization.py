@@ -1,11 +1,13 @@
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import face_matrix_on, ramp_mesh
 from cutdg.dg import AssemblyPlan
-from cutdg.errors import UnsupportedConfigurationError
+from cutdg.config import load_config
+from cutdg.errors import MeshValidationError, UnsupportedConfigurationError
 from cutdg.geometry import classify_small_cells
 from cutdg.quadrature import Space
 from cutdg.solutions import PolynomialField, random_polynomial
@@ -501,3 +503,67 @@ def test_wave_penalty_names_the_corner_after_valid_cells():
     assert str(batched.value).startswith(
         f"cell {corner.id}: faces {walls[0]} and {walls[1]} are both boundary faces"
     )
+
+
+_ADVECTION_CASES = [(r, a) for eq, r, a in _GRID if eq == "advection"] + ["conservation-bump"]
+
+
+@pytest.mark.parametrize("case", _ADVECTION_CASES, ids=str)
+def test_boundary_outflow_weights_match_probed_oracle(case):
+    # eta (beta.n)^+ int (phi_up - phi_E) on every wall face of a stabilized
+    # cell, summed from the probed oracle's per-face data
+    if case == "conservation-bump":
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        cfg = load_config(str(configs / "conservation-bump.cfg"))
+    else:
+        cfg = ramp_config("advection", *case, nx=8)
+    ctx = build_context(cfg)
+    stab = ctx.stab
+    oracle = ProbedPenalty(stab)
+    expected = np.zeros((ctx.mesh.num_cells, ctx.space.n_modes, 1))
+    for cid in stab.cell_ids:
+        cell = oracle._ctx[cid]
+        for face in cell.faces:
+            if face["boundary"]:
+                rate = stab.eta[cid] * face["bn_plus"]
+                expected[cell.upstream, :, 0] += rate * (face["w"] @ face["phi_up"])
+                expected[cid, :, 0] -= rate * (face["w"] @ face["phi_E"])
+    assert np.abs(expected).max() > 0.0
+    got = stab.boundary_outflow_weights()
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def _uncut(mesh, walls):
+    """The first uncut cell with ``walls`` boundary faces, all on the left box wall."""
+    def left_wall(c, f):
+        return mesh.faces[f].kind == "boundary" and mesh.outward_normal(c.id, f)[0] == -1.0
+
+    return next(
+        c for c in mesh.cells
+        if c.volume_fraction == 1.0
+        and [mesh.faces[f].kind for f in c.face_ids].count("boundary") == walls
+        and all(left_wall(c, f) for f in c.face_ids if mesh.faces[f].kind == "boundary")
+    )
+
+
+@pytest.mark.parametrize("beta", [(1.0, 0.2), (1.0, 0.0)])
+def test_advection_penalty_names_the_inflow_offender_after_valid_cells(beta):
+    # a valid set with one forced offender after it: an interior cell with
+    # two inflow faces (beta = (1, 0.2)), or a left-wall cell whose inflow
+    # face is the wall (beta = (1, 0)); the error names that cell as the
+    # small-cell classification does
+    ctx = build_context(ramp_config("advection", 1, 1e-2, nx=8, beta=beta))
+    mesh = ctx.mesh
+    if beta[1] != 0.0:
+        cell = _uncut(mesh, 0)
+        error = MeshValidationError
+        message = f"stabilized cell {cell.id} has 2 inflow faces; exactly one required"
+    else:
+        cell = _uncut(mesh, 1)
+        wall = next(f for f in cell.face_ids if mesh.faces[f].kind == "boundary")
+        error = UnsupportedConfigurationError
+        message = f"stabilized cell {cell.id}: inflow face {wall} lies on the physical boundary"
+    AdvectionStabilization(ctx.plan, ctx.small, ctx.eta)
+    with pytest.raises(error) as err:
+        AdvectionStabilization(ctx.plan, list(ctx.small) + [cell.id], np.ones(mesh.num_cells))
+    assert str(err.value) == message
