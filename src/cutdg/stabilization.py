@@ -400,8 +400,6 @@ class _Penalty:
     local matrix maps the neighborhood's coefficients, in the order of
     ``u.coeffs[cells].ravel()``, to the penalty's test modes."""
 
-    _names = ()
-
     def __init__(self, plan, small, eta):
         self.plan = plan
         self.space = plan.space
