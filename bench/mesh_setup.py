@@ -4,7 +4,7 @@
     python3 bench/mesh_setup.py --side parent --src <checkout of the parent>/src
 
 Each case times, 5 times each, ``build_mesh(cfg.background(),
-cfg.geometry())``, ``Space(mesh, r)``, ``AssemblyPlan(space, spec, diss)``,
+cfg.geometry())``, ``Space(mesh, r)``, ``AssemblyPlan(space, spec)``,
 ``SemiDiscreteOperator(plan, stab)`` on the case's context, and
 ``make_rhs(build_context(cfg))``, and records the best and the median of
 each.  The cases are ``ramp_config("acoustics", r, alpha, nx=128)`` with
@@ -70,7 +70,7 @@ def measure(equation, degree, alpha, nx):
     mesh, mesh_times = timed(lambda: build_mesh(cfg.background(), cfg.geometry()))
     space, space_times = timed(lambda: Space(mesh, degree))
     ctx = build_context(cfg)
-    _, plan_times = timed(lambda: AssemblyPlan(ctx.space, ctx.spec, ctx.diss))
+    _, plan_times = timed(lambda: AssemblyPlan(ctx.space, ctx.spec))
     op, op_times = timed(lambda: SemiDiscreteOperator(ctx.plan, ctx.stab))
     _, setup_times = timed(lambda: make_rhs(build_context(cfg)))
     return {

@@ -5,7 +5,7 @@
 
 Each case builds the context of ``ramp_config(equation, r, alpha, nx)``
 without a penalty, classifies its small cells and their strengths as
-``build_context`` does, then times ``AssemblyPlan(space, spec, diss)`` and
+``build_context`` does, then times ``AssemblyPlan(space, spec)`` and
 the penalty constructor (``WaveStabilization`` or
 ``AdvectionStabilization``), each best of 5.  The cases are acoustics at
 nx=128 with r=1, alpha=1e-6 (the ``setup-checks`` fine-acoustics mesh) and
@@ -57,7 +57,7 @@ def measure(equation, degree, alpha, nx):
     beta = ctx.spec.beta if equation == "advection" else None
     small = classify_small_cells(ctx.mesh, cfg.alpha0, beta=beta)
     eta = eta_values(ctx.mesh, small, cfg.alpha0, cfg.eta_scale)
-    plan, plan_times = best_of(lambda: AssemblyPlan(ctx.space, ctx.spec, ctx.diss))
+    plan, plan_times = best_of(lambda: AssemblyPlan(ctx.space, ctx.spec))
     penalty = AdvectionStabilization if equation == "advection" else WaveStabilization
     stab, times = best_of(lambda: penalty(ctx.plan, small, eta))
     km = ctx.space.n_modes * ctx.spec.m

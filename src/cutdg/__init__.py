@@ -9,14 +9,13 @@ from .geometry import (
     halfplane_from_line,
 )
 from .quadrature import DGFunction, Space
-from .systems import DissipationSpec, SystemSpec
+from .systems import SystemSpec
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BackgroundMesh",
     "DGFunction",
-    "DissipationSpec",
     "Geometry",
     "HalfPlane",
     "Space",

@@ -5,11 +5,12 @@ lines accumulate.  Unknown keys are rejected by name; parsing then
 serializing yields a canonical form byte-identical across runs.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 from .geometry import BackgroundMesh, Geometry, HalfPlane
-from .systems import DissipationSpec, SystemSpec
+from .systems import SystemSpec
 
 _FLOAT = "{:.17g}".format
 
@@ -24,7 +25,6 @@ class RunConfig:
     constraints: list = field(default_factory=list)   # (a, b, c) triples
     beta: tuple = (1.0, 0.0)
     sound_speed: float = 1.0
-    dissipation: str = ""          # default chosen by equation
     alpha0: float = 0.4
     eta_scale: float = 1.0
     cfl: float = 0.3
@@ -44,6 +44,14 @@ class RunConfig:
 
     # ------------------------------------------------------------------
     def validate(self):
+        finite = [(key, (getattr(self, key),)) for key in _KEY_ORDER if key in _FLOAT_KEYS]
+        finite += [("box", self.box), ("beta", self.beta)]
+        finite += [("geometry.constraint", abc) for abc in self.constraints]
+        for key, values in finite:
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigurationError(
+                    f"key {key!r}: values must be finite, got {','.join(map(str, values))}"
+                )
         if self.equation not in ("advection", "acoustics"):
             raise ConfigurationError(f"unknown equation {self.equation!r}")
         if self.degree < 0:
@@ -69,12 +77,6 @@ class RunConfig:
             raise ConfigurationError("n_polynomials must be >= 1")
         if self.n_triples < 1:
             raise ConfigurationError("n_triples must be >= 1")
-        if self.dissipation and self.dissipation not in ("upwind", "rusanov"):
-            raise ConfigurationError(f"unknown dissipation {self.dissipation!r}")
-        if self.equation == "advection" and self.dissipation == "rusanov":
-            raise ConfigurationError("advection uses the upwind dissipative flux")
-        if self.equation == "acoustics" and self.dissipation == "upwind":
-            raise ConfigurationError("acoustics uses the rusanov dissipative flux")
         if self.equation == "acoustics" and self.sound_speed <= 0:
             raise ConfigurationError("sound_speed must be positive")
         for abc in self.constraints:
@@ -87,10 +89,6 @@ class RunConfig:
             return SystemSpec.advection(self.beta)
         return SystemSpec.acoustics(self.sound_speed)
 
-    def dissipation_spec(self):
-        kind = self.dissipation or ("upwind" if self.equation == "advection" else "rusanov")
-        return DissipationSpec(kind)
-
     def background(self, nx=None, ny=None):
         x0, y0, x1, y1 = self.box
         return BackgroundMesh(x0, y0, x1, y1, nx or self.nx, ny or self.ny)
@@ -101,16 +99,16 @@ class RunConfig:
 
 _KEY_ORDER = [
     "equation", "degree", "nx", "ny", "box", "geometry.constraint", "beta",
-    "sound_speed", "dissipation", "alpha0", "eta_scale", "cfl", "t_final",
-    "rk_order", "seed", "out", "initial", "n_polynomials", "n_triples",
-    "refinements", "projection_only", "steps", "growth_tol", "dod", "threads",
+    "sound_speed", "alpha0", "eta_scale", "cfl", "t_final", "rk_order", "seed",
+    "out", "initial", "n_polynomials", "n_triples", "refinements",
+    "projection_only", "steps", "growth_tol", "dod", "threads",
 ]
 
 _INT_KEYS = {"degree", "nx", "ny", "rk_order", "seed", "n_polynomials",
              "n_triples", "steps", "threads"}
 _FLOAT_KEYS = {"sound_speed", "alpha0", "eta_scale", "cfl", "t_final", "growth_tol"}
 _BOOL_KEYS = {"projection_only", "dod"}
-_STR_KEYS = {"equation", "dissipation", "out", "initial"}
+_STR_KEYS = {"equation", "out", "initial"}
 
 
 def _parse_floats(value, key, count=None):

@@ -67,7 +67,7 @@ def block_matrix(triplets, num_cells):
     return sparse.bsr_matrix((blocks[kept], cols, indptr), shape=(num_cells * km,) * 2)
 
 
-def face_matrices(space, spec, diss, fids, central=True, dissipative=True):
+def face_matrices(space, spec, fids, central=True, dissipative=True):
     """The face terms' local matrices of faces ``fids``, (F, 2 k m, 2 k m).
 
     Rows are the test modes and columns the dofs of the face's left cell,
@@ -80,7 +80,7 @@ def face_matrices(space, spec, diss, fids, central=True, dissipative=True):
     mesh = space.mesh
     fids = np.asarray(fids, dtype=np.int64)
     flux = np.stack(flux_matrices(
-        spec, diss, mesh.face_normal[fids], mesh.face_right[fids] < 0, central, dissipative
+        spec, mesh.face_normal[fids], mesh.face_right[fids] < 0, central, dissipative
     ), axis=1)
     phi = np.stack(space.face_traces(fids), axis=1)
     wphi = space.face_w[fids][:, None, :, None] * phi
@@ -116,12 +116,9 @@ class AssemblyPlan:
     (:func:`local_blocks`); ``coupling`` is their sum as a sparse matrix.
     """
 
-    def __init__(self, space, spec, diss):
-        if spec.kind == "advection" and diss.kind != "upwind":
-            raise ConfigurationError("advection uses the upwind dissipative flux")
+    def __init__(self, space, spec):
         self.space = space
         self.spec = spec
-        self.diss = diss
         self.shape = (space.n_modes, spec.m)
         mesh = space.mesh
         uncut = space.uncut
@@ -147,7 +144,7 @@ class AssemblyPlan:
         def face_entry(fids):
             """(cells, local matrices) of faces of one kind: left, then right if internal."""
             s = 1 + int(internal[fids[0]])
-            return cells[fids, :s], face_matrices(space, spec, diss, fids)[:, :s * km, :s * km]
+            return cells[fids, :s], face_matrices(space, spec, fids)[:, :s * km, :s * km]
 
         self.shared = []
         if len(uncut_ids):

@@ -11,7 +11,7 @@ import numpy as np
 from .config import RunConfig
 from .dg import AssemblyPlan, SemiDiscreteOperator
 from .errors import ConfigurationError, IntegrationFailureError
-from .geometry import SmallCellSet, build_mesh, classify_small_cells, halfplane_from_line
+from .geometry import build_mesh, classify_small_cells, halfplane_from_line
 from .quadrature import (
     Space,
     face_quadrature,
@@ -77,11 +77,10 @@ def ramp_config(equation, degree, min_alpha, nx=16, **overrides):
 class RunContext:
     cfg: RunConfig
     spec: object
-    diss: object
     mesh: object
     space: Space
     plan: AssemblyPlan
-    small: SmallCellSet
+    small: tuple   # stabilized cell ids
     eta: np.ndarray
     stab: object
 
@@ -89,16 +88,15 @@ class RunContext:
 def build_context(cfg, nx=None, ny=None, stabilized=None):
     """Mesh, discrete space, assembly plan and stabilization for one run."""
     spec = cfg.system()
-    diss = cfg.dissipation_spec()
     mesh = build_mesh(cfg.background(nx, ny), cfg.geometry())
     use_stab = cfg.dod if stabilized is None else stabilized
     if use_stab:
         beta = spec.beta if spec.kind == "advection" else None
         small = classify_small_cells(mesh, cfg.alpha0, beta=beta)
     else:
-        small = SmallCellSet((), cfg.alpha0)
+        small = ()
     space = Space(mesh, cfg.degree)
-    plan = AssemblyPlan(space, spec, diss)
+    plan = AssemblyPlan(space, spec)
     eta = eta_values(mesh, small, cfg.alpha0, cfg.eta_scale)
     stab = None
     if len(small):
@@ -106,7 +104,7 @@ def build_context(cfg, nx=None, ny=None, stabilized=None):
             stab = AdvectionStabilization(plan, small, eta)
         else:
             stab = WaveStabilization(plan, small, eta)
-    return RunContext(cfg, spec, diss, mesh, space, plan, small, eta, stab)
+    return RunContext(cfg, spec, mesh, space, plan, small, eta, stab)
 
 
 def project_field(space, fld, t=0.0):

@@ -81,7 +81,7 @@ class HalfPlane:
 
     def __post_init__(self):
         norm = self.a * self.a + self.b * self.b
-        if abs(norm - 1.0) > 1e-14:
+        if not abs(norm - 1.0) <= 1e-14:   # NaN fails too
             raise ConfigurationError(
                 f"half-plane normal ({self.a}, {self.b}) must have unit length"
             )
@@ -539,27 +539,6 @@ def build_mesh(bg, geometry):
                        face_p, face_q, face_normal, face_left, face_right)
 
 
-@dataclass(frozen=True)
-class SmallCellSet:
-    """Cells selected for stabilization: volume fraction below the threshold."""
-
-    cell_ids: tuple
-    threshold: float
-    _members: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(self.cell_ids))
-
-    def __contains__(self, cell_id):
-        return cell_id in self._members
-
-    def __iter__(self):
-        return iter(self.cell_ids)
-
-    def __len__(self):
-        return len(self.cell_ids)
-
-
 def _faces_of(mesh, cell_ids):
     """Every face of the cells ``cell_ids``, in cell order and each cell's
     face order: (position of the owning cell in ``cell_ids``, face id)."""
@@ -575,12 +554,6 @@ def _inflow(mesh, owner, fids, beta):
     tol = 1e-12 * float(np.hypot(*beta))
     n = mesh.face_normal[fids] * np.where(mesh.face_left[fids] == owner, 1.0, -1.0)[:, None]
     return n[:, 0] * beta[0] + n[:, 1] * beta[1] < -tol
-
-
-def inflow_faces(mesh, cell_id, beta):
-    """Face ids of ``cell_id`` whose outward flux direction is strictly inflow."""
-    fids = mesh.cell_faces(cell_id)
-    return fids[_inflow(mesh, cell_id, fids, beta)].tolist()
 
 
 def upstream_cells(mesh, cell_ids, beta):
@@ -609,7 +582,8 @@ def upstream_cells(mesh, cell_ids, beta):
 
 
 def classify_small_cells(mesh, alpha0, beta=None):
-    """Select cells with volume fraction below ``alpha0`` and validate them.
+    """Select cells with volume fraction below ``alpha0`` and validate them;
+    the selected cell ids, ascending, as a tuple.
 
     No two selected cells may share a face.  When ``beta`` is given
     (advection), every selected cell must additionally have exactly one
@@ -634,7 +608,7 @@ def classify_small_cells(mesh, alpha0, beta=None):
         )
     if beta is not None:
         upstream_cells(mesh, small, beta)
-    return SmallCellSet(tuple(small.tolist()), alpha0)
+    return tuple(small.tolist())
 
 
 def orthogonal_projection(x, face):

@@ -292,7 +292,7 @@ def _pair_matrices(plan, cell_ids, sources, pattern):
     Z = A_n, I or A_d, is the pair's block.  The table blocks are then
     added into their cells'.
     """
-    space, spec, diss = plan.space, plan.spec, plan.diss
+    space, spec = plan.space, plan.spec
     weights, slot = _table_weights(pattern)
     B, S = sources.shape
     n = 1 + slot.max()
@@ -304,7 +304,7 @@ def _pair_matrices(plan, cell_ids, sources, pattern):
     # per Gram term: for surface and dissipative the faces, for volume the
     # two gradient directions
     An = spec.A_n(tables.outward)
-    s = np.array([[diss.coefficient(spec, nrm) for nrm in row] for row in tables.outward])
+    s = spec.dissipation(tables.outward)
     Ad = np.stack([spec.A1, spec.A2])[None]
     mirrored = (np.arange(S) >= n).astype(int)
 
@@ -465,7 +465,7 @@ class WaveStabilization(_Penalty):
         # bit; the central and dissipative parts of a face matrix have no
         # nonzero entry in common, so one subtraction of both equals two.
         fids = np.unique(np.concatenate([mesh.cell_faces(cid) for cid in self.cell_ids]))
-        faces = face_matrices(space, plan.spec, plan.diss, fids)
+        faces = face_matrices(space, plan.spec, fids)
         row = {fid: i for i, fid in enumerate(fids.tolist())}
         local = {}
         for cid in self.cell_ids:

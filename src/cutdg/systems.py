@@ -41,7 +41,7 @@ class SystemSpec:
     def advection(beta):
         beta = np.asarray(beta, dtype=float)
         speed = float(np.hypot(*beta))
-        if speed <= 0.0:
+        if not speed > 0.0:   # NaN fails too
             raise ConfigurationError("advection velocity must be nonzero")
         return SystemSpec(
             "advection", 1,
@@ -52,7 +52,7 @@ class SystemSpec:
     @staticmethod
     def acoustics(c):
         c = float(c)
-        if c <= 0.0:
+        if not c > 0.0:   # NaN fails too
             raise ConfigurationError("sound speed must be positive")
         A1 = np.array([[0.0, c, 0.0], [c, 0.0, 0.0], [0.0, 0.0, 0.0]])
         A2 = np.array([[0.0, 0.0, c], [0.0, 0.0, 0.0], [c, 0.0, 0.0]])
@@ -63,34 +63,23 @@ class SystemSpec:
         n = np.asarray(n, dtype=float)
         return n[..., 0, None, None] * self.A1 + n[..., 1, None, None] * self.A2
 
-
-@dataclass(frozen=True)
-class DissipationSpec:
-    """Dissipative flux S_n with S_n(u, u) = 0.
-
-    "upwind" scales the jump by |beta . n| / 2 (advection), "rusanov" by c/2.
-    """
-
-    kind: str
-
-    def coefficient(self, spec, n):
-        """s for one normal or for each of stacked normals (..., 2); a scalar
-        where s does not depend on the normal."""
-        if self.kind == "upwind":
-            if spec.beta is None:
-                raise ConfigurationError("upwind dissipation requires an advection system")
-            return 0.5 * np.abs(np.asarray(n, dtype=float) @ spec.beta)
-        if self.kind == "rusanov":
-            return 0.5 * spec.lambda_max
-        raise ConfigurationError(f"unknown dissipation kind {self.kind!r}")
+    def dissipation(self, n):
+        """The dissipative flux's s, half the spectral radius of A_n, for each
+        of stacked unit normals (..., 2): |beta . n| / 2 (upwind) for
+        advection, c / 2 (Rusanov) for acoustics."""
+        n = np.asarray(n, dtype=float)
+        if self.kind == "advection":
+            return 0.5 * np.abs(n @ self.beta)
+        return np.full(n.shape[:-1], 0.5 * self.lambda_max)
 
 
-def flux_matrices(spec, diss, normals, wall, central=True, dissipative=True):
+def flux_matrices(spec, normals, wall, central=True, dissipative=True):
     """Flux matrices (own, other) of faces with unit normals ``normals`` (F, 2).
 
     The numerical flux along a face's normal is own u_left + other u_right,
-    with own = A_n/2 + s I and other = A_n/2 - s I: ``central`` keeps the
-    A_n/2 parts, ``dissipative`` the s I parts.  On the faces flagged in
+    with own = A_n/2 + s I and other = A_n/2 - s I, s from
+    :meth:`SystemSpec.dissipation`: ``central`` keeps the A_n/2 parts,
+    ``dissipative`` the s I parts.  On the faces flagged in
     ``wall`` (F,) the exterior state is folded into own and other is zero:
     for acoustics the velocity-mirrored state, own + other (I - 2 e_n e_n^T);
     for advection the upwind outflow (beta.n)^+ against zero inflow data,
@@ -104,8 +93,7 @@ def flux_matrices(spec, diss, normals, wall, central=True, dissipative=True):
         own += half
         other += half
     if dissipative:
-        s = np.broadcast_to(diss.coefficient(spec, normals), normals.shape[:-1])
-        sI = s[..., None, None] * np.eye(spec.m)
+        sI = spec.dissipation(normals)[..., None, None] * np.eye(spec.m)
         own += sI
         other -= sI
     wall = np.asarray(wall, dtype=bool)

@@ -45,7 +45,7 @@ def face_matrix_on(plan, fid, cells, central=True, dissipative=True):
     the dofs of ``cells``, zero elsewhere."""
     mesh = plan.space.mesh
     km = plan.shape[0] * plan.shape[1]
-    A = face_matrices(plan.space, plan.spec, plan.diss, [fid], central, dissipative)[0]
+    A = face_matrices(plan.space, plan.spec, [fid], central, dissipative)[0]
     face_cells = [C for C in (mesh.face_left[fid], mesh.face_right[fid]) if C >= 0]
     idx = np.concatenate([cells.index(C) * km + np.arange(km) for C in face_cells])
     out = np.zeros((len(cells) * km, len(cells) * km))

@@ -44,7 +44,7 @@ def plan_entries(plan):
     every cut cell's volume term, then every face outside the shared
     full-cell groups (a face of a cut cell, or a slanted one), internal
     faces before walls."""
-    space, spec, diss = plan.space, plan.spec, plan.diss
+    space, spec = plan.space, plan.spec
     mesh = space.mesh
     left, right = mesh.face_left, mesh.face_right
     internal = right >= 0
@@ -56,7 +56,7 @@ def plan_entries(plan):
     entries = [(space.cut_ids[:, None], volume_matrices(space, spec, space.cut_ids))]
     for fids, s in ((ungrouped[internal[ungrouped]], 2), (ungrouped[~internal[ungrouped]], 1)):
         if len(fids):
-            A = face_matrices(space, spec, diss, fids)[:, :s * km, :s * km]
+            A = face_matrices(space, spec, fids)[:, :s * km, :s * km]
             entries.append((cells[fids, :s], A))
     return entries
 

@@ -29,7 +29,7 @@ class _WaveCellContext:
     ``dissipative`` contract them with Gram products of the tables.
     """
 
-    def __init__(self, space, spec, diss, cell_id):
+    def __init__(self, space, spec, cell_id):
         mesh = space.mesh
         basis = space.basis
         cell = mesh.cells[cell_id]
@@ -97,7 +97,7 @@ class _WaveCellContext:
             return np.moveaxis(T, 2, 1).reshape(S * R, -1)
 
         An = np.stack([spec.A_n(mesh.outward_normal(cell_id, fid)) for fid in face_ids])
-        s = np.array([diss.coefficient(spec, mesh.outward_normal(cell_id, fid)) for fid in face_ids])
+        s = spec.dissipation(np.stack([mesh.outward_normal(cell_id, fid) for fid in face_ids]))
         w = space.face_w[face_ids]
         Vf = V[:, :K * nq].reshape(S, K, nq, R, 3)
         flux_gram = np.stack([

@@ -61,7 +61,7 @@ def face_terms(plan, fid, u, central=True, dissipative=True):
             blockL = blockL + phiL.T @ wF
             blockR = blockR + phiR.T @ wF
         if dissipative:
-            s = plan.diss.coefficient(spec, n)
+            s = spec.dissipation(n)
             Fs = s * (uL - uR)
             wF = w[:, None] * Fs
             blockL = blockL + phiL.T @ wF
@@ -79,7 +79,7 @@ def face_terms(plan, fid, u, central=True, dissipative=True):
         Fc = (0.5 * (uL + uM)) @ spec.A_n(n).T
         block = block + phiL.T @ (w[:, None] * Fc)
     if dissipative:
-        s = plan.diss.coefficient(spec, n)
+        s = spec.dissipation(n)
         Fs = s * (uL - uM)
         block = block + phiL.T @ (w[:, None] * Fs)
     return [(face.left_cell, block)]

@@ -10,9 +10,9 @@ import numpy as np
 
 from csr_coupling import block_csr
 from cutdg.errors import MeshValidationError, UnsupportedConfigurationError
-from cutdg.geometry import inflow_faces
 from cutdg.quadrature import monomial_gradients, monomial_values
 from cutdg.stabilization import surface_weights
+from percell_mesh import inflow_faces
 from probed_kernels import face_terms, local_matrix
 
 _I3 = np.eye(3)
@@ -38,7 +38,7 @@ def _gradient_tensor(grad, grad_perp=None, n=None):
 class _WaveCellContext:
     """Quadrature tables, extension sources and test tensors for one small cell."""
 
-    def __init__(self, space, spec, diss, cell_id):
+    def __init__(self, space, spec, cell_id):
         mesh = space.mesh
         basis = space.basis
         self.space = space
@@ -62,7 +62,7 @@ class _WaveCellContext:
             self.face_w.append(space.face_w[fid])
             n_out = mesh.outward_normal(cell_id, fid)
             self.An_out.append(spec.A_n(n_out))
-            self.s_out.append(diss.coefficient(spec, n_out))
+            self.s_out.append(spec.dissipation(n_out))
         self.cell_pts = space.cell_pts[cell_id]
         self.cell_w = space.cell_w[cell_id]
         self.cells = sorted({cell_id} | {nb for nb in self.nb if nb is not None})
@@ -307,7 +307,7 @@ class ProbedPenalty:
             self._ctx = {cid: _AdvectionCellContext(self.space, spec, cid) for cid in self.cell_ids}
         else:
             self._ctx = {
-                cid: _WaveCellContext(self.space, spec, self.plan.diss, cid)
+                cid: _WaveCellContext(self.space, spec, cid)
                 for cid in self.cell_ids
             }
 

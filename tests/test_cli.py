@@ -31,6 +31,17 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "not_a_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, key", [("sound_speed = nan", "sound_speed"),
+                                       ("dissipation = rusanov", "dissipation")])
+def test_rejected_config_line_exit_code(tmp_path, capsys, line, key):
+    # a non-finite value, or the removed dissipation key, stops before any work
+    cfg = ramp_config("acoustics", 1, 1e-2, out=str(tmp_path))
+    path = tmp_path / "run.cfg"
+    path.write_text(serialize_config(cfg) + line + "\n")
+    assert main(["stability", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_consistency_command(tmp_path, capsys):
     cfg = ramp_config("advection", 1, 1e-5, n_polynomials=3, out=str(tmp_path))
     path = _write_config(tmp_path, cfg)

@@ -7,14 +7,12 @@ from probed_penalty import ProbedPenalty
 from cutdg.dg import AssemblyPlan, boundary_outflow_weights, face_matrices, volume_matrices
 from cutdg.quadrature import Space, face_quadrature
 from cutdg.solutions import PolynomialField, random_polynomial
-from cutdg.systems import DissipationSpec, SystemSpec
+from cutdg.systems import SystemSpec
 
 
-def _plan(mesh, degree, spec, diss=None):
+def _plan(mesh, degree, spec):
     space = Space(mesh, degree)
-    if diss is None:
-        diss = DissipationSpec("upwind" if spec.kind == "advection" else "rusanov")
-    return space, AssemblyPlan(space, spec, diss)
+    return space, AssemblyPlan(space, spec)
 
 
 def test_constant_state_interior_residual_vanishes():
@@ -84,7 +82,7 @@ def test_continuous_polynomial_jump_terms_vanish():
     fld = random_polynomial(rng, 2, 3)
     u = fld.to_dg(space)
     fids = np.flatnonzero(mesh.face_right >= 0)
-    A = face_matrices(space, spec, plan.diss, fids, central=False, dissipative=True)
+    A = face_matrices(space, spec, fids, central=False, dissipative=True)
     cells = np.column_stack([mesh.face_left[fids], mesh.face_right[fids]])
     blocks = A @ u.coeffs[cells].reshape(len(fids), -1, 1)
     assert np.abs(blocks).max() < 1e-12
@@ -92,23 +90,22 @@ def test_continuous_polynomial_jump_terms_vanish():
 
 def test_central_form_is_energy_neutral_acoustics():
     # the central part of the form is skew: a(u, u) = 0 for every discrete u,
-    # including the wall terms (mirror pairing carries no energy)
-    class _ZeroDiss:
-        kind = "rusanov"
-
-        def coefficient(self, spec, n):
-            return 0.0
-
+    # including the wall terms (mirror pairing carries no energy); the
+    # dissipative face terms' energy is taken off the full form's
     rng = np.random.default_rng(7)
     mesh = ramp_mesh(nx=8, ny=8)
     spec = SystemSpec.acoustics(1.3)
-    space = Space(mesh, 2)
-    plan = AssemblyPlan(space, spec, _ZeroDiss())
+    space, plan = _plan(mesh, 2, spec)
+    fids = np.arange(len(mesh.face_left))
+    D = face_matrices(space, spec, fids, central=False, dissipative=True)
+    # a wall face's right cell (-1) reads cell 0, whose columns there are zero
+    cells = np.maximum(np.column_stack([mesh.face_left, mesh.face_right]), 0)
     for _ in range(5):
         u = space.zeros(3)
         u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
         res = plan.residual(u.coeffs)
-        energy = float(np.sum(res * u.coeffs))
+        x = u.coeffs[cells].reshape(len(fids), -1)
+        energy = float(np.sum(res * u.coeffs)) - float(np.einsum("fi,fij,fj->", x, D, x))
         norm2 = space.l2_norm(u) ** 2
         assert abs(energy) < 1e-10 * max(norm2, 1.0)
 
@@ -308,7 +305,7 @@ def test_closed_form_matrices_match_probed_kernels(equation, degree, min_alpha):
     assert slanted.any() and (slanted & (mesh.face_right < 0)).any()
     fids = np.arange(len(mesh.faces))
     for flags in ((True, False), (False, True), (True, True)):
-        closed = face_matrices(space, spec, ctx.diss, fids, *flags)
+        closed = face_matrices(space, spec, fids, *flags)
         for fid in fids.tolist():
             cells = [C for C in (mesh.face_left[fid], mesh.face_right[fid]) if C >= 0]
             oracle = local_matrix(lambda u: face_terms(plan, fid, u, *flags), cells, plan.shape)

@@ -16,9 +16,9 @@ from cutdg.geometry import (
     build_mesh,
     classify_small_cells,
     halfplane_from_line,
-    inflow_faces,
     orthogonal_projection,
     polygon_area,
+    upstream_cells,
 )
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -103,6 +103,12 @@ def test_degenerate_geometry_rejected():
     bg = BackgroundMesh(0, 0, 1, 1, 2, 2)
     with pytest.raises(ConfigurationError):
         build_mesh(bg, Geometry((HalfPlane(1.0, 0.0, 5.0),)))
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (float("nan"), 0.8)])
+def test_halfplane_normal_must_have_unit_length(a, b):
+    with pytest.raises(ConfigurationError, match="unit length"):
+        HalfPlane(a, b, 0.1)
 
 
 def test_face_topology_invariants():
@@ -199,7 +205,7 @@ def test_single_inflow_validation():
     mesh = ramp_mesh(nx=16, ny=16)
     small = classify_small_cells(mesh, 0.25, beta=(1.0, 0.2))
     for cid in small:
-        faces = inflow_faces(mesh, cid, (1.0, 0.2))
+        faces = percell_mesh.inflow_faces(mesh, cid, (1.0, 0.2))
         assert len(faces) == 1
         assert mesh.faces[faces[0]].kind == "internal"
 
@@ -500,11 +506,13 @@ def test_small_cell_selection_matches_record_walk(slope, offset, nx, alpha0, bet
         assert str(got.value) == str(exc)
         return
     small = classify_small_cells(mesh, alpha0, beta)
-    assert small.cell_ids == tuple(expected)
-    assert all(type(cid) is int and cid in small for cid in small)
+    assert small == tuple(expected)
+    assert all(type(cid) is int for cid in small)
     if beta is not None:
-        for cid in small:
-            assert inflow_faces(mesh, cid, beta) == percell_mesh.inflow_faces(mesh, cid, beta)
+        # the cell across each one's single inflow face
+        across = [mesh.neighbor(cid, percell_mesh.inflow_faces(mesh, cid, beta)[0])
+                  for cid in small]
+        assert upstream_cells(mesh, small, beta).tolist() == across
 
 
 def test_mesh_is_freed_with_its_last_reference():

@@ -21,7 +21,7 @@ from cutdg.stabilization import (
     surface_weights,
     volume_forms,
 )
-from cutdg.systems import DissipationSpec, SystemSpec
+from cutdg.systems import SystemSpec
 
 from cutdg import experiments, stabilization
 from cutdg.experiments import build_context, check_axioms_on_cell, ramp_config
@@ -34,16 +34,14 @@ def _setup(equation="acoustics", degree=1, nx=16, alpha0=0.25, beta=(1.0, 0.2)):
     mesh = ramp_mesh(nx=nx, ny=nx)
     if equation == "advection":
         spec = SystemSpec.advection(beta)
-        diss = DissipationSpec("upwind")
         small = classify_small_cells(mesh, alpha0, beta=beta)
     else:
         spec = SystemSpec.acoustics(1.0)
-        diss = DissipationSpec("rusanov")
         small = classify_small_cells(mesh, alpha0)
     space = Space(mesh, degree)
-    plan = AssemblyPlan(space, spec, diss)
+    plan = AssemblyPlan(space, spec)
     eta = eta_values(mesh, small, alpha0)
-    return mesh, spec, diss, space, plan, small, eta
+    return mesh, spec, space, plan, small, eta
 
 
 def _apply(stab, u):
@@ -236,7 +234,7 @@ def test_one_face_weight_reaches_the_axiom_check_and_the_penalty(monkeypatch):
     worst = check_axioms_on_cell(ctx.space, ctx.spec, cid, np.random.default_rng(0), 10)
     assert worst["face_consistency"] > 1e-12
     stab = WaveStabilization(ctx.plan, ctx.stab.cell_ids, ctx.eta)
-    expected = _WaveCellContext(ctx.space, ctx.spec, ctx.diss, cid).surface
+    expected = _WaveCellContext(ctx.space, ctx.spec, cid).surface
     assert np.abs(stab.surface[cid] - expected).max() > 1e-12 * np.abs(expected).max()
     monkeypatch.undo()
     worst = check_axioms_on_cell(ctx.space, ctx.spec, cid, np.random.default_rng(0), 10)
@@ -249,7 +247,7 @@ def test_one_face_weight_reaches_the_axiom_check_and_the_penalty(monkeypatch):
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_advection_penalty_annihilates_global_polynomials(degree):
-    mesh, spec, diss, space, plan, small, eta = _setup("advection", degree)
+    mesh, spec, space, plan, small, eta = _setup("advection", degree)
     rng = np.random.default_rng(degree)
     stab = AdvectionStabilization(plan, small, eta)
     h = space.basis.h
@@ -263,7 +261,7 @@ def test_advection_penalty_annihilates_global_polynomials(degree):
 
 
 def test_advection_penalty_zero_eta():
-    mesh, spec, diss, space, plan, small, _ = _setup("advection", 1)
+    mesh, spec, space, plan, small, _ = _setup("advection", 1)
     eta = np.zeros(mesh.num_cells)
     rng = np.random.default_rng(1)
     u = space.zeros(1)
@@ -274,7 +272,7 @@ def test_advection_penalty_zero_eta():
 
 def test_advection_penalty_r0_hand_quadrature():
     # constants: every integral is value times face length
-    mesh, spec, diss, space, plan, small, eta = _setup("advection", 0)
+    mesh, spec, space, plan, small, eta = _setup("advection", 0)
     rng = np.random.default_rng(2)
     u = space.zeros(1)
     u.coeffs[:, 0, 0] = rng.uniform(-1, 1, size=mesh.num_cells)
@@ -305,7 +303,7 @@ def test_advection_penalty_r0_hand_quadrature():
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_wave_penalty_annihilates_pressure_polynomials(degree):
-    mesh, spec, diss, space, plan, small, eta = _setup("acoustics", degree)
+    mesh, spec, space, plan, small, eta = _setup("acoustics", degree)
     stab = WaveStabilization(plan, small, eta)
     rng = np.random.default_rng(degree)
     h = space.basis.h
@@ -321,7 +319,7 @@ def test_wave_penalty_annihilates_pressure_polynomials(degree):
 def test_wave_penalty_annihilates_tangential_velocity(degree=2):
     # stabilized cells only touch the ramp wall; velocity parallel to it is
     # wall-compatible, so the penalty must vanish on such global fields
-    mesh, spec, diss, space, plan, small, eta = _setup("acoustics", degree)
+    mesh, spec, space, plan, small, eta = _setup("acoustics", degree)
     for cid in small:
         kinds = [mesh.faces[f].kind for f in mesh.cells[cid].face_ids]
         assert kinds.count("boundary") == 1
@@ -341,7 +339,7 @@ def test_wave_penalty_annihilates_tangential_velocity(degree=2):
 
 
 def test_wave_penalty_zero_eta():
-    mesh, spec, diss, space, plan, small, _ = _setup("acoustics", 1)
+    mesh, spec, space, plan, small, _ = _setup("acoustics", 1)
     eta = np.zeros(mesh.num_cells)
     rng = np.random.default_rng(4)
     u = space.zeros(3)
@@ -354,7 +352,7 @@ def test_wave_cancellation_terms_are_base_kernels_bitwise():
     # at eta = 1 each cell's matrix is the pair matrix minus the face
     # matrices the base form is assembled from, in the penalty's order of
     # summation
-    mesh, spec, diss, space, plan, small, _ = _setup("acoustics", 2)
+    mesh, spec, space, plan, small, _ = _setup("acoustics", 2)
     eta = np.ones(mesh.num_cells)
     stab = WaveStabilization(plan, small, eta)
     for cid in stab.cell_ids:
@@ -397,7 +395,7 @@ def _check_against_percell(stab, bound):
     """Every local matrix and named matrix of ``stab`` against the per-cell build."""
     plan = stab.plan
     for cid in stab.cell_ids:
-        ctx = _WaveCellContext(stab.space, plan.spec, plan.diss, cid)
+        ctx = _WaveCellContext(stab.space, plan.spec, cid)
         assert stab.neighborhood(cid) == ctx.cells
         for name in ("surface", "volume", "dissipative"):
             batched, percell = getattr(stab, name)[cid], getattr(ctx, name)
@@ -472,9 +470,8 @@ def test_wave_penalty_rejects_double_wall_pairs():
     # box corner cell forced into the stabilized set
     mesh = ramp_mesh(nx=4, ny=4)
     spec = SystemSpec.acoustics(1.0)
-    diss = DissipationSpec("rusanov")
     space = Space(mesh, 1)
-    plan = AssemblyPlan(space, spec, diss)
+    plan = AssemblyPlan(space, spec)
     corner = next(
         c.id for c in mesh.cells
         if sum(mesh.faces[f].kind == "boundary" for f in c.face_ids) >= 2
@@ -496,7 +493,7 @@ def test_wave_penalty_names_the_corner_after_valid_cells():
     )
     walls = [f for f in corner.face_ids if mesh.faces[f].kind == "boundary"]
     with pytest.raises(UnsupportedConfigurationError) as percell:
-        _WaveCellContext(ctx.space, ctx.plan.spec, ctx.plan.diss, corner.id)
+        _WaveCellContext(ctx.space, ctx.plan.spec, corner.id)
     with pytest.raises(UnsupportedConfigurationError) as batched:
         WaveStabilization(ctx.plan, list(ctx.small) + [corner.id], np.ones(mesh.num_cells))
     assert str(batched.value) == str(percell.value)

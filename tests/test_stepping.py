@@ -6,7 +6,7 @@ from cutdg.dg import AssemblyPlan
 from cutdg.errors import ConfigurationError, IntegrationFailureError
 from cutdg.quadrature import Space
 from cutdg.stepping import TimeControls, evolve, rk_step
-from cutdg.systems import DissipationSpec, SystemSpec
+from cutdg.systems import SystemSpec
 
 
 def test_dt_formula_and_invariance():
@@ -58,7 +58,7 @@ def test_zero_state_stays_zero():
     mesh = uncut_mesh(2, 2)
     space = Space(mesh, 1)
     spec = SystemSpec.advection((1.0, 0.0))
-    plan = AssemblyPlan(space, spec, DissipationSpec("upwind"))
+    plan = AssemblyPlan(space, spec)
 
     def rhs(c):
         return space.mass_solve(-plan.residual(c)), 0.0
@@ -74,7 +74,7 @@ def test_standing_acoustic_state_constant_in_time():
     mesh = uncut_mesh(8, 8)
     space = Space(mesh, 1)
     spec = SystemSpec.acoustics(1.0)
-    plan = AssemblyPlan(space, spec, DissipationSpec("rusanov"))
+    plan = AssemblyPlan(space, spec)
     u0 = space.zeros(3)
     u0.coeffs[:, 0, 0] = 1.0
 

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from cutdg.errors import ConfigurationError
-from cutdg.systems import DissipationSpec, SystemSpec, flux_matrices
+from cutdg.systems import SystemSpec, flux_matrices
 
 
-def _flux(spec, u, v, n, central=True, dissipative=True, wall=False, diss=None):
+def _flux(spec, u, v, n, central=True, dissipative=True, wall=False):
     """Numerical flux own u + other v of one face with unit normal n, from
     the face's flux matrices."""
-    if diss is None:
-        diss = DissipationSpec("upwind" if spec.kind == "advection" else "rusanov")
-    own, other = flux_matrices(spec, diss, np.asarray(n, dtype=float)[None], [wall],
+    own, other = flux_matrices(spec, np.asarray(n, dtype=float)[None], [wall],
                                central, dissipative)
     return own[0] @ np.asarray(u, dtype=float) + other[0] @ np.asarray(v, dtype=float)
 
@@ -24,13 +22,13 @@ def central_flux(spec, u, v, n):
     return _flux(spec, u, v, n, dissipative=False)
 
 
-def dissipation(diss, spec, u, v, n):
-    return _flux(spec, u, v, n, central=False, diss=diss)
+def dissipation(spec, u, v, n):
+    return _flux(spec, u, v, n, central=False)
 
 
-def boundary_flux(spec, diss, u, n):
+def boundary_flux(spec, u, n):
     """Wall flux: the exterior state is folded into own, and other is zero."""
-    own, other = flux_matrices(spec, diss, np.asarray(n, dtype=float)[None], [True])
+    own, other = flux_matrices(spec, np.asarray(n, dtype=float)[None], [True])
     assert np.all(other == 0.0)
     return own[0] @ np.asarray(u, dtype=float)
 
@@ -89,47 +87,42 @@ def test_central_flux_examples():
 
 def test_dissipation_examples():
     adv = SystemSpec.advection((1.0, 0.0))
-    upwind = DissipationSpec("upwind")
     n = np.array([1.0, 0.0])
-    got = dissipation(upwind, adv, np.array([2.0]), np.array([4.0]), n)
+    got = dissipation(adv, np.array([2.0]), np.array([4.0]), n)
     assert np.allclose(got, [-1.0])
     # central + dissipation equals the upwind value
     total = central_flux(adv, np.array([2.0]), np.array([4.0]), n) + got
     assert np.allclose(total, [2.0])
-    assert np.allclose(dissipation(upwind, adv, np.array([3.0]), np.array([3.0]), n), [0.0])
+    assert np.allclose(dissipation(adv, np.array([3.0]), np.array([3.0]), n), [0.0])
 
     ac = SystemSpec.acoustics(2.0)
-    rus = DissipationSpec("rusanov")
-    d = dissipation(rus, ac, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0]), n)
+    d = dissipation(ac, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0]), n)
     assert np.allclose(d, [1.0, 0.0, 0.0])
 
 
 def test_dissipation_antisymmetric():
     rng = np.random.default_rng(3)
     ac = SystemSpec.acoustics(1.0)
-    rus = DissipationSpec("rusanov")
     n = np.array([0.6, 0.8])
     u, v = rng.normal(size=(2, 3))
     assert np.allclose(
-        dissipation(rus, ac, u, v, n), -dissipation(rus, ac, v, u, n), atol=1e-15
+        dissipation(ac, u, v, n), -dissipation(ac, v, u, n), atol=1e-15
     )
 
 
 def test_boundary_flux_advection():
     spec = SystemSpec.advection((1.0, 0.0))
-    upwind = DissipationSpec("upwind")
     inflow_n = np.array([-1.0, 0.0])
-    assert np.allclose(boundary_flux(spec, upwind, np.array([3.0]), inflow_n), [0.0])
+    assert np.allclose(boundary_flux(spec, np.array([3.0]), inflow_n), [0.0])
     outflow_n = np.array([1.0, 0.0])
-    assert np.allclose(boundary_flux(spec, upwind, np.array([3.0]), outflow_n), [3.0])
+    assert np.allclose(boundary_flux(spec, np.array([3.0]), outflow_n), [3.0])
 
 
 def test_boundary_flux_acoustics_wall_compatible():
     spec = SystemSpec.acoustics(1.0)
-    rus = DissipationSpec("rusanov")
     n = np.array([0.0, 1.0])
     u = np.array([2.0, 5.0, 0.0])   # v.n = 0: the mirror fixes the state
-    assert np.allclose(boundary_flux(spec, rus, u, n), flux_normal(spec, u, n), atol=1e-15)
+    assert np.allclose(boundary_flux(spec, u, n), flux_normal(spec, u, n), atol=1e-15)
 
 
 def test_wall_energy_flux_nonnegative():
@@ -137,22 +130,31 @@ def test_wall_energy_flux_nonnegative():
     # the raw pairing <bf(u), u> alone is sign-indefinite
     rng = np.random.default_rng(4)
     spec = SystemSpec.acoustics(1.4)
-    rus = DissipationSpec("rusanov")
     for _ in range(100):
         u = rng.normal(size=3)
         angle = rng.uniform(0, 2 * np.pi)
         n = np.array([np.cos(angle), np.sin(angle)])
-        bf = boundary_flux(spec, rus, u, n)
+        bf = boundary_flux(spec, u, n)
         net = float(bf @ u) - 0.5 * float(flux_normal(spec, u, n) @ u)
         vn = u[1] * n[0] + u[2] * n[1]
         assert net >= -1e-13
         assert abs(net - spec.sound_speed * vn * vn) < 1e-12
 
 
-def test_dissipation_kind_validation():
-    adv = SystemSpec.advection((1.0, 0.0))
+def test_dissipation_is_half_the_spectral_radius():
+    # s = max |eigenvalue of A_n| / 2 on random unit normals, stacked (..., 2)
+    rng = np.random.default_rng(5)
+    angle = rng.uniform(0, 2 * np.pi, size=(4, 5))
+    n = np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    for spec in (SystemSpec.advection((1.0, -0.7)), SystemSpec.acoustics(1.3)):
+        expected = 0.5 * np.abs(np.linalg.eigvalsh(spec.A_n(n))).max(axis=-1)
+        got = spec.dissipation(n)
+        assert got.shape == n.shape[:-1]
+        assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
+
+
+def test_nan_coefficients_rejected():
     with pytest.raises(ConfigurationError):
-        DissipationSpec("nonsense").coefficient(adv, np.array([1.0, 0.0]))
-    ac = SystemSpec.acoustics(1.0)
+        SystemSpec.acoustics(float("nan"))
     with pytest.raises(ConfigurationError):
-        DissipationSpec("upwind").coefficient(ac, np.array([1.0, 0.0]))
+        SystemSpec.advection((float("nan"), 0.2))
