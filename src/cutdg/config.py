@@ -77,6 +77,13 @@ class RunConfig:
             raise ConfigurationError("n_polynomials must be >= 1")
         if self.n_triples < 1:
             raise ConfigurationError("n_triples must be >= 1")
+        # a negative tolerance fails a conserving run; a level below one
+        # would run at the config's nx (see background)
+        if self.growth_tol < 0.0:
+            raise ConfigurationError(f"key 'growth_tol': must be >= 0, got {self.growth_tol}")
+        if any(n < 1 for n in self.refinements):
+            levels = ",".join(map(str, self.refinements))
+            raise ConfigurationError(f"key 'refinements': every level must be >= 1, got {levels}")
         if self.equation == "acoustics" and self.sound_speed <= 0:
             raise ConfigurationError("sound_speed must be positive")
         for abc in self.constraints:

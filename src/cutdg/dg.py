@@ -12,20 +12,21 @@ term is a trace Gram matrix phi_x^T W phi_y Kronecker an m x m flux matrix
 small-cell stabilization subtracts :func:`face_matrices` of its cells'
 faces as its cancellation blocks.
 
-* Full background cells share one set of trace and volume tables.  Every
+* Full background cells share one set of trace and volume tables: every
   face between two of them in one direction, every outer-box wall of one on
-  one side, and every such cell's volume term therefore has the same local
-  matrix; it is built once on a representative and applied to all of them
-  by one gather, one matmul per group and one scatter (a 0/1 sparse
-  matrix), through work buffers allocated once.
-* Everything touching a cut cell (its volume term, each of its faces) is
-  kept as (k m, k m) cell blocks, which :class:`SemiDiscreteOperator` sums
-  with the small-cell penalty's blocks into one block-sparse matrix.
+  one side and every such cell's volume term has one local matrix, built
+  on a representative.  So every full cell with four full grid neighbours
+  (a stencil cell) has the same row: five (k m, k m) blocks on itself and
+  its west, east, south and north neighbours.
+* Every other row (cut cells, full cells on a wall or next to a cut cell)
+  is kept as (k m, k m) cell blocks, which :class:`SemiDiscreteOperator`
+  sums with the small-cell penalty's blocks, on any row, into one
+  block-sparse matrix.
 
-:class:`SemiDiscreteOperator` folds the mass inverse into both parts once,
-by Cholesky solves on their row blocks, so applying it runs the same
-gather/matmul/scatter loop (:meth:`AssemblyPlan.apply`) on the folded
-matrices and one block-sparse product, and no mass solve.
+An apply (:meth:`AssemblyPlan.apply`) is one matmul, one 0/1 sparse shift
+and one block-sparse product.  :class:`SemiDiscreteOperator` folds the mass
+inverse into both parts once, by Cholesky solves on their row blocks, so a
+stage runs the same apply and no mass solve.
 
 Dofs are numbered cell by cell, each (n_modes, m) block flattened row-major,
 i.e. in the order of ``coeffs.ravel()``.
@@ -109,84 +110,86 @@ def volume_matrices(space, spec, cids):
 class AssemblyPlan:
     """The base form's local matrices for one (space, system) pair.
 
-    ``shared`` holds the full-cell couplings as (cells, A) pairs: ``cells``
-    is an (n, s) array, one row per face or cell, and ``A`` the local matrix
-    common to all rows.  ``blocks`` holds every coupling that touches a cut
-    cell as (row cells, column cells, blocks) triplets
-    (:func:`local_blocks`); ``coupling`` is their sum as a sparse matrix.
+    A stencil cell is an uncut cell whose four grid neighbours exist and are
+    uncut.  ``stencil_cells`` (n, 5) lists each one with its west, east,
+    south and north neighbours, and ``stencil`` (5, k m, k m) holds the
+    blocks all their rows share, in that order: the volume term plus the
+    four faces' own blocks, then the four neighbours' couplings.  ``blocks``
+    holds every other row's couplings as (row cells, column cells, blocks)
+    triplets (:func:`local_blocks`); ``coupling`` is their sum as a sparse
+    matrix.
     """
 
     def __init__(self, space, spec):
         self.space = space
         self.spec = spec
         self.shape = (space.n_modes, spec.m)
-        mesh = space.mesh
-        uncut = space.uncut
-
-        uncut_ids = np.flatnonzero(uncut)
+        mesh, uncut = space.mesh, space.uncut
+        km = space.n_modes * spec.m
+        num_cells = mesh.num_cells
         self.cut_ids = space.cut_ids
 
-        # faces of full cells, grouped by kind and axis-aligned normal; groups
-        # are ordered as the keys (kind, normal) sort, boundary before internal
+        # each cell with its west, east, south and north neighbours (-1: none)
+        grid = np.pad(mesh._cell_grid, 1, constant_values=-1)
+        i, j = mesh.cell_ij.T + 1
+        around = grid[[j, j, j, j - 1, j + 1], [i, i - 1, i + 1, i, i]].T
+        stencil = np.all((around >= 0) & uncut[around], axis=1)
+        self.stencil_cells = sc = around[stencil]
+        # row c sums c's own product and its neighbours', in stencil order (see apply)
+        indptr = np.concatenate([[0], np.cumsum(5 * stencil)])
+        self.shift = sparse.csr_matrix((np.ones(sc.size), (5 * sc + np.arange(5)).ravel(), indptr),
+                                       shape=(num_cells, 5 * num_cells))
+        self._products = np.empty((num_cells, 5 * km))
+
+        # a full face (between two uncut cells, or a wall of one) has the local
+        # matrix of the first such face of its kind: internal or wall, and
+        # normal.  Only the full faces with a row outside the stencil are kept.
         left, right = mesh.face_left, mesh.face_right
         internal = right >= 0
-        normal = np.rint(mesh.face_normal).astype(np.int64)
-        aligned = np.all(np.abs(mesh.face_normal - normal) < 1e-14, axis=1)
-        full = uncut[left] & np.where(internal, uncut[np.maximum(right, 0)], True)
-        grouped = aligned & full
-        # one integer per (kind, normal) key, ordered as the keys sort
-        keys = 9 * internal + 3 * (normal[:, 0] + 1) + (normal[:, 1] + 1)
-        groups = [np.flatnonzero(grouped & (keys == key)) for key in np.unique(keys[grouped])]
-
         cells = np.column_stack([left, right])
-        km = space.n_modes * spec.m
+        full = uncut[left] & np.where(internal, uncut[np.maximum(right, 0)], True)
+        fids = np.flatnonzero(full & ~(stencil[left] & stencil[right]))
+        normal = np.rint(mesh.face_normal[fids])
+        code = 4 * internal[fids] + 2 * (normal[:, 1] != 0) + (normal.sum(axis=1) > 0)
+        codes, first, kind = np.unique(code, return_index=True, return_inverse=True)
+        # kind q's block of test cell x and trial cell y is A[4 q + 2 x + y]
+        A = local_blocks(cells[fids[first]], face_matrices(space, spec, fids[first]))[2]
+        uncut_ids = np.flatnonzero(uncut)
+        V = volume_matrices(space, spec, uncut_ids[:1])
+        self.stencil = np.zeros((5, km, km))
+        if len(sc):
+            x, y = (4 * np.searchsorted(codes, c) for c in (5, 7))   # internal, normal +x, +y
+            self.stencil[:] = [V[0] + A[x] + A[x + 3] + A[y] + A[y + 3],
+                               A[x + 2], A[x + 1], A[y + 2], A[y + 1]]
 
-        def face_entry(fids):
-            """(cells, local matrices) of faces of one kind: left, then right if internal."""
-            s = 1 + int(internal[fids[0]])
-            return cells[fids, :s], face_matrices(space, spec, fids)[:, :s * km, :s * km]
-
-        self.shared = []
-        if len(uncut_ids):
-            self.shared.append((uncut_ids[:, None], volume_matrices(space, spec, uncut_ids[:1])[0]))
-        for fids in groups:
-            A = face_entry(fids[:1])[1][0]
-            self.shared.append((cells[fids, :len(A) // km], A))
-        # the rows every group reads, in group order, and their scatter back
-        rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [c.ravel() for c, _ in self.shared])
-        self._rows = rows
-        self._scatter = sparse.csr_matrix(
-            (np.ones(len(rows)), (rows, np.arange(len(rows)))), shape=(mesh.num_cells, len(rows))
-        )
-        self._work = np.empty((2, len(rows), km))
-
-        ungrouped = np.flatnonzero(~grouped)
+        # every other row: the cut cells' volume terms and faces (internal,
+        # then walls), and the volume terms and full faces of the other uncut cells
         self.blocks = [local_blocks(self.cut_ids[:, None], volume_matrices(space, spec, self.cut_ids))]
-        self.blocks += [local_blocks(*face_entry(fids)) for fids in (
-            ungrouped[internal[ungrouped]], ungrouped[~internal[ungrouped]]) if len(fids)]
+        other = np.flatnonzero(~full)
+        for f, s in ((other[internal[other]], 2), (other[~internal[other]], 1)):
+            if len(f):
+                A_f = face_matrices(space, spec, f)[:, :s * km, :s * km]
+                self.blocks.append(local_blocks(cells[f, :s], A_f))
+        rest = uncut_ids[~stencil[uncut_ids]]
+        self.blocks.append((rest, rest, np.broadcast_to(V, (len(rest), km, km))))
+        rows, cols = np.repeat(cells[fids], 2, axis=1).ravel(), np.tile(cells[fids], 2).ravel()
+        keep = (np.minimum(rows, cols) >= 0) & ~stencil[rows]
+        slots = (4 * kind[:, None] + np.arange(4)).ravel()
+        self.blocks.append((rows[keep], cols[keep], A[slots[keep]]))
 
     @property
     def coupling(self):
         return block_matrix(self.blocks, self.space.mesh.num_cells)
 
     # ------------------------------------------------------------------
-    def apply(self, coeffs, shared, coupling):
-        """Apply local matrices on the plan's groups plus a sparse matrix.
-
-        ``shared`` holds one matrix per group of ``self.shared``, in order
-        (same cells, any matrices of the same shape); ``coupling`` is any
-        sparse matrix on the global dofs.
-        """
+    def apply(self, coeffs, stencil, coupling):
+        """Apply ``stencil`` (laid out as ``self.stencil``) on the stencil
+        rows plus ``coupling``, any sparse matrix on the global dofs: every
+        cell times all five blocks in one matmul, each stencil row's five
+        products summed by the 0/1 matrix ``shift``."""
         x = coeffs.reshape(coeffs.shape[0], -1)
-        gathered, product = self._work
-        np.take(x, self._rows, axis=0, out=gathered, mode="clip")
-        start = 0
-        for cells, A in shared:
-            stop = start + cells.size
-            np.matmul(gathered[start:stop].reshape(len(cells), -1), A.T,
-                      out=product[start:stop].reshape(len(cells), -1))
-            start = stop
-        res = self._scatter @ product
+        np.matmul(x, stencil.reshape(-1, x.shape[1]).T, out=self._products)
+        res = self.shift @ self._products.reshape(-1, x.shape[1])
         res += (coupling @ x.ravel()).reshape(res.shape)
         return res.reshape(coeffs.shape)
 
@@ -198,19 +201,18 @@ class AssemblyPlan:
             raise ConfigurationError(
                 f"coefficient blocks {coeffs.shape} do not match the space {expected}"
             )
-        return self.apply(coeffs, self.shared, self.coupling if coupling is None else coupling)
+        return self.apply(coeffs, self.stencil, self.coupling if coupling is None else coupling)
 
 
 class SemiDiscreteOperator:
     """du/dt = K u with K = -M^{-1} (B + S), assembled once before stepping.
 
     The mass inverse is applied to the matrices at construction, block row
-    by block row, with Cholesky solves (never an explicit inverse): each
-    shared full-cell local matrix with the reference factor, and the sum of
-    B's cut-cell couplings and the penalty S, summed from their block
-    triplets (``plan.blocks``, ``stab.blocks()``) into a BSR matrix of
-    (k m, k m) cell blocks, with each block row's own factor.  A call is
-    then one apply of the plan's groups and one block-sparse product.
+    by block row, with Cholesky solves (never an explicit inverse): the
+    shared stencil with the reference factor, and B's other rows plus the
+    penalty S, summed from their block triplets (``plan.blocks``,
+    ``stab.blocks()``) into a BSR matrix of (k m, k m) cell blocks, with each
+    block row's own factor.  A call is then one :meth:`AssemblyPlan.apply`.
     Construction factors every cut-cell mass matrix, so a singular one is
     reported before the first step.
     """
@@ -225,9 +227,8 @@ class SemiDiscreteOperator:
             rhs = blocks.reshape(len(cells), k, m * blocks.shape[-1])
             return -plan.space.mass_solve(rhs, cells).reshape(blocks.shape)
 
-        # every cell of a group is uncut (reference mass), so folding the
-        # representative row serves the whole group
-        self.shared = [(cells, fold(A, cells[0])) for cells, A in plan.shared]
+        # stencil cells are uncut: one fold with the reference mass serves them all
+        self.stencil = fold(plan.stencil, np.full(5, np.argmax(plan.space.uncut)))
         num_cells = plan.space.mesh.num_cells
         self.coupling = block_matrix(plan.blocks + ([] if stab is None else stab.blocks()), num_cells)
         block_rows = np.repeat(np.arange(num_cells), np.diff(self.coupling.indptr))
@@ -235,7 +236,7 @@ class SemiDiscreteOperator:
         plan.space.cut_mass_factors()
 
     def __call__(self, coeffs):
-        return self.plan.apply(coeffs, self.shared, self.coupling)
+        return self.plan.apply(coeffs, self.stencil, self.coupling)
 
     def outflow_weights(self):
         """Weights g with g . u the advection outflow rate, penalty included."""

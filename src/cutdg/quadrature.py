@@ -48,13 +48,24 @@ def _scaled_powers(exps, center, h, pts):
     return X[:, None] ** powers, Y[:, None] ** powers
 
 
+def _values(exps, Xp, Yp):
+    return np.take(Xp, exps[:, 0], axis=1) * np.take(Yp, exps[:, 1], axis=1)
+
+
+def _gradients(exps, h, Xp, Yp):
+    p = exps[:, 0]
+    q = exps[:, 1]
+    gx = p / h * np.take(Xp, np.maximum(p - 1, 0), axis=1) * np.take(Yp, q, axis=1)
+    gy = q / h * np.take(Xp, p, axis=1) * np.take(Yp, np.maximum(q - 1, 0), axis=1)
+    return np.stack([gx, gy], axis=-1)
+
+
 def monomial_values(exps, center, h, pts):
     """Values of the scaled monomials at pts, shape (npts, n_modes).
 
     ``center`` is one center (2,) or one per point (npts, 2).
     """
-    Xp, Yp = _scaled_powers(exps, center, h, pts)
-    return np.take(Xp, exps[:, 0], axis=1) * np.take(Yp, exps[:, 1], axis=1)
+    return _values(exps, *_scaled_powers(exps, center, h, pts))
 
 
 def monomial_gradients(exps, center, h, pts):
@@ -62,12 +73,15 @@ def monomial_gradients(exps, center, h, pts):
 
     ``center`` is one center (2,) or one per point (npts, 2).
     """
+    return _gradients(exps, h, *_scaled_powers(exps, center, h, pts))
+
+
+def monomial_tables(exps, center, h, pts, grad_rows=slice(None)):
+    """(values at ``pts``, gradients at ``pts[grad_rows]``) from one set of
+    coordinate powers, equal to :func:`monomial_values` and
+    :func:`monomial_gradients` on those points."""
     Xp, Yp = _scaled_powers(exps, center, h, pts)
-    p = exps[:, 0]
-    q = exps[:, 1]
-    gx = p / h * np.take(Xp, np.maximum(p - 1, 0), axis=1) * np.take(Yp, q, axis=1)
-    gy = q / h * np.take(Xp, p, axis=1) * np.take(Yp, np.maximum(q - 1, 0), axis=1)
-    return np.stack([gx, gy], axis=-1)
+    return _values(exps, Xp, Yp), _gradients(exps, h, Xp[grad_rows], Yp[grad_rows])
 
 
 @lru_cache(maxsize=None)
@@ -238,8 +252,8 @@ class Space:
 
         # reference (scaled-coordinate) data shared by all uncut cells
         ref_pts, ref_w = _square_rule(degree + 2)
-        self._ref_phi = monomial_values(exps, (0.0, 0.0), 1.0, ref_pts)
-        self._ref_grad = monomial_gradients(exps, (0.0, 0.0), 1.0, ref_pts) / h
+        self._ref_phi, ref_grad = monomial_tables(exps, (0.0, 0.0), 1.0, ref_pts)
+        self._ref_grad = ref_grad / h
         self._ref_w = ref_w * h * h
         ref_mass = self._ref_phi.T @ (self._ref_w[:, None] * self._ref_phi)
         ref_mass = 0.5 * (ref_mass + ref_mass.T)
@@ -280,8 +294,7 @@ class Space:
             mapped = c[:, :, None] + tri_pts[:, :1] * a[:, :, None] + tri_pts[:, 1:] * b[:, :, None]
             cut_pts[rows] = mapped.reshape(len(g), -1, 2)
             cut_w[rows] = (tri_w * jac[..., None]).reshape(len(g), -1)
-        self._cut_phi = monomial_values(exps, centers[self.quad_cells[n_uncut:]], h, cut_pts)
-        cut_grad = monomial_gradients(exps, centers[self.quad_cells[n_uncut:]], h, cut_pts)
+        self._cut_phi, cut_grad = monomial_tables(exps, centers[self.quad_cells[n_uncut:]], h, cut_pts)
         self.mass = np.empty((ncells, self.n_modes, self.n_modes))
         self.mass[uncut_ids] = ref_mass
         self.mode_integral = np.empty((ncells, self.n_modes))

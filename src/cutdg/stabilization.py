@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ConfigurationError, UnsupportedConfigurationError
 from .dg import block_matrix, face_matrices, local_blocks
 from .geometry import upstream_cells
-from .quadrature import monomial_gradients, monomial_values
+from .quadrature import monomial_tables
 
 _I3 = np.eye(3)
 
@@ -238,11 +238,12 @@ def source_tables(space, cell_ids, sources, wall=-1, n=None):
         normal = wall_normal[:, None, None]
         offset = offset[:, None, None, None]
         at[:, n:] -= ((at[:, n:] * normal).sum(axis=-1, keepdims=True) - offset) * normal
-    centers = np.repeat(basis.centers[sources], at.shape[2], axis=1).reshape(-1, 2)
+    P = at.shape[2]
+    centers = np.repeat(basis.centers[sources], P, axis=1).reshape(-1, 2)
     k = basis.n_modes
-    phi = monomial_values(basis.exps, centers, basis.h, at.reshape(-1, 2)).reshape(B, S, -1, k)
-    cell_centers = basis.centers[sources].repeat(nc, axis=1).reshape(-1, 2)
-    grad = monomial_gradients(basis.exps, cell_centers, basis.h, at[:, :, -nc:].reshape(-1, 2))
+    at_cells = np.arange(B * S * P) % P >= P - nc   # the cell points, for the gradients
+    phi, grad = monomial_tables(basis.exps, centers, basis.h, at.reshape(-1, 2), at_cells)
+    phi = phi.reshape(B, S, -1, k)
     grad = grad.reshape(B, S, nc, k, 2)
     if wall >= 0:
         g = grad[:, n:]

@@ -34,22 +34,37 @@ class TimeControls:
 
 
 def rk_step(coeffs, dt, rhs, order):
-    """One SSP-RK step; returns (new coeffs, list of stage rhs results)."""
-    results = []
+    """One SSP-RK step; returns (new coeffs, list of stage rhs results).
 
-    def f(c):
+    The stages are computed in two buffers with ``out=`` arithmetic, by the
+    operations of these formulas in their order, so the result is
+    bit-identical to them: u1 = u + dt f(u), then
+    RK2: 0.5 u + 0.5 (u1 + dt f(u1));
+    RK3: u2 = 0.75 u + 0.25 (u1 + dt f(u1)), u / 3 + 2/3 (u2 + dt f(u2)).
+    """
+    results = []
+    stage, tmp = np.empty_like(coeffs), np.empty_like(coeffs)
+
+    def euler(c, out):
+        """out = c + dt * f(c)."""
         r = rhs(c)
         results.append(r)
-        return r[0]
+        np.multiply(dt, r[0], out=out)
+        return np.add(c, out, out=out)
 
-    if order == 2:
-        u1 = coeffs + dt * f(coeffs)
-        new = 0.5 * coeffs + 0.5 * (u1 + dt * f(u1))
+    euler(coeffs, stage)
+    euler(stage, tmp)
+    if order == 3:
+        np.multiply(0.25, tmp, out=tmp)
+        np.multiply(0.75, coeffs, out=stage)
+        np.add(stage, tmp, out=stage)
+        euler(stage, tmp)
+        new = np.divide(coeffs, 3.0)
+        np.multiply(2.0 / 3.0, tmp, out=tmp)
     else:
-        u1 = coeffs + dt * f(coeffs)
-        u2 = 0.75 * coeffs + 0.25 * (u1 + dt * f(u1))
-        new = coeffs / 3.0 + 2.0 / 3.0 * (u2 + dt * f(u2))
-    return new, results
+        new = np.multiply(0.5, coeffs)
+        np.multiply(0.5, tmp, out=tmp)
+    return np.add(new, tmp, out=new), results
 
 
 @dataclass
@@ -87,14 +102,16 @@ def evolve(space, u0, rhs, controls, lambda_max, track_mass=False):
     times = [0.0]
     outflow = 0.0
     for step in range(n_steps):
-        # overflow inside a diverging run is the detection mechanism, not a bug
+        # overflow inside a diverging run is the detection mechanism, not a
+        # bug; finite coefficients whose norm overflows have diverged too
         with np.errstate(over="ignore", invalid="ignore"):
             u.coeffs, stage_results = rk_step(u.coeffs, dt, rhs, controls.rk_order)
-        if not np.all(np.isfinite(u.coeffs)):
+            norm = space.l2_norm(u)
+        if not (np.all(np.isfinite(u.coeffs)) and np.isfinite(norm)):
             raise IntegrationFailureError(step)
         outflow += dt * sum(w * r[1] for w, r in zip(weights, stage_results))
         times.append((step + 1) * dt)
-        l2.append(space.l2_norm(u))
+        l2.append(norm)
         mass.append(float(space.total_mass(u)[0]) if track_mass else 0.0)
     return EvolveResult(
         final=u,

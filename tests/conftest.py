@@ -79,3 +79,25 @@ def source_values(space, cid, coeffs):
     values[n:] = values[own] + values[n:] @ mirror
     grads[n:] = grads[own] + np.einsum("im,sqmd->sqid", mirror, grads[n:])
     return sources, n, values, grads
+
+
+def mixed_stabilized_set(mesh, small):
+    """The ramp's small cells plus, none sharing a face with another chosen
+    cell: an uncut interior cell, an uncut box-wall cell that is no corner,
+    and a cut quadrilateral or pentagon on the ramp."""
+    def walls(c):
+        return sum(mesh.faces[f].kind == "boundary" for f in c.face_ids)
+
+    def neighbors(cid):
+        return {mesh.neighbor(cid, f) for f in mesh.cells[cid].face_ids} - {None}
+
+    kinds = [
+        lambda c: c.volume_fraction == 1.0 and walls(c) == 0,
+        lambda c: c.volume_fraction == 1.0 and walls(c) == 1,
+        lambda c: c.volume_fraction < 1.0 and c.num_faces in (4, 5) and walls(c) == 1,
+    ]
+    chosen = list(small)
+    for kind in kinds:
+        taken = set(chosen).union(*(neighbors(c) for c in chosen))
+        chosen.append(next(c.id for c in mesh.cells if kind(c) and c.id not in taken))
+    return chosen

@@ -1,19 +1,21 @@
-"""Reference oracle: the folded cut-cell couplings, assembled through CSR.
+"""Reference oracle: the whole folded operator, assembled through CSR.
 
 The package built the coupling part of the folded operator this way before
 it kept the local matrices as cell blocks: :func:`block_csr` gathers the
-nonzero entries of the base form's cut-cell couplings and of the penalty's
-local matrices into two CSR matrices, their sum is converted back into
-(k m, k m) BSR blocks, and each block row is solved with its cell's mass
-matrix.  The tests compare ``cutdg.dg.SemiDiscreteOperator.coupling``
-against :func:`folded_coupling`, and the block sums it folds against
-:func:`csr_coupling`.
+nonzero entries of local matrices into a CSR matrix, which is converted
+back into (k m, k m) BSR blocks, and each block row is solved with its
+cell's mass matrix.  Here the local matrices are those of every face and
+every cell, each built on its own (:func:`operator_entries`), plus the
+penalty's.  The tests compare the operator a plan applies, its stencil
+rows and its block-sparse part expanded into one matrix (:func:`expanded`),
+against :func:`folded_operator`, and the block sums it folds against
+:func:`csr_operator`.
 """
 
 import numpy as np
 from scipy import sparse
 
-from cutdg.dg import face_matrices, volume_matrices
+from cutdg.dg import block_matrix, face_matrices, volume_matrices
 
 
 def block_csr(entries, num_cells, shape):
@@ -39,47 +41,59 @@ def block_csr(entries, num_cells, shape):
     )
 
 
-def plan_entries(plan):
-    """The base form's couplings that touch a cut cell, as (cells, A) pairs:
-    every cut cell's volume term, then every face outside the shared
-    full-cell groups (a face of a cut cell, or a slanted one), internal
-    faces before walls."""
+def operator_entries(plan):
+    """The whole base form as (cells, A) pairs, with no grouping: every
+    cell's volume term, then every internal face, then every wall, each
+    through :func:`volume_matrices` or :func:`face_matrices` of its own."""
     space, spec = plan.space, plan.spec
     mesh = space.mesh
-    left, right = mesh.face_left, mesh.face_right
-    internal = right >= 0
-    aligned = np.all(np.abs(mesh.face_normal - np.rint(mesh.face_normal)) < 1e-14, axis=1)
-    full = space.uncut[left] & np.where(internal, space.uncut[np.maximum(right, 0)], True)
-    ungrouped = np.flatnonzero(~(aligned & full))
-    cells = np.column_stack([left, right])
+    internal = mesh.face_right >= 0
+    cells = np.column_stack([mesh.face_left, mesh.face_right])
     km = space.n_modes * spec.m
-    entries = [(space.cut_ids[:, None], volume_matrices(space, spec, space.cut_ids))]
-    for fids, s in ((ungrouped[internal[ungrouped]], 2), (ungrouped[~internal[ungrouped]], 1)):
+    every = np.arange(mesh.num_cells)
+    entries = [(every[:, None], volume_matrices(space, spec, every))]
+    for fids, s in ((np.flatnonzero(internal), 2), (np.flatnonzero(~internal), 1)):
         if len(fids):
             A = face_matrices(space, spec, fids)[:, :s * km, :s * km]
             entries.append((cells[fids, :s], A))
     return entries
 
 
-def csr_coupling(plan, stab=None):
-    """B_cut + S as a BSR matrix of (k m, k m) blocks, by way of CSR."""
+def csr_operator(plan, stab=None, magnitude=None):
+    """B + S as a BSR matrix of (k m, k m) blocks, by way of CSR.
+
+    ``magnitude`` (e.g. ``np.abs``) is applied to every local matrix
+    before summing, which gives the size of each entry's terms."""
     num_cells = plan.space.mesh.num_cells
     km = plan.shape[0] * plan.shape[1]
-    coupling = block_csr(plan_entries(plan), num_cells, plan.shape)
+    entries = operator_entries(plan)
     if stab is not None:
-        entries = [(stab.neighborhood(cid), stab.local[cid]) for cid in stab.cell_ids]
-        coupling = coupling + block_csr(entries, num_cells, plan.shape)
-    return coupling.tobsr(blocksize=(km, km))
+        entries += [(stab.neighborhood(cid), stab.local[cid]) for cid in stab.cell_ids]
+    if magnitude is not None:
+        entries = [(cells, magnitude(A)) for cells, A in entries]
+    return block_csr(entries, num_cells, plan.shape).tobsr(blocksize=(km, km))
 
 
-def folded_coupling(plan, stab=None):
-    """-M^{-1} (B_cut + S): each block row of :func:`csr_coupling` solved
+def folded_operator(plan, stab=None):
+    """-M^{-1} (B + S): each block row of :func:`csr_operator` solved
     with its cell's mass matrix."""
     space = plan.space
     k, m = plan.shape
-    coupling = csr_coupling(plan, stab)
-    block_rows = np.repeat(np.arange(space.mesh.num_cells), np.diff(coupling.indptr))
-    rhs = coupling.data.reshape(len(block_rows), k, m * k * m)
-    data = -space.mass_solve(rhs, block_rows).reshape(coupling.data.shape)
+    operator = csr_operator(plan, stab)
+    block_rows = np.repeat(np.arange(space.mesh.num_cells), np.diff(operator.indptr))
+    rhs = operator.data.reshape(len(block_rows), k, m * k * m)
+    data = -space.mass_solve(rhs, block_rows).reshape(operator.data.shape)
     space.cut_mass_factors()
-    return sparse.bsr_matrix((data, coupling.indices, coupling.indptr), shape=coupling.shape)
+    return sparse.bsr_matrix((data, operator.indices, operator.indptr), shape=operator.shape)
+
+
+def expanded(plan, stencil, coupling):
+    """The operator a plan applies with ``stencil`` and ``coupling``, as one
+    BSR matrix: each stencil cell's five blocks plus the coupling's."""
+    cells = plan.stencil_cells
+    num_cells = plan.space.mesh.num_cells
+    km = stencil.shape[-1]
+    rows = np.repeat(np.arange(num_cells), np.diff(coupling.indptr))
+    coupling_blocks = coupling.data.reshape(-1, km, km)
+    return block_matrix([(np.repeat(cells[:, 0], 5), cells.ravel(), np.tile(stencil, (len(cells), 1, 1))),
+                         (rows, coupling.indices, coupling_blocks)], num_cells)

@@ -32,9 +32,11 @@ def test_invalid_config_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, key", [("sound_speed = nan", "sound_speed"),
-                                       ("dissipation = rusanov", "dissipation")])
+                                       ("dissipation = rusanov", "dissipation"),
+                                       ("refinements = 0,4", "refinements")])
 def test_rejected_config_line_exit_code(tmp_path, capsys, line, key):
-    # a non-finite value, or the removed dissipation key, stops before any work
+    # a non-finite value, the removed dissipation key or a refinement level
+    # below one stops before any work
     cfg = ramp_config("acoustics", 1, 1e-2, out=str(tmp_path))
     path = tmp_path / "run.cfg"
     path.write_text(serialize_config(cfg) + line + "\n")

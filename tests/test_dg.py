@@ -353,40 +353,38 @@ def test_setup_and_steps_build_no_cell_or_face_records(case, monkeypatch):
         ctx.mesh.cells[0]
 
 
-# ------------------------------------------- cut-cell blocks against CSR
+# ------------------------------------------- whole operator against CSR
 
 
-@pytest.mark.parametrize("equation", ["advection", "acoustics"])
-@pytest.mark.parametrize("degree", [0, 1, 2, 3])
-@pytest.mark.parametrize("min_alpha", [1e-2, 1e-8])
-def test_block_assembly_matches_csr_oracle(equation, degree, min_alpha):
-    # the folded coupling summed from block triplets against the earlier
-    # path: nonzero entries into CSR, base plus penalty, back to BSR, fold
-    from csr_coupling import csr_coupling, folded_coupling
+def _check_against_csr_oracle(plan, stab):
+    """The operator a plan applies, stencil rows and block-sparse part
+    expanded into one matrix, against the ungrouped path: every face's and
+    every cell's nonzero entries into CSR, base plus penalty, back to BSR,
+    fold."""
+    from csr_coupling import csr_operator, expanded, folded_operator
     from cutdg.dg import SemiDiscreteOperator, block_matrix
     from cutdg.errors import CutDGError
-    from cutdg.experiments import build_context, ramp_config
 
-    ctx = build_context(ramp_config(equation, degree, min_alpha, nx=8))
-    assert len(ctx.small) > 0
+    space = plan.space
+    num_cells = space.mesh.num_cells
     try:
-        oracle = folded_coupling(ctx.plan, ctx.stab)
+        oracle = folded_operator(plan, stab)
     except CutDGError as exc:
         assert "numerically singular" in str(exc)
         with pytest.raises(CutDGError) as raised:
-            SemiDiscreteOperator(ctx.plan, ctx.stab)
+            SemiDiscreteOperator(plan, stab)
         assert str(raised.value) == str(exc)
         return
-    folded = SemiDiscreteOperator(ctx.plan, ctx.stab).coupling
+    op = SemiDiscreteOperator(plan, stab)
+    folded = expanded(plan, op.stencil, op.coupling)
     assert np.array_equal(folded.indptr, oracle.indptr)
     assert np.array_equal(folded.indices, oracle.indices)
 
     # the block sums before the fold, against the size of their terms
-    triplets = ctx.plan.blocks + ctx.stab.blocks()
-    summed = block_matrix(triplets, ctx.mesh.num_cells)
-    scale = block_matrix([(r, c, np.abs(b)) for r, c, b in triplets], ctx.mesh.num_cells)
+    summed = expanded(plan, plan.stencil, block_matrix(plan.blocks + stab.blocks(), num_cells))
+    expected = csr_operator(plan, stab)
+    scale = csr_operator(plan, stab, np.abs)
     assert np.array_equal(scale.indices, summed.indices)
-    expected = csr_coupling(ctx.plan, ctx.stab)
     assert np.array_equal(expected.indices, summed.indices)
     terms = scale.data.max(axis=(1, 2))
     assert np.all(np.abs(summed.data - expected.data).max(axis=(1, 2)) <= 1e-14 * terms)
@@ -396,12 +394,56 @@ def test_block_assembly_matches_csr_oracle(equation, degree, min_alpha):
     # here) turns round-off in the sums into cond * eps in the folded
     # block, so each block is checked as the solve of its own sum: the
     # residual M X + B is within round-off of |M| |X|.
-    k, m = ctx.plan.shape
-    rows = np.repeat(np.arange(ctx.mesh.num_cells), np.diff(folded.indptr))
-    uncut = ctx.space.uncut[rows]
+    k, m = plan.shape
+    rows = np.repeat(np.arange(num_cells), np.diff(folded.indptr))
+    uncut = space.uncut[rows]
     err = np.abs(folded.data - oracle.data).max(axis=(1, 2))
     assert np.all(err[uncut] <= 1e-14 * np.abs(oracle.data[uncut]).max(axis=(1, 2)))
-    M = ctx.space.mass[rows]
+    M = space.mass[rows]
     X = folded.data.reshape(len(rows), k, -1)
     resid = np.abs(M @ X + summed.data.reshape(X.shape)).max(axis=(1, 2))
     assert np.all(resid <= 1e-13 * (np.abs(M) @ np.abs(X)).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("equation", ["advection", "acoustics"])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("min_alpha", [1e-2, 1e-8])
+def test_block_assembly_matches_csr_oracle(equation, degree, min_alpha):
+    from cutdg.experiments import build_context, ramp_config
+
+    ctx = build_context(ramp_config(equation, degree, min_alpha, nx=8))
+    assert len(ctx.small) > 0
+    _check_against_csr_oracle(ctx.plan, ctx.stab)
+
+
+@pytest.mark.parametrize("case", ["ramp-nx16-advection", "ramp-nx16-acoustics", "mixed-r1", "mixed-r2"])
+def test_every_row_kind_matches_csr_oracle(case):
+    # each kind of row the plan builds: stencil rows, uncut wall rows, uncut
+    # rows next to a cut cell, cut rows, and (mixed set) a stencil row that
+    # also carries penalty blocks
+    from conftest import mixed_stabilized_set
+    from cutdg.experiments import build_context, ramp_config
+    from cutdg.stabilization import WaveStabilization
+
+    if case.startswith("ramp"):
+        ctx = build_context(ramp_config(case.split("-")[-1], 1, 1e-2, nx=16))
+        stab = ctx.stab
+    else:
+        ctx = build_context(ramp_config("acoustics", int(case[-1]), 1e-2, nx=8))
+        cells = mixed_stabilized_set(ctx.mesh, ctx.small)
+        stab = WaveStabilization(ctx.plan, cells, np.linspace(0.2, 1.0, ctx.mesh.num_cells))
+    mesh, uncut = ctx.mesh, ctx.space.uncut
+    stencil = ctx.plan.stencil_cells[:, 0]
+    wall = np.zeros(mesh.num_cells, dtype=bool)
+    wall[mesh.face_left[mesh.face_right < 0]] = True
+    internal = mesh.face_right >= 0
+    pairs = np.column_stack([mesh.face_left, mesh.face_right])[internal]
+    cut_pair = ~uncut[pairs]
+    near_cut = np.zeros(mesh.num_cells, dtype=bool)
+    near_cut[pairs[cut_pair[:, ::-1]]] = True   # the cell across a face from a cut cell
+    assert len(stencil) and len(ctx.space.cut_ids)
+    assert np.any(uncut & wall) and np.any(uncut & near_cut & ~wall)
+    if case.startswith("mixed"):
+        penalty_rows = np.concatenate([r for r, _, _ in stab.blocks()])
+        assert np.isin(stencil, penalty_rows).any()
+    _check_against_csr_oracle(ctx.plan, stab)

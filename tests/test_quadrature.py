@@ -10,6 +10,7 @@ from cutdg.quadrature import (
     face_quadrature,
     mode_exponents,
     monomial_gradients,
+    monomial_tables,
     monomial_values,
     polygon_quadrature,
 )
@@ -20,6 +21,24 @@ TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 def test_mode_ordering():
     exps = mode_exponents(2)
     assert [tuple(e) for e in exps] == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_monomial_tables_equal_separate_evaluations(degree):
+    # values and gradients from one set of coordinate powers, bit for bit,
+    # at all points and at a subset, with one center or one per point
+    rng = np.random.default_rng(degree)
+    exps = mode_exponents(degree)
+    pts = rng.uniform(-1.0, 2.0, size=(40, 2))
+    centers = rng.uniform(0.0, 1.0, size=(40, 2))
+    rows = rng.uniform(size=40) < 0.5
+    for center, sub in ((centers, centers[rows]), ((0.3, 0.6), (0.3, 0.6))):
+        values, grads = monomial_tables(exps, center, 0.125, pts)
+        assert np.array_equal(values, monomial_values(exps, center, 0.125, pts))
+        assert np.array_equal(grads, monomial_gradients(exps, center, 0.125, pts))
+        values, grads = monomial_tables(exps, center, 0.125, pts, rows)
+        assert np.array_equal(values, monomial_values(exps, center, 0.125, pts))
+        assert np.array_equal(grads, monomial_gradients(exps, sub, 0.125, pts[rows]))
 
 
 def test_quadrature_constant_gives_area():

@@ -178,6 +178,21 @@ def test_check_counts_below_one_rejected_by_name(key, value):
     assert key in str(err.value)
 
 
+@pytest.mark.parametrize("line, key", [
+    ("growth_tol = -1", "growth_tol"), ("growth_tol = -1e-12", "growth_tol"),
+    ("refinements = 0,4", "refinements"), ("refinements = 4,-2", "refinements"),
+    ("refinements = 0", "refinements"),
+])
+def test_negative_tolerance_and_levels_below_one_rejected_by_name(line, key):
+    with pytest.raises(ConfigurationError, match=f"key '{key}'"):
+        parse_config(f"equation = advection\n{line}\n")
+
+
+def test_zero_tolerance_and_level_one_accepted():
+    cfg = parse_config("growth_tol = 0\nrefinements = 1,2\n")
+    assert cfg.growth_tol == 0.0 and cfg.refinements == (1, 2)
+
+
 def test_defaults_validate():
     cfg = parse_config("equation = acoustics\n")
     assert cfg.system().m == 3

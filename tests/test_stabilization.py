@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import face_matrix_on, ramp_mesh
+from conftest import face_matrix_on, mixed_stabilized_set, ramp_mesh
 from cutdg.dg import AssemblyPlan
 from cutdg.config import load_config
 from cutdg.errors import MeshValidationError, UnsupportedConfigurationError
@@ -412,35 +412,13 @@ def test_batched_wave_penalty_matches_percell_build(degree, alpha):
     _check_against_percell(ctx.stab, 1e-14)
 
 
-def _mixed_stabilized_set(mesh, small):
-    """The ramp's small cells plus, none sharing a face with another chosen
-    cell: an uncut interior cell, an uncut box-wall cell that is no corner,
-    and a cut quadrilateral or pentagon on the ramp."""
-    def walls(c):
-        return sum(mesh.faces[f].kind == "boundary" for f in c.face_ids)
-
-    def neighbors(cid):
-        return {mesh.neighbor(cid, f) for f in mesh.cells[cid].face_ids} - {None}
-
-    kinds = [
-        lambda c: c.volume_fraction == 1.0 and walls(c) == 0,
-        lambda c: c.volume_fraction == 1.0 and walls(c) == 1,
-        lambda c: c.volume_fraction < 1.0 and c.num_faces in (4, 5) and walls(c) == 1,
-    ]
-    chosen = list(small)
-    for kind in kinds:
-        taken = set(chosen).union(*(neighbors(c) for c in chosen))
-        chosen.append(next(c.id for c in mesh.cells if kind(c) and c.id not in taken))
-    return chosen
-
-
 @pytest.mark.parametrize("degree", [1, 2])
 def test_mixed_stabilized_set_matches_percell_and_probed(degree):
     # several groups: ramp triangles and a cut quad or pentagon with the ramp
     # as wall, an interior cell without a wall, a box-wall cell with its wall
     # at another face position
     ctx = build_context(ramp_config("acoustics", degree, 1e-2, nx=8))
-    cells = _mixed_stabilized_set(ctx.mesh, ctx.small)
+    cells = mixed_stabilized_set(ctx.mesh, ctx.small)
     patterns = {
         (ctx.mesh.cells[c].num_faces,
          [ctx.mesh.faces[f].kind for f in ctx.mesh.cells[c].face_ids].count("boundary"))

@@ -115,3 +115,56 @@ def test_nan_reported_with_step_index():
     with pytest.raises(IntegrationFailureError) as err:
         evolve(space, u0, rhs, TimeControls(1.0), 1.0)
     assert err.value.step == 0
+
+
+def test_norm_overflow_reported_as_failure():
+    # coefficients that stay finite while their L2 norm overflows are a
+    # diverged run, not a growth of nan
+    mesh = uncut_mesh(2, 2)
+    space = Space(mesh, 0)
+    controls = TimeControls(1.0)
+    dt = controls.dt(mesh.bg.h, 1.0, 0)
+
+    def rhs(c):
+        return np.full_like(c, 1e160 / dt), 0.0
+
+    u0 = space.zeros(1)
+    u0.coeffs[:] = 1.0
+    with pytest.raises(IntegrationFailureError) as err:
+        evolve(space, u0, rhs, controls, 1.0)
+    assert err.value.step == 0
+    with np.errstate(over="ignore"):
+        u, _ = rk_step(u0.coeffs, dt, rhs, 3)
+    assert np.all(np.isfinite(u)) and np.abs(u).max() > 1e159
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_rk_step_bit_identical_to_explicit_formulas(order):
+    # the in-place stages against the formulas written out, on a random
+    # linear right-hand side
+    rng = np.random.default_rng(order)
+    K = rng.standard_normal((12, 12))
+    u = rng.standard_normal((4, 3, 1))
+    dt = 0.037
+
+    def f(c):
+        return (K @ c.ravel()).reshape(c.shape)
+
+    calls = []
+
+    def rhs(c):
+        calls.append(c.copy())
+        return f(c), float(len(calls))
+
+    new, results = rk_step(u, dt, rhs, order)
+    u1 = u + dt * f(u)
+    if order == 2:
+        expected = 0.5 * u + 0.5 * (u1 + dt * f(u1))
+        stages = [u, u1]
+    else:
+        u2 = 0.75 * u + 0.25 * (u1 + dt * f(u1))
+        expected = u / 3.0 + 2.0 / 3.0 * (u2 + dt * f(u2))
+        stages = [u, u1, u2]
+    assert np.array_equal(new, expected)
+    assert all(np.array_equal(c, s) for c, s in zip(calls, stages)) and len(calls) == order
+    assert [r[1] for r in results] == [float(i + 1) for i in range(order)]
