@@ -1,6 +1,6 @@
 """Time the right-hand side and ``evolve`` of two source trees side by side, in one process.
 
-    python3 bench/rhs_ab.py [--rev HEAD^ | --parent-src <dir>] [--out bench/BENCH_16_rhs.json]
+    python3 bench/rhs_ab.py [--rev HEAD^ | --parent-src <dir>] --out bench/BENCH_<n>_rhs.json
 
 The parent tree is the git revision ``--rev`` of this repository, written
 out with ``git archive`` into a temporary directory (or any ``cutdg``
@@ -23,7 +23,12 @@ the context and the folded operator once, then:
 * ``evolve`` of the case's initial field: ``--pairs`` pairs of one run per
   side, the side that runs first alternating, each side running all five
   cases in turn.  Recorded are each run's CPU time and dof-steps per
-  second, per case and over the four ``stepping`` parts.
+  second, per case and over the four ``stepping`` parts, and per case the
+  largest difference of the two sides' final states relative to the
+  parent's largest entry, and of their L2 traces relative to each parent
+  entry.  As a reference for the traces, each side's last trace entry is
+  also compared with the final state's norm summed in extended precision
+  (``np.longdouble``) from the stacked mass matrices.
 
 CPU time is ``time.process_time``.  BLAS threads are pinned to 1 before
 numpy is imported.  The summary printed at the end gives each side's
@@ -107,6 +112,7 @@ class Case:
         self.controls = st.TimeControls(t_final, cfg.cfl, cfg.rk_order)
         self.rhs = ex.make_rhs(ctx)
         self.evolve = st.evolve
+        self.result = None
         self.dofs = ctx.space.dofs(ctx.spec.m)
 
     def time_calls(self, calls):
@@ -118,8 +124,14 @@ class Case:
     def time_evolve(self):
         ctx = self.ctx
         t0 = time.process_time()
-        result = self.evolve(ctx.space, self.u0, self.rhs, self.controls, ctx.spec.lambda_max)
-        return time.process_time() - t0, result.steps
+        self.result = self.evolve(ctx.space, self.u0, self.rhs, self.controls, ctx.spec.lambda_max)
+        return time.process_time() - t0, self.result.steps
+
+
+def extended_norm(space, coeffs):
+    """The L2 norm of ``coeffs``, each cell's c^T M c summed in ``np.longdouble``."""
+    c = coeffs.astype(np.longdouble)
+    return np.sqrt(np.einsum("cij,cim,cjm->", space.mass.astype(np.longdouble), c, c))
 
 
 def ordered(pair):
@@ -138,7 +150,7 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--rev", default="HEAD^", help="git revision of the parent tree")
     p.add_argument("--parent-src", default=None, help="a cutdg source directory instead of --rev")
-    p.add_argument("--out", default=str(ROOT / "bench" / "BENCH_16_rhs.json"))
+    p.add_argument("--out", required=True, help="the JSON record to write")
     p.add_argument("--calls", type=int, default=200)
     p.add_argument("--blocks", type=int, default=7)
     p.add_argument("--pairs", type=int, default=8)
@@ -181,6 +193,16 @@ def main(argv=None):
                 for s in SIDES}
         record["cases"][name]["evolve_cpu_s"] = {s: [cpu for cpu, _ in runs[s][name]] for s in SIDES}
         record["cases"][name]["evolve_dof_steps_per_s"] = summary(rate)
+        final = {s: cases[name][s].result for s in SIDES}
+        parent_l2 = final["parent"].l2_trace
+        record["cases"][name]["evolve_final_max_rel_diff"] = float(
+            np.abs(final["change"].final.coeffs - final["parent"].final.coeffs).max()
+            / np.abs(final["parent"].final.coeffs).max())
+        record["cases"][name]["l2_trace_max_rel_diff"] = float(
+            (np.abs(final["change"].l2_trace - parent_l2) / np.abs(parent_l2)).max())
+        exact = extended_norm(cases[name]["change"].ctx.space, final["change"].final.coeffs)
+        record["cases"][name]["l2_final_rel_err"] = {
+            s: float(abs(final[s].l2_trace[-1] - exact) / exact) for s in SIDES}
     stepping = {s: [sum(cases[n][s].dofs * runs[s][n][i][1] for n in STEPPING)
                     / sum(runs[s][n][i][0] for n in STEPPING) for i in range(args.pairs)]
                 for s in SIDES}
@@ -191,7 +213,10 @@ def main(argv=None):
         print(f"{name:24s} op(u) median {op['median']['parent'] * 1e6:8.1f} -> "
               f"{op['median']['change'] * 1e6:8.1f} us (ratio {op['ratio_median']:.3f}, faster in "
               f"{sum(r < 1 for r in op['ratios'])}/{len(op['ratios'])}), evolve ratio "
-              f"{ev['ratio_median']:.3f}, max rel diff {rec['max_rel_diff']:.1e}")
+              f"{ev['ratio_median']:.3f}, max rel diff op(u) {rec['max_rel_diff']:.1e}, final "
+              f"{rec['evolve_final_max_rel_diff']:.1e}, l2 {rec['l2_trace_max_rel_diff']:.1e} "
+              f"(last entry's error {rec['l2_final_rel_err']['parent']:.1e} -> "
+              f"{rec['l2_final_rel_err']['change']:.1e})")
     st = record["stepping_evolve_dof_steps_per_s"]
     print(f"stepping evolve dof-steps/s median {st['median']['parent']:.3e} -> "
           f"{st['median']['change']:.3e} (ratio {st['ratio_median']:.3f}, faster in "

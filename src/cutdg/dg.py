@@ -16,8 +16,10 @@ faces as its cancellation blocks.
   face between two of them in one direction, every outer-box wall of one on
   one side and every such cell's volume term has one local matrix, built
   on a representative.  So every full cell with four full grid neighbours
-  (a stencil cell) has the same row: five (k m, k m) blocks on itself and
-  its west, east, south and north neighbours.
+  (a stencil cell) has the same row: (k m, k m) blocks on itself and those
+  of its west, east, south and north neighbours that the flux couples, d
+  blocks in all (five under a Rusanov flux; an upwind flux leaves out the
+  outflow neighbours, whose blocks are exactly zero).
 * Every other row (cut cells, full cells on a wall or next to a cut cell)
   is kept as (k m, k m) cell blocks, which :class:`SemiDiscreteOperator`
   sums with the small-cell penalty's blocks, on any row, into one
@@ -96,11 +98,18 @@ def face_matrices(space, spec, fids, central=True, dissipative=True):
 
 def volume_matrices(space, spec, cids):
     """The volume terms' local matrices of cells ``cids``, (C, k m, k m):
-    -sum_d (d_d phi)^T W phi Kronecker A_d."""
+    -sum_d (d_d phi)^T W phi Kronecker A_d.
+
+    The Gram products are taken per group of cells with one rule size, on
+    their tables stacked."""
+    cids = np.asarray(cids, dtype=np.int64)
     gram = np.empty((len(cids), 2, space.n_modes, space.n_modes))
-    for i, c in enumerate(cids):
-        wphi = space.cell_w[c][:, None] * space.cell_phi[c]
-        gram[i] = np.moveaxis(space.cell_grad[c], -1, 0).swapaxes(-1, -2) @ wphi
+    sizes = np.array([len(space.cell_w[c]) for c in cids.tolist()])
+    for size in np.unique(sizes).tolist():
+        g = np.flatnonzero(sizes == size)
+        w, phi, grad = (np.stack([table[c] for c in cids[g].tolist()])
+                        for table in (space.cell_w, space.cell_phi, space.cell_grad))
+        gram[g] = np.moveaxis(grad, -1, 1).swapaxes(-1, -2) @ (w[..., None] * phi)[:, None]
     blocks = -(gram[:, 0, :, None, :, None] * spec.A1[:, None, :]
                + gram[:, 1, :, None, :, None] * spec.A2[:, None, :])
     n = space.n_modes * spec.m
@@ -111,11 +120,13 @@ class AssemblyPlan:
     """The base form's local matrices for one (space, system) pair.
 
     A stencil cell is an uncut cell whose four grid neighbours exist and are
-    uncut.  ``stencil_cells`` (n, 5) lists each one with its west, east,
-    south and north neighbours, and ``stencil`` (5, k m, k m) holds the
-    blocks all their rows share, in that order: the volume term plus the
-    four faces' own blocks, then the four neighbours' couplings.  ``blocks``
-    holds every other row's couplings as (row cells, column cells, blocks)
+    uncut.  All their rows share one set of blocks: the volume term plus the
+    four faces' own blocks, then the west, east, south and north
+    neighbours' couplings.  ``stencil`` (d, k m, k m) keeps the own block
+    and, in that order, the neighbours' blocks that are nonzero (all four
+    under a Rusanov flux, the inflow neighbours' under an upwind one), and
+    ``stencil_cells`` (n, d) lists each stencil cell with those neighbours.
+    ``blocks`` holds every other row's couplings as (row cells, column cells, blocks)
     triplets (:func:`local_blocks`); ``coupling`` is their sum as a sparse
     matrix.
     """
@@ -134,12 +145,6 @@ class AssemblyPlan:
         i, j = mesh.cell_ij.T + 1
         around = grid[[j, j, j, j - 1, j + 1], [i, i - 1, i + 1, i, i]].T
         stencil = np.all((around >= 0) & uncut[around], axis=1)
-        self.stencil_cells = sc = around[stencil]
-        # row c sums c's own product and its neighbours', in stencil order (see apply)
-        indptr = np.concatenate([[0], np.cumsum(5 * stencil)])
-        self.shift = sparse.csr_matrix((np.ones(sc.size), (5 * sc + np.arange(5)).ravel(), indptr),
-                                       shape=(num_cells, 5 * num_cells))
-        self._products = np.empty((num_cells, 5 * km))
 
         # a full face (between two uncut cells, or a wall of one) has the local
         # matrix of the first such face of its kind: internal or wall, and
@@ -156,11 +161,22 @@ class AssemblyPlan:
         A = local_blocks(cells[fids[first]], face_matrices(space, spec, fids[first]))[2]
         uncut_ids = np.flatnonzero(uncut)
         V = volume_matrices(space, spec, uncut_ids[:1])
-        self.stencil = np.zeros((5, km, km))
-        if len(sc):
+        shared = np.zeros((5, km, km))
+        if stencil.any():
             x, y = (4 * np.searchsorted(codes, c) for c in (5, 7))   # internal, normal +x, +y
-            self.stencil[:] = [V[0] + A[x] + A[x + 3] + A[y] + A[y + 3],
-                               A[x + 2], A[x + 1], A[y + 2], A[y + 1]]
+            shared[:] = [V[0] + A[x] + A[x + 3] + A[y] + A[y + 3],
+                         A[x + 2], A[x + 1], A[y + 2], A[y + 1]]
+        # the own block and each neighbour's that the flux couples (an upwind
+        # flux has no outflow neighbour's block)
+        coupled = np.flatnonzero(np.r_[True, shared[1:].any(axis=(1, 2))])
+        self.stencil = shared[coupled]
+        self.stencil_cells = sc = around[stencil][:, coupled]
+        # row c sums c's own product and its neighbours', in stencil order (see apply)
+        d = len(coupled)
+        indptr = np.concatenate([[0], np.cumsum(d * stencil)])
+        self.shift = sparse.csr_matrix((np.ones(sc.size), (d * sc + np.arange(d)).ravel(), indptr),
+                                       shape=(num_cells, d * num_cells))
+        self._products = np.empty((num_cells, d * km))
 
         # every other row: the cut cells' volume terms and faces (internal,
         # then walls), and the volume terms and full faces of the other uncut cells
@@ -185,8 +201,8 @@ class AssemblyPlan:
     def apply(self, coeffs, stencil, coupling):
         """Apply ``stencil`` (laid out as ``self.stencil``) on the stencil
         rows plus ``coupling``, any sparse matrix on the global dofs: every
-        cell times all five blocks in one matmul, each stencil row's five
-        products summed by the 0/1 matrix ``shift``."""
+        cell times all d blocks in one matmul, each stencil row's d products
+        summed by the 0/1 matrix ``shift``."""
         x = coeffs.reshape(coeffs.shape[0], -1)
         np.matmul(x, stencil.reshape(-1, x.shape[1]).T, out=self._products)
         res = self.shift @ self._products.reshape(-1, x.shape[1])
@@ -228,7 +244,7 @@ class SemiDiscreteOperator:
             return -plan.space.mass_solve(rhs, cells).reshape(blocks.shape)
 
         # stencil cells are uncut: one fold with the reference mass serves them all
-        self.stencil = fold(plan.stencil, np.full(5, np.argmax(plan.space.uncut)))
+        self.stencil = fold(plan.stencil, np.full(len(plan.stencil), np.argmax(plan.space.uncut)))
         num_cells = plan.space.mesh.num_cells
         self.coupling = block_matrix(plan.blocks + ([] if stab is None else stab.blocks()), num_cells)
         block_rows = np.repeat(np.arange(num_cells), np.diff(self.coupling.indptr))

@@ -259,7 +259,6 @@ class Space:
         ref_mass = 0.5 * (ref_mass + ref_mass.T)
         self._ref_cho = cho_factor(ref_mass)
         self._ref_mass = ref_mass
-        self._uncut_weight = self.uncut.astype(float)
         self._ref_mass_kron = {}
 
         # all cells' points in one array: the uncut cells' block, then the
@@ -304,6 +303,7 @@ class Space:
             mat = np.swapaxes(phi, 1, 2) @ (w[..., None] * phi)
             self.mass[cut_ids[g]] = 0.5 * (mat + np.swapaxes(mat, 1, 2))
             self.mode_integral[cut_ids[g]] = (w[:, None, :] @ phi)[:, 0]
+        self._cut_mass = self.mass[cut_ids]
         self._cut_factors = None
 
         # per-cell views: the shared reference tables for uncut cells
@@ -424,8 +424,12 @@ class Space:
         The uncut cells share the reference mass: the state, read as one
         (cells, n_modes m) matrix without a copy, times the reference mass
         (Kronecker the identity on the components) gives every cell's
-        c^T M_ref c, summed with weight 1 on the uncut cells and 0 on the
-        cut ones.  Only the cut cells use their stacked masses.
+        M_ref c.  With the cut cells' rows of that product zeroed, one dot
+        product with the state sums c^T M_ref c over the uncut cells alone
+        (subtracting the cut cells' share from a sum over all cells instead
+        would lose a small cut cell with large coefficients to cancellation);
+        the cut cells use their own masses, stacked once.  Any non-finite
+        coefficient makes the norm non-finite.
         """
         c = u.coeffs
         n, k, m = c.shape
@@ -433,9 +437,10 @@ class Space:
         if kron is None:
             kron = self._ref_mass_kron[m] = np.kron(self._ref_mass, np.eye(m))
         flat = c.reshape(n, k * m)
-        full = np.einsum("c,ci,ci->", self._uncut_weight, flat @ kron, flat)
+        weighted = flat @ kron
+        weighted[self.cut_ids] = 0.0
         cut = c[self.cut_ids]
-        total = full + np.vdot(cut, self.mass[self.cut_ids] @ cut)
+        total = np.vdot(weighted, flat) + np.vdot(cut, self._cut_mass @ cut)
         return np.sqrt(max(float(total), 0.0))
 
     def l2_error(self, u, f):

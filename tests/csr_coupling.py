@@ -60,7 +60,8 @@ def operator_entries(plan):
 
 
 def csr_operator(plan, stab=None, magnitude=None):
-    """B + S as a BSR matrix of (k m, k m) blocks, by way of CSR.
+    """B + S as a BSR matrix of (k m, k m) blocks, by way of CSR, with
+    each block row's blocks in column order.
 
     ``magnitude`` (e.g. ``np.abs``) is applied to every local matrix
     before summing, which gives the size of each entry's terms."""
@@ -71,7 +72,10 @@ def csr_operator(plan, stab=None, magnitude=None):
         entries += [(stab.neighborhood(cid), stab.local[cid]) for cid in stab.cell_ids]
     if magnitude is not None:
         entries = [(cells, magnitude(A)) for cells, A in entries]
-    return block_csr(entries, num_cells, plan.shape).tobsr(blocksize=(km, km))
+    # the conversion leaves a block row's blocks in the order their entries first appear
+    operator = block_csr(entries, num_cells, plan.shape).tobsr(blocksize=(km, km))
+    operator.sort_indices()
+    return operator
 
 
 def folded_operator(plan, stab=None):
@@ -89,11 +93,13 @@ def folded_operator(plan, stab=None):
 
 def expanded(plan, stencil, coupling):
     """The operator a plan applies with ``stencil`` and ``coupling``, as one
-    BSR matrix: each stencil cell's five blocks plus the coupling's."""
+    BSR matrix: each stencil cell's d blocks (one per column of
+    ``plan.stencil_cells``) plus the coupling's."""
     cells = plan.stencil_cells
     num_cells = plan.space.mesh.num_cells
     km = stencil.shape[-1]
     rows = np.repeat(np.arange(num_cells), np.diff(coupling.indptr))
     coupling_blocks = coupling.data.reshape(-1, km, km)
-    return block_matrix([(np.repeat(cells[:, 0], 5), cells.ravel(), np.tile(stencil, (len(cells), 1, 1))),
+    return block_matrix([(np.repeat(cells[:, 0], cells.shape[1]), cells.ravel(),
+                          np.tile(stencil, (len(cells), 1, 1))),
                          (rows, coupling.indices, coupling_blocks)], num_cells)

@@ -320,6 +320,74 @@ def test_closed_form_matrices_match_probed_kernels(equation, degree, min_alpha):
         assert np.abs(closed[cid] - oracle).max() <= 1e-13 * np.abs(oracle).max(), cid
 
 
+def _percell_volume_matrices(space, spec, cids):
+    """The volume terms' local matrices one cell at a time: the loop
+    :func:`volume_matrices` replaced, kept as its bit-for-bit reference."""
+    gram = np.empty((len(cids), 2, space.n_modes, space.n_modes))
+    for i, c in enumerate(cids):
+        wphi = space.cell_w[c][:, None] * space.cell_phi[c]
+        gram[i] = np.moveaxis(space.cell_grad[c], -1, 0).swapaxes(-1, -2) @ wphi
+    blocks = -(gram[:, 0, :, None, :, None] * spec.A1[:, None, :]
+               + gram[:, 1, :, None, :, None] * spec.A2[:, None, :])
+    n = space.n_modes * spec.m
+    return blocks.reshape(len(cids), n, n)
+
+
+@pytest.mark.parametrize("equation", ["advection", "acoustics"])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("min_alpha", [1e-2, 1e-8])
+def test_volume_matrices_match_percell_loop_bitwise(equation, degree, min_alpha):
+    # grouped by rule size (cut cells of three to five vertices, uncut
+    # cells), in any cell order
+    from cutdg.experiments import build_context, ramp_config
+
+    ctx = build_context(ramp_config(equation, degree, min_alpha, nx=8))
+    space, spec = ctx.space, ctx.spec
+    assert len(np.unique(np.diff(ctx.mesh.cell_offsets)[space.cut_ids])) > 1
+    every = np.arange(ctx.mesh.num_cells)
+    for cids in (every, space.cut_ids, space.cut_ids[::-1], np.flatnonzero(space.uncut)[:1],
+                 np.random.default_rng(degree).permutation(every)):
+        got = volume_matrices(space, spec, cids)
+        assert np.array_equal(got, _percell_volume_matrices(space, spec, cids))
+
+
+def _ramp_with_beta(equation, beta):
+    """The nx=16, r=1 ramp (α = 1e-2); under a flow ``beta`` with beta_x < 0
+    the ramp is mirrored in x, so that its cut faces stay outflow faces,
+    which the advection DoD penalty requires of its small cells."""
+    from cutdg.experiments import build_context, ramp_config
+
+    overrides = {} if beta is None else {"beta": beta}
+    cfg = ramp_config(equation, 1, 1e-2, nx=16, **overrides)
+    if beta is not None and beta[0] < 0:
+        (a, b, c), = cfg.constraints   # a x + b y >= c, then x -> 1 - x
+        cfg = ramp_config(equation, 1, 1e-2, nx=16, constraints=[(-a, b, c - a)], **overrides)
+    return build_context(cfg)
+
+
+@pytest.mark.parametrize("equation, beta, directions", [
+    ("advection", (1.0, 0.75), (0, 1, 3)),    # own, west, south
+    ("advection", (1.0, 0.0), (0, 1)),        # own, west
+    ("advection", (-1.0, 0.5), (0, 2, 3)),    # own, east, south
+    ("acoustics", None, (0, 1, 2, 3, 4)),     # Rusanov flux: all five
+], ids=["advection-1,0.75", "advection-1,0", "advection--1,0.5", "acoustics"])
+def test_stencil_keeps_only_coupled_directions(equation, beta, directions):
+    # the upwind flux couples a cell to its inflow neighbours only; the
+    # plan keeps the own block and the nonzero neighbour blocks, in order
+    ctx = _ramp_with_beta(equation, beta)
+    plan, mesh = ctx.plan, ctx.mesh
+    num_cells, d = mesh.num_cells, len(directions)
+    km = plan.shape[0] * plan.shape[1]
+    cells = plan.stencil_cells
+    assert plan.stencil.shape == (d, km, km) and cells.shape[1] == d and len(cells)
+    assert np.all(plan.stencil.any(axis=(1, 2)))
+    offsets = np.array([(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)])[list(directions)]
+    assert np.array_equal(mesh.cell_ij[cells] - mesh.cell_ij[cells[:, :1]],
+                          np.broadcast_to(offsets, cells.shape + (2,)))
+    assert plan.shift.shape == (num_cells, d * num_cells) and plan.shift.nnz == cells.size
+    assert plan._products.shape == (num_cells, d * km)
+
+
 @pytest.mark.parametrize("case", ["stability-sliver", "ramp-acoustics-r1-1e-6-nx128"])
 def test_setup_and_steps_build_no_cell_or_face_records(case, monkeypatch):
     # the mesh is its arrays: setup and stepping read them, never a record
@@ -416,9 +484,12 @@ def test_block_assembly_matches_csr_oracle(equation, degree, min_alpha):
     _check_against_csr_oracle(ctx.plan, ctx.stab)
 
 
-@pytest.mark.parametrize("case", ["ramp-nx16-advection", "ramp-nx16-acoustics", "mixed-r1", "mixed-r2"])
+@pytest.mark.parametrize("case", ["ramp-nx16-advection", "ramp-nx16-acoustics",
+                                  "ramp-nx16-advection-beta=-1,0.5", "ramp-nx16-advection-beta=1,0",
+                                  "mixed-r1", "mixed-r2"])
 def test_every_row_kind_matches_csr_oracle(case):
-    # each kind of row the plan builds: stencil rows, uncut wall rows, uncut
+    # each kind of row the plan builds: stencil rows (with the five
+    # directions, or the upwind flux's inflow ones), uncut wall rows, uncut
     # rows next to a cut cell, cut rows, and (mixed set) a stencil row that
     # also carries penalty blocks
     from conftest import mixed_stabilized_set
@@ -426,7 +497,9 @@ def test_every_row_kind_matches_csr_oracle(case):
     from cutdg.stabilization import WaveStabilization
 
     if case.startswith("ramp"):
-        ctx = build_context(ramp_config(case.split("-")[-1], 1, 1e-2, nx=16))
+        name, _, beta = case.partition("-beta=")
+        ctx = _ramp_with_beta(name.split("-")[-1],
+                              tuple(map(float, beta.split(","))) if beta else None)
         stab = ctx.stab
     else:
         ctx = build_context(ramp_config("acoustics", int(case[-1]), 1e-2, nx=8))

@@ -381,16 +381,24 @@ def test_batched_projection_and_error_match_per_cell_loop(degree):
 def test_l2_norm_matches_stacked_mass_formula(degree):
     from cutdg.quadrature import DGFunction
 
-    space = _ramp_space(degree, 1e-5)
-    assert 0 < len(space.cut_ids) < space.mesh.num_cells
     rng = np.random.default_rng(degree)
-    for m in (1, 3):
-        coeffs = rng.uniform(-1.0, 1.0, (space.mesh.num_cells, space.n_modes, m))
-        # large coefficients on the cut cells, as on an unstable small cell
-        coeffs[space.cut_ids] *= 1e4
-        stacked = np.sqrt(np.vdot(coeffs, space.mass @ coeffs))
-        norm = space.l2_norm(DGFunction(coeffs, degree))
-        assert abs(norm - stacked) <= 1e-14 * stacked
+    for alpha in (1e-5, 1e-8):
+        space = _ramp_space(degree, alpha)
+        assert 0 < len(space.cut_ids) < space.mesh.num_cells
+        smallest = np.argmin(space.mesh.cell_volume_fraction)
+        assert space.mesh.cell_volume_fraction[smallest] < 1.01 * alpha
+        for m in (1, 3):
+            coeffs = rng.uniform(-1.0, 1.0, (space.mesh.num_cells, space.n_modes, m))
+            if alpha == 1e-5:
+                # large coefficients on the cut cells, as on an unstable small cell
+                coeffs[space.cut_ids] *= 1e4
+            else:
+                # only on the smallest cell: weighting it with the reference
+                # mass and subtracting its share would lose its contribution
+                coeffs[smallest] *= 1e8
+            stacked = np.sqrt(np.vdot(coeffs, space.mass @ coeffs))
+            norm = space.l2_norm(DGFunction(coeffs, degree))
+            assert abs(norm - stacked) <= 1e-14 * stacked
 
 
 def _wedge_space(degree):

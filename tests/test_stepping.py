@@ -4,6 +4,7 @@ import pytest
 from conftest import uncut_mesh
 from cutdg.dg import AssemblyPlan
 from cutdg.errors import ConfigurationError, IntegrationFailureError
+from cutdg.geometry import build_mesh
 from cutdg.quadrature import Space
 from cutdg.stepping import TimeControls, evolve, rk_step
 from cutdg.systems import SystemSpec
@@ -115,6 +116,35 @@ def test_nan_reported_with_step_index():
     with pytest.raises(IntegrationFailureError) as err:
         evolve(space, u0, rhs, TimeControls(1.0), 1.0)
     assert err.value.step == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficient_reported_at_its_step(bad):
+    # evolve checks only the L2 norm: one non-finite coefficient, in any
+    # mode and component of the smallest cut cell or of an uncut cell, makes
+    # it non-finite at the step where it appears
+    from cutdg.experiments import ramp_config
+
+    cfg = ramp_config("acoustics", 1, 1e-8, nx=8)
+    space = Space(build_mesh(cfg.background(), cfg.geometry()), 1)
+    smallest = int(np.argmin(space.mesh.cell_volume_fraction))
+    assert not space.uncut[smallest]
+    u0 = space.zeros(3)
+    u0.coeffs[:] = np.random.default_rng(3).uniform(-1.0, 1.0, u0.coeffs.shape)
+    for cell in (smallest, int(np.argmax(space.uncut))):
+        for mode, comp in np.ndindex(space.n_modes, 3):
+            calls = []
+
+            def rhs(c):
+                calls.append(None)
+                r = np.zeros_like(c)
+                if len(calls) == 7:   # the first stage of step 2
+                    r[cell, mode, comp] = bad
+                return r, 0.0
+
+            with pytest.raises(IntegrationFailureError) as err:
+                evolve(space, u0, rhs, TimeControls(1.0), 1.0)
+            assert err.value.step == 2
 
 
 def test_norm_overflow_reported_as_failure():
