@@ -11,8 +11,9 @@ the penalty constructor (``WaveStabilization`` or
 nx=128 with r=1, alpha=1e-6 (the ``setup-checks`` fine-acoustics mesh) and
 with r=3, alpha=1e-2, and advection at nx=64 with r=2, alpha=1e-2.  Each
 case also records the nonzeros and the number of (k m, k m) BSR blocks of
-the base couplings (``plan.coupling``), the nonzeros of the penalty matrix
-and of the base couplings plus the penalty.  The result is stored under
+the base couplings (``plan.blocks`` summed by ``dg.block_matrix``), the
+nonzeros of the penalty matrix (``stab.blocks()`` summed the same way) and
+of the base couplings plus the penalty.  The result is stored under
 ``--side`` in the ``--out`` JSON file, so one file holds both sides of a
 comparison; the package is imported from ``--src``.  BLAS threads are
 pinned to 1 before numpy is imported.
@@ -47,21 +48,22 @@ def best_of(build):
 def measure(equation, degree, alpha, nx):
     import numpy as np
 
-    from cutdg.dg import AssemblyPlan
+    from cutdg.dg import AssemblyPlan, block_matrix
     from cutdg.experiments import build_context, ramp_config
     from cutdg.geometry import classify_small_cells
     from cutdg.stabilization import AdvectionStabilization, WaveStabilization, eta_values
 
     cfg = ramp_config(equation, degree, alpha, nx=nx)
     ctx = build_context(cfg, stabilized=False)
-    beta = ctx.spec.beta if equation == "advection" else None
-    small = classify_small_cells(ctx.mesh, cfg.alpha0, beta=beta)
+    small = classify_small_cells(ctx.mesh, cfg.alpha0)
     eta = eta_values(ctx.mesh, small, cfg.alpha0, cfg.eta_scale)
     plan, plan_times = best_of(lambda: AssemblyPlan(ctx.space, ctx.spec))
     penalty = AdvectionStabilization if equation == "advection" else WaveStabilization
     stab, times = best_of(lambda: penalty(ctx.plan, small, eta))
     km = ctx.space.n_modes * ctx.spec.m
-    matrix = stab.matrix()
+    num_cells = ctx.mesh.num_cells
+    coupling = block_matrix(plan.blocks, num_cells)
+    matrix = block_matrix(stab.blocks(), num_cells)
     return {
         "equation": equation,
         "degree": degree,
@@ -70,12 +72,12 @@ def measure(equation, degree, alpha, nx):
         "stabilized_cells": len(small),
         "plan_best_s": min(plan_times),
         "plan_times_s": plan_times,
-        "plan_coupling_nnz": int(np.count_nonzero(plan.coupling.data)),
-        "plan_bsr_blocks": int(plan.coupling.tobsr(blocksize=(km, km)).indices.size),
+        "plan_coupling_nnz": int(np.count_nonzero(coupling.data)),
+        "plan_bsr_blocks": int(coupling.tobsr(blocksize=(km, km)).indices.size),
         "best_s": min(times),
         "times_s": times,
         "penalty_nnz": int(np.count_nonzero(matrix.data)),
-        "coupling_nnz": int(np.count_nonzero((ctx.plan.coupling + matrix).data)),
+        "coupling_nnz": int(np.count_nonzero((coupling + matrix).data)),
     }
 
 

@@ -16,7 +16,8 @@ def _add_common(parser):
     parser.add_argument("--config", required=True, help="path to a key = value config file")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
-    parser.add_argument("--threads", type=int, default=None, help="worker count override")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted and ignored: the solver runs in a single process")
 
 
 def build_parser():

@@ -25,10 +25,9 @@ faces as its cancellation blocks.
   sums with the small-cell penalty's blocks, on any row, into one
   block-sparse matrix.
 
-An apply (:meth:`AssemblyPlan.apply`) is one matmul, one 0/1 sparse shift
-and one block-sparse product.  :class:`SemiDiscreteOperator` folds the mass
-inverse into both parts once, by Cholesky solves on their row blocks, so a
-stage runs the same apply and no mass solve.
+:class:`SemiDiscreteOperator` folds the mass inverse into both parts once,
+by Cholesky solves on their row blocks; an apply is then one matmul, one
+0/1 sparse shift and one block-sparse product, and no mass solve.
 
 Dofs are numbered cell by cell, each (n_modes, m) block flattened row-major,
 i.e. in the order of ``coeffs.ravel()``.
@@ -37,7 +36,6 @@ i.e. in the order of ``coeffs.ravel()``.
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigurationError
 from .systems import flux_matrices
 
 
@@ -127,8 +125,7 @@ class AssemblyPlan:
     under a Rusanov flux, the inflow neighbours' under an upwind one), and
     ``stencil_cells`` (n, d) lists each stencil cell with those neighbours.
     ``blocks`` holds every other row's couplings as (row cells, column cells, blocks)
-    triplets (:func:`local_blocks`); ``coupling`` is their sum as a sparse
-    matrix.
+    triplets (:func:`local_blocks`).
     """
 
     def __init__(self, space, spec):
@@ -137,8 +134,7 @@ class AssemblyPlan:
         self.shape = (space.n_modes, spec.m)
         mesh, uncut = space.mesh, space.uncut
         km = space.n_modes * spec.m
-        num_cells = mesh.num_cells
-        self.cut_ids = space.cut_ids
+        cut_ids = space.cut_ids
 
         # each cell with its west, east, south and north neighbours (-1: none)
         grid = np.pad(mesh._cell_grid, 1, constant_values=-1)
@@ -170,17 +166,11 @@ class AssemblyPlan:
         # flux has no outflow neighbour's block)
         coupled = np.flatnonzero(np.r_[True, shared[1:].any(axis=(1, 2))])
         self.stencil = shared[coupled]
-        self.stencil_cells = sc = around[stencil][:, coupled]
-        # row c sums c's own product and its neighbours', in stencil order (see apply)
-        d = len(coupled)
-        indptr = np.concatenate([[0], np.cumsum(d * stencil)])
-        self.shift = sparse.csr_matrix((np.ones(sc.size), (d * sc + np.arange(d)).ravel(), indptr),
-                                       shape=(num_cells, d * num_cells))
-        self._products = np.empty((num_cells, d * km))
+        self.stencil_cells = around[stencil][:, coupled]
 
         # every other row: the cut cells' volume terms and faces (internal,
         # then walls), and the volume terms and full faces of the other uncut cells
-        self.blocks = [local_blocks(self.cut_ids[:, None], volume_matrices(space, spec, self.cut_ids))]
+        self.blocks = [local_blocks(cut_ids[:, None], volume_matrices(space, spec, cut_ids))]
         other = np.flatnonzero(~full)
         for f, s in ((other[internal[other]], 2), (other[~internal[other]], 1)):
             if len(f):
@@ -193,32 +183,6 @@ class AssemblyPlan:
         slots = (4 * kind[:, None] + np.arange(4)).ravel()
         self.blocks.append((rows[keep], cols[keep], A[slots[keep]]))
 
-    @property
-    def coupling(self):
-        return block_matrix(self.blocks, self.space.mesh.num_cells)
-
-    # ------------------------------------------------------------------
-    def apply(self, coeffs, stencil, coupling):
-        """Apply ``stencil`` (laid out as ``self.stencil``) on the stencil
-        rows plus ``coupling``, any sparse matrix on the global dofs: every
-        cell times all d blocks in one matmul, each stencil row's d products
-        summed by the 0/1 matrix ``shift``."""
-        x = coeffs.reshape(coeffs.shape[0], -1)
-        np.matmul(x, stencil.reshape(-1, x.shape[1]).T, out=self._products)
-        res = self.shift @ self._products.reshape(-1, x.shape[1])
-        res += (coupling @ x.ravel()).reshape(res.shape)
-        return res.reshape(coeffs.shape)
-
-    def residual(self, coeffs, coupling=None):
-        """Form applied to a coefficient array; ``coupling`` replaces the sparse part."""
-        space = self.space
-        expected = (space.mesh.num_cells, space.n_modes, self.spec.m)
-        if coeffs.shape != expected:
-            raise ConfigurationError(
-                f"coefficient blocks {coeffs.shape} do not match the space {expected}"
-            )
-        return self.apply(coeffs, self.stencil, self.coupling if coupling is None else coupling)
-
 
 class SemiDiscreteOperator:
     """du/dt = K u with K = -M^{-1} (B + S), assembled once before stepping.
@@ -228,9 +192,11 @@ class SemiDiscreteOperator:
     shared stencil with the reference factor, and B's other rows plus the
     penalty S, summed from their block triplets (``plan.blocks``,
     ``stab.blocks()``) into a BSR matrix of (k m, k m) cell blocks, with each
-    block row's own factor.  A call is then one :meth:`AssemblyPlan.apply`.
-    Construction factors every cut-cell mass matrix, so a singular one is
-    reported before the first step.
+    block row's own factor.  A call multiplies every cell by all d stencil
+    blocks in one matmul, sums each stencil row's d products with the 0/1
+    matrix ``shift``, and adds the block-sparse product.  Construction
+    factors every cut-cell mass matrix, so a singular one is reported before
+    the first step.
     """
 
     def __init__(self, plan, stab=None):
@@ -251,8 +217,21 @@ class SemiDiscreteOperator:
         self.coupling.data = fold(self.coupling.data, block_rows)
         plan.space.cut_mass_factors()
 
+        # row c sums c's own product and its neighbours', in stencil order
+        sc = plan.stencil_cells
+        d = sc.shape[1]
+        indptr = np.zeros(num_cells + 1, dtype=np.int64)
+        indptr[sc[:, 0] + 1] = d
+        self.shift = sparse.csr_matrix((np.ones(sc.size), (d * sc + np.arange(d)).ravel(),
+                                        np.cumsum(indptr)), shape=(num_cells, d * num_cells))
+        self._products = np.empty((num_cells, d * k * m))
+
     def __call__(self, coeffs):
-        return self.plan.apply(coeffs, self.stencil, self.coupling)
+        x = coeffs.reshape(coeffs.shape[0], -1)
+        np.matmul(x, self.stencil.reshape(-1, x.shape[1]).T, out=self._products)
+        res = self.shift @ self._products.reshape(-1, x.shape[1])
+        res += (self.coupling @ x.ravel()).reshape(res.shape)
+        return res.reshape(coeffs.shape)
 
     def outflow_weights(self):
         """Weights g with g . u the advection outflow rate, penalty included."""

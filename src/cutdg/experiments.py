@@ -21,10 +21,12 @@ from .quadrature import (
 )
 from .solutions import PolynomialField, lookup_field, random_polynomial
 from .stabilization import (
+    SPLIT,
     AdvectionStabilization,
     WaveStabilization,
     eta_values,
     face_forms,
+    kappa,
     source_tables,
     surface_forms,
     volume_forms,
@@ -90,15 +92,12 @@ def build_context(cfg, nx=None, ny=None, stabilized=None):
     spec = cfg.system()
     mesh = build_mesh(cfg.background(nx, ny), cfg.geometry())
     use_stab = cfg.dod if stabilized is None else stabilized
-    if use_stab:
-        beta = spec.beta if spec.kind == "advection" else None
-        small = classify_small_cells(mesh, cfg.alpha0, beta=beta)
-    else:
-        small = ()
+    small = classify_small_cells(mesh, cfg.alpha0) if use_stab else ()
     space = Space(mesh, cfg.degree)
     plan = AssemblyPlan(space, spec)
     eta = eta_values(mesh, small, cfg.alpha0, cfg.eta_scale)
     stab = None
+    # the advection penalty checks its cells' inflow faces
     if len(small):
         if spec.kind == "advection":
             stab = AdvectionStabilization(plan, small, eta)
@@ -262,14 +261,13 @@ def _fine_references(space, spec, cell_id, U, V, W):
     for fid in mesh.cell_faces(cell_id).tolist():
         pts, w = face_quadrature(mesh.face_p[fid], mesh.face_q[fid], space.face_npts + 3)
         phi = monomial_values(exps, center, h, pts)
-        flux = 0.5 * (phi @ U + phi @ V) @ spec.A_n(mesh.outward_normal(cell_id, fid)).T
+        flux = SPLIT * (phi @ U + phi @ V) @ spec.A_n(mesh.outward_normal(cell_id, fid)).T
         faces.append(np.sum(np.sum(flux * (phi @ W), axis=-1) * w, axis=-1))
     pts, w = polygon_quadrature(mesh.cell_polygon(cell_id), 2 * space.degree + 4)
     phi = monomial_values(exps, center, h, pts)
     grad = np.moveaxis(monomial_gradients(exps, center, h, pts), -1, 0)
     flux = (phi @ U)[..., None, :, :] @ np.stack([spec.A1.T, spec.A2.T])
-    K = len(faces)
-    p_v = 2.0 / (K * (K - 1)) * (np.sum(flux * (grad @ W[..., None, :, :]), axis=(-3, -1)) @ w)
+    p_v = kappa(len(faces)) * (np.sum(flux * (grad @ W[..., None, :, :]), axis=(-3, -1)) @ w)
     return np.stack(faces, axis=-1), p_v
 
 
@@ -362,10 +360,6 @@ class ConvergenceReport:
             order = "" if r.observed_order is None else f"{r.observed_order:.17g}"
             lines.append(f"{r.run_id},{r.nx},{r.h:.17g},{r.dofs},{err},{order}")
         return "\n".join(lines) + "\n"
-
-    def final_order(self):
-        orders = [r.observed_order for r in self.rows if r.observed_order is not None]
-        return orders[-1] if orders else None
 
     @property
     def diverged(self):

@@ -6,8 +6,8 @@ so each face carries a single constant unit normal.
 
 The mesh is held as arrays indexed by cell and face id (see
 :class:`CutCellMesh`); all cut cells are clipped at once, on padded
-(cells, vertices, 2) arrays.  :class:`CutCell` and :class:`Face` are records
-built from those arrays on access, one cell or face at a time.
+(cells, vertices, 2) arrays.  :class:`CutCell` is a record built from
+those arrays on access, one cell at a time.
 """
 
 import operator
@@ -207,32 +207,6 @@ def _clip_boxes(boxes, constraints, snap, drop, h):
 
 
 @dataclass
-class Face:
-    """Mesh face with the global left/right orientation convention.
-
-    For internal faces the unit normal points from ``left_cell`` into
-    ``right_cell``; for boundary faces it is outward from ``left_cell``.
-    """
-
-    id: int
-    kind: str                    # "internal" | "boundary"
-    p: np.ndarray
-    q: np.ndarray
-    normal: np.ndarray
-    left_cell: int
-    right_cell: int = None
-
-    @property
-    def length(self):
-        return float(np.hypot(*(self.q - self.p)))
-
-    @property
-    def line_offset(self):
-        """Offset d of the carrying line {x . normal = d}."""
-        return float(self.normal @ self.p)
-
-
-@dataclass
 class CutCell:
     id: int
     ij: tuple
@@ -277,9 +251,8 @@ class CutCellMesh:
     ``face_p``, ``face_q`` and ``face_normal`` (faces, 2), ``face_left`` and
     ``face_right`` (faces,), the latter -1 on boundary faces.
 
-    ``cells[cid]`` and ``faces[fid]`` are sequences that build a
-    :class:`CutCell` or :class:`Face` record from the arrays on access, for
-    callers that want one cell or face as an object.
+    ``cells[cid]`` is a sequence that builds a :class:`CutCell` record from
+    the arrays on access, for callers that want one cell as an object.
     """
 
     def __init__(self, bg, geometry, cell_grid, cell_ij, cell_vertices, cell_offsets,
@@ -306,29 +279,18 @@ class CutCellMesh:
         self.face_left = face_left
         self.face_right = face_right
 
-    # the views are made on access: a mesh holding views of its own bound
-    # methods would be a reference cycle, left to the cyclic garbage
+    # the view is made on access: a mesh holding a view of its own bound
+    # method would be a reference cycle, left to the cyclic garbage
     # collector instead of being freed with its last reference
     @property
     def cells(self):
         return _Records(len(self.cell_ij), self._cell_record)
-
-    @property
-    def faces(self):
-        return _Records(len(self.face_left), self._face_record)
 
     def _cell_record(self, cid):
         lo, hi = self.cell_offsets[cid:cid + 2].tolist()
         i, j = self.cell_ij[cid].tolist()
         return CutCell(cid, (i, j), self.cell_vertices[lo:hi], float(self.cell_area[cid]),
                        float(self.cell_volume_fraction[cid]), self.cell_face_ids[lo:hi].tolist())
-
-    def _face_record(self, fid):
-        p, q, n = self.face_p[fid], self.face_q[fid], self.face_normal[fid]
-        left, right = int(self.face_left[fid]), int(self.face_right[fid])
-        if right < 0:
-            return Face(fid, "boundary", p, q, n, left)
-        return Face(fid, "internal", p, q, n, left, right)
 
     @property
     def num_cells(self):
@@ -341,12 +303,6 @@ class CutCellMesh:
     def cell_polygon(self, cell_id):
         """A cell's counterclockwise vertices, one per face."""
         return self.cell_vertices[self.cell_offsets[cell_id]:self.cell_offsets[cell_id + 1]]
-
-    def cell_at(self, i, j):
-        if not (0 <= i < self.bg.nx and 0 <= j < self.bg.ny):
-            return None
-        cid = int(self._cell_grid[j, i])
-        return cid if cid >= 0 else None
 
     def outward_normal(self, cell_id, face_id):
         return self.orientation(cell_id, face_id) * self.face_normal[face_id]
@@ -367,9 +323,6 @@ class CutCellMesh:
 
     def cell_center(self, cell_id):
         return self.cell_centers[cell_id]
-
-    def total_area(self):
-        return float(self.cell_area.sum())
 
     def dump(self):
         """Plain-text mesh dump: cell header, vertex lines, face lines."""
@@ -581,14 +534,13 @@ def upstream_cells(mesh, cell_ids, beta):
     return mesh.face_left[up] + mesh.face_right[up] - cell_ids
 
 
-def classify_small_cells(mesh, alpha0, beta=None):
+def classify_small_cells(mesh, alpha0):
     """Select cells with volume fraction below ``alpha0`` and validate them;
     the selected cell ids, ascending, as a tuple.
 
-    No two selected cells may share a face.  When ``beta`` is given
-    (advection), every selected cell must additionally have exactly one
-    inflow face and that face must be internal.  Each check reports its
-    first offender in cell order, then face order.
+    No two selected cells may share a face; the first offender in cell
+    order, then face order, is named.  The advection penalty checks the
+    inflow faces of the cells it is built on (:func:`upstream_cells`).
     """
     if not 0.0 < alpha0 < 1.0:
         raise ConfigurationError(f"alpha0 must lie in (0, 1), got {alpha0}")
@@ -606,14 +558,4 @@ def classify_small_cells(mesh, alpha0, beta=None):
             f"stabilized cells {min(cid, other)} and {max(cid, other)} share face {fids[a]}; "
             "adjacent small cells are not supported"
         )
-    if beta is not None:
-        upstream_cells(mesh, small, beta)
     return tuple(small.tolist())
-
-
-def orthogonal_projection(x, face):
-    """Project a point onto the infinite line carrying the face."""
-    x = np.asarray(x, dtype=float)
-    n = face.normal
-    d = face.line_offset
-    return x - (x @ n - d)[..., None] * n if x.ndim > 1 else x - (float(x @ n) - d) * n

@@ -205,9 +205,6 @@ class Basis:
     def center(self, cell_id):
         return self.centers[cell_id]
 
-    def values(self, cell_id, pts):
-        return monomial_values(self.exps, self.center(cell_id), self.h, pts)
-
 
 class Space:
     """Mesh + basis with cached quadrature rules and mass factorizations.
@@ -343,14 +340,6 @@ class Space:
     # ------------------------------------------------------------------
     def zeros(self, m):
         return DGFunction(np.zeros((self.mesh.num_cells, self.n_modes, m)), self.degree)
-
-    def evaluate(self, u, cell_id, pts):
-        """Closed-form value of cell_id's polynomial block at arbitrary points."""
-        if not 0 <= cell_id < self.mesh.num_cells:
-            raise CutDGError(f"unknown cell id {cell_id}")
-        single = np.asarray(pts).ndim == 1
-        vals = self.basis.values(cell_id, pts) @ u.coeffs[cell_id]
-        return vals[0] if single else vals
 
     def cut_mass_factors(self):
         """Upper Cholesky factors U (M = U^T U) of every cut cell, stacked.

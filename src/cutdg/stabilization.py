@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedConfigurationError
-from .dg import block_matrix, face_matrices, local_blocks
+from .dg import face_matrices, local_blocks
 from .geometry import upstream_cells
 from .quadrature import monomial_tables
 
@@ -60,6 +60,23 @@ def surface_weights(K, i, j):
     c[j] += 1.0 / K
     c[i] -= 1.0 / K
     return c
+
+
+def kappa(K):
+    """The volume forms' weight on a cell of K faces, 2 / (K (K - 1))."""
+    return 2.0 / (K * (K - 1))
+
+
+# The other weights of the pair construction.  SPLIT is each extension's
+# share in the average avg(U, V) of two extensions, the flux argument of the
+# face and volume forms.  In a pair's volume term the flux of the cell's own
+# extension E has weight VOLUME_WEIGHT_OWN and the flux of each of the pair's
+# two extensions VOLUME_WEIGHT_EXTENSION; the jump of the two extensions is
+# coupled with weight DISSIPATIVE_WEIGHT.
+SPLIT = 0.5
+VOLUME_WEIGHT_OWN = -1.0
+VOLUME_WEIGHT_EXTENSION = 0.5
+DISSIPATIVE_WEIGHT = 1.0 / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +131,7 @@ def _pair_weights(K, wall, e, plain, mirror):
     per face for the flux, (split, divergence) for the volume, and one for
     the dissipation."""
     S = 1 + max((e,) + plain + mirror)
-    kappa = 2.0 / (K * (K - 1))
+    volume_scale = kappa(K)
     flux_w = np.zeros((K, S, S))
     volume_w = np.zeros((2, S, S))
     diss_w = np.zeros((1, S, S))
@@ -128,27 +145,28 @@ def _pair_weights(K, wall, e, plain, mirror):
             # two extensions; test argument: the extension from E minus
             # (for an internal face b) the extension from its neighbor
             for a, b in ((i, j), (j, i)):
-                c = 0.5 * surface_weights(K, a, b)
+                c = SPLIT * surface_weights(K, a, b)
                 tests = [(e, 1.0)]
                 if b != wall:
                     tests.append((plain[b], -1.0))
                 for t, sign in tests:
                     flux_w[:, t, si] += sign * c
                     flux_w[:, t, sj] += sign * c
-            # volume split with weights -1 (E) and 1/2 (each extension):
-            # the averaged flux minus the flux of the tested source, and
-            # the divergence form, linear in the test slots i and j
-            for t, omega in ((e, -1.0), (si, 0.5), (sj, 0.5)):
-                v = omega * kappa
-                volume_w[0, t, si] += 0.5 * v
-                volume_w[0, t, sj] += 0.5 * v
+            # volume split over E and the two extensions: the averaged flux
+            # minus the flux of the tested source, and the divergence form,
+            # linear in the test slots i and j
+            for t, omega in ((e, VOLUME_WEIGHT_OWN), (si, VOLUME_WEIGHT_EXTENSION),
+                             (sj, VOLUME_WEIGHT_EXTENSION)):
+                v = omega * volume_scale
+                volume_w[0, t, si] += SPLIT * v
+                volume_w[0, t, sj] += SPLIT * v
                 volume_w[0, t, t] -= v
-                volume_w[1, si, t] += 0.5 * v
-                volume_w[1, sj, t] += 0.5 * v
+                volume_w[1, si, t] += SPLIT * v
+                volume_w[1, sj, t] += SPLIT * v
             # dissipative coupling of the jump of the two extensions
             for t, sign in ((si, 1.0), (sj, -1.0)):
-                diss_w[0, t, si] += sign / 3.0
-                diss_w[0, t, sj] -= sign / 3.0
+                diss_w[0, t, si] += sign * DISSIPATIVE_WEIGHT
+                diss_w[0, t, sj] -= sign * DISSIPATIVE_WEIGHT
     return flux_w, volume_w, diss_w
 
 
@@ -233,7 +251,7 @@ def source_tables(space, cell_ids, sources, wall=-1, n=None):
     wall_normal = None
     if wall >= 0:
         wall_normal = mesh.face_normal[fids[:, wall]]
-        # each wall line's offset normal . p, taken as Face.line_offset takes it
+        # each wall line's offset d in {x . normal = d}, as normal . p
         offset = np.array([nrm @ p for nrm, p in zip(wall_normal, mesh.face_p[fids[:, wall]])])
         normal = wall_normal[:, None, None]
         offset = offset[:, None, None, None]
@@ -358,7 +376,7 @@ def face_forms(tables, spec, U, V, W):
     """A_k(U, V, W) = int_{face k} < A_n avg(U, V), W > for every face k,
     shape (..., K)."""
     AnT = np.swapaxes(spec.A_n(tables.outward[0]), -1, -2)
-    flux = tables.face_gram[0] @ (0.5 * (U + V))[..., None, :, :] @ AnT
+    flux = tables.face_gram[0] @ (SPLIT * (U + V))[..., None, :, :] @ AnT
     return np.sum(flux * W[..., None, :, :], axis=(-2, -1))
 
 
@@ -377,15 +395,14 @@ def surface_forms(A):
 
 def volume_forms(tables, spec, U, V, W):
     """(p_V, p_V*): kappa times the averaged flux against grad W, and kappa
-    times its divergence against W, kappa = 2 / (K (K - 1))."""
-    K = tables.outward.shape[1]
-    kappa = 2.0 / (K * (K - 1))
+    times its divergence against W (:func:`kappa`)."""
+    scale = kappa(tables.outward.shape[1])
     gram = tables.cell_gram[0]
     AdT = np.stack([spec.A1.T, spec.A2.T])
-    ubar = (0.5 * (U + V))[..., None, :, :]
+    ubar = (SPLIT * (U + V))[..., None, :, :]
     W = W[..., None, :, :]
-    p_v = kappa * np.sum((gram @ ubar @ AdT) * W, axis=(-3, -2, -1))
-    p_vs = kappa * np.sum((np.swapaxes(gram, -1, -2) @ ubar @ AdT) * W, axis=(-3, -2, -1))
+    p_v = scale * np.sum((gram @ ubar @ AdT) * W, axis=(-3, -2, -1))
+    p_vs = scale * np.sum((np.swapaxes(gram, -1, -2) @ ubar @ AdT) * W, axis=(-3, -2, -1))
     return p_v, p_vs
 
 
@@ -439,10 +456,6 @@ class _Penalty:
         """The local matrices as (row cells, column cells, blocks) triplets."""
         return [local_blocks(np.array([self.neighborhood(cid)]), self.local[cid][None])
                 for cid in self.cell_ids]
-
-    def matrix(self):
-        """The penalty as a sparse matrix over the global dofs."""
-        return block_matrix(self.blocks(), self.space.mesh.num_cells)
 
 
 class WaveStabilization(_Penalty):

@@ -4,6 +4,7 @@ import numpy as np
 
 from cutdg.dg import face_matrices
 from cutdg.geometry import BackgroundMesh, Geometry, build_mesh, halfplane_from_line
+from cutdg.quadrature import monomial_values
 from cutdg.stabilization import _wave_layout, source_tables, vector_parts
 
 
@@ -18,6 +19,19 @@ def ramp_mesh(nx=8, ny=8, slope=0.75, offset=None, box=(0.0, 0.0, 1.0, 1.0)):
 
 def uncut_mesh(nx=2, ny=2, box=(0.0, 0.0, 1.0, 1.0)):
     return build_mesh(BackgroundMesh(*box, nx, ny), Geometry())
+
+
+def face_kinds(mesh, fids):
+    """The kind of each face of ``fids``: "boundary" or "internal"."""
+    return ["boundary" if right < 0 else "internal" for right in mesh.face_right[fids].tolist()]
+
+
+def evaluate(space, u, cell_id, pts):
+    """Cell ``cell_id``'s polynomial block of ``u`` at ``pts``, one point (2,)
+    or several (n, 2), in closed form."""
+    basis = space.basis
+    vals = monomial_values(basis.exps, basis.center(cell_id), basis.h, pts) @ u.coeffs[cell_id]
+    return vals[0] if np.ndim(pts) == 1 else vals
 
 
 def polygon_monomial_integral(poly, p, q):
@@ -86,7 +100,7 @@ def mixed_stabilized_set(mesh, small):
     cell: an uncut interior cell, an uncut box-wall cell that is no corner,
     and a cut quadrilateral or pentagon on the ramp."""
     def walls(c):
-        return sum(mesh.faces[f].kind == "boundary" for f in c.face_ids)
+        return int((mesh.face_right[c.face_ids] < 0).sum())
 
     def neighbors(cid):
         return {mesh.neighbor(cid, f) for f in mesh.cells[cid].face_ids} - {None}

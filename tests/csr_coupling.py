@@ -9,7 +9,8 @@ every cell, each built on its own (:func:`operator_entries`), plus the
 penalty's.  The tests compare the operator a plan applies, its stencil
 rows and its block-sparse part expanded into one matrix (:func:`expanded`),
 against :func:`folded_operator`, and the block sums it folds against
-:func:`csr_operator`.
+:func:`csr_operator`.  :func:`unfolded_residual` applies those block sums,
+before the mass inverse is folded in.
 """
 
 import numpy as np
@@ -103,3 +104,12 @@ def expanded(plan, stencil, coupling):
     return block_matrix([(np.repeat(cells[:, 0], cells.shape[1]), cells.ravel(),
                           np.tile(stencil, (len(cells), 1, 1))),
                          (rows, coupling.indices, coupling_blocks)], num_cells)
+
+
+def unfolded_residual(plan, coeffs, stab=None):
+    """(B + S) applied to ``coeffs``: the plan's stencil rows and its blocks,
+    plus the penalty's if ``stab`` is given, expanded into one matrix."""
+    num_cells = plan.space.mesh.num_cells
+    triplets = plan.blocks + ([] if stab is None else stab.blocks())
+    B = expanded(plan, plan.stencil, block_matrix(triplets, num_cells))
+    return (B @ coeffs.ravel()).reshape(coeffs.shape)

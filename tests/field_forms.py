@@ -21,7 +21,7 @@ from cutdg.errors import (
     UnsupportedOperationError,
 )
 from cutdg.quadrature import monomial_gradients, monomial_values
-from cutdg.stabilization import surface_weights
+from cutdg.stabilization import SPLIT, kappa, surface_weights
 
 
 class CellPolyField:
@@ -99,16 +99,14 @@ def extend(u, space, cell_id):
     )
 
 
-def mirror_polynomial(field, face):
-    """Generalized mirroring of a polynomial field across a straight face."""
-    return MirroredField(field, face.normal, face.line_offset)
-
-
-def reflected_extend(u, space, cell_id, face):
-    """Extension from a cell composed with mirroring at a reflecting wall face."""
-    if face.kind != "boundary":
-        raise CutDGError(f"face {face.id} is internal; reflected extension needs a wall face")
-    return mirror_polynomial(extend(u, space, cell_id), face)
+def reflected_extend(u, space, cell_id, fid):
+    """Extension from a cell composed with mirroring at the reflecting wall
+    face ``fid``, across the line {x . n = n . p} of its normal n and start p."""
+    mesh = space.mesh
+    if mesh.face_right[fid] >= 0:
+        raise CutDGError(f"face {fid} is internal; reflected extension needs a wall face")
+    n = mesh.face_normal[fid]
+    return MirroredField(extend(u, space, cell_id), n, n @ mesh.face_p[fid])
 
 
 def unified_extend(u, space, cell_id, i, j, source):
@@ -125,22 +123,21 @@ def unified_extend(u, space, cell_id, i, j, source):
         raise CutDGError("face pair requires two distinct faces")
     fid_i = face_ids[i]
     fid_j = face_ids[j]
-    face_i = space.mesh.faces[fid_i]
-    face_j = space.mesh.faces[fid_j]
+    wall_i, wall_j = space.mesh.face_right[[fid_i, fid_j]] < 0
     if source == "E":
         return extend(u, space, cell_id)
-    if face_i.kind == "boundary" and face_j.kind == "boundary":
+    if wall_i and wall_j:
         raise UnsupportedConfigurationError(
             f"cell {cell_id}: faces {fid_i} and {fid_j} are both boundary faces"
         )
     if source == "Ei":
-        if face_i.kind == "internal":
+        if not wall_i:
             return extend(u, space, space.mesh.neighbor(cell_id, fid_i))
-        return reflected_extend(u, space, space.mesh.neighbor(cell_id, fid_j), face_i)
+        return reflected_extend(u, space, space.mesh.neighbor(cell_id, fid_j), fid_i)
     if source == "Ej":
-        if face_j.kind == "internal":
+        if not wall_j:
             return extend(u, space, space.mesh.neighbor(cell_id, fid_j))
-        return reflected_extend(u, space, space.mesh.neighbor(cell_id, fid_i), face_j)
+        return reflected_extend(u, space, space.mesh.neighbor(cell_id, fid_i), fid_j)
     raise CutDGError(f"unknown extension source {source!r}")
 
 
@@ -185,11 +182,11 @@ class CellForms:
             )
         self.cell_pts = space.cell_pts[cell_id]
         self.cell_w = space.cell_w[cell_id]
-        self.kappa = 2.0 / (self.K * (self.K - 1)) if self.K > 1 else 0.0
+        self.kappa = kappa(self.K) if self.K > 1 else 0.0
 
     def face_functional(self, k, U, V, W):
         pts, w, _, An = self.face_data[k]
-        ubar = 0.5 * (U.values(pts) + V.values(pts))
+        ubar = SPLIT * (U.values(pts) + V.values(pts))
         return float(np.einsum("q,qm->", w, (ubar @ An.T) * W.values(pts)))
 
     def surface(self, i, j, U, V, W):
@@ -202,13 +199,13 @@ class CellForms:
     def volume(self, U, V, W):
         """(p_V, p_V*): flux against grad W, and flux divergence against W."""
         pts, w = self.cell_pts, self.cell_w
-        ubar = 0.5 * (U.values(pts) + V.values(pts))
+        ubar = SPLIT * (U.values(pts) + V.values(pts))
         gw = W.gradients(pts)
         p_v = self.kappa * float(
             np.einsum("q,qm->", w, (ubar @ self.spec.A1.T) * gw[:, :, 0])
             + np.einsum("q,qm->", w, (ubar @ self.spec.A2.T) * gw[:, :, 1])
         )
-        gu = 0.5 * (U.gradients(pts) + V.gradients(pts))
+        gu = SPLIT * (U.gradients(pts) + V.gradients(pts))
         div = gu[:, :, 0] @ self.spec.A1.T + gu[:, :, 1] @ self.spec.A2.T
         p_vs = self.kappa * float(np.einsum("q,qm->", w, div * W.values(pts)))
         return p_v, p_vs

@@ -11,6 +11,7 @@ eager ``CutCell`` and ``Face`` lists, and ``mass_matrix`` /
 (``classify_small_cells``, ``inflow_faces``).
 """
 
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,11 +26,27 @@ from cutdg.geometry import (
     DROP_FRAC,
     SNAP_FRAC,
     CutCell,
-    Face,
     HalfPlane,
     polygon_area,
 )
 from cutdg.quadrature import monomial_gradients, monomial_values, polygon_quadrature
+
+
+@dataclass
+class Face:
+    """Mesh face with the global left/right orientation convention.
+
+    For internal faces the unit normal points from ``left_cell`` into
+    ``right_cell``; for boundary faces it is outward from ``left_cell``.
+    """
+
+    id: int
+    kind: str                    # "internal" | "boundary"
+    p: np.ndarray
+    q: np.ndarray
+    normal: np.ndarray
+    left_cell: int
+    right_cell: int = None
 
 
 def clip_polygon(poly, halfplane, snap=0.0):
@@ -301,7 +318,7 @@ def classify_small_cells(mesh, alpha0, beta=None):
                 raise MeshValidationError(
                     f"stabilized cell {cid} has {len(inflow)} inflow faces; exactly one required"
                 )
-            if mesh.faces[inflow[0]].kind != "internal":
+            if mesh.face_right[inflow[0]] < 0:
                 raise UnsupportedConfigurationError(
                     f"stabilized cell {cid}: inflow face {inflow[0]} lies on the "
                     "physical boundary"

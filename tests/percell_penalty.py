@@ -11,7 +11,14 @@ import numpy as np
 
 from cutdg.errors import UnsupportedConfigurationError
 from cutdg.quadrature import monomial_gradients, monomial_values
-from cutdg.stabilization import surface_weights
+from cutdg.stabilization import (
+    DISSIPATIVE_WEIGHT,
+    SPLIT,
+    VOLUME_WEIGHT_EXTENSION,
+    VOLUME_WEIGHT_OWN,
+    kappa,
+    surface_weights,
+)
 from probed_kernels import face_terms, local_matrix as probe_matrix
 
 _I3 = np.eye(3)
@@ -35,7 +42,7 @@ class _WaveCellContext:
         cell = mesh.cells[cell_id]
         K = cell.num_faces
         face_ids = list(cell.face_ids)
-        boundary = [mesh.faces[fid].kind == "boundary" for fid in face_ids]
+        boundary = [mesh.face_right[fid] < 0 for fid in face_ids]
         nb = [mesh.neighbor(cell_id, fid) for fid in face_ids]
         if sum(boundary) >= 2:
             walls = [face_ids[k] for k in range(K) if boundary[k]]
@@ -69,9 +76,9 @@ class _WaveCellContext:
         G = grad.reshape(S, nc, -1, 1, 1, 2) * _I3[..., None]
         n_plain = len(self.cells)
         if S > n_plain:
-            face = mesh.faces[face_ids[wall]]
-            feet = pts - (pts @ face.normal - face.line_offset)[:, None] * face.normal
-            e_n = np.concatenate([[0.0], face.normal])
+            n = mesh.face_normal[face_ids[wall]]
+            feet = pts - (pts @ n - float(n @ mesh.face_p[face_ids[wall]]))[:, None] * n
+            e_n = np.concatenate([[0.0], n])
             N = e_n[:, None] * e_n[None, :]
             n_mirror = S - n_plain
             phi_perp = monomial_values(
@@ -81,7 +88,6 @@ class _WaveCellContext:
             grad_perp = monomial_gradients(
                 exps, cell_centers[n_plain * nc:], h, np.tile(feet[-nc:], (n_mirror, 1))
             )
-            n = face.normal
             tang = grad_perp.reshape(n_mirror, nc, -1, 2)
             tang = (tang - (tang * n).sum(axis=-1, keepdims=True) * n)[:, :, :, None, None]
             G[n_plain:] -= 2.0 * tang * N[..., None]
@@ -112,7 +118,7 @@ class _WaveCellContext:
         volume_gram = np.stack([rows(G) @ rows(wc[..., None] * AV).T, rows(D) @ rows(wc * Vc).T])
 
         # scalar weights of each (test source, trial source) pair
-        kappa = 2.0 / (K * (K - 1))
+        volume_scale = kappa(K)
         e = index[(cell_id, None)]
         flux_w = np.zeros((K, S, S))
         volume_w = np.zeros((2, S, S))
@@ -125,27 +131,28 @@ class _WaveCellContext:
                 # two extensions; test argument: the extension from E minus
                 # (for an internal face b) the extension from its neighbor
                 for a, b in ((i, j), (j, i)):
-                    c = 0.5 * surface_weights(K, a, b)
+                    c = SPLIT * surface_weights(K, a, b)
                     tests = [(e, 1.0)]
                     if not boundary[b]:
                         tests.append((index[(nb[b], None)], -1.0))
                     for t, sign in tests:
                         flux_w[:, t, si] += sign * c
                         flux_w[:, t, sj] += sign * c
-                # volume split with weights -1 (E) and 1/2 (each extension):
-                # the averaged flux minus the flux of the tested source, and
-                # the divergence form, linear in the test slots i and j
-                for t, omega in ((e, -1.0), (si, 0.5), (sj, 0.5)):
-                    v = omega * kappa
-                    volume_w[0, t, si] += 0.5 * v
-                    volume_w[0, t, sj] += 0.5 * v
+                # volume split over E and the two extensions: the averaged
+                # flux minus the flux of the tested source, and the
+                # divergence form, linear in the test slots i and j
+                for t, omega in ((e, VOLUME_WEIGHT_OWN), (si, VOLUME_WEIGHT_EXTENSION),
+                                 (sj, VOLUME_WEIGHT_EXTENSION)):
+                    v = omega * volume_scale
+                    volume_w[0, t, si] += SPLIT * v
+                    volume_w[0, t, sj] += SPLIT * v
                     volume_w[0, t, t] -= v
-                    volume_w[1, si, t] += 0.5 * v
-                    volume_w[1, sj, t] += 0.5 * v
+                    volume_w[1, si, t] += SPLIT * v
+                    volume_w[1, sj, t] += SPLIT * v
                 # dissipative coupling of the jump of the two extensions
                 for t, sign in ((si, 1.0), (sj, -1.0)):
-                    diss_w[0, t, si] += sign / 3.0
-                    diss_w[0, t, sj] -= sign / 3.0
+                    diss_w[0, t, si] += sign * DISSIPATIVE_WEIGHT
+                    diss_w[0, t, sj] -= sign * DISSIPATIVE_WEIGHT
 
         # contract the weights, then sum the sources into their cells' blocks
         to_cell = np.zeros((len(self.cells), S))

@@ -45,15 +45,15 @@ def face_terms(plan, fid, u, central=True, dissipative=True):
     """
     space = plan.space
     spec = plan.spec
-    face = space.mesh.faces[fid]
+    left, right = int(space.mesh.face_left[fid]), int(space.mesh.face_right[fid])
     w = space.face_w[fid]
     (phiL,), (phiR,) = space.face_traces([fid])
-    uL = phiL @ u.coeffs[face.left_cell]
-    n = face.normal
+    uL = phiL @ u.coeffs[left]
+    n = space.mesh.face_normal[fid]
 
-    if face.kind == "internal":
-        uR = phiR @ u.coeffs[face.right_cell]
-        blockL = np.zeros_like(u.coeffs[face.left_cell])
+    if right >= 0:
+        uR = phiR @ u.coeffs[right]
+        blockL = np.zeros_like(u.coeffs[left])
         blockR = np.zeros_like(blockL)
         if central:
             Fc = (0.5 * (uL + uR)) @ spec.A_n(n).T
@@ -66,15 +66,15 @@ def face_terms(plan, fid, u, central=True, dissipative=True):
             wF = w[:, None] * Fs
             blockL = blockL + phiL.T @ wF
             blockR = blockR + phiR.T @ wF
-        return [(face.left_cell, blockL), (face.right_cell, -blockR)]
+        return [(left, blockL), (right, -blockR)]
 
     if spec.kind == "advection":
         # upwind outflow flux; the zero-inflow data has no contribution
         F = max(float(spec.beta @ n), 0.0) * uL
-        return [(face.left_cell, phiL.T @ (w[:, None] * F))]
+        return [(left, phiL.T @ (w[:, None] * F))]
 
     uM = mirror_state(uL, n)
-    block = np.zeros_like(u.coeffs[face.left_cell])
+    block = np.zeros_like(u.coeffs[left])
     if central:
         Fc = (0.5 * (uL + uM)) @ spec.A_n(n).T
         block = block + phiL.T @ (w[:, None] * Fc)
@@ -82,7 +82,7 @@ def face_terms(plan, fid, u, central=True, dissipative=True):
         s = spec.dissipation(n)
         Fs = s * (uL - uM)
         block = block + phiL.T @ (w[:, None] * Fs)
-    return [(face.left_cell, block)]
+    return [(left, block)]
 
 
 def volume_terms(plan, cid, u):

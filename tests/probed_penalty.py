@@ -11,7 +11,14 @@ import numpy as np
 from csr_coupling import block_csr
 from cutdg.errors import MeshValidationError, UnsupportedConfigurationError
 from cutdg.quadrature import monomial_gradients, monomial_values
-from cutdg.stabilization import surface_weights
+from cutdg.stabilization import (
+    DISSIPATIVE_WEIGHT,
+    SPLIT,
+    VOLUME_WEIGHT_EXTENSION,
+    VOLUME_WEIGHT_OWN,
+    kappa,
+    surface_weights,
+)
 from percell_mesh import inflow_faces
 from probed_kernels import face_terms, local_matrix
 
@@ -46,7 +53,7 @@ class _WaveCellContext:
         self.cell_id = cell_id
         cell = mesh.cells[cell_id]
         self.K = cell.num_faces
-        self.kappa = 2.0 / (self.K * (self.K - 1))
+        self.kappa = kappa(self.K)
         self.face_ids = list(cell.face_ids)
         self.boundary = []
         self.nb = []
@@ -55,8 +62,7 @@ class _WaveCellContext:
         self.An_out = []
         self.s_out = []
         for fid in self.face_ids:
-            face = mesh.faces[fid]
-            self.boundary.append(face.kind == "boundary")
+            self.boundary.append(mesh.face_right[fid] < 0)
             self.nb.append(mesh.neighbor(cell_id, fid))
             self.face_pts.append(space.face_pts[fid])
             self.face_w.append(space.face_w[fid])
@@ -87,8 +93,8 @@ class _WaveCellContext:
         locations = self.face_pts + [self.cell_pts]
 
         def foot(pts, k):
-            face = mesh.faces[self.face_ids[k]]
-            n, d = face.normal, face.line_offset
+            fid = self.face_ids[k]
+            n, d = mesh.face_normal[fid], float(mesh.face_normal[fid] @ mesh.face_p[fid])
             s = pts @ n - d
             return pts - s[:, None] * n[None, :]
 
@@ -133,8 +139,7 @@ class _WaveCellContext:
                 G = _gradient_tensor(self.grad[C])
             else:
                 _, C, k = src
-                face = mesh.faces[self.face_ids[k]]
-                n = face.normal
+                n = mesh.face_normal[self.face_ids[k]]
                 for loc in range(len(locations)):
                     if loc != self.cell_loc:
                         self.T_face.setdefault(src, {})[loc] = _value_tensor(
@@ -172,7 +177,7 @@ class _WaveCellContext:
         vals = self.phi[(loc, C)] @ u.coeffs[C]
         if src[0] == "mirror":
             k = src[2]
-            n = self.space.mesh.faces[self.face_ids[k]].normal
+            n = self.space.mesh.face_normal[self.face_ids[k]]
             vperp = (self.phi_perp[(loc, C, k)] @ u.coeffs[C])[..., 1:]
             vn = vperp @ n
             vals = vals.copy()
@@ -192,7 +197,7 @@ class _WaveCellContext:
                 Uj_face = [self.source_values(src_j, u, l) for l in range(K)]
                 wF = [
                     self.face_w[l][:, None]
-                    * (0.5 * (Ui_face[l] + Uj_face[l]) @ self.An_out[l].T)
+                    * (SPLIT * (Ui_face[l] + Uj_face[l]) @ self.An_out[l].T)
                     for l in range(K)
                 ]
 
@@ -212,13 +217,14 @@ class _WaveCellContext:
                             )
                         out[self.source_block(src_t)] += sign * block
 
-                # volume redistribution with weights -1 (E) and 1/2 (each neighbor)
+                # volume redistribution over E and the two extensions
                 Ui_cell = self.source_values(src_i, u, self.cell_loc)
                 Uj_cell = self.source_values(src_j, u, self.cell_loc)
-                ubar = 0.5 * (Ui_cell + Uj_cell)
+                ubar = SPLIT * (Ui_cell + Uj_cell)
                 wq = self.cell_w
                 fbar = (ubar @ self.spec.A1.T, ubar @ self.spec.A2.T)
-                slots_e = [(e_src, -1.0), (src_i, 0.5), (src_j, 0.5)]
+                slots_e = [(e_src, VOLUME_WEIGHT_OWN), (src_i, VOLUME_WEIGHT_EXTENSION),
+                           (src_j, VOLUME_WEIGHT_EXTENSION)]
                 for src_e, omega in slots_e:
                     G = self.G_cell[src_e]
                     Ue = self.source_values(src_e, u, self.cell_loc)
@@ -230,7 +236,7 @@ class _WaveCellContext:
                     out[self.source_block(src_e)] += omega * block
                     # divergence form, linear in the test slots i and j
                     for src_t in (src_i, src_j):
-                        val = self.kappa * 0.5 * np.einsum(
+                        val = self.kappa * SPLIT * np.einsum(
                             "q,qksm,...qm->...ks", wq, self.D_cell[src_t], Ue
                         )
                         out[self.source_block(src_t)] += omega * val
@@ -242,7 +248,7 @@ class _WaveCellContext:
                     wS = self.face_w[l][:, None] * Sv
                     for src_t, sign in ((src_i, 1.0), (src_j, -1.0)):
                         val = np.einsum("...qm,qksm->...ks", wS, self.T_face[src_t][l])
-                        out[self.source_block(src_t)] += sign * val / 3.0
+                        out[self.source_block(src_t)] += sign * DISSIPATIVE_WEIGHT * val
 
 
 class _AdvectionCellContext:
@@ -257,7 +263,7 @@ class _AdvectionCellContext:
             raise MeshValidationError(
                 f"stabilized cell {cell_id} has {len(inflow)} inflow faces; exactly one required"
             )
-        if mesh.faces[inflow[0]].kind != "internal":
+        if mesh.face_right[inflow[0]] < 0:
             raise UnsupportedConfigurationError(
                 f"stabilized cell {cell_id}: inflow face {inflow[0]} lies on the physical boundary"
             )

@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import ramp_mesh, uncut_mesh
+from csr_coupling import unfolded_residual
 from probed_kernels import face_terms, local_matrix, volume_terms
 from probed_penalty import ProbedPenalty
-from cutdg.dg import AssemblyPlan, boundary_outflow_weights, face_matrices, volume_matrices
-from cutdg.quadrature import Space, face_quadrature
+from cutdg.dg import (
+    AssemblyPlan,
+    SemiDiscreteOperator,
+    boundary_outflow_weights,
+    face_matrices,
+    volume_matrices,
+)
+from cutdg.quadrature import Space, face_quadrature, monomial_values
 from cutdg.solutions import PolynomialField, random_polynomial
 from cutdg.systems import SystemSpec
 
@@ -22,8 +29,8 @@ def test_constant_state_interior_residual_vanishes():
     space, plan = _plan(mesh, 1, spec)
     u = space.zeros(1)
     u.coeffs[:, 0, 0] = 2.0
-    res = plan.residual(u.coeffs)
-    boundary_cells = {f.left_cell for f in mesh.faces if f.kind == "boundary"}
+    res = unfolded_residual(plan, u.coeffs)
+    boundary_cells = set(mesh.face_left[mesh.face_right < 0].tolist())
     for cell in mesh.cells:
         if cell.id not in boundary_cells:
             assert np.allclose(res[cell.id], 0.0, atol=1e-14)
@@ -35,7 +42,7 @@ def test_single_cell_r0_outflow():
     space, plan = _plan(mesh, 0, spec)
     u = space.zeros(1)
     u.coeffs[0, 0, 0] = 3.0
-    res = plan.residual(u.coeffs)
+    res = unfolded_residual(plan, u.coeffs)
     # outflow face has length 1: residual of the constant mode is u * 1
     assert abs(res[0, 0, 0] - 3.0) < 1e-14
 
@@ -56,20 +63,19 @@ def test_steady_polynomial_residual_is_boundary_only(degree):
         # (bp . x)^2 = bp0^2 x^2 + 2 bp0 bp1 xy + bp1^2 y^2
         fld = PolynomialField([[0.0, 0.0, 0.0, bp[0] ** 2, 2 * bp[0] * bp[1], bp[1] ** 2]], 2)
     u = fld.to_dg(space)
-    res = plan.residual(u.coeffs)
+    res = unfolded_residual(plan, u.coeffs)
 
     expected = np.zeros_like(res)
-    for face in mesh.faces:
-        if face.kind != "boundary":
-            continue
-        n = face.normal
-        coef = max(-float(beta @ n), 0.0)   # (beta.n)^+ - beta.n on the wall
+    basis = space.basis
+    for fid in np.flatnonzero(mesh.face_right < 0).tolist():
+        coef = max(-float(beta @ mesh.face_normal[fid]), 0.0)   # (beta.n)^+ - beta.n on the wall
         if coef == 0.0:
             continue
-        pts, w = face_quadrature(face.p, face.q, space.face_npts + 2)
+        pts, w = face_quadrature(mesh.face_p[fid], mesh.face_q[fid], space.face_npts + 2)
         vals = fld(pts)[:, 0]
-        phi = space.basis.values(face.left_cell, pts)
-        expected[face.left_cell, :, 0] += coef * (phi.T @ (w * vals))
+        left = mesh.face_left[fid]
+        phi = monomial_values(basis.exps, basis.center(left), basis.h, pts)
+        expected[left, :, 0] += coef * (phi.T @ (w * vals))
     scale = np.abs(res).max()
     assert np.allclose(res, expected, atol=1e-11 * max(scale, 1.0))
 
@@ -103,7 +109,7 @@ def test_central_form_is_energy_neutral_acoustics():
     for _ in range(5):
         u = space.zeros(3)
         u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-        res = plan.residual(u.coeffs)
+        res = unfolded_residual(plan, u.coeffs)
         x = u.coeffs[cells].reshape(len(fids), -1)
         energy = float(np.sum(res * u.coeffs)) - float(np.einsum("fi,fij,fj->", x, D, x))
         norm2 = space.l2_norm(u) ** 2
@@ -117,7 +123,7 @@ def test_semi_discrete_conservation():
     space, plan = _plan(mesh, 1, spec)
     u = space.zeros(1)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    res = plan.residual(u.coeffs)
+    res = unfolded_residual(plan, u.coeffs)
     total = float(np.sum(res[:, 0, 0]))   # pairing with the global constant
     outflow = float(np.vdot(boundary_outflow_weights(space, spec), u.coeffs))
     # inflow faces contribute nothing by construction; collect the rest
@@ -147,21 +153,11 @@ def test_apply_mass_inverse_matches_dense_solve():
         assert np.allclose(out[cid], expected, atol=1e-9)
 
 
-def test_mismatched_function_rejected():
-    from cutdg.errors import ConfigurationError
-
-    mesh = uncut_mesh(2, 2)
-    spec = SystemSpec.acoustics(1.0)
-    space, plan = _plan(mesh, 1, spec)
-    with pytest.raises(ConfigurationError):
-        plan.residual(space.zeros(1).coeffs)
-
-
 def test_zero_state_zero_residual():
     mesh = ramp_mesh(nx=4, ny=4)
     spec = SystemSpec.acoustics(1.0)
     space, plan = _plan(mesh, 1, spec)
-    res = plan.residual(space.zeros(3).coeffs)
+    res = unfolded_residual(plan, space.zeros(3).coeffs)
     assert np.all(res == 0.0)
 
 
@@ -172,7 +168,7 @@ def test_standing_pressure_state_is_steady():
     space, plan = _plan(mesh, 1, spec)
     u = space.zeros(3)
     u.coeffs[:, 0, 0] = 4.2
-    res = plan.residual(u.coeffs)
+    res = unfolded_residual(plan, u.coeffs)
     assert np.abs(res).max() < 1e-13
 
 
@@ -183,8 +179,9 @@ def test_assembly_is_reproducible():
     space, plan = _plan(mesh, 1, spec)
     u = space.zeros(3)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    r1 = plan.residual(u.coeffs)
-    r2 = plan.residual(u.coeffs)
+    # two plans and operators built from one space apply bit for bit alike
+    r1 = SemiDiscreteOperator(plan)(u.coeffs)
+    r2 = SemiDiscreteOperator(AssemblyPlan(space, spec))(u.coeffs)
     assert np.array_equal(r1, r2)
 
 
@@ -196,8 +193,8 @@ def _oracle(ctx, u):
     and the probed penalty residual; du/dt by dense per-cell mass solves."""
     space, spec = ctx.space, ctx.spec
     res = np.zeros_like(u.coeffs)
-    for face in ctx.mesh.faces:
-        for cid, block in face_terms(ctx.plan, face.id, u):
+    for fid in range(len(ctx.mesh.face_left)):
+        for cid, block in face_terms(ctx.plan, fid, u):
             res[cid] += block
     for cid in range(ctx.mesh.num_cells):
         vals = space.cell_phi[cid] @ u.coeffs[cid]
@@ -222,21 +219,19 @@ def _dense_mass_solve(space, rhs):
     "degree, min_alpha", [(0, 1e-8), (1, 1e-8), (2, 1e-2), (2, 1e-5), (3, 1e-2)]
 )
 def test_assembled_operator_matches_oracle(equation, degree, min_alpha):
-    from cutdg.dg import SemiDiscreteOperator, block_matrix
     from cutdg.experiments import build_context, ramp_config
 
     ctx = build_context(ramp_config(equation, degree, min_alpha, nx=8))
     assert len(ctx.small) > 0
-    assert any(f.kind == "boundary" and not ctx.space.uncut[f.left_cell] for f in ctx.mesh.faces)
+    mesh = ctx.mesh
+    assert np.any((mesh.face_right < 0) & ~ctx.space.uncut[mesh.face_left])
     op = SemiDiscreteOperator(ctx.plan, ctx.stab)
     rng = np.random.default_rng(degree)
     u = ctx.space.zeros(ctx.spec.m)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
     res, dudt = _oracle(ctx, u)
-    plan = ctx.plan
     # the block sums the operator folds, base and penalty blocks together
-    coupling = block_matrix(plan.blocks + ctx.stab.blocks(), ctx.mesh.num_cells)
-    assembled = plan.residual(u.coeffs, coupling)
+    assembled = unfolded_residual(ctx.plan, u.coeffs, ctx.stab)
     assert np.abs(assembled - res).max() <= 1e-12 * np.abs(res).max()
     # the batched solve and the folded operator against the dense solves, each
     # on its own right-hand side.  Sliver masses reach condition numbers of
@@ -303,7 +298,7 @@ def test_closed_form_matrices_match_probed_kernels(equation, degree, min_alpha):
     km = space.n_modes * spec.m
     slanted = np.abs(mesh.face_normal).min(axis=1) > 1e-14
     assert slanted.any() and (slanted & (mesh.face_right < 0)).any()
-    fids = np.arange(len(mesh.faces))
+    fids = np.arange(len(mesh.face_left))
     for flags in ((True, False), (False, True), (True, True)):
         closed = face_matrices(space, spec, fids, *flags)
         for fid in fids.tolist():
@@ -384,8 +379,9 @@ def test_stencil_keeps_only_coupled_directions(equation, beta, directions):
     offsets = np.array([(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)])[list(directions)]
     assert np.array_equal(mesh.cell_ij[cells] - mesh.cell_ij[cells[:, :1]],
                           np.broadcast_to(offsets, cells.shape + (2,)))
-    assert plan.shift.shape == (num_cells, d * num_cells) and plan.shift.nnz == cells.size
-    assert plan._products.shape == (num_cells, d * km)
+    op = SemiDiscreteOperator(plan, ctx.stab)
+    assert op.shift.shape == (num_cells, d * num_cells) and op.shift.nnz == cells.size
+    assert op._products.shape == (num_cells, d * km)
 
 
 @pytest.mark.parametrize("case", ["stability-sliver", "ramp-acoustics-r1-1e-6-nx128"])
@@ -395,14 +391,13 @@ def test_setup_and_steps_build_no_cell_or_face_records(case, monkeypatch):
 
     from cutdg.config import load_config
     from cutdg.experiments import build_context, make_rhs, ramp_config
-    from cutdg.geometry import CutCell, Face
+    from cutdg.geometry import CutCell
     from cutdg.stepping import TimeControls, evolve
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("cell or face record built")
+        raise AssertionError("cell record built")
 
     monkeypatch.setattr(CutCell, "__init__", forbidden)
-    monkeypatch.setattr(Face, "__init__", forbidden)
     if case == "stability-sliver":
         configs = Path(__file__).resolve().parent.parent / "configs"
         cfg = load_config(str(configs / "stability-sliver.cfg"))
@@ -430,7 +425,7 @@ def _check_against_csr_oracle(plan, stab):
     every cell's nonzero entries into CSR, base plus penalty, back to BSR,
     fold."""
     from csr_coupling import csr_operator, expanded, folded_operator
-    from cutdg.dg import SemiDiscreteOperator, block_matrix
+    from cutdg.dg import block_matrix
     from cutdg.errors import CutDGError
 
     space = plan.space

@@ -7,7 +7,7 @@ import pytest
 import percell_mesh
 from conftest import ramp_mesh, uncut_mesh
 from percell_mesh import clip_polygon
-from cutdg.errors import ConfigurationError, MeshValidationError
+from cutdg.errors import ConfigurationError, MeshValidationError, UnsupportedConfigurationError
 from cutdg.geometry import (
     SNAP_FRAC,
     BackgroundMesh,
@@ -16,7 +16,6 @@ from cutdg.geometry import (
     build_mesh,
     classify_small_cells,
     halfplane_from_line,
-    orthogonal_projection,
     polygon_area,
     upstream_cells,
 )
@@ -69,7 +68,7 @@ def test_single_uncut_cell():
     cell = mesh.cells[0]
     assert abs(cell.volume_fraction - 1.0) < 1e-15
     assert cell.num_faces == 4
-    assert all(mesh.faces[f].kind == "boundary" for f in cell.face_ids)
+    assert np.all(mesh.face_right[cell.face_ids] < 0)
 
 
 def test_single_cell_pentagon():
@@ -85,7 +84,7 @@ def test_ramp_area_matches_analytic():
     # kept above y = 0.3 + 0.2 x on the unit box: area = 1 - (0.3 + 0.4)/2
     bg = BackgroundMesh(0, 0, 1, 1, 4, 4)
     mesh = build_mesh(bg, Geometry((halfplane_from_line(0.2, 0.3),)))
-    assert abs(mesh.total_area() - 0.6) < 1e-13
+    assert abs(mesh.cell_area.sum() - 0.6) < 1e-13
 
 
 def test_partition_random_ramps():
@@ -96,7 +95,7 @@ def test_partition_random_ramps():
         bg = BackgroundMesh(0, 0, 1, 1, 8, 8)
         mesh = build_mesh(bg, Geometry((halfplane_from_line(slope, offset),)))
         exact = 1.0 - (offset + offset + slope) / 2.0   # trapezoid below the line
-        assert abs(mesh.total_area() - exact) < 1e-12 * max(exact, 1.0)
+        assert abs(mesh.cell_area.sum() - exact) < 1e-12 * max(exact, 1.0)
 
 
 def test_degenerate_geometry_rejected():
@@ -119,34 +118,32 @@ def test_face_topology_invariants():
     for cell in mesh.cells:
         for fid in cell.face_ids:
             owners_of.setdefault(fid, []).append(cell.id)
-    for face in mesh.faces:
-        owners = owners_of[face.id]
-        if face.kind == "internal":
-            assert sorted(owners) == sorted([face.left_cell, face.right_cell])
-            assert face.left_cell != face.right_cell
+    length = np.hypot(*(mesh.face_q - mesh.face_p).T)
+    for fid, (left, right) in enumerate(zip(mesh.face_left.tolist(), mesh.face_right.tolist())):
+        owners = owners_of[fid]
+        if right >= 0:
+            assert sorted(owners) == sorted([left, right])
+            assert left != right
         else:
-            assert owners == [face.left_cell]
-        assert face.length > 1e-10 * h
-        assert abs(np.hypot(*face.normal) - 1.0) <= 1e-14
+            assert owners == [left]
+        assert length[fid] > 1e-10 * h
+        assert abs(np.hypot(*mesh.face_normal[fid]) - 1.0) <= 1e-14
 
     # closed polygon: outward normals integrate to zero per cell
     for cell in mesh.cells:
         total = np.zeros(2)
         for fid in cell.face_ids:
-            face = mesh.faces[fid]
-            total += mesh.outward_normal(cell.id, fid) * face.length
+            total += mesh.outward_normal(cell.id, fid) * length[fid]
         assert np.linalg.norm(total) < 1e-12 * h * cell.num_faces
 
 
 def test_internal_faces_lie_on_both_polygons():
     mesh = ramp_mesh(nx=8, ny=8)
     h = mesh.bg.h
-    for face in mesh.faces:
-        if face.kind != "internal":
-            continue
-        for cid in (face.left_cell, face.right_cell):
+    for fid in np.flatnonzero(mesh.face_right >= 0).tolist():
+        for cid in (mesh.face_left[fid], mesh.face_right[fid]):
             poly = mesh.cells[cid].polygon
-            for pt in (face.p, face.q):
+            for pt in (mesh.face_p[fid], mesh.face_q[fid]):
                 d = _point_polygon_distance(pt, poly)
                 assert d <= 1e-12 * h
 
@@ -164,13 +161,13 @@ def _point_polygon_distance(pt, poly):
 
 def test_left_right_convention():
     mesh = uncut_mesh(nx=2, ny=1, box=(0.0, 0.0, 2.0, 1.0))
-    internal = [f for f in mesh.faces if f.kind == "internal"]
+    internal = np.flatnonzero(mesh.face_right >= 0)
     assert len(internal) == 1
-    face = internal[0]
+    fid = internal[0]
     # normal points from left into right
-    assert np.allclose(face.normal, [1.0, 0.0])
-    assert mesh.cells[face.left_cell].ij == (0, 0)
-    assert mesh.cells[face.right_cell].ij == (1, 0)
+    assert np.allclose(mesh.face_normal[fid], [1.0, 0.0])
+    assert mesh.cells[mesh.face_left[fid]].ij == (0, 0)
+    assert mesh.cells[mesh.face_right[fid]].ij == (1, 0)
 
 
 # ------------------------------------------------------------- small cells
@@ -203,50 +200,33 @@ def test_adjacent_small_cells_rejected():
 
 def test_single_inflow_validation():
     mesh = ramp_mesh(nx=16, ny=16)
-    small = classify_small_cells(mesh, 0.25, beta=(1.0, 0.2))
-    for cid in small:
+    small = classify_small_cells(mesh, 0.25)
+    upstream = upstream_cells(mesh, small, (1.0, 0.2))
+    for cid, up in zip(small, upstream.tolist()):
         faces = percell_mesh.inflow_faces(mesh, cid, (1.0, 0.2))
         assert len(faces) == 1
-        assert mesh.faces[faces[0]].kind == "internal"
+        assert mesh.face_right[faces[0]] >= 0
+        assert up == mesh.neighbor(cid, faces[0])
 
 
 def test_wrong_inflow_count_rejected():
     mesh = ramp_mesh(nx=16, ny=16)
     # reversed flow: the left and wall faces of each sliver are both inflow
     with pytest.raises(MeshValidationError):
-        classify_small_cells(mesh, 0.25, beta=(-1.0, -0.2))
+        upstream_cells(mesh, classify_small_cells(mesh, 0.25), (-1.0, -0.2))
 
 
 def test_boundary_inflow_rejected():
-    from cutdg.errors import UnsupportedConfigurationError
-
     mesh = ramp_mesh(nx=16, ny=16)
     # upward flow: the wall is each sliver's single inflow face
     with pytest.raises(UnsupportedConfigurationError):
-        classify_small_cells(mesh, 0.25, beta=(0.0, 1.0))
+        upstream_cells(mesh, classify_small_cells(mesh, 0.25), (0.0, 1.0))
 
 
 def test_alpha0_range_validated():
     mesh = uncut_mesh(2, 2)
     with pytest.raises(ConfigurationError):
         classify_small_cells(mesh, 1.5)
-
-
-# ---------------------------------------------------------------- projection
-
-
-def test_orthogonal_projection_examples():
-    from cutdg.geometry import Face
-
-    face = Face(0, "boundary", np.array([1.0, 0.0]), np.array([1.0, 1.0]),
-                np.array([1.0, 0.0]), 0)
-    assert np.allclose(orthogonal_projection(np.array([0.3, 0.7]), face), [1.0, 0.7])
-    assert np.allclose(orthogonal_projection(np.array([1.0, 0.2]), face), [1.0, 0.2])
-
-    s = np.sqrt(0.5)
-    diag = Face(1, "boundary", np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                np.array([s, s]), 0)
-    assert np.allclose(orthogonal_projection(np.array([0.0, 0.0]), diag), [0.5, 0.5])
 
 
 def test_background_mesh_requires_square_cells():
@@ -325,9 +305,11 @@ def _recorded_mesh(name):
 
 def _faces_digest(mesh):
     digest = hashlib.sha256()
-    for f in mesh.faces:
-        digest.update(f"{f.id} {f.kind} {f.left_cell} {f.right_cell}".encode())
-        digest.update(np.asarray([f.p, f.q, f.normal], dtype=float).tobytes())
+    for fid, (left, right) in enumerate(zip(mesh.face_left.tolist(), mesh.face_right.tolist())):
+        kind, right = ("boundary", None) if right < 0 else ("internal", right)
+        digest.update(f"{fid} {kind} {left} {right}".encode())
+        digest.update(np.asarray([mesh.face_p[fid], mesh.face_q[fid], mesh.face_normal[fid]],
+                                 dtype=float).tobytes())
     return digest.hexdigest()
 
 
@@ -339,19 +321,11 @@ def test_mesh_matches_recorded_hashes(name):
     assert _faces_digest(mesh) == faces_hash
 
 
-def test_mesh_arrays_match_face_and_cell_objects():
+def test_mesh_arrays_match_cell_objects():
     mesh = ramp_mesh(nx=8, ny=8)
-    for face in mesh.faces:
-        assert np.array_equal(mesh.face_p[face.id], face.p)
-        assert np.array_equal(mesh.face_q[face.id], face.q)
-        assert np.array_equal(mesh.face_normal[face.id], face.normal)
-        assert mesh.face_left[face.id] == face.left_cell
-        assert mesh.face_right[face.id] == (-1 if face.right_cell is None else face.right_cell)
     for cell in mesh.cells:
         assert tuple(mesh.cell_ij[cell.id]) == cell.ij
         assert np.array_equal(mesh.cell_centers[cell.id], mesh.bg.cell_center(*cell.ij))
-        assert mesh.cell_at(*cell.ij) == cell.id
-    assert mesh.cell_at(-1, 0) is None and mesh.cell_at(0, 8) is None
 
 
 # ------------------------------------------- array mesh vs the per-cell oracle
@@ -445,18 +419,13 @@ def test_array_mesh_matches_percell_oracle_bitwise(name):
     assert np.array_equal(mesh._cell_grid, oracle.cell_grid)
     if mesh.num_cells > 1000:
         return
-    # the on-demand records hold the oracle's fields and values
-    assert len(mesh.cells) == len(oracle.cells) and len(mesh.faces) == len(oracle.faces)
+    # the on-demand cell records hold the oracle's fields and values
+    assert len(mesh.cells) == len(oracle.cells)
     for cell, ref in zip(mesh.cells, oracle.cells):
         assert (cell.id, cell.ij, cell.area, cell.volume_fraction, cell.face_ids) == (
             ref.id, ref.ij, ref.area, ref.volume_fraction, ref.face_ids)
         assert type(cell.area) is float and type(cell.face_ids[0]) is int
         assert cell.polygon.tobytes() == ref.polygon.tobytes()
-    for face, ref in zip(mesh.faces, oracle.faces):
-        assert (face.id, face.kind, face.left_cell, face.right_cell) == (
-            ref.id, ref.kind, ref.left_cell, ref.right_cell)
-        for a, b in ((face.p, ref.p), (face.q, ref.q), (face.normal, ref.normal)):
-            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("error, geometry", [
@@ -477,12 +446,11 @@ def test_array_mesh_raises_as_percell_oracle(error, geometry):
 
 def test_record_views_index_like_lists():
     mesh = ramp_mesh(nx=4, ny=4)
-    cells, faces = mesh.cells, mesh.faces
-    assert len(cells) == mesh.num_cells and len(faces) == len(mesh.face_left)
-    assert cells[-1].id == mesh.num_cells - 1 and faces[-1].id == len(faces) - 1
+    cells = mesh.cells
+    assert len(cells) == mesh.num_cells
+    assert cells[-1].id == mesh.num_cells - 1
     assert cells[np.int64(2)].id == 2
     assert [c.id for c in cells[1:7:2]] == [1, 3, 5]
-    assert [f.id for f in faces[:3]] == [0, 1, 2]
     assert [c.id for c in cells] == list(range(mesh.num_cells))
     for index in (mesh.num_cells, -mesh.num_cells - 1):
         with pytest.raises(IndexError):
@@ -496,16 +464,25 @@ def test_record_views_index_like_lists():
 @pytest.mark.parametrize("alpha0", [0.05, 0.25, 0.45])
 @pytest.mark.parametrize("beta", [None, (1.0, 0.2), (-1.0, -0.2), (0.0, 1.0), (1.0, -0.3)])
 def test_small_cell_selection_matches_record_walk(slope, offset, nx, alpha0, beta):
-    # same ids, or the same error with the same first offender
+    # same ids, or the same error with the same first offender: adjacency
+    # (classify_small_cells), then under a flow beta the inflow faces
+    # (upstream_cells)
     mesh = ramp_mesh(nx=nx, ny=nx, slope=slope, offset=offset)
+
+    def select():
+        small = classify_small_cells(mesh, alpha0)
+        if beta is not None:
+            upstream_cells(mesh, small, beta)
+        return small
+
     try:
         expected = percell_mesh.classify_small_cells(mesh, alpha0, beta)
     except Exception as exc:   # the oracle's error is the expectation
         with pytest.raises(type(exc)) as got:
-            classify_small_cells(mesh, alpha0, beta)
+            select()
         assert str(got.value) == str(exc)
         return
-    small = classify_small_cells(mesh, alpha0, beta)
+    small = select()
     assert small == tuple(expected)
     assert all(type(cid) is int for cid in small)
     if beta is not None:
@@ -522,7 +499,7 @@ def test_mesh_is_freed_with_its_last_reference():
     import weakref
 
     mesh = ramp_mesh(nx=8, ny=8)
-    assert mesh.cells[0].id == 0 and mesh.faces[0].id == 0
+    assert mesh.cells[0].id == 0
     ref = weakref.ref(mesh)
     enabled = gc.isenabled()
     gc.disable()

@@ -4,17 +4,17 @@ tables, and the field-object oracle they are compared against."""
 import numpy as np
 import pytest
 
-from conftest import ramp_mesh, source_values, uncut_mesh
+from conftest import evaluate, face_kinds, ramp_mesh, source_values, uncut_mesh
 from cutdg.errors import (
     CutDGError,
     UnsupportedConfigurationError,
     UnsupportedOperationError,
 )
-from cutdg.geometry import Face, classify_small_cells
+from cutdg.geometry import classify_small_cells
 from cutdg.quadrature import Space
 from cutdg.solutions import PolynomialField, random_polynomial
 from cutdg.systems import mirror_state
-from field_forms import extend, mirror_polynomial, reflected_extend, unified_extend
+from field_forms import MirroredField, extend, reflected_extend, unified_extend
 
 
 def test_mirror_state_examples():
@@ -83,20 +83,12 @@ def test_extensions_differ_between_cells():
 # ----------------------------------------------------------------- mirroring
 
 
-def _wall_face(n, offset):
-    n = np.asarray(n, dtype=float)
-    t = np.array([-n[1], n[0]])
-    p = offset * n
-    return Face(0, "boundary", p - t, p + t, n, 0)
-
-
 def test_mirror_polynomial_zero_velocity_is_identity():
     mesh = uncut_mesh(2, 2)
     space = Space(mesh, 2)
     u = random_polynomial(np.random.default_rng(0), 2, 3, pressure_only=True).to_dg(space)
     f = extend(u, space, 0)
-    face = _wall_face([1.0, 0.0], 1.0)
-    g = mirror_polynomial(f, face)
+    g = MirroredField(f, [1.0, 0.0], 1.0)
     probe = np.random.default_rng(1).uniform(-1, 2, size=(10, 2))
     assert np.allclose(g.values(probe), f.values(probe), atol=1e-14)
 
@@ -107,13 +99,14 @@ def test_mirror_polynomial_matches_state_mirror_on_face():
     space = Space(mesh, 2)
     u = space.zeros(3)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    boundary = [f for f in mesh.faces if f.kind == "boundary"]
-    for face in boundary[:8]:
-        f = extend(u, space, face.left_cell)
-        g = mirror_polynomial(f, face)
+    for fid in np.flatnonzero(mesh.face_right < 0)[:8].tolist():
+        p, q, left = mesh.face_p[fid], mesh.face_q[fid], mesh.face_left[fid]
+        f = extend(u, space, left)
+        g = reflected_extend(u, space, left, fid)
         t = rng.uniform(0, 1, size=6)
-        pts = face.p[None, :] + t[:, None] * (face.q - face.p)[None, :]
-        assert np.allclose(g.values(pts), mirror_state(f.values(pts), face.normal), atol=1e-13)
+        pts = p[None, :] + t[:, None] * (q - p)[None, :]
+        assert np.allclose(g.values(pts), mirror_state(f.values(pts), mesh.face_normal[fid]),
+                           atol=1e-13)
 
 
 def test_mirror_polynomial_hand_example():
@@ -122,7 +115,7 @@ def test_mirror_polynomial_hand_example():
     space = Space(mesh, 1)
     u = PolynomialField([[0.0], [0.0, 1.0, 0.0], [0.0]], 1).to_dg(space)
     f = extend(u, space, 0)
-    g = mirror_polynomial(f, _wall_face([1.0, 0.0], 1.0))
+    g = MirroredField(f, [1.0, 0.0], 1.0)
     pts = np.array([[0.3, 0.2], [1.7, -0.4], [1.0, 0.9]])
     vals = g.values(pts)
     assert np.allclose(vals[:, 1], pts[:, 0] - 2.0, atol=1e-14)
@@ -136,12 +129,13 @@ def test_mirror_polynomial_stays_polynomial():
     space = Space(mesh, 2)
     u = space.zeros(3)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    face = next(f for f in mesh.faces if f.kind == "boundary" and abs(f.normal[0]) not in (0.0, 1.0))
-    g = mirror_polynomial(extend(u, space, face.left_cell), face)
+    fid = next(f for f in np.flatnonzero(mesh.face_right < 0).tolist()
+               if abs(mesh.face_normal[f, 0]) not in (0.0, 1.0))
+    g = reflected_extend(u, space, mesh.face_left[fid], fid)
     proj = space.l2_project(lambda pts: g.values(pts), 3)
     probe = rng.uniform(0.2, 0.8, size=(15, 2))
     cid = mesh.num_cells // 2
-    assert np.allclose(space.evaluate(proj, cid, probe), g.values(probe), atol=1e-10)
+    assert np.allclose(evaluate(space, proj, cid, probe), g.values(probe), atol=1e-10)
 
 
 def test_mirror_polynomial_gradients_consistent():
@@ -151,8 +145,7 @@ def test_mirror_polynomial_gradients_consistent():
     u = space.zeros(3)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
     angle = 0.7
-    face = _wall_face([np.cos(angle), np.sin(angle)], 0.8)
-    g = mirror_polynomial(extend(u, space, 0), face)
+    g = MirroredField(extend(u, space, 0), [np.cos(angle), np.sin(angle)], 0.8)
     pts = rng.uniform(0, 1, size=(5, 2))
     eps = 1e-6
     grads = g.gradients(pts)
@@ -170,9 +163,9 @@ def test_reflected_extend_requires_boundary_face():
     mesh = ramp_mesh(nx=4, ny=4)
     space = Space(mesh, 1)
     u = space.zeros(3)
-    internal = next(f for f in mesh.faces if f.kind == "internal")
+    internal = int(np.flatnonzero(mesh.face_right >= 0)[0])
     with pytest.raises(CutDGError):
-        reflected_extend(u, space, internal.left_cell, internal)
+        reflected_extend(u, space, mesh.face_left[internal], internal)
 
 
 def test_reflected_extend_fixes_wall_compatible_fields():
@@ -183,15 +176,16 @@ def test_reflected_extend_fixes_wall_compatible_fields():
     norm = np.hypot(1.0, slope)
     tang = np.array([1.0, slope]) / norm
     u = PolynomialField([[1.0, 0.5, -0.2], [tang[0]], [tang[1]]], 1).to_dg(space)
-    ramp_faces = [
-        f for f in mesh.faces
-        if f.kind == "boundary" and abs(abs(f.normal[0]) - 1.0) > 1e-12 and abs(abs(f.normal[1]) - 1.0) > 1e-12
-    ]
-    face = ramp_faces[0]
-    plain = extend(u, space, face.left_cell)
-    refl = reflected_extend(u, space, face.left_cell, face)
+    normal = mesh.face_normal
+    ramp_faces = np.flatnonzero(
+        (mesh.face_right < 0) & np.all(np.abs(np.abs(normal) - 1.0) > 1e-12, axis=1)
+    )
+    fid = int(ramp_faces[0])
+    p, q, left = mesh.face_p[fid], mesh.face_q[fid], mesh.face_left[fid]
+    plain = extend(u, space, left)
+    refl = reflected_extend(u, space, left, fid)
     t = np.linspace(0, 1, 7)
-    pts = face.p[None, :] + t[:, None] * (face.q - face.p)[None, :]
+    pts = p[None, :] + t[:, None] * (q - p)[None, :]
     assert np.allclose(refl.values(pts), plain.values(pts), atol=1e-12)
 
 
@@ -201,14 +195,14 @@ def test_reflected_extend_trace_flips_normal_velocity():
     space = Space(mesh, 2)
     u = space.zeros(3)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    boundary = [f for f in mesh.faces if f.kind == "boundary"]
-    for face in boundary[:6]:
-        n = face.normal
+    for fid in np.flatnonzero(mesh.face_right < 0)[:6].tolist():
+        p, q, n = mesh.face_p[fid], mesh.face_q[fid], mesh.face_normal[fid]
+        left = mesh.face_left[fid]
         t = np.array([-n[1], n[0]])
-        plain = extend(u, space, face.left_cell)
-        refl = reflected_extend(u, space, face.left_cell, face)
+        plain = extend(u, space, left)
+        refl = reflected_extend(u, space, left, fid)
         s = rng.uniform(0, 1, size=5)
-        pts = face.p[None, :] + s[:, None] * (face.q - face.p)[None, :]
+        pts = p[None, :] + s[:, None] * (q - p)[None, :]
         a = plain.values(pts)
         b = refl.values(pts)
         assert np.allclose(b[:, 0], a[:, 0], atol=1e-13)                      # pressure kept
@@ -219,8 +213,7 @@ def test_reflected_extend_trace_flips_normal_velocity():
 def _stab_cell_with_wall(mesh):
     small = classify_small_cells(mesh, 0.25)
     for cid in small:
-        cell = mesh.cells[cid]
-        kinds = [mesh.faces[f].kind for f in cell.face_ids]
+        kinds = face_kinds(mesh, mesh.cells[cid].face_ids)
         if "boundary" in kinds and kinds.count("internal") >= 2:
             return cid
     raise AssertionError("no stabilized cell with a wall face found")
@@ -234,7 +227,7 @@ def test_unified_extend_cases():
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
     cid = _stab_cell_with_wall(mesh)
     cell = mesh.cells[cid]
-    kinds = [mesh.faces[f].kind for f in cell.face_ids]
+    kinds = face_kinds(mesh, cell.face_ids)
     i_int = kinds.index("internal")
     j_int = kinds.index("internal", i_int + 1)
     b = kinds.index("boundary")
@@ -252,8 +245,7 @@ def test_unified_extend_cases():
     # wall slot: reflected extension from the other face's neighbor
     nb_j = mesh.neighbor(cid, cell.face_ids[i_int])
     f = unified_extend(u, space, cid, b, i_int, "Ei")
-    wall = mesh.faces[cell.face_ids[b]]
-    expected = reflected_extend(u, space, nb_j, wall)
+    expected = reflected_extend(u, space, nb_j, cell.face_ids[b])
     assert np.allclose(f.values(probe), expected.values(probe))
 
 
@@ -262,8 +254,7 @@ def test_unified_extend_rejects_double_wall():
     mesh = uncut_mesh(2, 2)
     space = Space(mesh, 1)
     u = space.zeros(3)
-    cell = mesh.cells[0]
-    kinds = [mesh.faces[f].kind for f in cell.face_ids]
+    kinds = face_kinds(mesh, mesh.cells[0].face_ids)
     walls = [k for k, kind in enumerate(kinds) if kind == "boundary"]
     assert len(walls) == 2
     with pytest.raises(UnsupportedConfigurationError):
@@ -305,7 +296,7 @@ def _one_wall_cells(mesh):
     """The cut cells with at most one wall face (3, 4 and 5 faces), and an
     uncut cell with none and one with one."""
     def walls(c):
-        return sum(mesh.faces[f].kind == "boundary" for f in c.face_ids)
+        return face_kinds(mesh, c.face_ids).count("boundary")
 
     cut = [c.id for c in mesh.cells if c.volume_fraction < 1.0 and walls(c) <= 1]
     uncut = [next(c.id for c in mesh.cells if c.volume_fraction == 1.0 and walls(c) == w)
@@ -331,7 +322,7 @@ def test_source_tables_match_field_oracle(degree):
         pts = np.vstack([space.face_pts[fids].reshape(-1, 2), space.cell_pts[cid]])
         cpts = space.cell_pts[cid]
         sources, n, values, grads = source_values(space, cid, u.coeffs)
-        wall = [mesh.faces[f] for f in fids if mesh.faces[f].kind == "boundary"]
+        wall = [f for f in fids if mesh.face_right[f] < 0]
         for x, C in enumerate(sources):
             field = extend(u, space, C) if x < n else reflected_extend(u, space, C, wall[0])
             expected, expected_grad = field.values(pts), field.gradients(cpts)
@@ -352,7 +343,7 @@ def test_mirrored_tables_on_the_wall_are_the_mirrored_state():
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
     checked = 0
     for cid in _one_wall_cells(mesh):
-        kinds = [mesh.faces[f].kind for f in mesh.cells[cid].face_ids]
+        kinds = face_kinds(mesh, mesh.cells[cid].face_ids)
         if "boundary" not in kinds:
             continue
         k = kinds.index("boundary")

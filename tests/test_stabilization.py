@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import face_matrix_on, mixed_stabilized_set, ramp_mesh
-from cutdg.dg import AssemblyPlan
+from conftest import face_kinds, face_matrix_on, mixed_stabilized_set, ramp_mesh
+from cutdg.dg import AssemblyPlan, block_matrix
 from cutdg.config import load_config
 from cutdg.errors import MeshValidationError, UnsupportedConfigurationError
 from cutdg.geometry import classify_small_cells
@@ -32,12 +32,8 @@ from probed_penalty import ProbedPenalty
 
 def _setup(equation="acoustics", degree=1, nx=16, alpha0=0.25, beta=(1.0, 0.2)):
     mesh = ramp_mesh(nx=nx, ny=nx)
-    if equation == "advection":
-        spec = SystemSpec.advection(beta)
-        small = classify_small_cells(mesh, alpha0, beta=beta)
-    else:
-        spec = SystemSpec.acoustics(1.0)
-        small = classify_small_cells(mesh, alpha0)
+    small = classify_small_cells(mesh, alpha0)
+    spec = SystemSpec.advection(beta) if equation == "advection" else SystemSpec.acoustics(1.0)
     space = Space(mesh, degree)
     plan = AssemblyPlan(space, spec)
     eta = eta_values(mesh, small, alpha0)
@@ -46,7 +42,8 @@ def _setup(equation="acoustics", degree=1, nx=16, alpha0=0.25, beta=(1.0, 0.2)):
 
 def _apply(stab, u):
     """The penalty's residual array through its global matrix."""
-    return (stab.matrix() @ u.coeffs.ravel()).reshape(u.coeffs.shape)
+    matrix = block_matrix(stab.blocks(), stab.space.mesh.num_cells)
+    return (matrix @ u.coeffs.ravel()).reshape(u.coeffs.shape)
 
 
 # ------------------------------------------------------------- closed form
@@ -64,6 +61,14 @@ def test_surface_weights_arithmetic():
     # face sum at j = 2 (1-based): p_12 + p_32 = A_2
     p32 = surface_weights(3, 2, 1) @ A
     assert abs(p12 + p32 - A[1]) < 1e-15
+    # the pair construction's other weights, in closed form: a change to
+    # one of them is a deliberate edit of this test
+    for K in (3, 4, 5):
+        assert stabilization.kappa(K) == 2.0 / (K * (K - 1))
+    assert stabilization.SPLIT == 0.5
+    assert stabilization.VOLUME_WEIGHT_OWN == -1.0
+    assert stabilization.VOLUME_WEIGHT_EXTENSION == 0.5
+    assert stabilization.DISSIPATIVE_WEIGHT == 1.0 / 3.0
 
 
 def test_eta_rule():
@@ -286,11 +291,10 @@ def test_advection_penalty_r0_hand_quadrature():
         up = mesh.neighbor(cid, inflow[0])
         d = u.coeffs[up, 0, 0] - u.coeffs[cid, 0, 0]
         for fid in cell.face_ids:
-            face = mesh.faces[fid]
             bn = max(float(beta @ mesh.outward_normal(cid, fid)), 0.0)
             if bn == 0.0:
                 continue
-            val = eta[cid] * bn * d * face.length
+            val = eta[cid] * bn * d * float(np.hypot(*(mesh.face_q[fid] - mesh.face_p[fid])))
             expected[cid, 0, 0] += val
             nb = mesh.neighbor(cid, fid)
             if nb is not None:
@@ -321,8 +325,7 @@ def test_wave_penalty_annihilates_tangential_velocity(degree=2):
     # wall-compatible, so the penalty must vanish on such global fields
     mesh, spec, space, plan, small, eta = _setup("acoustics", degree)
     for cid in small:
-        kinds = [mesh.faces[f].kind for f in mesh.cells[cid].face_ids]
-        assert kinds.count("boundary") == 1
+        assert face_kinds(mesh, mesh.cells[cid].face_ids).count("boundary") == 1
     slope = 0.75
     norm = np.hypot(1.0, slope)
     tang = np.array([1.0, slope]) / norm
@@ -388,7 +391,8 @@ def test_penalty_matrices_match_probed_oracle(equation, degree, alpha):
             pair = oracle.local_matrix(cid, oracle.pair_residual)
             named = stab.surface[cid] + stab.volume[cid] + stab.dissipative[cid]
             assert _relative(named, pair) <= 1e-13
-    assert _relative(stab.matrix().toarray(), oracle.matrix().toarray()) <= 1e-13
+    matrix = block_matrix(stab.blocks(), ctx.mesh.num_cells)
+    assert _relative(matrix.toarray(), oracle.matrix().toarray()) <= 1e-13
 
 
 def _check_against_percell(stab, bound):
@@ -421,7 +425,7 @@ def test_mixed_stabilized_set_matches_percell_and_probed(degree):
     cells = mixed_stabilized_set(ctx.mesh, ctx.small)
     patterns = {
         (ctx.mesh.cells[c].num_faces,
-         [ctx.mesh.faces[f].kind for f in ctx.mesh.cells[c].face_ids].count("boundary"))
+         face_kinds(ctx.mesh, ctx.mesh.cells[c].face_ids).count("boundary"))
         for c in cells
     }
     assert {(3, 1), (4, 0), (4, 1)} <= patterns
@@ -431,7 +435,8 @@ def test_mixed_stabilized_set_matches_percell_and_probed(degree):
     oracle = ProbedPenalty(stab)
     for cid in cells:
         assert _relative(stab.local[cid], oracle.local_matrix(cid)) <= 1e-13
-    assert _relative(stab.matrix().toarray(), oracle.matrix().toarray()) <= 1e-13
+    matrix = block_matrix(stab.blocks(), ctx.mesh.num_cells)
+    assert _relative(matrix.toarray(), oracle.matrix().toarray()) <= 1e-13
 
 
 @pytest.mark.parametrize("degree, alpha", [(r, a) for eq, r, a in _GRID if eq == "acoustics"])
@@ -452,7 +457,7 @@ def test_wave_penalty_rejects_double_wall_pairs():
     plan = AssemblyPlan(space, spec)
     corner = next(
         c.id for c in mesh.cells
-        if sum(mesh.faces[f].kind == "boundary" for f in c.face_ids) >= 2
+        if face_kinds(mesh, c.face_ids).count("boundary") >= 2
     )
     eta = np.ones(mesh.num_cells)
     with pytest.raises(UnsupportedConfigurationError):
@@ -467,9 +472,9 @@ def test_wave_penalty_names_the_corner_after_valid_cells():
     corner = next(
         c for c in mesh.cells
         if c.volume_fraction == 1.0
-        and [mesh.faces[f].kind for f in c.face_ids].count("boundary") == 2
+        and face_kinds(mesh, c.face_ids).count("boundary") == 2
     )
-    walls = [f for f in corner.face_ids if mesh.faces[f].kind == "boundary"]
+    walls = [f for f in corner.face_ids if mesh.face_right[f] < 0]
     with pytest.raises(UnsupportedConfigurationError) as percell:
         _WaveCellContext(ctx.space, ctx.plan.spec, corner.id)
     with pytest.raises(UnsupportedConfigurationError) as batched:
@@ -511,13 +516,13 @@ def test_boundary_outflow_weights_match_probed_oracle(case):
 def _uncut(mesh, walls):
     """The first uncut cell with ``walls`` boundary faces, all on the left box wall."""
     def left_wall(c, f):
-        return mesh.faces[f].kind == "boundary" and mesh.outward_normal(c.id, f)[0] == -1.0
+        return mesh.face_right[f] < 0 and mesh.outward_normal(c.id, f)[0] == -1.0
 
     return next(
         c for c in mesh.cells
         if c.volume_fraction == 1.0
-        and [mesh.faces[f].kind for f in c.face_ids].count("boundary") == walls
-        and all(left_wall(c, f) for f in c.face_ids if mesh.faces[f].kind == "boundary")
+        and face_kinds(mesh, c.face_ids).count("boundary") == walls
+        and all(left_wall(c, f) for f in c.face_ids if mesh.face_right[f] < 0)
     )
 
 
@@ -535,7 +540,7 @@ def test_advection_penalty_names_the_inflow_offender_after_valid_cells(beta):
         message = f"stabilized cell {cell.id} has 2 inflow faces; exactly one required"
     else:
         cell = _uncut(mesh, 1)
-        wall = next(f for f in cell.face_ids if mesh.faces[f].kind == "boundary")
+        wall = next(f for f in cell.face_ids if mesh.face_right[f] < 0)
         error = UnsupportedConfigurationError
         message = f"stabilized cell {cell.id}: inflow face {wall} lies on the physical boundary"
     AdvectionStabilization(ctx.plan, ctx.small, ctx.eta)
