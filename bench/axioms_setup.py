@@ -1,7 +1,7 @@
 """Time the axiom check and the acoustic DoD penalty constructor.
 
-    python3 bench/axioms_setup.py --side change [--src src] [--out bench/BENCH_13_axioms.json]
-    python3 bench/axioms_setup.py --side parent --src <checkout of the parent>/src
+    python3 bench/axioms_setup.py --side change [--src src] --out bench/BENCH_<n>_axioms.json
+    python3 bench/axioms_setup.py --side parent --src <checkout of the parent>/src --out bench/BENCH_<n>_axioms.json
 
 The axiom case loads ``configs/consistency-acoustics.cfg`` (the check-axioms
 part of the ``setup-checks`` workload) and times ``run_axioms(cfg)``, and on
@@ -66,7 +66,7 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--side", required=True, help="label of this run, e.g. parent or change")
     p.add_argument("--src", default=str(ROOT / "src"), help="directory holding the cutdg package")
-    p.add_argument("--out", default=str(ROOT / "bench" / "BENCH_13_axioms.json"))
+    p.add_argument("--out", required=True, help="the JSON record to add this side to")
     args = p.parse_args(argv)
 
     sys.path.insert(0, str(Path(args.src).resolve()))

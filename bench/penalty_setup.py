@@ -1,7 +1,7 @@
 """Time the base form's assembly and the DoD penalty constructor on fine ramp meshes.
 
-    python3 bench/penalty_setup.py --side change [--src src] [--out bench/BENCH_10_setup.json]
-    python3 bench/penalty_setup.py --side parent --src <checkout of the parent>/src
+    python3 bench/penalty_setup.py --side change [--src src] --out bench/BENCH_<n>_setup.json
+    python3 bench/penalty_setup.py --side parent --src <checkout of the parent>/src --out bench/BENCH_<n>_setup.json
 
 Each case builds the context of ``ramp_config(equation, r, alpha, nx)``
 without a penalty, classifies its small cells and their strengths as
@@ -85,7 +85,7 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--side", required=True, help="label of this run, e.g. parent or change")
     p.add_argument("--src", default=str(ROOT / "src"), help="directory holding the cutdg package")
-    p.add_argument("--out", default=str(ROOT / "bench" / "BENCH_10_setup.json"))
+    p.add_argument("--out", required=True, help="the JSON record to add this side to")
     args = p.parse_args(argv)
 
     sys.path.insert(0, str(Path(args.src).resolve()))

@@ -78,6 +78,18 @@ def load_tree(src):
         drop()
 
 
+def load_trees(rev, parent_src=None):
+    """{"parent": the tree of git revision ``rev`` (or of the source directory
+    ``parent_src``), "change": this checkout's ``src``}."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if parent_src is None:
+            archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                                     check=True, capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+            parent_src = Path(tmp) / "src"
+        return {"parent": load_tree(parent_src), "change": load_tree(ROOT / "src")}
+
+
 def case_config(tree, name):
     """(config, controls-building rule) of one case: a step count or t_final."""
     if name == "sliver-acoustics":
@@ -156,14 +168,7 @@ def main(argv=None):
     p.add_argument("--pairs", type=int, default=8)
     args = p.parse_args(argv)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        parent_src = args.parent_src
-        if parent_src is None:
-            archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src"],
-                                     check=True, capture_output=True).stdout
-            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-            parent_src = Path(tmp) / "src"
-        trees = {"parent": load_tree(parent_src), "change": load_tree(ROOT / "src")}
+    trees = load_trees(args.rev, args.parent_src)
     cases = {name: {side: Case(trees[side], name) for side in SIDES} for name in CASES}
 
     record = {"python": platform.python_version(), "numpy": np.__version__,

@@ -31,33 +31,45 @@ def n_modes(degree):
 
 
 def _scaled_powers(exps, center, h, pts):
-    """Powers of the scaled coordinates, column j holding the j-th power,
-    each (npts, at least max exponent + 1).
+    """Powers of the scaled coordinates (pts - center) / h, one C-ordered
+    table per coordinate, each (max exponent + 1, npts): row j holds the
+    j-th power at every point.
 
     Each power is taken once per point and shared by every mode using it.
-    Up to degree one no ``pow`` is needed: x**0 = 1 and x**1 = x exactly.
+    No ``pow`` is used at all: row 0 is 1, row 1 the scaled coordinate, and
+    row j is row j-1 times row 1.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     center = np.asarray(center, dtype=float)
-    X = (pts[:, 0] - center[..., 0]) / h
-    Y = (pts[:, 1] - center[..., 1]) / h
-    if exps.max() <= 1:
-        one = np.ones_like(X)
-        return np.column_stack([one, X]), np.column_stack([one, Y])
-    powers = np.arange(exps.max() + 1)
-    return X[:, None] ** powers, Y[:, None] ** powers
+    P = np.empty((2, int(exps.max()) + 1, len(pts)))
+    P[:, 0] = 1.0
+    if P.shape[1] > 1:
+        np.subtract(pts.T, center.T.reshape(2, -1), out=P[:, 1])
+        P[:, 1] /= h
+    for j in range(2, P.shape[1]):
+        np.multiply(P[:, j - 1], P[:, 1], out=P[:, j])
+    return P[0], P[1]
 
 
 def _values(exps, Xp, Yp):
-    return np.take(Xp, exps[:, 0], axis=1) * np.take(Yp, exps[:, 1], axis=1)
+    """(npts, n_modes) mode values, C-ordered: the layout fixes the BLAS
+    summation order of the products built from them (the stacked cut-cell
+    masses).  Each mode's column is one product of two power rows, written
+    in place, so no gathered temporary is made."""
+    out = np.empty((Xp.shape[1], len(exps)))
+    for i, (p, q) in enumerate(exps.tolist()):
+        np.multiply(Xp[p], Yp[q], out=out[:, i])
+    return out
 
 
 def _gradients(exps, h, Xp, Yp):
-    p = exps[:, 0]
-    q = exps[:, 1]
-    gx = p / h * np.take(Xp, np.maximum(p - 1, 0), axis=1) * np.take(Yp, q, axis=1)
-    gy = q / h * np.take(Xp, p, axis=1) * np.take(Yp, np.maximum(q - 1, 0), axis=1)
-    return np.stack([gx, gy], axis=-1)
+    """(npts, n_modes, 2) mode gradients, C-ordered, each entry
+    (p/h x^(p-1)) y^q or (q/h x^p) y^(q-1)."""
+    out = np.empty((Xp.shape[1], len(exps), 2))
+    for i, (p, q) in enumerate(exps.tolist()):
+        np.multiply(p / h * Xp[max(p - 1, 0)], Yp[q], out=out[:, i, 0])
+        np.multiply(q / h * Xp[p], Yp[max(q - 1, 0)], out=out[:, i, 1])
+    return out
 
 
 def monomial_values(exps, center, h, pts):
@@ -81,7 +93,7 @@ def monomial_tables(exps, center, h, pts, grad_rows=slice(None)):
     coordinate powers, equal to :func:`monomial_values` and
     :func:`monomial_gradients` on those points."""
     Xp, Yp = _scaled_powers(exps, center, h, pts)
-    return _values(exps, Xp, Yp), _gradients(exps, h, Xp[grad_rows], Yp[grad_rows])
+    return _values(exps, Xp, Yp), _gradients(exps, h, Xp[:, grad_rows], Yp[:, grad_rows])
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ Field names accepted in configurations:
 import numpy as np
 
 from .errors import ConfigurationError
-from .quadrature import DGFunction, mode_exponents, n_modes
+from .quadrature import DGFunction, _scaled_powers, mode_exponents, monomial_values, n_modes
 
 
 def _shift_matrices(exps, centers, h):
@@ -24,20 +24,20 @@ def _shift_matrices(exps, centers, h):
 
     Expands x^p y^q around each cell center (centers of shape (cells, 2)) via
     the binomial theorem; this is how a global polynomial is written down
-    exactly in any cell's block.  The loops run over mode pairs only.
+    exactly in any cell's block.  The centers' powers come from the basis
+    kernel's power tables; the loops run over mode pairs only.
     """
     from math import comb
 
     n = len(exps)
     index = {(int(p), int(q)): k for k, (p, q) in enumerate(exps)}
     S = np.zeros((len(centers), n, n))
-    xc = centers[:, 0]
-    yc = centers[:, 1]
+    xc, yc = _scaled_powers(exps, (0.0, 0.0), 1.0, centers)
     for g, (p, q) in enumerate(exps):
         for u in range(p + 1):
-            cu = comb(p, u) * xc ** (p - u) * h**u
+            cu = comb(p, u) * xc[p - u] * h**u
             for v in range(q + 1):
-                cv = comb(q, v) * yc ** (q - v) * h**v
+                cv = comb(q, v) * yc[q - v] * h**v
                 S[:, g, index[(u, v)]] += cu * cv
     return S
 
@@ -59,9 +59,7 @@ class PolynomialField:
         return self.coeffs.shape[1]
 
     def __call__(self, pts, t=0.0):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        vander = pts[:, 0][:, None] ** self.exps[:, 0] * pts[:, 1][:, None] ** self.exps[:, 1]
-        return vander @ self.coeffs
+        return monomial_values(self.exps, (0.0, 0.0), 1.0, pts) @ self.coeffs
 
     def max_abs(self, pts):
         return float(np.max(np.abs(self(pts)))) if len(pts) else 0.0

@@ -41,6 +41,36 @@ def test_monomial_tables_equal_separate_evaluations(degree):
         assert np.array_equal(grads, monomial_gradients(exps, sub, 0.125, pts[rows]))
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_monomial_kernel_matches_extended_precision(degree):
+    # values and gradients against x^p y^q summed in np.longdouble from the
+    # same inputs, within a few ulp of each table's largest entry; scaled
+    # coordinates of both signs, one center or one per point
+    rng = np.random.default_rng(10 + degree)
+    exps = mode_exponents(degree)
+    h = 0.125
+    pts = rng.uniform(-1.0, 2.0, size=(60, 2))
+    centers = pts + rng.uniform(-0.6 * h, 0.6 * h, size=(60, 2))
+    rows = rng.uniform(size=60) < 0.5
+    for center in (centers, np.array([0.45, 0.55])):
+        X, Y = ((pts.astype(np.longdouble) - center) / np.longdouble(h)).T
+        assert (X < 0).any() and (X > 0).any() and (Y < 0).any() and (Y > 0).any()
+        ref = np.stack([X**p * Y**q for p, q in exps.tolist()], axis=-1)
+        ref_grad = np.stack([np.stack([p * X ** max(p - 1, 0) * Y**q,
+                                       q * X**p * Y ** max(q - 1, 0)], axis=-1) / h
+                             for p, q in exps.tolist()], axis=1)
+        tables = monomial_tables(exps, center, h, pts, rows)
+        sub = center[rows] if center.ndim == 2 else center
+        for got, want in ((monomial_values(exps, center, h, pts), ref),
+                          (monomial_gradients(exps, center, h, pts), ref_grad),
+                          (tables[0], ref),
+                          (tables[1], ref_grad[rows]),
+                          (monomial_gradients(exps, sub, h, pts[rows]), ref_grad[rows])):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            tol = 4 * np.finfo(float).eps * float(np.abs(want).max())
+            assert float(np.abs(got - want).max()) <= tol
+
+
 def test_quadrature_constant_gives_area():
     mesh = ramp_mesh(nx=4, ny=4)
     for cell in mesh.cells:

@@ -6,7 +6,7 @@ import pytest
 from conftest import evaluate, ramp_mesh
 from cutdg.config import RunConfig, parse_config, serialize_config
 from cutdg.errors import ConfigurationError
-from cutdg.quadrature import Space
+from cutdg.quadrature import Space, monomial_values
 from cutdg.solutions import (
     BumpAdvect,
     PolynomialField,
@@ -21,6 +21,31 @@ def test_polynomial_field_evaluation():
     fld = PolynomialField([[1.0, 2.0, 0.0, 0.0, 0.0, 3.0]], 2)   # 1 + 2x + 3y^2
     pts = np.array([[0.5, 2.0]])
     assert np.allclose(fld(pts), [[1 + 1 + 12.0]])
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_polynomial_field_matches_independent_evaluation(degree):
+    # against numpy's Horner evaluation, within a few ulp of the terms' sum
+    # of magnitudes; then its exact representation on a cut mesh, evaluated
+    # at every quadrature point, against the field there
+    rng = np.random.default_rng(20 + degree)
+    fld = random_polynomial(rng, degree, 2)
+    pts = rng.uniform(-1.0, 2.0, size=(50, 2))
+    got = fld(pts)
+    for c in range(fld.m):
+        grid = np.zeros((degree + 1, degree + 1))
+        grid[fld.exps[:, 0], fld.exps[:, 1]] = fld.coeffs[:, c]
+        want = np.polynomial.polynomial.polyval2d(pts[:, 0], pts[:, 1], grid)
+        terms = np.polynomial.polynomial.polyval2d(np.abs(pts[:, 0]), np.abs(pts[:, 1]),
+                                                   np.abs(grid))
+        assert np.all(np.abs(got[:, c] - want) <= 8 * np.finfo(float).eps * terms)
+    space = Space(ramp_mesh(nx=16, ny=16), degree)
+    u = fld.to_dg(space)
+    cells = space.quad_cells
+    phi = monomial_values(space.basis.exps, space.basis.centers[cells], space.basis.h,
+                          space.quad_pts)
+    assert np.allclose(np.einsum("qk,qkm->qm", phi, u.coeffs[cells]), fld(space.quad_pts),
+                       rtol=0.0, atol=1e-12)
 
 
 def test_to_dg_is_exact_representation():
