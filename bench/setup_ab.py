@@ -29,7 +29,10 @@ first alternating from pair to pair; recorded is each phase's CPU time
 (``time.process_time``) per run.  Then every case, timed or not, is set up
 once more per side, and for every ``Space`` table (the quadrature rules, the
 basis values and gradients, the masses, the mode integrals, and the face
-traces of all faces), every plan and penalty block, the folded operator,
+traces of all faces), every plan block, the penalty's blocks
+(``stab.blocks()``, in their order) and its named matrices (cell by cell in
+ascending order, :func:`penalty_parts`), the folded operator (its blocks,
+their indices and, for advection, its outflow weights),
 ``op(u)`` on one random state, the projected field and, for a polynomial
 field, its values at the quadrature points, the record holds whether the
 two sides are equal (``np.array_equal``) and their largest difference
@@ -106,6 +109,18 @@ def setup(tree, cfg, fld, operator=True):
     return times, {"space": space, "plan": plan, "stab": stab, "op": op, "u0": u0, "fld": fld}
 
 
+def penalty_parts(stab):
+    """The penalty's named matrices as {name: {cell: matrix}}: read from its
+    groups, or from the per-cell dicts of a tree that keeps those."""
+    if not hasattr(stab, "groups"):
+        return {name: getattr(stab, name) for name in stab._names}
+    parts = {}
+    for group in stab.groups:
+        for name, part in group.parts.items():
+            parts.setdefault(name, {}).update(zip(group.cell_ids.tolist(), part))
+    return parts
+
+
 def tables(tree, built, rng):
     """Every array one setup on ``tree`` produced, by name."""
     space, plan, stab, op = built["space"], built["plan"], built["stab"], built["op"]
@@ -122,11 +137,17 @@ def tables(tree, built, rng):
     }
     if op is not None:
         out.update({"op.stencil": op.stencil, "op.coupling": op.coupling.data,
+                    "op.coupling.indices": op.coupling.indices,
+                    "op.coupling.indptr": op.coupling.indptr,
                     "op(u)": op(rng.uniform(-1, 1, (space.mesh.num_cells,) + plan.shape))})
+        if plan.spec.kind == "advection":
+            out["op.outflow_weights"] = op.outflow_weights()
     if stab is not None:
-        for name in stab._names + ("local",):
-            out[f"penalty.{name}"] = np.concatenate([getattr(stab, name)[c].reshape(-1)
-                                                     for c in stab.cell_ids])
+        rows, cols, blocks = (np.concatenate(part) for part in zip(*stab.blocks()))
+        out.update({"penalty.rows": rows, "penalty.cols": cols, "penalty.blocks": blocks})
+        for name, by_cell in penalty_parts(stab).items():
+            out[f"penalty.{name}"] = np.concatenate(
+                [m.reshape(-1) for _, m in sorted(by_cell.items())])
     if isinstance(built["fld"], tree.solutions.PolynomialField):
         out["field(quad_pts)"] = built["fld"](space.quad_pts)
     return out

@@ -134,21 +134,12 @@ def make_rhs(ctx, track_outflow=False):
 # ---------------------------------------------------------------------------
 
 
-def _mode_scales(ctx):
-    """Max |mode| over each stabilized cell's quadrature points, (cells, k)
-    per cell over its neighborhood, from the neighborhood's plain source
-    tables, built for all cells of one shape at once."""
-    space, stab = ctx.space, ctx.stab
-    groups = {}
-    for cid in stab.cell_ids:
-        key = len(space.mesh.cell_faces(cid)), len(space.cell_w[cid]), len(stab.neighborhood(cid))
-        groups.setdefault(key, []).append(cid)
-    scales = {}
-    for ids in groups.values():
-        tables = source_tables(space, ids, [stab.neighborhood(cid) for cid in ids])
-        vals = np.maximum(abs(tables.face_phi).max(axis=(1, 3)), abs(tables.cell_phi).max(axis=2))
-        scales.update(zip(ids, np.maximum(vals, 1e-300)))
-    return scales
+def _mode_scales(space, group):
+    """Max |mode| over each quadrature point of each cell of a penalty
+    group's neighborhoods, (B, n, k), from their plain source tables."""
+    tables = source_tables(space, group.cell_ids, group.cells)
+    vals = np.maximum(abs(tables.face_phi).max(axis=(1, 3)), abs(tables.cell_phi).max(axis=2))
+    return np.maximum(vals, 1e-300)
 
 
 @dataclass
@@ -188,7 +179,7 @@ def run_consistency(cfg):
     if ctx.stab is None:
         raise ConfigurationError("consistency run requires at least one stabilized cell")
     rng = np.random.default_rng(cfg.seed)
-    scales = _mode_scales(ctx)
+    scales = [_mode_scales(ctx.space, group) for group in ctx.stab.groups]
     h = ctx.space.basis.h
     worst = 0.0
     pressure_only = ctx.spec.kind == "acoustics"
@@ -196,14 +187,14 @@ def run_consistency(cfg):
         fld = random_polynomial(rng, cfg.degree, ctx.spec.m, pressure_only=pressure_only)
         u = fld.to_dg(ctx.space)
         umax = max(fld.max_abs(ctx.space.quad_pts), 1e-300)
-        for cid in ctx.stab.cell_ids:
-            for block, scale in zip(ctx.stab.cell_residual(cid, u).values(), scales[cid]):
-                normalized = np.abs(block) / (umax * h * scale[:, None])
-                worst = max(worst, float(normalized.max()))
-    min_alpha = float(ctx.mesh.cell_volume_fraction[ctx.stab.cell_ids].min())
+        for group, scale in zip(ctx.stab.groups, scales):
+            res = group.local @ u.coeffs[group.cells].reshape(len(scale), -1, 1)
+            normalized = np.abs(res.reshape(scale.shape + (-1,))) / (umax * h * scale[..., None])
+            worst = max(worst, float(normalized.max()))
+    min_alpha = float(ctx.mesh.cell_volume_fraction[list(ctx.small)].min())
     return ConsistencyReport(
         cfg.equation, cfg.degree, cfg.seed, cfg.n_polynomials,
-        len(ctx.stab.cell_ids), min_alpha, worst,
+        len(ctx.small), min_alpha, worst,
     )
 
 

@@ -55,10 +55,6 @@ class BackgroundMesh:
     def h(self):
         return (self.x1 - self.x0) / self.nx
 
-    def cell_center(self, i, j):
-        h = self.h
-        return np.array([self.x0 + (i + 0.5) * h, self.y0 + (j + 0.5) * h])
-
     def cell_boxes(self):
         """Every cell's box, shape (ny * nx, 4, 2), in row-major (j, i) order."""
         h = self.h
@@ -320,9 +316,6 @@ class CutCellMesh:
         if right < 0:
             return None
         return right if left == cell_id else left
-
-    def cell_center(self, cell_id):
-        return self.cell_centers[cell_id]
 
     def dump(self):
         """Plain-text mesh dump: cell header, vertex lines, face lines."""

@@ -15,9 +15,11 @@ this ansatz satisfying the pair balance and face-sum identities that the
 consistency argument needs; the test suite checks those identities directly
 rather than trusting the construction.
 
-Every term is bilinear, so each penalty is held as one local matrix per
-stabilized cell over the cell's neighborhood.  Both penalties are built for
-all stabilized cells at once, group by group, from one table builder,
+Every term is bilinear, so each penalty is one local matrix per stabilized
+cell over the cell's neighborhood.  The cells are built and held in groups
+of one pattern (:class:`PenaltyGroup`): each group stacks its cells' ids,
+strengths, neighborhoods, named matrices and local matrices as (B, ...)
+arrays.  Both penalties take their tables from one builder,
 :func:`source_tables` (a), which evaluates the extension sources' scalar
 tables and Gram products.  For acoustics, :func:`_pair_matrices` contracts
 them with the pair weights and the sources' vector parts into ``surface``,
@@ -47,10 +49,9 @@ def eta_values(mesh, small, alpha0, scale=1.0):
     """Per-cell stabilization strength: scale * (1 - min(1, alpha/alpha0))."""
     if not 0.0 <= scale <= 1.0:
         raise ConfigurationError("eta scale must lie in [0, 1]")
+    small = np.asarray(small, dtype=np.int64)
     eta = np.zeros(mesh.num_cells)
-    for cid in small:
-        alpha = mesh.cell_volume_fraction[cid]
-        eta[cid] = scale * (1.0 - min(1.0, alpha / alpha0))
+    eta[small] = scale * (1.0 - np.minimum(1.0, mesh.cell_volume_fraction[small] / alpha0))
     return eta
 
 
@@ -90,9 +91,17 @@ _BATCH_ENTRIES = 2 ** 17
 
 
 def _neighborhood(mesh, cell_id):
-    """A cell's neighbor per face (None on the boundary) and its sorted neighborhood."""
+    """A cell's neighbor per face (None on the boundary), its sorted
+    neighborhood, and each neighbor's position in it (-1 on the boundary)."""
     nb = [mesh.neighbor(cell_id, fid) for fid in mesh.cell_faces(cell_id).tolist()]
-    return nb, sorted({cell_id} | {C for C in nb if C is not None})
+    cells = sorted({cell_id} | {C for C in nb if C is not None})
+    return nb, cells, tuple(-1 if C is None else cells.index(C) for C in nb)
+
+
+def _cell_faces(mesh, cell_ids):
+    """The face ids (B, K) of cells with one face count, in polygon order."""
+    lo = mesh.cell_offsets[cell_ids]
+    return mesh.cell_face_ids[lo[:, None] + np.arange(mesh.cell_offsets[cell_ids[0] + 1] - lo[0])]
 
 
 def _wave_layout(mesh, cell_id):
@@ -108,7 +117,7 @@ def _wave_layout(mesh, cell_id):
     the neighbor's plain and of its mirrored extension (-1 where there is
     none).
     """
-    nb, cells = _neighborhood(mesh, cell_id)
+    nb, cells, plain = _neighborhood(mesh, cell_id)
     K = len(nb)
     walls = [k for k in range(K) if nb[k] is None]
     if len(walls) >= 2:
@@ -119,7 +128,6 @@ def _wave_layout(mesh, cell_id):
         )
     wall = walls[0] if walls else -1
     mirrored = list(dict.fromkeys(nb[k] for k in range(K) if k != wall)) if wall >= 0 else []
-    plain = tuple(-1 if C is None else cells.index(C) for C in nb)
     mirror = tuple(
         len(cells) + mirrored.index(nb[k]) if wall >= 0 and k != wall else -1 for k in range(K)
     )
@@ -241,7 +249,7 @@ def source_tables(space, cell_ids, sources, wall=-1, n=None):
     # gradients at the cell points: the plain tables at the points
     # themselves, the mirrored ones at their feet on the wall line, with the
     # gradient's normal part dropped
-    fids = np.array([mesh.cell_faces(cid) for cid in cell_ids])
+    fids = _cell_faces(mesh, cell_ids)
     K = fids.shape[1]
     nq = space.face_npts
     cell_pts = np.stack([space.cell_pts[cid] for cid in cell_ids])
@@ -348,8 +356,10 @@ def _pair_matrices(plan, cell_ids, sources, pattern):
             blocks[:, slot[x]] += blocks[:, x]
         for y in range(n, S):
             blocks[:, :, slot[y]] += blocks[:, :, y]
-        blocks = blocks[:, :n, :n].reshape(B, n, n, k, k, 3, 3)
-        return blocks.transpose(0, 1, 3, 5, 2, 4, 6).reshape(B, n * R, n * R)
+        out = np.empty((B, n * R, n * R))
+        out.reshape(B, n, k, 3, n, k, 3)[...] = (
+            blocks[:, :n, :n].reshape(B, n, n, k, k, 3, 3).transpose(0, 1, 3, 5, 2, 4, 6))
+        return out
 
     flux_w, volume_w, diss_w = (W[..., None, None] for W in weights)
     return (
@@ -406,92 +416,97 @@ def volume_forms(tables, spec, U, V, W):
     return p_v, p_vs
 
 
-class _Penalty:
-    """What both penalties share: one local matrix per stabilized cell over
-    its neighborhood, applied per cell or summed into the global matrix.
+@dataclass
+class PenaltyGroup:
+    """B stabilized cells of one pattern and cell-rule size: their ids and
+    strengths (B,), sorted neighborhoods ``cells`` (B, n), unscaled matrices
+    ``parts`` by name and local matrices ``local`` (B, n R, n R), each array
+    stacked over the cells and owning its memory."""
 
-    The cells are grouped by pattern and cell-rule size and evaluated in
-    batches.  Subclasses provide ``_layout(mesh, cid)``, a cell's
-    (neighborhood, sources, pattern); ``_contract(plan, batch, sources,
-    pattern)``, the batch's matrices named in ``_names``, kept per cell as
-    ``self.<name>[cid]``; and ``_local()``, the local matrices by cell.  A
-    local matrix maps the neighborhood's coefficients, in the order of
-    ``u.coeffs[cells].ravel()``, to the penalty's test modes."""
+    cell_ids: np.ndarray
+    eta: np.ndarray
+    cells: np.ndarray
+    parts: dict
+    local: np.ndarray = None
+
+
+class _Penalty:
+    """What both penalties share: the stabilized cells in ``groups``, one
+    :class:`PenaltyGroup` per batch of one pattern and cell-rule size.
+    Subclasses provide ``_layouts(mesh, cell_ids)``, which yields each
+    cell's (neighborhood, sources, pattern); ``_contract(plan, cell_ids,
+    sources, pattern)``, a batch's matrices named in ``_names``; and
+    ``_local(group)``.  A local matrix maps the neighborhood's coefficients,
+    in the order of ``u.coeffs[cells].ravel()``, to the penalty's test
+    modes."""
 
     def __init__(self, plan, small, eta):
-        self.plan = plan
-        self.space = plan.space
-        self.cell_ids = list(small)
-        self.eta = eta
-        layouts = {cid: self._layout(self.space.mesh, cid) for cid in self.cell_ids}
-        groups = {}
-        for cid, (_, _, pattern) in layouts.items():
-            groups.setdefault((pattern, len(self.space.cell_w[cid])), []).append(cid)
-        for name in self._names:
-            setattr(self, name, {})
+        self.plan, self.space = plan, plan.space
+        batches = {}
+        for cid, layout in zip(small, self._layouts(self.space.mesh, small)):
+            key = layout[2], len(self.space.cell_w[cid])
+            batches.setdefault(key, []).append((cid,) + layout[:2])
         R = self.space.n_modes * plan.spec.m
-        for (pattern, _), ids in groups.items():
-            S = len(layouts[ids[0]][1])
-            step = max(1, _BATCH_ENTRIES // (S * R) ** 2)
-            for lo in range(0, len(ids), step):
-                batch = ids[lo:lo + step]
-                sources = np.array([layouts[cid][1] for cid in batch])
-                # one array per cell, so that the batch's arrays are freed
-                # rather than held by the stored matrices
-                for name, M in zip(self._names, self._contract(plan, batch, sources, pattern)):
-                    getattr(self, name).update((cid, m.copy()) for cid, m in zip(batch, M))
-        self._cells = {cid: layouts[cid][0] for cid in self.cell_ids}
-        self.local = self._local()
+        self.groups = []
+        for (pattern, _), members in batches.items():
+            step = max(1, _BATCH_ENTRIES // (len(members[0][2]) * R) ** 2)
+            for lo in range(0, len(members), step):
+                ids, cells, sources = (np.array(a) for a in zip(*members[lo:lo + step]))
+                parts = self._contract(plan, ids, sources, pattern)
+                group = PenaltyGroup(ids, eta[ids], cells, dict(zip(self._names, parts)))
+                group.local = self._local(group)
+                self.groups.append(group)
 
-    def neighborhood(self, cid):
-        return self._cells[cid]
-
-    def cell_residual(self, cid, u):
-        """The penalty of one cell applied to ``u``, {cell: block}."""
-        cells = self.neighborhood(cid)
-        res = self.local[cid] @ u.coeffs[cells].ravel()
-        return dict(zip(cells, res.reshape((len(cells),) + self.plan.shape)))
+    def _by_cell(self, per_group):
+        """The groups' arrays, rows grouped by cell, as one array stably
+        sorted by the rows' cell."""
+        owner = np.concatenate([np.repeat(g.cell_ids, len(a) // len(g.cell_ids))
+                                for g, a in zip(self.groups, per_group)])
+        return np.concatenate(per_group)[np.argsort(owner, kind="stable")]
 
     def blocks(self):
-        """The local matrices as (row cells, column cells, blocks) triplets."""
-        return [local_blocks(np.array([self.neighborhood(cid)]), self.local[cid][None])
-                for cid in self.cell_ids]
+        """The local matrices as one (row cells, column cells, blocks)
+        triplet, in ascending cell order: the order block_matrix sums in."""
+        triplets = [local_blocks(g.cells, g.local) for g in self.groups]
+        return [tuple(self._by_cell(part) for part in zip(*triplets))]
 
 
 class WaveStabilization(_Penalty):
     """Penalty assembly for acoustics over a fixed stabilized-cell set.
 
-    ``surface[cid]``, ``volume[cid]`` and ``dissipative[cid]`` are a cell's
-    unscaled pair matrices over its neighborhood.  A cell's pattern is its
-    face count, wall face, and the face-to-source map of the pair weights.
+    A group's parts ``surface``, ``volume`` and ``dissipative`` are its
+    cells' unscaled pair matrices over their neighborhoods.  A cell's
+    pattern is its face count, wall face, and the face-to-source map of the
+    pair weights.
     """
 
     _names = ("surface", "volume", "dissipative")
-    _layout = staticmethod(_wave_layout)
     _contract = staticmethod(_pair_matrices)
 
-    def _local(self):
-        space, plan, mesh = self.space, self.plan, self.space.mesh
-        R = space.n_modes * plan.spec.m
-        # a cell's matrix: eta (surface + volume + dissipative) minus eta times
-        # the face matrices of its faces.  They come from face_matrices, as the
-        # base form's do, so at eta = 1 they cancel the base face terms bit for
-        # bit; the central and dissipative parts of a face matrix have no
-        # nonzero entry in common, so one subtraction of both equals two.
-        fids = np.unique(np.concatenate([mesh.cell_faces(cid) for cid in self.cell_ids]))
-        faces = face_matrices(space, plan.spec, fids)
-        row = {fid: i for i, fid in enumerate(fids.tolist())}
-        local = {}
-        for cid in self.cell_ids:
-            eta = self.eta[cid]
-            A = eta * (self.surface[cid] + self.volume[cid] + self.dissipative[cid])
-            dofs = {C: i * R + np.arange(R) for i, C in enumerate(self.neighborhood(cid))}
-            for fid in mesh.cell_faces(cid).tolist():
-                face_cells = (mesh.face_left[fid], mesh.face_right[fid])
-                idx = np.concatenate([dofs[C] for C in face_cells if C >= 0])
-                A[np.ix_(idx, idx)] -= eta * faces[row[fid], :len(idx), :len(idx)]
-            local[cid] = A
-        return local
+    def _layouts(self, mesh, cell_ids):
+        return (_wave_layout(mesh, cid) for cid in cell_ids)
+
+    def _local(self, group):
+        space, spec, mesh = self.space, self.plan.spec, self.space.mesh
+        R = space.n_modes * spec.m
+        # eta (surface + volume + dissipative) minus eta times each face's
+        # matrix, in face order.  face_matrices builds the base form's too, so
+        # at eta = 1 they cancel bit for bit; a face matrix's central and
+        # dissipative parts share no nonzero entry, so one subtraction is two.
+        fids = _cell_faces(mesh, group.cell_ids)
+        B, K = fids.shape
+        faces = face_matrices(space, spec, fids.ravel()).reshape(B, K, 2 * R, 2 * R)
+        # the dofs of each face's left and right cell in the sorted neighborhood
+        ends = np.stack([mesh.face_left[fids], mesh.face_right[fids]], axis=-1)
+        dofs = (group.cells[:, None, None] < ends[..., None]).sum(axis=-1) * R
+        dofs = (dofs[..., None] + np.arange(R)).reshape(B, K, 2 * R)
+        eta, parts, b = group.eta[:, None, None], group.parts, np.arange(B)[:, None, None]
+        A = eta * (parts["surface"] + parts["volume"] + parts["dissipative"])
+        for k in range(K):
+            n = R * (1 + (mesh.face_right[fids[0, k]] >= 0))   # a wall face has one cell
+            idx = dofs[:, k, :n]
+            A[b, idx[:, :, None], idx[:, None]] -= eta * faces[:, k, :n, :n]
+        return A
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +545,7 @@ def _upstream_matrices(plan, cell_ids, sources, pattern):
         """sum_l w[l, x, y] gram[l, (x, i), (y, j)] per cell, w ([B,] L, S, S)."""
         return np.sum(w.repeat(k, axis=-2).repeat(k, axis=-1) * gram, axis=1)
 
-    fids = np.array([space.mesh.cell_faces(cid) for cid in cell_ids])
+    fids = _cell_faces(space.mesh, cell_ids)
     wall = bn * (np.array(plain) < 0)
     integrals = np.einsum("bk,bkq,bksqj->bsj", wall, space.face_w[fids], tables.face_phi)
     return (contract(tables.face_gram, face_w), contract(tables.cell_gram, cell_w),
@@ -538,32 +553,31 @@ def _upstream_matrices(plan, cell_ids, sources, pattern):
 
 
 class AdvectionStabilization(_Penalty):
-    """Penalty assembly for advection over a fixed stabilized-cell set:
-    ``outflow[cid]`` and ``volume[cid]`` are a cell's unscaled matrices over
-    its neighborhood, which is also its list of (plain) sources."""
+    """Penalty assembly for advection over a fixed stabilized-cell set: a
+    group's parts ``outflow`` and ``volume`` are its cells' unscaled
+    matrices over their neighborhoods, which are also their lists of
+    (plain) sources."""
 
     _names = ("outflow", "volume", "boundary_outflow")
     _contract = staticmethod(_upstream_matrices)
 
-    def __init__(self, plan, small, eta):
-        if plan.spec.kind != "advection":
+    def _layouts(self, mesh, cell_ids):
+        if self.plan.spec.kind != "advection":
             raise ConfigurationError("advection stabilization requires an advection system")
-        up = upstream_cells(plan.space.mesh, list(small), plan.spec.beta)
-        self._upstream = dict(zip(small, up.tolist()))
-        super().__init__(plan, small, eta)
+        for cid, up in zip(cell_ids, upstream_cells(mesh, cell_ids, self.plan.spec.beta).tolist()):
+            nb, cells, plain = _neighborhood(mesh, cid)
+            yield cells, cells, (len(nb), cells.index(cid), cells.index(up), plain)
 
-    def _layout(self, mesh, cid):
-        nb, cells = _neighborhood(mesh, cid)
-        plain = tuple(-1 if C is None else cells.index(C) for C in nb)
-        return cells, cells, (len(nb), cells.index(cid), cells.index(self._upstream[cid]), plain)
-
-    def _local(self):
-        return {c: self.eta[c] * (self.outflow[c] + self.volume[c]) for c in self.cell_ids}
+    def _local(self, group):
+        return group.eta[:, None, None] * (group.parts["outflow"] + group.parts["volume"])
 
     def boundary_outflow_weights(self):
         """Weights g with g . u the penalty's outflow-rate correction on
         physical boundary faces."""
-        g = np.zeros((self.space.mesh.num_cells, self.space.n_modes, 1))
-        for cid in self.cell_ids:
-            g[self.neighborhood(cid), :, 0] += self.eta[cid] * self.boundary_outflow[cid]
+        k = self.space.n_modes
+        g = np.zeros((self.space.mesh.num_cells, k, 1))
+        rates = [(grp.eta[:, None, None] * grp.parts["boundary_outflow"]).reshape(-1, k)
+                 for grp in self.groups]
+        np.add.at(g[:, :, 0], self._by_cell([grp.cells.ravel() for grp in self.groups]),
+                  self._by_cell(rates))
         return g

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+from collections import namedtuple
+
 import numpy as np
 
 from cutdg.dg import face_matrices
@@ -115,3 +117,25 @@ def mixed_stabilized_set(mesh, small):
         taken = set(chosen).union(*(neighbors(c) for c in chosen))
         chosen.append(next(c.id for c in mesh.cells if kind(c) and c.id not in taken))
     return chosen
+
+
+PenaltyCell = namedtuple("PenaltyCell", "cells eta parts local")
+
+
+def penalty_cells(stab):
+    """The penalty's groups read back per stabilized cell, {cell id:
+    PenaltyCell} in ascending id order: the neighborhood as a list, eta,
+    the named matrices by name and the local matrix."""
+    cells = {}
+    for g in stab.groups:
+        for b, cid in enumerate(g.cell_ids.tolist()):
+            parts = {name: part[b] for name, part in g.parts.items()}
+            cells[cid] = PenaltyCell(g.cells[b].tolist(), g.eta[b], parts, g.local[b])
+    return dict(sorted(cells.items()))
+
+
+def penalty_residuals(stab, u):
+    """Each group's cells' penalty applied to ``u``, (B, n, n_modes, m)
+    per group: cell b's blocks on its neighborhood's cells."""
+    return [(g.local @ u.coeffs[g.cells].reshape(len(g.cells), -1, 1)).reshape(
+        g.cells.shape + u.coeffs.shape[1:]) for g in stab.groups]

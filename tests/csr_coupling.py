@@ -70,7 +70,7 @@ def csr_operator(plan, stab=None, magnitude=None):
     km = plan.shape[0] * plan.shape[1]
     entries = operator_entries(plan)
     if stab is not None:
-        entries += [(stab.neighborhood(cid), stab.local[cid]) for cid in stab.cell_ids]
+        entries += [(g.cells, g.local) for g in stab.groups]
     if magnitude is not None:
         entries = [(cells, magnitude(A)) for cells, A in entries]
     # the conversion leaves a block row's blocks in the order their entries first appear

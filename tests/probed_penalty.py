@@ -306,8 +306,10 @@ class ProbedPenalty:
     def __init__(self, stab):
         self.plan = stab.plan
         self.space = stab.space
-        self.cell_ids = list(stab.cell_ids)
-        self.eta = stab.eta
+        self.cell_ids = sorted(c for g in stab.groups for c in g.cell_ids.tolist())
+        self.eta = np.zeros(self.space.mesh.num_cells)
+        for g in stab.groups:
+            self.eta[g.cell_ids] = g.eta
         spec = self.plan.spec
         if spec.kind == "advection":
             self._ctx = {cid: _AdvectionCellContext(self.space, spec, cid) for cid in self.cell_ids}

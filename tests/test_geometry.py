@@ -323,9 +323,12 @@ def test_mesh_matches_recorded_hashes(name):
 
 def test_mesh_arrays_match_cell_objects():
     mesh = ramp_mesh(nx=8, ny=8)
+    bg, h = mesh.bg, mesh.bg.h
     for cell in mesh.cells:
         assert tuple(mesh.cell_ij[cell.id]) == cell.ij
-        assert np.array_equal(mesh.cell_centers[cell.id], mesh.bg.cell_center(*cell.ij))
+        i, j = cell.ij
+        center = np.array([bg.x0 + (i + 0.5) * h, bg.y0 + (j + 0.5) * h])
+        assert np.array_equal(mesh.cell_centers[cell.id], center)
 
 
 # ------------------------------------------- array mesh vs the per-cell oracle

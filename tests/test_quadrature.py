@@ -247,7 +247,7 @@ def test_evaluate_linear_mode_zero_at_center():
     space = Space(mesh, 1)
     u = space.zeros(1)
     u.coeffs[1, 1, 0] = 1.0
-    center = mesh.cell_center(1)
+    center = mesh.cell_centers[1]
     assert abs(evaluate(space, u, 1, center)[0]) < 1e-15
 
 
@@ -259,7 +259,7 @@ def test_evaluate_matches_monomial_sum():
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
     cid = 3
     x = np.array([0.37, 0.81])
-    center = mesh.cell_center(cid)
+    center = mesh.cell_centers[cid]
     exps = space.basis.exps
     X = (x[0] - center[0]) / space.basis.h
     Y = (x[1] - center[1]) / space.basis.h
@@ -295,7 +295,7 @@ def test_stacked_tables_match_per_face_and_per_cell_rules(degree, alpha):
     exps, h = space.basis.exps, space.basis.h
 
     def values(cid, pts):
-        return monomial_values(exps, mesh.cell_center(cid), h, pts)
+        return monomial_values(exps, mesh.cell_centers[cid], h, pts)
 
     phi_left, phi_right = space.face_traces(np.arange(len(mesh.face_left)))
     for fid, (left, right) in enumerate(zip(mesh.face_left.tolist(), mesh.face_right.tolist())):
@@ -314,7 +314,7 @@ def test_stacked_tables_match_per_face_and_per_cell_rules(degree, alpha):
         assert np.array_equal(space.cell_pts[cell.id], pts)
         assert np.array_equal(space.cell_w[cell.id], w)
         assert np.array_equal(space.cell_phi[cell.id], values(cell.id, pts))
-        grad = monomial_gradients(exps, mesh.cell_center(cell.id), h, pts)
+        grad = monomial_gradients(exps, mesh.cell_centers[cell.id], h, pts)
         assert np.array_equal(space.cell_grad[cell.id], grad)
     for cid in range(mesh.num_cells):
         owned = space.quad_cells == cid

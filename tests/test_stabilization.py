@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import face_kinds, face_matrix_on, mixed_stabilized_set, ramp_mesh
-from cutdg.dg import AssemblyPlan, block_matrix
+from conftest import (face_kinds, face_matrix_on, mixed_stabilized_set, penalty_cells,
+                      penalty_residuals, ramp_mesh)
+from cutdg.dg import AssemblyPlan, block_matrix, local_blocks
 from cutdg.config import load_config
 from cutdg.errors import MeshValidationError, UnsupportedConfigurationError
 from cutdg.geometry import classify_small_cells
@@ -224,7 +225,7 @@ def test_one_face_weight_reaches_the_axiom_check_and_the_penalty(monkeypatch):
     # weight perturbed inside source_tables moves both, the check past its
     # bound and the penalty away from its per-cell oracle
     ctx = build_context(ramp_config("acoustics", 1, 1e-2, nx=8))
-    cid = ctx.stab.cell_ids[0]
+    cid = ctx.small[0]
     fid = ctx.mesh.cell_faces(cid)[0]
     original = stabilization.source_tables
 
@@ -238,13 +239,14 @@ def test_one_face_weight_reaches_the_axiom_check_and_the_penalty(monkeypatch):
         monkeypatch.setattr(module, "source_tables", perturbed)
     worst = check_axioms_on_cell(ctx.space, ctx.spec, cid, np.random.default_rng(0), 10)
     assert worst["face_consistency"] > 1e-12
-    stab = WaveStabilization(ctx.plan, ctx.stab.cell_ids, ctx.eta)
+    stab = WaveStabilization(ctx.plan, ctx.small, ctx.eta)
     expected = _WaveCellContext(ctx.space, ctx.spec, cid).surface
-    assert np.abs(stab.surface[cid] - expected).max() > 1e-12 * np.abs(expected).max()
+    surface = penalty_cells(stab)[cid].parts["surface"]
+    assert np.abs(surface - expected).max() > 1e-12 * np.abs(expected).max()
     monkeypatch.undo()
     worst = check_axioms_on_cell(ctx.space, ctx.spec, cid, np.random.default_rng(0), 10)
     assert max(worst.values()) <= 1e-12
-    _check_against_percell(WaveStabilization(ctx.plan, ctx.stab.cell_ids, ctx.eta), 1e-14)
+    _check_against_percell(WaveStabilization(ctx.plan, ctx.small, ctx.eta), 1e-14)
 
 
 # -------------------------------------------------------------- advection
@@ -260,9 +262,8 @@ def test_advection_penalty_annihilates_global_polynomials(degree):
         fld = random_polynomial(rng, degree, 1)
         u = fld.to_dg(space)
         umax = max(abs(fld.coeffs).max(), 1e-300)
-        for cid in stab.cell_ids:
-            for C, block in stab.cell_residual(cid, u).items():
-                assert np.abs(block).max() <= 1e-11 * umax * h
+        for res in penalty_residuals(stab, u):
+            assert np.abs(res).max() <= 1e-11 * umax * h
 
 
 def test_advection_penalty_zero_eta():
@@ -315,9 +316,8 @@ def test_wave_penalty_annihilates_pressure_polynomials(degree):
         fld = random_polynomial(rng, degree, 3, pressure_only=True)
         u = fld.to_dg(space)
         umax = max(abs(fld.coeffs).max(), 1e-300)
-        for cid in stab.cell_ids:
-            for C, block in stab.cell_residual(cid, u).items():
-                assert np.abs(block).max() <= 1e-11 * umax * h
+        for res in penalty_residuals(stab, u):
+            assert np.abs(res).max() <= 1e-11 * umax * h
 
 
 def test_wave_penalty_annihilates_tangential_velocity(degree=2):
@@ -336,9 +336,8 @@ def test_wave_penalty_annihilates_tangential_velocity(degree=2):
     u = fld.to_dg(space)
     stab = WaveStabilization(plan, small, eta)
     umax = max(abs(fld.coeffs).max(), 1e-300)
-    for cid in stab.cell_ids:
-        for C, block in stab.cell_residual(cid, u).items():
-            assert np.abs(block).max() <= 1e-11 * umax * space.basis.h
+    for res in penalty_residuals(stab, u):
+        assert np.abs(res).max() <= 1e-11 * umax * space.basis.h
 
 
 def test_wave_penalty_zero_eta():
@@ -358,13 +357,15 @@ def test_wave_cancellation_terms_are_base_kernels_bitwise():
     mesh, spec, space, plan, small, _ = _setup("acoustics", 2)
     eta = np.ones(mesh.num_cells)
     stab = WaveStabilization(plan, small, eta)
-    for cid in stab.cell_ids:
-        expected = stab.surface[cid] + stab.volume[cid] + stab.dissipative[cid]
+    for cid, cell in penalty_cells(stab).items():
+        expected = cell.parts["surface"] + cell.parts["volume"] + cell.parts["dissipative"]
         for fid in mesh.cells[cid].face_ids:
             for flags in ((True, False), (False, True)):
-                expected = expected - face_matrix_on(plan, fid, stab.neighborhood(cid), *flags)
-        assert np.array_equal(stab.local[cid], expected)
+                expected = expected - face_matrix_on(plan, fid, cell.cells, *flags)
+        assert np.array_equal(cell.local, expected)
 
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 _GRID = [
     (equation, degree, alpha)
@@ -383,13 +384,13 @@ def test_penalty_matrices_match_probed_oracle(equation, degree, alpha):
     ctx = build_context(ramp_config(equation, degree, alpha, nx=8))
     stab = ctx.stab
     oracle = ProbedPenalty(stab)
-    assert len(stab.cell_ids) > 0
-    for cid in stab.cell_ids:
-        assert stab.neighborhood(cid) == oracle.neighborhood(cid)
-        assert _relative(stab.local[cid], oracle.local_matrix(cid)) <= 1e-13
+    assert len(ctx.small) > 0
+    for cid, cell in penalty_cells(stab).items():
+        assert cell.cells == oracle.neighborhood(cid)
+        assert _relative(cell.local, oracle.local_matrix(cid)) <= 1e-13
         if equation == "acoustics":
             pair = oracle.local_matrix(cid, oracle.pair_residual)
-            named = stab.surface[cid] + stab.volume[cid] + stab.dissipative[cid]
+            named = cell.parts["surface"] + cell.parts["volume"] + cell.parts["dissipative"]
             assert _relative(named, pair) <= 1e-13
     matrix = block_matrix(stab.blocks(), ctx.mesh.num_cells)
     assert _relative(matrix.toarray(), oracle.matrix().toarray()) <= 1e-13
@@ -398,21 +399,21 @@ def test_penalty_matrices_match_probed_oracle(equation, degree, alpha):
 def _check_against_percell(stab, bound):
     """Every local matrix and named matrix of ``stab`` against the per-cell build."""
     plan = stab.plan
-    for cid in stab.cell_ids:
+    for cid, cell in penalty_cells(stab).items():
         ctx = _WaveCellContext(stab.space, plan.spec, cid)
-        assert stab.neighborhood(cid) == ctx.cells
+        assert cell.cells == ctx.cells
         for name in ("surface", "volume", "dissipative"):
-            batched, percell = getattr(stab, name)[cid], getattr(ctx, name)
+            batched, percell = cell.parts[name], getattr(ctx, name)
             # exact zeros (the volume matrix at r = 0) must stay exact
             assert np.abs(batched - percell).max() <= bound * np.abs(percell).max(), (cid, name)
-        expected = percell_local_matrix(plan, stab.eta[cid], ctx, cid)
-        assert np.abs(stab.local[cid] - expected).max() <= bound * np.abs(expected).max(), cid
+        expected = percell_local_matrix(plan, cell.eta, ctx, cid)
+        assert np.abs(cell.local - expected).max() <= bound * np.abs(expected).max(), cid
 
 
 @pytest.mark.parametrize("degree, alpha", [(r, a) for eq, r, a in _GRID if eq == "acoustics"])
 def test_batched_wave_penalty_matches_percell_build(degree, alpha):
     ctx = build_context(ramp_config("acoustics", degree, alpha, nx=8))
-    assert len(ctx.stab.cell_ids) > 0
+    assert len(ctx.small) > 0
     _check_against_percell(ctx.stab, 1e-14)
 
 
@@ -433,17 +434,55 @@ def test_mixed_stabilized_set_matches_percell_and_probed(degree):
     stab = WaveStabilization(ctx.plan, cells, eta)
     _check_against_percell(stab, 1e-14)
     oracle = ProbedPenalty(stab)
-    for cid in cells:
-        assert _relative(stab.local[cid], oracle.local_matrix(cid)) <= 1e-13
+    for cid, cell in penalty_cells(stab).items():
+        assert _relative(cell.local, oracle.local_matrix(cid)) <= 1e-13
     matrix = block_matrix(stab.blocks(), ctx.mesh.num_cells)
     assert _relative(matrix.toarray(), oracle.matrix().toarray()) <= 1e-13
+
+
+@pytest.mark.parametrize("equation", ["advection", "acoustics"])
+def test_penalty_group_arrays_own_their_memory(equation):
+    # the groups hold every stabilized cell once; a stored array that is a
+    # view into a batch's temporaries would keep the whole temporary alive.
+    # At r = 3 the acoustic cells come in two batches.
+    ctx = build_context(ramp_config(equation, 3, 1e-2, nx=16))
+    ids = np.concatenate([g.cell_ids for g in ctx.stab.groups])
+    assert np.array_equal(np.sort(ids), ctx.small)
+    for g in ctx.stab.groups:
+        for a in (g.cell_ids, g.eta, g.cells, g.local, *g.parts.values()):
+            assert a.flags.owndata
+
+
+def _mixed_penalty():
+    ctx = build_context(ramp_config("acoustics", 1, 1e-2, nx=8))
+    cells = mixed_stabilized_set(ctx.mesh, ctx.small)
+    return WaveStabilization(ctx.plan, cells, np.linspace(0.2, 1.0, ctx.mesh.num_cells))
+
+
+@pytest.mark.parametrize("case", ["stability-sliver", "consistency-advection", "mixed"])
+def test_penalty_blocks_sum_in_ascending_cell_order(case):
+    # neighborhoods overlap, so the order in which block_matrix sums the
+    # blocks at one position shows in the last bits; the mixed set's groups
+    # hold cells out of ascending order
+    if case == "mixed":
+        stab = _mixed_penalty()
+    else:
+        stab = build_context(load_config(str(_CONFIGS / f"{case}.cfg"))).stab
+    cells = penalty_cells(stab)
+    assert np.bincount(np.concatenate([c.cells for c in cells.values()])).max() > 1
+    num_cells = stab.space.mesh.num_cells
+    got = block_matrix(stab.blocks(), num_cells)
+    expected = block_matrix(
+        [local_blocks(np.array([c.cells]), c.local[None]) for c in cells.values()], num_cells)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, part), getattr(expected, part))
 
 
 @pytest.mark.parametrize("degree, alpha", [(r, a) for eq, r, a in _GRID if eq == "acoustics"])
 def test_wave_dissipative_coupling_is_positive_semidefinite(degree, alpha):
     ctx = build_context(ramp_config("acoustics", degree, alpha, nx=8))
-    for cid in ctx.stab.cell_ids:
-        D = ctx.stab.dissipative[cid]
+    for cell in penalty_cells(ctx.stab).values():
+        D = cell.parts["dissipative"]
         assert np.abs(D - D.T).max() <= 1e-13 * np.abs(D).max()
         lam = np.linalg.eigvalsh(0.5 * (D + D.T))
         assert lam[0] >= -1e-13 * lam[-1]
@@ -493,19 +532,18 @@ def test_boundary_outflow_weights_match_probed_oracle(case):
     # eta (beta.n)^+ int (phi_up - phi_E) on every wall face of a stabilized
     # cell, summed from the probed oracle's per-face data
     if case == "conservation-bump":
-        configs = Path(__file__).resolve().parent.parent / "configs"
-        cfg = load_config(str(configs / "conservation-bump.cfg"))
+        cfg = load_config(str(_CONFIGS / "conservation-bump.cfg"))
     else:
         cfg = ramp_config("advection", *case, nx=8)
     ctx = build_context(cfg)
     stab = ctx.stab
     oracle = ProbedPenalty(stab)
     expected = np.zeros((ctx.mesh.num_cells, ctx.space.n_modes, 1))
-    for cid in stab.cell_ids:
+    for cid in oracle.cell_ids:
         cell = oracle._ctx[cid]
         for face in cell.faces:
             if face["boundary"]:
-                rate = stab.eta[cid] * face["bn_plus"]
+                rate = oracle.eta[cid] * face["bn_plus"]
                 expected[cell.upstream, :, 0] += rate * (face["w"] @ face["phi_up"])
                 expected[cid, :, 0] -= rate * (face["w"] @ face["phi_E"])
     assert np.abs(expected).max() > 0.0
