@@ -17,6 +17,18 @@ class UnsupportedConfigurationError(CutDGError):
     """A geometric situation the stabilization does not define (reported, never guessed)."""
 
 
+class AdjacentSmallCellsError(MeshValidationError):
+    """Two small cells share a face."""
+
+
+class CornerCellError(UnsupportedConfigurationError):
+    """An acoustic stabilized cell has two boundary faces."""
+
+
+class BoundaryInflowError(UnsupportedConfigurationError):
+    """An advection stabilized cell's inflow face lies on the physical boundary."""
+
+
 class UnsupportedOperationError(CutDGError):
     """Operation not defined for the given system (e.g. mirroring a scalar state)."""
 

@@ -55,8 +55,15 @@ def ramp_offset_for_min_alpha(min_alpha, h, row=1):
 
 def ramp_config(equation, degree, min_alpha, nx=16, **overrides):
     """Unit-box configuration with the engineered sliver ramp geometry."""
-    h = 1.0 / nx
-    hp = halfplane_from_line(RAMP_SLOPE, ramp_offset_for_min_alpha(min_alpha, h))
+    return line_config(
+        equation, degree, RAMP_SLOPE, ramp_offset_for_min_alpha(min_alpha, 1.0 / nx), nx,
+        **overrides)
+
+
+def line_config(equation, degree, slope, offset, nx=16, **overrides):
+    """Unit-box configuration cut by the line ``y = slope * x + offset``,
+    fluid above; otherwise as :func:`ramp_config`."""
+    hp = halfplane_from_line(slope, offset)
     cfg = RunConfig(
         equation=equation,
         degree=degree,
@@ -517,12 +524,15 @@ def run_evolve(cfg):
 
 
 def mesh_info(cfg):
-    ctx = build_context(cfg)
-    alphas = ctx.mesh.cell_volume_fraction
+    """Mesh statistics and the mesh dump; builds only the mesh and, with the
+    DoD penalty on, the small-cell selection."""
+    mesh = build_mesh(cfg.background(), cfg.geometry())
+    small = classify_small_cells(mesh, cfg.alpha0) if cfg.dod else ()
+    alphas = mesh.cell_volume_fraction
     lines = [
-        f"cells = {ctx.mesh.num_cells}",
+        f"cells = {mesh.num_cells}",
         f"min_alpha = {alphas.min():.17g}",
         f"max_alpha = {alphas.max():.17g}",
-        f"stabilized = {len(ctx.small)}",
+        f"stabilized = {len(small)}",
     ]
-    return "\n".join(lines) + "\n", ctx.mesh.dump()
+    return "\n".join(lines) + "\n", mesh.dump()

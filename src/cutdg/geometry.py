@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    AdjacentSmallCellsError,
+    BoundaryInflowError,
     ConfigurationError,
     MeshValidationError,
-    UnsupportedConfigurationError,
 )
 
 # Tolerances relative to the mesh size h.
@@ -518,7 +519,7 @@ def upstream_cells(mesh, cell_ids, beta):
             raise MeshValidationError(
                 f"stabilized cell {cell_ids[s]} has {count[s]} inflow faces; exactly one required"
             )
-        raise UnsupportedConfigurationError(
+        raise BoundaryInflowError(
             f"stabilized cell {cell_ids[s]}: inflow face {fids[(slot == s) & inflow][0]} lies "
             "on the physical boundary"
         )
@@ -547,7 +548,7 @@ def classify_small_cells(mesh, alpha0):
     if len(adjacent):
         a = adjacent[0]
         cid, other = int(owner[a]), int(nb[a])
-        raise MeshValidationError(
+        raise AdjacentSmallCellsError(
             f"stabilized cells {min(cid, other)} and {max(cid, other)} share face {fids[a]}; "
             "adjacent small cells are not supported"
         )

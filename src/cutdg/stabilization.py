@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, UnsupportedConfigurationError
+from .errors import ConfigurationError, CornerCellError
 from .dg import face_matrices, local_blocks
 from .geometry import upstream_cells
 from .quadrature import monomial_tables
@@ -122,7 +122,7 @@ def _wave_layout(mesh, cell_id):
     walls = [k for k in range(K) if nb[k] is None]
     if len(walls) >= 2:
         face_ids = mesh.cell_faces(cell_id)
-        raise UnsupportedConfigurationError(
+        raise CornerCellError(
             f"cell {cell_id}: faces {face_ids[walls[0]]} and {face_ids[walls[1]]} are both "
             "boundary faces; the pairwise stabilization does not define this configuration"
         )

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +18,11 @@ def ramp_mesh(nx=8, ny=8, slope=0.75, offset=None, box=(0.0, 0.0, 1.0, 1.0)):
     bg = BackgroundMesh(*box, nx, ny)
     geo = Geometry((halfplane_from_line(slope, offset),))
     return build_mesh(bg, geo)
+
+
+def generic_cuts():
+    """The fixed corpus of straight cuts, (s, o) per line y = s x + o, (202, 2)."""
+    return np.loadtxt(Path(__file__).with_name("generic_cuts.csv"), delimiter=",")
 
 
 def uncut_mesh(nx=2, ny=2, box=(0.0, 0.0, 1.0, 1.0)):

@@ -14,26 +14,34 @@ from cutdg.quadrature import DGFunction
 from cutdg.systems import mirror_state
 
 
-def local_matrix(kernel, cells, shape):
-    """Dense matrix of a linear kernel on the dofs of ``cells``.
-
-    ``kernel(u)`` returns (cell, block) pairs for cells among ``cells``.  All
-    dofs are probed at once: each unit coefficient block carries a leading
-    probe axis, and ``u.coeffs`` maps the probed cells to their blocks (the
-    kernels only index coefficients by cell).  Rows and columns both run
-    over the dofs of ``cells``, in order.
-    """
+def probe(cells, shape):
+    """Unit coefficient blocks on every dof of ``cells`` at once: each cell's
+    block carries a leading probe axis, and ``u.coeffs`` maps the probed cells
+    to their blocks (the kernels only index coefficients by cell)."""
     k, m = shape
-    km = k * m
-    size = len(cells) * km
+    size = len(cells) * k * m
     eye = np.eye(size).reshape(size, len(cells), k, m)
-    probe = DGFunction({C: eye[:, i] for i, C in enumerate(cells)}, None)
+    return DGFunction({C: eye[:, i] for i, C in enumerate(cells)}, None)
+
+
+def probed_matrix(pairs, cells, shape):
+    """Dense matrix of a linear kernel's output on :func:`probe`: (cell,
+    block) pairs for cells among ``cells``.  Rows and columns both run over
+    the dofs of ``cells``, in order."""
+    km = shape[0] * shape[1]
+    size = len(cells) * km
     slot = {C: i for i, C in enumerate(cells)}
     A = np.zeros((size, size))
-    for C, block in kernel(probe):
+    for C, block in pairs:
         i = slot[C]
         A[i * km:(i + 1) * km] += block.reshape(size, km).T
     return A
+
+
+def local_matrix(kernel, cells, shape):
+    """Dense matrix of a linear kernel on the dofs of ``cells``: ``kernel(u)``
+    returns (cell, block) pairs for cells among ``cells``."""
+    return probed_matrix(kernel(probe(cells, shape)), cells, shape)
 
 
 def face_terms(plan, fid, u, central=True, dissipative=True):

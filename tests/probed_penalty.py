@@ -2,9 +2,13 @@
 
 Each term is evaluated on the trial extension values and tested against
 separate test tables, pair by pair, and the local matrix is read off by
-probing the residual with unit blocks.  The tests compare the directly
-assembled matrices of ``cutdg.stabilization`` against it.
+probing the residual with unit blocks; for an acoustic cell the pair terms'
+three named parts are read off the same way.  It is the tests' one
+construction oracle: they compare the directly assembled matrices of
+``cutdg.stabilization`` against it.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -20,9 +24,10 @@ from cutdg.stabilization import (
     surface_weights,
 )
 from percell_mesh import inflow_faces
-from probed_kernels import face_terms, local_matrix
+from probed_kernels import face_terms, local_matrix, probe, probed_matrix
 
 _I3 = np.eye(3)
+PARTS = ("surface", "volume", "dissipative")
 
 
 def _value_tensor(phi, phi_perp=None, n=None):
@@ -157,14 +162,8 @@ class _WaveCellContext:
     # -- extension sources -------------------------------------------------
     def pair_sources(self, i, j):
         """Unified extension sources for slots E_i and E_j of the pair (i, j)."""
-        bi, bj = self.boundary[i], self.boundary[j]
-        if bi and bj:
-            raise UnsupportedConfigurationError(
-                f"cell {self.cell_id}: faces {self.face_ids[i]} and {self.face_ids[j]} "
-                "are both boundary faces"
-            )
-        src_i = ("mirror", self.nb[j], i) if bi else ("plain", self.nb[i])
-        src_j = ("mirror", self.nb[i], j) if bj else ("plain", self.nb[j])
+        src_i = ("mirror", self.nb[j], i) if self.boundary[i] else ("plain", self.nb[i])
+        src_j = ("mirror", self.nb[i], j) if self.boundary[j] else ("plain", self.nb[j])
         return src_i, src_j
 
     def source_block(self, src):
@@ -186,8 +185,12 @@ class _WaveCellContext:
         return vals
 
     # -- pair assembly -----------------------------------------------------
-    def pair_residual(self, u, out):
-        """Accumulate all pairwise penalty terms (unscaled) into ``out``."""
+    def pair_residual(self, u):
+        """All pairwise penalty terms (unscaled), one {cell: block} per named
+        part: the flux redistribution ``surface``, the ``volume``
+        redistribution and the ``dissipative`` coupling."""
+        out = {name: {C: np.zeros_like(u.coeffs[C]) for C in self.cells} for name in PARTS}
+        surface, volume, dissipative = (out[name] for name in PARTS)
         K = self.K
         e_src = ("plain", self.cell_id)
         for i in range(K):
@@ -210,12 +213,12 @@ class _WaveCellContext:
                     if not self.boundary[b]:
                         slots.append((("plain", self.nb[b]), -1.0))
                     for src_t, sign in slots:
-                        block = np.zeros_like(out[self.source_block(src_t)])
+                        block = np.zeros_like(surface[self.source_block(src_t)])
                         for l in range(K):
                             block += c[l] * np.einsum(
                                 "...qm,qksm->...ks", wF[l], self.T_face[src_t][l]
                             )
-                        out[self.source_block(src_t)] += sign * block
+                        surface[self.source_block(src_t)] += sign * block
 
                 # volume redistribution over E and the two extensions
                 Ui_cell = self.source_values(src_i, u, self.cell_loc)
@@ -233,13 +236,13 @@ class _WaveCellContext:
                         np.einsum("q,...qm,qksm->...ks", wq, fbar[0] - fe[0], G[..., 0])
                         + np.einsum("q,...qm,qksm->...ks", wq, fbar[1] - fe[1], G[..., 1])
                     )
-                    out[self.source_block(src_e)] += omega * block
+                    volume[self.source_block(src_e)] += omega * block
                     # divergence form, linear in the test slots i and j
                     for src_t in (src_i, src_j):
                         val = self.kappa * SPLIT * np.einsum(
                             "q,qksm,...qm->...ks", wq, self.D_cell[src_t], Ue
                         )
-                        out[self.source_block(src_t)] += omega * val
+                        volume[self.source_block(src_t)] += omega * val
 
                 # dissipative coupling of the two extensions over all faces;
                 # the two written lines are equal (the jump flips sign twice)
@@ -248,7 +251,8 @@ class _WaveCellContext:
                     wS = self.face_w[l][:, None] * Sv
                     for src_t, sign in ((src_i, 1.0), (src_j, -1.0)):
                         val = np.einsum("...qm,qksm->...ks", wS, self.T_face[src_t][l])
-                        out[self.source_block(src_t)] += sign * DISSIPATIVE_WEIGHT * val
+                        dissipative[self.source_block(src_t)] += sign * DISSIPATIVE_WEIGHT * val
+        return out
 
 
 class _AdvectionCellContext:
@@ -314,10 +318,7 @@ class ProbedPenalty:
         if spec.kind == "advection":
             self._ctx = {cid: _AdvectionCellContext(self.space, spec, cid) for cid in self.cell_ids}
         else:
-            self._ctx = {
-                cid: _WaveCellContext(self.space, spec, cid)
-                for cid in self.cell_ids
-            }
+            self._ctx = {cid: _WaveCellContext(self.space, spec, cid) for cid in self.cell_ids}
 
     def neighborhood(self, cid):
         return self._ctx[cid].cells
@@ -329,12 +330,9 @@ class ProbedPenalty:
 
     def _wave_cell_residual(self, cid, u):
         """Full penalty of one cell: pair terms minus base-kernel face terms."""
-        ctx = self._ctx[cid]
         eta = self.eta[cid]
-        out = {C: np.zeros_like(u.coeffs[C]) for C in ctx.cells}
-        ctx.pair_residual(u, out)
-        for C in out:
-            out[C] *= eta
+        parts = self._ctx[cid].pair_residual(u).values()
+        out = {C: eta * sum(part[C] for part in parts) for C in self.neighborhood(cid)}
         for fid in self.space.mesh.cells[cid].face_ids:
             for part in (
                 face_terms(self.plan, fid, u, central=True, dissipative=False),
@@ -366,12 +364,6 @@ class ProbedPenalty:
         out[cid][..., 0] -= eta * (wd @ ctx.bgrad_E)
         return out
 
-    def pair_residual(self, cid, u):
-        """Unscaled pair terms of one acoustic cell, without the cancellation."""
-        out = {C: np.zeros_like(u.coeffs[C]) for C in self.neighborhood(cid)}
-        self._ctx[cid].pair_residual(u, out)
-        return out
-
     def residual(self, u):
         res = np.zeros_like(u.coeffs)
         for cid in self.cell_ids:
@@ -379,11 +371,22 @@ class ProbedPenalty:
                 res[C] += block
         return res
 
-    def local_matrix(self, cid, kernel=None):
-        """Probed local matrix of ``kernel(cid, u)`` (the cell residual by default)."""
-        kernel = kernel or self.cell_residual
-        return local_matrix(lambda u: kernel(cid, u).items(), self.neighborhood(cid), self.plan.shape)
+    @cached_property
+    def local(self):
+        """{cell id: the probed local matrix of its residual}."""
+        return {
+            cid: local_matrix(lambda u: self.cell_residual(cid, u).items(),
+                              self.neighborhood(cid), self.plan.shape)
+            for cid in self.cell_ids
+        }
+
+    def parts(self, cid):
+        """The unscaled named matrices of one acoustic cell, {name: matrix},
+        read off one probe of its pair terms (without the cancellation)."""
+        cells, shape = self.neighborhood(cid), self.plan.shape
+        out = self._ctx[cid].pair_residual(probe(cells, shape))
+        return {name: probed_matrix(blocks.items(), cells, shape) for name, blocks in out.items()}
 
     def matrix(self):
-        entries = [(self.neighborhood(cid), self.local_matrix(cid)) for cid in self.cell_ids]
+        entries = [(self.neighborhood(cid), self.local[cid]) for cid in self.cell_ids]
         return block_csr(entries, self.space.mesh.num_cells, self.plan.shape)

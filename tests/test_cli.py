@@ -2,7 +2,7 @@ import pytest
 
 from cutdg.cli import main
 from cutdg.config import serialize_config
-from cutdg.experiments import ramp_config
+from cutdg.experiments import line_config, ramp_config
 
 
 def _write_config(tmp_path, cfg, **overrides):
@@ -21,6 +21,20 @@ def test_mesh_info_command(tmp_path, capsys):
     assert rc == 0
     assert "cells = " in out
     assert (tmp_path / "mesh.txt").exists()
+
+
+def test_mesh_info_builds_no_penalty(tmp_path, capsys):
+    # corpus line 0 at nx=16 has a small cell in a box corner, which the
+    # acoustic penalty rejects; mesh-info describes the mesh all the same
+    cfg = line_config("acoustics", 1, 0.6095693498571635, 0.17140402119374165,
+                      out=str(tmp_path))
+    path = _write_config(tmp_path, cfg)
+    assert main(["mesh-info", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert "cells = " in out and "stabilized = " in out
+    assert (tmp_path / "mesh.txt").exists()
+    assert main(["stability", "--config", path]) == 1
+    assert "are both boundary faces" in capsys.readouterr().err
 
 
 def test_invalid_config_exit_code(tmp_path, capsys):

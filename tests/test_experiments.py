@@ -1,11 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from conftest import generic_cuts
 from cutdg.config import RunConfig
-from cutdg.errors import ConfigurationError
+from cutdg.dg import SemiDiscreteOperator
+from cutdg.errors import (AdjacentSmallCellsError, BoundaryInflowError, ConfigurationError,
+                          CornerCellError)
 from cutdg.experiments import (
     _draw_triples,
     build_context,
+    line_config,
     make_rhs,
     mesh_info,
     ramp_config,
@@ -25,6 +31,29 @@ def test_ramp_config_hits_target_min_alpha():
         ctx = build_context(cfg)
         min_alpha = min(ctx.mesh.cells[c].volume_fraction for c in ctx.small)
         assert abs(min_alpha - target) < 1e-6 * target + 1e-12
+
+
+_CORPUS_COUNTS = {
+    "acoustics": {"accepted": 45, AdjacentSmallCellsError: 62, CornerCellError: 93},
+    "advection": {"accepted": 59, AdjacentSmallCellsError: 62, BoundaryInflowError: 79},
+}
+
+
+@pytest.mark.parametrize("equation", sorted(_CORPUS_COUNTS))
+def test_generic_cut_corpus_counts_per_rejection_reason(equation):
+    # the first 200 corpus lines at nx=16, r=1; a change to the share the
+    # method accepts, or to the reason it rejects a cut, is a deliberate edit
+    cuts = generic_cuts()
+    assert cuts.shape == (202, 2)
+    counts = Counter()
+    for s, o in cuts[:200]:
+        try:
+            ctx = build_context(line_config(equation, 1, s, o))
+            SemiDiscreteOperator(ctx.plan, ctx.stab)
+            counts["accepted"] += 1
+        except (AdjacentSmallCellsError, CornerCellError, BoundaryInflowError) as exc:
+            counts[type(exc)] += 1
+    assert counts == _CORPUS_COUNTS[equation]
 
 
 def test_consistency_driver_advection():

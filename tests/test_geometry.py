@@ -7,7 +7,8 @@ import pytest
 import percell_mesh
 from conftest import ramp_mesh, uncut_mesh
 from percell_mesh import clip_polygon
-from cutdg.errors import ConfigurationError, MeshValidationError, UnsupportedConfigurationError
+from cutdg.errors import (AdjacentSmallCellsError, BoundaryInflowError, ConfigurationError,
+                          MeshValidationError)
 from cutdg.geometry import (
     SNAP_FRAC,
     BackgroundMesh,
@@ -193,7 +194,7 @@ def test_adjacent_small_cells_rejected():
     # gentle slope: two neighbouring cut cells both drop below the threshold
     bg = BackgroundMesh(0, 0, 1, 1, 4, 4)
     mesh = build_mesh(bg, Geometry((halfplane_from_line(0.3, 0.115),)))
-    with pytest.raises(MeshValidationError) as err:
+    with pytest.raises(AdjacentSmallCellsError) as err:
         classify_small_cells(mesh, 0.4)
     assert "share face" in str(err.value)
 
@@ -219,7 +220,7 @@ def test_wrong_inflow_count_rejected():
 def test_boundary_inflow_rejected():
     mesh = ramp_mesh(nx=16, ny=16)
     # upward flow: the wall is each sliver's single inflow face
-    with pytest.raises(UnsupportedConfigurationError):
+    with pytest.raises(BoundaryInflowError):
         upstream_cells(mesh, classify_small_cells(mesh, 0.25), (0.0, 1.0))
 
 

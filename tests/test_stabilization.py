@@ -8,7 +8,8 @@ from conftest import (face_kinds, face_matrix_on, mixed_stabilized_set, penalty_
                       penalty_residuals, ramp_mesh)
 from cutdg.dg import AssemblyPlan, block_matrix, local_blocks
 from cutdg.config import load_config
-from cutdg.errors import MeshValidationError, UnsupportedConfigurationError
+from cutdg.errors import (BoundaryInflowError, CornerCellError, MeshValidationError,
+                          UnsupportedConfigurationError)
 from cutdg.geometry import classify_small_cells
 from cutdg.quadrature import Space
 from cutdg.solutions import PolynomialField, random_polynomial
@@ -27,8 +28,7 @@ from cutdg.systems import SystemSpec
 from cutdg import experiments, stabilization
 from cutdg.experiments import build_context, check_axioms_on_cell, ramp_config
 from field_forms import CellForms as FieldForms, CellPolyField, CombinedField
-from percell_penalty import _WaveCellContext, local_matrix as percell_local_matrix
-from probed_penalty import ProbedPenalty
+from probed_penalty import ProbedPenalty, _WaveCellContext
 
 
 def _setup(equation="acoustics", degree=1, nx=16, alpha0=0.25, beta=(1.0, 0.2)):
@@ -223,7 +223,8 @@ def test_axiom_check_detects_skewed_surface_weights(monkeypatch):
 def test_one_face_weight_reaches_the_axiom_check_and_the_penalty(monkeypatch):
     # the axiom check and the penalty read one set of source tables: a face
     # weight perturbed inside source_tables moves both, the check past its
-    # bound and the penalty away from its per-cell oracle
+    # bound and the penalty's surface matrix away from the probed oracle's,
+    # which evaluates the basis on its own
     ctx = build_context(ramp_config("acoustics", 1, 1e-2, nx=8))
     cid = ctx.small[0]
     fid = ctx.mesh.cell_faces(cid)[0]
@@ -240,13 +241,13 @@ def test_one_face_weight_reaches_the_axiom_check_and_the_penalty(monkeypatch):
     worst = check_axioms_on_cell(ctx.space, ctx.spec, cid, np.random.default_rng(0), 10)
     assert worst["face_consistency"] > 1e-12
     stab = WaveStabilization(ctx.plan, ctx.small, ctx.eta)
-    expected = _WaveCellContext(ctx.space, ctx.spec, cid).surface
+    expected = ProbedPenalty(stab).parts(cid)["surface"]
     surface = penalty_cells(stab)[cid].parts["surface"]
     assert np.abs(surface - expected).max() > 1e-12 * np.abs(expected).max()
     monkeypatch.undo()
     worst = check_axioms_on_cell(ctx.space, ctx.spec, cid, np.random.default_rng(0), 10)
     assert max(worst.values()) <= 1e-12
-    _check_against_percell(WaveStabilization(ctx.plan, ctx.small, ctx.eta), 1e-14)
+    _check_against_probed(WaveStabilization(ctx.plan, ctx.small, ctx.eta), 1e-14)
 
 
 # -------------------------------------------------------------- advection
@@ -387,41 +388,40 @@ def test_penalty_matrices_match_probed_oracle(equation, degree, alpha):
     assert len(ctx.small) > 0
     for cid, cell in penalty_cells(stab).items():
         assert cell.cells == oracle.neighborhood(cid)
-        assert _relative(cell.local, oracle.local_matrix(cid)) <= 1e-13
-        if equation == "acoustics":
-            pair = oracle.local_matrix(cid, oracle.pair_residual)
-            named = cell.parts["surface"] + cell.parts["volume"] + cell.parts["dissipative"]
-            assert _relative(named, pair) <= 1e-13
+        assert _relative(cell.local, oracle.local[cid]) <= 1e-13
     matrix = block_matrix(stab.blocks(), ctx.mesh.num_cells)
     assert _relative(matrix.toarray(), oracle.matrix().toarray()) <= 1e-13
 
 
-def _check_against_percell(stab, bound):
-    """Every local matrix and named matrix of ``stab`` against the per-cell build."""
-    plan = stab.plan
+def _check_against_probed(stab, bound):
+    """Every named matrix and local matrix of the acoustic ``stab`` against
+    the probed oracle, which builds them one cell at a time; returns the
+    oracle."""
+    oracle = ProbedPenalty(stab)
     for cid, cell in penalty_cells(stab).items():
-        ctx = _WaveCellContext(stab.space, plan.spec, cid)
-        assert cell.cells == ctx.cells
-        for name in ("surface", "volume", "dissipative"):
-            batched, percell = cell.parts[name], getattr(ctx, name)
+        assert cell.cells == oracle.neighborhood(cid)
+        expected = dict(oracle.parts(cid), local=oracle.local[cid])
+        got = dict(cell.parts, local=cell.local)
+        for name, probed in expected.items():
             # exact zeros (the volume matrix at r = 0) must stay exact
-            assert np.abs(batched - percell).max() <= bound * np.abs(percell).max(), (cid, name)
-        expected = percell_local_matrix(plan, cell.eta, ctx, cid)
-        assert np.abs(cell.local - expected).max() <= bound * np.abs(expected).max(), cid
+            assert np.abs(got[name] - probed).max() <= bound * np.abs(probed).max(), (cid, name)
+    return oracle
 
 
 @pytest.mark.parametrize("degree, alpha", [(r, a) for eq, r, a in _GRID if eq == "acoustics"])
 def test_batched_wave_penalty_matches_percell_build(degree, alpha):
+    # the per-cell build is the probed oracle's
     ctx = build_context(ramp_config("acoustics", degree, alpha, nx=8))
     assert len(ctx.small) > 0
-    _check_against_percell(ctx.stab, 1e-14)
+    _check_against_probed(ctx.stab, 1e-14)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_mixed_stabilized_set_matches_percell_and_probed(degree):
     # several groups: ramp triangles and a cut quad or pentagon with the ramp
     # as wall, an interior cell without a wall, a box-wall cell with its wall
-    # at another face position
+    # at another face position; each cell against the probed oracle, then
+    # the whole probed matrix
     ctx = build_context(ramp_config("acoustics", degree, 1e-2, nx=8))
     cells = mixed_stabilized_set(ctx.mesh, ctx.small)
     patterns = {
@@ -432,10 +432,7 @@ def test_mixed_stabilized_set_matches_percell_and_probed(degree):
     assert {(3, 1), (4, 0), (4, 1)} <= patterns
     eta = np.linspace(0.2, 1.0, ctx.mesh.num_cells)
     stab = WaveStabilization(ctx.plan, cells, eta)
-    _check_against_percell(stab, 1e-14)
-    oracle = ProbedPenalty(stab)
-    for cid, cell in penalty_cells(stab).items():
-        assert _relative(cell.local, oracle.local_matrix(cid)) <= 1e-13
+    oracle = _check_against_probed(stab, 1e-14)
     matrix = block_matrix(stab.blocks(), ctx.mesh.num_cells)
     assert _relative(matrix.toarray(), oracle.matrix().toarray()) <= 1e-13
 
@@ -499,13 +496,13 @@ def test_wave_penalty_rejects_double_wall_pairs():
         if face_kinds(mesh, c.face_ids).count("boundary") >= 2
     )
     eta = np.ones(mesh.num_cells)
-    with pytest.raises(UnsupportedConfigurationError):
+    with pytest.raises(CornerCellError):
         WaveStabilization(plan, [corner], eta)
 
 
 def test_wave_penalty_names_the_corner_after_valid_cells():
     # a valid set with a box corner cell after it: the error names the
-    # corner and its two wall faces, as the per-cell build does
+    # corner and its two wall faces, as the probed oracle's per-cell build does
     ctx = build_context(ramp_config("acoustics", 1, 1e-2, nx=8))
     mesh = ctx.mesh
     corner = next(
@@ -514,11 +511,11 @@ def test_wave_penalty_names_the_corner_after_valid_cells():
         and face_kinds(mesh, c.face_ids).count("boundary") == 2
     )
     walls = [f for f in corner.face_ids if mesh.face_right[f] < 0]
-    with pytest.raises(UnsupportedConfigurationError) as percell:
+    with pytest.raises(UnsupportedConfigurationError) as probed:
         _WaveCellContext(ctx.space, ctx.plan.spec, corner.id)
-    with pytest.raises(UnsupportedConfigurationError) as batched:
+    with pytest.raises(CornerCellError) as batched:
         WaveStabilization(ctx.plan, list(ctx.small) + [corner.id], np.ones(mesh.num_cells))
-    assert str(batched.value) == str(percell.value)
+    assert str(batched.value) == str(probed.value)
     assert str(batched.value).startswith(
         f"cell {corner.id}: faces {walls[0]} and {walls[1]} are both boundary faces"
     )
@@ -579,7 +576,7 @@ def test_advection_penalty_names_the_inflow_offender_after_valid_cells(beta):
     else:
         cell = _uncut(mesh, 1)
         wall = next(f for f in cell.face_ids if mesh.face_right[f] < 0)
-        error = UnsupportedConfigurationError
+        error = BoundaryInflowError
         message = f"stabilized cell {cell.id}: inflow face {wall} lies on the physical boundary"
     AdvectionStabilization(ctx.plan, ctx.small, ctx.eta)
     with pytest.raises(error) as err:
