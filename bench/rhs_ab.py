@@ -91,7 +91,7 @@ def load_trees(rev, parent_src=None):
 
 
 def case_config(tree, name):
-    """(config, controls-building rule) of one case: a step count or t_final."""
+    """(config, step count) of one case; a count of None runs to the config's t_final."""
     if name == "sliver-acoustics":
         cfg = tree.config.load_config(str(ROOT / "configs" / "stability-sliver.cfg"))
         cfg.initial = PRESSURE
@@ -116,12 +116,17 @@ class Case:
         self.op = tree.dg.SemiDiscreteOperator(ctx.plan, ctx.stab)
         self.u = np.random.default_rng(16).uniform(-1, 1, (ctx.mesh.num_cells,) + ctx.plan.shape)
         self.u0 = ex.project_field(ctx.space, tree.solutions.lookup_field(cfg.initial, ctx.spec))
-        t_final = cfg.t_final
-        if steps is not None:
-            dt = st.TimeControls(1.0, cfg.cfl, cfg.rk_order).dt(ctx.mesh.bg.h, ctx.spec.lambda_max,
-                                                               cfg.degree)
-            t_final = steps * dt
-        self.controls = st.TimeControls(t_final, cfg.cfl, cfg.rk_order)
+        if hasattr(st, "time_step"):
+            dt = st.time_step(cfg.cfl, ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree)
+            steps = st.steps_to(cfg.t_final, dt) if steps is None else steps
+            self.evolve_args = (dt, steps, cfg.rk_order)
+        else:
+            # a tree whose evolve takes time controls (t_final, rk_order and
+            # dt(h, lambda_max, degree)) and lambda_max, and runs to t_final
+            dt = cfg.cfl * ctx.mesh.bg.h / (ctx.spec.lambda_max * (2 * cfg.degree + 1))
+            controls = SimpleNamespace(t_final=cfg.t_final if steps is None else steps * dt,
+                                       rk_order=cfg.rk_order, dt=lambda *_: dt)
+            self.evolve_args = (controls, ctx.spec.lambda_max)
         self.rhs = ex.make_rhs(ctx)
         self.evolve = st.evolve
         self.result = None
@@ -136,7 +141,7 @@ class Case:
     def time_evolve(self):
         ctx = self.ctx
         t0 = time.process_time()
-        self.result = self.evolve(ctx.space, self.u0, self.rhs, self.controls, ctx.spec.lambda_max)
+        self.result = self.evolve(ctx.space, self.u0, self.rhs, *self.evolve_args)
         return time.process_time() - t0, self.result.steps
 
 

@@ -141,7 +141,10 @@ def tables(tree, built, rng):
                     "op.coupling.indptr": op.coupling.indptr,
                     "op(u)": op(rng.uniform(-1, 1, (space.mesh.num_cells,) + plan.shape))})
         if plan.spec.kind == "advection":
-            out["op.outflow_weights"] = op.outflow_weights()
+            # a module function, or an operator method on older trees
+            out["op.outflow_weights"] = (tree.dg.outflow_weights(plan, stab)
+                                         if hasattr(tree.dg, "outflow_weights")
+                                         else op.outflow_weights())
     if stab is not None:
         rows, cols, blocks = (np.concatenate(part) for part in zip(*stab.blocks()))
         out.update({"penalty.rows": rows, "penalty.cols": cols, "penalty.blocks": blocks})

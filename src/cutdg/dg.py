@@ -200,8 +200,6 @@ class SemiDiscreteOperator:
     """
 
     def __init__(self, plan, stab=None):
-        self.plan = plan
-        self.stab = stab
         k, m = plan.shape
 
         def fold(blocks, cells):
@@ -233,12 +231,13 @@ class SemiDiscreteOperator:
         res += (self.coupling @ x.ravel()).reshape(res.shape)
         return res.reshape(coeffs.shape)
 
-    def outflow_weights(self):
-        """Weights g with g . u the advection outflow rate, penalty included."""
-        g = boundary_outflow_weights(self.plan.space, self.plan.spec)
-        if self.stab is not None:
-            g += self.stab.boundary_outflow_weights()
-        return g
+
+def outflow_weights(plan, stab):
+    """Weights g with g . u the advection outflow rate, penalty included."""
+    g = boundary_outflow_weights(plan.space, plan.spec)
+    if stab is not None:
+        g += stab.boundary_outflow_weights()
+    return g
 
 
 def boundary_outflow_weights(space, spec):

@@ -29,6 +29,10 @@ class BoundaryInflowError(UnsupportedConfigurationError):
     """An advection stabilized cell's inflow face lies on the physical boundary."""
 
 
+class SingularMassError(CutDGError):
+    """A cut cell's mass matrix does not factor."""
+
+
 class UnsupportedOperationError(CutDGError):
     """Operation not defined for the given system (e.g. mirroring a scalar state)."""
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .dg import AssemblyPlan, SemiDiscreteOperator
+from .dg import AssemblyPlan, SemiDiscreteOperator, outflow_weights
 from .errors import ConfigurationError, IntegrationFailureError
 from .geometry import build_mesh, classify_small_cells, halfplane_from_line
 from .quadrature import (
@@ -31,7 +31,7 @@ from .stabilization import (
     surface_forms,
     volume_forms,
 )
-from .stepping import TimeControls, evolve
+from .stepping import evolve, steps_to, time_step
 
 CONSISTENCY_TOL = 1e-10
 AXIOM_TOL = 1e-12
@@ -120,20 +120,10 @@ def project_field(space, fld, t=0.0):
     return space.l2_project(lambda pts: fld(pts, t), fld.m)
 
 
-def make_rhs(ctx, track_outflow=False):
-    """Assemble the semi-discrete operator once; return ``rhs(coeffs)``.
-
-    ``rhs`` gives (du/dt, advection outflow rate); the rate is 0.0 unless
-    ``track_outflow`` is set.
-    """
-    op = SemiDiscreteOperator(ctx.plan, ctx.stab)
-    outflow = op.outflow_weights() if track_outflow else None
-
-    def rhs(coeffs):
-        rate = float(np.vdot(outflow, coeffs)) if track_outflow else 0.0
-        return op(coeffs), rate
-
-    return rhs
+def make_rhs(ctx):
+    """The right-hand side ``rhs(coeffs) = du/dt``: the semi-discrete
+    operator, assembled once."""
+    return SemiDiscreteOperator(ctx.plan, ctx.stab)
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +170,17 @@ def run_consistency(cfg):
     """Assemble the penalty at projections of random global polynomials.
 
     The penalty must annihilate them; reports the worst residual normalized
-    by field size, mesh size and test-mode size.
+    by field size, mesh size, test-mode size and the cell's eta, since every
+    local matrix is eta times the penalty form.
     """
+    if cfg.eta_scale == 0.0:
+        raise ConfigurationError("consistency run requires eta_scale > 0")
     ctx = build_context(cfg, stabilized=True)
     if ctx.stab is None:
         raise ConfigurationError("consistency run requires at least one stabilized cell")
     rng = np.random.default_rng(cfg.seed)
-    scales = [_mode_scales(ctx.space, group) for group in ctx.stab.groups]
+    scales = [group.eta[:, None, None] * _mode_scales(ctx.space, group)
+              for group in ctx.stab.groups]
     h = ctx.space.basis.h
     worst = 0.0
     pressure_only = ctx.spec.kind == "acoustics"
@@ -382,11 +376,12 @@ def run_convergence(cfg):
             u = u0
             t_end = 0.0
         else:
-            controls = TimeControls(cfg.t_final, cfg.cfl, cfg.rk_order)
+            dt = time_step(cfg.cfl, h, ctx.spec.lambda_max, cfg.degree)
             try:
-                result = evolve(ctx.space, u0, make_rhs(ctx), controls, ctx.spec.lambda_max)
+                result = evolve(ctx.space, u0, make_rhs(ctx), dt, steps_to(cfg.t_final, dt),
+                                cfg.rk_order)
                 u = result.final
-                t_end = result.steps * result.dt
+                t_end = result.steps * dt
             except IntegrationFailureError:
                 diverged = True
         if diverged:
@@ -442,12 +437,9 @@ def _stability_single(cfg, stabilized):
     ctx = build_context(cfg, stabilized=stabilized)
     fld = lookup_field(cfg.initial or "poly:0.4,1,-0.7,0.5,-1,0.25;0;0", ctx.spec)
     u0 = project_field(ctx.space, fld)
-    dt = TimeControls(1.0, cfg.cfl, cfg.rk_order).dt(
-        ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree
-    )
-    controls = TimeControls(cfg.steps * dt, cfg.cfl, cfg.rk_order)
+    dt = time_step(cfg.cfl, ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree)
     try:
-        result = evolve(ctx.space, u0, make_rhs(ctx), controls, ctx.spec.lambda_max)
+        result = evolve(ctx.space, u0, make_rhs(ctx), dt, cfg.steps, cfg.rk_order)
         return result.max_growth, False, None, dt
     except IntegrationFailureError as exc:
         return np.inf, True, exc.step, dt
@@ -505,14 +497,12 @@ def run_evolve(cfg):
     default = "bump-advect" if cfg.equation == "advection" else "poly:1;0;0"
     fld = lookup_field(cfg.initial or default, ctx.spec)
     u0 = project_field(ctx.space, fld)
-    track = cfg.equation == "advection"
-    controls = TimeControls(cfg.t_final, cfg.cfl, cfg.rk_order)
-    result = evolve(
-        ctx.space, u0, make_rhs(ctx, track_outflow=track), controls,
-        ctx.spec.lambda_max, track_mass=track,
-    )
+    dt = time_step(cfg.cfl, ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree)
+    outflow = outflow_weights(ctx.plan, ctx.stab) if cfg.equation == "advection" else None
+    result = evolve(ctx.space, u0, make_rhs(ctx), dt, steps_to(cfg.t_final, dt), cfg.rk_order,
+                    outflow)
     return EvolveReport(
-        cfg.seed, result.steps, result.dt,
+        cfg.seed, result.steps, dt,
         result.l2_trace[-1],
         result.mass_trace[-1] - result.mass_trace[0],
         result.outflow_integral,

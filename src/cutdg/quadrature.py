@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import CutDGError
+from .errors import ConfigurationError, SingularMassError
 from .geometry import _Records
 
 
@@ -206,7 +206,7 @@ class Basis:
 
     def __init__(self, mesh, degree):
         if degree < 0:
-            raise CutDGError("degree must be >= 0")
+            raise ConfigurationError("degree must be >= 0")
         self.mesh = mesh
         self.degree = degree
         self.exps = mode_exponents(degree)
@@ -370,7 +370,7 @@ class Space:
                     try:
                         np.linalg.cholesky(self.mass[cid], upper=True)
                     except np.linalg.LinAlgError:
-                        raise CutDGError(
+                        raise SingularMassError(
                             f"mass matrix of cell {cid} is numerically singular"
                         ) from exc
                 raise

@@ -216,7 +216,7 @@ class _WaveCellContext:
                         block = np.zeros_like(surface[self.source_block(src_t)])
                         for l in range(K):
                             block += c[l] * np.einsum(
-                                "...qm,qksm->...ks", wF[l], self.T_face[src_t][l]
+                                "...qm,qksm->...ks", wF[l], self.T_face[src_t][l], optimize=True
                             )
                         surface[self.source_block(src_t)] += sign * block
 
@@ -233,14 +233,16 @@ class _WaveCellContext:
                     Ue = self.source_values(src_e, u, self.cell_loc)
                     fe = (Ue @ self.spec.A1.T, Ue @ self.spec.A2.T)
                     block = self.kappa * (
-                        np.einsum("q,...qm,qksm->...ks", wq, fbar[0] - fe[0], G[..., 0])
-                        + np.einsum("q,...qm,qksm->...ks", wq, fbar[1] - fe[1], G[..., 1])
+                        np.einsum("q,...qm,qksm->...ks", wq, fbar[0] - fe[0], G[..., 0],
+                                  optimize=True)
+                        + np.einsum("q,...qm,qksm->...ks", wq, fbar[1] - fe[1], G[..., 1],
+                                    optimize=True)
                     )
                     volume[self.source_block(src_e)] += omega * block
                     # divergence form, linear in the test slots i and j
                     for src_t in (src_i, src_j):
                         val = self.kappa * SPLIT * np.einsum(
-                            "q,qksm,...qm->...ks", wq, self.D_cell[src_t], Ue
+                            "q,qksm,...qm->...ks", wq, self.D_cell[src_t], Ue, optimize=True
                         )
                         volume[self.source_block(src_t)] += omega * val
 
@@ -250,7 +252,8 @@ class _WaveCellContext:
                     Sv = self.s_out[l] * (Ui_face[l] - Uj_face[l])
                     wS = self.face_w[l][:, None] * Sv
                     for src_t, sign in ((src_i, 1.0), (src_j, -1.0)):
-                        val = np.einsum("...qm,qksm->...ks", wS, self.T_face[src_t][l])
+                        val = np.einsum("...qm,qksm->...ks", wS, self.T_face[src_t][l],
+                                        optimize=True)
                         dissipative[self.source_block(src_t)] += sign * DISSIPATIVE_WEIGHT * val
         return out
 

@@ -22,7 +22,7 @@ from cutdg.experiments import (
 from cutdg.config import RunConfig
 from cutdg.geometry import halfplane_from_line
 from cutdg.solutions import random_polynomial
-from cutdg.stepping import TimeControls
+from cutdg.stepping import time_step
 from cutdg.systems import mirror_state
 
 MIN_ALPHAS = (1e-2, 1e-5, 1e-8)
@@ -143,8 +143,8 @@ def test_criterion_5_small_cell_stability():
     assert ok
     # the step size never sees the sliver size: bit-identical dt
     cfg8 = ramp_config("acoustics", 1, 1e-8, steps=1000, cfl=0.3, rk_order=3)
-    dt6 = TimeControls(1.0, cfg.cfl, cfg.rk_order).dt(1.0 / cfg.nx, 1.0, cfg.degree)
-    dt8 = TimeControls(1.0, cfg8.cfl, cfg8.rk_order).dt(1.0 / cfg8.nx, 1.0, cfg8.degree)
+    dt6 = time_step(cfg.cfl, 1.0 / cfg.nx, 1.0, cfg.degree)
+    dt8 = time_step(cfg8.cfl, 1.0 / cfg8.nx, 1.0, cfg8.degree)
     assert dt6 == dt8
     assert rep.dt == dt6
 

@@ -259,12 +259,14 @@ def test_stage_does_no_mass_solve(equation, degree, min_alpha, monkeypatch):
     # the mass inverse is folded into the operator when make_rhs builds it
     import sys
 
+    from cutdg.dg import outflow_weights
     from cutdg.experiments import build_context, make_rhs, ramp_config
-    from cutdg.stepping import TimeControls, evolve
+    from cutdg.stepping import evolve, time_step
 
     ctx = build_context(ramp_config(equation, degree, min_alpha))
     track = equation == "advection"
-    rhs = make_rhs(ctx, track_outflow=track)
+    rhs = make_rhs(ctx)
+    outflow = outflow_weights(ctx.plan, ctx.stab) if track else None
     u0 = ctx.space.zeros(ctx.spec.m)
     u0.coeffs[:] = np.random.default_rng(3).uniform(-1, 1, size=u0.coeffs.shape)
 
@@ -275,8 +277,8 @@ def test_stage_does_no_mass_solve(equation, degree, min_alpha, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("cutdg") and hasattr(module, "cho_solve_stacked"):
             monkeypatch.setattr(module, "cho_solve_stacked", forbidden)
-    dt = TimeControls(1.0).dt(ctx.mesh.bg.h, ctx.spec.lambda_max, degree)
-    result = evolve(ctx.space, u0, rhs, TimeControls(3 * dt), ctx.spec.lambda_max, track)
+    dt = time_step(0.3, ctx.mesh.bg.h, ctx.spec.lambda_max, degree)
+    result = evolve(ctx.space, u0, rhs, dt, 3, 3, outflow)
     assert result.steps == 3
     assert np.all(np.isfinite(result.final.coeffs))
     assert (result.outflow_integral != 0.0) == track
@@ -392,7 +394,7 @@ def test_setup_and_steps_build_no_cell_or_face_records(case, monkeypatch):
     from cutdg.config import load_config
     from cutdg.experiments import build_context, make_rhs, ramp_config
     from cutdg.geometry import CutCell
-    from cutdg.stepping import TimeControls, evolve
+    from cutdg.stepping import evolve, time_step
 
     def forbidden(*args, **kwargs):
         raise AssertionError("cell record built")
@@ -408,8 +410,8 @@ def test_setup_and_steps_build_no_cell_or_face_records(case, monkeypatch):
     rhs = make_rhs(ctx)
     u0 = ctx.space.zeros(ctx.spec.m)
     u0.coeffs[:] = np.random.default_rng(5).uniform(-1, 1, size=u0.coeffs.shape)
-    dt = TimeControls(1.0).dt(ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree)
-    result = evolve(ctx.space, u0, rhs, TimeControls(3 * dt), ctx.spec.lambda_max)
+    dt = time_step(0.3, ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree)
+    result = evolve(ctx.space, u0, rhs, dt, 3, 3)
     assert result.steps == 3
     assert np.all(np.isfinite(result.final.coeffs))
     with pytest.raises(AssertionError, match="record built"):
@@ -426,15 +428,15 @@ def _check_against_csr_oracle(plan, stab):
     fold."""
     from csr_coupling import csr_operator, expanded, folded_operator
     from cutdg.dg import block_matrix
-    from cutdg.errors import CutDGError
+    from cutdg.errors import CutDGError, SingularMassError
 
     space = plan.space
     num_cells = space.mesh.num_cells
     try:
         oracle = folded_operator(plan, stab)
     except CutDGError as exc:
-        assert "numerically singular" in str(exc)
-        with pytest.raises(CutDGError) as raised:
+        assert isinstance(exc, SingularMassError) and "numerically singular" in str(exc)
+        with pytest.raises(SingularMassError) as raised:
             SemiDiscreteOperator(plan, stab)
         assert str(raised.value) == str(exc)
         return

@@ -9,6 +9,7 @@ from cutdg.dg import SemiDiscreteOperator
 from cutdg.errors import (AdjacentSmallCellsError, BoundaryInflowError, ConfigurationError,
                           CornerCellError)
 from cutdg.experiments import (
+    CONSISTENCY_TOL,
     _draw_triples,
     build_context,
     line_config,
@@ -22,7 +23,7 @@ from cutdg.experiments import (
     run_stability,
 )
 from cutdg.geometry import halfplane_from_line
-from cutdg.stepping import TimeControls
+from cutdg.stepping import evolve, time_step
 
 
 def test_ramp_config_hits_target_min_alpha():
@@ -71,10 +72,38 @@ def test_consistency_driver_acoustics():
     assert rep.max_residual <= 1e-12
 
 
-def test_consistency_zero_eta_control():
-    cfg = ramp_config("advection", 1, 1e-5, n_polynomials=2, eta_scale=0.0)
-    rep = run_consistency(cfg)
-    assert rep.max_residual == 0.0
+def test_consistency_zero_eta_control(tmp_path, capsys):
+    # at eta_scale = 0 every local matrix is zero and the check would pass
+    # vacuously: it is a configuration error, by key name (exit code 2)
+    from cutdg.cli import main
+    from cutdg.config import serialize_config
+
+    cfg = ramp_config("advection", 1, 1e-5, n_polynomials=2, eta_scale=0.0, out=str(tmp_path))
+    with pytest.raises(ConfigurationError, match="eta_scale"):
+        run_consistency(cfg)
+    path = tmp_path / "run.cfg"
+    path.write_text(serialize_config(cfg))
+    assert main(["consistency", "--config", str(path)]) == 2
+    assert "eta_scale" in capsys.readouterr().err
+
+
+def test_consistency_residual_does_not_scale_with_eta(monkeypatch):
+    # every local matrix is eta times the penalty form: a defect planted in
+    # the form is reported at the same normalized size at any eta_scale
+    from cutdg.stabilization import AdvectionStabilization
+
+    local = AdvectionStabilization._local
+
+    def planted(self, group):
+        defect = 1e-6 * np.ones_like(group.parts["volume"])
+        return local(self, group) + group.eta[:, None, None] * defect
+
+    monkeypatch.setattr(AdvectionStabilization, "_local", planted)
+    worst = [run_consistency(ramp_config("advection", 1, 1e-5, n_polynomials=2,
+                                         eta_scale=scale)).max_residual
+             for scale in (1.0, 0.01)]
+    assert worst[0] > 1e3 * CONSISTENCY_TOL
+    assert abs(worst[1] - worst[0]) <= 1e-9 * worst[0]
 
 
 def test_axiom_driver_seed_invariance():
@@ -181,15 +210,11 @@ def test_stability_no_stabilized_cells_matches_plain_run():
 def _run_with(ctx, cfg):
     from cutdg.experiments import project_field
     from cutdg.solutions import lookup_field
-    from cutdg.stepping import evolve
 
     fld = lookup_field(cfg.initial, ctx.spec)
     u0 = project_field(ctx.space, fld)
-    dt = TimeControls(1.0, cfg.cfl, cfg.rk_order).dt(
-        ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree
-    )
-    controls = TimeControls(cfg.steps * dt, cfg.cfl, cfg.rk_order)
-    return evolve(ctx.space, u0, make_rhs(ctx), controls, ctx.spec.lambda_max).final.coeffs
+    dt = time_step(cfg.cfl, ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree)
+    return evolve(ctx.space, u0, make_rhs(ctx), dt, cfg.steps, cfg.rk_order).final.coeffs
 
 
 def test_evolve_conservation_identity():
@@ -221,12 +246,12 @@ def test_singular_cut_mass_stops_stepping_runs_only(equation, tmp_path, capsys):
     # solves with the mass and still passes.
     from cutdg.cli import main
     from cutdg.config import serialize_config
-    from cutdg.errors import CutDGError
+    from cutdg.errors import SingularMassError
 
     cfg = ramp_config(equation, 2, 1e-8, steps=5, t_final=0.01, out=str(tmp_path))
     assert run_consistency(cfg).passed
     run = run_stability if equation == "acoustics" else run_evolve
-    with pytest.raises(CutDGError, match="mass matrix of cell 1 is numerically singular"):
+    with pytest.raises(SingularMassError, match="mass matrix of cell 1 is numerically singular"):
         run(cfg)
     path = tmp_path / "run.cfg"
     path.write_text(serialize_config(cfg))

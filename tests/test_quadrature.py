@@ -18,6 +18,13 @@ from cutdg.quadrature import (
 TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+def test_negative_degree_is_a_configuration_error():
+    from cutdg.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="degree must be >= 0"):
+        Basis(uncut_mesh(2, 2), -1)
+
+
 def test_mode_ordering():
     exps = mode_exponents(2)
     assert [tuple(e) for e in exps] == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]

@@ -6,26 +6,39 @@ from cutdg.dg import AssemblyPlan, SemiDiscreteOperator
 from cutdg.errors import ConfigurationError, IntegrationFailureError
 from cutdg.geometry import build_mesh
 from cutdg.quadrature import Space
-from cutdg.stepping import TimeControls, evolve, rk_step
+from cutdg.stepping import evolve, rk_step, steps_to, time_step
 from cutdg.systems import SystemSpec
 
 
 def test_dt_formula_and_invariance():
-    controls = TimeControls(t_final=1.0, cfl=0.3, rk_order=3)
-    dt = controls.dt(h=0.0625, lambda_max=2.0, degree=1)
+    dt = time_step(cfl=0.3, h=0.0625, lambda_max=2.0, degree=1)
     assert abs(dt - 0.3 * 0.0625 / (2.0 * 3.0)) < 1e-18
     # the step size never sees the cut-cell volume fractions: identical
-    # controls give bit-identical dt regardless of mesh slivers
-    assert controls.dt(0.0625, 2.0, 1) == dt
+    # inputs give bit-identical dt regardless of mesh slivers
+    assert time_step(0.3, 0.0625, 2.0, 1) == dt
 
 
 def test_controls_validation():
-    with pytest.raises(ConfigurationError):
-        TimeControls(t_final=1.0, cfl=0.0)
-    with pytest.raises(ConfigurationError):
-        TimeControls(t_final=1.0, rk_order=4)
-    with pytest.raises(ConfigurationError):
-        TimeControls(t_final=-1.0)
+    with pytest.raises(ConfigurationError, match=r"cfl must lie in \(0, 1\]"):
+        time_step(0.0, 0.0625, 1.0, 1)
+    with pytest.raises(ConfigurationError, match="t_final must be nonnegative"):
+        steps_to(-1.0, 0.1)
+    assert steps_to(0.0, 0.1) == 0
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_unsupported_rk_order_rejected(order):
+    # an order without stage weights is a configuration error, not RK2
+    mesh = uncut_mesh(2, 2)
+    space = Space(mesh, 0)
+
+    def rhs(c):
+        return -c
+
+    with pytest.raises(ConfigurationError, match="rk_order must be 2 or 3"):
+        rk_step(np.ones((4, 1, 1)), 0.1, rhs, order)
+    with pytest.raises(ConfigurationError, match="rk_order must be 2 or 3"):
+        evolve(space, space.zeros(1), rhs, 0.1, 0, order)
 
 
 def test_rk3_matches_taylor_on_linear_ode():
@@ -34,7 +47,7 @@ def test_rk3_matches_taylor_on_linear_ode():
     u0 = np.array([[[1.0]]])
 
     def rhs(c):
-        return lam * c, 0.0
+        return lam * c
 
     out, _ = rk_step(u0, dt, rhs, 3)
     z = lam * dt
@@ -48,7 +61,7 @@ def test_rk2_matches_taylor_on_linear_ode():
     u0 = np.array([[[2.0]]])
 
     def rhs(c):
-        return lam * c, 0.0
+        return lam * c
 
     out, _ = rk_step(u0, dt, rhs, 2)
     z = lam * dt
@@ -61,10 +74,8 @@ def test_zero_state_stays_zero():
     spec = SystemSpec.advection((1.0, 0.0))
     op = SemiDiscreteOperator(AssemblyPlan(space, spec))
 
-    def rhs(c):
-        return op(c), 0.0
-
-    result = evolve(space, space.zeros(1), rhs, TimeControls(0.1), spec.lambda_max)
+    dt = time_step(0.3, mesh.bg.h, spec.lambda_max, 1)
+    result = evolve(space, space.zeros(1), op, dt, steps_to(0.1, dt), 3)
     assert np.all(result.final.coeffs == 0.0)
     assert np.all(result.l2_trace == 0.0)
 
@@ -79,13 +90,10 @@ def test_standing_acoustic_state_constant_in_time():
     u0 = space.zeros(3)
     u0.coeffs[:, 0, 0] = 1.0
 
-    def rhs(c):
-        return op(c), 0.0
-
-    controls = TimeControls(t_final=1.0, cfl=0.3, rk_order=3)
-    result = evolve(space, u0, rhs, controls, spec.lambda_max)
+    t_final, dt = 1.0, time_step(0.3, mesh.bg.h, spec.lambda_max, 1)
+    result = evolve(space, u0, op, dt, steps_to(t_final, dt), 3)
     drift = np.abs(result.final.coeffs - u0.coeffs).max()
-    assert drift < 1e-12 * (1.0 + controls.t_final)
+    assert drift < 1e-12 * (1.0 + t_final)
 
 
 def test_standing_state_on_cut_mesh_with_penalty():
@@ -95,13 +103,13 @@ def test_standing_state_on_cut_mesh_with_penalty():
     ctx = build_context(cfg)
     u0 = ctx.space.zeros(3)
     u0.coeffs[:, 0, 0] = 1.0
-    controls = TimeControls(t_final=0.5, cfl=0.3, rk_order=3)
-    result = evolve(ctx.space, u0, make_rhs(ctx), controls, ctx.spec.lambda_max)
+    t_final, dt = 0.5, time_step(0.3, ctx.mesh.bg.h, ctx.spec.lambda_max, 1)
+    result = evolve(ctx.space, u0, make_rhs(ctx), dt, steps_to(t_final, dt), 3)
     diff = result.final.copy()
     diff.coeffs = result.final.coeffs - u0.coeffs
     # measured in L2: sliver coefficients feel the mass conditioning but
     # carry next to no volume
-    assert ctx.space.l2_norm(diff) < 1e-12 * (1.0 + controls.t_final) * ctx.space.l2_norm(u0)
+    assert ctx.space.l2_norm(diff) < 1e-12 * (1.0 + t_final) * ctx.space.l2_norm(u0)
 
 
 def test_nan_reported_with_step_index():
@@ -109,12 +117,12 @@ def test_nan_reported_with_step_index():
     space = Space(mesh, 0)
 
     def rhs(c):
-        return np.full_like(c, np.nan), 0.0
+        return np.full_like(c, np.nan)
 
     u0 = space.zeros(1)
     u0.coeffs[:] = 1.0
     with pytest.raises(IntegrationFailureError) as err:
-        evolve(space, u0, rhs, TimeControls(1.0), 1.0)
+        evolve(space, u0, rhs, time_step(0.3, mesh.bg.h, 1.0, 0), 5, 3)
     assert err.value.step == 0
 
 
@@ -140,10 +148,10 @@ def test_non_finite_coefficient_reported_at_its_step(bad):
                 r = np.zeros_like(c)
                 if len(calls) == 7:   # the first stage of step 2
                     r[cell, mode, comp] = bad
-                return r, 0.0
+                return r
 
             with pytest.raises(IntegrationFailureError) as err:
-                evolve(space, u0, rhs, TimeControls(1.0), 1.0)
+                evolve(space, u0, rhs, time_step(0.3, space.mesh.bg.h, 1.0, 1), 5, 3)
             assert err.value.step == 2
 
 
@@ -152,16 +160,15 @@ def test_norm_overflow_reported_as_failure():
     # diverged run, not a growth of nan
     mesh = uncut_mesh(2, 2)
     space = Space(mesh, 0)
-    controls = TimeControls(1.0)
-    dt = controls.dt(mesh.bg.h, 1.0, 0)
+    dt = time_step(0.3, mesh.bg.h, 1.0, 0)
 
     def rhs(c):
-        return np.full_like(c, 1e160 / dt), 0.0
+        return np.full_like(c, 1e160 / dt)
 
     u0 = space.zeros(1)
     u0.coeffs[:] = 1.0
     with pytest.raises(IntegrationFailureError) as err:
-        evolve(space, u0, rhs, controls, 1.0)
+        evolve(space, u0, rhs, dt, 5, 3)
     assert err.value.step == 0
     with np.errstate(over="ignore"):
         u, _ = rk_step(u0.coeffs, dt, rhs, 3)
@@ -184,9 +191,10 @@ def test_rk_step_bit_identical_to_explicit_formulas(order):
 
     def rhs(c):
         calls.append(c.copy())
-        return f(c), float(len(calls))
+        return f(c)
 
-    new, results = rk_step(u, dt, rhs, order)
+    g = rng.standard_normal(u.shape)
+    new, rates = rk_step(u, dt, rhs, order, g)
     u1 = u + dt * f(u)
     if order == 2:
         expected = 0.5 * u + 0.5 * (u1 + dt * f(u1))
@@ -197,4 +205,6 @@ def test_rk_step_bit_identical_to_explicit_formulas(order):
         stages = [u, u1, u2]
     assert np.array_equal(new, expected)
     assert all(np.array_equal(c, s) for c, s in zip(calls, stages)) and len(calls) == order
-    assert [r[1] for r in results] == [float(i + 1) for i in range(order)]
+    # the outflow rate of each stage input
+    assert rates == [float(np.vdot(g, c)) for c in stages]
+    assert rk_step(u, dt, rhs, order)[1] == []
