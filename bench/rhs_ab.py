@@ -116,17 +116,9 @@ class Case:
         self.op = tree.dg.SemiDiscreteOperator(ctx.plan, ctx.stab)
         self.u = np.random.default_rng(16).uniform(-1, 1, (ctx.mesh.num_cells,) + ctx.plan.shape)
         self.u0 = ex.project_field(ctx.space, tree.solutions.lookup_field(cfg.initial, ctx.spec))
-        if hasattr(st, "time_step"):
-            dt = st.time_step(cfg.cfl, ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree)
-            steps = st.steps_to(cfg.t_final, dt) if steps is None else steps
-            self.evolve_args = (dt, steps, cfg.rk_order)
-        else:
-            # a tree whose evolve takes time controls (t_final, rk_order and
-            # dt(h, lambda_max, degree)) and lambda_max, and runs to t_final
-            dt = cfg.cfl * ctx.mesh.bg.h / (ctx.spec.lambda_max * (2 * cfg.degree + 1))
-            controls = SimpleNamespace(t_final=cfg.t_final if steps is None else steps * dt,
-                                       rk_order=cfg.rk_order, dt=lambda *_: dt)
-            self.evolve_args = (controls, ctx.spec.lambda_max)
+        dt = st.time_step(cfg.cfl, ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree)
+        self.evolve_args = (dt, st.steps_to(cfg.t_final, dt) if steps is None else steps,
+                            cfg.rk_order)
         self.rhs = ex.make_rhs(ctx)
         self.evolve = st.evolve
         self.result = None

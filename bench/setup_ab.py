@@ -27,9 +27,9 @@ compared but not timed.  Each case is set up phase by phase, as
 ``--pairs`` pairs of setups of every timed case are run, the side that runs
 first alternating from pair to pair; recorded is each phase's CPU time
 (``time.process_time``) per run.  Then every case, timed or not, is set up
-once more per side, and for every ``Space`` table (the quadrature rules, the
-basis values and gradients, the masses, the mode integrals, and the face
-traces of all faces), every plan block, the penalty's blocks
+once more per side, and for every ``Space`` table (the cell rules, the
+basis values and gradients, the masses, the mode integrals, and the rules
+and traces of all faces), every plan block, the penalty's blocks
 (``stab.blocks()``, in their order) and its named matrices (cell by cell in
 ascending order, :func:`penalty_parts`), the folded operator (its blocks,
 their indices and, for advection, its outflow weights),
@@ -110,10 +110,7 @@ def setup(tree, cfg, fld, operator=True):
 
 
 def penalty_parts(stab):
-    """The penalty's named matrices as {name: {cell: matrix}}: read from its
-    groups, or from the per-cell dicts of a tree that keeps those."""
-    if not hasattr(stab, "groups"):
-        return {name: getattr(stab, name) for name in stab._names}
+    """The penalty's named matrices as {name: {cell: matrix}}, read from its groups."""
     parts = {}
     for group in stab.groups:
         for name, part in group.parts.items():
@@ -121,14 +118,27 @@ def penalty_parts(stab):
     return parts
 
 
+def rules(space):
+    """The cut cells' basis gradients, stacked in cell order, and every
+    face's rule: from the per-cell list ``cell_grad`` and the per-face
+    arrays on a tree that keeps them, else from ``cell_rules`` and
+    ``face_rule``."""
+    cut = space.cut_ids.tolist()
+    if hasattr(space, "cell_grad"):
+        return np.concatenate([space.cell_grad[c] for c in cut]), space.face_pts, space.face_w
+    grads = np.concatenate([space.cell_rules([c])[3][0] for c in cut])
+    return (grads,) + space.face_rule(np.arange(len(space.mesh.face_left)))
+
+
 def tables(tree, built, rng):
     """Every array one setup on ``tree`` produced, by name."""
     space, plan, stab, op = built["space"], built["plan"], built["stab"], built["op"]
+    cut_grad, face_pts, face_w = rules(space)
     out = {
         "space.quad_pts": space.quad_pts, "space.quad_w": space.quad_w,
         "space.ref_phi": space._ref_phi, "space.ref_grad": space._ref_grad,
-        "space.cut_phi": space._cut_phi,
-        "space.cut_grad": np.concatenate([space.cell_grad[c] for c in space.cut_ids.tolist()]),
+        "space.cut_phi": space._cut_phi, "space.cut_grad": cut_grad,
+        "space.face_pts": face_pts, "space.face_w": face_w,
         "space.mass": space.mass, "space.mode_integral": space.mode_integral,
         "space.face_traces": np.stack(space.face_traces(np.arange(len(space.mesh.face_left)))),
         "plan.stencil": plan.stencil,
@@ -141,10 +151,7 @@ def tables(tree, built, rng):
                     "op.coupling.indptr": op.coupling.indptr,
                     "op(u)": op(rng.uniform(-1, 1, (space.mesh.num_cells,) + plan.shape))})
         if plan.spec.kind == "advection":
-            # a module function, or an operator method on older trees
-            out["op.outflow_weights"] = (tree.dg.outflow_weights(plan, stab)
-                                         if hasattr(tree.dg, "outflow_weights")
-                                         else op.outflow_weights())
+            out["op.outflow_weights"] = tree.dg.outflow_weights(plan, stab)
     if stab is not None:
         rows, cols, blocks = (np.concatenate(part) for part in zip(*stab.blocks()))
         out.update({"penalty.rows": rows, "penalty.cols": cols, "penalty.blocks": blocks})

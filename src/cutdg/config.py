@@ -6,7 +6,7 @@ serializing yields a canonical form byte-identical across runs.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError
 from .geometry import BackgroundMesh, Geometry, HalfPlane
@@ -15,15 +15,35 @@ from .systems import SystemSpec
 _FLOAT = "{:.17g}".format
 
 
+def _values(kind, count=None, **metadata):
+    """Field metadata of a comma-separated key: its values' type, and a
+    parser that checks their count."""
+    def parse(value, key):
+        try:
+            vals = tuple(kind(v) for v in value.split(","))
+        except ValueError as exc:
+            raise ConfigurationError(f"key {key!r}: cannot parse {value!r}") from exc
+        if count is not None and len(vals) != count:
+            raise ConfigurationError(f"key {key!r}: expected {count} comma-separated values")
+        return vals
+
+    return dict(metadata, kind=kind, parse=parse)
+
+
 @dataclass
 class RunConfig:
+    """One run's settings.  The fields are the config keys, in their
+    canonical order; a repeated key (``geometry.constraint``, one line per
+    (a, b, c) triple) gathers its values in a list."""
+
     equation: str = "advection"
     degree: int = 1
     nx: int = 16
     ny: int = 16
-    box: tuple = (0.0, 0.0, 1.0, 1.0)
-    constraints: list = field(default_factory=list)   # (a, b, c) triples
-    beta: tuple = (1.0, 0.0)
+    box: tuple = field(default=(0.0, 0.0, 1.0, 1.0), metadata=_values(float, 4))
+    constraints: list = field(default_factory=list, metadata=_values(
+        float, 3, key="geometry.constraint", repeated=True))
+    beta: tuple = field(default=(1.0, 0.0), metadata=_values(float, 2))
     sound_speed: float = 1.0
     alpha0: float = 0.4
     eta_scale: float = 1.0
@@ -35,7 +55,7 @@ class RunConfig:
     initial: str = ""
     n_polynomials: int = 20
     n_triples: int = 50
-    refinements: tuple = (16, 32, 64)
+    refinements: tuple = field(default=(16, 32, 64), metadata=_values(int))
     projection_only: bool = False
     steps: int = 1000
     growth_tol: float = 1e-3
@@ -44,11 +64,9 @@ class RunConfig:
 
     # ------------------------------------------------------------------
     def validate(self):
-        finite = [(key, (getattr(self, key),)) for key in _KEY_ORDER if key in _FLOAT_KEYS]
-        finite += [("box", self.box), ("beta", self.beta)]
-        finite += [("geometry.constraint", abc) for abc in self.constraints]
-        for key, values in finite:
-            if not all(math.isfinite(v) for v in values):
+        for key, f, value in _entries(self):
+            values = value if "kind" in f.metadata else (value,)
+            if f.metadata.get("kind", f.type) is float and not all(map(math.isfinite, values)):
                 raise ConfigurationError(
                     f"key {key!r}: values must be finite, got {','.join(map(str, values))}"
                 )
@@ -104,33 +122,40 @@ class RunConfig:
         return Geometry(tuple(HalfPlane(*abc) for abc in self.constraints))
 
 
-_KEY_ORDER = [
-    "equation", "degree", "nx", "ny", "box", "geometry.constraint", "beta",
-    "sound_speed", "alpha0", "eta_scale", "cfl", "t_final", "rk_order", "seed",
-    "out", "initial", "n_polynomials", "n_triples", "refinements",
-    "projection_only", "steps", "growth_tol", "dod", "threads",
-]
-
-_INT_KEYS = {"degree", "nx", "ny", "rk_order", "seed", "n_polynomials",
-             "n_triples", "steps", "threads"}
-_FLOAT_KEYS = {"sound_speed", "alpha0", "eta_scale", "cfl", "t_final", "growth_tol"}
-_BOOL_KEYS = {"projection_only", "dod"}
-_STR_KEYS = {"equation", "out", "initial"}
+_FIELDS = {f.metadata.get("key", f.name): f for f in fields(RunConfig)}
 
 
-def _parse_floats(value, key, count=None):
+def _entries(cfg):
+    """(key, field, value) of every line of ``cfg``, in key order."""
+    for key, f in _FIELDS.items():
+        value = getattr(cfg, f.name)
+        for v in value if f.metadata.get("repeated") else (value,):
+            yield key, f, v
+
+
+def _parse(f, key, value):
+    if "parse" in f.metadata:
+        return f.metadata["parse"](value, key)
+    if f.type is bool:
+        if value not in ("true", "false"):
+            raise ConfigurationError(f"key {key!r}: expected true or false")
+        return value == "true"
     try:
-        vals = tuple(float(v) for v in value.split(","))
+        return f.type(value)
     except ValueError as exc:
         raise ConfigurationError(f"key {key!r}: cannot parse {value!r}") from exc
-    if count is not None and len(vals) != count:
-        raise ConfigurationError(f"key {key!r}: expected {count} comma-separated values")
-    return vals
+
+
+def _format(f, value):
+    if "kind" in f.metadata:
+        return ",".join(_FLOAT(v) if f.metadata["kind"] is float else str(v) for v in value)
+    if f.type is bool:
+        return "true" if value else "false"
+    return _FLOAT(value) if f.type is float else str(value)
 
 
 def parse_config(text):
     cfg = RunConfig()
-    seen_constraints = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,59 +163,20 @@ def parse_config(text):
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key == "geometry.constraint":
-            seen_constraints.append(_parse_floats(value, key, 3))
-        elif key == "box":
-            cfg.box = _parse_floats(value, key, 4)
-        elif key == "beta":
-            cfg.beta = _parse_floats(value, key, 2)
-        elif key == "refinements":
-            try:
-                cfg.refinements = tuple(int(v) for v in value.split(","))
-            except ValueError as exc:
-                raise ConfigurationError(f"key {key!r}: cannot parse {value!r}") from exc
-        elif key in _INT_KEYS:
-            try:
-                setattr(cfg, key, int(value))
-            except ValueError as exc:
-                raise ConfigurationError(f"key {key!r}: cannot parse {value!r}") from exc
-        elif key in _FLOAT_KEYS:
-            try:
-                setattr(cfg, key, float(value))
-            except ValueError as exc:
-                raise ConfigurationError(f"key {key!r}: cannot parse {value!r}") from exc
-        elif key in _BOOL_KEYS:
-            if value not in ("true", "false"):
-                raise ConfigurationError(f"key {key!r}: expected true or false")
-            setattr(cfg, key, value == "true")
-        elif key in _STR_KEYS:
-            setattr(cfg, key, value)
-        else:
+        f = _FIELDS.get(key)
+        if f is None:
             raise ConfigurationError(f"unknown config key {key!r}")
-    cfg.constraints = seen_constraints
+        value = _parse(f, key, value)
+        if f.metadata.get("repeated"):
+            getattr(cfg, f.name).append(value)
+        else:
+            setattr(cfg, f.name, value)
     return cfg.validate()
 
 
 def serialize_config(cfg):
     """Canonical text form: fixed key order, 17 significant digits."""
-    lines = []
-    for key in _KEY_ORDER:
-        if key == "geometry.constraint":
-            for abc in cfg.constraints:
-                lines.append(f"geometry.constraint = {','.join(_FLOAT(v) for v in abc)}")
-        elif key == "box":
-            lines.append(f"box = {','.join(_FLOAT(v) for v in cfg.box)}")
-        elif key == "beta":
-            lines.append(f"beta = {','.join(_FLOAT(v) for v in cfg.beta)}")
-        elif key == "refinements":
-            lines.append(f"refinements = {','.join(str(v) for v in cfg.refinements)}")
-        elif key in _BOOL_KEYS:
-            lines.append(f"{key} = {'true' if getattr(cfg, key) else 'false'}")
-        elif key in _FLOAT_KEYS:
-            lines.append(f"{key} = {_FLOAT(getattr(cfg, key))}")
-        else:
-            lines.append(f"{key} = {getattr(cfg, key)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_format(f, value)}\n" for key, f, value in _entries(cfg))
 
 
 def load_config(path):

@@ -84,7 +84,7 @@ def face_matrices(space, spec, fids, central=True, dissipative=True):
         spec, mesh.face_normal[fids], mesh.face_right[fids] < 0, central, dissipative
     ), axis=1)
     phi = np.stack(space.face_traces(fids), axis=1)
-    wphi = space.face_w[fids][:, None, :, None] * phi
+    wphi = space.face_rule(fids)[1][:, None, :, None] * phi
     gram = np.swapaxes(phi, -1, -2)[:, :, None] @ wphi[:, None]
     gram[:, 1] *= -1.0
     # (face, x, test mode, test component, y, trial mode, trial component)
@@ -99,14 +99,13 @@ def volume_matrices(space, spec, cids):
     -sum_d (d_d phi)^T W phi Kronecker A_d.
 
     The Gram products are taken per group of cells with one rule size, on
-    their tables stacked."""
+    their tables stacked (:meth:`~cutdg.quadrature.Space.cell_rules`)."""
     cids = np.asarray(cids, dtype=np.int64)
     gram = np.empty((len(cids), 2, space.n_modes, space.n_modes))
-    sizes = np.array([len(space.cell_w[c]) for c in cids.tolist()])
+    sizes = space.rule_size[cids]
     for size in np.unique(sizes).tolist():
         g = np.flatnonzero(sizes == size)
-        w, phi, grad = (np.stack([table[c] for c in cids[g].tolist()])
-                        for table in (space.cell_w, space.cell_phi, space.cell_grad))
+        _, w, phi, grad = space.cell_rules(cids[g])
         gram[g] = np.moveaxis(grad, -1, 1).swapaxes(-1, -2) @ (w[..., None] * phi)[:, None]
     blocks = -(gram[:, 0, :, None, :, None] * spec.A1[:, None, :]
                + gram[:, 1, :, None, :, None] * spec.A2[:, None, :])
@@ -233,7 +232,11 @@ class SemiDiscreteOperator:
 
 
 def outflow_weights(plan, stab):
-    """Weights g with g . u the advection outflow rate, penalty included."""
+    """Weights g with g . u the outflow rate of the first state component,
+    penalty included: advection's u, or acoustics' pressure, which never
+    leaves (every boundary is a reflecting wall, v.n = 0), so g is zero."""
+    if plan.spec.kind != "advection":
+        return np.zeros((plan.space.mesh.num_cells,) + plan.shape)
     g = boundary_outflow_weights(plan.space, plan.spec)
     if stab is not None:
         g += stab.boundary_outflow_weights()
@@ -247,7 +250,8 @@ def boundary_outflow_weights(space, spec):
     wall = np.flatnonzero(mesh.face_right < 0)
     n = mesh.face_normal[wall]
     bn = np.maximum(spec.beta[0] * n[:, 0] + spec.beta[1] * n[:, 1], 0.0)
-    face_g = bn[:, None] * np.einsum("fq,fqk->fk", space.face_w[wall], space.face_traces(wall)[0])
+    face_g = bn[:, None] * np.einsum("fq,fqk->fk", space.face_rule(wall)[1],
+                                     space.face_traces(wall)[0])
     g = np.zeros((mesh.num_cells, space.n_modes, 1))
     np.add.at(g[:, :, 0], mesh.face_left[wall], face_g)
     return g

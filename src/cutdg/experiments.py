@@ -181,7 +181,7 @@ def run_consistency(cfg):
     rng = np.random.default_rng(cfg.seed)
     scales = [group.eta[:, None, None] * _mode_scales(ctx.space, group)
               for group in ctx.stab.groups]
-    h = ctx.space.basis.h
+    h = ctx.space.h
     worst = 0.0
     pressure_only = ctx.spec.kind == "acoustics"
     for _ in range(cfg.n_polynomials):
@@ -247,8 +247,8 @@ def _fine_references(space, spec, cell_id, U, V, W):
     face and a cell rule exact to degree 2r + 4.  They share no table with
     the forms the axiom check tests, so they are its independent references.
     """
-    mesh, basis = space.mesh, space.basis
-    exps, center, h = basis.exps, basis.center(cell_id), basis.h
+    mesh = space.mesh
+    exps, center, h = space.exps, space.centers[cell_id], space.h
     faces = []
     for fid in mesh.cell_faces(cell_id).tolist():
         pts, w = face_quadrature(mesh.face_p[fid], mesh.face_q[fid], space.face_npts + 3)
@@ -282,7 +282,7 @@ def check_axioms_on_cell(space, spec, cell_id, rng, n_triples):
         return np.abs(probe @ X).max(axis=(-2, -1))
 
     denom = (
-        spec.lambda_max * space.basis.h
+        spec.lambda_max * space.h
         * np.maximum(np.maximum(max_abs(U), max_abs(V)), 1e-300)
         * np.maximum(max_abs(W), 1e-300)
     )
@@ -498,9 +498,8 @@ def run_evolve(cfg):
     fld = lookup_field(cfg.initial or default, ctx.spec)
     u0 = project_field(ctx.space, fld)
     dt = time_step(cfg.cfl, ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree)
-    outflow = outflow_weights(ctx.plan, ctx.stab) if cfg.equation == "advection" else None
     result = evolve(ctx.space, u0, make_rhs(ctx), dt, steps_to(cfg.t_final, dt), cfg.rk_order,
-                    outflow)
+                    outflow_weights(ctx.plan, ctx.stab))
     return EvolveReport(
         cfg.seed, result.steps, dt,
         result.l2_trace[-1],

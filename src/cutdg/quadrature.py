@@ -1,10 +1,12 @@
-"""Polynomial bases, quadrature rules, mass matrices and L2 projection.
+"""Polynomial basis, quadrature rules, mass matrices and L2 projection.
 
 Basis functions are monomials scaled by the *background* cell: with center
 (xc, yc) and mesh size h, the modes are ((x-xc)/h)^p ((y-yc)/h)^q for
 p + q <= r.  Because the center and scale never depend on the cut geometry,
 extending a cell's polynomial beyond the cell is literally evaluating the
-same closed form elsewhere.
+same closed form elsewhere.  :class:`Space` holds the basis, every cell's
+rule in one flat layout and the stacked masses, and builds face rules on
+request.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigurationError, SingularMassError
-from .geometry import _Records
 
 
 def mode_exponents(degree):
@@ -201,25 +202,9 @@ def cho_solve_stacked(U, b):
     return x
 
 
-class Basis:
-    """Scaled monomial basis attached to a mesh's background cells."""
-
-    def __init__(self, mesh, degree):
-        if degree < 0:
-            raise ConfigurationError("degree must be >= 0")
-        self.mesh = mesh
-        self.degree = degree
-        self.exps = mode_exponents(degree)
-        self.n_modes = len(self.exps)
-        self.h = mesh.bg.h
-        self.centers = mesh.cell_centers
-
-    def center(self, cell_id):
-        return self.centers[cell_id]
-
-
 class Space:
-    """Mesh + basis with cached quadrature rules and mass factorizations.
+    """The scaled monomial basis on a mesh (exponents ``exps``, background
+    cell ``centers``, mesh size ``h``), its quadrature rules and masses.
 
     Cells that coincide with their background cell share one reference rule,
     one basis-value table and one mass factorization; cut cells get their
@@ -234,22 +219,21 @@ class Space:
     Every cell's quadrature points sit in one array ``quad_pts`` (weights
     ``quad_w``, owning cells ``quad_cells``): first the uncut cells, each
     with the reference rule's points, then the cut cells, both in ascending
-    cell order.  ``cell_pts[cid]`` (sliced on access) and ``cell_w[cid]``
-    are views into it, and a cut cell's ``cell_phi[cid]`` and
-    ``cell_grad[cid]`` are views into the cut cells' stacked tables.
-    The face rules are stacked arrays indexed by face id, ``face_pts``
-    (faces, npts, 2) and ``face_w`` (faces, npts); basis traces are
-    evaluated only for the faces a caller asks for (:meth:`face_traces`).
+    cell order; cell c's rule is its ``rule_size[c]`` rows from
+    ``rule_start[c]`` on (:meth:`cell_rules`).  Face rules and basis traces
+    are built for the faces a caller asks for (:meth:`face_rule`,
+    :meth:`face_traces`).
     """
 
     def __init__(self, mesh, degree):
+        if degree < 0:
+            raise ConfigurationError("degree must be >= 0")
         self.mesh = mesh
-        self.basis = Basis(mesh, degree)
         self.degree = degree
-        self.n_modes = self.basis.n_modes
-        h = mesh.bg.h
-        exps = self.basis.exps
-        centers = self.basis.centers
+        self.exps = exps = mode_exponents(degree)
+        self.n_modes = len(exps)
+        self.h = h = mesh.bg.h
+        self.centers = centers = mesh.cell_centers
         quad_degree = 2 * degree + 2
         self.face_npts = degree + 2
 
@@ -277,7 +261,10 @@ class Space:
         self._n_uncut_pts = n_uncut = len(uncut_ids) * nq
         cut_nv = nv[cut_ids]
         bounds = n_uncut + np.concatenate([[0], np.cumsum(cut_nv * nq_tri)])
-        self._cut_starts = bounds[:-1] - n_uncut
+        self.rule_start = np.empty(ncells, dtype=np.int64)
+        self.rule_start[uncut_ids] = np.arange(len(uncut_ids)) * nq
+        self.rule_start[cut_ids] = bounds[:-1]
+        self.rule_size = np.where(self.uncut, nq, nv * nq_tri)
         self.quad_pts = np.empty((bounds[-1], 2))
         self.quad_w = np.empty(bounds[-1])
         self.quad_cells = np.concatenate(
@@ -293,7 +280,7 @@ class Space:
         groups = []   # (cut-cell positions, their point rows (cells, n nq_tri))
         for n in np.unique(cut_nv).tolist():
             g = np.flatnonzero(cut_nv == n)
-            rows = self._cut_starts[g][:, None] + np.arange(n * nq_tri)
+            rows = bounds[g][:, None] - n_uncut + np.arange(n * nq_tri)
             groups.append((g, rows))
             poly = mesh.cell_vertices[mesh.cell_offsets[cut_ids[g]][:, None] + np.arange(n)]
             c = poly.mean(axis=1)[:, None, :]
@@ -302,7 +289,7 @@ class Space:
             mapped = c[:, :, None] + tri_pts[:, :1] * a[:, :, None] + tri_pts[:, 1:] * b[:, :, None]
             cut_pts[rows] = mapped.reshape(len(g), -1, 2)
             cut_w[rows] = (tri_w * jac[..., None]).reshape(len(g), -1)
-        self._cut_phi, cut_grad = monomial_tables(exps, centers[self.quad_cells[n_uncut:]], h, cut_pts)
+        self._cut_phi, self._cut_grad = monomial_tables(exps, centers[self.quad_cells[n_uncut:]], h, cut_pts)
         self.mass = np.empty((ncells, self.n_modes, self.n_modes))
         self.mass[uncut_ids] = ref_mass
         self.mode_integral = np.empty((ncells, self.n_modes))
@@ -315,36 +302,40 @@ class Space:
         self._cut_mass = self.mass[cut_ids]
         self._cut_factors = None
 
-        # per-cell views: the shared reference tables for uncut cells
-        start = np.empty(ncells, dtype=np.int64)
-        start[uncut_ids], start[cut_ids] = np.arange(len(uncut_ids)) * nq, bounds[:-1]
-        stop = start + np.where(self.uncut, nq, nv * nq_tri)
-        quad_pts = self.quad_pts   # a closure over self would put it in a reference cycle
-        self.cell_pts = _Records(ncells, lambda cid: quad_pts[start[cid]:stop[cid]])
-        self.cell_w = [self._ref_w] * ncells
-        self.cell_phi = [self._ref_phi] * ncells
-        self.cell_grad = [self._ref_grad] * ncells
-        for cid, lo, hi in zip(cut_ids.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-            self.cell_w[cid] = self.quad_w[lo:hi]
-            self.cell_phi[cid] = self._cut_phi[lo - n_uncut:hi - n_uncut]
-            self.cell_grad[cid] = cut_grad[lo - n_uncut:hi - n_uncut]
+    def cell_rules(self, cids):
+        """(points, weights, basis values, basis gradients) of cells ``cids``
+        of one rule size, stacked: (C, n, 2), (C, n), (C, n, n_modes) and
+        (C, n, n_modes, 2).
 
-        # face rules, all faces at once
+        Uncut cells broadcast the shared reference tables (read-only views);
+        cut cells' are gathered from the cut cells' tables."""
+        cids = np.asarray(cids, dtype=np.int64)
+        rows = self.rule_start[cids][:, None] + np.arange(self.rule_size[cids[0]])
+        pts = self.quad_pts[rows]
+        if self.uncut[cids[0]]:   # nq points; a cut cell's rule has 3 nq or more
+            return (pts,) + tuple(np.broadcast_to(t, (len(cids),) + t.shape)
+                                  for t in (self._ref_w, self._ref_phi, self._ref_grad))
+        cut_rows = rows - self._n_uncut_pts
+        return pts, self.quad_w[rows], self._cut_phi[cut_rows], self._cut_grad[cut_rows]
+
+    def face_rule(self, fids):
+        """Gauss-Legendre points and weights of faces ``fids`` (any shape),
+        (..., face_npts, 2) and (..., face_npts): the rule of
+        :func:`face_quadrature` on each face."""
         x, w = _gauss_1d(self.face_npts)
         t = 0.5 * (x + 1.0)
-        p, q = mesh.face_p, mesh.face_q
-        span = q - p
-        self.face_pts = p[:, None, :] + t[None, :, None] * span[:, None, :]
-        self.face_w = (0.5 * w)[None, :] * np.hypot(span[:, 0], span[:, 1])[:, None]
+        p = self.mesh.face_p[fids]
+        span = self.mesh.face_q[fids] - p
+        pts = p[..., None, :] + t[:, None] * span[..., None, :]
+        return pts, (0.5 * w) * np.hypot(span[..., 0], span[..., 1])[..., None]
 
     def face_traces(self, fids):
         """Left and right cells' basis values at the points of faces ``fids``,
         each (faces, npts, n_modes); the right trace is zero on walls."""
-        pts, right = self.face_pts[fids], self.mesh.face_right[fids]
+        pts, right = self.face_rule(fids)[0], self.mesh.face_right[fids]
         cells = np.concatenate([self.mesh.face_left[fids], np.maximum(right, 0)])
-        centers = np.repeat(self.basis.centers[cells], pts.shape[1], axis=0)
-        vals = monomial_values(self.basis.exps, centers, self.basis.h,
-                               np.concatenate([pts, pts]).reshape(-1, 2))
+        centers = np.repeat(self.centers[cells], pts.shape[1], axis=0)
+        vals = monomial_values(self.exps, centers, self.h, np.concatenate([pts, pts]).reshape(-1, 2))
         phi_left, phi_right = vals.reshape((2,) + pts.shape[:2] + (self.n_modes,))
         phi_right[right < 0] = 0.0
         return phi_left, phi_right
@@ -414,9 +405,8 @@ class Space:
         rhs[self.uncut] = (self._ref_phi.T * self._ref_w) @ uncut_vals
         if len(self.cut_ids):
             wv = self.quad_w[n_uncut:, None] * vals[n_uncut:]
-            rhs[self.cut_ids] = np.add.reduceat(
-                self._cut_phi[:, :, None] * wv[:, None, :], self._cut_starts, axis=0
-            )
+            starts = self.rule_start[self.cut_ids] - n_uncut
+            rhs[self.cut_ids] = np.add.reduceat(self._cut_phi[:, :, None] * wv[:, None, :], starts, axis=0)
         return DGFunction(self.mass_solve(rhs), self.degree)
 
     def l2_norm(self, u):

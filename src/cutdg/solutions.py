@@ -73,10 +73,10 @@ class PolynomialField:
         """
         if self.degree > space.degree:
             raise ConfigurationError("polynomial degree exceeds the discrete space")
-        exps = space.basis.exps
+        exps = space.exps
         lifted = np.zeros((len(exps), self.m))
         lifted[: len(self.coeffs)] = self.coeffs
-        S = _shift_matrices(exps, space.basis.centers, space.basis.h)
+        S = _shift_matrices(exps, space.centers, space.h)
         return DGFunction(S.transpose(0, 2, 1) @ lifted, space.degree)
 
 

@@ -240,7 +240,7 @@ def source_tables(space, cell_ids, sources, wall=-1, n=None):
     on the wall line, which the vector part of :func:`vector_parts` turns
     into the reflected velocity.
     """
-    mesh, basis = space.mesh, space.basis
+    mesh = space.mesh
     sources = np.asarray(sources)
     B, S = sources.shape
     n = S if n is None else n
@@ -252,9 +252,10 @@ def source_tables(space, cell_ids, sources, wall=-1, n=None):
     fids = _cell_faces(mesh, cell_ids)
     K = fids.shape[1]
     nq = space.face_npts
-    cell_pts = np.stack([space.cell_pts[cid] for cid in cell_ids])
+    cell_pts, cell_w, _, _ = space.cell_rules(cell_ids)
+    face_pts, face_w = space.face_rule(fids)
     nc = cell_pts.shape[1]
-    pts = np.concatenate([space.face_pts[fids].reshape(B, K * nq, 2), cell_pts], axis=1)
+    pts = np.concatenate([face_pts.reshape(B, K * nq, 2), cell_pts], axis=1)
     at = np.repeat(pts[:, None], S, axis=1)
     wall_normal = None
     if wall >= 0:
@@ -265,10 +266,10 @@ def source_tables(space, cell_ids, sources, wall=-1, n=None):
         offset = offset[:, None, None, None]
         at[:, n:] -= ((at[:, n:] * normal).sum(axis=-1, keepdims=True) - offset) * normal
     P = at.shape[2]
-    centers = np.repeat(basis.centers[sources], P, axis=1).reshape(-1, 2)
-    k = basis.n_modes
+    centers = np.repeat(space.centers[sources], P, axis=1).reshape(-1, 2)
+    k = space.n_modes
     at_cells = np.arange(B * S * P) % P >= P - nc   # the cell points, for the gradients
-    phi, grad = monomial_tables(basis.exps, centers, basis.h, at.reshape(-1, 2), at_cells)
+    phi, grad = monomial_tables(space.exps, centers, space.h, at.reshape(-1, 2), at_cells)
     phi = phi.reshape(B, S, -1, k)
     grad = grad.reshape(B, S, nc, k, 2)
     if wall >= 0:
@@ -281,11 +282,11 @@ def source_tables(space, cell_ids, sources, wall=-1, n=None):
         return np.swapaxes(T, -1, -2).reshape(T.shape[:-3] + (-1, T.shape[-2]))
 
     faces_phi = np.moveaxis(phi[:, :, :K * nq].reshape(B, S, K, nq, k), 2, 1)
-    wphi = space.face_w[fids][:, :, None, :, None] * faces_phi
+    wphi = face_w[:, :, None, :, None] * faces_phi
     face_gram = rows(faces_phi) @ np.swapaxes(rows(wphi), -1, -2)
     cell_phi = phi[:, :, K * nq:]
     grads = np.moveaxis(grad, -1, 1)
-    wphi = np.stack([space.cell_w[cid] for cid in cell_ids])[:, None, :, None] * cell_phi
+    wphi = cell_w[:, None, :, None] * cell_phi
     cell_gram = rows(grads) @ np.swapaxes(rows(wphi), -1, -2)[:, None]
     outward = mesh.face_normal[fids] * np.where(
         mesh.face_left[fids] == np.asarray(cell_ids)[:, None], 1.0, -1.0
@@ -444,7 +445,7 @@ class _Penalty:
         self.plan, self.space = plan, plan.space
         batches = {}
         for cid, layout in zip(small, self._layouts(self.space.mesh, small)):
-            key = layout[2], len(self.space.cell_w[cid])
+            key = layout[2], int(self.space.rule_size[cid])
             batches.setdefault(key, []).append((cid,) + layout[:2])
         R = self.space.n_modes * plan.spec.m
         self.groups = []
@@ -547,7 +548,7 @@ def _upstream_matrices(plan, cell_ids, sources, pattern):
 
     fids = _cell_faces(space.mesh, cell_ids)
     wall = bn * (np.array(plain) < 0)
-    integrals = np.einsum("bk,bkq,bksqj->bsj", wall, space.face_w[fids], tables.face_phi)
+    integrals = np.einsum("bk,bkq,bksqj->bsj", wall, space.face_rule(fids)[1], tables.face_phi)
     return (contract(tables.face_gram, face_w), contract(tables.cell_gram, cell_w),
             defect[:, None] * integrals)
 

@@ -37,8 +37,7 @@ def face_kinds(mesh, fids):
 def evaluate(space, u, cell_id, pts):
     """Cell ``cell_id``'s polynomial block of ``u`` at ``pts``, one point (2,)
     or several (n, 2), in closed form."""
-    basis = space.basis
-    vals = monomial_values(basis.exps, basis.center(cell_id), basis.h, pts) @ u.coeffs[cell_id]
+    vals = monomial_values(space.exps, space.centers[cell_id], space.h, pts) @ u.coeffs[cell_id]
     return vals[0] if np.ndim(pts) == 1 else vals
 
 

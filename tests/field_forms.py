@@ -95,7 +95,7 @@ def extend(u, space, cell_id):
     if not 0 <= cell_id < space.mesh.num_cells:
         raise CutDGError(f"unknown cell id {cell_id}")
     return CellPolyField(
-        u.coeffs[cell_id], space.basis.center(cell_id), space.basis.h, space.basis.exps
+        u.coeffs[cell_id], space.centers[cell_id], space.h, space.exps
     )
 
 
@@ -178,10 +178,9 @@ class CellForms:
         for fid in self.cell.face_ids:
             n_out = space.mesh.outward_normal(cell_id, fid)
             self.face_data.append(
-                (space.face_pts[fid], space.face_w[fid], n_out, spec.A_n(n_out))
+                space.face_rule(fid) + (n_out, spec.A_n(n_out))
             )
-        self.cell_pts = space.cell_pts[cell_id]
-        self.cell_w = space.cell_w[cell_id]
+        self.cell_pts, self.cell_w = (table[0] for table in space.cell_rules([cell_id])[:2])
         self.kappa = kappa(self.K) if self.K > 1 else 0.0
 
     def face_functional(self, k, U, V, W):

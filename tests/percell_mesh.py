@@ -267,21 +267,21 @@ def build_mesh(bg, geometry):
     return SimpleNamespace(cells=cells, faces=faces, cell_ij=cell_ij, cell_grid=cell_grid)
 
 
-def mass_matrix(cell, basis):
+def mass_matrix(cell, space):
     """Gram matrix of the scaled monomials over the cut cell (per component)."""
-    pts, w = polygon_quadrature(cell.polygon, 2 * basis.degree + 2)
-    phi = monomial_values(basis.exps, basis.center(cell.id), basis.h, pts)
+    pts, w = polygon_quadrature(cell.polygon, 2 * space.degree + 2)
+    phi = monomial_values(space.exps, space.centers[cell.id], space.h, pts)
     mat = phi.T @ (w[:, None] * phi)
     return 0.5 * (mat + mat.T)
 
 
-def cut_cell_tables(cell, basis):
+def cut_cell_tables(cell, space):
     """One cut cell's fan rule and tables, as ``Space`` built them cell by
     cell: (points, weights, values, gradients, mass, mode integrals)."""
-    pts, w = polygon_quadrature(cell.polygon, 2 * basis.degree + 2)
-    center = basis.center(cell.id)
-    phi = monomial_values(basis.exps, center, basis.h, pts)
-    grad = monomial_gradients(basis.exps, center, basis.h, pts)
+    pts, w = polygon_quadrature(cell.polygon, 2 * space.degree + 2)
+    center = space.centers[cell.id]
+    phi = monomial_values(space.exps, center, space.h, pts)
+    grad = monomial_gradients(space.exps, center, space.h, pts)
     mat = phi.T @ (w[:, None] * phi)
     return pts, w, phi, grad, 0.5 * (mat + mat.T), w @ phi
 

@@ -54,7 +54,7 @@ def face_terms(plan, fid, u, central=True, dissipative=True):
     space = plan.space
     spec = plan.spec
     left, right = int(space.mesh.face_left[fid]), int(space.mesh.face_right[fid])
-    w = space.face_w[fid]
+    w = space.face_rule(fid)[1]
     (phiL,), (phiR,) = space.face_traces([fid])
     uL = phiL @ u.coeffs[left]
     n = space.mesh.face_normal[fid]
@@ -97,9 +97,9 @@ def volume_terms(plan, cid, u):
     """Volume contribution of one cell, -int f(u) . grad w: [(cell_id, block)]."""
     space = plan.space
     spec = plan.spec
-    w = space.cell_w[cid][:, None]
-    grad = space.cell_grad[cid]
-    vals = space.cell_phi[cid] @ u.coeffs[cid]
+    _, w, phi, grad = (table[0] for table in space.cell_rules([cid]))
+    w = w[:, None]
+    vals = phi @ u.coeffs[cid]
     f1 = vals @ spec.A1.T
     f2 = vals @ spec.A2.T
     return [(cid, -(grad[:, :, 0].T @ (w * f1) + grad[:, :, 1].T @ (w * f2)))]

@@ -52,7 +52,6 @@ class _WaveCellContext:
 
     def __init__(self, space, spec, cell_id):
         mesh = space.mesh
-        basis = space.basis
         self.space = space
         self.spec = spec
         self.cell_id = cell_id
@@ -69,13 +68,13 @@ class _WaveCellContext:
         for fid in self.face_ids:
             self.boundary.append(mesh.face_right[fid] < 0)
             self.nb.append(mesh.neighbor(cell_id, fid))
-            self.face_pts.append(space.face_pts[fid])
-            self.face_w.append(space.face_w[fid])
+            pts, w = space.face_rule(fid)
+            self.face_pts.append(pts)
+            self.face_w.append(w)
             n_out = mesh.outward_normal(cell_id, fid)
             self.An_out.append(spec.A_n(n_out))
             self.s_out.append(spec.dissipation(n_out))
-        self.cell_pts = space.cell_pts[cell_id]
-        self.cell_w = space.cell_w[cell_id]
+        self.cell_pts, self.cell_w = (table[0] for table in space.cell_rules([cell_id])[:2])
         self.cells = sorted({cell_id} | {nb for nb in self.nb if nb is not None})
         if sum(self.boundary) >= 2:
             walls = [self.face_ids[k] for k in range(self.K) if self.boundary[k]]
@@ -93,8 +92,8 @@ class _WaveCellContext:
                 if self.boundary[j]:
                     combos.add((self.nb[i], j))
 
-        h = basis.h
-        exps = basis.exps
+        h = space.h
+        exps = space.exps
         locations = self.face_pts + [self.cell_pts]
 
         def foot(pts, k):
@@ -106,7 +105,7 @@ class _WaveCellContext:
         self.phi = {}        # (loc, C) -> (nq, n_modes)
         self.phi_perp = {}   # (loc, C, k) -> values at mirrored points
         for C in self.cells:
-            center = basis.center(C)
+            center = space.centers[C]
             for loc, pts in enumerate(locations):
                 self.phi[(loc, C)] = monomial_values(exps, center, h, pts)
             for (Cc, k) in combos:
@@ -119,11 +118,11 @@ class _WaveCellContext:
         self.grad = {}
         self.grad_perp = {}
         for C in self.cells:
-            center = basis.center(C)
+            center = space.centers[C]
             self.grad[C] = monomial_gradients(exps, center, h, self.cell_pts)
         for (C, k) in combos:
             self.grad_perp[(C, k)] = monomial_gradients(
-                exps, basis.center(C), h, foot(self.cell_pts, k)
+                exps, space.centers[C], h, foot(self.cell_pts, k)
             )
 
         # test tensors per source spec: ('plain', C) or ('mirror', C, k)
@@ -261,7 +260,7 @@ class _WaveCellContext:
 class _AdvectionCellContext:
     def __init__(self, space, spec, cell_id):
         mesh = space.mesh
-        basis = space.basis
+        exps, centers, h = space.exps, space.centers, space.h
         self.cell_id = cell_id
         cell = mesh.cells[cell_id]
         beta = spec.beta
@@ -281,25 +280,22 @@ class _AdvectionCellContext:
             n_out = mesh.outward_normal(cell_id, fid)
             bn_plus = max(float(beta @ n_out), 0.0)
             nb = mesh.neighbor(cell_id, fid)
-            pts = space.face_pts[fid]
+            pts, w = space.face_rule(fid)
             phi_nb = None
             if nb is not None:
-                phi_nb = monomial_values(basis.exps, basis.center(nb), basis.h, pts)
+                phi_nb = monomial_values(exps, centers[nb], h, pts)
             self.faces.append({
-                "w": space.face_w[fid],
+                "w": w,
                 "bn_plus": bn_plus,
                 "nb": nb,
-                "phi_E": monomial_values(basis.exps, basis.center(cell_id), basis.h, pts),
-                "phi_up": monomial_values(basis.exps, basis.center(self.upstream), basis.h, pts),
+                "phi_E": monomial_values(exps, centers[cell_id], h, pts),
+                "phi_up": monomial_values(exps, centers[self.upstream], h, pts),
                 "phi_nb": phi_nb,
                 "boundary": nb is None,
             })
-        pts = space.cell_pts[cell_id]
-        self.cell_w = space.cell_w[cell_id]
-        self.phi_E = space.cell_phi[cell_id]
-        self.phi_up = monomial_values(basis.exps, basis.center(self.upstream), basis.h, pts)
-        gE = space.cell_grad[cell_id]
-        gU = monomial_gradients(basis.exps, basis.center(self.upstream), basis.h, pts)
+        pts, self.cell_w, self.phi_E, gE = (table[0] for table in space.cell_rules([cell_id]))
+        self.phi_up = monomial_values(exps, centers[self.upstream], h, pts)
+        gU = monomial_gradients(exps, centers[self.upstream], h, pts)
         self.bgrad_E = gE[:, :, 0] * beta[0] + gE[:, :, 1] * beta[1]
         self.bgrad_up = gU[:, :, 0] * beta[0] + gU[:, :, 1] * beta[1]
         self.cells = sorted(

@@ -98,7 +98,8 @@ def test_criterion_4_extension_gluing():
             umax = max(abs(fld.coeffs).max(), 1e-300)
             for cid in ctx.small:
                 fids = ctx.mesh.cell_faces(cid)
-                pts = np.vstack([space.face_pts[fids].reshape(-1, 2), space.cell_pts[cid]])
+                pts = np.vstack([space.face_rule(fids)[0].reshape(-1, 2),
+                                 space.cell_rules([cid])[0][0]])
                 _, _, values, _ = source_values(space, cid, u.coeffs)
                 worst_glue = max(worst_glue, np.abs(values - fld(pts)).max() / umax)
     # mirror involution, and the mirrored sources' trace on the wall

@@ -66,7 +66,6 @@ def test_steady_polynomial_residual_is_boundary_only(degree):
     res = unfolded_residual(plan, u.coeffs)
 
     expected = np.zeros_like(res)
-    basis = space.basis
     for fid in np.flatnonzero(mesh.face_right < 0).tolist():
         coef = max(-float(beta @ mesh.face_normal[fid]), 0.0)   # (beta.n)^+ - beta.n on the wall
         if coef == 0.0:
@@ -74,7 +73,7 @@ def test_steady_polynomial_residual_is_boundary_only(degree):
         pts, w = face_quadrature(mesh.face_p[fid], mesh.face_q[fid], space.face_npts + 2)
         vals = fld(pts)[:, 0]
         left = mesh.face_left[fid]
-        phi = monomial_values(basis.exps, basis.center(left), basis.h, pts)
+        phi = monomial_values(space.exps, space.centers[left], space.h, pts)
         expected[left, :, 0] += coef * (phi.T @ (w * vals))
     scale = np.abs(res).max()
     assert np.allclose(res, expected, atol=1e-11 * max(scale, 1.0))
@@ -197,9 +196,9 @@ def _oracle(ctx, u):
         for cid, block in face_terms(ctx.plan, fid, u):
             res[cid] += block
     for cid in range(ctx.mesh.num_cells):
-        vals = space.cell_phi[cid] @ u.coeffs[cid]
-        w = space.cell_w[cid][:, None]
-        grad = space.cell_grad[cid]
+        _, w, phi, grad = (table[0] for table in space.cell_rules([cid]))
+        vals = phi @ u.coeffs[cid]
+        w = w[:, None]
         res[cid] -= grad[:, :, 0].T @ (w * (vals @ spec.A1.T))
         res[cid] -= grad[:, :, 1].T @ (w * (vals @ spec.A2.T))
     if ctx.stab is not None:
@@ -322,8 +321,8 @@ def _percell_volume_matrices(space, spec, cids):
     :func:`volume_matrices` replaced, kept as its bit-for-bit reference."""
     gram = np.empty((len(cids), 2, space.n_modes, space.n_modes))
     for i, c in enumerate(cids):
-        wphi = space.cell_w[c][:, None] * space.cell_phi[c]
-        gram[i] = np.moveaxis(space.cell_grad[c], -1, 0).swapaxes(-1, -2) @ wphi
+        _, w, phi, grad = (table[0] for table in space.cell_rules([c]))
+        gram[i] = np.moveaxis(grad, -1, 0).swapaxes(-1, -2) @ (w[:, None] * phi)
     blocks = -(gram[:, 0, :, None, :, None] * spec.A1[:, None, :]
                + gram[:, 1, :, None, :, None] * spec.A2[:, None, :])
     n = space.n_modes * spec.m

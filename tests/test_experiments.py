@@ -226,6 +226,26 @@ def test_evolve_conservation_identity():
     assert resid <= 1e-10 * abs(rep.mass_change)
 
 
+def test_acoustic_evolve_measures_the_pressure_integral():
+    # every acoustic boundary is a reflecting wall, so no pressure flows out:
+    # the mass trace records the pressure integral itself
+    from cutdg.experiments import build_context, project_field
+    from cutdg.solutions import lookup_field
+
+    initial = "pressure-poly:0.3,1,-0.7"
+    cfg = ramp_config("acoustics", 1, 1e-2, t_final=0.05, initial=initial)
+    rep = run_evolve(cfg)
+    ctx = build_context(cfg)
+    mass0 = ctx.space.total_mass(project_field(ctx.space, lookup_field(initial, ctx.spec)))[0]
+    assert abs(mass0) > 0.05
+    assert rep.mass_trace[0] == mass0
+    assert rep.outflow_integral == 0.0
+    # on the uncut box the scheme conserves it to round-off
+    box = RunConfig(equation="acoustics", nx=16, ny=16, t_final=0.2, initial=initial).validate()
+    rep = run_evolve(box)
+    assert abs(rep.mass_change) <= 1e-14 * abs(rep.mass_trace[0])
+
+
 def test_mesh_info_output():
     cfg = ramp_config("acoustics", 1, 1e-2)
     info, dump = mesh_info(cfg)

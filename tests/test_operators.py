@@ -275,7 +275,8 @@ def test_gluing_of_global_polynomials_through_all_extensions():
         for cid in list(small)[:4]:
             cell = mesh.cells[cid]
             K = cell.num_faces
-            pts = np.vstack([space.cell_pts[cid]] + [space.face_pts[f] for f in cell.face_ids])
+            cell_pts = space.cell_rules([cid])[0][0]
+            pts = np.vstack([cell_pts] + [space.face_rule(f)[0] for f in cell.face_ids])
             exact = fld(pts)
             for i in range(K):
                 for j in range(i + 1, K):
@@ -283,8 +284,7 @@ def test_gluing_of_global_polynomials_through_all_extensions():
                         f = unified_extend(u, space, cid, i, j, source)
                         dev = np.abs(f.values(pts) - exact).max()
                         assert dev <= 1e-11 * umax
-            table_pts = np.vstack([space.face_pts[cell.face_ids].reshape(-1, 2),
-                                   space.cell_pts[cid]])
+            table_pts = np.vstack([space.face_rule(cell.face_ids)[0].reshape(-1, 2), cell_pts])
             _, _, values, _ = source_values(space, cid, u.coeffs)
             assert np.abs(values - fld(table_pts)).max() <= 1e-11 * umax
 
@@ -319,8 +319,8 @@ def test_source_tables_match_field_oracle(degree):
     mirrored = 0
     for cid in cells:
         fids = mesh.cells[cid].face_ids
-        pts = np.vstack([space.face_pts[fids].reshape(-1, 2), space.cell_pts[cid]])
-        cpts = space.cell_pts[cid]
+        cpts = space.cell_rules([cid])[0][0]
+        pts = np.vstack([space.face_rule(fids)[0].reshape(-1, 2), cpts])
         sources, n, values, grads = source_values(space, cid, u.coeffs)
         wall = [f for f in fids if mesh.face_right[f] < 0]
         for x, C in enumerate(sources):

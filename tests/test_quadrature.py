@@ -5,7 +5,6 @@ from conftest import evaluate, polygon_monomial_integral, ramp_mesh, uncut_mesh
 from percell_mesh import mass_matrix
 from cutdg.geometry import BackgroundMesh, Geometry, build_mesh
 from cutdg.quadrature import (
-    Basis,
     Space,
     face_quadrature,
     mode_exponents,
@@ -22,7 +21,7 @@ def test_negative_degree_is_a_configuration_error():
     from cutdg.errors import ConfigurationError
 
     with pytest.raises(ConfigurationError, match="degree must be >= 0"):
-        Basis(uncut_mesh(2, 2), -1)
+        Space(uncut_mesh(2, 2), -1)
 
 
 def test_mode_ordering():
@@ -135,17 +134,16 @@ def polygonal_segment_integral(p, q, k):
 
 def test_mass_r0_is_area():
     mesh = ramp_mesh(nx=4, ny=4)
-    basis = Basis(mesh, 0)
+    space = Space(mesh, 0)
     for cell in mesh.cells[:5]:
-        M = mass_matrix(cell, basis)
+        M = mass_matrix(cell, space)
         assert M.shape == (1, 1)
         assert abs(M[0, 0] - cell.area) < 1e-14
 
 
 def test_mass_r1_unit_cell_analytic():
     mesh = uncut_mesh(nx=1, ny=1)
-    basis = Basis(mesh, 1)
-    M = mass_matrix(mesh.cells[0], basis)
+    M = mass_matrix(mesh.cells[0], Space(mesh, 1))
     expected = np.diag([1.0, 1.0 / 12.0, 1.0 / 12.0])
     assert np.allclose(M, expected, atol=1e-15)
 
@@ -182,7 +180,7 @@ def test_project_constant():
     u = space.l2_project(lambda pts: np.ones((len(pts), 1)), 1)
     assert np.allclose(u.coeffs[:, 0, 0], 1.0, atol=1e-11)
     for cid in range(mesh.num_cells):
-        vals = space.cell_phi[cid] @ u.coeffs[cid]
+        vals = space.cell_rules([cid])[2][0] @ u.coeffs[cid]
         assert np.allclose(vals, 1.0, atol=1e-12)
 
 
@@ -223,7 +221,7 @@ def _eval_piecewise(space, u, pts):
     if pts is not space.quad_pts:
         raise AssertionError("unexpected evaluation points")
     cells = space.quad_cells
-    phi = monomial_values(space.basis.exps, space.basis.centers[cells], space.basis.h, pts)
+    phi = monomial_values(space.exps, space.centers[cells], space.h, pts)
     return np.einsum("qk,qkm->qm", phi, u.coeffs[cells])
 
 
@@ -267,9 +265,9 @@ def test_evaluate_matches_monomial_sum():
     cid = 3
     x = np.array([0.37, 0.81])
     center = mesh.cell_centers[cid]
-    exps = space.basis.exps
-    X = (x[0] - center[0]) / space.basis.h
-    Y = (x[1] - center[1]) / space.basis.h
+    exps = space.exps
+    X = (x[0] - center[0]) / space.h
+    Y = (x[1] - center[1]) / space.h
     direct = sum(
         u.coeffs[cid, k] * X ** exps[k, 0] * Y ** exps[k, 1] for k in range(len(exps))
     )
@@ -299,34 +297,47 @@ def _ramp_space(degree, alpha, nx=8):
 def test_stacked_tables_match_per_face_and_per_cell_rules(degree, alpha):
     space = _ramp_space(degree, alpha)
     mesh = space.mesh
-    exps, h = space.basis.exps, space.basis.h
+    exps, h = space.exps, space.h
 
     def values(cid, pts):
         return monomial_values(exps, mesh.cell_centers[cid], h, pts)
 
-    phi_left, phi_right = space.face_traces(np.arange(len(mesh.face_left)))
+    nfaces = len(mesh.face_left)
+    face_pts, face_w = space.face_rule(np.arange(nfaces))
+    phi_left, phi_right = space.face_traces(np.arange(nfaces))
     for fid, (left, right) in enumerate(zip(mesh.face_left.tolist(), mesh.face_right.tolist())):
         pts, w = face_quadrature(mesh.face_p[fid], mesh.face_q[fid], degree + 2)
-        assert np.array_equal(space.face_pts[fid], pts)
-        assert np.array_equal(space.face_w[fid], w)
+        for got in (space.face_rule(fid), (face_pts[fid], face_w[fid])):
+            assert np.array_equal(got[0], pts) and np.array_equal(got[1], w)
         assert np.array_equal(phi_left[fid], values(left, pts))
         if right >= 0:
             assert np.array_equal(phi_right[fid], values(right, pts))
         else:
             assert np.all(phi_right[fid] == 0.0)
+    # any shape of face ids: the rule of each
+    fids = np.arange(nfaces - nfaces % 2).reshape(-1, 2)
+    for got, whole in zip(space.face_rule(fids), (face_pts, face_w)):
+        assert np.array_equal(got, whole[fids])
     cut = [c for c in mesh.cells if not space.uncut[c.id]]
     assert cut
     for cell in cut:
         pts, w = polygon_quadrature(cell.polygon, 2 * degree + 2)
-        assert np.array_equal(space.cell_pts[cell.id], pts)
-        assert np.array_equal(space.cell_w[cell.id], w)
-        assert np.array_equal(space.cell_phi[cell.id], values(cell.id, pts))
         grad = monomial_gradients(exps, mesh.cell_centers[cell.id], h, pts)
-        assert np.array_equal(space.cell_grad[cell.id], grad)
+        rule = [table[0] for table in space.cell_rules([cell.id])]
+        for got, expected in zip(rule, (pts, w, values(cell.id, pts), grad)):
+            assert np.array_equal(got, expected)
     for cid in range(mesh.num_cells):
         owned = space.quad_cells == cid
-        assert np.array_equal(space.quad_pts[owned], space.cell_pts[cid])
-        assert np.array_equal(space.quad_w[owned], space.cell_w[cid])
+        pts, w, _, _ = space.cell_rules([cid])
+        assert space.rule_size[cid] == np.count_nonzero(owned)
+        assert np.array_equal(space.quad_pts[owned], pts[0])
+        assert np.array_equal(space.quad_w[owned], w[0])
+    # a group of one rule size stacks its cells' rules
+    for size in np.unique(space.rule_size).tolist():
+        cids = np.flatnonzero(space.rule_size == size)
+        for c, *stacked in zip(cids.tolist(), *space.cell_rules(cids)):
+            for got, expected in zip(stacked, space.cell_rules([c])):
+                assert np.array_equal(got, expected[0])
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
@@ -355,13 +366,35 @@ def test_setup_evaluates_few_face_traces(equation, degree, nx, monkeypatch):
         counted.append(len(fids))
         return traces(self, fids)
 
+    # and builds the rules of few distinct faces
+    ruled = []
+    rule = Space.face_rule
+
+    def recording(self, fids):
+        ruled.append(np.ravel(fids))
+        return rule(self, fids)
+
     monkeypatch.setattr(Space, "face_traces", counting)
+    monkeypatch.setattr(Space, "face_rule", recording)
     ctx = build_context(ramp_config(equation, degree, 1e-6 if equation == "acoustics" else 1e-2,
                                     nx=nx))
     make_rhs(ctx)
-    assert len(ctx.small) > 0 and counted
+    assert len(ctx.small) > 0 and counted and ruled
     assert sum(counted) <= 0.1 * len(ctx.mesh.face_left)
+    assert len(np.unique(np.concatenate(ruled))) <= 0.1 * len(ctx.mesh.face_left)
     assert not hasattr(ctx.space, "face_phi_left")
+
+
+@pytest.mark.parametrize("degree", [0, 2])
+def test_space_keeps_no_per_face_array(degree):
+    # face rules are built on request: no array of a built Space is indexed
+    # by face id
+    space = _ramp_space(degree, 1e-2)
+    nfaces = len(space.mesh.face_left)
+    assert nfaces not in (space.mesh.num_cells, len(space.quad_pts))
+    for name, value in vars(space).items():
+        if isinstance(value, np.ndarray):
+            assert value.ndim == 0 or len(value) != nfaces, name
 
 
 def _smooth_field(pts):
@@ -388,7 +421,8 @@ def test_batched_projection_and_error_match_per_cell_loop(degree):
     # per-cell loop oracle: each cell's normal equations, solved on their own
     ref = np.empty_like(u.coeffs)
     for cid in range(space.mesh.num_cells):
-        rhs = space.cell_phi[cid].T @ (space.cell_w[cid][:, None] * _smooth_field(space.cell_pts[cid]))
+        pts, w, phi, _ = (table[0] for table in space.cell_rules([cid]))
+        rhs = phi.T @ (w[:, None] * _smooth_field(pts))
         # the batched coefficients solve this cell's equations to round-off
         resid = space.mass[cid] @ u.coeffs[cid] - rhs
         assert np.abs(resid).max() <= 1e-13 * np.abs(rhs).max()
@@ -409,8 +443,9 @@ def test_batched_projection_and_error_match_per_cell_loop(degree):
     assert len(calls) == 1 and calls[0] is space.quad_pts
     total = 0.0
     for cid in range(space.mesh.num_cells):
-        d = space.cell_phi[cid] @ u.coeffs[cid] - other(space.cell_pts[cid])
-        total += float(space.cell_w[cid] @ np.sum(d * d, axis=1))
+        pts, w, phi, _ = (table[0] for table in space.cell_rules([cid]))
+        d = phi @ u.coeffs[cid] - other(pts)
+        total += float(w @ np.sum(d * d, axis=1))
     assert abs(err - np.sqrt(total)) <= 1e-13 * np.sqrt(total)
 
 
@@ -457,12 +492,14 @@ def test_batched_cut_cell_tables_match_percell_oracle_bitwise(degree, case):
 
     space = _wedge_space(degree) if case == "wedge" else _ramp_space(degree, float(case[5:]))
     assert len(space.cut_ids)
-    for cid in space.cut_ids.tolist():
-        pts, w, phi, grad, mass, integral = cut_cell_tables(space.mesh.cells[cid], space.basis)
-        for got, expected in ((space.cell_pts[cid], pts), (space.cell_w[cid], w),
-                              (space.cell_phi[cid], phi), (space.cell_grad[cid], grad),
-                              (space.mass[cid], mass), (space.mode_integral[cid], integral)):
-            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    sizes = space.rule_size[space.cut_ids]
+    for size in np.unique(sizes).tolist():
+        cids = space.cut_ids[sizes == size]
+        for cid, *rule in zip(cids.tolist(), *space.cell_rules(cids)):
+            expected = cut_cell_tables(space.mesh.cells[cid], space)
+            got = rule + [space.mass[cid], space.mode_integral[cid]]
+            for got, expected in zip(got, expected):
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
     counts = np.diff(space.mesh.cell_offsets)[space.cut_ids]
     if case == "wedge":
         assert set(counts.tolist()) >= {3, 4, 5}
