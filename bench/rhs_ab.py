@@ -30,6 +30,9 @@ the context and the folded operator once, then:
   also compared with the final state's norm summed in extended precision
   (``np.longdouble``) from the stacked mass matrices.
 
+Each side builds its operator with ``experiments.make_rhs``, the same
+object that ``op(u)`` and ``evolve`` apply.
+
 CPU time is ``time.process_time``.  BLAS threads are pinned to 1 before
 numpy is imported.  The summary printed at the end gives each side's
 median and the median over pairs of the change/parent ratio, with the
@@ -113,13 +116,14 @@ class Case:
         ex, st = tree.experiments, tree.stepping
         cfg, steps = case_config(tree, name)
         self.ctx = ctx = ex.build_context(cfg)
-        self.op = tree.dg.SemiDiscreteOperator(ctx.plan, ctx.stab)
-        self.u = np.random.default_rng(16).uniform(-1, 1, (ctx.mesh.num_cells,) + ctx.plan.shape)
+        shape = (ctx.mesh.num_cells, ctx.space.n_modes, ctx.spec.m)
+        self.u = np.random.default_rng(16).uniform(-1, 1, shape)
         self.u0 = ex.project_field(ctx.space, tree.solutions.lookup_field(cfg.initial, ctx.spec))
         dt = st.time_step(cfg.cfl, ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree)
         self.evolve_args = (dt, st.steps_to(cfg.t_final, dt) if steps is None else steps,
                             cfg.rk_order)
-        self.rhs = ex.make_rhs(ctx)
+        # the folded operator: both op(u) and evolve apply it
+        self.op = ex.make_rhs(ctx)
         self.evolve = st.evolve
         self.result = None
         self.dofs = ctx.space.dofs(ctx.spec.m)
@@ -133,7 +137,7 @@ class Case:
     def time_evolve(self):
         ctx = self.ctx
         t0 = time.process_time()
-        self.result = self.evolve(ctx.space, self.u0, self.rhs, *self.evolve_args)
+        self.result = self.evolve(ctx.space, self.u0, self.op, *self.evolve_args)
         return time.process_time() - t0, self.result.steps
 
 

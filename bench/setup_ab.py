@@ -17,9 +17,11 @@ compared but not timed.  Each case is set up phase by phase, as
 
 * ``mesh``: ``build_mesh`` and ``classify_small_cells``;
 * ``space``: ``Space(mesh, r)``;
-* ``plan``: ``AssemblyPlan(space, spec)``;
 * ``penalty``: ``eta_values`` and the DoD penalty constructor;
-* ``operator``: ``SemiDiscreteOperator(plan, stab)``;
+* ``operator``: B + S and K = -M^{-1} (B + S), ``dg.assemble(space, spec,
+  stab)`` and its ``folded(space)`` (on a parent tree that still has
+  ``AssemblyPlan``: ``AssemblyPlan(space, spec)`` and
+  ``SemiDiscreteOperator(plan, stab)``, see :func:`operators`);
 * ``projection``: ``project_field`` of the case's field (the ``stepping``
   workload's initial fields; a random global polynomial of the space's
   degree, which is written down exactly, on the ``consistency`` contexts).
@@ -29,11 +31,11 @@ first alternating from pair to pair; recorded is each phase's CPU time
 (``time.process_time``) per run.  Then every case, timed or not, is set up
 once more per side, and for every ``Space`` table (the cell rules, the
 basis values and gradients, the masses, the mode integrals, and the rules
-and traces of all faces), every plan block, the penalty's blocks
-(``stab.blocks()``, in their order) and its named matrices (cell by cell in
-ascending order, :func:`penalty_parts`), the folded operator (its blocks,
-their indices and, for advection, its outflow weights),
-``op(u)`` on one random state, the projected field and, for a polynomial
+and traces of all faces), the penalty's blocks (``stab.blocks()``, in their
+order) and its named matrices (cell by cell in ascending order,
+:func:`penalty_parts`), B + S and K (each one's stencil, its coupling and
+its ``matrix()``, blocks and indices), for advection the outflow weights,
+``K(u)`` on one random state, the projected field and, for a polynomial
 field, its values at the quadrature points, the record holds whether the
 two sides are equal (``np.array_equal``) and their largest difference
 relative to the parent's largest entry.  Last, the ``refine-advection``
@@ -50,6 +52,7 @@ import sys
 import time
 from pathlib import Path
 from statistics import median
+from types import SimpleNamespace
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -58,7 +61,7 @@ from rhs_ab import (  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-PHASES = ("mesh", "space", "plan", "penalty", "operator", "projection")
+PHASES = ("mesh", "space", "penalty", "operator", "projection")
 CONSISTENCY = ("consistency-advection", "consistency-acoustics")
 TIMED = STEPPING + ("fine-acoustics-nx128",) + CONSISTENCY
 RAMPS = tuple(f"ramp-{eq}-r{r}" for eq in ("advection", "acoustics") for r in range(4))
@@ -82,6 +85,50 @@ def case_inputs(tree, name):
     return cfg, ex.lookup_field(cfg.initial, cfg.system())
 
 
+def owner(tree, space, spec):
+    """The leading arguments of the penalty constructors and
+    ``dg.outflow_weights``: ``(space, spec)``, or on a tree with
+    ``dg.AssemblyPlan`` one object holding both, which is all that tree's
+    penalty and outflow weights read of the plan."""
+    if hasattr(tree.dg, "AssemblyPlan"):
+        return (SimpleNamespace(space=space, spec=spec, shape=(space.n_modes, spec.m)),)
+    return (space, spec)
+
+
+def operators(tree, space, spec, stab):
+    """(B + S, K) of one setup, each with its ``stencil``, ``coupling`` and
+    ``matrix()``.  B + S is returned as a function that builds it again for
+    the comparison: like ``make_rhs``, the operator phase keeps only K.
+
+    The adapter for a parent tree with ``dg.AssemblyPlan``: its operator
+    phase builds only the plan and ``SemiDiscreteOperator(plan, stab)``, as
+    that tree's ``make_rhs`` does.  B + S is the plan's stencil with its
+    blocks and the penalty's summed by ``block_matrix``, and both matrices
+    are expanded from the plan's stencil cells as that tree's tests did."""
+    dg = tree.dg
+    if not hasattr(dg, "AssemblyPlan"):
+        return (lambda: dg.assemble(space, spec, stab)), dg.assemble(space, spec, stab).folded(space)
+    plan = dg.AssemblyPlan(space, spec)
+    op = dg.SemiDiscreteOperator(plan, stab)
+    num_cells = space.mesh.num_cells
+
+    def expanded(stencil, coupling):
+        cells = plan.stencil_cells
+        rows = np.repeat(np.arange(num_cells), np.diff(coupling.indptr))
+        return dg.block_matrix([(np.repeat(cells[:, 0], cells.shape[1]), cells.ravel(),
+                                 np.tile(stencil, (len(cells), 1, 1))),
+                                (rows, coupling.indices, coupling.data)], num_cells)
+
+    def summed():
+        triplets = plan.blocks + ([] if stab is None else stab.blocks())
+        coupling = dg.block_matrix(triplets, num_cells)
+        return SimpleNamespace(stencil=plan.stencil, coupling=coupling,
+                               matrix=lambda: expanded(plan.stencil, coupling))
+
+    op.matrix = lambda: expanded(op.stencil, op.coupling)
+    return summed, op
+
+
 def setup(tree, cfg, fld, operator=True):
     """(CPU seconds per phase, the objects built) of one case's setup; the
     ``operator`` phase is left out when ``operator`` is false."""
@@ -94,19 +141,18 @@ def setup(tree, cfg, fld, operator=True):
     times["mesh"], t0 = clock() - t0, clock()
     space = ex.Space(mesh, cfg.degree)
     times["space"], t0 = clock() - t0, clock()
-    plan = ex.AssemblyPlan(space, spec)
-    times["plan"], t0 = clock() - t0, clock()
     eta = ex.eta_values(mesh, small, cfg.alpha0, cfg.eta_scale)
     penalty = ex.AdvectionStabilization if spec.kind == "advection" else ex.WaveStabilization
-    stab = penalty(plan, small, eta) if len(small) else None
+    stab = penalty(*owner(tree, space, spec), small, eta) if len(small) else None
     times["penalty"], t0 = clock() - t0, clock()
-    op = None
+    summed = op = None
     if operator:
-        op = ex.SemiDiscreteOperator(plan, stab)
+        summed, op = operators(tree, space, spec, stab)
         times["operator"], t0 = clock() - t0, clock()
     u0 = ex.project_field(space, fld)
     times["projection"] = clock() - t0
-    return times, {"space": space, "plan": plan, "stab": stab, "op": op, "u0": u0, "fld": fld}
+    return times, {"space": space, "spec": spec, "stab": stab, "summed": summed, "op": op,
+                   "u0": u0, "fld": fld}
 
 
 def penalty_parts(stab):
@@ -132,7 +178,7 @@ def rules(space):
 
 def tables(tree, built, rng):
     """Every array one setup on ``tree`` produced, by name."""
-    space, plan, stab, op = built["space"], built["plan"], built["stab"], built["op"]
+    space, spec, stab, op = built["space"], built["spec"], built["stab"], built["op"]
     cut_grad, face_pts, face_w = rules(space)
     out = {
         "space.quad_pts": space.quad_pts, "space.quad_w": space.quad_w,
@@ -140,18 +186,19 @@ def tables(tree, built, rng):
         "space.cut_phi": space._cut_phi, "space.cut_grad": cut_grad,
         "space.face_pts": face_pts, "space.face_w": face_w,
         "space.mass": space.mass, "space.mode_integral": space.mode_integral,
-        "space.face_traces": np.stack(space.face_traces(np.arange(len(space.mesh.face_left)))),
-        "plan.stencil": plan.stencil,
-        "plan.blocks": np.concatenate([b.reshape(-1) for _, _, b in plan.blocks]),
+        "space.face_traces": np.stack(space.face_traces(np.arange(len(space.mesh.face_left)))[:2]),
         "projection": built["u0"].coeffs,
     }
     if op is not None:
-        out.update({"op.stencil": op.stencil, "op.coupling": op.coupling.data,
-                    "op.coupling.indices": op.coupling.indices,
-                    "op.coupling.indptr": op.coupling.indptr,
-                    "op(u)": op(rng.uniform(-1, 1, (space.mesh.num_cells,) + plan.shape))})
-        if plan.spec.kind == "advection":
-            out["op.outflow_weights"] = tree.dg.outflow_weights(plan, stab)
+        for name, operator in (("B+S", built["summed"]()), ("K", op)):
+            out[f"{name}.stencil"] = operator.stencil
+            for key, value in (("coupling", operator.coupling), ("matrix", operator.matrix())):
+                for part in ("data", "indices", "indptr"):
+                    out[f"{name}.{key}.{part}"] = getattr(value, part)
+        shape = (space.mesh.num_cells, space.n_modes, spec.m)
+        out["K(u)"] = op(rng.uniform(-1, 1, shape))
+        if spec.kind == "advection":
+            out["outflow_weights"] = tree.dg.outflow_weights(*owner(tree, space, spec), stab)
     if stab is not None:
         rows, cols, blocks = (np.concatenate(part) for part in zip(*stab.blocks()))
         out.update({"penalty.rows": rows, "penalty.cols": cols, "penalty.blocks": blocks})
@@ -239,8 +286,8 @@ def main(argv=None):
         equal = sum(t["equal"] for t in rec["tables"].values())
         line = (f"{name:24s} tables equal {equal}/{len(rec['tables'])}, largest rel diff "
                 f"{worst[1]['max_rel_diff']:.1e} ({worst[0]})")
-        if "op(u)" in rec["tables"]:
-            line += f", op(u) {rec['tables']['op(u)']['max_rel_diff']:.1e}"
+        if "K(u)" in rec["tables"]:
+            line += f", K(u) {rec['tables']['K(u)']['max_rel_diff']:.1e}"
         if "total" in rec:
             med = rec["median_s"]
             line += f"; setup {setup_line(rec['total'])}; " + ", ".join(

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .dg import AssemblyPlan, SemiDiscreteOperator, outflow_weights
+from .dg import assemble, outflow_weights
 from .errors import ConfigurationError, IntegrationFailureError
 from .geometry import build_mesh, classify_small_cells, halfplane_from_line
 from .quadrature import (
@@ -88,29 +88,27 @@ class RunContext:
     spec: object
     mesh: object
     space: Space
-    plan: AssemblyPlan
     small: tuple   # stabilized cell ids
     eta: np.ndarray
     stab: object
 
 
 def build_context(cfg, nx=None, ny=None, stabilized=None):
-    """Mesh, discrete space, assembly plan and stabilization for one run."""
+    """Mesh, discrete space and stabilization for one run."""
     spec = cfg.system()
     mesh = build_mesh(cfg.background(nx, ny), cfg.geometry())
     use_stab = cfg.dod if stabilized is None else stabilized
     small = classify_small_cells(mesh, cfg.alpha0) if use_stab else ()
     space = Space(mesh, cfg.degree)
-    plan = AssemblyPlan(space, spec)
     eta = eta_values(mesh, small, cfg.alpha0, cfg.eta_scale)
     stab = None
     # the advection penalty checks its cells' inflow faces
     if len(small):
         if spec.kind == "advection":
-            stab = AdvectionStabilization(plan, small, eta)
+            stab = AdvectionStabilization(space, spec, small, eta)
         else:
-            stab = WaveStabilization(plan, small, eta)
-    return RunContext(cfg, spec, mesh, space, plan, small, eta, stab)
+            stab = WaveStabilization(space, spec, small, eta)
+    return RunContext(cfg, spec, mesh, space, small, eta, stab)
 
 
 def project_field(space, fld, t=0.0):
@@ -122,8 +120,8 @@ def project_field(space, fld, t=0.0):
 
 def make_rhs(ctx):
     """The right-hand side ``rhs(coeffs) = du/dt``: the semi-discrete
-    operator, assembled once."""
-    return SemiDiscreteOperator(ctx.plan, ctx.stab)
+    operator K = -M^{-1} (B + S), assembled once."""
+    return assemble(ctx.space, ctx.spec, ctx.stab).folded(ctx.space)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +497,7 @@ def run_evolve(cfg):
     u0 = project_field(ctx.space, fld)
     dt = time_step(cfg.cfl, ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree)
     result = evolve(ctx.space, u0, make_rhs(ctx), dt, steps_to(cfg.t_final, dt), cfg.rk_order,
-                    outflow_weights(ctx.plan, ctx.stab))
+                    outflow_weights(ctx.space, ctx.spec, ctx.stab))
     return EvolveReport(
         cfg.seed, result.steps, dt,
         result.l2_trace[-1],

@@ -331,14 +331,15 @@ class Space:
 
     def face_traces(self, fids):
         """Left and right cells' basis values at the points of faces ``fids``,
-        each (faces, npts, n_modes); the right trace is zero on walls."""
-        pts, right = self.face_rule(fids)[0], self.mesh.face_right[fids]
+        each (faces, npts, n_modes), and the weights (faces, npts) of the
+        rule they were evaluated on; the right trace is zero on walls."""
+        (pts, w), right = self.face_rule(fids), self.mesh.face_right[fids]
         cells = np.concatenate([self.mesh.face_left[fids], np.maximum(right, 0)])
         centers = np.repeat(self.centers[cells], pts.shape[1], axis=0)
         vals = monomial_values(self.exps, centers, self.h, np.concatenate([pts, pts]).reshape(-1, 2))
         phi_left, phi_right = vals.reshape((2,) + pts.shape[:2] + (self.n_modes,))
         phi_right[right < 0] = 0.0
-        return phi_left, phi_right
+        return phi_left, phi_right, w
 
     # ------------------------------------------------------------------
     def zeros(self, m):

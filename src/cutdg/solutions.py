@@ -167,15 +167,25 @@ class WindowedSineAdvect:
         return (w * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))[:, None]
 
 
-def _parse_poly_groups(text, m):
+def _parse_numbers(name, text):
+    """The finite numbers of a comma-separated list in field ``name``."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigurationError(f"field {name!r}: cannot parse {text.strip()!r}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError(f"field {name!r}: values must be finite")
+    return values
+
+
+def _parse_poly_groups(name, text, m):
     groups = text.split(";")
     if len(groups) > m:
         raise ConfigurationError(f"field has {len(groups)} components, system has {m}")
     comps = []
     length = 0
     for g in groups:
-        g = g.strip()
-        vec = [float(v) for v in g.split(",") if v.strip()] if g else []
+        vec = _parse_numbers(name, g)
         comps.append(np.array(vec))
         length = max(length, len(vec))
     while len(comps) < m:
@@ -195,11 +205,11 @@ def lookup_field(name, spec, bump_center=(0.32, 0.35), bump_radius=0.15):
     """Resolve a registry string to an evaluable field for the given system."""
     name = name.strip()
     if name.startswith("poly:"):
-        return _parse_poly_groups(name[len("poly:"):], spec.m)
+        return _parse_poly_groups(name, name[len("poly:"):], spec.m)
     if name.startswith("pressure-poly:"):
         if spec.kind != "acoustics":
             raise ConfigurationError("pressure-poly requires the acoustics system")
-        field = _parse_poly_groups(name[len("pressure-poly:"):], 1)
+        field = _parse_poly_groups(name, name[len("pressure-poly:"):], 1)
         return PolynomialField(
             [field.coeffs[:, 0], np.zeros(len(field.coeffs)), np.zeros(len(field.coeffs))],
             field.degree,
@@ -213,9 +223,12 @@ def lookup_field(name, spec, bump_center=(0.32, 0.35), bump_radius=0.15):
     if name == "bump-advect":
         return BumpAdvect(spec.beta, bump_center, bump_radius)
     if name.startswith("bump-advect:"):
-        try:
-            cx, cy, radius = (float(v) for v in name[len("bump-advect:"):].split(","))
-        except ValueError as exc:
-            raise ConfigurationError(f"cannot parse bump parameters in {name!r}") from exc
+        text = name[len("bump-advect:"):]
+        params = _parse_numbers(name, text)
+        if len(params) != 3 or text.count(",") != 2:
+            raise ConfigurationError(f"field {name!r}: expected center x, center y and radius")
+        cx, cy, radius = params
+        if radius <= 0.0:
+            raise ConfigurationError(f"field {name!r}: bump radius must be > 0")
         return BumpAdvect(spec.beta, (cx, cy), radius)
     raise ConfigurationError(f"unknown field {name!r}")

@@ -214,7 +214,8 @@ class SourceTables:
     source's basis values at the face points and the cell points, and
     ``cell_grad`` (B, S, nc, k, 2) its gradients at the cell points; a
     mirrored source's at the feet of the points on the wall line, with the
-    gradients' normal part dropped.  ``face_gram`` (B, K, S k, S k) pairs
+    gradients' normal part dropped, and ``face_w`` (B, K, nq) the face
+    rules' weights.  ``face_gram`` (B, K, S k, S k) pairs
     the values on each face, ``phi_x^T W_face phi_y``, and ``cell_gram``
     (B, 2, S k, S k) the gradients by direction with the values in the
     cell, ``(d_d phi_x)^T W_cell phi_y``; rows are (source, test mode),
@@ -224,6 +225,7 @@ class SourceTables:
     outward: np.ndarray       # (B, K, 2) the faces' outward unit normals
     wall_normal: np.ndarray   # (B, 2) the wall face's normal, None without a wall
     face_phi: np.ndarray
+    face_w: np.ndarray
     cell_phi: np.ndarray
     cell_grad: np.ndarray
     face_gram: np.ndarray
@@ -291,7 +293,8 @@ def source_tables(space, cell_ids, sources, wall=-1, n=None):
     outward = mesh.face_normal[fids] * np.where(
         mesh.face_left[fids] == np.asarray(cell_ids)[:, None], 1.0, -1.0
     )[..., None]
-    return SourceTables(outward, wall_normal, faces_phi, cell_phi, grad, face_gram, cell_gram)
+    return SourceTables(outward, wall_normal, faces_phi, face_w, cell_phi, grad, face_gram,
+                        cell_gram)
 
 
 def vector_parts(tables):
@@ -307,7 +310,7 @@ def vector_parts(tables):
     return parts
 
 
-def _pair_matrices(plan, cell_ids, sources, pattern):
+def _pair_matrices(space, spec, cell_ids, sources, pattern):
     """(b) The unscaled pair matrices (surface, volume, dissipative) of a
     batch of B cells with one pattern and one cell-rule size, each (B, n R,
     n R) over the cells' neighborhoods (n cells, R = 3 n_modes test modes
@@ -320,7 +323,6 @@ def _pair_matrices(plan, cell_ids, sources, pattern):
     Z = A_n, I or A_d, is the pair's block.  The table blocks are then
     added into their cells'.
     """
-    space, spec = plan.space, plan.spec
     weights, slot = _table_weights(pattern)
     B, S = sources.shape
     n = 1 + slot.max()
@@ -435,25 +437,25 @@ class _Penalty:
     """What both penalties share: the stabilized cells in ``groups``, one
     :class:`PenaltyGroup` per batch of one pattern and cell-rule size.
     Subclasses provide ``_layouts(mesh, cell_ids)``, which yields each
-    cell's (neighborhood, sources, pattern); ``_contract(plan, cell_ids,
-    sources, pattern)``, a batch's matrices named in ``_names``; and
+    cell's (neighborhood, sources, pattern); ``_contract(space, spec,
+    cell_ids, sources, pattern)``, a batch's matrices named in ``_names``; and
     ``_local(group)``.  A local matrix maps the neighborhood's coefficients,
     in the order of ``u.coeffs[cells].ravel()``, to the penalty's test
     modes."""
 
-    def __init__(self, plan, small, eta):
-        self.plan, self.space = plan, plan.space
+    def __init__(self, space, spec, small, eta):
+        self.space, self.spec = space, spec
         batches = {}
-        for cid, layout in zip(small, self._layouts(self.space.mesh, small)):
-            key = layout[2], int(self.space.rule_size[cid])
+        for cid, layout in zip(small, self._layouts(space.mesh, small)):
+            key = layout[2], int(space.rule_size[cid])
             batches.setdefault(key, []).append((cid,) + layout[:2])
-        R = self.space.n_modes * plan.spec.m
+        R = space.n_modes * spec.m
         self.groups = []
         for (pattern, _), members in batches.items():
             step = max(1, _BATCH_ENTRIES // (len(members[0][2]) * R) ** 2)
             for lo in range(0, len(members), step):
                 ids, cells, sources = (np.array(a) for a in zip(*members[lo:lo + step]))
-                parts = self._contract(plan, ids, sources, pattern)
+                parts = self._contract(space, spec, ids, sources, pattern)
                 group = PenaltyGroup(ids, eta[ids], cells, dict(zip(self._names, parts)))
                 group.local = self._local(group)
                 self.groups.append(group)
@@ -488,7 +490,7 @@ class WaveStabilization(_Penalty):
         return (_wave_layout(mesh, cid) for cid in cell_ids)
 
     def _local(self, group):
-        space, spec, mesh = self.space, self.plan.spec, self.space.mesh
+        space, spec, mesh = self.space, self.spec, self.space.mesh
         R = space.n_modes * spec.m
         # eta (surface + volume + dissipative) minus eta times each face's
         # matrix, in face order.  face_matrices builds the base form's too, so
@@ -515,7 +517,7 @@ class WaveStabilization(_Penalty):
 # ---------------------------------------------------------------------------
 
 
-def _upstream_matrices(plan, cell_ids, sources, pattern):
+def _upstream_matrices(space, spec, cell_ids, sources, pattern):
     """The unscaled ``outflow`` and ``volume`` matrices (B, S k, S k) and
     the ``boundary_outflow`` rows (B, S, k) of a batch of B cells with one
     pattern and one cell-rule size, over their S-cell neighborhoods.
@@ -531,7 +533,7 @@ def _upstream_matrices(plan, cell_ids, sources, pattern):
     """
     K, e, u, plain = pattern
     S = sources.shape[1]
-    space, beta, k = plan.space, plan.spec.beta, plan.space.n_modes
+    beta, k = spec.beta, space.n_modes
     tables = source_tables(space, cell_ids, sources)
     bn = np.maximum(tables.outward @ beta, 0.0)
     defect = np.zeros(S)
@@ -546,9 +548,8 @@ def _upstream_matrices(plan, cell_ids, sources, pattern):
         """sum_l w[l, x, y] gram[l, (x, i), (y, j)] per cell, w ([B,] L, S, S)."""
         return np.sum(w.repeat(k, axis=-2).repeat(k, axis=-1) * gram, axis=1)
 
-    fids = _cell_faces(space.mesh, cell_ids)
     wall = bn * (np.array(plain) < 0)
-    integrals = np.einsum("bk,bkq,bksqj->bsj", wall, space.face_rule(fids)[1], tables.face_phi)
+    integrals = np.einsum("bk,bkq,bksqj->bsj", wall, tables.face_w, tables.face_phi)
     return (contract(tables.face_gram, face_w), contract(tables.cell_gram, cell_w),
             defect[:, None] * integrals)
 
@@ -563,9 +564,9 @@ class AdvectionStabilization(_Penalty):
     _contract = staticmethod(_upstream_matrices)
 
     def _layouts(self, mesh, cell_ids):
-        if self.plan.spec.kind != "advection":
+        if self.spec.kind != "advection":
             raise ConfigurationError("advection stabilization requires an advection system")
-        for cid, up in zip(cell_ids, upstream_cells(mesh, cell_ids, self.plan.spec.beta).tolist()):
+        for cid, up in zip(cell_ids, upstream_cells(mesh, cell_ids, self.spec.beta).tolist()):
             nb, cells, plain = _neighborhood(mesh, cid)
             yield cells, cells, (len(nb), cells.index(cid), cells.index(up), plain)
 

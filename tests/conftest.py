@@ -61,12 +61,12 @@ def polygon_monomial_integral(poly, p, q):
     return float(total)
 
 
-def face_matrix_on(plan, fid, cells, central=True, dissipative=True):
+def face_matrix_on(space, spec, fid, cells, central=True, dissipative=True):
     """The base form's face matrix of face ``fid`` (``dg.face_matrices``) on
     the dofs of ``cells``, zero elsewhere."""
-    mesh = plan.space.mesh
-    km = plan.shape[0] * plan.shape[1]
-    A = face_matrices(plan.space, plan.spec, [fid], central, dissipative)[0]
+    mesh = space.mesh
+    km = space.n_modes * spec.m
+    A = face_matrices(space, spec, [fid], central, dissipative)[0]
     face_cells = [C for C in (mesh.face_left[fid], mesh.face_right[fid]) if C >= 0]
     idx = np.concatenate([cells.index(C) * km + np.arange(km) for C in face_cells])
     out = np.zeros((len(cells) * km, len(cells) * km))

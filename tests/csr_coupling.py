@@ -6,17 +6,15 @@ nonzero entries of local matrices into a CSR matrix, which is converted
 back into (k m, k m) BSR blocks, and each block row is solved with its
 cell's mass matrix.  Here the local matrices are those of every face and
 every cell, each built on its own (:func:`operator_entries`), plus the
-penalty's.  The tests compare the operator a plan applies, its stencil
-rows and its block-sparse part expanded into one matrix (:func:`expanded`),
-against :func:`folded_operator`, and the block sums it folds against
-:func:`csr_operator`.  :func:`unfolded_residual` applies those block sums,
-before the mass inverse is folded in.
+penalty's.  The tests compare ``cutdg.dg.assemble(...).matrix()``, B + S,
+against :func:`csr_operator`, and the matrix of its ``folded`` operator
+against :func:`folded_operator`.
 """
 
 import numpy as np
 from scipy import sparse
 
-from cutdg.dg import block_matrix, face_matrices, volume_matrices
+from cutdg.dg import face_matrices, volume_matrices
 
 
 def block_csr(entries, num_cells, shape):
@@ -42,11 +40,10 @@ def block_csr(entries, num_cells, shape):
     )
 
 
-def operator_entries(plan):
+def operator_entries(space, spec):
     """The whole base form as (cells, A) pairs, with no grouping: every
     cell's volume term, then every internal face, then every wall, each
     through :func:`volume_matrices` or :func:`face_matrices` of its own."""
-    space, spec = plan.space, plan.spec
     mesh = space.mesh
     internal = mesh.face_right >= 0
     cells = np.column_stack([mesh.face_left, mesh.face_right])
@@ -60,56 +57,33 @@ def operator_entries(plan):
     return entries
 
 
-def csr_operator(plan, stab=None, magnitude=None):
+def csr_operator(space, spec, stab=None, magnitude=None):
     """B + S as a BSR matrix of (k m, k m) blocks, by way of CSR, with
     each block row's blocks in column order.
 
     ``magnitude`` (e.g. ``np.abs``) is applied to every local matrix
     before summing, which gives the size of each entry's terms."""
-    num_cells = plan.space.mesh.num_cells
-    km = plan.shape[0] * plan.shape[1]
-    entries = operator_entries(plan)
+    num_cells = space.mesh.num_cells
+    shape = (space.n_modes, spec.m)
+    km = shape[0] * shape[1]
+    entries = operator_entries(space, spec)
     if stab is not None:
         entries += [(g.cells, g.local) for g in stab.groups]
     if magnitude is not None:
         entries = [(cells, magnitude(A)) for cells, A in entries]
     # the conversion leaves a block row's blocks in the order their entries first appear
-    operator = block_csr(entries, num_cells, plan.shape).tobsr(blocksize=(km, km))
+    operator = block_csr(entries, num_cells, shape).tobsr(blocksize=(km, km))
     operator.sort_indices()
     return operator
 
 
-def folded_operator(plan, stab=None):
+def folded_operator(space, spec, stab=None):
     """-M^{-1} (B + S): each block row of :func:`csr_operator` solved
     with its cell's mass matrix."""
-    space = plan.space
-    k, m = plan.shape
-    operator = csr_operator(plan, stab)
+    k, m = space.n_modes, spec.m
+    operator = csr_operator(space, spec, stab)
     block_rows = np.repeat(np.arange(space.mesh.num_cells), np.diff(operator.indptr))
     rhs = operator.data.reshape(len(block_rows), k, m * k * m)
     data = -space.mass_solve(rhs, block_rows).reshape(operator.data.shape)
     space.cut_mass_factors()
     return sparse.bsr_matrix((data, operator.indices, operator.indptr), shape=operator.shape)
-
-
-def expanded(plan, stencil, coupling):
-    """The operator a plan applies with ``stencil`` and ``coupling``, as one
-    BSR matrix: each stencil cell's d blocks (one per column of
-    ``plan.stencil_cells``) plus the coupling's."""
-    cells = plan.stencil_cells
-    num_cells = plan.space.mesh.num_cells
-    km = stencil.shape[-1]
-    rows = np.repeat(np.arange(num_cells), np.diff(coupling.indptr))
-    coupling_blocks = coupling.data.reshape(-1, km, km)
-    return block_matrix([(np.repeat(cells[:, 0], cells.shape[1]), cells.ravel(),
-                          np.tile(stencil, (len(cells), 1, 1))),
-                         (rows, coupling.indices, coupling_blocks)], num_cells)
-
-
-def unfolded_residual(plan, coeffs, stab=None):
-    """(B + S) applied to ``coeffs``: the plan's stencil rows and its blocks,
-    plus the penalty's if ``stab`` is given, expanded into one matrix."""
-    num_cells = plan.space.mesh.num_cells
-    triplets = plan.blocks + ([] if stab is None else stab.blocks())
-    B = expanded(plan, plan.stencil, block_matrix(triplets, num_cells))
-    return (B @ coeffs.ravel()).reshape(coeffs.shape)

@@ -44,18 +44,15 @@ def local_matrix(kernel, cells, shape):
     return probed_matrix(kernel(probe(cells, shape)), cells, shape)
 
 
-def face_terms(plan, fid, u, central=True, dissipative=True):
+def face_terms(space, spec, fid, u, central=True, dissipative=True):
     """Residual contributions of one face: list of (cell_id, block).
 
     This is the shared face kernel: the small-cell stabilization evaluates the
     same function (with one of the flags cleared) for its cancellation terms,
     so those terms match the base contributions bit for bit.
     """
-    space = plan.space
-    spec = plan.spec
     left, right = int(space.mesh.face_left[fid]), int(space.mesh.face_right[fid])
-    w = space.face_rule(fid)[1]
-    (phiL,), (phiR,) = space.face_traces([fid])
+    (phiL,), (phiR,), (w,) = space.face_traces([fid])
     uL = phiL @ u.coeffs[left]
     n = space.mesh.face_normal[fid]
 
@@ -93,10 +90,8 @@ def face_terms(plan, fid, u, central=True, dissipative=True):
     return [(left, block)]
 
 
-def volume_terms(plan, cid, u):
+def volume_terms(space, spec, cid, u):
     """Volume contribution of one cell, -int f(u) . grad w: [(cell_id, block)]."""
-    space = plan.space
-    spec = plan.spec
     _, w, phi, grad = (table[0] for table in space.cell_rules([cid]))
     w = w[:, None]
     vals = phi @ u.coeffs[cid]

@@ -307,13 +307,13 @@ class ProbedPenalty:
     """The probed penalty over the stabilized cells and strengths of ``stab``."""
 
     def __init__(self, stab):
-        self.plan = stab.plan
-        self.space = stab.space
+        self.space, self.spec = stab.space, stab.spec
+        self.shape = (self.space.n_modes, self.spec.m)
         self.cell_ids = sorted(c for g in stab.groups for c in g.cell_ids.tolist())
         self.eta = np.zeros(self.space.mesh.num_cells)
         for g in stab.groups:
             self.eta[g.cell_ids] = g.eta
-        spec = self.plan.spec
+        spec = self.spec
         if spec.kind == "advection":
             self._ctx = {cid: _AdvectionCellContext(self.space, spec, cid) for cid in self.cell_ids}
         else:
@@ -323,7 +323,7 @@ class ProbedPenalty:
         return self._ctx[cid].cells
 
     def cell_residual(self, cid, u):
-        if self.plan.spec.kind == "advection":
+        if self.spec.kind == "advection":
             return self._advection_cell_residual(cid, u)
         return self._wave_cell_residual(cid, u)
 
@@ -334,8 +334,8 @@ class ProbedPenalty:
         out = {C: eta * sum(part[C] for part in parts) for C in self.neighborhood(cid)}
         for fid in self.space.mesh.cells[cid].face_ids:
             for part in (
-                face_terms(self.plan, fid, u, central=True, dissipative=False),
-                face_terms(self.plan, fid, u, central=False, dissipative=True),
+                face_terms(self.space, self.spec, fid, u, central=True, dissipative=False),
+                face_terms(self.space, self.spec, fid, u, central=False, dissipative=True),
             ):
                 for C, block in part:
                     out[C] += -eta * block
@@ -375,17 +375,17 @@ class ProbedPenalty:
         """{cell id: the probed local matrix of its residual}."""
         return {
             cid: local_matrix(lambda u: self.cell_residual(cid, u).items(),
-                              self.neighborhood(cid), self.plan.shape)
+                              self.neighborhood(cid), self.shape)
             for cid in self.cell_ids
         }
 
     def parts(self, cid):
         """The unscaled named matrices of one acoustic cell, {name: matrix},
         read off one probe of its pair terms (without the cancellation)."""
-        cells, shape = self.neighborhood(cid), self.plan.shape
+        cells, shape = self.neighborhood(cid), self.shape
         out = self._ctx[cid].pair_residual(probe(cells, shape))
         return {name: probed_matrix(blocks.items(), cells, shape) for name, blocks in out.items()}
 
     def matrix(self):
         entries = [(self.neighborhood(cid), self.local[cid]) for cid in self.cell_ids]
-        return block_csr(entries, self.space.mesh.num_cells, self.plan.shape)
+        return block_csr(entries, self.space.mesh.num_cells, self.shape)

@@ -192,12 +192,12 @@ def test_criterion_8_cancellation_bitwise():
         cfg = ramp_config("acoustics", 2, alpha)
         ctx = build_context(cfg)
         eta = np.ones(ctx.mesh.num_cells)
-        stab = WaveStabilization(ctx.plan, ctx.small, eta)
+        stab = WaveStabilization(ctx.space, ctx.spec, ctx.small, eta)
         for cid, cell in penalty_cells(stab).items():
             expected = cell.parts["surface"] + cell.parts["volume"] + cell.parts["dissipative"]
             for fid in ctx.mesh.cells[cid].face_ids:
                 for flags in ((True, False), (False, True)):
-                    expected = expected - face_matrix_on(ctx.plan, fid, cell.cells, *flags)
+                    expected = expected - face_matrix_on(ctx.space, ctx.spec, fid, cell.cells, *flags)
             exact = exact and np.array_equal(cell.local, expected)
     status = "PASS" if exact else "FAIL"
     print(f"[{status}] cancellation terms reproduce base face kernels bit for bit")

@@ -16,23 +16,37 @@ def test_bench_script_loads(script):
     assert "usage:" in run.stdout
 
 
-def test_traced_stability_run_hits_every_benchmark_entry_point(tmp_path):
-    # the benchmark's tracer wraps these entry points by name and reads its
-    # end-to-end metrics off their spans; a traced stability run of 5 RK3
-    # steps must find them all and call the right-hand side once per stage
+def _tracer():
+    """The benchmark's tracer module, loaded from its file without importing
+    the benchmark package."""
     import importlib.util
-
-    from cutdg import cli
-    from cutdg.config import serialize_config
-    from cutdg.experiments import build_context, ramp_config
 
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", _BENCH.parent / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def _stability_config(tmp_path):
+    from cutdg.config import serialize_config
+    from cutdg.experiments import ramp_config
+
     cfg = ramp_config("acoustics", 1, 1e-2, nx=8, steps=5, out=str(tmp_path))
     path = tmp_path / "run.cfg"
     path.write_text(serialize_config(cfg))
+    return cfg, path
+
+
+def test_traced_stability_run_hits_every_benchmark_entry_point(tmp_path):
+    # the benchmark's tracer wraps these entry points by name and reads its
+    # end-to-end metrics off their spans; a traced stability run of 5 RK3
+    # steps must find them all and call the right-hand side once per stage
+    from cutdg import cli
+    from cutdg.experiments import build_context
+
+    tracer = _tracer()
+    cfg, path = _stability_config(tmp_path)
     ctx = build_context(cfg)
     dofs = ctx.space.dofs(ctx.spec.m)
     with tracer.Tracer(tracer.SETUP_POINTS, wrap_rhs=True) as t:
@@ -44,3 +58,35 @@ def test_traced_stability_run_hits_every_benchmark_entry_point(tmp_path):
         assert names.count(name) == 1, name
     assert names.count(tracer.RHS_SPAN) == 15
     assert [span[4] for span in t.spans if span[0] == "stepping.evolve"] == [dofs * 5]
+
+
+# the layer entry points the tracer names but the package no longer has;
+# their per-layer metrics read 0
+_STALE_LAYER_POINTS = [
+    "cutdg.quadrature:Space.solve_mass",
+    "cutdg.dg:AssemblyPlan.__init__",
+    "cutdg.dg:AssemblyPlan.base_residual",
+    "cutdg.dg:AssemblyPlan.apply_mass_inverse",
+    "cutdg.dg.face_terms",
+    "cutdg.stabilization:WaveStabilization.cell_residual",
+    "cutdg.stabilization:AdvectionStabilization.cell_residual",
+    "cutdg.stabilization:StabilizationOperator.__init__",
+    "cutdg.stabilization:StabilizationOperator.add_residual",
+]
+
+
+def test_traced_stability_run_under_every_layer_point(tmp_path):
+    # the benchmark's per-layer run wraps every layer entry point, notes
+    # included (the mesh's cut-cell count); the run must still pass, and
+    # the entry points the tracer cannot find are exactly the stale ones
+    from cutdg import cli
+
+    tracer = _tracer()
+    _, path = _stability_config(tmp_path)
+    with tracer.Tracer(tracer.LAYER_POINTS, wrap_rhs=True) as t:
+        assert cli.main(["stability", "--config", str(path)]) == 0
+    assert t.missing == _STALE_LAYER_POINTS
+    assert tracer.nesting_errors(t.spans) == []
+    names = [span[0] for span in t.spans]
+    assert names.count(tracer.RHS_SPAN) == 15
+    assert [span[4] for span in t.spans if span[0] == "geometry.build_mesh"][0] > 0

@@ -45,6 +45,25 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "not_a_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, equation, initial", [
+    ("stability", "acoustics", "poly:1,x"),
+    ("stability", "acoustics", "pressure-poly:nan"),
+    ("evolve", "advection", "poly:inf"),
+    ("evolve", "advection", "bump-advect:0.5,0.5,0"),
+    ("evolve", "advection", "bump-advect:nan,0.5,0.1"),
+    ("evolve", "advection", "bump-advect:0.5,0.5,-0.1"),
+])
+def test_bad_initial_field_exit_code(tmp_path, capsys, command, equation, initial):
+    # an unparsable or non-finite value, or a bump radius <= 0, is a
+    # configuration error naming the field, before any step
+    cfg = ramp_config(equation, 1, 1e-2, nx=8, out=str(tmp_path))
+    path = _write_config(tmp_path, cfg, initial=initial)
+    assert main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert repr(initial) in captured.err and captured.out == ""
+    assert not (tmp_path / "evolve_trace.csv").exists()
+
+
 @pytest.mark.parametrize("line, key", [("sound_speed = nan", "sound_speed"),
                                        ("dissipation = rusanov", "dissipation"),
                                        ("refinements = 0,4", "refinements")])

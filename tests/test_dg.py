@@ -2,34 +2,22 @@ import numpy as np
 import pytest
 
 from conftest import ramp_mesh, uncut_mesh
-from csr_coupling import unfolded_residual
 from probed_kernels import face_terms, local_matrix, volume_terms
 from probed_penalty import ProbedPenalty
-from cutdg.dg import (
-    AssemblyPlan,
-    SemiDiscreteOperator,
-    boundary_outflow_weights,
-    face_matrices,
-    volume_matrices,
-)
+from cutdg.dg import assemble, boundary_outflow_weights, face_matrices, volume_matrices
 from cutdg.quadrature import Space, face_quadrature, monomial_values
 from cutdg.solutions import PolynomialField, random_polynomial
 from cutdg.systems import SystemSpec
-
-
-def _plan(mesh, degree, spec):
-    space = Space(mesh, degree)
-    return space, AssemblyPlan(space, spec)
 
 
 def test_constant_state_interior_residual_vanishes():
     # jumps of a constant are zero: only boundary faces contribute
     mesh = ramp_mesh(nx=8, ny=8)
     spec = SystemSpec.advection((1.0, 0.2))
-    space, plan = _plan(mesh, 1, spec)
+    space = Space(mesh, 1)
     u = space.zeros(1)
     u.coeffs[:, 0, 0] = 2.0
-    res = unfolded_residual(plan, u.coeffs)
+    res = assemble(space, spec)(u.coeffs)
     boundary_cells = set(mesh.face_left[mesh.face_right < 0].tolist())
     for cell in mesh.cells:
         if cell.id not in boundary_cells:
@@ -39,10 +27,10 @@ def test_constant_state_interior_residual_vanishes():
 def test_single_cell_r0_outflow():
     mesh = uncut_mesh(1, 1)
     spec = SystemSpec.advection((1.0, 0.0))
-    space, plan = _plan(mesh, 0, spec)
+    space = Space(mesh, 0)
     u = space.zeros(1)
     u.coeffs[0, 0, 0] = 3.0
-    res = unfolded_residual(plan, u.coeffs)
+    res = assemble(space, spec)(u.coeffs)
     # outflow face has length 1: residual of the constant mode is u * 1
     assert abs(res[0, 0, 0] - 3.0) < 1e-14
 
@@ -54,7 +42,7 @@ def test_steady_polynomial_residual_is_boundary_only(degree):
     beta = np.array([1.0, 0.4])
     spec = SystemSpec.advection(beta)
     mesh = ramp_mesh(nx=8, ny=8)
-    space, plan = _plan(mesh, degree, spec)
+    space = Space(mesh, degree)
     # g(s) = s^degree composed with the perpendicular coordinate
     bp = np.array([-beta[1], beta[0]])
     if degree == 1:
@@ -63,7 +51,7 @@ def test_steady_polynomial_residual_is_boundary_only(degree):
         # (bp . x)^2 = bp0^2 x^2 + 2 bp0 bp1 xy + bp1^2 y^2
         fld = PolynomialField([[0.0, 0.0, 0.0, bp[0] ** 2, 2 * bp[0] * bp[1], bp[1] ** 2]], 2)
     u = fld.to_dg(space)
-    res = unfolded_residual(plan, u.coeffs)
+    res = assemble(space, spec)(u.coeffs)
 
     expected = np.zeros_like(res)
     for fid in np.flatnonzero(mesh.face_right < 0).tolist():
@@ -83,7 +71,7 @@ def test_continuous_polynomial_jump_terms_vanish():
     rng = np.random.default_rng(3)
     mesh = ramp_mesh(nx=8, ny=8)
     spec = SystemSpec.acoustics(1.0)
-    space, plan = _plan(mesh, 2, spec)
+    space = Space(mesh, 2)
     fld = random_polynomial(rng, 2, 3)
     u = fld.to_dg(space)
     fids = np.flatnonzero(mesh.face_right >= 0)
@@ -100,15 +88,16 @@ def test_central_form_is_energy_neutral_acoustics():
     rng = np.random.default_rng(7)
     mesh = ramp_mesh(nx=8, ny=8)
     spec = SystemSpec.acoustics(1.3)
-    space, plan = _plan(mesh, 2, spec)
+    space = Space(mesh, 2)
     fids = np.arange(len(mesh.face_left))
     D = face_matrices(space, spec, fids, central=False, dissipative=True)
     # a wall face's right cell (-1) reads cell 0, whose columns there are zero
     cells = np.maximum(np.column_stack([mesh.face_left, mesh.face_right]), 0)
+    summed = assemble(space, spec)
     for _ in range(5):
         u = space.zeros(3)
         u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-        res = unfolded_residual(plan, u.coeffs)
+        res = summed(u.coeffs)
         x = u.coeffs[cells].reshape(len(fids), -1)
         energy = float(np.sum(res * u.coeffs)) - float(np.einsum("fi,fij,fj->", x, D, x))
         norm2 = space.l2_norm(u) ** 2
@@ -119,10 +108,10 @@ def test_semi_discrete_conservation():
     rng = np.random.default_rng(11)
     mesh = ramp_mesh(nx=8, ny=8)
     spec = SystemSpec.advection((1.0, 0.3))
-    space, plan = _plan(mesh, 1, spec)
+    space = Space(mesh, 1)
     u = space.zeros(1)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    res = unfolded_residual(plan, u.coeffs)
+    res = assemble(space, spec)(u.coeffs)
     total = float(np.sum(res[:, 0, 0]))   # pairing with the global constant
     outflow = float(np.vdot(boundary_outflow_weights(space, spec), u.coeffs))
     # inflow faces contribute nothing by construction; collect the rest
@@ -132,7 +121,7 @@ def test_semi_discrete_conservation():
 def test_apply_mass_inverse_r0():
     mesh = ramp_mesh(nx=4, ny=4)
     spec = SystemSpec.advection((1.0, 0.2))
-    space, plan = _plan(mesh, 0, spec)
+    space = Space(mesh, 0)
     res = np.zeros((mesh.num_cells, 1, 1))
     res[:, 0, 0] = np.arange(mesh.num_cells, dtype=float)
     out = space.mass_solve(res)
@@ -144,7 +133,7 @@ def test_apply_mass_inverse_matches_dense_solve():
     rng = np.random.default_rng(13)
     mesh = ramp_mesh(nx=4, ny=4)
     spec = SystemSpec.acoustics(1.0)
-    space, plan = _plan(mesh, 2, spec)
+    space = Space(mesh, 2)
     res = rng.uniform(-1, 1, size=(mesh.num_cells, space.n_modes, 3))
     out = space.mass_solve(res)
     for cid in range(mesh.num_cells):
@@ -155,8 +144,8 @@ def test_apply_mass_inverse_matches_dense_solve():
 def test_zero_state_zero_residual():
     mesh = ramp_mesh(nx=4, ny=4)
     spec = SystemSpec.acoustics(1.0)
-    space, plan = _plan(mesh, 1, spec)
-    res = unfolded_residual(plan, space.zeros(3).coeffs)
+    space = Space(mesh, 1)
+    res = assemble(space, spec)(space.zeros(3).coeffs)
     assert np.all(res == 0.0)
 
 
@@ -164,10 +153,10 @@ def test_standing_pressure_state_is_steady():
     # constant pressure, zero velocity: reflecting walls keep it in place
     mesh = ramp_mesh(nx=8, ny=8)
     spec = SystemSpec.acoustics(1.0)
-    space, plan = _plan(mesh, 1, spec)
+    space = Space(mesh, 1)
     u = space.zeros(3)
     u.coeffs[:, 0, 0] = 4.2
-    res = unfolded_residual(plan, u.coeffs)
+    res = assemble(space, spec)(u.coeffs)
     assert np.abs(res).max() < 1e-13
 
 
@@ -175,13 +164,30 @@ def test_assembly_is_reproducible():
     rng = np.random.default_rng(17)
     mesh = ramp_mesh(nx=8, ny=8)
     spec = SystemSpec.acoustics(1.0)
-    space, plan = _plan(mesh, 1, spec)
+    space = Space(mesh, 1)
     u = space.zeros(3)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    # two plans and operators built from one space apply bit for bit alike
-    r1 = SemiDiscreteOperator(plan)(u.coeffs)
-    r2 = SemiDiscreteOperator(AssemblyPlan(space, spec))(u.coeffs)
+    # two operators built from one space apply bit for bit alike
+    r1 = assemble(space, spec).folded(space)(u.coeffs)
+    r2 = assemble(space, spec).folded(space)(u.coeffs)
     assert np.array_equal(r1, r2)
+
+
+@pytest.mark.parametrize("equation", ["advection", "acoustics"])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_matrix_matches_apply(equation, degree):
+    # B + S and K = -M^{-1} (B + S), each as one matrix and as the apply
+    # (stencil matmul, shift, block-sparse product)
+    from cutdg.experiments import build_context, ramp_config
+
+    ctx = build_context(ramp_config(equation, degree, 1e-2, nx=8))
+    summed = assemble(ctx.space, ctx.spec, ctx.stab)
+    x = np.random.default_rng(degree).uniform(-1, 1, (ctx.mesh.num_cells, ctx.space.n_modes,
+                                                       ctx.spec.m))
+    for op in (summed, summed.folded(ctx.space)):
+        applied = op(x)
+        product = (op.matrix() @ x.ravel()).reshape(x.shape)
+        assert np.abs(product - applied).max() <= 1e-14 * np.abs(applied).max()
 
 
 # ------------------------------------------------- assembled operator oracle
@@ -193,7 +199,7 @@ def _oracle(ctx, u):
     space, spec = ctx.space, ctx.spec
     res = np.zeros_like(u.coeffs)
     for fid in range(len(ctx.mesh.face_left)):
-        for cid, block in face_terms(ctx.plan, fid, u):
+        for cid, block in face_terms(space, spec, fid, u):
             res[cid] += block
     for cid in range(ctx.mesh.num_cells):
         _, w, phi, grad = (table[0] for table in space.cell_rules([cid]))
@@ -224,13 +230,14 @@ def test_assembled_operator_matches_oracle(equation, degree, min_alpha):
     assert len(ctx.small) > 0
     mesh = ctx.mesh
     assert np.any((mesh.face_right < 0) & ~ctx.space.uncut[mesh.face_left])
-    op = SemiDiscreteOperator(ctx.plan, ctx.stab)
+    summed = assemble(ctx.space, ctx.spec, ctx.stab)
+    op = summed.folded(ctx.space)
     rng = np.random.default_rng(degree)
     u = ctx.space.zeros(ctx.spec.m)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
     res, dudt = _oracle(ctx, u)
     # the block sums the operator folds, base and penalty blocks together
-    assembled = unfolded_residual(ctx.plan, u.coeffs, ctx.stab)
+    assembled = summed(u.coeffs)
     assert np.abs(assembled - res).max() <= 1e-12 * np.abs(res).max()
     # the batched solve and the folded operator against the dense solves, each
     # on its own right-hand side.  Sliver masses reach condition numbers of
@@ -265,7 +272,7 @@ def test_stage_does_no_mass_solve(equation, degree, min_alpha, monkeypatch):
     ctx = build_context(ramp_config(equation, degree, min_alpha))
     track = equation == "advection"
     rhs = make_rhs(ctx)
-    outflow = outflow_weights(ctx.plan, ctx.stab) if track else None
+    outflow = outflow_weights(ctx.space, ctx.spec, ctx.stab) if track else None
     u0 = ctx.space.zeros(ctx.spec.m)
     u0.coeffs[:] = np.random.default_rng(3).uniform(-1, 1, size=u0.coeffs.shape)
 
@@ -295,7 +302,8 @@ def test_closed_form_matrices_match_probed_kernels(equation, degree, min_alpha):
     from cutdg.experiments import build_context, ramp_config
 
     ctx = build_context(ramp_config(equation, degree, min_alpha, nx=8))
-    space, spec, plan, mesh = ctx.space, ctx.spec, ctx.plan, ctx.mesh
+    space, spec, mesh = ctx.space, ctx.spec, ctx.mesh
+    shape = (space.n_modes, spec.m)
     km = space.n_modes * spec.m
     slanted = np.abs(mesh.face_normal).min(axis=1) > 1e-14
     assert slanted.any() and (slanted & (mesh.face_right < 0)).any()
@@ -304,7 +312,7 @@ def test_closed_form_matrices_match_probed_kernels(equation, degree, min_alpha):
         closed = face_matrices(space, spec, fids, *flags)
         for fid in fids.tolist():
             cells = [C for C in (mesh.face_left[fid], mesh.face_right[fid]) if C >= 0]
-            oracle = local_matrix(lambda u: face_terms(plan, fid, u, *flags), cells, plan.shape)
+            oracle = local_matrix(lambda u: face_terms(space, spec, fid, u, *flags), cells, shape)
             n = len(cells) * km
             assert np.all(closed[fid, n:] == 0.0) and np.all(closed[fid, :, n:] == 0.0)
             err = np.abs(closed[fid, :n, :n] - oracle).max()
@@ -312,7 +320,7 @@ def test_closed_form_matrices_match_probed_kernels(equation, degree, min_alpha):
     cids = np.arange(mesh.num_cells)
     closed = volume_matrices(space, spec, cids)
     for cid in cids.tolist():
-        oracle = local_matrix(lambda u: volume_terms(plan, cid, u), [cid], plan.shape)
+        oracle = local_matrix(lambda u: volume_terms(space, spec, cid, u), [cid], shape)
         assert np.abs(closed[cid] - oracle).max() <= 1e-13 * np.abs(oracle).max(), cid
 
 
@@ -369,20 +377,25 @@ def _ramp_with_beta(equation, beta):
 ], ids=["advection-1,0.75", "advection-1,0", "advection--1,0.5", "acoustics"])
 def test_stencil_keeps_only_coupled_directions(equation, beta, directions):
     # the upwind flux couples a cell to its inflow neighbours only; the
-    # plan keeps the own block and the nonzero neighbour blocks, in order
+    # stencil keeps the own block and the nonzero neighbour blocks, in order
     ctx = _ramp_with_beta(equation, beta)
-    plan, mesh = ctx.plan, ctx.mesh
+    mesh = ctx.mesh
     num_cells, d = mesh.num_cells, len(directions)
-    km = plan.shape[0] * plan.shape[1]
-    cells = plan.stencil_cells
-    assert plan.stencil.shape == (d, km, km) and cells.shape[1] == d and len(cells)
-    assert np.all(plan.stencil.any(axis=(1, 2)))
+    km = ctx.space.n_modes * ctx.spec.m
+    summed = assemble(ctx.space, ctx.spec, ctx.stab)
+    cells = summed.stencil_cells
+    assert summed.stencil.shape == (d, km, km) and cells.shape[1] == d and len(cells)
+    assert np.all(summed.stencil.any(axis=(1, 2)))
     offsets = np.array([(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)])[list(directions)]
     assert np.array_equal(mesh.cell_ij[cells] - mesh.cell_ij[cells[:, :1]],
                           np.broadcast_to(offsets, cells.shape + (2,)))
-    op = SemiDiscreteOperator(plan, ctx.stab)
+    # the shift and the products' buffer are built for an operator that is applied
+    op = summed.folded(ctx.space)
+    assert op.shift is None
+    op(ctx.space.zeros(ctx.spec.m).coeffs)
     assert op.shift.shape == (num_cells, d * num_cells) and op.shift.nnz == cells.size
     assert op._products.shape == (num_cells, d * km)
+    assert summed.shift is None
 
 
 @pytest.mark.parametrize("case", ["stability-sliver", "ramp-acoustics-r1-1e-6-nx128"])
@@ -420,34 +433,31 @@ def test_setup_and_steps_build_no_cell_or_face_records(case, monkeypatch):
 # ------------------------------------------- whole operator against CSR
 
 
-def _check_against_csr_oracle(plan, stab):
-    """The operator a plan applies, stencil rows and block-sparse part
-    expanded into one matrix, against the ungrouped path: every face's and
-    every cell's nonzero entries into CSR, base plus penalty, back to BSR,
-    fold."""
-    from csr_coupling import csr_operator, expanded, folded_operator
-    from cutdg.dg import block_matrix
+def _check_against_csr_oracle(space, spec, stab):
+    """B + S and K as matrices, against the ungrouped path: every face's
+    and every cell's nonzero entries into CSR, base plus penalty, back to
+    BSR, fold."""
+    from csr_coupling import csr_operator, folded_operator
     from cutdg.errors import CutDGError, SingularMassError
 
-    space = plan.space
     num_cells = space.mesh.num_cells
     try:
-        oracle = folded_operator(plan, stab)
+        oracle = folded_operator(space, spec, stab)
     except CutDGError as exc:
         assert isinstance(exc, SingularMassError) and "numerically singular" in str(exc)
         with pytest.raises(SingularMassError) as raised:
-            SemiDiscreteOperator(plan, stab)
+            assemble(space, spec, stab).folded(space)
         assert str(raised.value) == str(exc)
         return
-    op = SemiDiscreteOperator(plan, stab)
-    folded = expanded(plan, op.stencil, op.coupling)
+    summed = assemble(space, spec, stab)
+    folded = summed.folded(space).matrix()
+    summed = summed.matrix()
     assert np.array_equal(folded.indptr, oracle.indptr)
     assert np.array_equal(folded.indices, oracle.indices)
 
     # the block sums before the fold, against the size of their terms
-    summed = expanded(plan, plan.stencil, block_matrix(plan.blocks + stab.blocks(), num_cells))
-    expected = csr_operator(plan, stab)
-    scale = csr_operator(plan, stab, np.abs)
+    expected = csr_operator(space, spec, stab)
+    scale = csr_operator(space, spec, stab, np.abs)
     assert np.array_equal(scale.indices, summed.indices)
     assert np.array_equal(expected.indices, summed.indices)
     terms = scale.data.max(axis=(1, 2))
@@ -458,7 +468,7 @@ def _check_against_csr_oracle(plan, stab):
     # here) turns round-off in the sums into cond * eps in the folded
     # block, so each block is checked as the solve of its own sum: the
     # residual M X + B is within round-off of |M| |X|.
-    k, m = plan.shape
+    k, m = space.n_modes, spec.m
     rows = np.repeat(np.arange(num_cells), np.diff(folded.indptr))
     uncut = space.uncut[rows]
     err = np.abs(folded.data - oracle.data).max(axis=(1, 2))
@@ -477,14 +487,14 @@ def test_block_assembly_matches_csr_oracle(equation, degree, min_alpha):
 
     ctx = build_context(ramp_config(equation, degree, min_alpha, nx=8))
     assert len(ctx.small) > 0
-    _check_against_csr_oracle(ctx.plan, ctx.stab)
+    _check_against_csr_oracle(ctx.space, ctx.spec, ctx.stab)
 
 
 @pytest.mark.parametrize("case", ["ramp-nx16-advection", "ramp-nx16-acoustics",
                                   "ramp-nx16-advection-beta=-1,0.5", "ramp-nx16-advection-beta=1,0",
                                   "mixed-r1", "mixed-r2"])
 def test_every_row_kind_matches_csr_oracle(case):
-    # each kind of row the plan builds: stencil rows (with the five
+    # each kind of row B + S holds: stencil rows (with the five
     # directions, or the upwind flux's inflow ones), uncut wall rows, uncut
     # rows next to a cut cell, cut rows, and (mixed set) a stencil row that
     # also carries penalty blocks
@@ -500,9 +510,10 @@ def test_every_row_kind_matches_csr_oracle(case):
     else:
         ctx = build_context(ramp_config("acoustics", int(case[-1]), 1e-2, nx=8))
         cells = mixed_stabilized_set(ctx.mesh, ctx.small)
-        stab = WaveStabilization(ctx.plan, cells, np.linspace(0.2, 1.0, ctx.mesh.num_cells))
+        stab = WaveStabilization(ctx.space, ctx.spec, cells,
+                                 np.linspace(0.2, 1.0, ctx.mesh.num_cells))
     mesh, uncut = ctx.mesh, ctx.space.uncut
-    stencil = ctx.plan.stencil_cells[:, 0]
+    stencil = assemble(ctx.space, ctx.spec, stab).stencil_cells[:, 0]
     wall = np.zeros(mesh.num_cells, dtype=bool)
     wall[mesh.face_left[mesh.face_right < 0]] = True
     internal = mesh.face_right >= 0
@@ -515,4 +526,4 @@ def test_every_row_kind_matches_csr_oracle(case):
     if case.startswith("mixed"):
         penalty_rows = np.concatenate([r for r, _, _ in stab.blocks()])
         assert np.isin(stencil, penalty_rows).any()
-    _check_against_csr_oracle(ctx.plan, stab)
+    _check_against_csr_oracle(ctx.space, ctx.spec, stab)

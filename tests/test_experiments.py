@@ -5,7 +5,6 @@ import pytest
 
 from conftest import generic_cuts
 from cutdg.config import RunConfig
-from cutdg.dg import SemiDiscreteOperator
 from cutdg.errors import (AdjacentSmallCellsError, BoundaryInflowError, ConfigurationError,
                           CornerCellError)
 from cutdg.experiments import (
@@ -50,7 +49,7 @@ def test_generic_cut_corpus_counts_per_rejection_reason(equation):
     for s, o in cuts[:200]:
         try:
             ctx = build_context(line_config(equation, 1, s, o))
-            SemiDiscreteOperator(ctx.plan, ctx.stab)
+            make_rhs(ctx)
             counts["accepted"] += 1
         except (AdjacentSmallCellsError, CornerCellError, BoundaryInflowError) as exc:
             counts[type(exc)] += 1
@@ -104,6 +103,22 @@ def test_consistency_residual_does_not_scale_with_eta(monkeypatch):
              for scale in (1.0, 0.01)]
     assert worst[0] > 1e3 * CONSISTENCY_TOL
     assert abs(worst[1] - worst[0]) <= 1e-9 * worst[0]
+
+
+def test_consistency_and_axiom_runs_build_no_base_form(monkeypatch):
+    # both checks read the penalty only: no run assembles B
+    from pathlib import Path
+
+    from cutdg import dg
+    from cutdg.config import load_config
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("base form assembled")
+
+    monkeypatch.setattr(dg, "volume_matrices", forbidden)
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    assert run_consistency(load_config(str(configs / "consistency-advection.cfg"))).passed
+    assert run_axioms(load_config(str(configs / "consistency-acoustics.cfg"))).passed
 
 
 def test_axiom_driver_seed_invariance():

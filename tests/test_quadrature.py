@@ -304,7 +304,8 @@ def test_stacked_tables_match_per_face_and_per_cell_rules(degree, alpha):
 
     nfaces = len(mesh.face_left)
     face_pts, face_w = space.face_rule(np.arange(nfaces))
-    phi_left, phi_right = space.face_traces(np.arange(nfaces))
+    phi_left, phi_right, traced_w = space.face_traces(np.arange(nfaces))
+    assert np.array_equal(traced_w, face_w)
     for fid, (left, right) in enumerate(zip(mesh.face_left.tolist(), mesh.face_right.tolist())):
         pts, w = face_quadrature(mesh.face_p[fid], mesh.face_q[fid], degree + 2)
         for got in (space.face_rule(fid), (face_pts[fid], face_w[fid])):
@@ -366,7 +367,8 @@ def test_setup_evaluates_few_face_traces(equation, degree, nx, monkeypatch):
         counted.append(len(fids))
         return traces(self, fids)
 
-    # and builds the rules of few distinct faces
+    # and builds the rules of few distinct faces, each at most about twice
+    # (the base form's and the penalty's tables)
     ruled = []
     rule = Space.face_rule
 
@@ -381,7 +383,9 @@ def test_setup_evaluates_few_face_traces(equation, degree, nx, monkeypatch):
     make_rhs(ctx)
     assert len(ctx.small) > 0 and counted and ruled
     assert sum(counted) <= 0.1 * len(ctx.mesh.face_left)
-    assert len(np.unique(np.concatenate(ruled))) <= 0.1 * len(ctx.mesh.face_left)
+    distinct = len(np.unique(np.concatenate(ruled)))
+    assert distinct <= 0.1 * len(ctx.mesh.face_left)
+    assert sum(map(len, ruled)) <= 2 * distinct
     assert not hasattr(ctx.space, "face_phi_left")
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (face_kinds, face_matrix_on, mixed_stabilized_set, penalty_cells,
                       penalty_residuals, ramp_mesh)
-from cutdg.dg import AssemblyPlan, block_matrix, local_blocks
+from cutdg.dg import block_matrix, local_blocks
 from cutdg.config import load_config
 from cutdg.errors import (BoundaryInflowError, CornerCellError, MeshValidationError,
                           UnsupportedConfigurationError)
@@ -36,9 +36,8 @@ def _setup(equation="acoustics", degree=1, nx=16, alpha0=0.25, beta=(1.0, 0.2)):
     small = classify_small_cells(mesh, alpha0)
     spec = SystemSpec.advection(beta) if equation == "advection" else SystemSpec.acoustics(1.0)
     space = Space(mesh, degree)
-    plan = AssemblyPlan(space, spec)
     eta = eta_values(mesh, small, alpha0)
-    return mesh, spec, space, plan, small, eta
+    return mesh, spec, space, small, eta
 
 
 def _apply(stab, u):
@@ -246,14 +245,14 @@ def test_one_face_weight_reaches_the_axiom_check_and_the_penalty(monkeypatch):
         monkeypatch.setattr(module, "source_tables", perturbed)
     worst = check_axioms_on_cell(ctx.space, ctx.spec, cid, np.random.default_rng(0), 10)
     assert worst["face_consistency"] > 1e-12
-    stab = WaveStabilization(ctx.plan, ctx.small, ctx.eta)
+    stab = WaveStabilization(ctx.space, ctx.spec, ctx.small, ctx.eta)
     expected = ProbedPenalty(stab).parts(cid)["surface"]
     surface = penalty_cells(stab)[cid].parts["surface"]
     assert np.abs(surface - expected).max() > 1e-12 * np.abs(expected).max()
     monkeypatch.undo()
     worst = check_axioms_on_cell(ctx.space, ctx.spec, cid, np.random.default_rng(0), 10)
     assert max(worst.values()) <= 1e-12
-    _check_against_probed(WaveStabilization(ctx.plan, ctx.small, ctx.eta), 1e-14)
+    _check_against_probed(WaveStabilization(ctx.space, ctx.spec, ctx.small, ctx.eta), 1e-14)
 
 
 # -------------------------------------------------------------- advection
@@ -261,9 +260,9 @@ def test_one_face_weight_reaches_the_axiom_check_and_the_penalty(monkeypatch):
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_advection_penalty_annihilates_global_polynomials(degree):
-    mesh, spec, space, plan, small, eta = _setup("advection", degree)
+    mesh, spec, space, small, eta = _setup("advection", degree)
     rng = np.random.default_rng(degree)
-    stab = AdvectionStabilization(plan, small, eta)
+    stab = AdvectionStabilization(space, spec, small, eta)
     h = space.h
     for _ in range(5):
         fld = random_polynomial(rng, degree, 1)
@@ -274,22 +273,22 @@ def test_advection_penalty_annihilates_global_polynomials(degree):
 
 
 def test_advection_penalty_zero_eta():
-    mesh, spec, space, plan, small, _ = _setup("advection", 1)
+    mesh, spec, space, small, _ = _setup("advection", 1)
     eta = np.zeros(mesh.num_cells)
     rng = np.random.default_rng(1)
     u = space.zeros(1)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    res = _apply(AdvectionStabilization(plan, small, eta), u)
+    res = _apply(AdvectionStabilization(space, spec, small, eta), u)
     assert np.all(res == 0.0)
 
 
 def test_advection_penalty_r0_hand_quadrature():
     # constants: every integral is value times face length
-    mesh, spec, space, plan, small, eta = _setup("advection", 0)
+    mesh, spec, space, small, eta = _setup("advection", 0)
     rng = np.random.default_rng(2)
     u = space.zeros(1)
     u.coeffs[:, 0, 0] = rng.uniform(-1, 1, size=mesh.num_cells)
-    res = _apply(AdvectionStabilization(plan, small, eta), u)
+    res = _apply(AdvectionStabilization(space, spec, small, eta), u)
 
     expected = np.zeros_like(res)
     beta = spec.beta
@@ -315,8 +314,8 @@ def test_advection_penalty_r0_hand_quadrature():
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_wave_penalty_annihilates_pressure_polynomials(degree):
-    mesh, spec, space, plan, small, eta = _setup("acoustics", degree)
-    stab = WaveStabilization(plan, small, eta)
+    mesh, spec, space, small, eta = _setup("acoustics", degree)
+    stab = WaveStabilization(space, spec, small, eta)
     rng = np.random.default_rng(degree)
     h = space.h
     for _ in range(5):
@@ -330,7 +329,7 @@ def test_wave_penalty_annihilates_pressure_polynomials(degree):
 def test_wave_penalty_annihilates_tangential_velocity(degree=2):
     # stabilized cells only touch the ramp wall; velocity parallel to it is
     # wall-compatible, so the penalty must vanish on such global fields
-    mesh, spec, space, plan, small, eta = _setup("acoustics", degree)
+    mesh, spec, space, small, eta = _setup("acoustics", degree)
     for cid in small:
         assert face_kinds(mesh, mesh.cells[cid].face_ids).count("boundary") == 1
     slope = 0.75
@@ -341,19 +340,19 @@ def test_wave_penalty_annihilates_tangential_velocity(degree=2):
     p = rng.uniform(-1, 1, size=space.n_modes)
     fld = PolynomialField([p, tang[0] * g, tang[1] * g], degree)
     u = fld.to_dg(space)
-    stab = WaveStabilization(plan, small, eta)
+    stab = WaveStabilization(space, spec, small, eta)
     umax = max(abs(fld.coeffs).max(), 1e-300)
     for res in penalty_residuals(stab, u):
         assert np.abs(res).max() <= 1e-11 * umax * space.h
 
 
 def test_wave_penalty_zero_eta():
-    mesh, spec, space, plan, small, _ = _setup("acoustics", 1)
+    mesh, spec, space, small, _ = _setup("acoustics", 1)
     eta = np.zeros(mesh.num_cells)
     rng = np.random.default_rng(4)
     u = space.zeros(3)
     u.coeffs[:] = rng.uniform(-1, 1, size=u.coeffs.shape)
-    res = _apply(WaveStabilization(plan, small, eta), u)
+    res = _apply(WaveStabilization(space, spec, small, eta), u)
     assert np.all(res == 0.0)
 
 
@@ -361,14 +360,14 @@ def test_wave_cancellation_terms_are_base_kernels_bitwise():
     # at eta = 1 each cell's matrix is the pair matrix minus the face
     # matrices the base form is assembled from, in the penalty's order of
     # summation
-    mesh, spec, space, plan, small, _ = _setup("acoustics", 2)
+    mesh, spec, space, small, _ = _setup("acoustics", 2)
     eta = np.ones(mesh.num_cells)
-    stab = WaveStabilization(plan, small, eta)
+    stab = WaveStabilization(space, spec, small, eta)
     for cid, cell in penalty_cells(stab).items():
         expected = cell.parts["surface"] + cell.parts["volume"] + cell.parts["dissipative"]
         for fid in mesh.cells[cid].face_ids:
             for flags in ((True, False), (False, True)):
-                expected = expected - face_matrix_on(plan, fid, cell.cells, *flags)
+                expected = expected - face_matrix_on(space, spec, fid, cell.cells, *flags)
         assert np.array_equal(cell.local, expected)
 
 
@@ -437,7 +436,7 @@ def test_mixed_stabilized_set_matches_percell_and_probed(degree):
     }
     assert {(3, 1), (4, 0), (4, 1)} <= patterns
     eta = np.linspace(0.2, 1.0, ctx.mesh.num_cells)
-    stab = WaveStabilization(ctx.plan, cells, eta)
+    stab = WaveStabilization(ctx.space, ctx.spec, cells, eta)
     oracle = _check_against_probed(stab, 1e-14)
     matrix = block_matrix(stab.blocks(), ctx.mesh.num_cells)
     assert _relative(matrix.toarray(), oracle.matrix().toarray()) <= 1e-13
@@ -459,7 +458,7 @@ def test_penalty_group_arrays_own_their_memory(equation):
 def _mixed_penalty():
     ctx = build_context(ramp_config("acoustics", 1, 1e-2, nx=8))
     cells = mixed_stabilized_set(ctx.mesh, ctx.small)
-    return WaveStabilization(ctx.plan, cells, np.linspace(0.2, 1.0, ctx.mesh.num_cells))
+    return WaveStabilization(ctx.space, ctx.spec, cells, np.linspace(0.2, 1.0, ctx.mesh.num_cells))
 
 
 @pytest.mark.parametrize("case", ["stability-sliver", "consistency-advection", "mixed"])
@@ -496,14 +495,13 @@ def test_wave_penalty_rejects_double_wall_pairs():
     mesh = ramp_mesh(nx=4, ny=4)
     spec = SystemSpec.acoustics(1.0)
     space = Space(mesh, 1)
-    plan = AssemblyPlan(space, spec)
     corner = next(
         c.id for c in mesh.cells
         if face_kinds(mesh, c.face_ids).count("boundary") >= 2
     )
     eta = np.ones(mesh.num_cells)
     with pytest.raises(CornerCellError):
-        WaveStabilization(plan, [corner], eta)
+        WaveStabilization(space, spec, [corner], eta)
 
 
 def test_wave_penalty_names_the_corner_after_valid_cells():
@@ -518,9 +516,9 @@ def test_wave_penalty_names_the_corner_after_valid_cells():
     )
     walls = [f for f in corner.face_ids if mesh.face_right[f] < 0]
     with pytest.raises(UnsupportedConfigurationError) as probed:
-        _WaveCellContext(ctx.space, ctx.plan.spec, corner.id)
+        _WaveCellContext(ctx.space, ctx.spec, corner.id)
     with pytest.raises(CornerCellError) as batched:
-        WaveStabilization(ctx.plan, list(ctx.small) + [corner.id], np.ones(mesh.num_cells))
+        WaveStabilization(ctx.space, ctx.spec, list(ctx.small) + [corner.id], np.ones(mesh.num_cells))
     assert str(batched.value) == str(probed.value)
     assert str(batched.value).startswith(
         f"cell {corner.id}: faces {walls[0]} and {walls[1]} are both boundary faces"
@@ -584,7 +582,7 @@ def test_advection_penalty_names_the_inflow_offender_after_valid_cells(beta):
         wall = next(f for f in cell.face_ids if mesh.face_right[f] < 0)
         error = BoundaryInflowError
         message = f"stabilized cell {cell.id}: inflow face {wall} lies on the physical boundary"
-    AdvectionStabilization(ctx.plan, ctx.small, ctx.eta)
+    AdvectionStabilization(ctx.space, ctx.spec, ctx.small, ctx.eta)
     with pytest.raises(error) as err:
-        AdvectionStabilization(ctx.plan, list(ctx.small) + [cell.id], np.ones(mesh.num_cells))
+        AdvectionStabilization(ctx.space, ctx.spec, list(ctx.small) + [cell.id], np.ones(mesh.num_cells))
     assert str(err.value) == message

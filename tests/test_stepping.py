@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import uncut_mesh
-from cutdg.dg import AssemblyPlan, SemiDiscreteOperator
+from cutdg.dg import assemble
 from cutdg.errors import ConfigurationError, IntegrationFailureError
 from cutdg.geometry import build_mesh
 from cutdg.quadrature import Space
@@ -72,7 +72,7 @@ def test_zero_state_stays_zero():
     mesh = uncut_mesh(2, 2)
     space = Space(mesh, 1)
     spec = SystemSpec.advection((1.0, 0.0))
-    op = SemiDiscreteOperator(AssemblyPlan(space, spec))
+    op = assemble(space, spec).folded(space)
 
     dt = time_step(0.3, mesh.bg.h, spec.lambda_max, 1)
     result = evolve(space, space.zeros(1), op, dt, steps_to(0.1, dt), 3)
@@ -86,7 +86,7 @@ def test_standing_acoustic_state_constant_in_time():
     mesh = uncut_mesh(8, 8)
     space = Space(mesh, 1)
     spec = SystemSpec.acoustics(1.0)
-    op = SemiDiscreteOperator(AssemblyPlan(space, spec))
+    op = assemble(space, spec).folded(space)
     u0 = space.zeros(3)
     u0.coeffs[:, 0, 0] = 1.0
 
