@@ -102,7 +102,7 @@ def case_config(tree, name):
     if name.startswith("refine-advection"):
         cfg = tree.config.load_config(str(ROOT / "configs" / "convergence-advection.cfg"))
         cfg.degree = 2
-        cfg.nx = cfg.ny = int(name.rsplit("nx", 1)[1])
+        cfg.nx = int(name.rsplit("nx", 1)[1])
         cfg.t_final = 0.05
         cfg.initial = "windowed-sine-advect"
         return cfg, None
@@ -119,8 +119,7 @@ class Case:
         shape = (ctx.mesh.num_cells, ctx.space.n_modes, ctx.spec.m)
         self.u = np.random.default_rng(16).uniform(-1, 1, shape)
         self.u0 = ex.project_field(ctx.space, tree.solutions.lookup_field(cfg.initial, ctx.spec))
-        dt = st.time_step(cfg.cfl, ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree)
-        self.evolve_args = (dt, st.steps_to(cfg.t_final, dt) if steps is None else steps,
+        self.evolve_args = (ctx.dt, st.steps_to(cfg.t_final, ctx.dt) if steps is None else steps,
                             cfg.rk_order)
         # the folded operator: both op(u) and evolve apply it
         self.op = ex.make_rhs(ctx)

@@ -19,9 +19,7 @@ compared but not timed.  Each case is set up phase by phase, as
 * ``space``: ``Space(mesh, r)``;
 * ``penalty``: ``eta_values`` and the DoD penalty constructor;
 * ``operator``: B + S and K = -M^{-1} (B + S), ``dg.assemble(space, spec,
-  stab)`` and its ``folded(space)`` (on a parent tree that still has
-  ``AssemblyPlan``: ``AssemblyPlan(space, spec)`` and
-  ``SemiDiscreteOperator(plan, stab)``, see :func:`operators`);
+  stab)`` and its ``folded(space)``;
 * ``projection``: ``project_field`` of the case's field (the ``stepping``
   workload's initial fields; a random global polynomial of the space's
   degree, which is written down exactly, on the ``consistency`` contexts).
@@ -52,7 +50,6 @@ import sys
 import time
 from pathlib import Path
 from statistics import median
-from types import SimpleNamespace
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -85,48 +82,12 @@ def case_inputs(tree, name):
     return cfg, ex.lookup_field(cfg.initial, cfg.system())
 
 
-def owner(tree, space, spec):
-    """The leading arguments of the penalty constructors and
-    ``dg.outflow_weights``: ``(space, spec)``, or on a tree with
-    ``dg.AssemblyPlan`` one object holding both, which is all that tree's
-    penalty and outflow weights read of the plan."""
-    if hasattr(tree.dg, "AssemblyPlan"):
-        return (SimpleNamespace(space=space, spec=spec, shape=(space.n_modes, spec.m)),)
-    return (space, spec)
-
-
 def operators(tree, space, spec, stab):
     """(B + S, K) of one setup, each with its ``stencil``, ``coupling`` and
     ``matrix()``.  B + S is returned as a function that builds it again for
-    the comparison: like ``make_rhs``, the operator phase keeps only K.
-
-    The adapter for a parent tree with ``dg.AssemblyPlan``: its operator
-    phase builds only the plan and ``SemiDiscreteOperator(plan, stab)``, as
-    that tree's ``make_rhs`` does.  B + S is the plan's stencil with its
-    blocks and the penalty's summed by ``block_matrix``, and both matrices
-    are expanded from the plan's stencil cells as that tree's tests did."""
+    the comparison: like ``make_rhs``, the operator phase keeps only K."""
     dg = tree.dg
-    if not hasattr(dg, "AssemblyPlan"):
-        return (lambda: dg.assemble(space, spec, stab)), dg.assemble(space, spec, stab).folded(space)
-    plan = dg.AssemblyPlan(space, spec)
-    op = dg.SemiDiscreteOperator(plan, stab)
-    num_cells = space.mesh.num_cells
-
-    def expanded(stencil, coupling):
-        cells = plan.stencil_cells
-        rows = np.repeat(np.arange(num_cells), np.diff(coupling.indptr))
-        return dg.block_matrix([(np.repeat(cells[:, 0], cells.shape[1]), cells.ravel(),
-                                 np.tile(stencil, (len(cells), 1, 1))),
-                                (rows, coupling.indices, coupling.data)], num_cells)
-
-    def summed():
-        triplets = plan.blocks + ([] if stab is None else stab.blocks())
-        coupling = dg.block_matrix(triplets, num_cells)
-        return SimpleNamespace(stencil=plan.stencil, coupling=coupling,
-                               matrix=lambda: expanded(plan.stencil, coupling))
-
-    op.matrix = lambda: expanded(op.stencil, op.coupling)
-    return summed, op
+    return (lambda: dg.assemble(space, spec, stab)), dg.assemble(space, spec, stab).folded(space)
 
 
 def setup(tree, cfg, fld, operator=True):
@@ -136,14 +97,14 @@ def setup(tree, cfg, fld, operator=True):
     times, clock = {}, time.process_time
     t0 = clock()
     spec = cfg.system()
-    mesh = ex.build_mesh(cfg.background(), cfg.geometry())
+    mesh = ex.build_mesh(cfg.background(), cfg.constraints)
     small = ex.classify_small_cells(mesh, cfg.alpha0)
     times["mesh"], t0 = clock() - t0, clock()
     space = ex.Space(mesh, cfg.degree)
     times["space"], t0 = clock() - t0, clock()
     eta = ex.eta_values(mesh, small, cfg.alpha0, cfg.eta_scale)
     penalty = ex.AdvectionStabilization if spec.kind == "advection" else ex.WaveStabilization
-    stab = penalty(*owner(tree, space, spec), small, eta) if len(small) else None
+    stab = penalty(space, spec, small, eta) if len(small) else None
     times["penalty"], t0 = clock() - t0, clock()
     summed = op = None
     if operator:
@@ -166,13 +127,8 @@ def penalty_parts(stab):
 
 def rules(space):
     """The cut cells' basis gradients, stacked in cell order, and every
-    face's rule: from the per-cell list ``cell_grad`` and the per-face
-    arrays on a tree that keeps them, else from ``cell_rules`` and
-    ``face_rule``."""
-    cut = space.cut_ids.tolist()
-    if hasattr(space, "cell_grad"):
-        return np.concatenate([space.cell_grad[c] for c in cut]), space.face_pts, space.face_w
-    grads = np.concatenate([space.cell_rules([c])[3][0] for c in cut])
+    face's rule."""
+    grads = np.concatenate([space.cell_rules([c])[3][0] for c in space.cut_ids.tolist()])
     return (grads,) + space.face_rule(np.arange(len(space.mesh.face_left)))
 
 
@@ -198,7 +154,7 @@ def tables(tree, built, rng):
         shape = (space.mesh.num_cells, space.n_modes, spec.m)
         out["K(u)"] = op(rng.uniform(-1, 1, shape))
         if spec.kind == "advection":
-            out["outflow_weights"] = tree.dg.outflow_weights(*owner(tree, space, spec), stab)
+            out["outflow_weights"] = tree.dg.outflow_weights(space, spec, stab)
     if stab is not None:
         rows, cols, blocks = (np.concatenate(part) for part in zip(*stab.blocks()))
         out.update({"penalty.rows": rows, "penalty.cols": cols, "penalty.blocks": blocks})

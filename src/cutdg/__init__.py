@@ -2,7 +2,6 @@
 
 from .geometry import (
     BackgroundMesh,
-    Geometry,
     HalfPlane,
     build_mesh,
     classify_small_cells,
@@ -16,7 +15,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BackgroundMesh",
     "DGFunction",
-    "Geometry",
     "HalfPlane",
     "Space",
     "SystemSpec",

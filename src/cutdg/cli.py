@@ -48,8 +48,8 @@ def _load(args):
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out = args.out
-    if args.threads is not None:
-        cfg.threads = args.threads
+    if args.threads is not None and args.threads < 1:
+        raise ConfigurationError("threads must be >= 1")
     cfg.validate()
     os.makedirs(cfg.out, exist_ok=True)
     return cfg

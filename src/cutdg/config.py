@@ -6,10 +6,10 @@ serializing yields a canonical form byte-identical across runs.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigurationError
-from .geometry import BackgroundMesh, Geometry, HalfPlane
+from .geometry import BackgroundMesh, HalfPlane
 from .systems import SystemSpec
 
 _FLOAT = "{:.17g}".format
@@ -39,7 +39,6 @@ class RunConfig:
     equation: str = "advection"
     degree: int = 1
     nx: int = 16
-    ny: int = 16
     box: tuple = field(default=(0.0, 0.0, 1.0, 1.0), metadata=_values(float, 4))
     constraints: list = field(default_factory=list, metadata=_values(
         float, 3, key="geometry.constraint", repeated=True))
@@ -60,7 +59,6 @@ class RunConfig:
     steps: int = 1000
     growth_tol: float = 1e-3
     dod: bool = True
-    threads: int = 1
 
     # ------------------------------------------------------------------
     def validate(self):
@@ -74,8 +72,8 @@ class RunConfig:
             raise ConfigurationError(f"unknown equation {self.equation!r}")
         if self.degree < 0:
             raise ConfigurationError("degree must be >= 0")
-        if self.nx < 1 or self.ny < 1:
-            raise ConfigurationError("nx and ny must be >= 1")
+        if self.nx < 1:
+            raise ConfigurationError("nx must be >= 1")
         if not 0.0 < self.alpha0 < 1.0:
             raise ConfigurationError("alpha0 must lie in (0, 1)")
         if not 0.0 <= self.eta_scale <= 1.0:
@@ -86,8 +84,8 @@ class RunConfig:
             raise ConfigurationError("cfl must lie in (0, 1]")
         if self.t_final < 0.0:
             raise ConfigurationError("t_final must be >= 0")
-        if self.threads < 1:
-            raise ConfigurationError("threads must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"key 'seed': must be >= 0, got {self.seed}")
         if self.steps < 1:
             raise ConfigurationError("steps must be >= 1")
         # a check over no polynomials or no triples would pass vacuously
@@ -95,13 +93,22 @@ class RunConfig:
             raise ConfigurationError("n_polynomials must be >= 1")
         if self.n_triples < 1:
             raise ConfigurationError("n_triples must be >= 1")
-        # a negative tolerance fails a conserving run; a level below one
-        # would run at the config's nx (see background)
+        # a negative tolerance fails a conserving run
         if self.growth_tol < 0.0:
             raise ConfigurationError(f"key 'growth_tol': must be >= 0, got {self.growth_tol}")
         if any(n < 1 for n in self.refinements):
             levels = ",".join(map(str, self.refinements))
             raise ConfigurationError(f"key 'refinements': every level must be >= 1, got {levels}")
+        x0, y0, x1, y1 = self.box
+        if not (x1 > x0 and y1 > y0):
+            raise ConfigurationError("box corners must satisfy x1 > x0 and y1 > y0")
+        # every level's cells must be square before any level runs
+        for key, levels in (("nx", (self.nx,)), ("refinements", self.refinements)):
+            for n in levels:
+                try:
+                    replace(self, nx=n).background()
+                except ConfigurationError as exc:
+                    raise ConfigurationError(f"key {key!r}: at nx = {n}, {exc}") from exc
         if self.equation == "acoustics" and self.sound_speed <= 0:
             raise ConfigurationError("sound_speed must be positive")
         for abc in self.constraints:
@@ -114,12 +121,10 @@ class RunConfig:
             return SystemSpec.advection(self.beta)
         return SystemSpec.acoustics(self.sound_speed)
 
-    def background(self, nx=None, ny=None):
+    def background(self):
+        """The box in square cells: ``nx`` across, and the rows that fit."""
         x0, y0, x1, y1 = self.box
-        return BackgroundMesh(x0, y0, x1, y1, nx or self.nx, ny or self.ny)
-
-    def geometry(self):
-        return Geometry(tuple(HalfPlane(*abc) for abc in self.constraints))
+        return BackgroundMesh(x0, y0, x1, y1, self.nx, round((y1 - y0) * self.nx / (x1 - x0)))
 
 
 _FIELDS = {f.metadata.get("key", f.name): f for f in fields(RunConfig)}

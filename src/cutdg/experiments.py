@@ -4,7 +4,7 @@ Each driver takes a validated :class:`~cutdg.config.RunConfig` and returns a
 small report object; the CLI is a thin formatter around these functions.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,19 +64,9 @@ def line_config(equation, degree, slope, offset, nx=16, **overrides):
     """Unit-box configuration cut by the line ``y = slope * x + offset``,
     fluid above; otherwise as :func:`ramp_config`."""
     hp = halfplane_from_line(slope, offset)
-    cfg = RunConfig(
-        equation=equation,
-        degree=degree,
-        nx=nx,
-        ny=nx,
-        constraints=[(hp.a, hp.b, hp.c)],
-        alpha0=0.25,
-        beta=(1.0, 0.2),
-        sound_speed=1.0,
-    )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg.validate()
+    cfg = RunConfig(equation=equation, degree=degree, nx=nx, constraints=[(hp.a, hp.b, hp.c)],
+                    alpha0=0.25, beta=(1.0, 0.2), sound_speed=1.0)
+    return replace(cfg, **overrides).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +82,18 @@ class RunContext:
     eta: np.ndarray
     stab: object
 
+    @property
+    def dt(self):
+        """The run's time step: the background mesh's CFL step."""
+        return time_step(self.cfg.cfl, self.space.h, self.spec.lambda_max, self.cfg.degree)
 
-def build_context(cfg, nx=None, ny=None, stabilized=None):
-    """Mesh, discrete space and stabilization for one run."""
+
+def build_context(cfg):
+    """Mesh, discrete space and stabilization of the run ``cfg``, and of
+    nothing else: a variant of a run is a variant of its config."""
     spec = cfg.system()
-    mesh = build_mesh(cfg.background(nx, ny), cfg.geometry())
-    use_stab = cfg.dod if stabilized is None else stabilized
-    small = classify_small_cells(mesh, cfg.alpha0) if use_stab else ()
+    mesh = build_mesh(cfg.background(), cfg.constraints)
+    small = classify_small_cells(mesh, cfg.alpha0) if cfg.dod else ()
     space = Space(mesh, cfg.degree)
     eta = eta_values(mesh, small, cfg.alpha0, cfg.eta_scale)
     stab = None
@@ -122,6 +117,13 @@ def make_rhs(ctx):
     """The right-hand side ``rhs(coeffs) = du/dt``: the semi-discrete
     operator K = -M^{-1} (B + S), assembled once."""
     return assemble(ctx.space, ctx.spec, ctx.stab).folded(ctx.space)
+
+
+def _initial_state(ctx, default):
+    """The run's initial field, the config's ``initial`` or else the driver's
+    ``default``, and its projection."""
+    fld = lookup_field(ctx.cfg.initial or default, ctx.spec)
+    return fld, project_field(ctx.space, fld)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +175,7 @@ def run_consistency(cfg):
     """
     if cfg.eta_scale == 0.0:
         raise ConfigurationError("consistency run requires eta_scale > 0")
-    ctx = build_context(cfg, stabilized=True)
+    ctx = build_context(replace(cfg, dod=True))
     if ctx.stab is None:
         raise ConfigurationError("consistency run requires at least one stabilized cell")
     rng = np.random.default_rng(cfg.seed)
@@ -310,7 +312,7 @@ def check_axioms_on_cell(space, spec, cell_id, rng, n_triples):
 
 
 def run_axioms(cfg):
-    ctx = build_context(cfg, stabilized=True)
+    ctx = build_context(replace(cfg, dod=True))
     if len(ctx.small) == 0:
         raise ConfigurationError("axiom run requires at least one stabilized cell")
     rng = np.random.default_rng(cfg.seed)
@@ -363,10 +365,8 @@ def run_convergence(cfg):
     rows = []
     prev = None
     for n in cfg.refinements:
-        ny = n * cfg.ny // cfg.nx
-        ctx = build_context(cfg, nx=n, ny=ny)
-        fld = lookup_field(cfg.initial or "windowed-sine-advect", ctx.spec)
-        u0 = project_field(ctx.space, fld, t=0.0)
+        ctx = build_context(replace(cfg, nx=n))
+        fld, u0 = _initial_state(ctx, "windowed-sine-advect")
         h = ctx.mesh.bg.h
         row_id = f"{cfg.equation}-r{cfg.degree}-nx{n}"
         diverged = False
@@ -374,7 +374,7 @@ def run_convergence(cfg):
             u = u0
             t_end = 0.0
         else:
-            dt = time_step(cfg.cfl, h, ctx.spec.lambda_max, cfg.degree)
+            dt = ctx.dt
             try:
                 result = evolve(ctx.space, u0, make_rhs(ctx), dt, steps_to(cfg.t_final, dt),
                                 cfg.rk_order)
@@ -431,11 +431,10 @@ class StabilityReport:
         return out
 
 
-def _stability_single(cfg, stabilized):
-    ctx = build_context(cfg, stabilized=stabilized)
-    fld = lookup_field(cfg.initial or "poly:0.4,1,-0.7,0.5,-1,0.25;0;0", ctx.spec)
-    u0 = project_field(ctx.space, fld)
-    dt = time_step(cfg.cfl, ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree)
+def _stability_single(cfg):
+    ctx = build_context(cfg)
+    _, u0 = _initial_state(ctx, "poly:0.4,1,-0.7,0.5,-1,0.25;0;0")
+    dt = ctx.dt
     try:
         result = evolve(ctx.space, u0, make_rhs(ctx), dt, cfg.steps, cfg.rk_order)
         return result.max_growth, False, None, dt
@@ -447,12 +446,12 @@ def run_stability(cfg, contrast=False):
     """Long acoustic run on the sliver mesh with the background time step."""
     if cfg.equation != "acoustics":
         raise ConfigurationError("the stability driver runs the acoustics system")
-    growth, unstable, failed_at, dt = _stability_single(cfg, stabilized=cfg.dod)
+    growth, unstable, failed_at, dt = _stability_single(cfg)
     report = StabilityReport(
         cfg.seed, cfg.steps, dt, growth, unstable, failed_at, tolerance=cfg.growth_tol
     )
     if contrast:
-        c_growth, c_unstable, _, _ = _stability_single(cfg, stabilized=False)
+        c_growth, c_unstable, _, _ = _stability_single(replace(cfg, dod=False))
         report.contrast_growth = None if c_unstable else c_growth
         report.contrast_unstable = c_unstable
     return report
@@ -492,10 +491,8 @@ class EvolveReport:
 
 def run_evolve(cfg):
     ctx = build_context(cfg)
-    default = "bump-advect" if cfg.equation == "advection" else "poly:1;0;0"
-    fld = lookup_field(cfg.initial or default, ctx.spec)
-    u0 = project_field(ctx.space, fld)
-    dt = time_step(cfg.cfl, ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree)
+    _, u0 = _initial_state(ctx, "bump-advect" if cfg.equation == "advection" else "poly:1;0;0")
+    dt = ctx.dt
     result = evolve(ctx.space, u0, make_rhs(ctx), dt, steps_to(cfg.t_final, dt), cfg.rk_order,
                     outflow_weights(ctx.space, ctx.spec, ctx.stab))
     return EvolveReport(
@@ -513,7 +510,7 @@ def run_evolve(cfg):
 def mesh_info(cfg):
     """Mesh statistics and the mesh dump; builds only the mesh and, with the
     DoD penalty on, the small-cell selection."""
-    mesh = build_mesh(cfg.background(), cfg.geometry())
+    mesh = build_mesh(cfg.background(), cfg.constraints)
     small = classify_small_cells(mesh, cfg.alpha0) if cfg.dod else ()
     alphas = mesh.cell_volume_fraction
     lines = [

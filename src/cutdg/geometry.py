@@ -97,14 +97,6 @@ def halfplane_from_line(slope, offset, keep_above=True):
     return HalfPlane(a, b, c)
 
 
-@dataclass(frozen=True)
-class Geometry:
-    constraints: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-
-
 def polygon_area(poly):
     """Signed shoelace area (positive for counterclockwise order).
 
@@ -252,10 +244,9 @@ class CutCellMesh:
     the arrays on access, for callers that want one cell as an object.
     """
 
-    def __init__(self, bg, geometry, cell_grid, cell_ij, cell_vertices, cell_offsets,
+    def __init__(self, bg, cell_grid, cell_ij, cell_vertices, cell_offsets,
                  cell_face_ids, cell_area, face_p, face_q, face_normal, face_left, face_right):
         self.bg = bg
-        self.geometry = geometry
         self._cell_grid = cell_grid   # (ny, nx) cell id, -1 where no cell is kept
         self.cell_ij = cell_ij
         self.cell_centers = np.stack(
@@ -342,8 +333,9 @@ def _grid_line(value, origin, h, count, tol):
     return np.where(on, k, -1)
 
 
-def build_mesh(bg, geometry):
-    """Clip every background cell against the geometry and extract faces.
+def build_mesh(bg, constraints):
+    """Clip every background cell against the half-planes ``constraints``
+    (:class:`HalfPlane` or (a, b, c) triples) and extract faces.
 
     Cells with (numerically) zero intersection area are omitted.  Raises
     :class:`ConfigurationError` when the kept region has no area at all.
@@ -359,8 +351,7 @@ def build_mesh(bg, geometry):
     h = bg.h
     snap = SNAP_FRAC * h
     drop = DROP_FRAC * h
-    constraints = [hp if isinstance(hp, HalfPlane) else HalfPlane(*hp)
-                   for hp in geometry.constraints]
+    constraints = [hp if isinstance(hp, HalfPlane) else HalfPlane(*hp) for hp in constraints]
 
     boxes = bg.cell_boxes()
     inside = np.ones(len(boxes), dtype=bool)
@@ -482,7 +473,7 @@ def build_mesh(bg, geometry):
     if len(short):
         raise MeshValidationError(f"face {short[0]} shorter than drop tolerance")
 
-    return CutCellMesh(bg, geometry, cell_grid, cell_ij, V, start, fid, area,
+    return CutCellMesh(bg, cell_grid, cell_ij, V, start, fid, area,
                        face_p, face_q, face_normal, face_left, face_right)
 
 

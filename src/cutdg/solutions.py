@@ -201,7 +201,7 @@ def _parse_poly_groups(name, text, m):
     return PolynomialField(comps, degree)
 
 
-def lookup_field(name, spec, bump_center=(0.32, 0.35), bump_radius=0.15):
+def lookup_field(name, spec):
     """Resolve a registry string to an evaluable field for the given system."""
     name = name.strip()
     if name.startswith("poly:"):
@@ -221,7 +221,7 @@ def lookup_field(name, spec, bump_center=(0.32, 0.35), bump_radius=0.15):
     if name == "windowed-sine-advect":
         return WindowedSineAdvect(spec.beta)
     if name == "bump-advect":
-        return BumpAdvect(spec.beta, bump_center, bump_radius)
+        return BumpAdvect(spec.beta, (0.32, 0.35), 0.15)
     if name.startswith("bump-advect:"):
         text = name[len("bump-advect:"):]
         params = _parse_numbers(name, text)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from cutdg.dg import face_matrices
-from cutdg.geometry import BackgroundMesh, Geometry, build_mesh, halfplane_from_line
+from cutdg.geometry import BackgroundMesh, build_mesh, halfplane_from_line
 from cutdg.quadrature import monomial_values
 from cutdg.stabilization import _wave_layout, source_tables, vector_parts
 
@@ -15,9 +15,7 @@ def ramp_mesh(nx=8, ny=8, slope=0.75, offset=None, box=(0.0, 0.0, 1.0, 1.0)):
     """Unit-box mesh cut by a single line, kept side above."""
     if offset is None:
         offset = 1.3 / nx
-    bg = BackgroundMesh(*box, nx, ny)
-    geo = Geometry((halfplane_from_line(slope, offset),))
-    return build_mesh(bg, geo)
+    return build_mesh(BackgroundMesh(*box, nx, ny), [halfplane_from_line(slope, offset)])
 
 
 def generic_cuts():
@@ -26,7 +24,7 @@ def generic_cuts():
 
 
 def uncut_mesh(nx=2, ny=2, box=(0.0, 0.0, 1.0, 1.0)):
-    return build_mesh(BackgroundMesh(*box, nx, ny), Geometry())
+    return build_mesh(BackgroundMesh(*box, nx, ny), [])
 
 
 def face_kinds(mesh, fids):

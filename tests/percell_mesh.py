@@ -116,7 +116,7 @@ def clip_cut_cell(box, constraints, snap, drop, h):
     return poly, area
 
 
-def build_mesh(bg, geometry):
+def build_mesh(bg, constraints):
     """The mesh as lists of ``CutCell`` and ``Face`` records, cut cells
     clipped one by one: a namespace with ``cells``, ``faces``, ``cell_ij``
     and ``cell_grid``.
@@ -130,8 +130,7 @@ def build_mesh(bg, geometry):
     h = bg.h
     snap = SNAP_FRAC * h
     drop = DROP_FRAC * h
-    constraints = [hp if isinstance(hp, HalfPlane) else HalfPlane(*hp)
-                   for hp in geometry.constraints]
+    constraints = [hp if isinstance(hp, HalfPlane) else HalfPlane(*hp) for hp in constraints]
 
     boxes = bg.cell_boxes()
     inside = np.ones(len(boxes), dtype=bool)

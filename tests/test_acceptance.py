@@ -156,7 +156,7 @@ def test_criterion_6_convergence_order():
     final = {}
     for degree in (0, 1, 2):
         cfg = RunConfig(
-            equation="advection", degree=degree, nx=16, ny=16,
+            equation="advection", degree=degree, nx=16,
             constraints=[(hp.a, hp.b, hp.c)], beta=(1.0, 0.75),
             alpha0=0.25, cfl=0.3, t_final=0.2, rk_order=3,
             initial="windowed-sine-advect", refinements=(16, 32, 64),

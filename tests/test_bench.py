@@ -90,3 +90,42 @@ def test_traced_stability_run_under_every_layer_point(tmp_path):
     names = [span[0] for span in t.spans]
     assert names.count(tracer.RHS_SPAN) == 15
     assert [span[4] for span in t.spans if span[0] == "geometry.build_mesh"][0] > 0
+
+
+_AB_SMOKE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import rhs_ab, setup_ab
+
+trees = rhs_ab.load_trees(None, sys.argv[2])
+tables = setup_ab.compare(trees, "ramp-acoustics-r1")
+cases = {side: rhs_ab.Case(trees[side], "sliver-acoustics") for side in rhs_ab.SIDES}
+out = {side: case.op(case.u) for side, case in cases.items()}
+for case in cases.values():
+    case.time_evolve()
+parent, change = (cases[side].result for side in rhs_ab.SIDES)
+print(json.dumps({
+    "tables": len(tables),
+    "unequal": sorted(name for name, t in tables.items() if not t["equal"]),
+    "op(u)": bool(np.array_equal(out["parent"], out["change"])),
+    "final": bool(np.array_equal(parent.final.coeffs, change.final.coeffs)),
+    "l2_trace": bool(np.array_equal(parent.l2_trace, change.l2_trace)),
+    "steps": [parent.steps, change.steps],
+}))
+"""
+
+
+def test_ab_scripts_agree_on_one_tree(tmp_path):
+    # both A/B scripts, run with this source tree on both sides, must find
+    # every table, op(u) and evolve result equal; each loads the two trees
+    # into one interpreter by rewriting sys.modules, so it runs in its own
+    import json
+
+    run = subprocess.run([sys.executable, "-c", _AB_SMOKE, str(_BENCH), str(_BENCH.parent / "src")],
+                         capture_output=True, text=True, timeout=300, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got["tables"] > 20 and got["unequal"] == []
+    assert got["op(u)"] and got["final"] and got["l2_trace"]
+    assert got["steps"] == [200, 200]

@@ -66,10 +66,13 @@ def test_bad_initial_field_exit_code(tmp_path, capsys, command, equation, initia
 
 @pytest.mark.parametrize("line, key", [("sound_speed = nan", "sound_speed"),
                                        ("dissipation = rusanov", "dissipation"),
+                                       ("ny = 16", "ny"),
+                                       ("threads = 1", "threads"),
                                        ("refinements = 0,4", "refinements")])
 def test_rejected_config_line_exit_code(tmp_path, capsys, line, key):
-    # a non-finite value, the removed dissipation key or a refinement level
-    # below one stops before any work
+    # a non-finite value, a removed key (dissipation; ny, which box and nx
+    # fix; threads, which changed nothing) or a refinement level below one
+    # stops before any work
     cfg = ramp_config("acoustics", 1, 1e-2, out=str(tmp_path))
     path = tmp_path / "run.cfg"
     path.write_text(serialize_config(cfg) + line + "\n")
@@ -137,7 +140,7 @@ def test_convergence_command_deterministic(tmp_path):
 
     hp = halfplane_from_line(0.75, 0.005)
     cfg = RunConfig(
-        equation="advection", degree=0, nx=8, ny=8,
+        equation="advection", degree=0, nx=8,
         constraints=[(hp.a, hp.b, hp.c)], beta=(1.0, 0.75),
         alpha0=0.25, initial="windowed-sine-advect",
         refinements=(8, 16), projection_only=True, out=str(tmp_path),
@@ -156,3 +159,43 @@ def test_threads_flag_accepted(tmp_path, capsys):
     path = _write_config(tmp_path, cfg)
     assert main(["mesh-info", "--config", path, "--threads", "4"]) == 0
     capsys.readouterr()
+    # accepted and ignored, but not below one
+    assert main(["mesh-info", "--config", path, "--threads", "0"]) == 2
+    assert "threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["consistency", "check-axioms"])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_negative_seed_is_a_configuration_error(tmp_path, capsys, command, where):
+    # numpy's generators take no negative seed: the checks raised its
+    # ValueError out of main, the other commands ran without complaint
+    cfg = ramp_config("acoustics", 1, 1e-2, nx=8, n_polynomials=1, n_triples=1,
+                      out=str(tmp_path))
+    if where == "config":
+        path, argv = _write_config(tmp_path, cfg, seed=-3), []
+    else:
+        path, argv = _write_config(tmp_path, cfg), ["--seed", "-1"]
+    assert main([command, "--config", path] + argv) == 2
+    captured = capsys.readouterr()
+    assert "'seed'" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("nx, refinements, key", [(16, (16, 24, 33), "refinements"),
+                                                  (15, (16,), "nx")])
+def test_non_square_level_stops_before_any_level_runs(tmp_path, capsys, monkeypatch,
+                                                      nx, refinements, key):
+    # on a 1 x 0.5 box, 33 or 15 cells across give no square cells: the
+    # study stops naming the key, before it builds any level
+    from cutdg import experiments
+    from cutdg.config import RunConfig
+
+    built = []
+    monkeypatch.setattr(experiments, "build_context", built.append)
+    cfg = RunConfig(box=(0.0, 0.0, 1.0, 0.5), nx=nx, refinements=refinements,
+                    projection_only=True, out=str(tmp_path))
+    path = _write_config(tmp_path, cfg)
+    assert main(["convergence", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert f"key {key!r}" in captured.err and "cells must be square" in captured.err
+    assert built == []
+    assert not (tmp_path / "convergence.csv").exists()

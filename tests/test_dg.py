@@ -1,10 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
 
 from conftest import ramp_mesh, uncut_mesh
 from probed_kernels import face_terms, local_matrix, volume_terms
 from probed_penalty import ProbedPenalty
-from cutdg.dg import assemble, boundary_outflow_weights, face_matrices, volume_matrices
+from cutdg.dg import (assemble, boundary_outflow_weights, face_matrices, outflow_weights,
+                      volume_matrices)
 from cutdg.quadrature import Space, face_quadrature, monomial_values
 from cutdg.solutions import PolynomialField, random_polynomial
 from cutdg.systems import SystemSpec
@@ -116,6 +119,57 @@ def test_semi_discrete_conservation():
     outflow = float(np.vdot(boundary_outflow_weights(space, spec), u.coeffs))
     # inflow faces contribute nothing by construction; collect the rest
     assert abs(total - outflow) < 1e-12 * max(abs(outflow), 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _conservation_contexts(equation):
+    """The nx=8 ramp grid (r 0-3, alpha 1e-2 and 1e-5) and the accepted
+    corpus cuts at nx=16, r=1, of one equation."""
+    from conftest import generic_cuts
+    from cutdg.errors import AdjacentSmallCellsError, BoundaryInflowError, CornerCellError
+    from cutdg.experiments import build_context, line_config, ramp_config
+
+    contexts = [build_context(ramp_config(equation, r, alpha, nx=8))
+                for r in range(4) for alpha in (1e-2, 1e-5)]
+    for s, o in generic_cuts()[:200]:
+        try:
+            contexts.append(build_context(line_config(equation, 1, s, o)))
+        except (AdjacentSmallCellsError, CornerCellError, BoundaryInflowError):
+            pass
+    return contexts
+
+
+def _conservation_defect(space, spec, stab):
+    """The largest entry of g^T - e0^T (B + S), relative to the largest
+    column sum of |e0^T| |B + S|.
+
+    Mode 0 is the constant 1, so with w the cells' mode integrals
+    w^T M^{-1} = e0^T, the rows of each cell's constant mode of the first
+    component: w^T K + g^T = g^T - e0^T (B + S) is the rate of change of
+    that component's integral plus its outflow through the weights g of
+    ``outflow_weights``, for every state.  No mass is solved, so cells with
+    a singular mass count too.
+    """
+    rows = assemble(space, spec, stab).matrix().tocsr()[
+        np.arange(space.mesh.num_cells) * space.n_modes * spec.m]
+    defect = outflow_weights(space, spec, stab).ravel() - np.asarray(rows.sum(axis=0)).ravel()
+    return np.abs(defect).max() / abs(rows).sum(axis=0).max()
+
+
+@pytest.mark.parametrize("equation, dod", [
+    ("advection", False), ("advection", True), ("acoustics", False),
+    pytest.param("acoustics", True, marks=pytest.mark.xfail(strict=True, reason=(
+        "the acoustic penalty changes the pressure integral: 7.6e-3 to 1.3e-2 of the "
+        "largest column sum, up to 6.26e-3 absolute on the ramp"))),
+])
+def test_operator_conserves_the_first_component(equation, dod):
+    # the base form conserves to round-off on every mesh, and so does the
+    # advection penalty; measured at most 9.3e-17
+    contexts = _conservation_contexts(equation)
+    assert len(contexts) == 8 + {"advection": 59, "acoustics": 45}[equation]
+    worst = max(_conservation_defect(ctx.space, ctx.spec, ctx.stab if dod else None)
+                for ctx in contexts)
+    assert worst <= 1e-14
 
 
 def test_apply_mass_inverse_r0():

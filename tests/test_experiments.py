@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from cutdg.experiments import (
     run_stability,
 )
 from cutdg.geometry import halfplane_from_line
-from cutdg.stepping import evolve, time_step
+from cutdg.stepping import evolve
 
 
 def test_ramp_config_hits_target_min_alpha():
@@ -150,7 +151,7 @@ def test_axiom_draws_follow_the_per_triple_order():
 def test_convergence_projection_only_rate():
     hp = halfplane_from_line(0.75, 0.005)
     cfg = RunConfig(
-        equation="advection", degree=1, nx=8, ny=8,
+        equation="advection", degree=1, nx=8,
         constraints=[(hp.a, hp.b, hp.c)], beta=(1.0, 0.75),
         alpha0=0.25, initial="windowed-sine-advect",
         refinements=(8, 16, 32), projection_only=True,
@@ -179,7 +180,7 @@ def test_convergence_reports_divergence_per_row():
 def test_convergence_csv_shape():
     hp = halfplane_from_line(0.75, 0.005)
     cfg = RunConfig(
-        equation="advection", degree=0, nx=8, ny=8,
+        equation="advection", degree=0, nx=8,
         constraints=[(hp.a, hp.b, hp.c)], beta=(1.0, 0.75),
         alpha0=0.25, initial="windowed-sine-advect",
         refinements=(8, 16), projection_only=True,
@@ -212,9 +213,9 @@ def test_stability_no_stabilized_cells_matches_plain_run():
     cfg = ramp_config("acoustics", 1, 1e-2, steps=20)
     cfg.alpha0 = 1e-9
     cfg.validate()
-    ctx_on = build_context(cfg, stabilized=True)
+    ctx_on = build_context(replace(cfg, dod=True))
     assert len(ctx_on.small) == 0
-    ctx_off = build_context(cfg, stabilized=False)
+    ctx_off = build_context(replace(cfg, dod=False))
     fld = "poly:0.4,1,-0.7;0;0"
     cfg.initial = fld
     rep_on = _run_with(ctx_on, cfg)
@@ -228,8 +229,7 @@ def _run_with(ctx, cfg):
 
     fld = lookup_field(cfg.initial, ctx.spec)
     u0 = project_field(ctx.space, fld)
-    dt = time_step(cfg.cfl, ctx.mesh.bg.h, ctx.spec.lambda_max, cfg.degree)
-    return evolve(ctx.space, u0, make_rhs(ctx), dt, cfg.steps, cfg.rk_order).final.coeffs
+    return evolve(ctx.space, u0, make_rhs(ctx), ctx.dt, cfg.steps, cfg.rk_order).final.coeffs
 
 
 def test_evolve_conservation_identity():
@@ -256,7 +256,7 @@ def test_acoustic_evolve_measures_the_pressure_integral():
     assert rep.mass_trace[0] == mass0
     assert rep.outflow_integral == 0.0
     # on the uncut box the scheme conserves it to round-off
-    box = RunConfig(equation="acoustics", nx=16, ny=16, t_final=0.2, initial=initial).validate()
+    box = RunConfig(equation="acoustics", nx=16, t_final=0.2, initial=initial).validate()
     rep = run_evolve(box)
     assert abs(rep.mass_change) <= 1e-14 * abs(rep.mass_trace[0])
 
@@ -268,7 +268,7 @@ def test_mesh_info_output():
     assert "stabilized = " in info
     assert dump.startswith("cell 0 ")
 
-    cfg_uncut = RunConfig(equation="advection", nx=2, ny=2).validate()
+    cfg_uncut = RunConfig(equation="advection", nx=2).validate()
     info, _ = mesh_info(cfg_uncut)
     assert "cells = 4" in info
     assert "min_alpha = 1" in info
@@ -294,3 +294,33 @@ def test_singular_cut_mass_stops_stepping_runs_only(equation, tmp_path, capsys):
     assert main([command, "--config", str(path)]) == 1
     assert "mass matrix of cell 1 is numerically singular" in capsys.readouterr().err
     assert main(["consistency", "--config", str(path)]) == 0
+
+
+def test_every_driver_context_is_its_config(monkeypatch):
+    # a run is recorded by its config: every context a driver builds (the
+    # checks, which stabilize whatever dod says, each refinement level, the
+    # stability run and its unstabilized contrast, evolve) is the one its
+    # config builds again from its canonical text
+    from cutdg import experiments
+    from cutdg.config import parse_config, serialize_config
+
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(build_context(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(experiments, "build_context", recording)
+    checks = ramp_config("acoustics", 1, 1e-2, nx=8, n_polynomials=1, n_triples=1, dod=False)
+    run_consistency(checks)
+    run_axioms(checks)
+    run_convergence(ramp_config("advection", 1, 1e-2, nx=8, refinements=(8, 16), t_final=0.01))
+    run_stability(ramp_config("acoustics", 1, 1e-2, nx=8, steps=2), contrast=True)
+    run_evolve(ramp_config("advection", 1, 1e-2, nx=8, t_final=0.01))
+    assert [(c.cfg.nx, c.cfg.dod) for c in built] == [
+        (8, True), (8, True), (8, True), (16, True), (8, True), (8, False), (8, True)]
+    for ctx in built:
+        again = build_context(parse_config(serialize_config(ctx.cfg)))
+        assert again.mesh.dump() == ctx.mesh.dump()
+        assert list(again.small) == list(ctx.small)
+    assert [len(c.small) > 0 for c in built] == [True] * 5 + [False, True]

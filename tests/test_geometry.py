@@ -12,7 +12,6 @@ from cutdg.errors import (AdjacentSmallCellsError, BoundaryInflowError, Configur
 from cutdg.geometry import (
     SNAP_FRAC,
     BackgroundMesh,
-    Geometry,
     HalfPlane,
     build_mesh,
     classify_small_cells,
@@ -75,7 +74,7 @@ def test_single_uncut_cell():
 def test_single_cell_pentagon():
     s = np.sqrt(0.5)
     bg = BackgroundMesh(0, 0, 1, 1, 1, 1)
-    mesh = build_mesh(bg, Geometry((HalfPlane(s, s, 0.5 * s),)))
+    mesh = build_mesh(bg, [HalfPlane(s, s, 0.5 * s)])
     cell = mesh.cells[0]
     assert abs(cell.volume_fraction - 0.875) < 1e-14
     assert cell.num_faces == 5
@@ -84,7 +83,7 @@ def test_single_cell_pentagon():
 def test_ramp_area_matches_analytic():
     # kept above y = 0.3 + 0.2 x on the unit box: area = 1 - (0.3 + 0.4)/2
     bg = BackgroundMesh(0, 0, 1, 1, 4, 4)
-    mesh = build_mesh(bg, Geometry((halfplane_from_line(0.2, 0.3),)))
+    mesh = build_mesh(bg, [halfplane_from_line(0.2, 0.3)])
     assert abs(mesh.cell_area.sum() - 0.6) < 1e-13
 
 
@@ -94,7 +93,7 @@ def test_partition_random_ramps():
         slope = rng.uniform(0.1, 0.55)
         offset = rng.uniform(0.05, 0.4)
         bg = BackgroundMesh(0, 0, 1, 1, 8, 8)
-        mesh = build_mesh(bg, Geometry((halfplane_from_line(slope, offset),)))
+        mesh = build_mesh(bg, [halfplane_from_line(slope, offset)])
         exact = 1.0 - (offset + offset + slope) / 2.0   # trapezoid below the line
         assert abs(mesh.cell_area.sum() - exact) < 1e-12 * max(exact, 1.0)
 
@@ -102,7 +101,7 @@ def test_partition_random_ramps():
 def test_degenerate_geometry_rejected():
     bg = BackgroundMesh(0, 0, 1, 1, 2, 2)
     with pytest.raises(ConfigurationError):
-        build_mesh(bg, Geometry((HalfPlane(1.0, 0.0, 5.0),)))
+        build_mesh(bg, [HalfPlane(1.0, 0.0, 5.0)])
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (float("nan"), 0.8)])
@@ -193,7 +192,7 @@ def test_small_cells_selected_by_threshold():
 def test_adjacent_small_cells_rejected():
     # gentle slope: two neighbouring cut cells both drop below the threshold
     bg = BackgroundMesh(0, 0, 1, 1, 4, 4)
-    mesh = build_mesh(bg, Geometry((halfplane_from_line(0.3, 0.115),)))
+    mesh = build_mesh(bg, [halfplane_from_line(0.3, 0.115)])
     with pytest.raises(AdjacentSmallCellsError) as err:
         classify_small_cells(mesh, 0.4)
     assert "share face" in str(err.value)
@@ -296,12 +295,12 @@ def _recorded_mesh(name):
         cfg = load_config(str(CONFIGS / name))
     elif name == "single-cell-pentagon":
         s = np.sqrt(0.5)
-        return build_mesh(BackgroundMesh(0, 0, 1, 1, 1, 1), Geometry((HalfPlane(s, s, 0.5 * s),)))
+        return build_mesh(BackgroundMesh(0, 0, 1, 1, 1, 1), [HalfPlane(s, s, 0.5 * s)])
     elif name == "ramp-acoustics-r1-1e-6-nx128":
         cfg = ramp_config("acoustics", 1, 1e-6, nx=128)
     else:
         cfg = ramp_config("advection", 2, 1e-8, nx=16)
-    return build_mesh(cfg.background(), cfg.geometry())
+    return build_mesh(cfg.background(), cfg.constraints)
 
 
 def _faces_digest(mesh):
@@ -336,14 +335,14 @@ def test_mesh_arrays_match_cell_objects():
 
 
 def _ramp_case(nx, slope, offset):
-    return BackgroundMesh(0, 0, 1, 1, nx, nx), Geometry((halfplane_from_line(slope, offset),))
+    return BackgroundMesh(0, 0, 1, 1, nx, nx), [halfplane_from_line(slope, offset)]
 
 
 def _config_case(name):
     from cutdg.config import load_config
 
     cfg = load_config(str(CONFIGS / name))
-    return cfg.background(), cfg.geometry()
+    return cfg.background(), cfg.constraints
 
 
 SNAP_NEAR = 0.4 * SNAP_FRAC / 4   # within SNAP_FRAC * h of a vertex at nx = 4
@@ -380,7 +379,7 @@ def _oracle_case(spec):
         return _recorded_bg_geometry(spec)
     if len(spec) == 2:
         nx, constraints = spec
-        return BackgroundMesh(0, 0, 1, 1, nx, nx), Geometry(constraints)
+        return BackgroundMesh(0, 0, 1, 1, nx, nx), constraints
     return _ramp_case(*spec)
 
 
@@ -390,7 +389,7 @@ def _recorded_bg_geometry(name):
     if name.endswith(".cfg"):
         return _config_case(name)
     cfg = ramp_config("acoustics", 1, 1e-6, nx=128)
-    return cfg.background(), cfg.geometry()
+    return cfg.background(), cfg.constraints
 
 
 def _oracle_arrays(oracle):
@@ -413,9 +412,9 @@ def _oracle_arrays(oracle):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_array_mesh_matches_percell_oracle_bitwise(name):
-    bg, geometry = _oracle_case(ORACLE_CASES[name])
-    mesh = build_mesh(bg, geometry)
-    oracle = percell_mesh.build_mesh(bg, geometry)
+    bg, constraints = _oracle_case(ORACLE_CASES[name])
+    mesh = build_mesh(bg, constraints)
+    oracle = percell_mesh.build_mesh(bg, constraints)
     for key, expected in _oracle_arrays(oracle).items():
         got = getattr(mesh, key)
         assert got.dtype == expected.dtype and got.shape == expected.shape, key
@@ -433,11 +432,11 @@ def test_array_mesh_matches_percell_oracle_bitwise(name):
 
 
 @pytest.mark.parametrize("error, geometry", [
-    (ConfigurationError, Geometry((HalfPlane(1.0, 0.0, 5.0),))),
+    (ConfigurationError, [HalfPlane(1.0, 0.0, 5.0)]),
     # a line just off a grid line leaves cells 9 and 13 touching along it
     # without an overlap longer than the drop tolerance
     (MeshValidationError,
-     Geometry((HalfPlane(-0.0210651008777133, -0.9997781061440643, -0.7603661300461549),))),
+     [HalfPlane(-0.0210651008777133, -0.9997781061440643, -0.7603661300461549)]),
 ])
 def test_array_mesh_raises_as_percell_oracle(error, geometry):
     bg = BackgroundMesh(0, 0, 1, 1, 4, 4)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import evaluate, polygon_monomial_integral, ramp_mesh, uncut_mesh
 from percell_mesh import mass_matrix
-from cutdg.geometry import BackgroundMesh, Geometry, build_mesh
+from cutdg.geometry import BackgroundMesh, build_mesh
 from cutdg.quadrature import (
     Space,
     face_quadrature,
@@ -154,7 +154,7 @@ def test_mass_spd_on_extreme_sliver():
     bg = BackgroundMesh(0, 0, 1, 1, 1, 1)
     from cutdg.geometry import halfplane_from_line
 
-    geo = Geometry((halfplane_from_line(0.75, 1.0 - delta),))
+    geo = [halfplane_from_line(0.75, 1.0 - delta)]
     mesh = build_mesh(bg, geo)
     assert abs(mesh.cells[0].volume_fraction - 1e-8) < 1e-10
     for degree in (0, 1):
@@ -289,7 +289,7 @@ def _ramp_space(degree, alpha, nx=8):
     from cutdg.experiments import ramp_config
 
     cfg = ramp_config("acoustics", degree, alpha, nx=nx)
-    return Space(build_mesh(cfg.background(), cfg.geometry()), degree)
+    return Space(build_mesh(cfg.background(), cfg.constraints), degree)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
@@ -481,10 +481,10 @@ def _wedge_space(degree):
     from cutdg.geometry import HalfPlane, halfplane_from_line
 
     # cut cells with three, four and five vertices
-    geometry = Geometry((halfplane_from_line(0.4, 0.2),
-                         halfplane_from_line(-1.2, 1.1, keep_above=False),
-                         HalfPlane(1.0, 0.0, 0.0625 + 0.3 / 16)))
-    return Space(build_mesh(BackgroundMesh(0, 0, 1, 1, 16, 16), geometry), degree)
+    constraints = [halfplane_from_line(0.4, 0.2),
+                   halfplane_from_line(-1.2, 1.1, keep_above=False),
+                   HalfPlane(1.0, 0.0, 0.0625 + 0.3 / 16)]
+    return Space(build_mesh(BackgroundMesh(0, 0, 1, 1, 16, 16), constraints), degree)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])

@@ -62,11 +62,11 @@ def test_to_dg_is_exact_representation():
 
 def test_to_dg_exact_even_on_extreme_slivers():
     # re-centering has no mass solve: sliver conditioning cannot pollute it
-    from cutdg.geometry import BackgroundMesh, Geometry, build_mesh, halfplane_from_line
+    from cutdg.geometry import BackgroundMesh, build_mesh, halfplane_from_line
 
     delta = np.sqrt(2 * 0.75 * 1e-8)
     bg = BackgroundMesh(0, 0, 1, 1, 1, 1)
-    mesh = build_mesh(bg, Geometry((halfplane_from_line(0.75, 1.0 - delta),)))
+    mesh = build_mesh(bg, [halfplane_from_line(0.75, 1.0 - delta)])
     space = Space(mesh, 3)
     fld = random_polynomial(np.random.default_rng(1), 3, 1)
     u = fld.to_dg(space)
@@ -118,7 +118,6 @@ GOOD = """
 equation = advection
 degree = 2
 nx = 16
-ny = 16
 box = 0,0,1,1
 geometry.constraint = -0.6,0.8,0.1
 beta = 1,0.2
@@ -164,11 +163,11 @@ def test_roundtrip_covers_every_field():
     # every field set away from its default survives the canonical text form,
     # and the text names each field's key exactly once
     cfg = RunConfig(
-        equation="acoustics", degree=2, nx=5, ny=7, box=(-1.0, -0.5, 2.0, 1.5),
+        equation="acoustics", degree=2, nx=6, box=(-1.0, -0.5, 2.0, 1.5),
         constraints=[(0.6, 0.8, 0.3)], beta=(0.3, -0.7), sound_speed=1.7, alpha0=0.3,
         eta_scale=0.5, cfl=0.45, t_final=0.123, rk_order=2, seed=9, out="results",
-        initial="sine-advect", n_polynomials=3, n_triples=4, refinements=(8, 16),
-        projection_only=True, steps=17, growth_tol=2e-3, dod=False, threads=2,
+        initial="sine-advect", n_polynomials=3, n_triples=4, refinements=(12, 24),
+        projection_only=True, steps=17, growth_tol=2e-3, dod=False,
     ).validate()
     default = RunConfig()
     names = [f.name for f in fields(RunConfig)]

@@ -134,7 +134,7 @@ def test_non_finite_coefficient_reported_at_its_step(bad):
     from cutdg.experiments import ramp_config
 
     cfg = ramp_config("acoustics", 1, 1e-8, nx=8)
-    space = Space(build_mesh(cfg.background(), cfg.geometry()), 1)
+    space = Space(build_mesh(cfg.background(), cfg.constraints), 1)
     smallest = int(np.argmin(space.mesh.cell_volume_fraction))
     assert not space.uncut[smallest]
     u0 = space.zeros(3)
