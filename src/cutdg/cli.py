@@ -43,7 +43,12 @@ def build_parser():
 
 
 def _load(args):
-    cfg = load_config(args.config)
+    try:
+        cfg = load_config(args.config)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config {args.config!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config {args.config!r} is not UTF-8 text: {exc}") from exc
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
@@ -51,7 +56,11 @@ def _load(args):
     if args.threads is not None and args.threads < 1:
         raise ConfigurationError("threads must be >= 1")
     cfg.validate()
-    os.makedirs(cfg.out, exist_ok=True)
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot create output directory {cfg.out!r}: {exc.strerror}") from exc
     return cfg
 
 

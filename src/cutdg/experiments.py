@@ -1,7 +1,8 @@
 """Experiment drivers: consistency checks, form axioms, convergence, stability.
 
 Each driver takes a validated :class:`~cutdg.config.RunConfig` and returns a
-small report object; the CLI is a thin formatter around these functions.
+small report object: the config it ran and the values the run measured,
+each stored once.  The CLI is a thin formatter around these functions.
 """
 
 from dataclasses import dataclass, field, replace
@@ -31,7 +32,7 @@ from .stabilization import (
     surface_forms,
     volume_forms,
 )
-from .stepping import evolve, steps_to, time_step
+from .stepping import EvolveResult, evolve, steps_to, time_step
 
 CONSISTENCY_TOL = 1e-10
 AXIOM_TOL = 1e-12
@@ -126,6 +127,16 @@ def _initial_state(ctx, default):
     return fld, project_field(ctx.space, fld)
 
 
+def _time_run(ctx, u0, steps):
+    """``steps`` steps of the run ``ctx`` from ``u0`` at its background step:
+    the :class:`~cutdg.stepping.EvolveResult`, or the step at which the state
+    stopped being finite."""
+    try:
+        return evolve(ctx.space, u0, make_rhs(ctx), ctx.dt, steps, ctx.cfg.rk_order)
+    except IntegrationFailureError as exc:
+        return exc.step
+
+
 # ---------------------------------------------------------------------------
 # consistency of the penalty at global polynomials
 # ---------------------------------------------------------------------------
@@ -141,27 +152,24 @@ def _mode_scales(space, group):
 
 @dataclass
 class ConsistencyReport:
-    equation: str
-    degree: int
-    seed: int
-    n_fields: int
+    cfg: RunConfig
     n_stabilized: int
     min_alpha: float
     max_residual: float
-    tolerance: float = CONSISTENCY_TOL
 
     @property
     def passed(self):
-        return self.max_residual <= self.tolerance
+        return self.max_residual <= CONSISTENCY_TOL
 
     def lines(self):
+        cfg = self.cfg
         return [
-            f"# consistency equation={self.equation} degree={self.degree} seed={self.seed}",
+            f"# consistency equation={cfg.equation} degree={cfg.degree} seed={cfg.seed}",
             f"stabilized_cells = {self.n_stabilized}",
             f"min_alpha = {self.min_alpha:.3e}",
-            f"fields = {self.n_fields}",
+            f"fields = {cfg.n_polynomials}",
             f"max_normalized_residual = {self.max_residual:.6e}",
-            f"tolerance = {self.tolerance:.1e}",
+            f"tolerance = {CONSISTENCY_TOL:.1e}",
             f"status = {'pass' if self.passed else 'FAIL'}",
         ]
 
@@ -193,10 +201,7 @@ def run_consistency(cfg):
             normalized = np.abs(res.reshape(scale.shape + (-1,))) / (umax * h * scale[..., None])
             worst = max(worst, float(normalized.max()))
     min_alpha = float(ctx.mesh.cell_volume_fraction[list(ctx.small)].min())
-    return ConsistencyReport(
-        cfg.equation, cfg.degree, cfg.seed, cfg.n_polynomials,
-        len(ctx.small), min_alpha, worst,
-    )
+    return ConsistencyReport(cfg, len(ctx.small), min_alpha, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +213,20 @@ AXIOM_NAMES = ("symmetry", "linearity", "balance", "face_consistency", "volume_c
 
 @dataclass
 class AxiomReport:
-    seed: int
+    cfg: RunConfig
     n_cells: int
-    n_triples: int
     worst: dict
-    tolerance: float = AXIOM_TOL
 
     @property
     def passed(self):
-        return all(v <= self.tolerance for v in self.worst.values())
+        return all(v <= AXIOM_TOL for v in self.worst.values())
 
     def lines(self):
-        out = [f"# form-axioms seed={self.seed} cells={self.n_cells} triples={self.n_triples}"]
+        cfg = self.cfg
+        out = [f"# form-axioms seed={cfg.seed} cells={self.n_cells} triples={cfg.n_triples}"]
         for name in AXIOM_NAMES:
             out.append(f"{name} = {self.worst[name]:.6e}")
-        out.append(f"tolerance = {self.tolerance:.1e}")
+        out.append(f"tolerance = {AXIOM_TOL:.1e}")
         out.append(f"status = {'pass' if self.passed else 'FAIL'}")
         return out
 
@@ -321,7 +325,7 @@ def run_axioms(cfg):
         cell_worst = check_axioms_on_cell(ctx.space, ctx.spec, cid, rng, cfg.n_triples)
         for name in AXIOM_NAMES:
             worst[name] = max(worst[name], cell_worst[name])
-    return AxiomReport(cfg.seed, len(ctx.small), cfg.n_triples, worst)
+    return AxiomReport(cfg, len(ctx.small), worst)
 
 
 # ---------------------------------------------------------------------------
@@ -331,69 +335,54 @@ def run_axioms(cfg):
 
 @dataclass
 class ConvergenceRow:
-    run_id: str
-    nx: int
+    """One refinement level; a level whose run diverged has ``l2_error`` nan."""
     h: float
     dofs: int
     l2_error: float
     observed_order: float = None
-    diverged: bool = False
 
 
 @dataclass
 class ConvergenceReport:
-    rows: list = field(default_factory=list)
-    seed: int = 0
+    cfg: RunConfig
+    rows: list = field(default_factory=list)   # one per level of cfg.refinements
 
     def csv(self):
+        run_id = f"{self.cfg.equation}-r{self.cfg.degree}-nx"
         lines = ["run_id,nx,h,dofs,l2_error,observed_order"]
-        for r in self.rows:
-            err = "diverged" if r.diverged else f"{r.l2_error:.17g}"
+        for n, r in zip(self.cfg.refinements, self.rows):
+            err = "diverged" if np.isnan(r.l2_error) else f"{r.l2_error:.17g}"
             order = "" if r.observed_order is None else f"{r.observed_order:.17g}"
-            lines.append(f"{r.run_id},{r.nx},{r.h:.17g},{r.dofs},{err},{order}")
+            lines.append(f"{run_id}{n},{n},{r.h:.17g},{r.dofs},{err},{order}")
         return "\n".join(lines) + "\n"
 
     @property
     def diverged(self):
-        return any(r.diverged for r in self.rows)
+        return any(np.isnan(r.l2_error) for r in self.rows)
 
 
 def run_convergence(cfg):
     """Refinement study of the advected field named in the configuration."""
     if cfg.equation != "advection":
         raise ConfigurationError("the convergence driver runs the advection system")
-    rows = []
-    prev = None
+    report = ConvergenceReport(cfg)
     for n in cfg.refinements:
         ctx = build_context(replace(cfg, nx=n))
         fld, u0 = _initial_state(ctx, "windowed-sine-advect")
-        h = ctx.mesh.bg.h
-        row_id = f"{cfg.equation}-r{cfg.degree}-nx{n}"
-        diverged = False
         if cfg.projection_only:
-            u = u0
-            t_end = 0.0
+            err = ctx.space.l2_error(u0, lambda pts: fld(pts, 0.0))
         else:
-            dt = ctx.dt
-            try:
-                result = evolve(ctx.space, u0, make_rhs(ctx), dt, steps_to(cfg.t_final, dt),
-                                cfg.rk_order)
-                u = result.final
-                t_end = result.steps * dt
-            except IntegrationFailureError:
-                diverged = True
-        if diverged:
-            rows.append(ConvergenceRow(row_id, n, h, ctx.space.dofs(ctx.spec.m),
-                                       np.nan, None, diverged=True))
-            prev = None
-            continue
-        err = ctx.space.l2_error(u, lambda pts: fld(pts, t_end))
+            run = _time_run(ctx, u0, steps_to(cfg.t_final, ctx.dt))
+            err = np.nan if isinstance(run, int) else ctx.space.l2_error(
+                run.final, lambda pts: fld(pts, run.steps * ctx.dt))
+        h = ctx.mesh.bg.h
         order = None
-        if prev is not None and err > 0 and prev[1] > 0:
-            order = float(np.log(prev[1] / err) / np.log(prev[0] / h))
-        rows.append(ConvergenceRow(row_id, n, h, ctx.space.dofs(ctx.spec.m), err, order))
-        prev = (h, err)
-    return ConvergenceReport(rows, cfg.seed)
+        # no order next to a diverged level: a comparison with nan is false
+        if report.rows and err > 0 and report.rows[-1].l2_error > 0:
+            prev = report.rows[-1]
+            order = float(np.log(prev.l2_error / err) / np.log(prev.h / h))
+        report.rows.append(ConvergenceRow(h, ctx.space.dofs(ctx.spec.m), err, order))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -403,57 +392,52 @@ def run_convergence(cfg):
 
 @dataclass
 class StabilityReport:
-    seed: int
-    steps: int
+    """``growth`` is max ||u|| / ||u0|| of the run, None when it failed at
+    step ``failed_at``; ``contrast_growth`` is that of the run without the
+    penalty (inf when it failed), None when there was none."""
+    cfg: RunConfig
     dt: float
-    growth: float
-    unstable: bool
+    growth: float = None
     failed_at: int = None
     contrast_growth: float = None
-    contrast_unstable: bool = False
-    tolerance: float = 1e-3
 
     @property
     def passed(self):
-        return (not self.unstable) and self.growth <= 1.0 + self.tolerance
+        return self.failed_at is None and self.growth <= 1.0 + self.cfg.growth_tol
 
     def lines(self):
         out = [
-            f"# stability seed={self.seed} steps={self.steps} dt={self.dt:.6e}",
-            f"growth = {'unstable' if self.unstable else f'{self.growth:.12f}'}",
+            f"# stability seed={self.cfg.seed} steps={self.cfg.steps} dt={self.dt:.6e}",
+            f"growth = {'unstable' if self.failed_at is not None else f'{self.growth:.12f}'}",
         ]
         if self.failed_at is not None:
             out.append(f"failed_at_step = {self.failed_at}")
-        if self.contrast_growth is not None or self.contrast_unstable:
-            val = "unstable" if self.contrast_unstable else f"{self.contrast_growth:.6e}"
-            out.append(f"growth_without_stabilization = {val}")
+        if self.contrast_growth is not None:
+            c = self.contrast_growth
+            out.append(f"growth_without_stabilization = "
+                       f"{'unstable' if np.isinf(c) else f'{c:.6e}'}")
         out.append(f"status = {'pass' if self.passed else 'FAIL'}")
         return out
 
 
-def _stability_single(cfg):
-    ctx = build_context(cfg)
-    _, u0 = _initial_state(ctx, "poly:0.4,1,-0.7,0.5,-1,0.25;0;0")
-    dt = ctx.dt
-    try:
-        result = evolve(ctx.space, u0, make_rhs(ctx), dt, cfg.steps, cfg.rk_order)
-        return result.max_growth, False, None, dt
-    except IntegrationFailureError as exc:
-        return np.inf, True, exc.step, dt
-
-
 def run_stability(cfg, contrast=False):
-    """Long acoustic run on the sliver mesh with the background time step."""
+    """Long acoustic run on the sliver mesh with the background time step;
+    with ``contrast``, the same run without the penalty as well."""
     if cfg.equation != "acoustics":
         raise ConfigurationError("the stability driver runs the acoustics system")
-    growth, unstable, failed_at, dt = _stability_single(cfg)
-    report = StabilityReport(
-        cfg.seed, cfg.steps, dt, growth, unstable, failed_at, tolerance=cfg.growth_tol
-    )
+    runs = []
+    for run_cfg in (cfg, replace(cfg, dod=False))[:1 + contrast]:
+        ctx = build_context(run_cfg)
+        _, u0 = _initial_state(ctx, "poly:0.4,1,-0.7,0.5,-1,0.25;0;0")
+        runs.append(_time_run(ctx, u0, cfg.steps))
+    # the contrast differs only in its penalty, so its step is the run's
+    report = StabilityReport(cfg, ctx.dt)
+    if isinstance(runs[0], int):
+        report.failed_at = runs[0]
+    else:
+        report.growth = runs[0].max_growth
     if contrast:
-        c_growth, c_unstable, _, _ = _stability_single(replace(cfg, dod=False))
-        report.contrast_growth = None if c_unstable else c_growth
-        report.contrast_unstable = c_unstable
+        report.contrast_growth = np.inf if isinstance(runs[1], int) else runs[1].max_growth
     return report
 
 
@@ -464,44 +448,36 @@ def run_stability(cfg, contrast=False):
 
 @dataclass
 class EvolveReport:
-    seed: int
-    steps: int
+    cfg: RunConfig
     dt: float
-    final_l2: float
-    mass_change: float
-    outflow_integral: float
-    times: np.ndarray
-    l2_trace: np.ndarray
-    mass_trace: np.ndarray
+    result: EvolveResult
 
     def trace_csv(self):
+        r = self.result
         lines = ["step,t,l2,mass"]
-        for k, (t, l2, mass) in enumerate(zip(self.times, self.l2_trace, self.mass_trace)):
+        for k, (t, l2, mass) in enumerate(zip(r.times, r.l2_trace, r.mass_trace)):
             lines.append(f"{k},{t:.17g},{l2:.17g},{mass:.17g}")
         return "\n".join(lines) + "\n"
 
     def lines(self):
+        r = self.result
         return [
-            f"# evolve seed={self.seed} steps={self.steps} dt={self.dt:.6e}",
-            f"final_l2 = {self.final_l2:.17g}",
-            f"mass_change = {self.mass_change:.17g}",
-            f"outflow_integral = {self.outflow_integral:.17g}",
+            f"# evolve seed={self.cfg.seed} steps={r.steps} dt={self.dt:.6e}",
+            f"final_l2 = {r.l2_trace[-1]:.17g}",
+            f"mass_change = {r.mass_change:.17g}",
+            f"outflow_integral = {r.outflow_integral:.17g}",
         ]
 
 
 def run_evolve(cfg):
+    """The config's run to ``t_final``; a state that stops being finite
+    raises :class:`~cutdg.errors.IntegrationFailureError`."""
     ctx = build_context(cfg)
     _, u0 = _initial_state(ctx, "bump-advect" if cfg.equation == "advection" else "poly:1;0;0")
     dt = ctx.dt
     result = evolve(ctx.space, u0, make_rhs(ctx), dt, steps_to(cfg.t_final, dt), cfg.rk_order,
                     outflow_weights(ctx.space, ctx.spec, ctx.stab))
-    return EvolveReport(
-        cfg.seed, result.steps, dt,
-        result.l2_trace[-1],
-        result.mass_trace[-1] - result.mass_trace[0],
-        result.outflow_integral,
-        result.times, result.l2_trace, result.mass_trace,
-    )
+    return EvolveReport(cfg, dt, result)
 
 
 # ---------------------------------------------------------------------------

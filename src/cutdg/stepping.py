@@ -89,6 +89,11 @@ class EvolveResult:
             return 1.0
         return float(np.max(self.l2_trace) / base)
 
+    @property
+    def mass_change(self):
+        """Total mass at the end less at the start (0.0 without outflow weights)."""
+        return self.mass_trace[-1] - self.mass_trace[0]
+
 
 def evolve(space, u0, rhs, dt, steps, rk_order, outflow=None):
     """Take ``steps`` steps of size ``dt`` of du/dt = rhs(u), recording the L2

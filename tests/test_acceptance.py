@@ -136,7 +136,7 @@ def test_criterion_5_small_cell_stability():
     t0 = time.time()
     cfg = ramp_config("acoustics", 1, 1e-6, steps=1000, cfl=0.3, rk_order=3)
     rep = run_stability(cfg)
-    growth_excess = rep.growth - 1.0 if not rep.unstable else np.inf
+    growth_excess = rep.growth - 1.0 if rep.failed_at is None else np.inf
     ok = _report(
         "small-cell stability", growth_excess, 1e-3,
         f"1000 steps, dt={rep.dt:.3e}, runtime {time.time()-t0:.1f}s",
@@ -176,11 +176,11 @@ def test_criterion_6_convergence_order():
 def test_criterion_7_conservation():
     cfg = ramp_config("advection", 1, 1e-2, t_final=0.4,
                       initial="bump-advect:0.55,0.55,0.15")
-    rep = run_evolve(cfg)
-    resid = abs(rep.mass_change + rep.outflow_integral) / max(abs(rep.mass_change), 1e-300)
+    run = run_evolve(cfg).result
+    resid = abs(run.mass_change + run.outflow_integral) / max(abs(run.mass_change), 1e-300)
     ok = _report("conservation identity", resid, 1e-10,
-                 f"mass change {rep.mass_change:.3e}")
-    assert rep.mass_change < -1e-3
+                 f"mass change {run.mass_change:.3e}")
+    assert run.mass_change < -1e-3
     assert ok
 
 

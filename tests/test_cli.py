@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cutdg.cli import main
@@ -199,3 +201,45 @@ def test_non_square_level_stops_before_any_level_runs(tmp_path, capsys, monkeypa
     assert f"key {key!r}" in captured.err and "cells must be square" in captured.err
     assert built == []
     assert not (tmp_path / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("config, out", [("missing.cfg", None), ("a_dir", None),
+                                         ("latin1.cfg", None), ("run.cfg", "a_file"),
+                                         ("run.cfg", "a_file/sub")])
+def test_unusable_path_is_a_configuration_error(tmp_path, capsys, config, out):
+    # a config that cannot be read as text, or an output directory that
+    # cannot be made, stops naming the path instead of in a traceback
+    _write_config(tmp_path, ramp_config("acoustics", 1, 1e-2, nx=8))
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "latin1.cfg").write_bytes("# caf\xe9\nequation = acoustics\n".encode("latin-1"))
+    (tmp_path / "a_file").write_text("")
+    argv = ["mesh-info", "--config", str(tmp_path / config)]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert repr(str(tmp_path / (out or config))) in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command, flags, cfg, rc, expected", [
+    ("stability", ["--no-dod"], ramp_config("acoustics", 1, 1e-6, steps=200), 0,
+     ["growth_without_stabilization = unstable"]),
+    ("stability", [], ramp_config("acoustics", 1, 1e-6, steps=200, dod=False), 1,
+     ["growth = unstable", r"failed_at_step = \d+", "status = FAIL"]),
+    ("evolve", [], ramp_config("advection", 1, 1e-6, t_final=0.5, dod=False), 1,
+     ["integration failed at step 25"]),
+    ("convergence", [], ramp_config("advection", 1, 1e-6, t_final=0.5, dod=False,
+                                    initial="windowed-sine-advect", refinements=(16,)), 1,
+     [r"advection-r1-nx16,16,0\.0625,\d+,diverged,"]),
+])
+def test_failed_time_run_lines(tmp_path, capsys, command, flags, cfg, rc, expected):
+    # without the penalty the sliver ramp blows up at the background step:
+    # each time run prints its failure on a line of its own and exits 1,
+    # except the informational contrast of a stabilized run
+    path = _write_config(tmp_path, cfg, out=str(tmp_path))
+    assert main([command, "--config", path] + flags) == rc
+    lines = capsys.readouterr().out.splitlines()
+    for pattern in expected:
+        assert any(re.fullmatch(pattern, line) for line in lines), (pattern, lines)
+    assert not (tmp_path / "evolve_trace.csv").exists()
