@@ -27,7 +27,7 @@ compared but not timed.  Each case is set up phase by phase, as
 ``--pairs`` pairs of setups of every timed case are run, the side that runs
 first alternating from pair to pair; recorded is each phase's CPU time
 (``time.process_time``) per run.  Then every case, timed or not, is set up
-once more per side, and for every ``Space`` table (the cell rules, the
+once more per side, and for every mesh array, every ``Space`` table (the cell rules, the
 basis values and gradients, the masses, the mode integrals, and the rules
 and traces of all faces), the penalty's blocks (``stab.blocks()``, in their
 order) and its named matrices (cell by cell in ascending order,
@@ -61,6 +61,9 @@ import numpy as np  # noqa: E402
 PHASES = ("mesh", "space", "penalty", "operator", "projection")
 CONSISTENCY = ("consistency-advection", "consistency-acoustics")
 TIMED = STEPPING + ("fine-acoustics-nx128",) + CONSISTENCY
+MESH_TABLES = ("cell_ij", "cell_vertices", "cell_offsets", "cell_face_ids", "cell_area",
+               "cell_volume_fraction", "face_p", "face_q", "face_normal", "face_left",
+               "face_right")
 RAMPS = tuple(f"ramp-{eq}-r{r}" for eq in ("advection", "acoustics") for r in range(4))
 
 
@@ -145,6 +148,8 @@ def tables(tree, built, rng):
         "space.face_traces": np.stack(space.face_traces(np.arange(len(space.mesh.face_left)))[:2]),
         "projection": built["u0"].coeffs,
     }
+    for key in MESH_TABLES:
+        out[f"mesh.{key}"] = getattr(space.mesh, key)
     if op is not None:
         for name, operator in (("B+S", built["summed"]()), ("K", op)):
             out[f"{name}.stencil"] = operator.stencil

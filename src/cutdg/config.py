@@ -99,6 +99,10 @@ class RunConfig:
         if any(n < 1 for n in self.refinements):
             levels = ",".join(map(str, self.refinements))
             raise ConfigurationError(f"key 'refinements': every level must be >= 1, got {levels}")
+        # the observed order compares each level with the coarser one before it
+        if any(a >= b for a, b in zip(self.refinements, self.refinements[1:])):
+            levels = ",".join(map(str, self.refinements))
+            raise ConfigurationError(f"key 'refinements': levels must increase, got {levels}")
         x0, y0, x1, y1 = self.box
         if not (x1 > x0 and y1 > y0):
             raise ConfigurationError("box corners must satisfy x1 > x0 and y1 > y0")

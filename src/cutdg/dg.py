@@ -230,11 +230,12 @@ class SemiDiscreteOperator:
     def folded(self, space):
         """-M^{-1} times this map, with ``space``'s mass matrices.
 
-        The mass inverse is applied block row by block row, with Cholesky
-        solves (never an explicit inverse): the stencil with the reference
-        factor, the coupling with each block row's own factor.  Every
-        cut-cell mass matrix is factored, so a singular one is reported
-        before the first step.
+        The mass inverse is applied block row by block row
+        (:meth:`Space.mass_solve`): uncut rows, the stencil's among them,
+        by one product with the reference mass's inverse, cut rows by
+        Cholesky solves with their own factors (a cut-cell mass is never
+        inverted).  Every cut-cell mass matrix is factored, so a singular
+        one is reported before the first step.
         """
         k = space.n_modes
 

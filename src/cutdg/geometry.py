@@ -56,17 +56,6 @@ class BackgroundMesh:
     def h(self):
         return (self.x1 - self.x0) / self.nx
 
-    def cell_boxes(self):
-        """Every cell's box, shape (ny * nx, 4, 2), in row-major (j, i) order."""
-        h = self.h
-        j, i = np.divmod(np.arange(self.nx * self.ny), self.nx)
-        x = self.x0 + i * h
-        y = self.y0 + j * h
-        return np.stack([
-            np.stack([x, y], axis=-1), np.stack([x + h, y], axis=-1),
-            np.stack([x + h, y + h], axis=-1), np.stack([x, y + h], axis=-1),
-        ], axis=1)
-
 
 @dataclass(frozen=True)
 class HalfPlane:
@@ -343,26 +332,49 @@ def build_mesh(bg, constraints):
     The corner signed distances sort the background cells into fully inside
     (kept as their box), fully outside (dropped) and cut; the cut cells are
     clipped all at once, on padded arrays.  Cells are numbered in row-major
-    (j, i) order.  Faces come from one flat array of every cell's edges, in
-    cell order and each polygon's vertex order, and are numbered at their
-    first encounter there; a later encounter of an internal face narrows it
-    to the overlap of the cells' edges.
+    (j, i) order.  Faces are numbered as they are first met in one flat
+    array of every cell's edges, in cell order and each polygon's vertex
+    order; a later encounter of an internal face narrows it to the overlap
+    of the cells' edges.
+
+    Only the band around the cut is searched for that.  An uncut cell's
+    edges are its box's bottom, right, top and left, and its neighbours are
+    read off the grid: its right and top edges create a face each, and its
+    bottom and left edges toward an uncut neighbour take that neighbour's
+    top and right faces.  The cut cells' edges are matched to grid lines,
+    and they and the uncut cells' edges toward a cut cell are grouped by
+    the pair of cells they separate.
     """
     h = bg.h
     snap = SNAP_FRAC * h
     drop = DROP_FRAC * h
     constraints = [hp if isinstance(hp, HalfPlane) else HalfPlane(*hp) for hp in constraints]
 
-    boxes = bg.cell_boxes()
-    inside = np.ones(len(boxes), dtype=bool)
-    outside = np.zeros(len(boxes), dtype=bool)
+    # box sides: column i spans x0 + i h to (x0 + i h) + h, row j alike
+    xl = bg.x0 + np.arange(bg.nx) * h
+    yb = bg.y0 + np.arange(bg.ny) * h
+    xr, yt = xl + h, yb + h
+
+    def boxes(i, j):
+        """Boxes of the background cells in columns ``i`` and rows ``j``,
+        (n, 4, 2), counterclockwise from the lower left corner."""
+        x0, x1, y0, y1 = xl[i], xr[i], yb[j], yt[j]
+        return np.stack([x0, y0, x1, y0, x1, y1, x0, y1], axis=-1).reshape(-1, 4, 2)
+
+    inside = np.ones((bg.ny, bg.nx), dtype=bool)
+    outside = np.zeros((bg.ny, bg.nx), dtype=bool)
     for hp in constraints:
-        d = hp.signed_distance(boxes)
-        inside &= np.all(d >= -snap, axis=1)
-        outside |= np.all(d < -snap, axis=1)
+        # a corner's distance is (x a + y b) - c; rounding is monotone, so
+        # the lowest (highest) one takes the lower (higher) x and y terms
+        ax, by = np.stack([xl * hp.a, xr * hp.a]), np.stack([yb * hp.b, yt * hp.b])
+        inside &= (ax.min(axis=0) + by.min(axis=0)[:, None]) - hp.c >= -snap
+        outside |= (ax.max(axis=0) + by.max(axis=0)[:, None]) - hp.c < -snap
+    inside, outside = inside.ravel(), outside.ravel()
     cut = np.flatnonzero(~inside & ~outside)
-    cut_poly, cut_count, cut_area = _clip_boxes(boxes[cut], constraints, snap, drop, h)
+    cut_poly, cut_count, cut_area = _clip_boxes(boxes(cut % bg.nx, cut // bg.nx), constraints,
+                                                snap, drop, h)
     survives = cut_count > 0
+    cut_poly, cut_count = cut_poly[survives], cut_count[survives]
 
     kept_mask = inside.copy()
     kept_mask[cut[survives]] = True
@@ -375,103 +387,126 @@ def build_mesh(bg, constraints):
     cell_grid = cell_grid.reshape(bg.ny, bg.nx)
     cell_ij = np.stack([kept % bg.nx, kept // bg.nx], axis=-1)
     was_cut = ~inside[kept]
+    full, cut_cells = np.flatnonzero(~was_cut), np.flatnonzero(was_cut)
     nv = np.full(ncells, 4)
-    nv[was_cut] = cut_count[survives]
-    polys = np.zeros((ncells, max(4, cut_poly.shape[1]), 2))
-    polys[~was_cut, :4] = boxes[kept[~was_cut]]
-    polys[was_cut, :cut_poly.shape[1]] = cut_poly[survives]
-    area = polygon_area(boxes[kept])
-    area[was_cut] = cut_area[survives]
-
-    # flat edge arrays: edge e of cell e_cell[e] runs from V[e] to W[e]
+    nv[cut_cells] = cut_count
     start = np.concatenate([[0], np.cumsum(nv)])
-    V = polys[np.arange(polys.shape[1]) < nv[:, None]]
+
+    # flat edges: edge e of cell e_cell[e] runs from V[e] to V[nxt[e]].  An
+    # uncut cell's edges are bottom, right, top and left; row[e] says where
+    # an edge's data is, uncut cells' first, then the cut cells'
+    fi, fj = cell_ij.take(full, axis=0).T
+    full_boxes = boxes(fi, fj)
+    full_edges = start.take(full)[:, None] + np.arange(4)
+    slots = np.arange(cut_poly.shape[1]) < cut_count[:, None]
+    ce = (start[cut_cells, None] + np.arange(cut_poly.shape[1]))[slots]
+    row = np.empty(start[-1], dtype=np.int64)
+    row[full_edges] = np.arange(full_edges.size).reshape(-1, 4)
+    row[ce] = full_edges.size + np.arange(len(ce))
+    V = np.concatenate([full_boxes.reshape(-1, 2), cut_poly[slots]]).take(row, axis=0)
     nxt = np.arange(1, len(V) + 1)
     nxt[start[1:] - 1] = start[:-1]
-    W = V[nxt]
     e_cell = np.repeat(np.arange(ncells), nv)
-    ei, ej = cell_ij[e_cell].T
-    edge = W - V
-    outward = np.stack([edge[:, 1], -edge[:, 0]], axis=-1) / np.hypot(edge[:, 0], edge[:, 1])[:, None]
+    area = np.empty(ncells)
+    # polygon_area of the box: its shoelace terms, summed in its order
+    (x0, y0), (x1, y1) = full_boxes[:, 0].T, full_boxes[:, 2].T
+    area[full] = 0.5 * ((((x0 * y0 - x1 * y0) + (x1 * y1 - x1 * y0)) + (x1 * y1 - x0 * y1))
+                        + (x0 * y0 - x0 * y1))
+    area[cut_cells] = cut_area[survives]
 
-    # an edge on an inner grid line with a kept cell across it is internal
+    # the cell across each edge, -1 on a wall: read off the grid below,
+    # right of, above and left of an uncut cell; a cut cell's edge is
+    # internal if it lies on an inner grid line with a kept cell across it
+    w = bg.nx + 2
+    pad = np.full((bg.ny + 2, w), -1, dtype=np.int64)
+    pad[1:-1, 1:-1] = cell_grid
+    across = pad.reshape(-1)[((fj + 1) * w + fi + 1)[:, None] + np.array([-w, 1, w, -1])]
+    v, u = cut_poly[slots], V.take(nxt[ce], axis=0)
+    ei, ej = np.repeat(cell_ij[cut_cells], cut_count, axis=0).T
     line_tol = 1e-11 * h
-    vertical = np.abs(V[:, 0] - W[:, 0]) <= line_tol
-    horizontal = ~vertical & (np.abs(V[:, 1] - W[:, 1]) <= line_tol)
-    kv = np.where(vertical, _grid_line(V[:, 0], bg.x0, h, bg.nx, line_tol), -1)
-    kh = np.where(horizontal, _grid_line(V[:, 1], bg.y0, h, bg.ny, line_tol), -1)
+    vertical = np.abs(v[:, 0] - u[:, 0]) <= line_tol
+    horizontal = ~vertical & (np.abs(v[:, 1] - u[:, 1]) <= line_tol)
+    kv = np.where(vertical, _grid_line(v[:, 0], bg.x0, h, bg.nx, line_tol), -1)
+    kh = np.where(horizontal, _grid_line(v[:, 1], bg.y0, h, bg.ny, line_tol), -1)
     axis = np.where((kv > 0) & (kv < bg.nx), 0, np.where((kh > 0) & (kh < bg.ny), 1, -1))
-    line_k = np.where(axis == 0, kv, kh)
     ni = np.where(axis == 0, np.where(ei == kv, ei - 1, ei + 1), ei)
     nj = np.where(axis == 1, np.where(ej == kh, ej - 1, ej + 1), ej)
     valid = (axis >= 0) & (ni >= 0) & (ni < bg.nx) & (nj >= 0) & (nj < bg.ny)
-    nb = np.full(len(V), -1, dtype=np.int64)
-    nb[valid] = cell_grid[nj[valid], ni[valid]]
-    ie = np.flatnonzero(nb >= 0)
+    cut_across = np.full(len(ce), -1, dtype=np.int64)
+    cut_across[valid] = cell_grid[nj[valid], ni[valid]]
+    nb = np.concatenate([across.reshape(-1), cut_across]).take(row)
 
-    # internal edges with one (cell pair, axis, grid line) make one face;
+    # the band's internal edges between one pair of cells make one face;
     # sorting by edge position last keeps each group in encounter order
-    lo = np.minimum(e_cell, nb)[ie]
-    hi = np.maximum(e_cell, nb)[ie]
-    perm = np.lexsort((ie, line_k[ie], axis[ie], hi, lo))
-    order = ie[perm]
-    keys = np.stack([lo[perm], hi[perm], axis[order], line_k[order]])
+    kind = np.append(was_cut.astype(np.int8), -1)[across]   # 1 cut, 0 uncut, -1 none
+    ie = np.concatenate([ce[cut_across >= 0], full_edges[kind == 1]])
+    lo = np.minimum(e_cell[ie], nb[ie])
+    hi = np.maximum(e_cell[ie], nb[ie])
+    perm = np.lexsort((ie, hi, lo))
+    order, lo, hi = ie[perm], lo[perm], hi[perm]
     group_head = np.ones(len(order), dtype=bool)
-    group_head[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+    group_head[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
     heads = np.flatnonzero(group_head)
-    first = np.empty(len(V), dtype=np.int64)
-    first[order] = order[heads][np.cumsum(group_head) - 1]
+    first = order[heads][np.cumsum(group_head) - 1]
 
+    # face ids: each creating edge's rank in flat order.  An uncut cell's
+    # bottom (left) edge toward an uncut cell takes that cell's top (right)
+    # face, and a band edge its group's first edge's face
     creates = np.ones(len(V), dtype=bool)
-    creates[ie] = first[ie] == ie
+    creates[order] = first == order
+    bottom, left = np.flatnonzero(kind[:, 0] == 0), np.flatnonzero(kind[:, 3] == 0)
+    creates[start[full[bottom]]] = False
+    creates[start[full[left]] + 3] = False
     src = np.flatnonzero(creates)
     fid = np.empty(len(V), dtype=np.int64)
     fid[src] = np.arange(len(src))
-    fid[ie] = fid[first[ie]]
+    fid[start[full[bottom]]] = fid[start[across[bottom, 0]] + 2]
+    fid[start[full[left]] + 3] = fid[start[across[left, 3]] + 1]
+    fid[order] = fid[first]
 
     # face data in face-id order, read off the edge that created each face:
     # a boundary face keeps its edge, an internal one runs along the axis
-    # from its left cell (on the lower side of the line) to the right one
-    face_left = e_cell[src]
-    face_right = np.full(len(src), -1, dtype=np.int64)
-    face_p = V[src]
-    face_q = W[src]
-    face_normal = outward[src]
-    fi = np.flatnonzero(nb[src] >= 0)
-    e = src[fi]
-    t = 1 - axis[e]   # varying coordinate: y on vertical lines, x on horizontal ones
-    own = np.where(axis[e] == 0, ei[e], ej[e])
-    left = np.where(own == line_k[e] - 1, e_cell[e], nb[e])
-    face_left[fi] = left
-    face_right[fi] = np.where(left == e_cell[e], nb[e], e_cell[e])
-    face_normal[fi] = np.where((axis[e] == 0)[:, None], [1.0, 0.0], [0.0, 1.0])
-    swap = (V[e, t] > W[e, t])[:, None]
-    face_p[fi] = np.where(swap, W[e], V[e])
-    face_q[fi] = np.where(swap, V[e], W[e])
+    # from its left cell (the lower one, so the smaller id) to the right one
+    cells, other, ends = e_cell[src], nb[src], nxt[src]
+    wall = other < 0
+    face_left = np.where(wall, cells, np.minimum(cells, other))
+    face_right = np.where(wall, -1, np.maximum(cells, other))
+    x, y = V.T
+    px, qx = x.take(src), x.take(ends)
+    vertical = np.abs(px - qx) <= line_tol
+    swap = ~wall & np.where(vertical, y.take(src) > y.take(ends), px > qx)
+    face_p = V.take(np.where(swap, ends, src), axis=0)
+    face_q = V.take(np.where(swap, src, ends), axis=0)
+    face_normal = np.stack([vertical, ~vertical], axis=-1).astype(float)
+    walls = np.flatnonzero(wall)
+    edge = face_q.take(walls, axis=0) - face_p.take(walls, axis=0)
+    face_normal[walls] = np.stack([edge[:, 1], -edge[:, 0]], axis=-1) / np.hypot(edge[:, 0], edge[:, 1])[:, None]
 
     # an internal face met again is narrowed to the overlap of the edges
     if len(order):
-        to = 1 - axis[order]
-        vt, wt = V[order, to], W[order, to]
+        to = (cell_ij[lo, 1] == cell_ij[hi, 1]).astype(np.int64)   # y on vertical lines
+        vt, wt = V[order, to], V[nxt[order], to]
         seg_lo = np.maximum.reduceat(np.minimum(vt, wt), heads)
         seg_hi = np.minimum.reduceat(np.maximum(vt, wt), heads)
-        shared = np.diff(np.append(heads, len(order))) > 1
-        bad = np.flatnonzero(shared & (seg_hi - seg_lo <= drop))
+        many = np.diff(np.append(heads, len(order))) > 1
+        bad = np.flatnonzero(many & (seg_hi - seg_lo <= drop))
         if len(bad):
             # the first failure in encounter order, as a sequential pass finds it
             g = heads[bad[np.argmin(order[heads[bad] + 1])]]
             raise MeshValidationError(
-                f"cells {keys[0, g]} and {keys[1, g]} share grid line but no face overlap"
+                f"cells {lo[g]} and {hi[g]} share grid line but no face overlap"
             )
         gf = fid[order[heads]]
         gt = to[heads]
         face_p[gf, gt] = seg_lo
         face_q[gf, gt] = seg_hi
 
-    span = face_q - face_p
-    short = np.flatnonzero(np.hypot(span[:, 0], span[:, 1]) <= drop)
+    # only the band's faces can be short: an uncut cell's own faces span h
+    band = fid[np.concatenate([ce, order])]
+    span = face_q.take(band, axis=0) - face_p.take(band, axis=0)
+    short = band[np.hypot(span[:, 0], span[:, 1]) <= drop]
     if len(short):
-        raise MeshValidationError(f"face {short[0]} shorter than drop tolerance")
+        raise MeshValidationError(f"face {short.min()} shorter than drop tolerance")
 
     return CutCellMesh(bg, cell_grid, cell_ij, V, start, fid, area,
                        face_p, face_q, face_normal, face_left, face_right)

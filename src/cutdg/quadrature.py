@@ -250,8 +250,8 @@ class Space:
         self._ref_w = ref_w * h * h
         ref_mass = self._ref_phi.T @ (self._ref_w[:, None] * self._ref_phi)
         ref_mass = 0.5 * (ref_mass + ref_mass.T)
-        self._ref_cho = cho_factor(ref_mass)
         self._ref_mass = ref_mass
+        self._ref_inv = cho_solve(cho_factor(ref_mass), np.eye(self.n_modes))
         self._ref_mass_kron = {}
 
         # all cells' points in one array: the uncut cells' block, then the
@@ -372,19 +372,21 @@ class Space:
         """Block-diagonal mass solve of stacked blocks rhs (n, n_modes, p).
 
         Block i is solved with the mass matrix of ``cells[i]`` (default: block
-        i belongs to cell i): one solve with the reference factor for the
-        blocks of uncut cells, one with the stacked factors for the rest.
+        i belongs to cell i).  The blocks of uncut cells are multiplied by the
+        reference mass's inverse, formed once from its Cholesky factor, all
+        in one product; the reference mass is well conditioned (cond 12, 185
+        and 2.9e3 at degree 1, 2 and 3).  The cut cells' masses are never
+        inverted: their blocks are solved with the stacked Cholesky factors.
         """
         n, k, p = rhs.shape
         cells = np.arange(n) if cells is None else np.asarray(cells)
         uncut = self.uncut[cells]
-        nu = np.count_nonzero(uncut)
         out = np.empty_like(rhs)
-        # right-hand sides as the columns of a Fortran-ordered (k, nu p) array
-        cols = np.ascontiguousarray(rhs[uncut].transpose(0, 2, 1)).reshape(nu * p, k).T
-        sol = cho_solve(self._ref_cho, cols, check_finite=False)
-        out[uncut] = sol.T.reshape(nu, p, k).transpose(0, 2, 1)
-        if nu < n:
+        # every uncut block side by side: one (k, k) by (k, uncut blocks * p) product
+        blocks = rhs[uncut]
+        out[uncut] = (self._ref_inv @ blocks.transpose(1, 0, 2).reshape(k, -1)).reshape(
+            k, len(blocks), p).transpose(1, 0, 2)
+        if not uncut.all():
             cut = ~uncut
             slot = np.searchsorted(self.cut_ids, cells[cut])
             out[cut] = cho_solve_stacked(self.cut_mass_factors()[slot], rhs[cut])

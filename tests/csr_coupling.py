@@ -13,6 +13,7 @@ against :func:`folded_operator`.
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import cho_factor, cho_solve
 
 from cutdg.dg import face_matrices, volume_matrices
 
@@ -78,12 +79,21 @@ def csr_operator(space, spec, stab=None, magnitude=None):
 
 
 def folded_operator(space, spec, stab=None):
-    """-M^{-1} (B + S): each block row of :func:`csr_operator` solved
-    with its cell's mass matrix."""
+    """-M^{-1} (B + S): each block row of :func:`csr_operator` solved with
+    its cell's mass matrix, factored here on its own, not through
+    ``Space.mass_solve``.  A singular cut-cell mass raises as the package
+    does (``Space.cut_mass_factors``)."""
+    space.cut_mass_factors()
     k, m = space.n_modes, spec.m
     operator = csr_operator(space, spec, stab)
-    block_rows = np.repeat(np.arange(space.mesh.num_cells), np.diff(operator.indptr))
-    rhs = operator.data.reshape(len(block_rows), k, m * k * m)
-    data = -space.mass_solve(rhs, block_rows).reshape(operator.data.shape)
-    space.cut_mass_factors()
-    return sparse.bsr_matrix((data, operator.indices, operator.indptr), shape=operator.shape)
+    nblocks = len(operator.data)
+    # a block's rows are (mode, component) pairs; the mass acts on the mode
+    rhs = operator.data.reshape(nblocks, k, m * k * m)
+    data = np.empty_like(rhs)
+    for c in range(space.mesh.num_cells):
+        rows = slice(operator.indptr[c], operator.indptr[c + 1])
+        n = rows.stop - rows.start
+        cols = rhs[rows].transpose(1, 0, 2).reshape(k, -1)
+        data[rows] = -cho_solve(cho_factor(space.mass[c]), cols).reshape(k, n, -1).transpose(1, 0, 2)
+    return sparse.bsr_matrix((data.reshape(operator.data.shape), operator.indices, operator.indptr),
+                             shape=operator.shape)

@@ -100,6 +100,18 @@ def _grid_line(value, origin, h, count, tol):
     return np.where(on, k, -1)
 
 
+def cell_boxes(bg):
+    """Every background cell's box, shape (ny * nx, 4, 2), in row-major (j, i) order."""
+    h = bg.h
+    j, i = np.divmod(np.arange(bg.nx * bg.ny), bg.nx)
+    x = bg.x0 + i * h
+    y = bg.y0 + j * h
+    return np.stack([
+        np.stack([x, y], axis=-1), np.stack([x + h, y], axis=-1),
+        np.stack([x + h, y + h], axis=-1), np.stack([x, y + h], axis=-1),
+    ], axis=1)
+
+
 def clip_cut_cell(box, constraints, snap, drop, h):
     """Clip one cell the constraints cut: (polygon, area), or None if nothing is left."""
     poly = box
@@ -132,7 +144,7 @@ def build_mesh(bg, constraints):
     drop = DROP_FRAC * h
     constraints = [hp if isinstance(hp, HalfPlane) else HalfPlane(*hp) for hp in constraints]
 
-    boxes = bg.cell_boxes()
+    boxes = cell_boxes(bg)
     inside = np.ones(len(boxes), dtype=bool)
     outside = np.zeros(len(boxes), dtype=bool)
     for hp in constraints:

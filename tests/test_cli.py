@@ -203,6 +203,24 @@ def test_non_square_level_stops_before_any_level_runs(tmp_path, capsys, monkeypa
     assert not (tmp_path / "convergence.csv").exists()
 
 
+@pytest.mark.parametrize("refinements", ["16,16", "16,32,32", "32,16"])
+def test_non_increasing_refinements_stop_before_any_level_runs(tmp_path, capsys, monkeypatch,
+                                                               refinements):
+    # equal levels gave an observed order of nan, and a coarsening an order
+    # of the wrong sign's meaning; the study stops naming the key instead
+    from cutdg import experiments
+
+    built = []
+    monkeypatch.setattr(experiments, "build_context", built.append)
+    cfg = ramp_config("advection", 1, 1e-2, projection_only=True, out=str(tmp_path))
+    path = tmp_path / "run.cfg"
+    path.write_text(serialize_config(cfg) + f"refinements = {refinements}\n")
+    assert main(["convergence", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "refinements" in err
+    assert built == []
+
+
 @pytest.mark.parametrize("config, out", [("missing.cfg", None), ("a_dir", None),
                                          ("latin1.cfg", None), ("run.cfg", "a_file"),
                                          ("run.cfg", "a_file/sub")])

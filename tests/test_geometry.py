@@ -371,12 +371,27 @@ ORACLE_CASES = {
                                 HalfPlane(1.0, 0.0, 0.0625 + 0.3 / 128))),
     **{name: name for name in sorted(p.name for p in CONFIGS.glob("*.cfg"))},
     "ramp-acoustics-r1-1e-6-nx128": "ramp-acoustics-r1-1e-6-nx128",
+    "uncut-nx4": (4, ()),
+    "uncut-nx128": (128, ()),
+    "off-origin-box": (BackgroundMesh(-1, 0.5, 2, 2, 12, 6), (halfplane_from_line(0.3, 0.9),)),
+    "ramp-below-nx16": (16, (halfplane_from_line(0.3, 0.6, keep_above=False),)),
+    # the line cuts the single cell's lower right corner off
+    "pentagon-nx1": (1, (halfplane_from_line(1.0, -0.5),)),
+    **{f"corpus-{k:03d}-nx16": ("corpus", k) for k in range(202)},
 }
 
 
 def _oracle_case(spec):
     if isinstance(spec, str):
         return _recorded_bg_geometry(spec)
+    if spec[0] == "corpus":
+        from conftest import generic_cuts
+        from cutdg.experiments import line_config
+
+        cfg = line_config("acoustics", 1, *generic_cuts()[spec[1]], nx=16)
+        return cfg.background(), cfg.constraints
+    if isinstance(spec[0], BackgroundMesh):
+        return spec
     if len(spec) == 2:
         nx, constraints = spec
         return BackgroundMesh(0, 0, 1, 1, nx, nx), constraints
