@@ -48,6 +48,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from statistics import median
 from types import SimpleNamespace
@@ -81,16 +82,26 @@ def load_tree(src):
         drop()
 
 
-def load_trees(rev, parent_src=None):
-    """{"parent": the tree of git revision ``rev`` (or of the source directory
-    ``parent_src``), "change": this checkout's ``src``}."""
+@contextmanager
+def source_dirs(rev, parent_src=None):
+    """{"parent": the ``src`` directory of git revision ``rev`` (or the source
+    directory ``parent_src``), "change": this checkout's ``src``}; the
+    revision's tree is written out with ``git archive`` and removed when the
+    ``with`` block ends."""
     with tempfile.TemporaryDirectory() as tmp:
         if parent_src is None:
             archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
                                      check=True, capture_output=True).stdout
             subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
             parent_src = Path(tmp) / "src"
-        return {"parent": load_tree(parent_src), "change": load_tree(ROOT / "src")}
+        yield {"parent": Path(parent_src), "change": ROOT / "src"}
+
+
+def load_trees(rev, parent_src=None):
+    """{"parent": the tree of git revision ``rev`` (or of the source directory
+    ``parent_src``), "change": this checkout's ``src``}."""
+    with source_dirs(rev, parent_src) as dirs:
+        return {side: load_tree(src) for side, src in dirs.items()}
 
 
 def case_config(tree, name):

@@ -1,5 +1,5 @@
-"""Command-line interface.
-
+"""Command-line interface: each command runs one driver of :mod:`cutdg.experiments`,
+writes its report's files into the output directory and prints its lines.
 Exit codes: 0 all checks pass, 1 check failure, 2 configuration error.
 """
 
@@ -8,8 +8,19 @@ import os
 import sys
 
 from .config import load_config
-from .errors import ConfigurationError, CutDGError, IntegrationFailureError
+from .errors import ConfigurationError, CutDGError
 from . import experiments
+
+# command -> (driver in cutdg.experiments, help).  The driver is looked up
+# when the command runs, so a wrapper on the module attribute sees the call.
+COMMANDS = {
+    "consistency": ("run_consistency", "penalty residual at projected global polynomials"),
+    "check-axioms": ("run_axioms", "propagation-form identities on stabilized cells"),
+    "convergence": ("run_convergence", "refinement study, writes convergence.csv"),
+    "evolve": ("run_evolve", "time evolution, writes evolve_trace.csv"),
+    "stability": ("run_stability", "long small-cell run with the background time step"),
+    "mesh-info": ("mesh_info", "mesh statistics and mesh dump"),
+}
 
 
 def _add_common(parser):
@@ -26,14 +37,7 @@ def build_parser():
         description="Cut-cell DG solver with small-cell stabilization: experiment drivers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, brief in (
-        ("consistency", "penalty residual at projected global polynomials"),
-        ("check-axioms", "propagation-form identities on stabilized cells"),
-        ("convergence", "refinement study, writes convergence.csv"),
-        ("evolve", "time evolution, writes evolve_trace.csv"),
-        ("stability", "long small-cell run with the background time step"),
-        ("mesh-info", "mesh statistics and mesh dump"),
-    ):
+    for name, (_, brief) in COMMANDS.items():
         p = sub.add_parser(name, help=brief)
         _add_common(p)
         if name == "stability":
@@ -64,54 +68,19 @@ def _load(args):
     return cfg
 
 
-def _emit(lines):
-    for line in lines:
-        print(line)
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    driver = getattr(experiments, COMMANDS[args.command][0])
+    options = {"contrast": args.no_dod} if args.command == "stability" else {}
     try:
         cfg = _load(args)
-        if args.command == "consistency":
-            report = experiments.run_consistency(cfg)
-            _emit(report.lines())
-            return 0 if report.passed else 1
-        if args.command == "check-axioms":
-            report = experiments.run_axioms(cfg)
-            _emit(report.lines())
-            return 0 if report.passed else 1
-        if args.command == "convergence":
-            report = experiments.run_convergence(cfg)
-            path = os.path.join(cfg.out, "convergence.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(report.csv())
-            print(f"# seed = {cfg.seed}")
-            print(report.csv(), end="")
-            return 1 if report.diverged else 0
-        if args.command == "evolve":
-            try:
-                report = experiments.run_evolve(cfg)
-            except IntegrationFailureError as exc:
-                print(f"integration failed at step {exc.step}")
-                return 1
-            path = os.path.join(cfg.out, "evolve_trace.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(report.trace_csv())
-            _emit(report.lines())
-            return 0
-        if args.command == "stability":
-            report = experiments.run_stability(cfg, contrast=args.no_dod)
-            _emit(report.lines())
-            return 0 if report.passed else 1
-        if args.command == "mesh-info":
-            info, dump = experiments.mesh_info(cfg)
-            path = os.path.join(cfg.out, "mesh.txt")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dump)
-            print(info, end="")
-            return 0
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        report = driver(cfg, **options)
+        for name, text in report.files().items():
+            with open(os.path.join(cfg.out, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for line in report.lines():
+            print(line)
+        return 0 if report.passed else 1
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,8 @@
 
 Each driver takes a validated :class:`~cutdg.config.RunConfig` and returns a
 small report object: the config it ran and the values the run measured,
-each stored once.  The CLI is a thin formatter around these functions.
+each stored once.  The CLI prints each report's ``lines()``, writes its
+``files()`` and exits by its ``passed``, and does nothing else.
 """
 
 from dataclasses import dataclass, field, replace
@@ -127,14 +128,23 @@ def _initial_state(ctx, default):
     return fld, project_field(ctx.space, fld)
 
 
-def _time_run(ctx, u0, steps):
-    """``steps`` steps of the run ``ctx`` from ``u0`` at its background step:
-    the :class:`~cutdg.stepping.EvolveResult`, or the step at which the state
-    stopped being finite."""
+def _time_run(ctx, u0, steps, outflow=None):
+    """``steps`` steps of the run ``ctx`` from ``u0`` at its background step,
+    with the mass and outflow ledger of the ``outflow`` weights if given: the
+    :class:`~cutdg.stepping.EvolveResult`, or the step at which the state
+    stopped being finite.  No driver lets the failure escape as an error."""
     try:
-        return evolve(ctx.space, u0, make_rhs(ctx), ctx.dt, steps, ctx.cfg.rk_order)
+        return evolve(ctx.space, u0, make_rhs(ctx), ctx.dt, steps, ctx.cfg.rk_order, outflow)
     except IntegrationFailureError as exc:
         return exc.step
+
+
+class _Report:
+    """A driver's report: ``lines()`` to print, ``passed`` for the exit code
+    and ``files()``, name -> text, to write; by default no file."""
+
+    def files(self):
+        return {}
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +161,7 @@ def _mode_scales(space, group):
 
 
 @dataclass
-class ConsistencyReport:
+class ConsistencyReport(_Report):
     cfg: RunConfig
     n_stabilized: int
     min_alpha: float
@@ -212,7 +222,7 @@ AXIOM_NAMES = ("symmetry", "linearity", "balance", "face_consistency", "volume_c
 
 
 @dataclass
-class AxiomReport:
+class AxiomReport(_Report):
     cfg: RunConfig
     n_cells: int
     worst: dict
@@ -343,7 +353,7 @@ class ConvergenceRow:
 
 
 @dataclass
-class ConvergenceReport:
+class ConvergenceReport(_Report):
     cfg: RunConfig
     rows: list = field(default_factory=list)   # one per level of cfg.refinements
 
@@ -357,8 +367,14 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
     @property
-    def diverged(self):
-        return any(np.isnan(r.l2_error) for r in self.rows)
+    def passed(self):
+        return not any(np.isnan(r.l2_error) for r in self.rows)
+
+    def lines(self):
+        return [f"# seed = {self.cfg.seed}"] + self.csv().splitlines()
+
+    def files(self):
+        return {"convergence.csv": self.csv()}
 
 
 def run_convergence(cfg):
@@ -391,7 +407,7 @@ def run_convergence(cfg):
 
 
 @dataclass
-class StabilityReport:
+class StabilityReport(_Report):
     """``growth`` is max ||u|| / ||u0|| of the run, None when it failed at
     step ``failed_at``; ``contrast_growth`` is that of the run without the
     penalty (inf when it failed), None when there was none."""
@@ -447,20 +463,22 @@ def run_stability(cfg, contrast=False):
 
 
 @dataclass
-class EvolveReport:
+class EvolveReport(_Report):
+    """``result`` is the run's :class:`~cutdg.stepping.EvolveResult`, None
+    when it failed at step ``failed_at``."""
     cfg: RunConfig
     dt: float
-    result: EvolveResult
+    result: EvolveResult = None
+    failed_at: int = None
 
-    def trace_csv(self):
-        r = self.result
-        lines = ["step,t,l2,mass"]
-        for k, (t, l2, mass) in enumerate(zip(r.times, r.l2_trace, r.mass_trace)):
-            lines.append(f"{k},{t:.17g},{l2:.17g},{mass:.17g}")
-        return "\n".join(lines) + "\n"
+    @property
+    def passed(self):
+        return self.failed_at is None
 
     def lines(self):
         r = self.result
+        if r is None:
+            return [f"integration failed at step {self.failed_at}"]
         return [
             f"# evolve seed={self.cfg.seed} steps={r.steps} dt={self.dt:.6e}",
             f"final_l2 = {r.l2_trace[-1]:.17g}",
@@ -468,19 +486,53 @@ class EvolveReport:
             f"outflow_integral = {r.outflow_integral:.17g}",
         ]
 
+    def files(self):
+        r = self.result
+        if r is None:
+            return {}
+        lines = ["step,t,l2,mass"]
+        for k, (t, l2, mass) in enumerate(zip(r.times, r.l2_trace, r.mass_trace)):
+            lines.append(f"{k},{t:.17g},{l2:.17g},{mass:.17g}")
+        return {"evolve_trace.csv": "\n".join(lines) + "\n"}
+
 
 def run_evolve(cfg):
-    """The config's run to ``t_final``; a state that stops being finite
-    raises :class:`~cutdg.errors.IntegrationFailureError`."""
+    """The config's run to ``t_final`` with its mass and outflow ledger; a
+    state that stops being finite is stored as the report's ``failed_at``."""
     ctx = build_context(cfg)
     _, u0 = _initial_state(ctx, "bump-advect" if cfg.equation == "advection" else "poly:1;0;0")
-    dt = ctx.dt
-    result = evolve(ctx.space, u0, make_rhs(ctx), dt, steps_to(cfg.t_final, dt), cfg.rk_order,
+    run = _time_run(ctx, u0, steps_to(cfg.t_final, ctx.dt),
                     outflow_weights(ctx.space, ctx.spec, ctx.stab))
-    return EvolveReport(cfg, dt, result)
+    report = EvolveReport(cfg, ctx.dt)
+    if isinstance(run, int):
+        report.failed_at = run
+    else:
+        report.result = run
+    return report
 
 
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class MeshReport(_Report):
+    """The mesh a config builds and its number of stabilized cells."""
+    cfg: RunConfig
+    mesh: object
+    n_stabilized: int
+    passed = True
+
+    def lines(self):
+        alphas = self.mesh.cell_volume_fraction
+        return [
+            f"cells = {self.mesh.num_cells}",
+            f"min_alpha = {alphas.min():.17g}",
+            f"max_alpha = {alphas.max():.17g}",
+            f"stabilized = {self.n_stabilized}",
+        ]
+
+    def files(self):
+        return {"mesh.txt": self.mesh.dump()}
 
 
 def mesh_info(cfg):
@@ -488,11 +540,4 @@ def mesh_info(cfg):
     DoD penalty on, the small-cell selection."""
     mesh = build_mesh(cfg.background(), cfg.constraints)
     small = classify_small_cells(mesh, cfg.alpha0) if cfg.dod else ()
-    alphas = mesh.cell_volume_fraction
-    lines = [
-        f"cells = {mesh.num_cells}",
-        f"min_alpha = {alphas.min():.17g}",
-        f"max_alpha = {alphas.max():.17g}",
-        f"stabilized = {len(small)}",
-    ]
-    return "\n".join(lines) + "\n", mesh.dump()
+    return MeshReport(cfg, mesh, len(small))

@@ -324,8 +324,8 @@ class Space:
         :func:`face_quadrature` on each face."""
         x, w = _gauss_1d(self.face_npts)
         t = 0.5 * (x + 1.0)
-        p = self.mesh.face_p[fids]
-        span = self.mesh.face_q[fids] - p
+        p = self.mesh.face_p.take(fids, axis=0)
+        span = self.mesh.face_q.take(fids, axis=0) - p
         pts = p[..., None, :] + t[:, None] * span[..., None, :]
         return pts, (0.5 * w) * np.hypot(span[..., 0], span[..., 1])[..., None]
 

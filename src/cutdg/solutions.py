@@ -92,45 +92,26 @@ def random_polynomial(rng, degree, m, pressure_only=False):
     return PolynomialField(comps, degree)
 
 
-class SineAdvect:
-    """Translating sine product, exact free-space advection profile."""
-
-    def __init__(self, beta):
-        self.beta = np.asarray(beta, dtype=float)
+class AdvectedField:
+    """A scalar ``profile(x, y)`` translated with the velocity ``beta``: the
+    exact free-space advection solution u(x, t) = profile(x - beta t)."""
 
     m = 1
+
+    def __init__(self, beta, profile):
+        self.beta = np.asarray(beta, dtype=float)
+        self.profile = profile
 
     def __call__(self, pts, t=0.0):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         x = pts[:, 0] - self.beta[0] * t
         y = pts[:, 1] - self.beta[1] * t
-        return (np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))[:, None]
+        return self.profile(x, y)[:, None]
 
 
-def _bump(r2):
-    """C-infinity bump of squared radius argument, 1 at the center."""
-    out = np.zeros_like(r2)
-    inside = r2 < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
-    return out
-
-
-class BumpAdvect:
-    """Compactly supported advected profile (radial C-infinity bump)."""
-
-    def __init__(self, beta, center, radius):
-        self.beta = np.asarray(beta, dtype=float)
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-
-    m = 1
-
-    def __call__(self, pts, t=0.0):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        x = pts[:, 0] - self.beta[0] * t
-        y = pts[:, 1] - self.beta[1] * t
-        r2 = ((x - self.center[0]) ** 2 + (y - self.center[1]) ** 2) / self.radius**2
-        return _bump(r2)[:, None]
+def sine_profile(x, y):
+    """sin(2 pi x) sin(2 pi y)."""
+    return np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
 
 
 def _smoothstep(s):
@@ -144,27 +125,29 @@ def _smoothstep(s):
     return lo / (lo + hi)
 
 
-class WindowedSineAdvect:
-    """Sine product switched on smoothly downstream of the inflow boundary.
+def windowed_sine_profile(x, y, x_on=0.05, x_full=0.5):
+    """The sine product switched on smoothly downstream of the inflow boundary.
 
     The window vanishes identically for x below ``x_on``, so the advected
     profile never carries data through the inflow boundary: it is an exact
     solution of the zero-inflow initial-boundary-value problem.
     """
+    w = _smoothstep((x - x_on) / (x_full - x_on))
+    return w * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
 
-    def __init__(self, beta, x_on=0.05, x_full=0.5):
-        self.beta = np.asarray(beta, dtype=float)
-        self.x_on = float(x_on)
-        self.x_full = float(x_full)
 
-    m = 1
+def bump_profile(center, radius):
+    """The radial C-infinity bump of ``radius`` around ``center``, 1 at the center."""
+    center, radius = np.asarray(center, dtype=float), float(radius)
 
-    def __call__(self, pts, t=0.0):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        x = pts[:, 0] - self.beta[0] * t
-        y = pts[:, 1] - self.beta[1] * t
-        w = _smoothstep((x - self.x_on) / (self.x_full - self.x_on))
-        return (w * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))[:, None]
+    def profile(x, y):
+        r2 = ((x - center[0]) ** 2 + (y - center[1]) ** 2) / radius**2
+        out = np.zeros_like(r2)
+        inside = r2 < 1.0
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
+        return out
+
+    return profile
 
 
 def _parse_numbers(name, text):
@@ -181,7 +164,8 @@ def _parse_numbers(name, text):
 def _parse_poly_groups(name, text, m):
     groups = text.split(";")
     if len(groups) > m:
-        raise ConfigurationError(f"field has {len(groups)} components, system has {m}")
+        raise ConfigurationError(
+            f"field {name!r}: {len(groups)} components, system has {m}")
     comps = []
     length = 0
     for g in groups:
@@ -195,7 +179,7 @@ def _parse_poly_groups(name, text, m):
         degree += 1
     if length and n_modes(degree) != length:
         raise ConfigurationError(
-            f"polynomial coefficient count {length} is not a full degree block"
+            f"field {name!r}: polynomial coefficient count {length} is not a full degree block"
         )
     comps = [np.pad(c, (0, n_modes(degree) - len(c))) for c in comps]
     return PolynomialField(comps, degree)
@@ -217,11 +201,11 @@ def lookup_field(name, spec):
     if spec.kind != "advection":
         raise ConfigurationError(f"field {name!r} requires the advection system")
     if name == "sine-advect":
-        return SineAdvect(spec.beta)
+        return AdvectedField(spec.beta, sine_profile)
     if name == "windowed-sine-advect":
-        return WindowedSineAdvect(spec.beta)
+        return AdvectedField(spec.beta, windowed_sine_profile)
     if name == "bump-advect":
-        return BumpAdvect(spec.beta, (0.32, 0.35), 0.15)
+        return AdvectedField(spec.beta, bump_profile((0.32, 0.35), 0.15))
     if name.startswith("bump-advect:"):
         text = name[len("bump-advect:"):]
         params = _parse_numbers(name, text)
@@ -230,5 +214,5 @@ def lookup_field(name, spec):
         cx, cy, radius = params
         if radius <= 0.0:
             raise ConfigurationError(f"field {name!r}: bump radius must be > 0")
-        return BumpAdvect(spec.beta, (cx, cy), radius)
+        return AdvectedField(spec.beta, bump_profile((cx, cy), radius))
     raise ConfigurationError(f"unknown field {name!r}")

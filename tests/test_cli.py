@@ -2,7 +2,8 @@ import re
 
 import pytest
 
-from cutdg.cli import main
+from cutdg import experiments
+from cutdg.cli import COMMANDS, main
 from cutdg.config import serialize_config
 from cutdg.experiments import line_config, ramp_config
 
@@ -54,10 +55,14 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     ("evolve", "advection", "bump-advect:0.5,0.5,0"),
     ("evolve", "advection", "bump-advect:nan,0.5,0.1"),
     ("evolve", "advection", "bump-advect:0.5,0.5,-0.1"),
+    ("evolve", "advection", "poly:1;2"),
+    ("stability", "acoustics", "pressure-poly:1;2"),
+    ("evolve", "advection", "poly:1,2"),
 ])
 def test_bad_initial_field_exit_code(tmp_path, capsys, command, equation, initial):
-    # an unparsable or non-finite value, or a bump radius <= 0, is a
-    # configuration error naming the field, before any step
+    # an unparsable or non-finite value, a bump radius <= 0, more components
+    # than the system has or a partial degree block is a configuration error
+    # naming the field, before any step
     cfg = ramp_config(equation, 1, 1e-2, nx=8, out=str(tmp_path))
     path = _write_config(tmp_path, cfg, initial=initial)
     assert main([command, "--config", path]) == 2
@@ -80,6 +85,32 @@ def test_rejected_config_line_exit_code(tmp_path, capsys, line, key):
     path.write_text(serialize_config(cfg) + line + "\n")
     assert main(["stability", "--config", str(path)]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [(name, []) for name in COMMANDS]
+                         + [("stability", ["--no-dod"])])
+def test_every_command_prints_its_report(tmp_path, capsys, monkeypatch, command, flags):
+    # main prints the driver's report, writes exactly its files and exits by
+    # its pass flag, whatever the command
+    driver, _ = COMMANDS[command]
+    reports = []
+    run = getattr(experiments, driver)
+
+    def recording(*args, **kwargs):
+        reports.append(run(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(experiments, driver, recording)
+    equation = "acoustics" if command == "stability" else "advection"
+    cfg = ramp_config(equation, 1, 1e-2, nx=8, steps=3, t_final=0.02, refinements=(8, 16),
+                      n_polynomials=2, n_triples=2)
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    rc = main([command, "--config", path, "--out", str(out)] + flags)
+    (report,) = reports
+    assert capsys.readouterr().out == "".join(line + "\n" for line in report.lines())
+    assert {f.name: f.read_text() for f in out.iterdir()} == report.files()
+    assert rc == (0 if report.passed else 1)
 
 
 def test_consistency_command(tmp_path, capsys):

@@ -173,7 +173,7 @@ def test_convergence_reports_divergence_per_row():
     cfg = ramp_config("advection", 1, 1e-6, t_final=0.5, dod=False,
                       initial="windowed-sine-advect", refinements=(16,))
     rep = run_convergence(cfg)
-    assert rep.diverged
+    assert not rep.passed
     assert "diverged" in rep.csv()
 
 
@@ -241,6 +241,17 @@ def test_evolve_conservation_identity():
     assert resid <= 1e-10 * abs(run.mass_change)
 
 
+def test_failed_evolve_is_its_report():
+    # the unstabilized sliver ramp blows up at the background step: the
+    # report stores the failed step once and holds no result and no file
+    cfg = ramp_config("advection", 1, 1e-6, t_final=0.5, dod=False)
+    rep = run_evolve(cfg)
+    assert rep.failed_at == 25 and rep.result is None
+    assert not rep.passed
+    assert rep.files() == {}
+    assert rep.lines() == ["integration failed at step 25"]
+
+
 def test_acoustic_evolve_measures_the_pressure_integral():
     # every acoustic boundary is a reflecting wall, so no pressure flows out:
     # the mass trace records the pressure integral itself
@@ -263,13 +274,14 @@ def test_acoustic_evolve_measures_the_pressure_integral():
 
 def test_mesh_info_output():
     cfg = ramp_config("acoustics", 1, 1e-2)
-    info, dump = mesh_info(cfg)
+    rep = mesh_info(cfg)
+    info, dump = "\n".join(rep.lines()), rep.files()["mesh.txt"]
     assert "cells = " in info
     assert "stabilized = " in info
     assert dump.startswith("cell 0 ")
 
     cfg_uncut = RunConfig(equation="advection", nx=2).validate()
-    info, _ = mesh_info(cfg_uncut)
+    info = "\n".join(mesh_info(cfg_uncut).lines())
     assert "cells = 4" in info
     assert "min_alpha = 1" in info
 

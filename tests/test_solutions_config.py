@@ -8,11 +8,12 @@ from cutdg.config import RunConfig, parse_config, serialize_config
 from cutdg.errors import ConfigurationError
 from cutdg.quadrature import Space, monomial_values
 from cutdg.solutions import (
-    BumpAdvect,
+    AdvectedField,
     PolynomialField,
-    SineAdvect,
+    bump_profile,
     lookup_field,
     random_polynomial,
+    sine_profile,
 )
 from cutdg.systems import SystemSpec
 
@@ -75,7 +76,7 @@ def test_to_dg_exact_even_on_extreme_slivers():
 
 
 def test_sine_advect_translation():
-    fld = SineAdvect(np.array([1.0, 0.5]))
+    fld = AdvectedField(np.array([1.0, 0.5]), sine_profile)
     pts = np.array([[0.3, 0.4]])
     a = fld(pts, t=0.2)
     b = fld(pts - 0.2 * np.array([1.0, 0.5]), t=0.0)
@@ -83,7 +84,7 @@ def test_sine_advect_translation():
 
 
 def test_bump_compact_support():
-    fld = BumpAdvect(np.array([1.0, 0.0]), (0.5, 0.5), 0.2)
+    fld = AdvectedField(np.array([1.0, 0.0]), bump_profile((0.5, 0.5), 0.2))
     inside = fld(np.array([[0.5, 0.5]]))[0, 0]
     outside = fld(np.array([[0.9, 0.5]]))[0, 0]
     assert inside == 1.0
