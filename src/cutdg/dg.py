@@ -200,6 +200,9 @@ class SemiDiscreteOperator:
         self.stencil_cells = stencil_cells
         self.coupling = coupling
         self.shift = None
+        # the d blocks side by side, (k m, d k m), C-ordered for the apply's matmul
+        km = stencil.shape[-1]
+        self._operand = np.ascontiguousarray(stencil.reshape(-1, km).T)
 
     def __call__(self, coeffs):
         x = coeffs.reshape(coeffs.shape[0], -1)
@@ -212,7 +215,7 @@ class SemiDiscreteOperator:
             self.shift = sparse.csr_matrix((np.ones(sc.size), (d * sc + np.arange(d)).ravel(),
                                             np.cumsum(indptr)), shape=(num_cells, d * num_cells))
             self._products = np.empty((num_cells, d * x.shape[1]))
-        np.matmul(x, self.stencil.reshape(-1, x.shape[1]).T, out=self._products)
+        np.matmul(x, self._operand, out=self._products)
         res = self.shift @ self._products.reshape(-1, x.shape[1])
         res += (self.coupling @ x.ravel()).reshape(res.shape)
         return res.reshape(coeffs.shape)

@@ -29,6 +29,10 @@ class BoundaryInflowError(UnsupportedConfigurationError):
     """An advection stabilized cell's inflow face lies on the physical boundary."""
 
 
+class InflowCountError(UnsupportedConfigurationError):
+    """An advection stabilized cell has no inflow face or more than one."""
+
+
 class SingularMassError(CutDGError):
     """A cut cell's mass matrix does not factor."""
 

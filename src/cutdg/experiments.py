@@ -12,20 +12,23 @@ import numpy as np
 
 from .config import RunConfig
 from .dg import assemble, outflow_weights
-from .errors import ConfigurationError, IntegrationFailureError
+from .errors import (ConfigurationError, IntegrationFailureError, MeshValidationError,
+                     UnsupportedConfigurationError)
 from .geometry import build_mesh, classify_small_cells, halfplane_from_line
 from .quadrature import (
     Space,
     face_quadrature,
-    monomial_gradients,
+    fan_rules,
+    monomial_tables,
     monomial_values,
-    polygon_quadrature,
+    triangle_rule,
 )
-from .solutions import PolynomialField, lookup_field, random_polynomial
+from .solutions import PolynomialField, lookup_field, random_polynomial, recentered
 from .stabilization import (
     SPLIT,
     AdvectionStabilization,
     WaveStabilization,
+    cell_faces,
     eta_values,
     face_forms,
     kappa,
@@ -37,6 +40,9 @@ from .stepping import EvolveResult, evolve, steps_to, time_step
 
 CONSISTENCY_TOL = 1e-10
 AXIOM_TOL = 1e-12
+# the axiom check takes at most as many cells of one group at once as keep
+# its largest arrays within this many entries (8 MB)
+_CHECK_ENTRIES = 2 ** 20
 
 RAMP_SLOPE = 0.75
 
@@ -189,7 +195,10 @@ def run_consistency(cfg):
 
     The penalty must annihilate them; reports the worst residual normalized
     by field size, mesh size, test-mode size and the cell's eta, since every
-    local matrix is eta times the penalty form.
+    local matrix is eta times the penalty form.  All fields are drawn
+    first, each field's size is its largest value at the space's
+    quadrature points, and each group's local matrices are applied to every
+    field at once.
     """
     if cfg.eta_scale == 0.0:
         raise ConfigurationError("consistency run requires eta_scale > 0")
@@ -197,19 +206,24 @@ def run_consistency(cfg):
     if ctx.stab is None:
         raise ConfigurationError("consistency run requires at least one stabilized cell")
     rng = np.random.default_rng(cfg.seed)
-    scales = [group.eta[:, None, None] * _mode_scales(ctx.space, group)
-              for group in ctx.stab.groups]
+    pressure_only = ctx.spec.kind == "acoustics"
+    fields = [random_polynomial(rng, cfg.degree, ctx.spec.m, pressure_only=pressure_only)
+              for _ in range(cfg.n_polynomials)]
+    values = monomial_values(fields[0].exps, (0.0, 0.0), 1.0, ctx.space.quad_pts)
+    umax = np.array([max(float(np.max(np.abs(values @ f.coeffs))), 1e-300) for f in fields])
+    groups = ctx.stab.groups
+    # every field's blocks on the cells the penalty reads
+    cells = np.unique(np.concatenate([g.cells.ravel() for g in groups]))
+    blocks = recentered(fields, ctx.space, cells)
     h = ctx.space.h
     worst = 0.0
-    pressure_only = ctx.spec.kind == "acoustics"
-    for _ in range(cfg.n_polynomials):
-        fld = random_polynomial(rng, cfg.degree, ctx.spec.m, pressure_only=pressure_only)
-        u = fld.to_dg(ctx.space)
-        umax = max(fld.max_abs(ctx.space.quad_pts), 1e-300)
-        for group, scale in zip(ctx.stab.groups, scales):
-            res = group.local @ u.coeffs[group.cells].reshape(len(scale), -1, 1)
-            normalized = np.abs(res.reshape(scale.shape + (-1,))) / (umax * h * scale[..., None])
-            worst = max(worst, float(normalized.max()))
+    for group in groups:
+        scale = group.eta[:, None, None] * _mode_scales(ctx.space, group)
+        u = blocks[:, np.searchsorted(cells, group.cells)]
+        res = group.local @ u.reshape(len(fields), len(scale), -1, 1)
+        denom = (umax * h)[:, None, None, None, None] * scale[..., None]
+        normalized = np.abs(res.reshape((len(fields),) + scale.shape + (-1,))) / denom
+        worst = float(np.maximum(worst, normalized.max()))   # a nan stays nan
     min_alpha = float(ctx.mesh.cell_volume_fraction[list(ctx.small)].min())
     return ConsistencyReport(cfg, len(ctx.small), min_alpha, worst)
 
@@ -247,50 +261,99 @@ def _draw_triples(rng, n_modes, m, K, n_triples):
     blocks = np.empty((n_triples, 4, n_modes, m))
     pairs = np.empty((n_triples, 2), dtype=int)
     weights = np.empty((n_triples, 2))
+    # rng.uniform(-1, 1) is -1 + 2 u of rng.random's u, in the same stream:
+    # the u are drawn into place and scaled once.  One call draws the same
+    # numbers as four successive (n_modes, m) calls.
     for t in range(n_triples):
-        # one call draws the same numbers as four successive (n_modes, m) calls
-        blocks[t] = rng.uniform(-1.0, 1.0, size=(4, n_modes, m))
+        rng.random(out=blocks[t])
         pairs[t] = rng.choice(K, size=2, replace=False)
-        weights[t] = rng.uniform(-1.0, 1.0, size=2)
-    return blocks.swapaxes(0, 1), pairs.T, weights.T
+        rng.random(out=weights[t])
+    return (-1.0 + 2.0 * blocks).swapaxes(0, 1), pairs.T, (-1.0 + 2.0 * weights).T
 
 
-def _fine_references(space, spec, cell_id, U, V, W):
-    """A_k(U, V, W) on each face and p_V(U, U, W) in the cell, evaluated
-    pointwise on rules finer than the space's: ``face_npts + 3`` points per
-    face and a cell rule exact to degree 2r + 4.  They share no table with
-    the forms the axiom check tests, so they are its independent references.
+def _fine_references(space, spec, cell_ids, U, V, W):
+    """A_k(U, V, W) on each face and p_V(U, U, W) in the cell, for cells of
+    one face count, evaluated pointwise on rules finer than the space's:
+    ``face_npts + 3`` points per face and a fan cell rule exact to degree
+    2r + 4 (:func:`~cutdg.quadrature.fan_rules`), stacked over the cells.
+    The blocks are stacks (..., cells, n_modes, m).  The references share no
+    table with the forms the axiom check tests, so they are its independent
+    references.
     """
     mesh = space.mesh
-    exps, center, h = space.exps, space.centers[cell_id], space.h
-    faces = []
-    for fid in mesh.cell_faces(cell_id).tolist():
-        pts, w = face_quadrature(mesh.face_p[fid], mesh.face_q[fid], space.face_npts + 3)
-        phi = monomial_values(exps, center, h, pts)
-        flux = SPLIT * (phi @ U + phi @ V) @ spec.A_n(mesh.outward_normal(cell_id, fid)).T
-        faces.append(np.sum(np.sum(flux * (phi @ W), axis=-1) * w, axis=-1))
-    pts, w = polygon_quadrature(mesh.cell_polygon(cell_id), 2 * space.degree + 4)
-    phi = monomial_values(exps, center, h, pts)
-    grad = np.moveaxis(monomial_gradients(exps, center, h, pts), -1, 0)
+    exps, h, k = space.exps, space.h, space.n_modes
+    fids = cell_faces(mesh, cell_ids)
+    B, K = fids.shape
+    pts, w = face_quadrature(mesh.face_p[fids], mesh.face_q[fids], space.face_npts + 3)
+    nq = pts.shape[2]
+    centers = np.repeat(space.centers[cell_ids], K * nq, axis=0)
+    phi = monomial_values(exps, centers, h, pts.reshape(-1, 2)).reshape(B, K, nq, k)
+    outward = (np.where(mesh.face_left[fids] == cell_ids[:, None], 1.0, -1.0)[..., None]
+               * mesh.face_normal[fids])
+    AnT = np.swapaxes(spec.A_n(outward), -1, -2)
+    # the blocks against every face, and against both gradient directions
+    Uf, Vf, Wf = (X[..., None, :, :] for X in (U, V, W))
+    flux = SPLIT * (phi @ Uf + phi @ Vf) @ AnT
+    faces = np.sum(np.sum(flux * (phi @ Wf), axis=-1) * w, axis=-1)
+    polygons = mesh.cell_vertices[mesh.cell_offsets[cell_ids][:, None] + np.arange(K)]
+    pts, w = fan_rules(polygons, 2 * space.degree + 4)
+    centers = np.repeat(space.centers[cell_ids], pts.shape[1], axis=0)
+    phi, grad = monomial_tables(exps, centers, h, pts.reshape(-1, 2))
+    phi = phi.reshape(B, -1, k)
+    grad = np.moveaxis(grad.reshape(B, -1, k, 2), -1, 1)
     flux = (phi @ U)[..., None, :, :] @ np.stack([spec.A1.T, spec.A2.T])
-    p_v = kappa(len(faces)) * (np.sum(flux * (grad @ W[..., None, :, :]), axis=(-3, -1)) @ w)
-    return np.stack(faces, axis=-1), p_v
+    fluxes = np.sum(flux * (grad @ Wf), axis=(-3, -1))
+    # each cell's weights against its own rows: (cells, ..., points) @ (cells, points, 1)
+    p_v = kappa(K) * (np.moveaxis(fluxes, -2, 0) @ w[:, :, None])[..., 0]
+    return faces, np.moveaxis(p_v, 0, -1)
 
 
-def check_axioms_on_cell(space, spec, cell_id, rng, n_triples):
-    """Worst relative residual of each form identity on one cell.
+def check_axioms_on_cell(space, spec, cell_ids, rng, n_triples):
+    """Worst relative residual of each form identity over the cells
+    ``cell_ids``, one id or a sequence of them.
 
-    The forms are contractions of the Gram products that the penalty's
-    source tables (:func:`~cutdg.stabilization.source_tables`) give the
-    cell's own extension.  All triples are drawn first and every identity
-    is evaluated on all of them at once.
+    The triples of every cell are drawn first, cell after cell in the order
+    given (:func:`_draw_triples`).  The cells are then checked in groups of
+    one face count and cell-rule size, in batches within ``_CHECK_ENTRIES``.
+    Per batch, one call of the penalty's table builder
+    (:func:`~cutdg.stabilization.source_tables`), with each cell's own
+    extension as its only source, gives the Gram products that the forms
+    contract, and every identity is one array expression over the batch's
+    triples and cells.
     """
-    tables = source_tables(space, [cell_id], [[cell_id]])
+    cell_ids = np.atleast_1d(np.asarray(cell_ids, dtype=np.int64))
+    faces = np.diff(space.mesh.cell_offsets)[cell_ids].tolist()
+    draws = [_draw_triples(rng, space.n_modes, spec.m, K, n_triples) for K in faces]
+    keys = list(zip(faces, space.rule_size[cell_ids].tolist()))
+    worst = dict.fromkeys(AXIOM_NAMES, 0.0)
+    for key in dict.fromkeys(keys):
+        members = [c for c, other in enumerate(keys) if other == key]
+        # a batch's arrays, (triples, cells, points, m) per direction, stay
+        # within _CHECK_ENTRIES entries
+        fine_points = len(triangle_rule(2 * space.degree + 4)[1]) * key[0]
+        step = max(1, _CHECK_ENTRIES // (2 * n_triples * fine_points * spec.m))
+        for lo in range(0, len(members), step):
+            batch = members[lo:lo + step]
+            # each draw stacked over the batch's cells, (triples, cells, ...)
+            (U, V, W, W2), (i, j), (a, b) = (
+                np.stack([draws[c][n] for c in batch], axis=2) for n in range(3))
+            cell_worst = _axiom_worst(space, spec, cell_ids[batch], U, V, W, W2, i, j, a, b)
+            for name in AXIOM_NAMES:
+                worst[name] = float(np.maximum(worst[name], cell_worst[name]))   # a nan stays nan
+    return worst
+
+
+def _axiom_worst(space, spec, cell_ids, U, V, W, W2, i, j, a, b):
+    """Worst relative residual of each form identity over a batch of cells of
+    one face count and cell-rule size; the draws are stacked (triples,
+    cells, ...)."""
+    tables = source_tables(space, cell_ids, cell_ids[:, None])
+    T, B = i.shape
     K, k = tables.outward.shape[1], space.n_modes
-    (U, V, W, W2), (i, j), (a, b) = _draw_triples(rng, k, spec.m, K, n_triples)
-    t = np.arange(n_triples)
-    # the cell's basis at its own points: the cell rule and every face rule
-    probe = np.concatenate([tables.cell_phi[0, 0], tables.face_phi[0, :, 0].reshape(-1, k)])
+    t, c = np.arange(T)[:, None], np.arange(B)
+    # each cell's basis at its own points: the cell rule and every face rule
+    probe = np.concatenate([tables.cell_phi[:, 0], tables.face_phi[:, :, 0].reshape(B, -1, k)],
+                           axis=1)
 
     def max_abs(X):
         return np.abs(probe @ X).max(axis=(-2, -1))
@@ -305,22 +368,24 @@ def check_axioms_on_cell(space, spec, cell_id, rng, n_triples):
         return surface_forms(face_forms(tables, spec, U, V, W))
 
     P = surfaces(U, V, W)
-    p_uv = P[t, i, j]
-    combo = a[:, None, None] * W + b[:, None, None] * W2
+    p_uv = P[t, c, i, j]
+    combo = a[..., None, None] * W + b[..., None, None] * W2
     p_v, p_vs = volume_forms(tables, spec, U, V, W)
-    fine_faces, fine_volume = _fine_references(space, spec, cell_id, U, V, W)
+    fine_faces, fine_volume = _fine_references(space, spec, cell_ids, U, V, W)
     iu, ju = np.triu_indices(K, 1)
     residuals = {
-        "symmetry": p_uv - surfaces(V, U, W)[t, i, j],
-        "linearity": surfaces(U, V, combo)[t, i, j] - a * p_uv - b * surfaces(U, V, W2)[t, i, j],
-        "balance": P[:, iu, ju] + P[:, ju, iu] - p_v[:, None] - p_vs[:, None],
+        "symmetry": p_uv - surfaces(V, U, W)[t, c, i, j],
+        "linearity": surfaces(U, V, combo)[t, c, i, j] - a * p_uv
+        - b * surfaces(U, V, W2)[t, c, i, j],
+        "balance": P[..., iu, ju] + P[..., ju, iu] - p_v[..., None] - p_vs[..., None],
         # face sum against an independent, finer quadrature of the flux
-        "face_consistency": P.sum(axis=1) - fine_faces,
+        "face_consistency": P.sum(axis=-2) - fine_faces,
         # volume identity at equal arguments against a finer cell rule
         "volume_consistency": volume_forms(tables, spec, U, U, W)[0] - fine_volume,
     }
     return {
-        name: float(np.max(np.abs(r).T / denom, initial=0.0))
+        name: float(np.max(np.abs(r) / denom.reshape(denom.shape + (1,) * (r.ndim - 2)),
+                           initial=0.0))
         for name, r in residuals.items()
     }
 
@@ -330,11 +395,7 @@ def run_axioms(cfg):
     if len(ctx.small) == 0:
         raise ConfigurationError("axiom run requires at least one stabilized cell")
     rng = np.random.default_rng(cfg.seed)
-    worst = {name: 0.0 for name in AXIOM_NAMES}
-    for cid in ctx.small:
-        cell_worst = check_axioms_on_cell(ctx.space, ctx.spec, cid, rng, cfg.n_triples)
-        for name in AXIOM_NAMES:
-            worst[name] = max(worst[name], cell_worst[name])
+    worst = check_axioms_on_cell(ctx.space, ctx.spec, ctx.small, rng, cfg.n_triples)
     return AxiomReport(cfg, len(ctx.small), worst)
 
 
@@ -345,11 +406,14 @@ def run_axioms(cfg):
 
 @dataclass
 class ConvergenceRow:
-    """One refinement level; a level whose run diverged has ``l2_error`` nan."""
+    """One refinement level; a level whose run diverged has ``l2_error`` nan.
+    A level whose geometry the method rejects has ``rejected``, the error's
+    name and message, ``l2_error`` nan and ``dofs`` None."""
     h: float
     dofs: int
     l2_error: float
     observed_order: float = None
+    rejected: str = None
 
 
 @dataclass
@@ -361,9 +425,13 @@ class ConvergenceReport(_Report):
         run_id = f"{self.cfg.equation}-r{self.cfg.degree}-nx"
         lines = ["run_id,nx,h,dofs,l2_error,observed_order"]
         for n, r in zip(self.cfg.refinements, self.rows):
-            err = "diverged" if np.isnan(r.l2_error) else f"{r.l2_error:.17g}"
+            if r.rejected is not None:
+                err = r.rejected.partition(":")[0]
+            else:
+                err = "diverged" if np.isnan(r.l2_error) else f"{r.l2_error:.17g}"
             order = "" if r.observed_order is None else f"{r.observed_order:.17g}"
-            lines.append(f"{run_id}{n},{n},{r.h:.17g},{r.dofs},{err},{order}")
+            dofs = "" if r.dofs is None else r.dofs
+            lines.append(f"{run_id}{n},{n},{r.h:.17g},{dofs},{err},{order}")
         return "\n".join(lines) + "\n"
 
     @property
@@ -371,19 +439,31 @@ class ConvergenceReport(_Report):
         return not any(np.isnan(r.l2_error) for r in self.rows)
 
     def lines(self):
-        return [f"# seed = {self.cfg.seed}"] + self.csv().splitlines()
+        rejected = [f"# nx = {n} rejected: {r.rejected}"
+                    for n, r in zip(self.cfg.refinements, self.rows) if r.rejected is not None]
+        return [f"# seed = {self.cfg.seed}"] + self.csv().splitlines() + rejected
 
     def files(self):
         return {"convergence.csv": self.csv()}
 
 
 def run_convergence(cfg):
-    """Refinement study of the advected field named in the configuration."""
+    """Refinement study of the advected field named in the configuration.
+
+    A level whose geometry the method rejects (an unsupported small-cell
+    configuration or an invalid mesh) is a row naming the error; the other
+    levels still run."""
     if cfg.equation != "advection":
         raise ConfigurationError("the convergence driver runs the advection system")
     report = ConvergenceReport(cfg)
     for n in cfg.refinements:
-        ctx = build_context(replace(cfg, nx=n))
+        level = replace(cfg, nx=n)
+        try:
+            ctx = build_context(level)
+        except (UnsupportedConfigurationError, MeshValidationError) as exc:
+            report.rows.append(ConvergenceRow(level.background().h, None, np.nan,
+                                              rejected=f"{type(exc).__name__}: {exc}"))
+            continue
         fld, u0 = _initial_state(ctx, "windowed-sine-advect")
         if cfg.projection_only:
             err = ctx.space.l2_error(u0, lambda pts: fld(pts, 0.0))

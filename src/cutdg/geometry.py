@@ -20,6 +20,7 @@ from .errors import (
     AdjacentSmallCellsError,
     BoundaryInflowError,
     ConfigurationError,
+    InflowCountError,
     MeshValidationError,
 )
 
@@ -542,7 +543,7 @@ def upstream_cells(mesh, cell_ids, beta):
     if len(bad):
         s = bad[0]
         if count[s] != 1:
-            raise MeshValidationError(
+            raise InflowCountError(
                 f"stabilized cell {cell_ids[s]} has {count[s]} inflow faces; exactly one required"
             )
         raise BoundaryInflowError(

@@ -149,6 +149,18 @@ def polygon_quadrature(polygon, degree):
     return np.vstack(pts), np.concatenate(wts)
 
 
+def fan_rules(polygons, degree):
+    """The rules of :func:`polygon_quadrature` on stacked convex polygons of
+    one vertex count n, (B, n, 2): points (B, n nq, 2) and weights (B, n nq),
+    nq per fan triangle, with the same points in the same order."""
+    tri_pts, tri_w = triangle_rule(degree)
+    c = polygons.mean(axis=1)[:, None, :]
+    a, b = polygons - c, np.roll(polygons, -1, axis=1) - c
+    jac = a[..., 0] * b[..., 1] - b[..., 0] * a[..., 1]
+    mapped = c[:, :, None] + tri_pts[:, :1] * a[:, :, None] + tri_pts[:, 1:] * b[:, :, None]
+    return mapped.reshape(len(polygons), -1, 2), (tri_w * jac[..., None]).reshape(len(polygons), -1)
+
+
 @lru_cache(maxsize=None)
 def _square_rule(npts_1d):
     """Tensor Gauss rule on [-1/2, 1/2]^2 in scaled coordinates."""
@@ -161,13 +173,15 @@ def _square_rule(npts_1d):
 
 
 def face_quadrature(p, q, npts):
-    """Gauss-Legendre rule on the segment from p to q."""
+    """Gauss-Legendre rule on the segment from p to q, or on each of stacked
+    segments (p, q of shape (..., 2)): points (..., npts, 2) and weights
+    (..., npts)."""
     x, w = _gauss_1d(npts)
     p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    d = np.asarray(q, dtype=float) - p
     t = 0.5 * (x + 1.0)
-    pts = p[None, :] + t[:, None] * (q - p)[None, :]
-    return pts, 0.5 * w * float(np.hypot(*(q - p)))
+    pts = p[..., None, :] + t[:, None] * d[..., None, :]
+    return pts, 0.5 * w * np.hypot(d[..., 0], d[..., 1])[..., None]
 
 
 @dataclass
@@ -256,8 +270,7 @@ class Space:
 
         # all cells' points in one array: the uncut cells' block, then the
         # cut cells' fan rules, nq_tri points per vertex
-        tri_pts, tri_w = triangle_rule(quad_degree)
-        nq, nq_tri = len(ref_w), len(tri_w)
+        nq, nq_tri = len(ref_w), len(triangle_rule(quad_degree)[1])
         self._n_uncut_pts = n_uncut = len(uncut_ids) * nq
         cut_nv = nv[cut_ids]
         bounds = n_uncut + np.concatenate([[0], np.cumsum(cut_nv * nq_tri)])
@@ -274,7 +287,7 @@ class Space:
         uncut_pts[:] = centers[uncut_ids][:, None, :] + ref_pts * h
         self.quad_w[:n_uncut] = np.tile(self._ref_w, len(uncut_ids))
 
-        # the cut cells' fan rules (see polygon_quadrature), tables, masses
+        # the cut cells' fan rules (fan_rules), tables, masses
         # and mode integrals, one group of equal vertex count at a time
         cut_pts, cut_w = self.quad_pts[n_uncut:], self.quad_w[n_uncut:]
         groups = []   # (cut-cell positions, their point rows (cells, n nq_tri))
@@ -283,12 +296,7 @@ class Space:
             rows = bounds[g][:, None] - n_uncut + np.arange(n * nq_tri)
             groups.append((g, rows))
             poly = mesh.cell_vertices[mesh.cell_offsets[cut_ids[g]][:, None] + np.arange(n)]
-            c = poly.mean(axis=1)[:, None, :]
-            a, b = poly - c, np.roll(poly, -1, axis=1) - c
-            jac = a[..., 0] * b[..., 1] - b[..., 0] * a[..., 1]
-            mapped = c[:, :, None] + tri_pts[:, :1] * a[:, :, None] + tri_pts[:, 1:] * b[:, :, None]
-            cut_pts[rows] = mapped.reshape(len(g), -1, 2)
-            cut_w[rows] = (tri_w * jac[..., None]).reshape(len(g), -1)
+            cut_pts[rows], cut_w[rows] = fan_rules(poly, quad_degree)
         self._cut_phi, self._cut_grad = monomial_tables(exps, centers[self.quad_cells[n_uncut:]], h, cut_pts)
         self.mass = np.empty((ncells, self.n_modes, self.n_modes))
         self.mass[uncut_ids] = ref_mass

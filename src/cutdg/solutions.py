@@ -61,9 +61,6 @@ class PolynomialField:
     def __call__(self, pts, t=0.0):
         return monomial_values(self.exps, (0.0, 0.0), 1.0, pts) @ self.coeffs
 
-    def max_abs(self, pts):
-        return float(np.max(np.abs(self(pts)))) if len(pts) else 0.0
-
     def to_dg(self, space):
         """Exact representation in the discrete space (block-wise re-centering).
 
@@ -71,13 +68,27 @@ class PolynomialField:
         is the polynomial itself; writing it down by re-centering avoids the
         ill-conditioned mass solves of sliver cells entirely.
         """
-        if self.degree > space.degree:
+        return DGFunction(recentered([self], space)[0], space.degree)
+
+
+def recentered(fields, space, cells=None):
+    """The coefficient blocks of the polynomial fields ``fields`` (all with
+    one component count) in the cells ``cells`` of the discrete space
+    (default: every cell), (fields, cells, n_modes, m).
+
+    Each field is lifted to the space's degree and re-centered on each
+    cell's background cell (:func:`_shift_matrices`); the re-centering
+    matrices are built once for all fields.
+    """
+    exps = space.exps
+    lifted = np.zeros((len(fields), len(exps), fields[0].m))
+    for f, fld in enumerate(fields):
+        if fld.degree > space.degree:
             raise ConfigurationError("polynomial degree exceeds the discrete space")
-        exps = space.exps
-        lifted = np.zeros((len(exps), self.m))
-        lifted[: len(self.coeffs)] = self.coeffs
-        S = _shift_matrices(exps, space.centers, space.h)
-        return DGFunction(S.transpose(0, 2, 1) @ lifted, space.degree)
+        lifted[f, : len(fld.coeffs)] = fld.coeffs
+    centers = space.centers if cells is None else space.centers[cells]
+    S = _shift_matrices(exps, centers, space.h)
+    return S.transpose(0, 2, 1) @ lifted[:, None]
 
 
 def random_polynomial(rng, degree, m, pressure_only=False):

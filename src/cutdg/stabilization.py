@@ -30,7 +30,8 @@ minus eta times the face matrices of the cell's faces, built by
 defect into ``outflow`` and ``volume``, and the local matrix is eta times
 their sum.  The axiom check evaluates the propagation forms
 (:func:`face_forms`, :func:`surface_forms`, :func:`volume_forms`) from
-(a)'s Gram products of a cell's own source.
+(a)'s Gram products of each checked cell's own source, for a batch of cells
+at once.
 """
 
 from dataclasses import dataclass
@@ -98,7 +99,7 @@ def _neighborhood(mesh, cell_id):
     return nb, cells, tuple(-1 if C is None else cells.index(C) for C in nb)
 
 
-def _cell_faces(mesh, cell_ids):
+def cell_faces(mesh, cell_ids):
     """The face ids (B, K) of cells with one face count, in polygon order."""
     lo = mesh.cell_offsets[cell_ids]
     return mesh.cell_face_ids[lo[:, None] + np.arange(mesh.cell_offsets[cell_ids[0] + 1] - lo[0])]
@@ -251,7 +252,7 @@ def source_tables(space, cell_ids, sources, wall=-1, n=None):
     # gradients at the cell points: the plain tables at the points
     # themselves, the mirrored ones at their feet on the wall line, with the
     # gradient's normal part dropped
-    fids = _cell_faces(mesh, cell_ids)
+    fids = cell_faces(mesh, cell_ids)
     K = fids.shape[1]
     nq = space.face_npts
     cell_pts, cell_w, _, _ = space.cell_rules(cell_ids)
@@ -375,21 +376,29 @@ def _pair_matrices(space, spec, cell_ids, sources, pattern):
 
 
 # ---------------------------------------------------------------------------
-# propagation forms of one cell from its own source's Gram products (axiom
+# propagation forms of cells from their own sources' Gram products (axiom
 # checks)
 # ---------------------------------------------------------------------------
 #
-# ``tables`` is source_tables(space, [cid], [[cid]]): the cell's own
-# extension is its only source.  U, V, W are blocks of the cell's basis,
-# (n_modes, m), or stacks of them, (..., n_modes, m); each form returns one
-# value per stacked triple.
+# ``tables`` is source_tables(space, cids, cids[:, None]) for B cells of one
+# face count and cell-rule size: each cell's own extension is its only
+# source.  U, V, W are stacks of blocks of the cells' bases, (..., B,
+# n_modes, m), the last stacked axis running over the cells; each form
+# returns one value per stacked triple and cell.  The tables of one cell
+# (B = 1) also take stacks without a cell axis, (..., n_modes, m).
+
+
+def _per_cell(a):
+    """A table array (B, ...), without its cell axis for one cell, so that it
+    broadcasts against stacks of blocks with or without a cell axis."""
+    return a[0] if len(a) == 1 else a
 
 
 def face_forms(tables, spec, U, V, W):
     """A_k(U, V, W) = int_{face k} < A_n avg(U, V), W > for every face k,
     shape (..., K)."""
-    AnT = np.swapaxes(spec.A_n(tables.outward[0]), -1, -2)
-    flux = tables.face_gram[0] @ (SPLIT * (U + V))[..., None, :, :] @ AnT
+    AnT = np.swapaxes(spec.A_n(_per_cell(tables.outward)), -1, -2)
+    flux = _per_cell(tables.face_gram) @ (SPLIT * (U + V))[..., None, :, :] @ AnT
     return np.sum(flux * W[..., None, :, :], axis=(-2, -1))
 
 
@@ -410,7 +419,7 @@ def volume_forms(tables, spec, U, V, W):
     """(p_V, p_V*): kappa times the averaged flux against grad W, and kappa
     times its divergence against W (:func:`kappa`)."""
     scale = kappa(tables.outward.shape[1])
-    gram = tables.cell_gram[0]
+    gram = _per_cell(tables.cell_gram)
     AdT = np.stack([spec.A1.T, spec.A2.T])
     ubar = (SPLIT * (U + V))[..., None, :, :]
     W = W[..., None, :, :]
@@ -496,7 +505,7 @@ class WaveStabilization(_Penalty):
         # matrix, in face order.  face_matrices builds the base form's too, so
         # at eta = 1 they cancel bit for bit; a face matrix's central and
         # dissipative parts share no nonzero entry, so one subtraction is two.
-        fids = _cell_faces(mesh, group.cell_ids)
+        fids = cell_faces(mesh, group.cell_ids)
         B, K = fids.shape
         faces = face_matrices(space, spec, fids.ravel()).reshape(B, K, 2 * R, 2 * R)
         # the dofs of each face's left and right cell in the sorted neighborhood

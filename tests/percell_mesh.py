@@ -18,6 +18,7 @@ import numpy as np
 
 from cutdg.errors import (
     ConfigurationError,
+    InflowCountError,
     MeshValidationError,
     UnsupportedConfigurationError,
 )
@@ -326,7 +327,7 @@ def classify_small_cells(mesh, alpha0, beta=None):
         for cid in small:
             inflow = inflow_faces(mesh, cid, beta)
             if len(inflow) != 1:
-                raise MeshValidationError(
+                raise InflowCountError(
                     f"stabilized cell {cid} has {len(inflow)} inflow faces; exactly one required"
                 )
             if mesh.face_right[inflow[0]] < 0:

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from csr_coupling import block_csr
-from cutdg.errors import MeshValidationError, UnsupportedConfigurationError
+from cutdg.errors import InflowCountError, UnsupportedConfigurationError
 from cutdg.quadrature import monomial_gradients, monomial_values
 from cutdg.stabilization import (
     DISSIPATIVE_WEIGHT,
@@ -266,7 +266,7 @@ class _AdvectionCellContext:
         beta = spec.beta
         inflow = inflow_faces(mesh, cell_id, beta)
         if len(inflow) != 1:
-            raise MeshValidationError(
+            raise InflowCountError(
                 f"stabilized cell {cell_id} has {len(inflow)} inflow faces; exactly one required"
             )
         if mesh.face_right[inflow[0]] < 0:

@@ -187,6 +187,26 @@ def test_convergence_command_deterministic(tmp_path):
     assert (tmp_path / "convergence.csv").read_bytes() == first
 
 
+def test_convergence_with_a_rejected_level_writes_every_level(tmp_path, capsys):
+    # the bump study's nx=64 level has a small cell whose inflow face is on
+    # the wall: the CSV holds all three levels, that one naming the error,
+    # and the run exits 1; a configuration error still exits 2
+    from pathlib import Path
+
+    config = Path(__file__).resolve().parent.parent / "configs" / "conservation-bump.cfg"
+    assert main(["convergence", "--config", str(config), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    rows = (tmp_path / "convergence.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["16", "32", "64"]
+    assert rows[2].split(",")[4] == "BoundaryInflowError"
+    assert all(float(row.split(",")[4]) > 0 for row in rows[:2])
+    assert captured.out.splitlines()[1:5] == ["run_id,nx,h,dofs,l2_error,observed_order"] + rows
+    assert "rejected: BoundaryInflowError: stabilized cell 0" in captured.out
+    assert captured.err == ""
+    assert main(["convergence", "--config", str(config), "--out", str(tmp_path),
+                 "--seed", "-1"]) == 2
+
+
 def test_threads_flag_accepted(tmp_path, capsys):
     cfg = ramp_config("acoustics", 1, 1e-2, out=str(tmp_path))
     path = _write_config(tmp_path, cfg)

@@ -1,17 +1,20 @@
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import generic_cuts
-from cutdg.config import RunConfig
+from conftest import generic_cuts, ramp_mesh
+from percell_checks import axioms_per_cell, consistency_per_field
+from cutdg.config import RunConfig, load_config
 from cutdg.errors import (AdjacentSmallCellsError, BoundaryInflowError, ConfigurationError,
-                          CornerCellError)
+                          CornerCellError, InflowCountError, UnsupportedConfigurationError)
 from cutdg.experiments import (
     CONSISTENCY_TOL,
     _draw_triples,
     build_context,
+    check_axioms_on_cell,
     line_config,
     make_rhs,
     mesh_info,
@@ -23,7 +26,10 @@ from cutdg.experiments import (
     run_stability,
 )
 from cutdg.geometry import halfplane_from_line
+from cutdg.quadrature import Space
+from cutdg.solutions import random_polynomial
 from cutdg.stepping import evolve
+from cutdg.systems import SystemSpec
 
 
 def test_ramp_config_hits_target_min_alpha():
@@ -55,6 +61,85 @@ def test_generic_cut_corpus_counts_per_rejection_reason(equation):
         except (AdjacentSmallCellsError, CornerCellError, BoundaryInflowError) as exc:
             counts[type(exc)] += 1
     assert counts == _CORPUS_COUNTS[equation]
+
+
+def test_two_inflow_faces_are_a_named_rejection():
+    # corpus line 32 (counted from 1) at nx=8: an advection small cell with
+    # two inflow faces, which the upstream-extension penalty does not define
+    s, o = generic_cuts()[31]
+    with pytest.raises(InflowCountError) as err:
+        build_context(line_config("advection", 1, s, o, nx=8))
+    assert isinstance(err.value, UnsupportedConfigurationError)
+    assert str(err.value) == "stabilized cell 2 has 2 inflow faces; exactly one required"
+
+
+# the consistency and axiom grid of the equivalence tests: the ramp at nx=8
+_CHECK_GRID = [(r, a) for r in range(4) for a in (1e-2, 1e-5)]
+
+
+@pytest.mark.parametrize("equation", ["advection", "acoustics"])
+@pytest.mark.parametrize("degree, alpha", _CHECK_GRID)
+def test_consistency_equals_the_per_field_evaluation(monkeypatch, equation, degree, alpha):
+    # all fields at once, with the re-centering and the field sizes built
+    # once: the same fields, drawn in the same order, and the same residual
+    from cutdg import experiments
+
+    drawn = []
+
+    def recorded(*args, **kwargs):
+        fld = random_polynomial(*args, **kwargs)
+        drawn.append(fld.coeffs)
+        return fld
+
+    monkeypatch.setattr(experiments, "random_polynomial", recorded)
+    cfg = ramp_config(equation, degree, alpha, nx=8, n_polynomials=4, seed=degree + 1)
+    worst, expected = consistency_per_field(cfg)
+    assert run_consistency(cfg).max_residual == worst
+    assert len(drawn) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, expected))
+
+
+def _generic_r1():
+    """Corpus line 202 (counted from 1) at nx=8, r=1, acoustics."""
+    return line_config("acoustics", 1, *generic_cuts()[201], nx=8)
+
+
+@pytest.mark.parametrize("cfg", [ramp_config("acoustics", r, a, nx=8, n_triples=6, seed=r + 3)
+                                 for r, a in _CHECK_GRID] + [_generic_r1()])
+def test_axiom_run_equals_the_per_cell_evaluation(cfg):
+    # every cell's triples drawn first, the cells checked in groups: the
+    # same worst residuals as one cell after the other, from the same draws
+    ctx = build_context(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    expected = axioms_per_cell(ctx.space, ctx.spec, ctx.small, rng, cfg.n_triples)
+    assert run_axioms(cfg).worst == expected
+    batched_rng = np.random.default_rng(cfg.seed)
+    assert check_axioms_on_cell(ctx.space, ctx.spec, ctx.small, batched_rng,
+                                cfg.n_triples) == expected
+    assert batched_rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("entries", [None, 1])
+def test_axiom_check_groups_equal_the_per_cell_evaluation(monkeypatch, degree, entries):
+    # every cut cell of a gentler ramp (3, 4 and 5 faces) and two uncut
+    # cells, out of id order: several groups form; with a one-entry budget
+    # every group is checked one cell at a time
+    from cutdg import experiments
+
+    if entries is not None:
+        monkeypatch.setattr(experiments, "_CHECK_ENTRIES", entries)
+    mesh = ramp_mesh(nx=4, ny=4, slope=0.55, offset=0.13)
+    space, spec = Space(mesh, degree), SystemSpec.acoustics(1.0)
+    cut = [c for c in range(mesh.num_cells) if not space.uncut[c]]
+    cells = cut[::-1] + np.flatnonzero(space.uncut)[:2].tolist()
+    keys = {(len(mesh.cell_faces(c)), int(space.rule_size[c])) for c in cells}
+    assert len(keys) >= 4
+    for ids in (cells, cells[0]):
+        rng, batched_rng = np.random.default_rng(degree), np.random.default_rng(degree)
+        expected = axioms_per_cell(space, spec, np.atleast_1d(ids), rng, 7)
+        assert check_axioms_on_cell(space, spec, ids, batched_rng, 7) == expected
+        assert batched_rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_consistency_driver_advection():
@@ -122,6 +207,38 @@ def test_consistency_and_axiom_runs_build_no_base_form(monkeypatch):
     assert run_axioms(load_config(str(configs / "consistency-acoustics.cfg"))).passed
 
 
+def test_a_residual_that_is_not_a_number_fails_the_check(monkeypatch):
+    # one cell's penalty, or one cell's form tables, made nan: the worst
+    # residual is nan and the check fails, whatever the other cells read
+    from cutdg import experiments
+    from cutdg.stabilization import AdvectionStabilization
+
+    local = AdvectionStabilization._local
+
+    def poisoned_local(self, group):
+        A = local(self, group)
+        A[0, 0, 0] = np.nan
+        return A
+
+    monkeypatch.setattr(AdvectionStabilization, "_local", poisoned_local)
+    rep = run_consistency(ramp_config("advection", 1, 1e-2, nx=8, n_polynomials=2))
+    assert np.isnan(rep.max_residual) and not rep.passed
+
+    cfg = ramp_config("acoustics", 1, 1e-2, nx=8, n_triples=3)
+    poisoned = build_context(cfg).small[1]
+    tables = experiments.source_tables
+
+    def poisoned_tables(space, cell_ids, *args):
+        out = tables(space, cell_ids, *args)
+        out.face_gram[np.asarray(cell_ids) == poisoned] = np.nan
+        return out
+
+    monkeypatch.setattr(experiments, "source_tables", poisoned_tables)
+    rep = run_axioms(cfg)
+    assert np.isnan(rep.worst["face_consistency"]) and not rep.passed
+    assert "face_consistency = nan" in rep.lines()
+
+
 def test_axiom_driver_seed_invariance():
     worst = []
     for seed in (1, 2):
@@ -175,6 +292,20 @@ def test_convergence_reports_divergence_per_row():
     rep = run_convergence(cfg)
     assert not rep.passed
     assert "diverged" in rep.csv()
+
+
+def test_convergence_keeps_the_levels_before_a_rejected_one():
+    # the bump study's finest level puts a small cell's inflow face on the
+    # wall: that level is a row naming the error, after the levels that ran
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    rep = run_convergence(load_config(str(configs / "conservation-bump.cfg")))
+    assert not rep.passed
+    assert [r.rejected is None for r in rep.rows] == [True, True, False]
+    assert all(np.isfinite(r.l2_error) for r in rep.rows[:2])
+    assert rep.rows[1].observed_order is not None and rep.rows[2].observed_order is None
+    assert rep.csv().splitlines()[3] == "advection-r1-nx64,64,0.015625,,BoundaryInflowError,"
+    assert rep.lines()[-1] == ("# nx = 64 rejected: BoundaryInflowError: stabilized cell 0: "
+                               "inflow face 1 lies on the physical boundary")
 
 
 def test_convergence_csv_shape():

@@ -8,7 +8,7 @@ import percell_mesh
 from conftest import ramp_mesh, uncut_mesh
 from percell_mesh import clip_polygon
 from cutdg.errors import (AdjacentSmallCellsError, BoundaryInflowError, ConfigurationError,
-                          MeshValidationError)
+                          InflowCountError, MeshValidationError)
 from cutdg.geometry import (
     SNAP_FRAC,
     BackgroundMesh,
@@ -212,7 +212,7 @@ def test_single_inflow_validation():
 def test_wrong_inflow_count_rejected():
     mesh = ramp_mesh(nx=16, ny=16)
     # reversed flow: the left and wall faces of each sliver are both inflow
-    with pytest.raises(MeshValidationError):
+    with pytest.raises(InflowCountError):
         upstream_cells(mesh, classify_small_cells(mesh, 0.25), (-1.0, -0.2))
 
 

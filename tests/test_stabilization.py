@@ -8,7 +8,7 @@ from conftest import (face_kinds, face_matrix_on, mixed_stabilized_set, penalty_
                       penalty_residuals, ramp_mesh)
 from cutdg.dg import block_matrix, local_blocks
 from cutdg.config import load_config
-from cutdg.errors import (BoundaryInflowError, CornerCellError, MeshValidationError,
+from cutdg.errors import (BoundaryInflowError, CornerCellError, InflowCountError,
                           UnsupportedConfigurationError)
 from cutdg.geometry import classify_small_cells
 from cutdg.quadrature import Space
@@ -575,7 +575,7 @@ def test_advection_penalty_names_the_inflow_offender_after_valid_cells(beta):
     mesh = ctx.mesh
     if beta[1] != 0.0:
         cell = _uncut(mesh, 0)
-        error = MeshValidationError
+        error = InflowCountError
         message = f"stabilized cell {cell.id} has 2 inflow faces; exactly one required"
     else:
         cell = _uncut(mesh, 1)
